@@ -11,7 +11,6 @@ from .basis import (
     coarsening_factors,
     cross_gram_family,
     gram_family,
-    materialize,
     orthogonalize,
     polynomial_basis,
     projection_factors,
@@ -26,7 +25,7 @@ from .h2matrix import (
     sparsity_constant,
 )
 from .hvector import HVector, axpy, coarsen, dot, from_dense, norm, refine, scale, to_dense
-from .kernels import FlopCounter, count_flops, extend_to_orthonormal, triangularize
+from .kernels import FlopCounter, count_flops, triangularize
 from .matvec import (
     InducedHVector,
     MatvecPlan,
@@ -38,6 +37,6 @@ from .matvec import (
     to_hvector,
 )
 from .poisson import PoissonProblem, assemble_lshape
-from .tree import ClusterTree, Subtree, build_cluster_tree, minimal_subtree, validate_tree
+from .tree import ClusterTree, Subtree, build_cluster_tree, validate_tree
 
 __version__ = "0.1.0"

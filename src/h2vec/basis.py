@@ -7,10 +7,10 @@ transfers.  An isometric basis has orthonormal columns at every
 cluster, which makes optimal projections and exact error computation
 possible:
 
-* merge factors: one reflector stack per interior cluster over the
-  stacked transfer matrices.  Applying the adjoint transform to
-  stacked son coefficients yields the optimally merged coefficient in
-  the leading rows and the exact merge error in the trailing rows.
+* merge factors: the orthogonal factor of one QR per interior cluster
+  over the stacked transfer matrices.  Applying its adjoint to stacked
+  son coefficients yields the optimally merged coefficient in the
+  leading rows and the exact merge error in the trailing rows.
 * projection factors: small upper-triangular matrices Z per cluster
   with  || V x - Q Q^T V x || = || Z x ||  for all coefficient vectors
   x, computed by a bottom-up recursion together with the cross terms
@@ -29,7 +29,6 @@ __all__ = [
     "ProjectionFactors",
     "polynomial_basis",
     "orthogonalize",
-    "materialize",
     "gram_family",
     "cross_gram_family",
     "coarsening_factors",
@@ -62,10 +61,6 @@ class ClusterBasis:
             for s in tree.sons(i)
         ]
         return np.vstack(blocks)
-
-
-def materialize(basis, i):
-    return basis.materialize(i)
 
 
 def _legendre_columns(block, box_min, box_max, degree):
@@ -146,7 +141,7 @@ def orthogonalize(basis):
     """Turn a cluster basis into an isometric one with the same ranges.
 
     Returns (iso, change) where change[i] is the upper-triangular
-    matrix with  materialize(basis, i) = materialize(iso, i) @ change[i]
+    matrix with  basis.materialize(i) = iso.materialize(i) @ change[i]
     for every cluster i.
     """
     tree = basis.tree
@@ -220,9 +215,9 @@ def cross_gram_family(left, right):
 
 
 def coarsening_factors(basis):
-    """Reflector stacks over the stacked transfers of an isometric basis.
+    """QR orthogonal factors of the stacked transfers of an isometric basis.
 
-    For each interior cluster, applying the adjoint transform to the
+    For each interior cluster, applying the factor's adjoint to the
     stacked son coefficients puts the optimally merged coefficient in
     the first k rows and the exact merge error in the remaining rows.
     """

@@ -158,8 +158,9 @@ class PoissonDemo:
             norm_yh = hvector.norm(yh, self.gram)
             hvector.scale(yh, 1.0 / norm_yh)
             xh = yh
-            # normalization is 2-Lipschitz relative to the larger norm
-            delta = 2.0 * (self.op_norm * delta + conv_bound) / norm_yd
+            # normalization is 2-Lipschitz relative to the larger norm;
+            # both iterates are unit vectors, so their distance is at most 2
+            delta = min(2.0, 2.0 * (self.op_norm * delta + conv_bound) / norm_yd)
             true_diff = float(np.linalg.norm(hvector.to_dense(xh) - xd))
             run.steps.append(
                 DemoStep(

@@ -6,16 +6,19 @@ floating-point work happens, so they also maintain the multiply-add
 counter used by the complexity checks.
 
 Counting convention: a product of an (m, n) matrix with an n-vector
-costs m*n multiply-adds, a product with an (n, p) matrix costs m*n*p,
-and applying one Householder reflection of active length L to a single
-column costs 2*L.  Comparisons and copies are not counted.
+costs m*n multiply-adds and a product with an (n, p) matrix costs
+m*n*p.  A QR of an (m, n) matrix is charged m*n*min(m, n) for the
+triangular factor, plus m*m*n when the complete m x m orthogonal
+factor is formed as well (``triangularize``).  The orthogonal factor
+is kept dense, so applying its adjoint to p columns is one counted
+product of m*m*p.  Comparisons and copies are not counted.
 
-The Householder routines fix signs so that the triangular factor has a
+The QR routines fix signs so that the triangular factor has a
 non-negative diagonal.  For input with orthonormal columns this forces
-R = I, which means the leading columns of the accumulated transform
-coincide with the input itself; one application of the adjoint
-transform then yields both projection coefficients (leading rows) and
-the exact residual (trailing rows).
+R = I, which means the leading columns of the orthogonal factor
+coincide with the input itself; one application of its adjoint then
+yields both projection coefficients (leading rows) and the exact
+residual (trailing rows).
 """
 
 import contextlib
@@ -35,8 +38,6 @@ __all__ = [
     "ReflectorStack",
     "triangularize",
     "triangular_factor",
-    "OrthonormalComplement",
-    "extend_to_orthonormal",
 ]
 
 _COUNTER: contextvars.ContextVar = contextvars.ContextVar(
@@ -142,19 +143,17 @@ def vdot(x, y):
 
 
 class ReflectorStack:
-    """Product of Householder reflections plus a diagonal sign fix.
+    """Orthogonal factor of a QR with non-negative diagonal.
 
-    Represents an orthogonal Q of size dim x dim through ``count``
-    elementary reflections and a sign vector, such that Q^T A = [R; 0]
-    with R upper triangular and non-negative on the diagonal.
+    Holds the complete m x m matrix Q with Q^T A = [R; 0] for the
+    triangularized (m, count) matrix A, R upper triangular and
+    non-negative on the diagonal.  The benchmark's layer tracer
+    (``perfbench/tracing.py``) wraps ``apply_adjoint`` by this class name.
     """
 
-    def __init__(self, dim, vectors, betas, signs):
-        self.dim = dim
-        self.count = len(vectors)
-        self.vectors = vectors
-        self.betas = betas
-        self.signs = signs
+    def __init__(self, q, count):
+        self.q = q
+        self.count = count
 
     def apply_adjoint(self, x):
         """Return Q^T x; x may be a vector or a matrix of columns.
@@ -163,103 +162,36 @@ class ReflectorStack:
         the leading ``count`` rows carry the coefficients R*z and the
         trailing rows the orthogonal-complement part.
         """
-        y = np.array(x, dtype=float, copy=True)
-        if y.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: {y.shape[0]} != {self.dim}")
-        ncols = 1 if y.ndim == 1 else y.shape[1]
-        for j in range(self.count):
-            v = self.vectors[j]
-            beta = self.betas[j]
-            tally(2 * v.size * ncols)
-            if beta == 0.0:
-                continue
-            seg = y[j:]
-            if y.ndim == 1:
-                seg -= (beta * (v @ seg)) * v
-            else:
-                seg -= np.outer(v, beta * (v.T @ seg))
-        if y.ndim == 1:
-            y[: self.count] *= self.signs
-        else:
-            y[: self.count] *= self.signs[:, None]
-        tally(self.count * ncols)
-        return y
-
-    def apply(self, x):
-        """Return Q x (inverse of apply_adjoint)."""
-        y = np.array(x, dtype=float, copy=True)
-        if y.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: {y.shape[0]} != {self.dim}")
-        ncols = 1 if y.ndim == 1 else y.shape[1]
-        if y.ndim == 1:
-            y[: self.count] *= self.signs
-        else:
-            y[: self.count] *= self.signs[:, None]
-        tally(self.count * ncols)
-        for j in reversed(range(self.count)):
-            v = self.vectors[j]
-            beta = self.betas[j]
-            tally(2 * v.size * ncols)
-            if beta == 0.0:
-                continue
-            seg = y[j:]
-            if y.ndim == 1:
-                seg -= (beta * (v @ seg)) * v
-            else:
-                seg -= np.outer(v, beta * (v.T @ seg))
-        return y
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return matvec(self.q.T, x)
+        return matmul(self.q.T, x)
 
     def thin_q(self):
-        """Materialize the leading ``count`` columns of Q."""
-        e = np.zeros((self.dim, self.count))
-        e[: self.count, : self.count] = np.eye(self.count)
-        return self.apply(e)
+        """The leading ``count`` columns of Q.
+
+        Returned as a copy: a view would keep the whole m x m Q
+        alive for as long as the caller keeps the columns.
+        """
+        return self.q[:, : self.count].copy()
 
 
-def _householder_sweep(a):
-    """In-place Householder sweep; returns (vectors, betas, reduced a)."""
-    m, n = a.shape
-    steps = min(m, n)
-    vectors = []
-    betas = []
-    for j in range(steps):
-        x = a[j:, j].copy()
-        tally(3 * x.size)
-        sigma = float(x[1:] @ x[1:])
-        v = x.copy()
-        v[0] = 1.0
-        if sigma == 0.0 and x[0] >= 0.0:
-            beta = 0.0
-            alpha = x[0]
-        elif sigma == 0.0:
-            # pure sign flip of the leading entry
-            beta = 2.0
-            alpha = -x[0]
-        else:
-            mu = np.sqrt(x[0] * x[0] + sigma)
-            # v0 = x[0] - mu in both branches; the second form avoids
-            # cancellation for positive leading entries.
-            if x[0] <= 0.0:
-                v0 = x[0] - mu
-            else:
-                v0 = -sigma / (x[0] + mu)
-            beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-            v = x / v0
-            v[0] = 1.0
-            alpha = mu
-        vectors.append(v)
-        betas.append(beta)
-        if beta != 0.0:
-            block = a[j:, j:]
-            tally(2 * block.size)
-            block -= np.outer(v, beta * (v.T @ block))
-        a[j, j] = alpha
-        a[j + 1 :, j] = 0.0
-    return vectors, betas, a
+def _sign_fix(r):
+    """Signs that make the diagonal of the triangular factor r non-negative."""
+    return np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+
+
+def _check_matrix(a):
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("expected a matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite entries in input")
+    return a
 
 
 def triangularize(a):
-    """Householder QR of a tall matrix with non-negative diagonal.
+    """QR of a tall matrix with non-negative diagonal.
 
     Parameters
     ----------
@@ -272,19 +204,15 @@ def triangularize(a):
     r : (n, n) ndarray
         Upper triangular with non-negative diagonal.
     """
-    a = np.array(a, dtype=float, copy=True, order="F")
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
+    a = _check_matrix(a)
     m, n = a.shape
     if m < n:
         raise ValueError(f"need at least as many rows as columns, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in input")
-    vectors, betas, a = _householder_sweep(a)
-    diag = np.diagonal(a)[:n].copy()
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    r = a[:n] * signs[:, None]
-    return ReflectorStack(m, vectors, betas, signs), np.triu(r)
+    tally(m * n * (m + n))
+    q, r = np.linalg.qr(a, mode="complete")
+    signs = _sign_fix(r)
+    q[:, :n] *= signs
+    return ReflectorStack(q, n), r[:n] * signs[:, None]
 
 
 def triangular_factor(a):
@@ -293,67 +221,10 @@ def triangular_factor(a):
     Works for any shape; returns an array of shape (min(m, n), n) with
     the same column Gram matrix as ``a``.
     """
-    a = np.array(a, dtype=float, copy=True, order="F")
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
+    a = _check_matrix(a)
     m, n = a.shape
     if m == 0 or n == 0:
         return np.zeros((min(m, n), n))
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in input")
-    _, _, a = _householder_sweep(a)
-    steps = min(m, n)
-    r = a[:steps].copy()
-    diag = np.diagonal(r).copy()
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    r *= signs[:, None]
-    return np.triu(r)
-
-
-class OrthonormalComplement:
-    """Applicator for the orthonormal complement of an isometric matrix.
-
-    Wraps the reflector stack of Q (m x n, orthonormal columns) so that
-    ``apply_adjoint`` maps an m-vector to its (m - n) complement
-    coefficients and ``apply`` embeds complement coefficients back.
-    """
-
-    def __init__(self, stack):
-        self._stack = stack
-        self.dim = stack.dim
-        self.codim = stack.dim - stack.count
-
-    def apply_adjoint(self, x):
-        return self._stack.apply_adjoint(x)[self._stack.count :]
-
-    def apply(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape[0] != self.codim:
-            raise ValueError(f"dimension mismatch: {y.shape[0]} != {self.codim}")
-        if y.ndim == 1:
-            full = np.zeros(self.dim)
-            full[self._stack.count :] = y
-        else:
-            full = np.zeros((self.dim, y.shape[1]))
-            full[self._stack.count :] = y
-        return self._stack.apply(full)
-
-    def materialize(self):
-        return self.apply(np.eye(self.codim))
-
-
-def extend_to_orthonormal(q, tol=1e-12):
-    """Extend an isometric matrix to an orthonormal basis.
-
-    Returns an OrthonormalComplement P with [q, P] orthogonal.  Raises
-    if q fails the isometry check ``max|q^T q - I| <= tol``.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] < q.shape[1]:
-        raise ValueError(f"expected a tall matrix, got {q.shape}")
-    gram = q.T @ q
-    defect = np.max(np.abs(gram - np.eye(q.shape[1]))) if q.shape[1] else 0.0
-    if defect > tol:
-        raise ValueError(f"matrix is not isometric: defect {defect:.3e} > {tol:.3e}")
-    stack, _ = triangularize(q)
-    return OrthonormalComplement(stack)
+    tally(m * n * min(m, n))
+    r = np.linalg.qr(a, mode="r")
+    return r * _sign_fix(r)[:, None]

@@ -25,7 +25,6 @@ __all__ = [
     "Subtree",
     "build_cluster_tree",
     "validate_tree",
-    "minimal_subtree",
 ]
 
 
@@ -97,11 +96,6 @@ class ClusterTree:
     def diameter(self, i):
         c = self.clusters[i]
         return float(np.linalg.norm(c.box_max - c.box_min))
-
-    def distance(self, i, j):
-        a, b = self.clusters[i], self.clusters[j]
-        gap = np.maximum(0.0, np.maximum(a.box_min - b.box_max, b.box_min - a.box_max))
-        return float(np.linalg.norm(gap))
 
 
 def _bisect(points, perm, begin, end):
@@ -339,8 +333,3 @@ class Subtree:
         if pos != self.tree.n:
             return f"leaves stop at {pos} instead of {self.tree.n}"
         return None
-
-
-def minimal_subtree(tree):
-    """Subtree containing only the root."""
-    return Subtree(tree)

@@ -39,9 +39,12 @@ def test_partition_covers_with_full_tree(demo):
     assert abs(sum(areas.values()) - 0.75) <= 1e-9
 
 
-def test_bound_dominates_true_difference(run):
+def test_bound_dominates_true_difference(demo):
+    # long enough for the unclamped bound to pass 2 (at step 34)
+    run = demo.run(1e-5, steps=40)
     for step in run.steps:
         assert step.true_diff <= step.cum_bound + 1e-12
+        assert step.cum_bound <= 2.0
 
 
 def test_eigenvalue_agreement(run):

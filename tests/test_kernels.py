@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from h2vec import kernels
+from h2vec.instances import line_tree, random_iso_basis
 
 
 def test_identity_columns_triangularize_to_identity():
@@ -61,11 +62,12 @@ def test_apply_adjoint_preserves_norm(rng):
     )
 
 
-def test_apply_inverts_apply_adjoint(rng):
-    a = rng.standard_normal((8, 4))
-    stack, _ = kernels.triangularize(a)
-    x = rng.standard_normal(8)
-    assert np.max(np.abs(stack.apply(stack.apply_adjoint(x)) - x)) <= 1e-13
+def test_factor_is_orthogonal(rng):
+    for shape in [(1, 1), (7, 3), (12, 12), (5, 0)]:
+        stack, _ = kernels.triangularize(rng.standard_normal(shape))
+        assert stack.q.shape == (shape[0], shape[0])
+        assert stack.count == shape[1]
+        assert np.max(np.abs(stack.q.T @ stack.q - np.eye(shape[0]))) <= 1e-13
 
 
 def test_triangularize_rejects_bad_input():
@@ -73,34 +75,67 @@ def test_triangularize_rejects_bad_input():
         kernels.triangularize(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         kernels.triangularize(np.array([[np.nan], [1.0]]))
+    with pytest.raises(ValueError):
+        kernels.triangularize(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        kernels.triangular_factor(np.array([[1.0, np.inf]]))
+
+
+def _complement(q):
+    """Trailing columns of the orthogonal factor of an isometric q."""
+    stack, _ = kernels.triangularize(q)
+    return stack.apply_adjoint(np.eye(q.shape[0]))[q.shape[1] :].T
 
 
 def test_complement_identity_small():
-    comp = kernels.extend_to_orthonormal(np.eye(2)[:, :1])
-    p = comp.materialize()
+    p = _complement(np.eye(2)[:, :1])
     assert np.allclose(np.abs(p[:, 0]), [0.0, 1.0], atol=1e-15)
 
 
 def test_complement_2d():
     s = 1.0 / np.sqrt(2.0)
-    comp = kernels.extend_to_orthonormal(np.array([[s], [s]]))
-    p = comp.materialize().ravel()
+    p = _complement(np.array([[s], [s]])).ravel()
     assert np.allclose(np.abs(p), [s, s], atol=1e-14)
     assert abs(p[0] + p[1]) <= 1e-14  # orthogonal to the input column
 
 
 def test_complement_dense_identities(rng):
     q = np.linalg.qr(rng.standard_normal((8, 3)))[0]
-    comp = kernels.extend_to_orthonormal(q)
-    p = comp.materialize()
+    p = _complement(q)
     assert np.max(np.abs(p.T @ p - np.eye(5))) <= 1e-12
     assert np.max(np.abs(p.T @ q)) <= 1e-12
     assert np.max(np.abs(q @ q.T + p @ p.T - np.eye(8))) <= 1e-12
 
 
-def test_complement_requires_isometry(rng):
-    with pytest.raises(ValueError):
-        kernels.extend_to_orthonormal(rng.standard_normal((6, 2)))
+def test_qr_flop_tallies(rng):
+    a = rng.standard_normal((9, 4))
+    with kernels.count_flops() as counter:
+        stack, _ = kernels.triangularize(a)
+    assert counter.total == 9 * 4 * (9 + 4)
+    with kernels.count_flops() as counter:
+        kernels.triangular_factor(a)
+    assert counter.total == 9 * 4 * 4
+    with kernels.count_flops() as counter:
+        kernels.triangular_factor(a.T)
+    assert counter.total == 4 * 9 * 4
+    with kernels.count_flops() as counter:
+        stack.apply_adjoint(rng.standard_normal(9))
+    assert counter.total == 9 * 9
+    with kernels.count_flops() as counter:
+        stack.apply_adjoint(rng.standard_normal((9, 3)))
+    assert counter.total == 9 * 9 * 3
+
+
+def test_orthogonalized_leaves_hold_no_larger_array(rng):
+    # a view into the complete orthogonal factor would keep every
+    # (size x size) leaf factor alive as long as the basis
+    tree = line_tree(64, 8)
+    iso = random_iso_basis(tree, 3, rng)
+    for leaf in tree.leaves():
+        owner = iso.leaf_matrix[leaf]
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == iso.leaf_matrix[leaf].nbytes
 
 
 def test_matvec_identity():

@@ -8,7 +8,6 @@ from h2vec.tree import (
     ClusterTree,
     Subtree,
     build_cluster_tree,
-    minimal_subtree,
     validate_tree,
 )
 
@@ -92,7 +91,7 @@ def test_validator_catches_mixed_leaf_levels():
 
 def test_minimal_subtree_and_count():
     tree = line_tree(8, 2)
-    sub = minimal_subtree(tree)
+    sub = Subtree(tree)
     assert sub.count() == 1
     assert sub.leaves() == [tree.root]
     assert sub.is_leaf(tree.root)
