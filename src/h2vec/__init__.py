@@ -32,9 +32,7 @@ from .matvec import (
     build_plan,
     induced_to_dense,
     multiply,
-    multiply_via_basis,
     standard_backward,
-    to_hvector,
 )
 from .poisson import PoissonProblem, assemble_lshape
 from .tree import ClusterTree, Subtree, build_cluster_tree, validate_tree

@@ -1,11 +1,11 @@
 """Nested cluster bases and their exact error factors.
 
-A cluster basis of rank k stores one matrix per leaf cluster and one
-k x k transfer matrix per non-root cluster; the matrix of an interior
-cluster is defined implicitly by stacking son matrices times their
-transfers.  An isometric basis has orthonormal columns at every
-cluster, which makes optimal projections and exact error computation
-possible:
+A cluster basis stores one matrix per leaf cluster and one transfer
+matrix per non-root cluster; the matrix of an interior cluster is
+defined implicitly by stacking son matrices times their transfers.
+Ranks may vary from cluster to cluster.  An isometric basis has
+orthonormal columns at every cluster, which makes optimal projections
+and exact error computation possible:
 
 * merge factors: the orthogonal factor of one QR per interior cluster
   over the stacked transfer matrices.  Applying its adjoint to stacked
@@ -37,11 +37,13 @@ __all__ = [
 
 
 class ClusterBasis:
-    """Rank-k nested basis: leaf matrices plus transfer matrices.
+    """Nested basis with per-cluster ranks: leaf plus transfer matrices.
 
-    leaf_matrix maps each tree leaf to its (#indices, k) matrix;
-    transfer maps each non-root cluster to the k x k matrix realizing
-    nestedness with its father.
+    leaf_matrix maps each tree leaf t to its (#indices, r_t) matrix;
+    transfer maps each non-root cluster s with father t to the r_s x r_t
+    matrix realizing nestedness.  rank_of(t) reads r_t from these
+    matrices.  rank is the common rank of a uniform basis and the
+    largest rank of a basis whose ranks vary.
     """
 
     def __init__(self, tree, rank, leaf_matrix, transfer, isometric=False):
@@ -50,6 +52,14 @@ class ClusterBasis:
         self.leaf_matrix = leaf_matrix
         self.transfer = transfer
         self.isometric = isometric
+
+    def rank_of(self, i):
+        """Rank of cluster i: the leaf matrix's columns at a leaf, the
+        sons' transfer columns at an interior cluster."""
+        leaf = self.leaf_matrix.get(i)
+        if leaf is not None:
+            return leaf.shape[1]
+        return self.transfer[self.tree.sons(i)[0]].shape[1]
 
     def materialize(self, i):
         """Expand the basis matrix of cluster i down to its leaves."""
@@ -186,7 +196,8 @@ def gram_family(basis):
             v = basis.leaf_matrix[i]
             gram[i] = kernels.matmul(v.T, v)
         else:
-            total = np.zeros((basis.rank, basis.rank))
+            r = basis.rank_of(i)
+            total = np.zeros((r, r))
             for s in tree.sons(i):
                 e = basis.transfer[s]
                 total = total + kernels.matmul(e.T, kernels.matmul(gram[s], e))
@@ -204,7 +215,7 @@ def cross_gram_family(left, right):
         if tree.is_leaf(i):
             cross[i] = kernels.matmul(left.leaf_matrix[i].T, right.leaf_matrix[i])
         else:
-            total = np.zeros((left.rank, right.rank))
+            total = np.zeros((left.rank_of(i), right.rank_of(i)))
             for s in tree.sons(i):
                 term = kernels.matmul(
                     left.transfer[s].T, kernels.matmul(cross[s], right.transfer[s])
@@ -262,7 +273,6 @@ def projection_factors(source, target):
     if not target.isometric:
         raise ValueError("target basis must be isometric")
     tree = source.tree
-    kv = source.rank
     kq = target.rank
     z = {}
     cross = {}
@@ -287,6 +297,7 @@ def projection_factors(source, target):
                 [kernels.matmul(z[s], source.transfer[s]) for s in sons]
             )
             complement = np.vstack([pushed, transformed[kq:]])
+        kv = source.rank_of(i)
         zi = np.zeros((kv, kv))
         r = kernels.triangular_factor(complement)
         zi[: r.shape[0]] = r

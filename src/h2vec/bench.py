@@ -69,7 +69,7 @@ def bench_matvec(sizes, k, ka, eta, seed):
                     x.sub.count(),
                     y.sub.count(),
                     inst.csp,
-                    inst.plan.max_rank,
+                    inst.plan.induced.rank,
                     counter.phases.get("forward", 0),
                     counter.phases.get("coupling", 0),
                     counter.phases.get("backward", 0),

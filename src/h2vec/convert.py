@@ -23,8 +23,7 @@ import numpy as np
 
 from . import kernels
 from .basis import ClusterBasis
-from .hvector import HVector
-from .tree import Subtree
+from .hvector import HVector, merge
 
 __all__ = [
     "ToleranceBudget",
@@ -48,8 +47,10 @@ class ToleranceBudget:
     eps: float
     rel_floor: float = 1e-12
 
-    def local(self, size, total):
-        return self.eps * math.sqrt(size / total)
+    def limit(self, size, total, scale):
+        """Acceptance limit at a cluster holding `size` of `total`
+        indices whose coefficient has norm `scale`."""
+        return max(self.eps * math.sqrt(size / total), self.rel_floor * scale)
 
 
 @dataclass
@@ -77,11 +78,14 @@ class ConversionReport:
 def materialize_induced(plan):
     """Explicit nested basis realizing the induced layout of a plan.
 
-    The rank is padded to the maximum induced rank; leaf matrices carry
-    the row basis in the leading columns (leaves never own extra
-    slots), and transfer matrices assemble the coupling, cross-gram and
-    input-transfer products that the slot-aware backward transformation
-    would apply.
+    Cluster t has the true rank plan.rank[t]: the row basis in the
+    leading columns, then one block of input-basis columns per
+    non-leaf block (t, s), at plan.offsets[(t, s)].  Leaves own no
+    such blocks, so the leaf matrices are the row basis's own.  The
+    transfer of a son t2 of t is plan.rank[t2] x plan.rank[t]; it
+    assembles the row transfer, the coupling and cross-gram products
+    of the son leaf blocks, and the input transfers into the son's
+    slots.  rank is the largest of the cluster ranks.
     """
     mat = plan.matrix
     bt = mat.block_tree
@@ -89,31 +93,57 @@ def materialize_induced(plan):
     col_tree = bt.col_tree
     ka = mat.rank
     k = plan.input_basis.rank
-    rank = plan.max_rank
-    leaf_matrix = {}
+    leaf_matrix = {t: mat.row_basis.leaf_matrix[t] for t in row_tree.leaves()}
+    # cross[s2] times the input transfer of s2, shared by all blocks (t2, s2)
+    pushed = {
+        s2: kernels.matmul(plan.cross[s2], f)
+        for s2, f in plan.input_basis.transfer.items()
+    }
     transfer = {}
     for t in range(len(row_tree)):
-        if row_tree.is_leaf(t):
-            u = np.zeros((row_tree.size(t), rank))
-            u[:, :ka] = mat.row_basis.leaf_matrix[t]
-            leaf_matrix[t] = u
         for t2 in row_tree.sons(t):
-            e = np.zeros((rank, rank))
+            e = np.zeros((plan.rank[t2], plan.rank[t]))
             e[:ka, :ka] = mat.row_basis.transfer[t2]
             for s in plan.nonleaf_cols[t]:
                 o = plan.offsets[(t, s)]
                 for s2 in col_tree.sons(s):
                     bid = bt.by_pair[(t2, s2)]
-                    f = plan.input_basis.transfer[s2]
                     if bt.blocks[bid].is_leaf:
                         e[:ka, o : o + k] += kernels.matmul(
-                            mat.coupling[bid], kernels.matmul(plan.cross[s2], f)
+                            mat.coupling[bid], pushed[s2]
                         )
                     else:
                         o2 = plan.offsets[(t2, s2)]
-                        e[o2 : o2 + k, o : o + k] = f
+                        e[o2 : o2 + k, o : o + k] = plan.input_basis.transfer[s2]
             transfer[t2] = e
+    rank = max(plan.rank.values())
     return ClusterBasis(row_tree, rank, leaf_matrix, transfer, isometric=False)
+
+
+def _ascent(y, pfactors, budget, merge_errors):
+    """The merge step of convert and coarsen_pass, as ascend(i, acc).
+
+    Merges the sons of i into i when all are subtree leaves of y and
+    the exact merge error plus their accumulated bound acc fits the
+    local budget; returns the bound at i.
+    """
+    tree = y.basis.tree
+
+    def ascend(i, acc):
+        if not all(y.sub.is_leaf(s) for s in tree.sons(i)):
+            return acc
+        merged, merge_err, scale = merge(y, i, pfactors)
+        candidate = merge_err + acc
+        if candidate <= budget.limit(tree.size(i), tree.n, scale):
+            for s in tree.sons(i):
+                del y.coeff[s]
+            y.sub.contract(i)
+            y.coeff[i] = merged
+            merge_errors[i] = merge_err
+            return candidate
+        return acc
+
+    return ascend
 
 
 def convert(x, target, zfactors, pfactors, budget):
@@ -121,7 +151,7 @@ def convert(x, target, zfactors, pfactors, budget):
 
     Parameters
     ----------
-    x : HVector over the source basis.
+    x : HVector over the source basis (a product result qualifies).
     target : isometric ClusterBasis on the same tree.
     zfactors : ProjectionFactors for (source, target).
     pfactors : merge factors of the target basis.
@@ -137,60 +167,34 @@ def convert(x, target, zfactors, pfactors, budget):
         raise ValueError("projection factors do not match source/target bases")
     if not target.isometric:
         raise ValueError("target basis must be isometric")
+    x.validate()
     tree = target.tree
-    total = tree.n
-    kq = target.rank
-    y = HVector(target, Subtree(tree), {tree.root: np.zeros(kq)})
+    y = HVector(target)
     report = ConversionReport()
+    ascend = _ascent(y, pfactors, budget, report.merge_errors)
 
-    def threshold(i, scale):
-        return max(
-            budget.local(tree.size(i), total), budget.rel_floor * scale
-        )
-
-    def commit(i, xhat):
-        err = float(np.linalg.norm(kernels.matvec(zfactors.z[i], xhat)))
-        fits = err <= threshold(i, float(np.linalg.norm(xhat)))
-        if fits or tree.is_leaf(i):
-            y.coeff[i] = kernels.matvec(zfactors.cross[i], xhat)
-            report.commit_errors[i] = err
-            if not fits:
-                report.forced.append(i)
-            return err
+    def descend(i, xhat):
+        # xhat: the source coefficient at i, or None above x's leaves
+        if xhat is None and x.sub.is_leaf(i):
+            xhat = x.coeff[i]
+        if xhat is not None:
+            err = float(np.linalg.norm(kernels.matvec(zfactors.z[i], xhat)))
+            fits = err <= budget.limit(tree.size(i), tree.n, float(np.linalg.norm(xhat)))
+            if fits or tree.is_leaf(i):
+                y.coeff[i] = kernels.matvec(zfactors.cross[i], xhat)
+                report.commit_errors[i] = err
+                if not fits:
+                    report.forced.append(i)
+                return err
         y.sub.expand(i)
         y.coeff.pop(i, None)
         acc = 0.0
         for s in tree.sons(i):
-            acc += commit(s, kernels.matvec(x.basis.transfer[s], xhat)) ** 2
-        return _ascend(i, math.sqrt(acc))
+            son = None if xhat is None else kernels.matvec(x.basis.transfer[s], xhat)
+            acc += descend(s, son) ** 2
+        return ascend(i, math.sqrt(acc))
 
-    def descend(i):
-        if x.sub.is_leaf(i):
-            return commit(i, x.coeff[i])
-        y.sub.expand(i)
-        y.coeff.pop(i, None)
-        acc = 0.0
-        for s in tree.sons(i):
-            acc += descend(s) ** 2
-        return _ascend(i, math.sqrt(acc))
-
-    def _ascend(i, acc):
-        if not all(y.sub.is_leaf(s) for s in tree.sons(i)):
-            return acc
-        stacked = np.concatenate([y.coeff[s] for s in tree.sons(i)])
-        transformed = pfactors[i].apply_adjoint(stacked)
-        merge_err = float(np.linalg.norm(transformed[kq:]))
-        candidate = merge_err + acc
-        if candidate <= threshold(i, float(np.linalg.norm(stacked))):
-            for s in tree.sons(i):
-                del y.coeff[s]
-            y.sub.contract(i)
-            y.coeff[i] = transformed[:kq].copy()
-            report.merge_errors[i] = merge_err
-            return candidate
-        return acc
-
-    bound = descend(tree.root)
+    bound = descend(tree.root, None)
     report.bound = bound
     report.cluster_count = y.sub.count()
     return y, bound, report
@@ -205,9 +209,9 @@ def coarsen_pass(y, pfactors, budget):
     """
     if not y.basis.isometric:
         raise ValueError("coarsening requires an isometric basis")
+    y.validate()
     tree = y.basis.tree
-    total = tree.n
-    kq = y.basis.rank
+    ascend = _ascent(y, pfactors, budget, {})
 
     def walk(i):
         if y.sub.is_leaf(i):
@@ -215,23 +219,6 @@ def coarsen_pass(y, pfactors, budget):
         acc = 0.0
         for s in tree.sons(i):
             acc += walk(s) ** 2
-        acc = math.sqrt(acc)
-        if not all(y.sub.is_leaf(s) for s in tree.sons(i)):
-            return acc
-        stacked = np.concatenate([y.coeff[s] for s in tree.sons(i)])
-        transformed = pfactors[i].apply_adjoint(stacked)
-        merge_err = float(np.linalg.norm(transformed[kq:]))
-        candidate = merge_err + acc
-        limit = max(
-            budget.local(tree.size(i), total),
-            budget.rel_floor * float(np.linalg.norm(stacked)),
-        )
-        if candidate <= limit:
-            for s in tree.sons(i):
-                del y.coeff[s]
-            y.sub.contract(i)
-            y.coeff[i] = transformed[:kq].copy()
-            return candidate
-        return acc
+        return ascend(i, math.sqrt(acc))
 
     return walk(tree.root)

@@ -24,10 +24,10 @@ from .basis import (
     polynomial_basis,
     projection_factors,
 )
-from .convert import ToleranceBudget, convert, materialize_induced
+from .convert import ToleranceBudget, coarsen_pass, convert
 from .h2matrix import build_block_tree, compress_dense, sparsity_constant, to_dense
 from .hvector import from_dense
-from .matvec import build_plan, multiply, to_hvector
+from .matvec import build_plan, multiply
 from .poisson import assemble_lshape
 from .tree import Subtree, build_cluster_tree
 
@@ -108,8 +108,7 @@ class PoissonDemo:
             permuted, self.iso, self.iso, self.block_tree
         )
         self.plan = build_plan(self.matrix, self.iso)
-        self.induced = materialize_induced(self.plan)
-        self.zfactors = projection_factors(self.induced, self.iso)
+        self.zfactors = projection_factors(self.plan.induced, self.iso)
         self.pfactors = coarsening_factors(self.iso)
         self.dense_op = to_dense(self.matrix)
         # valid upper bound for the spectral norm of the compressed operator
@@ -123,8 +122,6 @@ class PoissonDemo:
 
     def run(self, eps, steps=20):
         """Run dense and hierarchical inverse iteration side by side."""
-        from .convert import coarsen_pass
-
         n = self.tree.n
         budget = ToleranceBudget(eps)
         start = np.ones(n) / math.sqrt(n)
@@ -145,11 +142,7 @@ class PoissonDemo:
                 t2 = time.perf_counter()
                 with kernels.phase("convert"):
                     yh, conv_bound, _ = convert(
-                        to_hvector(product, self.induced),
-                        self.iso,
-                        self.zfactors,
-                        self.pfactors,
-                        budget,
+                        product, self.iso, self.zfactors, self.pfactors, budget
                     )
                 t3 = time.perf_counter()
             nu_hier = hvector.dot(xh, yh, self.gram) / hvector.dot(

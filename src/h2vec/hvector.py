@@ -7,6 +7,8 @@ merging sons back into their father uses the optimal orthogonal
 projection and reports the exact error via the merge factors.
 """
 
+import math
+
 import numpy as np
 
 from . import kernels
@@ -28,16 +30,30 @@ __all__ = [
 class HVector:
     """Compressed vector over a cluster basis.
 
-    coeff holds one rank-length vector per subtree leaf; no other
-    cluster carries storage.
+    coeff holds one vector of length basis.rank_of(i) per subtree leaf
+    i; no other cluster carries storage.
     """
 
     def __init__(self, basis, sub=None, coeff=None):
         self.basis = basis
         self.sub = sub if sub is not None else Subtree(basis.tree)
         if coeff is None:
-            coeff = {i: np.zeros(basis.rank) for i in self.sub.leaves()}
+            coeff = {i: np.zeros(basis.rank_of(i)) for i in self.sub.leaves()}
         self.coeff = coeff
+
+    def validate(self):
+        """Raise ValueError, naming a cluster, unless coeff holds exactly
+        one vector of length basis.rank_of(i) per subtree leaf i."""
+        if self.sub.tree is not self.basis.tree:
+            raise ValueError("subtree and basis live on different trees")
+        leaves = self.sub.leaf_set()
+        if self.coeff.keys() != leaves:
+            bad = min(leaves.symmetric_difference(self.coeff))
+            raise ValueError(f"cluster {bad}: coefficients off the subtree leaves")
+        rank_of = self.basis.rank_of
+        for i, c in self.coeff.items():
+            if getattr(c, "shape", None) != (rank_of(i),):
+                raise ValueError(f"cluster {i}: expected shape ({rank_of(i)},)")
 
     @classmethod
     def zeros(cls, basis):
@@ -63,6 +79,24 @@ def refine(x, i):
         x.coeff[s] = kernels.matvec(x.basis.transfer[s], xi)
 
 
+def merge(x, i, factors):
+    """Optimal merge of the sons of i, without changing x.
+
+    Stacks the son coefficients (all sons must be subtree leaves) and
+    applies the adjoint of i's merge factor: the leading rank_of(i)
+    entries are the merged coefficient, the norm of the rest is the
+    exact merge error.  Returns (merged, error, norm of the stack).
+    """
+    stacked = np.concatenate([x.coeff[s] for s in x.basis.tree.sons(i)])
+    factor = factors[i]
+    transformed = factor.apply_adjoint(stacked)
+    k = factor.count  # the columns of the stacked transfers: rank_of(i)
+    rest = transformed[k:]
+    # np.linalg.norm computes sqrt(x . x) as well, at a higher call cost
+    error = math.sqrt(rest.dot(rest))
+    return transformed[:k].copy(), error, math.sqrt(stacked.dot(stacked))
+
+
 def coarsen(x, i, factors):
     """Merge the sons of i into i; returns the exact merge error.
 
@@ -73,21 +107,17 @@ def coarsen(x, i, factors):
     """
     if not x.basis.isometric:
         raise ValueError("coarsening requires an isometric basis")
-    tree = x.basis.tree
-    sons = tree.sons(i)
+    sons = x.basis.tree.sons(i)
     if not sons:
         raise ValueError(f"cluster {i} has no sons")
     for s in sons:
         if not x.sub.is_leaf(s):
             raise ValueError(f"cluster {s} is not a subtree leaf")
-    stacked = np.concatenate([x.coeff[s] for s in sons])
-    transformed = factors[i].apply_adjoint(stacked)
-    k = x.basis.rank
-    error = float(np.linalg.norm(transformed[k:]))
+    merged, error, _ = merge(x, i, factors)
     x.sub.contract(i)
     for s in sons:
         del x.coeff[s]
-    x.coeff[i] = transformed[:k].copy()
+    x.coeff[i] = merged
     return error
 
 

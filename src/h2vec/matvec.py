@@ -6,9 +6,9 @@ matrices; where a non-leaf block meets an input leaf, the raw input
 coefficient is parked in an extra slot of the accumulator.  The result
 therefore lives in the induced cluster basis: the row basis augmented,
 per cluster, with the matrix columns hit by such parked coefficients.
-Two backward transformations distribute the accumulators into leaf
-coefficients: the slot-aware one below, or the standard one applied to
-an explicitly materialized induced basis.
+The plan materializes that basis once, at its true per-cluster ranks,
+and the standard backward transformation over it distributes the
+accumulators into leaf coefficients.
 
 The product is exact; only the representation is unusual.
 """
@@ -19,6 +19,8 @@ import numpy as np
 
 from . import kernels
 from .basis import cross_gram_family
+from .convert import materialize_induced
+from .h2matrix import to_dense as h2_to_dense
 from .hvector import HVector
 from .tree import Subtree
 
@@ -27,10 +29,8 @@ __all__ = [
     "InducedHVector",
     "build_plan",
     "multiply",
-    "multiply_via_basis",
     "standard_backward",
     "induced_to_dense",
-    "to_hvector",
 ]
 
 
@@ -42,7 +42,8 @@ class MatvecPlan:
     clusters forming non-leaf blocks with row cluster t; offsets maps
     (t, s) to the slot of s inside t's accumulator; rank[t] is the
     induced rank of t.  cross[s] = W_s^T Q_s couples the matrix column
-    basis with the input basis.
+    basis with the input basis.  induced is the induced basis, with
+    rank[t] columns at cluster t.
     """
 
     matrix: object
@@ -51,10 +52,7 @@ class MatvecPlan:
     nonleaf_cols: dict
     offsets: dict
     rank: dict
-
-    @property
-    def max_rank(self):
-        return max(self.rank.values())
+    induced: object = None
 
 
 def build_plan(matrix, input_basis):
@@ -74,17 +72,18 @@ def build_plan(matrix, input_basis):
         for j, s in enumerate(cols):
             offsets[(t, s)] = ka + j * k
         rank[t] = ka + k * len(cols)
-    return MatvecPlan(matrix, input_basis, cross, nonleaf_cols, offsets, rank)
+    plan = MatvecPlan(matrix, input_basis, cross, nonleaf_cols, offsets, rank)
+    plan.induced = materialize_induced(plan)
+    return plan
 
 
-class InducedHVector:
-    """Result of a product: subtree over the row tree plus, per leaf,
-    one coefficient vector in the induced layout of its cluster."""
+class InducedHVector(HVector):
+    """Result of a product: an HVector over plan.induced that keeps
+    its plan, so that the slots of each coefficient can be read."""
 
     def __init__(self, plan, sub, coeff):
+        super().__init__(plan.induced, sub, coeff)
         self.plan = plan
-        self.sub = sub
-        self.coeff = coeff
 
 
 def _forward(x, plan, out):
@@ -105,7 +104,7 @@ def _forward(x, plan, out):
     walk(tree.root)
 
 
-def _coupling(x, plan, xbar, y, bars):
+def _coupling(x, plan, xbar, sub, bars):
     """Collect all block contributions, refining the result subtree."""
     bt = plan.matrix.block_tree
     row_tree = bt.row_tree
@@ -122,8 +121,8 @@ def _coupling(x, plan, xbar, y, bars):
             o = plan.offsets[(t, s)]
             bars[t][o : o + k] = kernels.axpy(1.0, x.coeff[s], bars[t][o : o + k])
         else:
-            if y.sub.is_leaf(t):
-                y.sub.expand(t)
+            if sub.is_leaf(t):
+                sub.expand(t)
                 for t2 in row_tree.sons(t):
                     bars[t2] = np.zeros(plan.rank[t2])
             for sid in b.sons:
@@ -132,134 +131,61 @@ def _coupling(x, plan, xbar, y, bars):
     walk(bt.root)
 
 
-def _induced_backward(plan, bars, y):
-    """Top-down pass folding accumulators into leaf coefficients."""
-    mat = plan.matrix
-    bt = mat.block_tree
-    row_tree = bt.row_tree
-    col_tree = bt.col_tree
-    row_transfer = mat.row_basis.transfer
-    input_transfer = plan.input_basis.transfer
-    ka = mat.rank
-    k = plan.input_basis.rank
-
-    def walk(t):
-        if y.sub.is_leaf(t):
-            y.coeff[t] = bars[t].copy()
-            return
-        for t2 in row_tree.sons(t):
-            bars[t2][:ka] += kernels.matvec(row_transfer[t2], bars[t][:ka])
-            for s in plan.nonleaf_cols[t]:
-                o = plan.offsets[(t, s)]
-                seg = bars[t][o : o + k]
-                for s2 in col_tree.sons(s):
-                    bid = bt.by_pair[(t2, s2)]
-                    pushed = kernels.matvec(input_transfer[s2], seg)
-                    if bt.blocks[bid].is_leaf:
-                        bars[t2][:ka] += kernels.matvec(
-                            mat.coupling[bid], kernels.matvec(plan.cross[s2], pushed)
-                        )
-                    else:
-                        o2 = plan.offsets[(t2, s2)]
-                        bars[t2][o2 : o2 + k] += pushed
-            walk(t2)
-
-    walk(row_tree.root)
-
-
 def multiply(plan, x):
     """Exact product of the planned matrix with a hierarchical vector.
 
-    Returns an InducedHVector.  Operation counts are attributed to the
-    phases "forward", "coupling" and "backward".
+    Returns an InducedHVector over plan.induced.  Operation counts are
+    attributed to the phases "forward", "coupling" and "backward".
     """
     if x.basis is not plan.input_basis:
         raise ValueError("plan was built for a different input basis")
-    bt = plan.matrix.block_tree
+    x.validate()
+    row_tree = plan.matrix.block_tree.row_tree
     xbar = {}
     with kernels.phase("forward"):
         _forward(x, plan, xbar)
-    y = InducedHVector(plan, Subtree(bt.row_tree), {})
-    bars = {bt.row_tree.root: np.zeros(plan.rank[bt.row_tree.root])}
+    sub = Subtree(row_tree)
+    bars = {row_tree.root: np.zeros(plan.rank[row_tree.root])}
     with kernels.phase("coupling"):
-        _coupling(x, plan, xbar, y, bars)
+        _coupling(x, plan, xbar, sub, bars)
     with kernels.phase("backward"):
-        _induced_backward(plan, bars, y)
-    return y
+        y = standard_backward(plan.induced, sub, bars)
+    return InducedHVector(plan, y.sub, y.coeff)
 
 
 def standard_backward(basis, sub, bars):
     """Distribute accumulators over a subtree via plain transfers.
 
-    bars maps every member of sub to a rank-length vector; the result
-    is the hierarchical vector collecting all contributions at the
-    leaves.  The input dict is not modified.
+    bars maps every member i of sub to a float vector of length
+    basis.rank_of(i); the result is the hierarchical vector collecting
+    all contributions at the leaves.  The accumulators are consumed:
+    they are updated in place and become the leaf coefficients.
     """
     tree = basis.tree
-    work = {i: np.array(v, dtype=float, copy=True) for i, v in bars.items()}
     out = HVector(basis, sub.copy(), {})
 
     def walk(t):
         if sub.is_leaf(t):
-            out.coeff[t] = work[t]
+            out.coeff[t] = bars[t]
             return
         for t2 in tree.sons(t):
-            work[t2] = kernels.axpy(
-                1.0, kernels.matvec(basis.transfer[t2], work[t]), work[t2]
-            )
+            bars[t2] += kernels.matvec(basis.transfer[t2], bars[t])
+            kernels.tally(bars[t2].size)
             walk(t2)
 
     walk(tree.root)
     return out
 
 
-def multiply_via_basis(plan, induced_basis, x):
-    """Product routed through an explicit induced basis.
-
-    Runs the same forward and coupling passes as `multiply`, then pads
-    the accumulators to the uniform rank of the materialized induced
-    basis and applies the standard backward transformation.  Returns
-    an HVector over that basis.
-    """
-    if x.basis is not plan.input_basis:
-        raise ValueError("plan was built for a different input basis")
-    bt = plan.matrix.block_tree
-    xbar = {}
-    with kernels.phase("forward"):
-        _forward(x, plan, xbar)
-    y = InducedHVector(plan, Subtree(bt.row_tree), {})
-    bars = {bt.row_tree.root: np.zeros(plan.rank[bt.row_tree.root])}
-    with kernels.phase("coupling"):
-        _coupling(x, plan, xbar, y, bars)
-    rank = induced_basis.rank
-    padded = {}
-    for t, v in bars.items():
-        w = np.zeros(rank)
-        w[: v.size] = v
-        padded[t] = w
-    with kernels.phase("backward"):
-        return standard_backward(induced_basis, y.sub, padded)
-
-
-def to_hvector(y, induced_basis):
-    """Reinterpret an InducedHVector over the materialized induced basis."""
-    rank = induced_basis.rank
-    coeff = {}
-    for t, v in y.coeff.items():
-        w = np.zeros(rank)
-        w[: v.size] = v
-        coeff[t] = w
-    return HVector(induced_basis, y.sub.copy(), coeff)
-
-
 def induced_to_dense(y, dense_matrix=None):
     """Dense expansion of an InducedHVector (tree position order).
 
-    dense_matrix may supply a precomputed dense expansion of the
-    planned matrix to avoid recomputing it.
+    Each slot is expanded against the dense matrix and the input basis
+    rather than through plan.induced, so this is an oracle for the
+    product independent of the backward pass.  dense_matrix may supply
+    a precomputed dense expansion of the planned matrix to avoid
+    recomputing it.
     """
-    from .h2matrix import to_dense as h2_to_dense
-
     plan = y.plan
     mat = plan.matrix
     row_tree = mat.block_tree.row_tree

@@ -14,7 +14,7 @@ from .basis import (
     polynomial_basis,
     projection_factors,
 )
-from .convert import ToleranceBudget, convert, materialize_induced
+from .convert import ToleranceBudget, convert
 from .h2matrix import to_dense
 from .instances import (
     line_tree,
@@ -23,7 +23,7 @@ from .instances import (
     random_iso_basis,
     random_tree,
 )
-from .matvec import induced_to_dense, multiply, to_hvector
+from .matvec import induced_to_dense, multiply
 from .tree import validate_tree
 
 __all__ = ["run_selftest"]
@@ -170,12 +170,11 @@ def _suite_convert(seed):
     rng = np.random.default_rng(seed)
     # rank-sized leaves keep the deepest-level projections exact
     inst = random_instance(96, 3, 2, 1.0, seed + 1, leaf_size=3)
-    induced = materialize_induced(inst.plan)
-    zfac = projection_factors(induced, inst.input_basis)
+    zfac = projection_factors(inst.plan.induced, inst.input_basis)
     pfac = coarsening_factors(inst.input_basis)
     for trial, eps in enumerate((1e-4, 1e-6, 1e-8)):
         x = random_hvector(inst.input_basis, rng, steps=3)
-        y = to_hvector(multiply(inst.plan, x), induced)
+        y = multiply(inst.plan, x)
         target = hvector.to_dense(y)
         nrm = float(np.linalg.norm(target))
         hvector.scale(y, 1.0 / nrm)

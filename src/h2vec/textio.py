@@ -10,6 +10,7 @@ import numpy as np
 from .basis import ClusterBasis
 from .h2matrix import H2Matrix
 from .hvector import HVector
+from .matvec import InducedHVector
 from .tree import Cluster, ClusterTree, Subtree
 
 __all__ = [
@@ -116,27 +117,31 @@ def load_basis(text, tree):
     return ClusterBasis(tree, rank, leaf_matrix, transfer, isometric)
 
 
-def dump_hvector(x):
-    lines = ["h2vec-hvector 1"]
+def _dump_leaves(header, x):
+    lines = [header]
     for i in x.sub.leaves():
-        lines.append(
-            f"leaf {i} " + " ".join(_fmt(v) for v in x.coeff[i])
-        )
+        lines.append(f"leaf {i} " + " ".join(_fmt(v) for v in x.coeff[i]))
     return "\n".join(lines) + "\n"
 
 
-def load_hvector(text, basis):
+def _load_leaves(text, header, tree):
+    """Subtree and leaf coefficients of a dump made by _dump_leaves."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != "h2vec-hvector 1":
-        raise ValueError("not a hierarchical-vector dump")
-    wanted = []
+    if lines[0] != header:
+        raise ValueError(f"not a {header.split()[0]} dump")
     coeff = {}
     for ln in lines[1:]:
         parts = ln.split()
-        i = int(parts[1])
-        wanted.append(i)
-        coeff[i] = np.array([float(v) for v in parts[2:]])
-    sub = _subtree_from_leaves(basis.tree, wanted)
+        coeff[int(parts[1])] = np.array([float(v) for v in parts[2:]])
+    return _subtree_from_leaves(tree, list(coeff)), coeff
+
+
+def dump_hvector(x):
+    return _dump_leaves("h2vec-hvector 1", x)
+
+
+def load_hvector(text, basis):
+    sub, coeff = _load_leaves(text, "h2vec-hvector 1", basis.tree)
     return HVector(basis, sub, coeff)
 
 
@@ -157,30 +162,14 @@ def _subtree_from_leaves(tree, leaf_ids):
 
 def dump_induced_hvector(y):
     """Leaf list plus partitioned coefficients of a product result."""
-    lines = ["h2vec-induced 1"]
-    for i in y.sub.leaves():
-        lines.append(f"leaf {i} " + " ".join(_fmt(v) for v in y.coeff[i]))
-    return "\n".join(lines) + "\n"
+    return _dump_leaves("h2vec-induced 1", y)
 
 
 def load_induced_hvector(text, plan):
-    from .matvec import InducedHVector
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0] != "h2vec-induced 1":
-        raise ValueError("not an induced-vector dump")
-    wanted = []
-    coeff = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        i = int(parts[1])
-        wanted.append(i)
-        values = np.array([float(v) for v in parts[2:]])
-        if values.size != plan.rank[i]:
-            raise ValueError(f"cluster {i}: expected {plan.rank[i]} coefficients")
-        coeff[i] = values
-    sub = _subtree_from_leaves(plan.matrix.block_tree.row_tree, wanted)
-    return InducedHVector(plan, sub, coeff)
+    sub, coeff = _load_leaves(text, "h2vec-induced 1", plan.induced.tree)
+    y = InducedHVector(plan, sub, coeff)
+    y.validate()
+    return y
 
 
 def dump_h2matrix(m):

@@ -55,6 +55,9 @@ class ClusterTree:
         self.root = 0
         levels = [c.level for c in clusters if not c.sons]
         self.depth = max(levels) if levels else 0
+        self._diameter = [
+            float(np.linalg.norm(c.box_max - c.box_min)) for c in clusters
+        ]
 
     def __len__(self):
         return len(self.clusters)
@@ -94,8 +97,8 @@ class ClusterTree:
         return order
 
     def diameter(self, i):
-        c = self.clusters[i]
-        return float(np.linalg.norm(c.box_max - c.box_min))
+        """Diameter of cluster i's bounding box."""
+        return self._diameter[i]
 
 
 def _bisect(points, perm, begin, end):
@@ -308,6 +311,10 @@ class Subtree:
             else:
                 stack.extend(reversed(self.tree.sons(node)))
         return out
+
+    def leaf_set(self):
+        """Leaf clusters as a set, without the depth-first walk."""
+        return set(np.flatnonzero(self._leaf).tolist())
 
     def members(self):
         out = []

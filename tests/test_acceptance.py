@@ -13,7 +13,7 @@ from h2vec.basis import (
     gram_family,
     projection_factors,
 )
-from h2vec.convert import ToleranceBudget, coarsen_pass, convert, materialize_induced
+from h2vec.convert import ToleranceBudget, coarsen_pass, convert
 from h2vec.demo import PoissonDemo, corner_concentration, partition_areas
 from h2vec.h2matrix import to_dense
 from h2vec.hvector import (
@@ -31,7 +31,7 @@ from h2vec.instances import (
     random_instance,
     random_iso_basis,
 )
-from h2vec.matvec import induced_to_dense, multiply, to_hvector
+from h2vec.matvec import induced_to_dense, multiply
 
 from conftest import prefix_subtree
 
@@ -128,6 +128,28 @@ def test_criterion_3_projection_error_theorem():
             worst = max(worst, rel)
             assert rel <= 1e-11, f"seed {seed} cluster {i}: deviation {rel:.3e}"
         trials += 1
+    # true-rank induced bases as sources: ranks vary from cluster to
+    # cluster; leaves hold twice the target rank, so no error is zero
+    for seed in range(20):
+        rng = np.random.default_rng(1500 + seed)
+        n = int(rng.choice([48, 96]))
+        inst = random_instance(n, 3, int(rng.integers(1, 4)), 1.0, seed=seed)
+        source = inst.plan.induced
+        target = inst.input_basis
+        factors = projection_factors(source, target)
+        for i in range(len(inst.tree.clusters)):
+            v = source.materialize(i)
+            q = target.materialize(i)
+            xhat = rng.standard_normal(source.rank_of(i))
+            truth = np.linalg.norm(v @ xhat - q @ (q.T @ (v @ xhat)))
+            got = np.linalg.norm(factors.z[i] @ xhat)
+            rel = abs(got - truth) / max(truth, 1e-30)
+            worst = max(worst, rel)
+            assert rel <= 1e-11, f"induced seed {seed} cluster {i}: deviation {rel:.3e}"
+            dense_cross = q.T @ v
+            scale_ = max(1.0, np.max(np.abs(dense_cross)))
+            assert np.max(np.abs(factors.cross[i] - dense_cross)) <= 1e-11 * scale_
+        trials += 1
     assert trials >= 100
     print(f"\nACCEPT 3 projection-error identity: PASS ({trials} trials, worst rel {worst:.2e})")
 
@@ -171,12 +193,11 @@ def test_criterion_6_conversion_soundness():
         ka = int(rng.integers(1, 4))
         inst = random_instance(n, 3, ka, float(rng.choice([0.5, 1.0])), seed=seed,
                                leaf_size=3)
-        induced = materialize_induced(inst.plan)
-        zfac = projection_factors(induced, inst.input_basis)
+        zfac = projection_factors(inst.plan.induced, inst.input_basis)
         pfac = coarsening_factors(inst.input_basis)
         for _ in range(2):
             x = random_hvector(inst.input_basis, rng, steps=int(rng.integers(0, 5)))
-            y = to_hvector(multiply(inst.plan, x), induced)
+            y = multiply(inst.plan, x)
             dense_y = hv_dense(y)
             nrm = np.linalg.norm(dense_y)
             if nrm == 0.0:

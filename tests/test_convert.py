@@ -22,14 +22,14 @@ from h2vec.instances import (
     random_instance,
     random_iso_basis,
 )
-from h2vec.matvec import multiply, to_hvector
+from h2vec.matvec import multiply
 
 
 @pytest.fixture(scope="module")
 def setup():
     """Instance with square (rank-sized) leaves and conversion factors."""
     inst = random_instance(96, 3, 2, 1.0, seed=7, leaf_size=3)
-    induced = materialize_induced(inst.plan)
+    induced = inst.plan.induced
     zfac = projection_factors(induced, inst.input_basis)
     pfac = coarsening_factors(inst.input_basis)
     return inst, induced, zfac, pfac
@@ -38,7 +38,12 @@ def setup():
 def test_materialize_induced_nested(setup):
     inst, induced, _, _ = setup
     tree = inst.tree
+    row = inst.matrix.row_basis
     for i in range(len(tree.clusters)):
+        # true per-cluster ranks; leaves keep the row basis's own matrices
+        assert induced.rank_of(i) == inst.plan.rank[i]
+        if tree.is_leaf(i):
+            assert induced.leaf_matrix[i] is row.leaf_matrix[i]
         full = induced.materialize(i)
         offset = 0
         for s in tree.sons(i):
@@ -136,7 +141,7 @@ def test_convert_representable_at_root(rng, setup):
     zfac = projection_factors(induced, target)
     pfac = coarsening_factors(target)
     assert np.max(np.abs(zfac.z[tree.root])) > 1e-6  # generically lossy
-    xhat = np.zeros(induced.rank)
+    xhat = np.zeros(induced.rank_of(tree.root))
     xhat[:2] = rng.standard_normal(2)
     x = HVector(induced, coeff={tree.root: xhat})
     v = hv_dense(x)
@@ -153,7 +158,7 @@ def test_convert_sound_and_within_budget(eps, setup):
 
     for trial in range(10):
         x = random_hvector(inst.input_basis, rng, steps=int(rng.integers(0, 5)))
-        y = to_hvector(multiply(inst.plan, x), induced)
+        y = multiply(inst.plan, x)
         nrm = np.linalg.norm(hv_dense(y))
         if nrm == 0.0:
             continue
@@ -174,7 +179,7 @@ def test_convert_monotone_in_eps(setup):
 
     for trial in range(5):
         x = random_hvector(inst.input_basis, rng, steps=3)
-        y = to_hvector(multiply(inst.plan, x), induced)
+        y = multiply(inst.plan, x)
         nrm = np.linalg.norm(hv_dense(y))
         scale(y, 1.0 / nrm)
         counts = []
@@ -190,6 +195,20 @@ def test_convert_rejects_mismatched_factors(rng, setup):
     x = HVector.zeros(induced)
     with pytest.raises(ValueError):
         convert(x, other, zfac, pfac, ToleranceBudget(1e-6))
+
+
+def test_convert_rejects_padded_coefficients(rng, setup):
+    # a product padded to the largest induced rank, as an older layout
+    # stored it, fails at the entry point and names a cluster
+    inst, induced, zfac, pfac = setup
+    x = random_hvector(inst.input_basis, rng, steps=2)
+    y = multiply(inst.plan, x)
+    for i, v in y.coeff.items():
+        y.coeff[i] = np.concatenate([v, np.zeros(induced.rank - v.size)])
+    short = min(y.coeff, key=induced.rank_of)
+    assert induced.rank_of(short) < induced.rank
+    with pytest.raises(ValueError, match="cluster [0-9]+: expected shape"):
+        convert(y, inst.input_basis, zfac, pfac, ToleranceBudget(1e-6))
 
 
 def test_coarsen_pass_recovers_refined_vector(rng, setup):
@@ -221,6 +240,15 @@ def test_difference_coarsens_to_minimal(rng, setup):
     assert bound == 0.0
 
 
+def test_coarsen_pass_rejects_coefficients_off_the_subtree(rng, setup):
+    inst, _, _, pfac = setup
+    x = random_hvector(inst.input_basis, rng, steps=3)
+    interior = inst.tree.root
+    x.coeff[interior] = np.zeros(inst.input_basis.rank)
+    with pytest.raises(ValueError, match=f"cluster {interior}:"):
+        coarsen_pass(x, pfac, ToleranceBudget(1e-3))
+
+
 def test_coarsen_pass_idempotent(rng, setup):
     inst, _, _, pfac = setup
     iso = inst.input_basis
@@ -249,7 +277,7 @@ def test_coarsen_pass_bound_is_valid(rng, setup):
 def test_conversion_report_csv(tmp_path, rng, setup):
     inst, induced, zfac, pfac = setup
     x = random_hvector(inst.input_basis, rng, steps=2)
-    y = to_hvector(multiply(inst.plan, x), induced)
+    y = multiply(inst.plan, x)
     out, bound, report = convert(
         y, inst.input_basis, zfac, pfac, ToleranceBudget(1e-6)
     )
@@ -267,7 +295,7 @@ def test_reported_local_errors_match_dense(rng, setup):
     iso = inst.input_basis
     tree = inst.tree
     x = random_hvector(inst.input_basis, rng, steps=3)
-    y = to_hvector(multiply(inst.plan, x), induced)
+    y = multiply(inst.plan, x)
     dense_y = hv_dense(y)
     out, bound, report = convert(y, iso, zfac, pfac, ToleranceBudget(1e-6))
     for i, err in report.commit_errors.items():

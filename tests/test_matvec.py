@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from h2vec import kernels
-from h2vec.convert import materialize_induced
 from h2vec.h2matrix import build_block_tree, random_h2, to_dense
 from h2vec.hvector import HVector, axpy, to_dense as hv_dense
 from h2vec.instances import (
@@ -17,7 +16,6 @@ from h2vec.matvec import (
     build_plan,
     induced_to_dense,
     multiply,
-    multiply_via_basis,
     standard_backward,
 )
 
@@ -166,6 +164,23 @@ def test_multiply_rejects_wrong_basis(rng, inst):
         multiply(inst.plan, x)
 
 
+def test_multiply_rejects_coefficients_off_the_subtree(rng, inst):
+    x = random_hvector(inst.input_basis, rng, steps=2)
+    leaf = x.sub.leaves()[0]
+    padded = x.copy()
+    padded.coeff[leaf] = np.concatenate([padded.coeff[leaf], [0.0]])
+    with pytest.raises(ValueError, match=f"cluster {leaf}:"):
+        multiply(inst.plan, padded)
+    missing = x.copy()
+    del missing.coeff[leaf]
+    with pytest.raises(ValueError, match=f"cluster {leaf}:"):
+        multiply(inst.plan, missing)
+    extra = x.copy()
+    extra.coeff[inst.tree.root] = np.zeros(inst.input_basis.rank)
+    with pytest.raises(ValueError, match=f"cluster {inst.tree.root}:"):
+        multiply(inst.plan, extra)
+
+
 def test_standard_backward_zero(rng, inst):
     basis = inst.matrix.row_basis
     sub = random_subtree(inst.tree, rng, steps=3)
@@ -178,22 +193,23 @@ def test_standard_backward_matches_dense(rng, inst):
     basis = inst.matrix.row_basis
     sub = random_subtree(inst.tree, rng, steps=4)
     bars = {i: rng.standard_normal(basis.rank) for i in sub.members()}
-    out = standard_backward(basis, sub, bars)
     tree = inst.tree
     want = np.zeros(tree.n)
     for i in sub.members():
         want[tree.positions(i)] += basis.materialize(i) @ bars[i]
+    out = standard_backward(basis, sub, bars)  # consumes bars
     assert np.max(np.abs(hv_dense(out) - want)) <= 1e-11 * max(
         1.0, np.max(np.abs(want))
     )
 
 
-def test_materialized_path_matches_slot_path(rng, inst, dense):
-    induced = materialize_induced(inst.plan)
+def test_induced_basis_expansion_matches_slot_expansion(rng, inst, dense):
     for _ in range(5):
         x = random_hvector(inst.input_basis, rng, steps=int(rng.integers(0, 6)))
-        y1 = induced_to_dense(multiply(inst.plan, x), dense)
-        y2 = hv_dense(multiply_via_basis(inst.plan, induced, x))
+        y = multiply(inst.plan, x)
+        assert y.basis is inst.plan.induced
+        y1 = induced_to_dense(y, dense)
+        y2 = hv_dense(y)
         scale = max(1.0, np.max(np.abs(y1)))
         assert np.max(np.abs(y1 - y2)) <= 1e-11 * scale
 
