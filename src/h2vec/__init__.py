@@ -32,7 +32,6 @@ from .matvec import (
     build_plan,
     induced_to_dense,
     multiply,
-    standard_backward,
 )
 from .poisson import PoissonProblem, assemble_lshape
 from .tree import ClusterTree, Subtree, build_cluster_tree, validate_tree

@@ -85,7 +85,9 @@ def materialize_induced(plan):
     transfer of a son t2 of t is plan.rank[t2] x plan.rank[t]; it
     assembles the row transfer, the coupling and cross-gram products
     of the son leaf blocks, and the input transfers into the son's
-    slots.  rank is the largest of the cluster ranks.
+    slots.  The transfers are written into fresh stacks, one per group
+    of plan.groups, and the basis holds views into them, so they are
+    stored once.  rank is the largest of the cluster ranks.
     """
     mat = plan.matrix
     bt = mat.block_tree
@@ -100,9 +102,9 @@ def materialize_induced(plan):
         for s2, f in plan.input_basis.transfer.items()
     }
     transfer = {}
-    for t in range(len(row_tree)):
-        for t2 in row_tree.sons(t):
-            e = np.zeros((plan.rank[t2], plan.rank[t]))
+    for group in plan.groups:
+        group.transfer = np.zeros(group.son_target.shape + group.father_target.shape[1:])
+        for e, t2, t in zip(group.transfer, group.sons.tolist(), group.fathers.tolist()):
             e[:ka, :ka] = mat.row_basis.transfer[t2]
             for s in plan.nonleaf_cols[t]:
                 o = plan.offsets[(t, s)]

@@ -9,6 +9,7 @@ blocks of full-rank leaf bases are represented exactly, admissible
 blocks up to the compression error of the bases.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,8 @@ def _box_distance(row_tree, t, col_tree, s):
     a = row_tree.clusters[t]
     b = col_tree.clusters[s]
     gap = np.maximum(0.0, np.maximum(a.box_min - b.box_max, b.box_min - a.box_max))
-    return float(np.linalg.norm(gap))
+    # np.linalg.norm computes sqrt(gap . gap) as well, at a higher call cost
+    return math.sqrt(gap.dot(gap))
 
 
 def sparsity_constant(bt):

@@ -43,7 +43,7 @@ class HVector:
 
     def validate(self):
         """Raise ValueError, naming a cluster, unless coeff holds exactly
-        one vector of length basis.rank_of(i) per subtree leaf i."""
+        one finite vector of length basis.rank_of(i) per subtree leaf i."""
         if self.sub.tree is not self.basis.tree:
             raise ValueError("subtree and basis live on different trees")
         leaves = self.sub.leaf_set()
@@ -54,6 +54,10 @@ class HVector:
         for i, c in self.coeff.items():
             if getattr(c, "shape", None) != (rank_of(i),):
                 raise ValueError(f"cluster {i}: expected shape ({rank_of(i)},)")
+        # one check over all coefficients; the loop only names the culprit
+        if not np.isfinite(np.concatenate(list(self.coeff.values()))).all():
+            bad = min(i for i, c in self.coeff.items() if not np.isfinite(c).all())
+            raise ValueError(f"cluster {bad}: non-finite coefficients")
 
     @classmethod
     def zeros(cls, basis):

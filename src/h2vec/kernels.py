@@ -7,11 +7,14 @@ counter used by the complexity checks.
 
 Counting convention: a product of an (m, n) matrix with an n-vector
 costs m*n multiply-adds and a product with an (n, p) matrix costs
-m*n*p.  A QR of an (m, n) matrix is charged m*n*min(m, n) for the
-triangular factor, plus m*m*n when the complete m x m orthogonal
-factor is formed as well (``triangularize``).  The orthogonal factor
-is kept dense, so applying its adjoint to p columns is one counted
-product of m*m*p.  Comparisons and copies are not counted.
+m*n*p; a stack of b such matrix-vector products costs b*m*n, the same
+as b separate calls.  Callers that add the results into accumulators
+charge the adds themselves, per batch, with ``tally``.  A QR of an
+(m, n) matrix is charged m*n*min(m, n) for the triangular factor,
+plus m*m*n when the complete m x m orthogonal factor is formed as
+well (``triangularize``).  The orthogonal factor is kept dense, so
+applying its adjoint to p columns is one counted product of m*m*p.
+Comparisons and copies are not counted.
 
 The QR routines fix signs so that the triangular factor has a
 non-negative diagonal.  For input with orthonormal columns this forces
@@ -113,13 +116,21 @@ def matmul(a, b):
 
 
 def matvec(a, x):
-    """Counted matrix-vector product with shape check."""
+    """Counted matrix-vector product with shape check.
+
+    a may also be a stack of b matrices, shape (b, m, n), with x a
+    stack of b vectors, shape (b, n); the result is the (b, m) stack
+    of the products a[j] @ x[j].
+    """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ValueError(f"matvec shape mismatch: {a.shape} x {x.shape}")
-    tally(a.shape[0] * a.shape[1])
-    return a @ x
+    if a.ndim == 2 and x.ndim == 1 and a.shape[1] == x.shape[0]:
+        tally(a.size)
+        return a @ x
+    if a.ndim == 3 and x.ndim == 2 and (a.shape[0], a.shape[2]) == x.shape:
+        tally(a.size)
+        return (a @ x[:, :, None])[:, :, 0]
+    raise ValueError(f"matvec shape mismatch: {a.shape} x {x.shape}")
 
 
 def axpy(alpha, x, y):

@@ -10,6 +10,27 @@ The plan materializes that basis once, at its true per-cluster ranks,
 and the standard backward transformation over it distributes the
 accumulators into leaf coefficients.
 
+The three passes run level by level over index arrays that the plan
+computes once, so each pass is a few stacked products rather than one
+small product per cluster or block:
+
+* forward: one stacked product of the cross Gram matrices at the
+  input's subtree leaves, then, from the deepest column level up, one
+  stacked product of the transposed column transfers per level, added
+  into the fathers;
+* coupling: a block is visited when it is the root block or the
+  column of its parent block is interior in the input's subtree.
+  Visited leaf blocks make one stacked coupling product; visited
+  non-leaf blocks park the input coefficient when their column is an
+  input leaf and make their row interior in the result otherwise;
+* backward: from the top row level down, one stacked product of the
+  induced transfers per group of sons sharing a level, a rank and a
+  father rank, restricted to fathers interior in the result.
+
+All accumulators share one flat buffer; cluster t owns the entries
+ptr[t] to ptr[t + 1].  Counted flops equal those of the recursive
+walk: each add into an accumulator is charged per batch.
+
 The product is exact; only the representation is unusual.
 """
 
@@ -29,9 +50,41 @@ __all__ = [
     "InducedHVector",
     "build_plan",
     "multiply",
-    "standard_backward",
     "induced_to_dense",
 ]
+
+
+@dataclass
+class BlockSet:
+    """Blocks of one kind (leaf or non-leaf) in construction order.
+
+    row, col: the block clusters.  parent_col: the column cluster of
+    the parent block, or len(col_tree) at the root block.  target[j]:
+    the flat accumulator entries block j writes to, the leading
+    matrix-rank entries of its row for a leaf block and its slot for a
+    non-leaf block.  coupling: the stacked coupling matrices of leaf
+    blocks.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    parent_col: np.ndarray
+    target: np.ndarray
+    coupling: np.ndarray = None
+
+
+@dataclass
+class TransferGroup:
+    """Row clusters of one level whose induced ranks, and those of
+    their fathers, agree; son_target and father_target hold their flat
+    accumulator entries.  transfer stacks their induced transfers and
+    is written by materialize_induced."""
+
+    sons: np.ndarray
+    fathers: np.ndarray
+    son_target: np.ndarray
+    father_target: np.ndarray
+    transfer: np.ndarray = None
 
 
 @dataclass
@@ -41,28 +94,52 @@ class MatvecPlan:
     nonleaf_cols[t] lists, in block construction order, the column
     clusters forming non-leaf blocks with row cluster t; offsets maps
     (t, s) to the slot of s inside t's accumulator; rank[t] is the
-    induced rank of t.  cross[s] = W_s^T Q_s couples the matrix column
-    basis with the input basis.  induced is the induced basis, with
-    rank[t] columns at cluster t.
+    induced rank of t, and t's accumulator occupies the flat entries
+    ptr[t] to ptr[t + 1].  cross[s] = W_s^T Q_s couples the matrix
+    column basis with the input basis, and col_transfer_t[s] is the
+    transposed column transfer of s, both stacked per column cluster.
+    col_levels[l] lists the column clusters of level l.  leaf_blocks
+    and nonleaf_blocks describe the block tree, groups the induced
+    transfers in top-down order, and induced is the induced basis,
+    whose transfers are views into the group stacks.
+
+    A plan is a snapshot of its matrix: the coupling matrices are
+    copied into leaf_blocks and the induced transfers, so a matrix
+    changed after build_plan needs a new plan.
     """
 
     matrix: object
     input_basis: object
-    cross: dict
+    cross: np.ndarray
+    col_transfer_t: np.ndarray
+    col_levels: list
     nonleaf_cols: dict
     offsets: dict
     rank: dict
+    ptr: np.ndarray
+    leaf_blocks: BlockSet
+    nonleaf_blocks: BlockSet
+    groups: list
     induced: object = None
 
 
 def build_plan(matrix, input_basis):
     if input_basis.tree is not matrix.block_tree.col_tree:
         raise ValueError("input basis does not live on the column tree")
-    cross = cross_gram_family(matrix.col_basis, input_basis)
+    bt = matrix.block_tree
+    row_tree, col_tree = bt.row_tree, bt.col_tree
     ka = matrix.rank
     k = input_basis.rank
-    nonleaf_cols = {t: [] for t in range(len(matrix.block_tree.row_tree))}
-    for b in matrix.block_tree.blocks:
+    cross = cross_gram_family(matrix.col_basis, input_basis)
+    cross = np.array([cross[s] for s in range(len(col_tree))])
+    col_transfer_t = np.zeros((len(col_tree), ka, ka))
+    for s, e in matrix.col_basis.transfer.items():
+        col_transfer_t[s] = e.T
+    col_levels = [
+        np.flatnonzero(col_tree.level == level) for level in range(col_tree.depth + 1)
+    ]
+    nonleaf_cols = {t: [] for t in range(len(row_tree))}
+    for b in bt.blocks:
         if not b.is_leaf:
             nonleaf_cols[b.row].append(b.col)
     nonleaf_cols = {t: tuple(v) for t, v in nonleaf_cols.items()}
@@ -72,9 +149,71 @@ def build_plan(matrix, input_basis):
         for j, s in enumerate(cols):
             offsets[(t, s)] = ka + j * k
         rank[t] = ka + k * len(cols)
-    plan = MatvecPlan(matrix, input_basis, cross, nonleaf_cols, offsets, rank)
+    ptr = np.zeros(len(row_tree) + 1, dtype=np.intp)
+    ptr[1:] = np.cumsum([rank[t] for t in range(len(row_tree))])
+    parent_col = [len(col_tree)] * len(bt.blocks)
+    for b in bt.blocks:
+        for sid in b.sons:
+            parent_col[sid] = b.col
+    parent_col = np.array(parent_col, dtype=np.intp)
+    leaves = [b for b in bt.blocks if b.is_leaf]
+    others = [b for b in bt.blocks if not b.is_leaf]
+
+    def block_set(blocks, starts, width):
+        ids = np.array([b.index for b in blocks], dtype=np.intp)
+        return BlockSet(
+            row=np.array([b.row for b in blocks], dtype=np.intp),
+            col=np.array([b.col for b in blocks], dtype=np.intp),
+            parent_col=parent_col[ids],
+            target=np.asarray(starts, dtype=np.intp).reshape(-1, 1) + np.arange(width),
+        )
+
+    start = ptr.tolist()
+    leaf_blocks = block_set(leaves, [start[b.row] for b in leaves], ka)
+    leaf_blocks.coupling = np.array([matrix.coupling[b.index] for b in leaves])
+    nonleaf_blocks = block_set(
+        others, [start[b.row] + offsets[(b.row, b.col)] for b in others], k
+    )
+    plan = MatvecPlan(
+        matrix,
+        input_basis,
+        cross,
+        col_transfer_t,
+        col_levels,
+        nonleaf_cols,
+        offsets,
+        rank,
+        ptr,
+        leaf_blocks,
+        nonleaf_blocks,
+        _transfer_groups(row_tree, ptr),
+    )
     plan.induced = materialize_induced(plan)
     return plan
+
+
+def _transfer_groups(tree, ptr):
+    """Non-root clusters grouped by (level, rank, father rank), in
+    top-down order."""
+    rank = np.diff(ptr).tolist()
+    level = tree.level.tolist()
+    keys = {}
+    for t2, t in enumerate(tree.father.tolist()):
+        if t >= 0:
+            keys.setdefault((level[t2], rank[t2], rank[t]), []).append(t2)
+    groups = []
+    for (_, r2, r), sons in sorted(keys.items()):
+        sons = np.array(sons, dtype=np.intp)
+        fathers = tree.father[sons]
+        groups.append(
+            TransferGroup(
+                sons,
+                fathers,
+                ptr[sons][:, None] + np.arange(r2),
+                ptr[fathers][:, None] + np.arange(r),
+            )
+        )
+    return groups
 
 
 class InducedHVector(HVector):
@@ -86,49 +225,69 @@ class InducedHVector(HVector):
         self.plan = plan
 
 
-def _forward(x, plan, out):
-    """Bottom-up pass computing W_s^T x|_s for every subtree member."""
-    tree = x.basis.tree
-    col_transfer = plan.matrix.col_basis.transfer
+def _forward(plan, coeff, leaf, member):
+    """W_s^T x|_s for every member s of the input's subtree.
 
-    def walk(s):
-        if x.sub.is_leaf(s):
-            out[s] = kernels.matvec(plan.cross[s], x.coeff[s])
-            return
-        acc = np.zeros(plan.matrix.rank)
-        for s2 in tree.sons(s):
-            walk(s2)
-            acc = kernels.axpy(1.0, kernels.matvec(col_transfer[s2].T, out[s2]), acc)
-        out[s] = acc
+    coeff holds the input coefficient of every subtree leaf in its
+    row (other rows are ignored); leaf and member mark the subtree.
+    Returns an array with one row per column cluster, zero outside
+    the subtree.
+    """
+    ka = plan.matrix.rank
+    col_tree = plan.matrix.block_tree.col_tree
+    xbar = np.zeros((len(col_tree), ka))
+    leaves = np.flatnonzero(leaf)
+    xbar[leaves] = kernels.matvec(plan.cross[leaves], coeff[leaves])
+    flat = xbar.reshape(-1)
+    lead = np.arange(ka)
+    for nodes in reversed(plan.col_levels[1:]):
+        nodes = nodes[member[nodes]]
+        if nodes.size:
+            pushed = kernels.matvec(plan.col_transfer_t[nodes], xbar[nodes])
+            target = (col_tree.father[nodes] * ka)[:, None] + lead
+            np.add.at(flat, target.ravel(), pushed.ravel())
+            kernels.tally(pushed.size)
+    return xbar
 
-    walk(tree.root)
+
+def _coupling(plan, coeff, leaf, interior, xbar, buf):
+    """Add every block contribution into the flat buffer buf.
+
+    Returns the boolean array of row clusters that are interior in
+    the result's subtree.
+    """
+    # the sentinel entry visits the root block, which has no parent
+    parent_interior = np.append(interior, True)
+    blocks = plan.leaf_blocks
+    visited = parent_interior[blocks.parent_col]
+    if visited.any():
+        pick = slice(None) if visited.all() else visited
+        contrib = kernels.matvec(blocks.coupling[pick], xbar[blocks.col[pick]])
+        np.add.at(buf, blocks.target[pick].ravel(), contrib.ravel())
+    blocks = plan.nonleaf_blocks
+    visited = parent_interior[blocks.parent_col]
+    parked = visited & leaf[blocks.col]
+    if parked.any():
+        # every slot belongs to one block and starts at zero
+        target = blocks.target[parked]
+        buf[target] = coeff[blocks.col[parked]]
+        kernels.tally(target.size)
+    result_interior = np.zeros(len(plan.rank), dtype=bool)
+    result_interior[blocks.row[visited & interior[blocks.col]]] = True
+    return result_interior
 
 
-def _coupling(x, plan, xbar, sub, bars):
-    """Collect all block contributions, refining the result subtree."""
-    bt = plan.matrix.block_tree
-    row_tree = bt.row_tree
-    k = plan.input_basis.rank
-
-    def walk(bid):
-        b = bt.blocks[bid]
-        t, s = b.row, b.col
-        if b.is_leaf:
-            bars[t][: plan.matrix.rank] += kernels.matvec(
-                plan.matrix.coupling[bid], xbar[s]
-            )
-        elif x.sub.is_leaf(s):
-            o = plan.offsets[(t, s)]
-            bars[t][o : o + k] = kernels.axpy(1.0, x.coeff[s], bars[t][o : o + k])
-        else:
-            if sub.is_leaf(t):
-                sub.expand(t)
-                for t2 in row_tree.sons(t):
-                    bars[t2] = np.zeros(plan.rank[t2])
-            for sid in b.sons:
-                walk(sid)
-
-    walk(bt.root)
+def _backward(plan, interior, buf):
+    """Push the accumulators of the clusters marked in interior into
+    their sons, top-down, in the flat buffer buf."""
+    for group in plan.groups:
+        active = interior[group.fathers]
+        if not active.any():
+            continue
+        pick = slice(None) if active.all() else active
+        son = group.son_target[pick]
+        buf[son] += kernels.matvec(group.transfer[pick], buf[group.father_target[pick]])
+        kernels.tally(son.size)
 
 
 def multiply(plan, x):
@@ -140,41 +299,26 @@ def multiply(plan, x):
     if x.basis is not plan.input_basis:
         raise ValueError("plan was built for a different input basis")
     x.validate()
-    row_tree = plan.matrix.block_tree.row_tree
-    xbar = {}
+    leaf = x.sub.leaf_mask()
+    interior = x.sub.interior_mask()
+    leaves = np.flatnonzero(leaf).tolist()
+    coeff = np.zeros((len(leaf), plan.input_basis.rank))
+    coeff[leaves] = [x.coeff[i] for i in leaves]
     with kernels.phase("forward"):
-        _forward(x, plan, xbar)
-    sub = Subtree(row_tree)
-    bars = {row_tree.root: np.zeros(plan.rank[row_tree.root])}
+        xbar = _forward(plan, coeff, leaf, leaf | interior)
+    buf = np.zeros(plan.ptr[-1])
     with kernels.phase("coupling"):
-        _coupling(x, plan, xbar, sub, bars)
+        result_interior = _coupling(plan, coeff, leaf, interior, xbar, buf)
+    sub = Subtree.from_interior(plan.matrix.block_tree.row_tree, result_interior)
     with kernels.phase("backward"):
-        y = standard_backward(plan.induced, sub, bars)
-    return InducedHVector(plan, y.sub, y.coeff)
-
-
-def standard_backward(basis, sub, bars):
-    """Distribute accumulators over a subtree via plain transfers.
-
-    bars maps every member i of sub to a float vector of length
-    basis.rank_of(i); the result is the hierarchical vector collecting
-    all contributions at the leaves.  The accumulators are consumed:
-    they are updated in place and become the leaf coefficients.
-    """
-    tree = basis.tree
-    out = HVector(basis, sub.copy(), {})
-
-    def walk(t):
-        if sub.is_leaf(t):
-            out.coeff[t] = bars[t]
-            return
-        for t2 in tree.sons(t):
-            bars[t2] += kernels.matvec(basis.transfer[t2], bars[t])
-            kernels.tally(bars[t2].size)
-            walk(t2)
-
-    walk(tree.root)
-    return out
+        _backward(plan, result_interior, buf)
+    out = np.flatnonzero(sub.leaf_mask())
+    ptr = plan.ptr
+    coeff = {
+        t: buf[a:b].copy()
+        for t, a, b in zip(out.tolist(), ptr[out].tolist(), ptr[out + 1].tolist())
+    }
+    return InducedHVector(plan, sub, coeff)
 
 
 def induced_to_dense(y, dense_matrix=None):

@@ -23,7 +23,7 @@ from .instances import (
     random_iso_basis,
     random_tree,
 )
-from .matvec import induced_to_dense, multiply
+from .matvec import build_plan, induced_to_dense, multiply
 from .tree import validate_tree
 
 __all__ = ["run_selftest"]
@@ -143,16 +143,19 @@ def _suite_h2(seed, corrupt=False):
     rng = np.random.default_rng(seed)
     inst = random_instance(96, 3, 2, 1.0, seed)
     dense = to_dense(inst.matrix)
+    plan = inst.plan
     if corrupt:
-        # perturb one coupling matrix after the dense reference is taken
+        # perturb one coupling matrix after the dense reference is
+        # taken; a plan is a snapshot of its matrix, so plan again
         first = inst.matrix.block_tree.leaves()[0]
         inst.matrix.coupling[first] = inst.matrix.coupling[first] + 0.5
+        plan = build_plan(inst.matrix, inst.input_basis)
     full = len(inst.tree.clusters)
     # the last trial refines fully so every leaf block participates
     for trial, target in enumerate([None, None, None, None, full]):
         steps = int(rng.integers(0, 6)) if target is None else None
         x = random_hvector(inst.input_basis, rng, steps=steps, target=target)
-        y = multiply(inst.plan, x)
+        y = multiply(plan, x)
         got = induced_to_dense(y, dense)
         want = dense @ hvector.to_dense(x)
         scale = max(1.0, float(np.linalg.norm(want)))

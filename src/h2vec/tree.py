@@ -44,7 +44,12 @@ class Cluster:
 
 
 class ClusterTree:
-    """Immutable cluster tree; root has index 0, sons follow fathers."""
+    """Immutable cluster tree; root has index 0, sons follow fathers.
+
+    level[i] and father[i] hold the level and the father of cluster i
+    as index arrays (father[root] is -1), for passes that treat one
+    level of the tree at a time.
+    """
 
     def __init__(self, clusters, perm, dim, leaf_size):
         self.clusters = clusters
@@ -55,6 +60,12 @@ class ClusterTree:
         self.root = 0
         levels = [c.level for c in clusters if not c.sons]
         self.depth = max(levels) if levels else 0
+        self.level = np.array([c.level for c in clusters], dtype=np.intp)
+        father = [-1] * len(clusters)
+        for c in clusters:
+            for s in c.sons:
+                father[s] = c.index
+        self.father = np.array(father, dtype=np.intp)
         self._diameter = [
             float(np.linalg.norm(c.box_max - c.box_min)) for c in clusters
         ]
@@ -255,6 +266,31 @@ class Subtree:
         self._leaf[tree.root] = True
         self._count = 1
 
+    @classmethod
+    def from_interior(cls, tree, interior):
+        """Subtree whose interior nodes are the clusters marked in the
+        boolean array `interior`.
+
+        The marked clusters must have sons in the tree and, apart from
+        the root, a marked father; the members are the root and every
+        son of a marked cluster.
+        """
+        interior = np.asarray(interior, dtype=bool)
+        has_father = tree.father >= 0
+        member = np.zeros(len(tree.clusters), dtype=bool)
+        member[has_father] = interior[tree.father[has_father]]
+        has_sons = np.zeros(len(tree.clusters), dtype=bool)
+        has_sons[tree.father[has_father]] = True
+        if np.any(interior & ~has_sons) or np.any(interior & ~member & has_father):
+            raise ValueError("interior clusters do not form a subtree")
+        member[tree.root] = True
+        other = cls.__new__(cls)
+        other.tree = tree
+        other._member = member
+        other._leaf = member & ~interior
+        other._count = int(np.count_nonzero(member))
+        return other
+
     def copy(self):
         other = Subtree.__new__(Subtree)
         other.tree = self.tree
@@ -311,6 +347,16 @@ class Subtree:
             else:
                 stack.extend(reversed(self.tree.sons(node)))
         return out
+
+    def leaf_mask(self):
+        """Read-only boolean array marking the subtree leaves."""
+        mask = self._leaf.view()
+        mask.flags.writeable = False
+        return mask
+
+    def interior_mask(self):
+        """Boolean array marking the interior members (a fresh copy)."""
+        return self._member & ~self._leaf
 
     def leaf_set(self):
         """Leaf clusters as a set, without the depth-first walk."""

@@ -211,6 +211,15 @@ def test_convert_rejects_padded_coefficients(rng, setup):
         convert(y, inst.input_basis, zfac, pfac, ToleranceBudget(1e-6))
 
 
+def test_convert_rejects_non_finite_coefficients(rng, setup):
+    inst, induced, zfac, pfac = setup
+    y = multiply(inst.plan, random_hvector(inst.input_basis, rng, steps=2))
+    leaf = max(y.coeff)
+    y.coeff[leaf][-1] = np.nan
+    with pytest.raises(ValueError, match=f"cluster {leaf}: non-finite"):
+        convert(y, inst.input_basis, zfac, pfac, ToleranceBudget(1e-6))
+
+
 def test_coarsen_pass_recovers_refined_vector(rng, setup):
     inst, _, _, pfac = setup
     iso = inst.input_basis
@@ -246,6 +255,15 @@ def test_coarsen_pass_rejects_coefficients_off_the_subtree(rng, setup):
     interior = inst.tree.root
     x.coeff[interior] = np.zeros(inst.input_basis.rank)
     with pytest.raises(ValueError, match=f"cluster {interior}:"):
+        coarsen_pass(x, pfac, ToleranceBudget(1e-3))
+
+
+def test_coarsen_pass_rejects_non_finite_coefficients(rng, setup):
+    inst, _, _, pfac = setup
+    x = random_hvector(inst.input_basis, rng, steps=3)
+    leaf = min(x.coeff)
+    x.coeff[leaf][0] = np.inf
+    with pytest.raises(ValueError, match=f"cluster {leaf}: non-finite"):
         coarsen_pass(x, pfac, ToleranceBudget(1e-3))
 
 

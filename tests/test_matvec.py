@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2vec import kernels
 from h2vec.h2matrix import build_block_tree, random_h2, to_dense
@@ -12,13 +14,9 @@ from h2vec.instances import (
     random_iso_basis,
     random_subtree,
 )
-from h2vec.matvec import (
-    build_plan,
-    induced_to_dense,
-    multiply,
-    standard_backward,
-)
+from h2vec.matvec import _backward, _forward, build_plan, induced_to_dense, multiply
 
+import matvec_reference as reference
 from conftest import prefix_subtree
 
 
@@ -58,6 +56,18 @@ def test_plan_nonleaf_root_block(rng):
     assert plan.rank[root] == 2 + 2
 
 
+def test_induced_transfers_are_views_into_group_stacks(inst):
+    plan = inst.plan
+    seen = 0
+    for group in plan.groups:
+        for j, t2 in enumerate(group.sons.tolist()):
+            e = plan.induced.transfer[t2]
+            assert e.base is group.transfer
+            assert np.shares_memory(e, group.transfer[j])
+            seen += 1
+    assert seen == len(plan.induced.transfer) == len(inst.tree.clusters) - 1
+
+
 def test_plan_rank_bound(inst):
     bound = inst.matrix.rank + inst.csp * inst.input_basis.rank
     assert all(r <= bound for r in inst.plan.rank.values())
@@ -76,22 +86,30 @@ def test_forward_identity_cross_when_same_basis(rng):
     bt = build_block_tree(tree, tree, 1.0)
     matrix = random_h2(bt, row, iso, seed=1)  # column basis == input basis
     plan = build_plan(matrix, iso)
-    for i, d in plan.cross.items():
-        assert np.max(np.abs(d - np.eye(2))) <= 1e-12
+    assert plan.cross.shape == (len(tree.clusters), 2, 2)
+    assert np.max(np.abs(plan.cross - np.eye(2))) <= 1e-12
 
 
 def test_forward_matches_dense_per_cluster(rng, inst):
-    from h2vec.matvec import _forward
-
     x = random_hvector(inst.input_basis, rng, steps=4)
     dense_x = hv_dense(x)
-    out = {}
-    _forward(x, inst.plan, out)
+    ref = {}
+    reference.forward(x, inst.plan, ref)
+    leaf = x.sub.leaf_mask()
+    coeff = np.zeros((len(leaf), inst.input_basis.rank))
+    for i, c in x.coeff.items():
+        coeff[i] = c
+    out = _forward(inst.plan, coeff, leaf, leaf | x.sub.interior_mask())
     tree = inst.tree
     col = inst.matrix.col_basis
-    for s in x.sub.members():
+    for s in range(len(tree.clusters)):
+        if s not in x.sub:
+            assert not np.any(out[s])
+            continue
         want = col.materialize(s).T @ dense_x[tree.positions(s)]
-        assert np.max(np.abs(out[s] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        scale = 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(ref[s] - want)) <= scale
+        assert np.max(np.abs(out[s] - want)) <= scale
 
 
 def test_coupling_minimal_input_stays_minimal(rng):
@@ -181,26 +199,147 @@ def test_multiply_rejects_coefficients_off_the_subtree(rng, inst):
         multiply(inst.plan, extra)
 
 
+def test_multiply_rejects_non_finite_coefficients(rng, inst):
+    x = random_hvector(inst.input_basis, rng, steps=3)
+    leaf = x.sub.leaves()[-1]
+    x.coeff[leaf][1] = np.nan
+    with pytest.raises(ValueError, match=f"cluster {leaf}: non-finite"):
+        multiply(inst.plan, x)
+
+
+def _parked_blocks(plan, x):
+    """Non-leaf blocks the product visits whose column is an input leaf."""
+    bt = plan.matrix.block_tree
+    count = 0
+    stack = [bt.root]
+    while stack:
+        b = bt.blocks[stack.pop()]
+        if b.is_leaf:
+            continue
+        if x.sub.is_leaf(b.col):
+            count += 1
+        else:
+            stack.extend(b.sons)
+    return count
+
+
+def _assert_matches_reference(plan, x):
+    with kernels.count_flops() as batched:
+        y = multiply(plan, x)
+    with kernels.count_flops() as walked:
+        want = reference.multiply(plan, x)
+    assert y.sub.leaves() == want.sub.leaves()
+    assert y.sub.count() == want.sub.count()
+    assert batched.phases == walked.phases
+    assert y.coeff.keys() == want.coeff.keys()
+    scale = max(np.max(np.abs(v)) for v in want.coeff.values())
+    for i, v in want.coeff.items():
+        assert np.max(np.abs(y.coeff[i] - v), initial=0.0) <= 1e-13 * scale
+    y.validate()
+    return y
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_multiply_matches_reference_on_partial_subtrees(seed):
+    rng = np.random.default_rng(seed)
+    k, ka, eta = 1 + seed % 4, 1 + seed % 3, (0.5, 1.0, 2.0)[seed % 3]
+    inst = random_instance(128, k, ka, eta, seed=seed)
+    x = random_hvector(inst.input_basis, rng, steps=int(rng.integers(3, 12)))
+    assert x.sub.count() < len(inst.tree.clusters)
+    assert _parked_blocks(inst.plan, x) > 0
+    _assert_matches_reference(inst.plan, x)
+
+
+def test_multiply_matches_reference_on_full_subtree(rng, inst):
+    x = random_hvector(inst.input_basis, rng, sub=prefix_subtree(inst.tree, inst.tree.depth))
+    assert x.sub.count() == len(inst.tree.clusters)
+    assert _parked_blocks(inst.plan, x) == 0
+    _assert_matches_reference(inst.plan, x)
+
+
+def test_multiply_matches_reference_on_minimal_subtree(rng, inst):
+    x = HVector(inst.input_basis, coeff={inst.tree.root: rng.standard_normal(3)})
+    y = _assert_matches_reference(inst.plan, x)
+    assert y.sub.count() == 1
+
+
+def test_multiply_matches_reference_on_zero_vector(rng, inst):
+    zero = HVector(inst.input_basis, sub=random_subtree(inst.tree, rng, steps=5))
+    with kernels.count_flops() as batched:
+        y = multiply(inst.plan, zero)
+    with kernels.count_flops() as walked:
+        want = reference.multiply(inst.plan, zero)
+    assert y.sub.leaves() == want.sub.leaves()
+    assert batched.phases == walked.phases
+    assert all(not np.any(v) for v in y.coeff.values())
+
+
+def test_multiply_matches_reference_on_single_block_tree(rng):
+    tree = line_tree(4, 4)
+    bt = build_block_tree(tree, tree, 1.0)
+    matrix = random_h2(bt, random_basis(tree, 2, rng), random_basis(tree, 2, rng), seed=0)
+    plan = build_plan(matrix, random_iso_basis(tree, 2, rng))
+    x = random_hvector(plan.input_basis, rng)
+    _assert_matches_reference(plan, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([16, 32, 48, 64, 96]),
+    k=st.integers(1, 4),
+    ka=st.integers(1, 4),
+    eta=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**16),
+    steps=st.integers(0, 60),
+)
+def test_product_equals_dense_result(n, k, ka, eta, seed, steps):
+    inst = random_instance(n, k, ka, eta, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = random_hvector(inst.input_basis, rng, steps=steps)
+    dense = to_dense(inst.matrix)
+    want = dense @ hv_dense(x)
+    got = induced_to_dense(multiply(inst.plan, x), dense)
+    assert np.linalg.norm(got - want) <= 1e-11 * max(1e-30, np.linalg.norm(want))
+
+
+def _bars_and_buffer(plan, sub, bars):
+    """Copy per-member accumulators into a flat buffer laid out by plan.ptr."""
+    buf = np.zeros(plan.ptr[-1])
+    for i in sub.members():
+        buf[plan.ptr[i] : plan.ptr[i + 1]] = bars[i]
+    return buf
+
+
 def test_standard_backward_zero(rng, inst):
-    basis = inst.matrix.row_basis
+    basis = inst.plan.induced
     sub = random_subtree(inst.tree, rng, steps=3)
-    bars = {i: np.zeros(basis.rank) for i in sub.members()}
-    out = standard_backward(basis, sub, bars)
+    bars = {i: np.zeros(basis.rank_of(i)) for i in sub.members()}
+    buf = _bars_and_buffer(inst.plan, sub, bars)
+    out = reference.standard_backward(basis, sub, bars)
     assert np.max(np.abs(hv_dense(out))) == 0.0
+    _backward(inst.plan, sub.interior_mask(), buf)
+    assert np.max(np.abs(buf)) == 0.0
 
 
 def test_standard_backward_matches_dense(rng, inst):
-    basis = inst.matrix.row_basis
+    basis = inst.plan.induced
     sub = random_subtree(inst.tree, rng, steps=4)
-    bars = {i: rng.standard_normal(basis.rank) for i in sub.members()}
+    bars = {i: rng.standard_normal(basis.rank_of(i)) for i in sub.members()}
+    buf = _bars_and_buffer(inst.plan, sub, bars)
     tree = inst.tree
     want = np.zeros(tree.n)
     for i in sub.members():
         want[tree.positions(i)] += basis.materialize(i) @ bars[i]
-    out = standard_backward(basis, sub, bars)  # consumes bars
-    assert np.max(np.abs(hv_dense(out) - want)) <= 1e-11 * max(
-        1.0, np.max(np.abs(want))
-    )
+    scale = 1e-11 * max(1.0, np.max(np.abs(want)))
+    out = reference.standard_backward(basis, sub, bars)  # consumes bars
+    assert np.max(np.abs(hv_dense(out) - want)) <= scale
+    # the batched pass, on the same accumulators, gives the same leaves
+    _backward(inst.plan, sub.interior_mask(), buf)
+    for i in sub.leaves():
+        got = buf[inst.plan.ptr[i] : inst.plan.ptr[i + 1]]
+        assert np.max(np.abs(got - out.coeff[i])) <= 1e-13 * max(
+            1.0, np.max(np.abs(out.coeff[i]))
+        )
 
 
 def test_induced_basis_expansion_matches_slot_expansion(rng, inst, dense):

@@ -155,6 +155,27 @@ def test_partition_after_random_walk(rng):
         assert sub.check_partition() is None
 
 
+def test_from_interior_rebuilds_subtree(rng):
+    from h2vec.instances import random_subtree
+
+    tree = line_tree(64, 4)
+    for steps in (0, 1, 5, 40):
+        sub = random_subtree(tree, rng, steps=steps)
+        again = Subtree.from_interior(tree, sub.interior_mask())
+        assert again.leaves() == sub.leaves()
+        assert again.members() == sub.members()
+        assert again.count() == sub.count()
+    interior = np.zeros(len(tree.clusters), dtype=bool)
+    interior[tree.sons(tree.root)[0]] = True  # father not interior
+    with pytest.raises(ValueError, match="do not form a subtree"):
+        Subtree.from_interior(tree, interior)
+    interior = np.array([bool(tree.sons(i)) for i in range(len(tree.clusters))])
+    Subtree.from_interior(tree, interior)  # the full subtree
+    interior[tree.leaves()[0]] = True  # a tree leaf cannot be interior
+    with pytest.raises(ValueError, match="do not form a subtree"):
+        Subtree.from_interior(tree, interior)
+
+
 def test_subtree_precondition_errors():
     tree = line_tree(8, 2)
     sub = Subtree(tree)
