@@ -189,20 +189,7 @@ def orthogonalize(basis):
 
 def gram_family(basis):
     """Per-cluster Gram matrices V^T V via the transfer recursion."""
-    tree = basis.tree
-    gram = {}
-    for i in tree.postorder():
-        if tree.is_leaf(i):
-            v = basis.leaf_matrix[i]
-            gram[i] = kernels.matmul(v.T, v)
-        else:
-            r = basis.rank_of(i)
-            total = np.zeros((r, r))
-            for s in tree.sons(i):
-                e = basis.transfer[s]
-                total = total + kernels.matmul(e.T, kernels.matmul(gram[s], e))
-            gram[i] = total
-    return gram
+    return cross_gram_family(basis, basis)
 
 
 def cross_gram_family(left, right):

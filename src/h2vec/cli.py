@@ -1,7 +1,6 @@
 """Command-line driver: self tests, scaling benchmarks, Poisson demo."""
 
 import argparse
-import os
 import sys
 
 from .bench import bench_matvec, write_csv
@@ -136,10 +135,6 @@ def _run_demo(args):
 
 
 def main(argv=None):
-    threads = os.environ.get("H2VEC_THREADS")
-    if threads is not None and threads != "1":
-        print("H2VEC_THREADS is reserved and must be 1", file=sys.stderr)
-        return 2
     args = _build_parser().parse_args(argv)
     if args.command == "selftest":
         from .selftest import run_selftest

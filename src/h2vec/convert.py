@@ -15,7 +15,6 @@ the true error by the triangle inequality along refinement chains and
 Pythagoras across disjoint supports.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -34,23 +33,26 @@ __all__ = [
 ]
 
 
+# widens acceptance tests by this multiple of the local coefficient
+# norm, so that exact representations (errors at round-off level) are
+# recognized even for eps = 0
+REL_FLOOR = 1e-12
+
+
 @dataclass
 class ToleranceBudget:
     """Global tolerance with per-cluster split and round-off floor.
 
-    rel_floor widens acceptance tests by a tiny multiple of the local
-    coefficient norm so that exact representations (errors at round-off
-    level) are recognized even for eps = 0; accumulated bounds always
-    use the true computed errors, never the floor.
+    The floor REL_FLOOR only widens acceptance tests; accumulated
+    bounds always use the true computed errors, never the floor.
     """
 
     eps: float
-    rel_floor: float = 1e-12
 
     def limit(self, size, total, scale):
         """Acceptance limit at a cluster holding `size` of `total`
         indices whose coefficient has norm `scale`."""
-        return max(self.eps * math.sqrt(size / total), self.rel_floor * scale)
+        return max(self.eps * math.sqrt(size / total), REL_FLOOR * scale)
 
 
 @dataclass
@@ -63,62 +65,85 @@ class ConversionReport:
     bound: float = 0.0
     cluster_count: int = 0
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["cluster", "kind", "error"])
-            for i, e in sorted(self.commit_errors.items()):
-                writer.writerow([i, "commit", f"{e:.17g}"])
-            for i, e in sorted(self.merge_errors.items()):
-                writer.writerow([i, "merge", f"{e:.17g}"])
-            writer.writerow(["total", "bound", f"{self.bound:.17g}"])
-            writer.writerow(["total", "clusters", self.cluster_count])
-
 
 def materialize_induced(plan):
     """Explicit nested basis realizing the induced layout of a plan.
 
-    Cluster t has the true rank plan.rank[t]: the row basis in the
-    leading columns, then one block of input-basis columns per
-    non-leaf block (t, s), at plan.offsets[(t, s)].  Leaves own no
-    such blocks, so the leaf matrices are the row basis's own.  The
-    transfer of a son t2 of t is plan.rank[t2] x plan.rank[t]; it
-    assembles the row transfer, the coupling and cross-gram products
-    of the son leaf blocks, and the input transfers into the son's
-    slots.  The transfers are written into fresh stacks, one per group
-    of plan.groups, and the basis holds views into them, so they are
+    Cluster t has the rank ptr[t + 1] - ptr[t] of its accumulator: the
+    row basis in the leading columns, then one slot of input-basis
+    columns per non-leaf block of row t.  Leaves own no such blocks,
+    so the leaf matrices are the row basis's own.  The transfer of a
+    son t2 of t is assembled from tiles placed in accumulator
+    coordinates: the row transfer of t2 on the leading entries of t2
+    and t, and for every block below a non-leaf block a tile whose
+    rows are the block's own entries and whose columns are its parent
+    block's slot, coupling times cross Gram times input transfer for
+    a leaf block and the input transfer for a non-leaf block.  The
+    transfers are written into fresh stacks, one per group of
+    plan.groups, and the basis holds views into them, so they are
     stored once.  rank is the largest of the cluster ranks.
     """
     mat = plan.matrix
-    bt = mat.block_tree
-    row_tree = bt.row_tree
-    col_tree = bt.col_tree
-    ka = mat.rank
+    row_tree = mat.block_tree.row_tree
+    col_tree = mat.block_tree.col_tree
+    ptr = plan.ptr
+    leaf, nonleaf = plan.leaf_blocks, plan.nonleaf_blocks
+    sons = np.flatnonzero(row_tree.father >= 0)
+    cols = np.flatnonzero(col_tree.father >= 0)
+    lead = np.arange(mat.rank)
     k = plan.input_basis.rank
-    leaf_matrix = {t: mat.row_basis.leaf_matrix[t] for t in row_tree.leaves()}
+    input_transfer = np.zeros((len(col_tree), k, k))
+    for s, f in plan.input_basis.transfer.items():
+        input_transfer[s] = f
     # cross[s2] times the input transfer of s2, shared by all blocks (t2, s2)
-    pushed = {
-        s2: kernels.matmul(plan.cross[s2], f)
-        for s2, f in plan.input_basis.transfer.items()
-    }
+    pushed = np.zeros(plan.cross.shape)
+    pushed[cols] = kernels.matmul(plan.cross[cols], input_transfer[cols])
+    below = leaf.parent < nonleaf.row.size
+    inner = nonleaf.parent < nonleaf.row.size
+    # (son, rows, columns, tiles, write); only leaf-block tiles overlap
+    tiles = [
+        (
+            sons,
+            ptr[sons][:, None] + lead,
+            ptr[row_tree.father[sons]][:, None] + lead,
+            np.array([mat.row_basis.transfer[t2] for t2 in sons.tolist()]),
+            np.put,
+        ),
+        (
+            leaf.row[below],
+            leaf.target[below],
+            nonleaf.target[leaf.parent[below]],
+            kernels.matmul(leaf.coupling[below], pushed[leaf.col[below]]),
+            np.add.at,
+        ),
+        (
+            nonleaf.row[inner],
+            nonleaf.target[inner],
+            nonleaf.target[nonleaf.parent[inner]],
+            input_transfer[nonleaf.col[inner]],
+            np.put,
+        ),
+    ]
+    group_of = np.empty(len(row_tree), dtype=np.intp)
+    index = np.empty(len(row_tree), dtype=np.intp)
+    for g, group in enumerate(plan.groups):
+        group_of[group.sons] = g
+        index[group.sons] = np.arange(group.sons.size)
     transfer = {}
-    for group in plan.groups:
-        group.transfer = np.zeros(group.son_target.shape + group.father_target.shape[1:])
-        for e, t2, t in zip(group.transfer, group.sons.tolist(), group.fathers.tolist()):
-            e[:ka, :ka] = mat.row_basis.transfer[t2]
-            for s in plan.nonleaf_cols[t]:
-                o = plan.offsets[(t, s)]
-                for s2 in col_tree.sons(s):
-                    bid = bt.by_pair[(t2, s2)]
-                    if bt.blocks[bid].is_leaf:
-                        e[:ka, o : o + k] += kernels.matmul(
-                            mat.coupling[bid], pushed[s2]
-                        )
-                    else:
-                        o2 = plan.offsets[(t2, s2)]
-                        e[o2 : o2 + k, o : o + k] = plan.input_basis.transfer[s2]
-            transfer[t2] = e
-    rank = max(plan.rank.values())
+    for g, group in enumerate(plan.groups):
+        (n, r2), r = group.son_target.shape, group.father_target.shape[1]
+        group.transfer = np.zeros((n, r2, r))
+        flat = group.transfer.reshape(-1)
+        for son, rows, columns, tile, write in tiles:
+            pick = group_of[son] == g
+            t2 = son[pick]
+            row = (index[t2] * r2 - ptr[t2])[:, None] + rows[pick]
+            col = columns[pick] - ptr[row_tree.father[t2]][:, None]
+            at = row[:, :, None] * r + col[:, None, :]
+            write(flat, at.ravel(), tile[pick].ravel())
+        transfer.update(zip(group.sons.tolist(), group.transfer))
+    leaf_matrix = {t: mat.row_basis.leaf_matrix[t] for t in row_tree.leaves()}
+    rank = int(np.diff(ptr).max())
     return ClusterBasis(row_tree, rank, leaf_matrix, transfer, isometric=False)
 
 

@@ -44,14 +44,10 @@ __all__ = [
 
 
 def full_subtree(tree):
-    sub = Subtree(tree)
-    stack = [tree.root]
-    while stack:
-        i = stack.pop()
-        if tree.sons(i):
-            sub.expand(i)
-            stack.extend(tree.sons(i))
-    return sub
+    """The subtree holding every cluster of the tree."""
+    has_sons = np.zeros(len(tree), dtype=bool)
+    has_sons[tree.father[tree.father >= 0]] = True
+    return Subtree.from_interior(tree, has_sons)
 
 
 @dataclass
@@ -83,7 +79,7 @@ class DemoRun:
 class PoissonDemo:
     """Shared heavy setup for inverse-iteration runs at one grid size."""
 
-    def __init__(self, grid=64, degree=3, eta=1.0, leaf_size=None):
+    def __init__(self, grid=64, degree=3, eta=1.0):
         self.grid = grid
         self.degree = degree
         self.eta = eta
@@ -91,11 +87,9 @@ class PoissonDemo:
         n = self.problem.matrix.shape[0]
         if n > 5000:
             raise ValueError(f"{n} unknowns is too large for dense inversion here")
-        rank = (degree + 1) ** 2
-        if leaf_size is None:
-            # midpoint boxes near the boundary hold down to a quarter of
-            # the largest leaf count; keep the smallest above the rank
-            leaf_size = 4 * rank
+        # midpoint boxes near the boundary hold down to a quarter of
+        # the largest leaf count; keep the smallest above the rank
+        leaf_size = 4 * (degree + 1) ** 2
         self.tree = build_cluster_tree(self.problem.points, leaf_size)
         nodal = polynomial_basis(self.tree, self.problem.points, degree)
         self.iso, _ = orthogonalize(nodal)

@@ -48,7 +48,6 @@ class BlockTree:
         self.blocks = blocks
         self.eta = eta
         self.root = 0
-        self.by_pair = {(b.row, b.col): b.index for b in blocks}
 
     def __len__(self):
         return len(self.blocks)

@@ -36,11 +36,12 @@ def random_tree(rng, n, dim, leaf_size):
     return build_cluster_tree(rng.random((n, dim)), leaf_size)
 
 
-def random_basis(tree, rank, rng, well_conditioned=True):
+def random_basis(tree, rank, rng):
     """Random nested basis of the given rank.
 
-    Leaf matrices are Gaussian (optionally mixed with identity columns
-    to keep them comfortably full rank); transfers are Gaussian.
+    Leaf matrices are Gaussian plus twice the identity in the leading
+    rows, which keeps them comfortably full rank; transfers are
+    Gaussian.
     """
     leaf_matrix = {}
     transfer = {}
@@ -49,8 +50,7 @@ def random_basis(tree, rank, rng, well_conditioned=True):
         if size < rank:
             raise ValueError(f"leaf {i} smaller than rank {rank}")
         v = rng.standard_normal((size, rank))
-        if well_conditioned:
-            v[:rank] += 2.0 * np.eye(rank)
+        v[:rank] += 2.0 * np.eye(rank)
         leaf_matrix[i] = v
     for i in range(len(tree.clusters)):
         for s in tree.sons(i):

@@ -7,8 +7,8 @@ counter used by the complexity checks.
 
 Counting convention: a product of an (m, n) matrix with an n-vector
 costs m*n multiply-adds and a product with an (n, p) matrix costs
-m*n*p; a stack of b such matrix-vector products costs b*m*n, the same
-as b separate calls.  Callers that add the results into accumulators
+m*n*p; a stack of b such products costs b times as much, the same as
+b separate calls.  Callers that add the results into accumulators
 charge the adds themselves, per batch, with ``tally``.  A QR of an
 (m, n) matrix is charged m*n*min(m, n) for the triangular factor,
 plus m*m*n when the complete m x m orthogonal factor is formed as
@@ -106,12 +106,22 @@ def tally(n):
 
 
 def matmul(a, b):
-    """Counted matrix-matrix product with shape check."""
+    """Counted matrix-matrix product with shape check.
+
+    a may also be a stack of s matrices, shape (s, m, n), with b a
+    stack of s matrices, shape (s, n, p); the result is the (s, m, p)
+    stack of the products a[j] @ b[j].
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (
+        a.ndim not in (2, 3)
+        or a.ndim != b.ndim
+        or a.shape[:-2] != b.shape[:-2]
+        or a.shape[-1] != b.shape[-2]
+    ):
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    tally(a.shape[0] * a.shape[1] * b.shape[1])
+    tally(a.size * b.shape[-1])
     return a @ b
 
 

@@ -58,17 +58,17 @@ __all__ = [
 class BlockSet:
     """Blocks of one kind (leaf or non-leaf) in construction order.
 
-    row, col: the block clusters.  parent_col: the column cluster of
-    the parent block, or len(col_tree) at the root block.  target[j]:
-    the flat accumulator entries block j writes to, the leading
-    matrix-rank entries of its row for a leaf block and its slot for a
-    non-leaf block.  coupling: the stacked coupling matrices of leaf
-    blocks.
+    row, col: the block clusters.  parent: the position of the parent
+    block in the plan's non-leaf blocks, or their count at the root
+    block.  target[j]: the flat accumulator entries block j writes
+    to, the leading matrix-rank entries of its row for a leaf block
+    and its slot for a non-leaf block.  coupling: the stacked coupling
+    matrices of leaf blocks.
     """
 
     row: np.ndarray
     col: np.ndarray
-    parent_col: np.ndarray
+    parent: np.ndarray
     target: np.ndarray
     coupling: np.ndarray = None
 
@@ -91,17 +91,17 @@ class TransferGroup:
 class MatvecPlan:
     """Per-(matrix, input basis) precomputation reused across products.
 
-    nonleaf_cols[t] lists, in block construction order, the column
-    clusters forming non-leaf blocks with row cluster t; offsets maps
-    (t, s) to the slot of s inside t's accumulator; rank[t] is the
-    induced rank of t, and t's accumulator occupies the flat entries
-    ptr[t] to ptr[t + 1].  cross[s] = W_s^T Q_s couples the matrix
-    column basis with the input basis, and col_transfer_t[s] is the
-    transposed column transfer of s, both stacked per column cluster.
-    col_levels[l] lists the column clusters of level l.  leaf_blocks
-    and nonleaf_blocks describe the block tree, groups the induced
-    transfers in top-down order, and induced is the induced basis,
-    whose transfers are views into the group stacks.
+    Row cluster t's accumulator occupies the flat entries ptr[t] to
+    ptr[t + 1]: the matrix rank, then one slot of input-rank entries
+    per non-leaf block of row t, numbered in block construction
+    order; its length is the induced rank of t.  cross[s] = W_s^T Q_s
+    couples the matrix column basis with the input basis, and
+    col_transfer_t[s] is the transposed column transfer of s, both
+    stacked per column cluster.  col_levels[l] lists the column
+    clusters of level l.  leaf_blocks and nonleaf_blocks describe the
+    block tree, groups the induced transfers in top-down order, and
+    induced is the induced basis, whose transfers are views into the
+    group stacks.
 
     A plan is a snapshot of its matrix: the coupling matrices are
     copied into leaf_blocks and the induced transfers, so a matrix
@@ -113,9 +113,6 @@ class MatvecPlan:
     cross: np.ndarray
     col_transfer_t: np.ndarray
     col_levels: list
-    nonleaf_cols: dict
-    offsets: dict
-    rank: dict
     ptr: np.ndarray
     leaf_blocks: BlockSet
     nonleaf_blocks: BlockSet
@@ -138,51 +135,38 @@ def build_plan(matrix, input_basis):
     col_levels = [
         np.flatnonzero(col_tree.level == level) for level in range(col_tree.depth + 1)
     ]
-    nonleaf_cols = {t: [] for t in range(len(row_tree))}
-    for b in bt.blocks:
-        if not b.is_leaf:
-            nonleaf_cols[b.row].append(b.col)
-    nonleaf_cols = {t: tuple(v) for t, v in nonleaf_cols.items()}
-    offsets = {}
-    rank = {}
-    for t, cols in nonleaf_cols.items():
-        for j, s in enumerate(cols):
-            offsets[(t, s)] = ka + j * k
-        rank[t] = ka + k * len(cols)
-    ptr = np.zeros(len(row_tree) + 1, dtype=np.intp)
-    ptr[1:] = np.cumsum([rank[t] for t in range(len(row_tree))])
-    parent_col = [len(col_tree)] * len(bt.blocks)
-    for b in bt.blocks:
-        for sid in b.sons:
-            parent_col[sid] = b.col
-    parent_col = np.array(parent_col, dtype=np.intp)
     leaves = [b for b in bt.blocks if b.is_leaf]
     others = [b for b in bt.blocks if not b.is_leaf]
+    parent = np.full(len(bt.blocks), len(others), dtype=np.intp)
+    for j, b in enumerate(others):
+        parent[list(b.sons)] = j
+    # a non-leaf block's slot is its rank among the non-leaf blocks of its row
+    rows = np.array([b.row for b in others], dtype=np.intp)
+    order = np.argsort(rows, kind="stable")
+    count = np.bincount(rows, minlength=len(row_tree))
+    slot = np.empty_like(rows)
+    slot[order] = np.arange(rows.size) - (np.cumsum(count) - count)[rows[order]]
+    ptr = np.zeros(len(row_tree) + 1, dtype=np.intp)
+    ptr[1:] = np.cumsum(ka + k * count)
 
     def block_set(blocks, starts, width):
         ids = np.array([b.index for b in blocks], dtype=np.intp)
         return BlockSet(
             row=np.array([b.row for b in blocks], dtype=np.intp),
             col=np.array([b.col for b in blocks], dtype=np.intp),
-            parent_col=parent_col[ids],
+            parent=parent[ids],
             target=np.asarray(starts, dtype=np.intp).reshape(-1, 1) + np.arange(width),
         )
 
-    start = ptr.tolist()
-    leaf_blocks = block_set(leaves, [start[b.row] for b in leaves], ka)
+    leaf_blocks = block_set(leaves, ptr[[b.row for b in leaves]], ka)
     leaf_blocks.coupling = np.array([matrix.coupling[b.index] for b in leaves])
-    nonleaf_blocks = block_set(
-        others, [start[b.row] + offsets[(b.row, b.col)] for b in others], k
-    )
+    nonleaf_blocks = block_set(others, ptr[rows] + ka + k * slot, k)
     plan = MatvecPlan(
         matrix,
         input_basis,
         cross,
         col_transfer_t,
         col_levels,
-        nonleaf_cols,
-        offsets,
-        rank,
         ptr,
         leaf_blocks,
         nonleaf_blocks,
@@ -256,23 +240,24 @@ def _coupling(plan, coeff, leaf, interior, xbar, buf):
     Returns the boolean array of row clusters that are interior in
     the result's subtree.
     """
+    # a block is visited when its parent block's column is interior;
     # the sentinel entry visits the root block, which has no parent
-    parent_interior = np.append(interior, True)
+    descend = np.append(interior[plan.nonleaf_blocks.col], True)
     blocks = plan.leaf_blocks
-    visited = parent_interior[blocks.parent_col]
+    visited = descend[blocks.parent]
     if visited.any():
         pick = slice(None) if visited.all() else visited
         contrib = kernels.matvec(blocks.coupling[pick], xbar[blocks.col[pick]])
         np.add.at(buf, blocks.target[pick].ravel(), contrib.ravel())
     blocks = plan.nonleaf_blocks
-    visited = parent_interior[blocks.parent_col]
+    visited = descend[blocks.parent]
     parked = visited & leaf[blocks.col]
     if parked.any():
         # every slot belongs to one block and starts at zero
         target = blocks.target[parked]
         buf[target] = coeff[blocks.col[parked]]
         kernels.tally(target.size)
-    result_interior = np.zeros(len(plan.rank), dtype=bool)
+    result_interior = np.zeros(plan.ptr.size - 1, dtype=bool)
     result_interior[blocks.row[visited & interior[blocks.col]]] = True
     return result_interior
 
@@ -337,15 +322,15 @@ def induced_to_dense(y, dense_matrix=None):
     if dense_matrix is None:
         dense_matrix = h2_to_dense(mat)
     ka = mat.rank
-    k = plan.input_basis.rank
+    blocks = plan.nonleaf_blocks
     out = np.zeros(row_tree.n)
     for t in y.sub.leaves():
         v = y.coeff[t]
         block = mat.row_basis.materialize(t) @ v[:ka]
-        for s in plan.nonleaf_cols[t]:
-            o = plan.offsets[(t, s)]
-            seg = v[o : o + k]
-            cols = plan.input_basis.materialize(s) @ seg
+        mine = blocks.row == t
+        slots = blocks.target[mine] - plan.ptr[t]
+        for s, slot in zip(blocks.col[mine].tolist(), slots):
+            cols = plan.input_basis.materialize(s) @ v[slot]
             block = block + dense_matrix[row_tree.positions(t), col_tree.positions(s)] @ cols
         out[row_tree.positions(t)] = block
     return out

@@ -25,13 +25,6 @@ def test_cli_selftest_exit_code():
     assert main(["selftest", "--seed", "1"]) == 0
 
 
-def test_cli_threads_guard(monkeypatch, capsys):
-    monkeypatch.setenv("H2VEC_THREADS", "4")
-    assert main(["selftest"]) == 2
-    monkeypatch.setenv("H2VEC_THREADS", "1")
-    assert main(["selftest"]) == 0
-
-
 def _strip_stamp(text, drop_last_column=False):
     lines = text.splitlines()
     assert lines[0].startswith("#")

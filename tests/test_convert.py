@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from h2vec import kernels
+
 from h2vec.basis import (
     coarsening_factors,
     gram_family,
@@ -24,6 +26,8 @@ from h2vec.instances import (
 )
 from h2vec.matvec import multiply
 
+import matvec_reference as reference
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -39,9 +43,10 @@ def test_materialize_induced_nested(setup):
     inst, induced, _, _ = setup
     tree = inst.tree
     row = inst.matrix.row_basis
+    _, rank = reference.layout(inst.plan)
     for i in range(len(tree.clusters)):
         # true per-cluster ranks; leaves keep the row basis's own matrices
-        assert induced.rank_of(i) == inst.plan.rank[i]
+        assert induced.rank_of(i) == rank[i]
         if tree.is_leaf(i):
             assert induced.leaf_matrix[i] is row.leaf_matrix[i]
         full = induced.materialize(i)
@@ -56,23 +61,47 @@ def test_materialize_induced_nested(setup):
 
 
 def test_materialize_induced_columns(setup):
+    # every cluster: the leading columns are the row basis and every
+    # slot holds the matrix block times the input basis of its column
     inst, induced, _, _ = setup
     dense = to_dense(inst.matrix)
     tree = inst.tree
     ka = inst.matrix.rank
     k = inst.input_basis.rank
-    for i in (tree.root, tree.sons(tree.root)[0]):
+    offsets, rank = reference.layout(inst.plan)
+    slots = 0
+    for i in range(len(tree.clusters)):
         u = induced.materialize(i)
+        assert u.shape == (tree.size(i), rank[i])
         v = inst.matrix.row_basis.materialize(i)
-        assert np.max(np.abs(u[:, :ka] - v)) <= 1e-11
-        for s in inst.plan.nonleaf_cols[i]:
-            o = inst.plan.offsets[(i, s)]
+        assert np.max(np.abs(u[:, :ka] - v)) <= 1e-11 * max(1.0, np.max(np.abs(v)))
+        mine = sorted((o, s) for (t, s), o in offsets.items() if t == i)
+        assert [o for o, _ in mine] == list(range(ka, rank[i], k))
+        for o, s in mine:
             want = dense[tree.positions(i), tree.positions(s)] @ (
                 inst.input_basis.materialize(s)
             )
             assert np.max(np.abs(u[:, o : o + k] - want)) <= 1e-11 * max(
                 1.0, np.max(np.abs(want))
             )
+            slots += 1
+    assert slots == inst.plan.nonleaf_blocks.row.size > 0
+
+
+@pytest.mark.parametrize(
+    "n, k, ka, eta", [(96, 3, 2, 1.0), (256, 2, 3, 2.0), (128, 4, 1, 0.5)]
+)
+def test_materialize_induced_matches_loop_reference(n, k, ka, eta):
+    inst = random_instance(n, k, ka, eta, seed=3)
+    with kernels.count_flops() as stacked:
+        induced = materialize_induced(inst.plan)
+    with kernels.count_flops() as looped:
+        want = reference.induced_transfers(inst.plan)
+    assert stacked.total == looped.total
+    assert induced.transfer.keys() == want.keys()
+    for t2, e in want.items():
+        assert induced.transfer[t2].shape == e.shape
+        assert induced.transfer[t2].tobytes() == e.tobytes()
 
 
 def test_materialize_induced_without_nonleaf_blocks(rng):
@@ -290,20 +319,6 @@ def test_coarsen_pass_bound_is_valid(rng, setup):
         err = np.linalg.norm(hv_dense(x) - before)
         assert err <= bound + 1e-12 * nrm
         assert bound <= eps * nrm
-
-
-def test_conversion_report_csv(tmp_path, rng, setup):
-    inst, induced, zfac, pfac = setup
-    x = random_hvector(inst.input_basis, rng, steps=2)
-    y = multiply(inst.plan, x)
-    out, bound, report = convert(
-        y, inst.input_basis, zfac, pfac, ToleranceBudget(1e-6)
-    )
-    path = tmp_path / "report.csv"
-    report.write_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "cluster,kind,error"
-    assert any("bound" in line for line in text)
 
 
 def test_reported_local_errors_match_dense(rng, setup):

@@ -9,6 +9,7 @@ from h2vec.demo import (
     partition_areas,
     write_partition_svg,
 )
+from h2vec.tree import Subtree
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,18 @@ def test_corner_concentration_returns_pair(demo, run):
 
 
 def test_full_subtree(demo):
-    sub = full_subtree(demo.tree)
-    assert sub.count() == len(demo.tree.clusters)
+    tree = demo.tree
+    sub = full_subtree(tree)
+    assert sub.count() == len(tree.clusters)
+    # the same subtree as expanding every cluster that has sons
+    walked = Subtree(tree)
+    for i in range(len(tree.clusters)):
+        if tree.sons(i):
+            walked.expand(i)
+    assert sub.leaves() == walked.leaves()
+    assert np.array_equal(sub.leaf_mask(), walked.leaf_mask())
+    assert np.array_equal(sub.interior_mask(), walked.interior_mask())
+    assert sub.check_partition() is None
 
 
 def test_dense_guard():

@@ -158,6 +158,20 @@ def test_counter_exact_for_matvec_and_matmul(rng):
     assert counter.total == 7
 
 
+def test_stacked_matmul_matches_separate_products(rng):
+    a = rng.standard_normal((6, 4, 7))
+    b = rng.standard_normal((6, 7, 5))
+    with kernels.count_flops() as counter:
+        out = kernels.matmul(a, b)
+    assert counter.total == 6 * 4 * 7 * 5
+    for j in range(6):
+        assert np.array_equal(out[j], kernels.matmul(a[j], b[j]))
+    with pytest.raises(ValueError):
+        kernels.matmul(a, b[:5])
+    with pytest.raises(ValueError):
+        kernels.matmul(a, b[0])
+
+
 def test_counter_phases_and_reset():
     with kernels.count_flops() as counter:
         with kernels.phase("one"):

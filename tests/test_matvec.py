@@ -38,8 +38,8 @@ def test_plan_single_leaf_root_block(rng):
     matrix = random_h2(bt, row, col, seed=0)
     iso = random_iso_basis(tree, 1, rng)
     plan = build_plan(matrix, iso)
-    assert plan.nonleaf_cols[tree.root] == ()
-    assert plan.rank[tree.root] == 1
+    assert plan.nonleaf_blocks.row.size == 0
+    assert plan.ptr.tolist() == [0, 1]
 
 
 def test_plan_nonleaf_root_block(rng):
@@ -52,8 +52,13 @@ def test_plan_nonleaf_root_block(rng):
     plan = build_plan(matrix, iso)
     root = tree.root
     assert not bt.blocks[bt.root].is_leaf
-    assert plan.nonleaf_cols[root] == (root,)
-    assert plan.rank[root] == 2 + 2
+    # the root block is the first non-leaf block and the only one of its row
+    blocks = plan.nonleaf_blocks
+    assert np.count_nonzero(blocks.row == root) == 1
+    assert (blocks.row[0], blocks.col[0]) == (root, root)
+    assert blocks.parent[0] == blocks.row.size
+    assert blocks.target[0].tolist() == [plan.ptr[root] + 2, plan.ptr[root] + 3]
+    assert plan.ptr[root + 1] - plan.ptr[root] == 2 + 2
 
 
 def test_induced_transfers_are_views_into_group_stacks(inst):
@@ -70,7 +75,29 @@ def test_induced_transfers_are_views_into_group_stacks(inst):
 
 def test_plan_rank_bound(inst):
     bound = inst.matrix.rank + inst.csp * inst.input_basis.rank
-    assert all(r <= bound for r in inst.plan.rank.values())
+    assert np.all(np.diff(inst.plan.ptr) <= bound)
+
+
+def test_plan_layout_matches_block_tree(inst):
+    # the flat layout agrees with the slots read from the block tree
+    plan = inst.plan
+    offsets, rank = reference.layout(plan)
+    assert np.diff(plan.ptr).tolist() == [rank[t] for t in range(len(inst.tree))]
+    blocks = plan.nonleaf_blocks
+    for t, s, target in zip(blocks.row.tolist(), blocks.col.tolist(), blocks.target):
+        o = plan.ptr[t] + offsets[(t, s)]
+        assert target.tolist() == list(range(o, o + inst.input_basis.rank))
+    for t, target in zip(plan.leaf_blocks.row.tolist(), plan.leaf_blocks.target):
+        o = plan.ptr[t]
+        assert target.tolist() == list(range(o, o + inst.matrix.rank))
+    # every block but the root block points at the block of the fathers
+    father = inst.tree.father
+    for kind in (plan.leaf_blocks, blocks):
+        below = kind.parent < blocks.row.size
+        assert np.array_equal(blocks.row[kind.parent[below]], father[kind.row[below]])
+        assert np.array_equal(blocks.col[kind.parent[below]], father[kind.col[below]])
+    assert np.count_nonzero(plan.leaf_blocks.parent == blocks.row.size) == 0
+    assert np.flatnonzero(blocks.parent == blocks.row.size).tolist() == [0]
 
 
 def test_forward_zero(inst):
@@ -159,7 +186,7 @@ def test_multiply_exactness(seed):
     assert np.linalg.norm(got - want) <= 1e-11 * max(1e-30, np.linalg.norm(want))
     assert y.sub.count() <= inst.csp * x.sub.count()
     bound = ka + inst.csp * k
-    assert all(r <= bound for r in inst.plan.rank.values())
+    assert np.all(np.diff(inst.plan.ptr) <= bound)
 
 
 def test_multiply_linearity(rng, inst, dense):
