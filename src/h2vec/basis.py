@@ -41,9 +41,13 @@ class ClusterBasis:
 
     leaf_matrix maps each tree leaf t to its (#indices, r_t) matrix;
     transfer maps each non-root cluster s with father t to the r_s x r_t
-    matrix realizing nestedness.  rank_of(t) reads r_t from these
-    matrices.  rank is the common rank of a uniform basis and the
-    largest rank of a basis whose ranks vary.
+    matrix realizing nestedness.  rank is the common rank of a uniform
+    basis and the largest rank of a basis whose ranks vary.
+
+    The read-only ptr lays out one coefficient per cluster in a flat
+    array: cluster t owns the entries ptr[t] to ptr[t + 1], as many as
+    the columns of its leaf matrix or of its sons' transfers.  offsets
+    holds ptr as a list, for walks that slice one cluster at a time.
     """
 
     def __init__(self, tree, rank, leaf_matrix, transfer, isometric=False):
@@ -52,14 +56,17 @@ class ClusterBasis:
         self.leaf_matrix = leaf_matrix
         self.transfer = transfer
         self.isometric = isometric
+        ranks = [
+            transfer[c.sons[0]].shape[1] if c.sons else leaf_matrix[c.index].shape[1]
+            for c in tree.clusters
+        ]
+        self.ptr = np.cumsum([0] + ranks)
+        self.ptr.flags.writeable = False
+        self.offsets = self.ptr.tolist()
 
     def rank_of(self, i):
-        """Rank of cluster i: the leaf matrix's columns at a leaf, the
-        sons' transfer columns at an interior cluster."""
-        leaf = self.leaf_matrix.get(i)
-        if leaf is not None:
-            return leaf.shape[1]
-        return self.transfer[self.tree.sons(i)[0]].shape[1]
+        """Rank r_i of cluster i."""
+        return self.offsets[i + 1] - self.offsets[i]
 
     def materialize(self, i):
         """Expand the basis matrix of cluster i down to its leaves."""

@@ -154,7 +154,7 @@ def _ascent(y, pfactors, budget, merge_errors):
     the exact merge error plus their accumulated bound acc fits the
     local budget; returns the bound at i.
     """
-    tree = y.basis.tree
+    tree, off = y.basis.tree, y.basis.offsets
 
     def ascend(i, acc):
         if not all(y.sub.is_leaf(s) for s in tree.sons(i)):
@@ -162,10 +162,8 @@ def _ascent(y, pfactors, budget, merge_errors):
         merged, merge_err, scale = merge(y, i, pfactors)
         candidate = merge_err + acc
         if candidate <= budget.limit(tree.size(i), tree.n, scale):
-            for s in tree.sons(i):
-                del y.coeff[s]
             y.sub.contract(i)
-            y.coeff[i] = merged
+            y.data[off[i] : off[i + 1]] = merged
             merge_errors[i] = merge_err
             return candidate
         return acc
@@ -197,24 +195,24 @@ def convert(x, target, zfactors, pfactors, budget):
     x.validate()
     tree = target.tree
     y = HVector(target)
+    xoff, yoff = x.basis.offsets, target.offsets
     report = ConversionReport()
     ascend = _ascent(y, pfactors, budget, report.merge_errors)
 
     def descend(i, xhat):
         # xhat: the source coefficient at i, or None above x's leaves
         if xhat is None and x.sub.is_leaf(i):
-            xhat = x.coeff[i]
+            xhat = x.data[xoff[i] : xoff[i + 1]]
         if xhat is not None:
             err = float(np.linalg.norm(kernels.matvec(zfactors.z[i], xhat)))
             fits = err <= budget.limit(tree.size(i), tree.n, float(np.linalg.norm(xhat)))
             if fits or tree.is_leaf(i):
-                y.coeff[i] = kernels.matvec(zfactors.cross[i], xhat)
+                y.data[yoff[i] : yoff[i + 1]] = kernels.matvec(zfactors.cross[i], xhat)
                 report.commit_errors[i] = err
                 if not fits:
                     report.forced.append(i)
                 return err
         y.sub.expand(i)
-        y.coeff.pop(i, None)
         acc = 0.0
         for s in tree.sons(i):
             son = None if xhat is None else kernels.matvec(x.basis.transfer[s], xhat)

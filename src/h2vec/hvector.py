@@ -1,13 +1,16 @@
-"""Hierarchical vectors: subtree plus per-leaf coefficient vectors.
+"""Hierarchical vectors: a subtree plus one flat coefficient array.
 
 A hierarchical vector represents x through x|_t = V_t x_t on every
-leaf t of its subtree.  Refining a leaf pushes the coefficient through
-the transfer matrices and leaves the represented vector unchanged;
-merging sons back into their father uses the optimal orthogonal
-projection and reports the exact error via the merge factors.
+leaf t of its subtree.  The coefficients of all clusters share one
+array laid out by the basis's ptr, as a product plan's accumulator
+is; only the entries of subtree leaves are read.  Refining a leaf
+pushes the coefficient through the transfer matrices and keeps the
+represented vector; merging sons back into their father uses the
+optimal orthogonal projection and reports the exact error.
 """
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -27,37 +30,75 @@ __all__ = [
 ]
 
 
+class LeafCoefficients(Mapping):
+    """Read-only mapping from the subtree leaves of x to writable views
+    of their entries in x.data."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def __getitem__(self, i):
+        off = self.x.basis.offsets
+        if not (0 <= i < len(off) - 1 and self.x.sub.is_leaf(i)):
+            raise KeyError(i)
+        return self.x.data[off[i] : off[i + 1]]
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.x.sub.leaf_mask()).tolist())
+
+    def __len__(self):
+        return int(np.count_nonzero(self.x.sub.leaf_mask()))
+
+
 class HVector:
     """Compressed vector over a cluster basis.
 
-    coeff holds one vector of length basis.rank_of(i) per subtree leaf
-    i; no other cluster carries storage.
+    data holds basis.ptr[-1] floats, zero by default; subtree leaf i
+    has the coefficient data[ptr[i]:ptr[i + 1]], also read as coeff[i].
     """
 
-    def __init__(self, basis, sub=None, coeff=None):
+    def __init__(self, basis, sub=None, data=None):
         self.basis = basis
         self.sub = sub if sub is not None else Subtree(basis.tree)
-        if coeff is None:
-            coeff = {i: np.zeros(basis.rank_of(i)) for i in self.sub.leaves()}
-        self.coeff = coeff
+        self.data = data if data is not None else np.zeros(basis.ptr[-1])
+
+    @property
+    def coeff(self):
+        return LeafCoefficients(self)
+
+    @staticmethod
+    def from_leaves(basis, sub, coeff):
+        """Vector on sub (minimal when None) from a mapping of one
+        coefficient per subtree leaf.  Raises ValueError, naming a
+        cluster, for a missing or extra leaf, a wrong shape or a
+        non-finite value."""
+        x = HVector(basis, sub)
+        off = set(x.coeff).symmetric_difference(coeff)
+        if off:
+            raise ValueError(f"cluster {min(off)}: coefficients off the subtree leaves")
+        for i, c in coeff.items():
+            view = x.coeff[i]
+            if np.shape(c) != view.shape:
+                raise ValueError(f"cluster {i}: expected shape {view.shape}")
+            view[:] = c
+        x.validate()
+        return x
+
+    def leaf_entries(self):
+        """Boolean mask of the entries of data owned by subtree leaves."""
+        return np.repeat(self.sub.leaf_mask(), np.diff(self.basis.ptr))
 
     def validate(self):
-        """Raise ValueError, naming a cluster, unless coeff holds exactly
-        one finite vector of length basis.rank_of(i) per subtree leaf i."""
+        """Raise ValueError unless sub lives on the basis's tree, data
+        holds basis.ptr[-1] floats and every leaf entry is finite."""
         if self.sub.tree is not self.basis.tree:
             raise ValueError("subtree and basis live on different trees")
-        leaves = self.sub.leaf_set()
-        if self.coeff.keys() != leaves:
-            bad = min(leaves.symmetric_difference(self.coeff))
-            raise ValueError(f"cluster {bad}: coefficients off the subtree leaves")
-        rank_of = self.basis.rank_of
-        for i, c in self.coeff.items():
-            if getattr(c, "shape", None) != (rank_of(i),):
-                raise ValueError(f"cluster {i}: expected shape ({rank_of(i)},)")
-        # one check over all coefficients; the loop only names the culprit
-        if not np.isfinite(np.concatenate(list(self.coeff.values()))).all():
-            bad = min(i for i, c in self.coeff.items() if not np.isfinite(c).all())
-            raise ValueError(f"cluster {bad}: non-finite coefficients")
+        if np.shape(self.data) != (self.basis.ptr[-1],):
+            raise ValueError(f"expected {self.basis.ptr[-1]} coefficients in one flat array")
+        bad = np.flatnonzero(self.leaf_entries() & ~np.isfinite(self.data))
+        if bad.size:
+            i = int(np.searchsorted(self.basis.ptr, bad[0], side="right")) - 1
+            raise ValueError(f"cluster {i}: non-finite coefficients")
 
     @classmethod
     def zeros(cls, basis):
@@ -65,22 +106,16 @@ class HVector:
         return cls(basis)
 
     def copy(self):
-        return HVector(
-            self.basis, self.sub.copy(), {i: v.copy() for i, v in self.coeff.items()}
-        )
+        return HVector(self.basis, self.sub.copy(), self.data.copy())
 
 
 def refine(x, i):
     """Split leaf i of x's subtree; the represented vector is unchanged."""
-    if not x.sub.is_leaf(i):
-        raise ValueError(f"cluster {i} is not a subtree leaf")
-    sons = x.basis.tree.sons(i)
-    if not sons:
-        raise ValueError(f"cluster {i} has no sons to refine into")
-    x.sub.expand(i)
-    xi = x.coeff.pop(i)
-    for s in sons:
-        x.coeff[s] = kernels.matvec(x.basis.transfer[s], xi)
+    x.sub.expand(i)  # raises unless i is a subtree leaf with tree sons
+    off, data, transfer = x.basis.offsets, x.data, x.basis.transfer
+    xi = data[off[i] : off[i + 1]]
+    for s in x.basis.tree.sons(i):
+        data[off[s] : off[s + 1]] = kernels.matvec(transfer[s], xi)
 
 
 def merge(x, i, factors):
@@ -91,14 +126,15 @@ def merge(x, i, factors):
     entries are the merged coefficient, the norm of the rest is the
     exact merge error.  Returns (merged, error, norm of the stack).
     """
-    stacked = np.concatenate([x.coeff[s] for s in x.basis.tree.sons(i)])
+    off, data = x.basis.offsets, x.data
+    stacked = np.concatenate([data[off[s] : off[s + 1]] for s in x.basis.tree.sons(i)])
     factor = factors[i]
     transformed = factor.apply_adjoint(stacked)
     k = factor.count  # the columns of the stacked transfers: rank_of(i)
     rest = transformed[k:]
     # np.linalg.norm computes sqrt(x . x) as well, at a higher call cost
     error = math.sqrt(rest.dot(rest))
-    return transformed[:k].copy(), error, math.sqrt(stacked.dot(stacked))
+    return transformed[:k], error, math.sqrt(stacked.dot(stacked))
 
 
 def coarsen(x, i, factors):
@@ -111,17 +147,12 @@ def coarsen(x, i, factors):
     """
     if not x.basis.isometric:
         raise ValueError("coarsening requires an isometric basis")
-    sons = x.basis.tree.sons(i)
-    if not sons:
+    if not x.basis.tree.sons(i):
         raise ValueError(f"cluster {i} has no sons")
-    for s in sons:
-        if not x.sub.is_leaf(s):
-            raise ValueError(f"cluster {s} is not a subtree leaf")
     merged, error, _ = merge(x, i, factors)
-    x.sub.contract(i)
-    for s in sons:
-        del x.coeff[s]
-    x.coeff[i] = merged
+    x.sub.contract(i)  # raises, leaving x as it was, unless all sons are leaves
+    off = x.basis.offsets
+    x.data[off[i] : off[i + 1]] = merged
     return error
 
 
@@ -129,19 +160,20 @@ def axpy(alpha, x, y):
     """Update y <- y + alpha*x exactly, refining y's subtree as needed."""
     if x.basis is not y.basis:
         raise ValueError("vectors use different bases")
-    tree = x.basis.tree
-    transfer = x.basis.transfer
+    tree, transfer, off = x.basis.tree, x.basis.transfer, x.basis.offsets
+    xdata, ydata = x.data, y.data
 
     def add_leaf(i, z):
         if y.sub.is_leaf(i):
-            y.coeff[i] = kernels.axpy(1.0, z, y.coeff[i])
+            a, b = off[i], off[i + 1]
+            ydata[a:b] = kernels.axpy(1.0, z, ydata[a:b])
         else:
             for s in tree.sons(i):
                 add_leaf(s, kernels.matvec(transfer[s], z))
 
     def add(i):
         if x.sub.is_leaf(i):
-            add_leaf(i, alpha * x.coeff[i])
+            add_leaf(i, alpha * xdata[off[i] : off[i + 1]])
         else:
             if y.sub.is_leaf(i):
                 refine(y, i)
@@ -153,9 +185,9 @@ def axpy(alpha, x, y):
 
 def scale(x, alpha):
     """Multiply the represented vector by alpha in place."""
-    for i in x.coeff:
-        kernels.tally(x.coeff[i].size)
-        x.coeff[i] = alpha * x.coeff[i]
+    live = x.leaf_entries()
+    kernels.tally(int(np.count_nonzero(live)))
+    x.data[live] *= alpha
 
 
 def dot(x, y, gram):
@@ -167,12 +199,11 @@ def dot(x, y, gram):
     """
     if x.basis is not y.basis:
         raise ValueError("vectors use different bases")
-    tree = x.basis.tree
-    transfer = x.basis.transfer
+    tree, transfer, off = x.basis.tree, x.basis.transfer, x.basis.offsets
 
     def dot_leaf(i, z, w):
         if w.sub.is_leaf(i):
-            return kernels.vdot(z, kernels.matvec(gram[i], w.coeff[i]))
+            return kernels.vdot(z, kernels.matvec(gram[i], w.data[off[i] : off[i + 1]]))
         total = 0.0
         for s in tree.sons(i):
             total += dot_leaf(s, kernels.matvec(transfer[s], z), w)
@@ -180,9 +211,9 @@ def dot(x, y, gram):
 
     def descend(i):
         if x.sub.is_leaf(i):
-            return dot_leaf(i, x.coeff[i], y)
+            return dot_leaf(i, x.data[off[i] : off[i + 1]], y)
         if y.sub.is_leaf(i):
-            return dot_leaf(i, y.coeff[i], x)
+            return dot_leaf(i, y.data[off[i] : off[i + 1]], x)
         return sum(descend(s) for s in tree.sons(i))
 
     return descend(tree.root)
@@ -197,8 +228,8 @@ def to_dense(x):
     """Expand to a dense vector in tree position order."""
     tree = x.basis.tree
     out = np.zeros(tree.n)
-    for i in x.sub.leaves():
-        out[tree.positions(i)] = x.basis.materialize(i) @ x.coeff[i]
+    for i, c in x.coeff.items():
+        out[tree.positions(i)] = x.basis.materialize(i) @ c
     return out
 
 
@@ -215,13 +246,12 @@ def from_dense(v, basis, sub=None):
     tree = basis.tree
     if v.shape != (tree.n,):
         raise ValueError(f"expected a vector of length {tree.n}")
-    sub = sub.copy() if sub is not None else Subtree(tree)
-    coeff = {}
+    x = HVector(basis, sub.copy() if sub is not None else None)
     residual = 0.0
-    for i in sub.leaves():
+    for i in x.sub.leaves():
         q = basis.materialize(i)
         block = v[tree.positions(i)]
-        c = q.T @ block
-        coeff[i] = c
+        c = x.coeff[i]
+        c[:] = q.T @ block
         residual += float(np.sum((block - q @ c) ** 2))
-    return HVector(basis, sub, coeff), float(np.sqrt(max(residual, 0.0)))
+    return x, float(np.sqrt(max(residual, 0.0)))

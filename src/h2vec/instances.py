@@ -88,7 +88,7 @@ def random_hvector(basis, rng, sub=None, target=None, steps=None):
     if sub is None:
         sub = random_subtree(basis.tree, rng, target=target, steps=steps)
     coeff = {i: rng.standard_normal(basis.rank) for i in sub.leaves()}
-    return HVector(basis, sub.copy(), coeff)
+    return HVector.from_leaves(basis, sub.copy(), coeff)
 
 
 @dataclass
@@ -105,13 +105,12 @@ class RandomInstance:
 def random_instance(n, k, ka, eta, seed, dim=1, leaf_size=None):
     """Random H2 matrix over a geometric tree plus a matching plan."""
     rng = np.random.default_rng(seed)
-    if leaf_size is None:
-        # median bisection stops above leaf_size/2, keeping leaves >= max rank
-        leaf_size = 2 * max(k, ka, 1)
-    if dim == 1:
-        tree = line_tree(n, leaf_size)
-    else:
-        tree = random_tree(rng, n, dim, leaf_size)
+    points = np.linspace(0.0, 1.0, n) if dim == 1 else rng.random((n, dim))
+    rank = max(k, ka, 1)
+    tree = build_cluster_tree(points, 2 * rank if leaf_size is None else leaf_size)
+    # midpoint bisection can cut leaves below the rank: grow the default
+    while leaf_size is None and min(map(tree.size, tree.leaves())) < rank:
+        tree = build_cluster_tree(points, tree.leaf_size + 1)
     input_basis = random_iso_basis(tree, k, rng)
     row_basis = random_basis(tree, ka, rng)
     col_basis = random_basis(tree, ka, rng)

@@ -27,9 +27,11 @@ small product per cluster or block:
   induced transfers per group of sons sharing a level, a rank and a
   father rank, restricted to fathers interior in the result.
 
-All accumulators share one flat buffer; cluster t owns the entries
-ptr[t] to ptr[t + 1].  Counted flops equal those of the recursive
-walk: each add into an accumulator is charged per batch.
+All accumulators share one flat buffer laid out by the induced
+basis's ptr: cluster t owns the entries ptr[t] to ptr[t + 1].  The
+input's flat array is read in place, one row per column cluster, and
+the buffer becomes the result's array.  Counted flops equal those of
+the recursive walk: each add into an accumulator is charged per batch.
 
 The product is exact; only the representation is unusual.
 """
@@ -173,6 +175,7 @@ def build_plan(matrix, input_basis):
         _transfer_groups(row_tree, ptr),
     )
     plan.induced = materialize_induced(plan)
+    plan.ptr = plan.induced.ptr  # the same offsets, computed from the transfers
     return plan
 
 
@@ -204,8 +207,8 @@ class InducedHVector(HVector):
     """Result of a product: an HVector over plan.induced that keeps
     its plan, so that the slots of each coefficient can be read."""
 
-    def __init__(self, plan, sub, coeff):
-        super().__init__(plan.induced, sub, coeff)
+    def __init__(self, plan, sub, data):
+        super().__init__(plan.induced, sub, data)
         self.plan = plan
 
 
@@ -286,9 +289,7 @@ def multiply(plan, x):
     x.validate()
     leaf = x.sub.leaf_mask()
     interior = x.sub.interior_mask()
-    leaves = np.flatnonzero(leaf).tolist()
-    coeff = np.zeros((len(leaf), plan.input_basis.rank))
-    coeff[leaves] = [x.coeff[i] for i in leaves]
+    coeff = x.data.reshape(len(leaf), plan.input_basis.rank)
     with kernels.phase("forward"):
         xbar = _forward(plan, coeff, leaf, leaf | interior)
     buf = np.zeros(plan.ptr[-1])
@@ -297,13 +298,7 @@ def multiply(plan, x):
     sub = Subtree.from_interior(plan.matrix.block_tree.row_tree, result_interior)
     with kernels.phase("backward"):
         _backward(plan, result_interior, buf)
-    out = np.flatnonzero(sub.leaf_mask())
-    ptr = plan.ptr
-    coeff = {
-        t: buf[a:b].copy()
-        for t, a, b in zip(out.tolist(), ptr[out].tolist(), ptr[out + 1].tolist())
-    }
-    return InducedHVector(plan, sub, coeff)
+    return InducedHVector(plan, sub, buf)
 
 
 def induced_to_dense(y, dense_matrix=None):
@@ -324,13 +319,11 @@ def induced_to_dense(y, dense_matrix=None):
     ka = mat.rank
     blocks = plan.nonleaf_blocks
     out = np.zeros(row_tree.n)
-    for t in y.sub.leaves():
-        v = y.coeff[t]
+    for t, v in y.coeff.items():
         block = mat.row_basis.materialize(t) @ v[:ka]
         mine = blocks.row == t
-        slots = blocks.target[mine] - plan.ptr[t]
-        for s, slot in zip(blocks.col[mine].tolist(), slots):
-            cols = plan.input_basis.materialize(s) @ v[slot]
+        for s, slot in zip(blocks.col[mine].tolist(), blocks.target[mine]):
+            cols = plan.input_basis.materialize(s) @ y.data[slot]
             block = block + dense_matrix[row_tree.positions(t), col_tree.positions(s)] @ cols
         out[row_tree.positions(t)] = block
     return out

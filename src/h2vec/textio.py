@@ -133,7 +133,13 @@ def _load_leaves(text, header, tree):
     for ln in lines[1:]:
         parts = ln.split()
         coeff[int(parts[1])] = np.array([float(v) for v in parts[2:]])
-    return _subtree_from_leaves(tree, list(coeff)), coeff
+    # the interior is every strict ancestor of a listed leaf
+    interior = np.zeros(len(tree), dtype=bool)
+    for i in coeff:
+        while 0 <= i < len(tree) and tree.father[i] >= 0:
+            i = tree.father[i]
+            interior[i] = True
+    return Subtree.from_interior(tree, interior), coeff
 
 
 def dump_hvector(x):
@@ -142,22 +148,7 @@ def dump_hvector(x):
 
 def load_hvector(text, basis):
     sub, coeff = _load_leaves(text, "h2vec-hvector 1", basis.tree)
-    return HVector(basis, sub, coeff)
-
-
-def _subtree_from_leaves(tree, leaf_ids):
-    wanted = set(leaf_ids)
-    sub = Subtree(tree)
-
-    def walk(i):
-        if i in wanted:
-            return
-        sub.expand(i)
-        for s in tree.sons(i):
-            walk(s)
-
-    walk(tree.root)
-    return sub
+    return HVector.from_leaves(basis, sub, coeff)
 
 
 def dump_induced_hvector(y):
@@ -167,9 +158,7 @@ def dump_induced_hvector(y):
 
 def load_induced_hvector(text, plan):
     sub, coeff = _load_leaves(text, "h2vec-induced 1", plan.induced.tree)
-    y = InducedHVector(plan, sub, coeff)
-    y.validate()
-    return y
+    return InducedHVector(plan, sub, HVector.from_leaves(plan.induced, sub, coeff).data)
 
 
 def dump_h2matrix(m):

@@ -292,12 +292,7 @@ class Subtree:
         return other
 
     def copy(self):
-        other = Subtree.__new__(Subtree)
-        other.tree = self.tree
-        other._member = self._member.copy()
-        other._leaf = self._leaf.copy()
-        other._count = self._count
-        return other
+        return Subtree.from_interior(self.tree, self.interior_mask())
 
     def __contains__(self, i):
         return bool(self._member[i])
@@ -338,15 +333,7 @@ class Subtree:
 
     def leaves(self):
         """Leaf clusters in depth-first order."""
-        out = []
-        stack = [self.tree.root]
-        while stack:
-            node = stack.pop()
-            if self._leaf[node]:
-                out.append(node)
-            else:
-                stack.extend(reversed(self.tree.sons(node)))
-        return out
+        return [i for i in self.members() if self._leaf[i]]
 
     def leaf_mask(self):
         """Read-only boolean array marking the subtree leaves."""
@@ -358,11 +345,8 @@ class Subtree:
         """Boolean array marking the interior members (a fresh copy)."""
         return self._member & ~self._leaf
 
-    def leaf_set(self):
-        """Leaf clusters as a set, without the depth-first walk."""
-        return set(np.flatnonzero(self._leaf).tolist())
-
     def members(self):
+        """Member clusters in depth-first order."""
         out = []
         stack = [self.tree.root]
         while stack:

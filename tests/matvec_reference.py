@@ -129,11 +129,11 @@ def standard_backward(basis, sub, bars):
     they are updated in place and become the leaf coefficients.
     """
     tree = basis.tree
-    out = HVector(basis, sub.copy(), {})
+    leaves = {}
 
     def walk(t):
         if sub.is_leaf(t):
-            out.coeff[t] = bars[t]
+            leaves[t] = bars[t]
             return
         for t2 in tree.sons(t):
             bars[t2] += kernels.matvec(basis.transfer[t2], bars[t])
@@ -141,7 +141,7 @@ def standard_backward(basis, sub, bars):
             walk(t2)
 
     walk(tree.root)
-    return out
+    return HVector.from_leaves(basis, sub.copy(), leaves)
 
 
 def multiply(plan, x):
@@ -156,4 +156,4 @@ def multiply(plan, x):
         coupling(x, plan, xbar, sub, bars)
     with kernels.phase("backward"):
         y = standard_backward(plan.induced, sub, bars)
-    return InducedHVector(plan, y.sub, y.coeff)
+    return InducedHVector(plan, y.sub, y.data)

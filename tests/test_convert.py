@@ -24,7 +24,7 @@ from h2vec.instances import (
     random_instance,
     random_iso_basis,
 )
-from h2vec.matvec import multiply
+from h2vec.matvec import InducedHVector, multiply
 
 import matvec_reference as reference
 
@@ -137,7 +137,7 @@ def test_convert_same_basis_may_coarsen_redundancy(rng, setup):
     inst, _, _, pfac = setup
     iso = inst.input_basis
     zqq = projection_factors(iso, iso)
-    x = HVector(iso, coeff={iso.tree.root: rng.standard_normal(3)})
+    x = HVector.from_leaves(iso, None, {iso.tree.root: rng.standard_normal(3)})
     dense0 = hv_dense(x)
     refine(x, iso.tree.root)  # redundant refinement, no information added
     y, bound, _ = convert(x, iso, zqq, pfac, ToleranceBudget(0.0))
@@ -172,7 +172,7 @@ def test_convert_representable_at_root(rng, setup):
     assert np.max(np.abs(zfac.z[tree.root])) > 1e-6  # generically lossy
     xhat = np.zeros(induced.rank_of(tree.root))
     xhat[:2] = rng.standard_normal(2)
-    x = HVector(induced, coeff={tree.root: xhat})
+    x = HVector.from_leaves(induced, None, {tree.root: xhat})
     v = hv_dense(x)
     y, bound, _ = convert(x, target, zfac, pfac, ToleranceBudget(1e-8))
     assert y.sub.count() == 1
@@ -228,16 +228,21 @@ def test_convert_rejects_mismatched_factors(rng, setup):
 
 def test_convert_rejects_padded_coefficients(rng, setup):
     # a product padded to the largest induced rank, as an older layout
-    # stored it, fails at the entry point and names a cluster
+    # stored it, fails where it enters: per leaf, naming a cluster, or
+    # as a flat array of the padded length
     inst, induced, zfac, pfac = setup
     x = random_hvector(inst.input_basis, rng, steps=2)
     y = multiply(inst.plan, x)
-    for i, v in y.coeff.items():
-        y.coeff[i] = np.concatenate([v, np.zeros(induced.rank - v.size)])
-    short = min(y.coeff, key=induced.rank_of)
+    padded = {
+        i: np.concatenate([v, np.zeros(induced.rank - v.size)]) for i, v in y.coeff.items()
+    }
+    short = min(padded, key=induced.rank_of)
     assert induced.rank_of(short) < induced.rank
     with pytest.raises(ValueError, match="cluster [0-9]+: expected shape"):
-        convert(y, inst.input_basis, zfac, pfac, ToleranceBudget(1e-6))
+        HVector.from_leaves(induced, y.sub, padded)
+    flat = InducedHVector(inst.plan, y.sub, np.zeros(len(inst.tree.clusters) * induced.rank))
+    with pytest.raises(ValueError, match="coefficients in one flat array"):
+        convert(flat, inst.input_basis, zfac, pfac, ToleranceBudget(1e-6))
 
 
 def test_convert_rejects_non_finite_coefficients(rng, setup):
@@ -252,7 +257,7 @@ def test_convert_rejects_non_finite_coefficients(rng, setup):
 def test_coarsen_pass_recovers_refined_vector(rng, setup):
     inst, _, _, pfac = setup
     iso = inst.input_basis
-    x = HVector(iso, coeff={iso.tree.root: rng.standard_normal(3)})
+    x = HVector.from_leaves(iso, None, {iso.tree.root: rng.standard_normal(3)})
     dense0 = hv_dense(x)
     for _ in range(4):
         leaves = [i for i in x.sub.leaves() if iso.tree.sons(i)]
@@ -279,12 +284,17 @@ def test_difference_coarsens_to_minimal(rng, setup):
 
 
 def test_coarsen_pass_rejects_coefficients_off_the_subtree(rng, setup):
+    # a coefficient at an interior cluster is refused where per-leaf
+    # input enters; coarsen_pass checks the length of the flat array
     inst, _, _, pfac = setup
     x = random_hvector(inst.input_basis, rng, steps=3)
     interior = inst.tree.root
-    x.coeff[interior] = np.zeros(inst.input_basis.rank)
+    coeff = {**x.coeff, interior: np.zeros(inst.input_basis.rank)}
     with pytest.raises(ValueError, match=f"cluster {interior}:"):
-        coarsen_pass(x, pfac, ToleranceBudget(1e-3))
+        HVector.from_leaves(inst.input_basis, x.sub, coeff)
+    short = HVector(inst.input_basis, x.sub, x.data[:-1])
+    with pytest.raises(ValueError, match="coefficients in one flat array"):
+        coarsen_pass(short, pfac, ToleranceBudget(1e-3))
 
 
 def test_coarsen_pass_rejects_non_finite_coefficients(rng, setup):

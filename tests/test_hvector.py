@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from h2vec import kernels, textio
 from h2vec.basis import coarsening_factors, gram_family
@@ -18,6 +20,7 @@ from h2vec.instances import (
     line_tree,
     random_basis,
     random_hvector,
+    random_instance,
     random_iso_basis,
 )
 from h2vec.tree import Subtree
@@ -45,7 +48,7 @@ def test_refine_constant_scaling():
     from h2vec.basis import polynomial_basis
 
     b = polynomial_basis(tree, np.linspace(0, 1, 8), 0)
-    x = HVector(b, coeff={tree.root: np.array([3.0])})
+    x = HVector.from_leaves(b, None, {tree.root: np.array([3.0])})
     before = to_dense(x)
     refine(x, tree.root)
     assert np.max(np.abs(to_dense(x) - before)) <= 1e-14
@@ -68,7 +71,7 @@ def test_refine_errors(small_iso):
 
 def test_coarsen_round_trip(rng, small_iso):
     factors = coarsening_factors(small_iso)
-    x = HVector(small_iso, coeff={small_iso.tree.root: rng.standard_normal(3)})
+    x = HVector.from_leaves(small_iso, None, {small_iso.tree.root: rng.standard_normal(3)})
     before = to_dense(x)
     coeff0 = x.coeff[small_iso.tree.root].copy()
     refine(x, small_iso.tree.root)
@@ -91,11 +94,11 @@ def test_coarsen_analytic_rank_one():
         isometric=True,
     )
     factors = coarsening_factors(iso)
-    x = HVector(iso, coeff={tree.root: np.zeros(1)})
+    x = HVector.from_leaves(iso, None, {tree.root: np.zeros(1)})
     refine(x, tree.root)
     sons = tree.sons(tree.root)
-    x.coeff[sons[0]] = np.array([1.0])
-    x.coeff[sons[1]] = np.array([-1.0])
+    x.coeff[sons[0]][:] = 1.0
+    x.coeff[sons[1]][:] = -1.0
     err = coarsen(x, tree.root, factors)
     assert abs(err - np.sqrt(2.0)) <= 1e-14
     assert abs(x.coeff[tree.root][0]) <= 1e-14
@@ -155,7 +158,7 @@ def test_axpy_self_cancellation(rng, small_iso):
 
 def test_axpy_dense_oracle_mixed_trees(rng, small_iso):
     x = random_hvector(small_iso, rng, target=len(small_iso.tree.clusters))
-    y = HVector(small_iso, coeff={small_iso.tree.root: rng.standard_normal(3)})
+    y = HVector.from_leaves(small_iso, None, {small_iso.tree.root: rng.standard_normal(3)})
     want = to_dense(y) + 0.7 * to_dense(x)
     axpy(0.7, x, y)
     assert np.max(np.abs(to_dense(y) - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
@@ -219,8 +222,8 @@ def test_dot_zero(rng, small_iso):
 
 def test_dot_leaf_at_root_isometric(rng, small_iso):
     gram = gram_family(small_iso)
-    x = HVector(small_iso, coeff={small_iso.tree.root: rng.standard_normal(3)})
-    y = HVector(small_iso, coeff={small_iso.tree.root: rng.standard_normal(3)})
+    x = HVector.from_leaves(small_iso, None, {small_iso.tree.root: rng.standard_normal(3)})
+    y = HVector.from_leaves(small_iso, None, {small_iso.tree.root: rng.standard_normal(3)})
     got = dot(x, y, gram)
     want = float(x.coeff[0] @ y.coeff[0])
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
@@ -243,7 +246,7 @@ def test_dot_dense_oracle(seed):
 def test_norm_examples(rng, small_iso):
     gram = gram_family(small_iso)
     assert norm(HVector.zeros(small_iso), gram) == 0.0
-    x = HVector(small_iso, coeff={small_iso.tree.root: np.array([3.0, 4.0, 0.0])})
+    x = HVector.from_leaves(small_iso, None, {small_iso.tree.root: np.array([3.0, 4.0, 0.0])})
     assert abs(norm(x, gram) - 5.0) <= 1e-13
     y = random_hvector(small_iso, rng, steps=3)
     assert abs(norm(y, gram) - np.linalg.norm(to_dense(y))) <= 1e-12 * max(
@@ -305,3 +308,113 @@ def test_hvector_dump_roundtrip(rng, small_iso):
     back = textio.load_hvector(text, small_iso)
     assert textio.dump_hvector(back) == text
     assert np.max(np.abs(to_dense(back) - to_dense(x))) == 0.0
+
+
+def test_hvector_load_rejects_padded_and_off_subtree_leaves(rng):
+    iso = random_instance(256, 3, 3, 1.0, 1).input_basis
+    x = random_hvector(iso, rng, steps=4)
+    lines = textio.dump_hvector(x).splitlines()
+    leaf = int(lines[1].split()[1])
+    padded = "\n".join([lines[0], lines[1] + " 0.5"] + lines[2:]) + "\n"
+    with pytest.raises(ValueError, match=f"cluster {leaf}: expected shape"):
+        textio.load_hvector(padded, iso)
+    # a leaf listed below another turns that one interior
+    son = iso.tree.sons(leaf)[0]
+    off = "\n".join(lines + [f"leaf {son} 1 2 3"]) + "\n"
+    with pytest.raises(ValueError, match=f"cluster {leaf}: coefficients off"):
+        textio.load_hvector(off, iso)
+
+
+def test_from_leaves_names_the_cluster(rng, small_iso):
+    x = random_hvector(small_iso, rng, steps=3)
+    leaf = max(x.coeff)
+    coeff = {i: v.copy() for i, v in x.coeff.items()}
+    coeff[leaf][2] = np.inf
+    with pytest.raises(ValueError, match=f"cluster {leaf}: non-finite"):
+        HVector.from_leaves(small_iso, x.sub, coeff)
+    coeff[leaf] = coeff[leaf][:2]
+    with pytest.raises(ValueError, match=f"cluster {leaf}: expected shape \\(3,\\)"):
+        HVector.from_leaves(small_iso, x.sub, coeff)
+    del coeff[leaf]
+    with pytest.raises(ValueError, match=f"cluster {leaf}: coefficients off"):
+        HVector.from_leaves(small_iso, x.sub, coeff)
+
+
+def test_coeff_is_a_read_only_mapping_of_views(rng, small_iso):
+    x = random_hvector(small_iso, rng, steps=3)
+    ptr = small_iso.ptr
+    assert list(x.coeff) == sorted(x.sub.leaves())
+    assert len(x.coeff) == len(x.sub.leaves())
+    for i, v in x.coeff.items():
+        assert v.base is x.data and v.size == small_iso.rank_of(i) == ptr[i + 1] - ptr[i]
+    with pytest.raises(KeyError):
+        x.coeff[small_iso.tree.root]
+    with pytest.raises(TypeError):
+        x.coeff[small_iso.tree.root] = np.zeros(3)
+
+
+_property = settings(max_examples=40, deadline=None)
+_instance = dict(
+    n=st.integers(4, 64),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    steps=st.integers(0, 12),
+)
+
+
+def _iso_and_rng(n, rank, seed):
+    tree = line_tree(n, 2 * rank)
+    assume(min(map(tree.size, tree.leaves())) >= rank)
+    rng = np.random.default_rng(seed)
+    return random_iso_basis(tree, rank, rng), rng
+
+
+@_property
+@given(**_instance)
+def test_refine_then_coarsen_restores_coefficients(n, rank, seed, steps):
+    iso, rng = _iso_and_rng(n, rank, seed)
+    x = random_hvector(iso, rng, steps=steps)
+    refinable = [i for i in x.coeff if iso.tree.sons(i)]
+    assume(refinable)
+    i = refinable[rng.integers(len(refinable))]
+    before = {j: v.copy() for j, v in x.coeff.items()}
+    refine(x, i)
+    err = coarsen(x, i, coarsening_factors(iso))
+    assert err <= 1e-13 * max(1.0, np.linalg.norm(before[i]))
+    assert x.coeff.keys() == before.keys()
+    for j, v in before.items():
+        assert np.max(np.abs(x.coeff[j] - v)) <= 1e-13 * max(1.0, np.max(np.abs(v)))
+
+
+@_property
+@given(**_instance, alpha=st.floats(-2.0, 2.0), beta=st.floats(-2.0, 2.0))
+def test_axpy_and_dot_are_bilinear(n, rank, seed, steps, alpha, beta):
+    iso, rng = _iso_and_rng(n, rank, seed)
+    gram = gram_family(iso)
+    x, z, y, u = (random_hvector(iso, rng, steps=steps + j) for j in range(4))
+    w = y.copy()
+    axpy(alpha, x, w)
+    axpy(beta, z, w)
+    want = to_dense(y) + alpha * to_dense(x) + beta * to_dense(z)
+    assert np.max(np.abs(to_dense(w) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    got = dot(w, u, gram)
+    split = dot(y, u, gram) + alpha * dot(x, u, gram) + beta * dot(z, u, gram)
+    size = norm(u, gram) * (norm(y, gram) + abs(alpha) * norm(x, gram) + abs(beta) * norm(z, gram))
+    assert abs(got - split) <= 1e-12 * max(1.0, size)
+    assert abs(dot(u, w, gram) - got) <= 1e-12 * max(1.0, size)
+
+
+@_property
+@given(**_instance)
+def test_writing_through_a_copy_leaves_the_original(n, rank, seed, steps):
+    iso, rng = _iso_and_rng(n, rank, seed)
+    x = random_hvector(iso, rng, steps=steps)
+    data, members = x.data.copy(), x.sub.members()
+    c = x.copy()
+    for v in c.coeff.values():
+        v += 1.0
+    refinable = [i for i in c.coeff if iso.tree.sons(i)]
+    if refinable:
+        refine(c, refinable[0])
+    assert np.array_equal(x.data, data)
+    assert x.sub.members() == members

@@ -147,7 +147,7 @@ def test_coupling_minimal_input_stays_minimal(rng):
     matrix = random_h2(bt, row, col, seed=0)
     iso = random_iso_basis(tree, 2, rng)
     plan = build_plan(matrix, iso)
-    x = HVector(iso, coeff={tree.root: rng.standard_normal(2)})
+    x = HVector.from_leaves(iso, None, {tree.root: rng.standard_normal(2)})
     y = multiply(plan, x)
     assert y.sub.count() == 1
     got = induced_to_dense(y)
@@ -189,6 +189,41 @@ def test_multiply_exactness(seed):
     assert np.all(np.diff(inst.plan.ptr) <= bound)
 
 
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@pytest.mark.parametrize("seed", range(10))
+def test_multiply_exactness_2d(seed):
+    inst = random_instance(300, 2, 3, 2.0, seed, dim=2)
+    assert min(map(inst.tree.size, inst.tree.leaves())) >= 3
+    rng = np.random.default_rng(seed)
+    x = random_hvector(inst.input_basis, rng, steps=int(rng.integers(0, 12)))
+    dense = to_dense(inst.matrix)
+    want = dense @ hv_dense(x)
+    y = multiply(inst.plan, x)
+    scale = 1e-11 * max(1e-30, np.linalg.norm(want))
+    assert np.linalg.norm(induced_to_dense(y, dense) - want) <= scale
+    assert np.linalg.norm(hv_dense(y) - want) <= scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([16, 32, 64]),
+    k=st.integers(1, 4),
+    ka=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    steps=st.integers(0, 30),
+)
+def test_product_coefficients_share_one_buffer(n, k, ka, seed, steps):
+    inst = random_instance(n, k, ka, 1.0, seed=seed)
+    plan = inst.plan
+    assert plan.ptr is plan.induced.ptr
+    x = random_hvector(inst.input_basis, np.random.default_rng(seed), steps=steps)
+    y = multiply(plan, x)
+    assert y.data.shape == (plan.ptr[-1],)
+    for i, v in y.coeff.items():
+        assert v.base is y.data and np.shares_memory(v, y.data)
+        assert v.size == plan.ptr[i + 1] - plan.ptr[i]
+
+
 def test_multiply_linearity(rng, inst, dense):
     x1 = random_hvector(inst.input_basis, rng, steps=3)
     x2 = random_hvector(inst.input_basis, rng, steps=5)
@@ -210,20 +245,23 @@ def test_multiply_rejects_wrong_basis(rng, inst):
 
 
 def test_multiply_rejects_coefficients_off_the_subtree(rng, inst):
+    # per-leaf input is checked where it enters, naming the cluster; the
+    # product itself only sees the flat array and checks its length
     x = random_hvector(inst.input_basis, rng, steps=2)
     leaf = x.sub.leaves()[0]
-    padded = x.copy()
-    padded.coeff[leaf] = np.concatenate([padded.coeff[leaf], [0.0]])
+    coeff = {i: v.copy() for i, v in x.coeff.items()}
+    padded = {**coeff, leaf: np.concatenate([coeff[leaf], [0.0]])}
     with pytest.raises(ValueError, match=f"cluster {leaf}:"):
-        multiply(inst.plan, padded)
-    missing = x.copy()
-    del missing.coeff[leaf]
+        HVector.from_leaves(inst.input_basis, x.sub, padded)
+    missing = {i: v for i, v in coeff.items() if i != leaf}
     with pytest.raises(ValueError, match=f"cluster {leaf}:"):
-        multiply(inst.plan, missing)
-    extra = x.copy()
-    extra.coeff[inst.tree.root] = np.zeros(inst.input_basis.rank)
+        HVector.from_leaves(inst.input_basis, x.sub, missing)
+    extra = {**coeff, inst.tree.root: np.zeros(inst.input_basis.rank)}
     with pytest.raises(ValueError, match=f"cluster {inst.tree.root}:"):
-        multiply(inst.plan, extra)
+        HVector.from_leaves(inst.input_basis, x.sub, extra)
+    wrong = HVector(inst.input_basis, x.sub, np.append(x.data, 0.0))
+    with pytest.raises(ValueError, match="coefficients in one flat array"):
+        multiply(inst.plan, wrong)
 
 
 def test_multiply_rejects_non_finite_coefficients(rng, inst):
@@ -285,7 +323,7 @@ def test_multiply_matches_reference_on_full_subtree(rng, inst):
 
 
 def test_multiply_matches_reference_on_minimal_subtree(rng, inst):
-    x = HVector(inst.input_basis, coeff={inst.tree.root: rng.standard_normal(3)})
+    x = HVector.from_leaves(inst.input_basis, None, {inst.tree.root: rng.standard_normal(3)})
     y = _assert_matches_reference(inst.plan, x)
     assert y.sub.count() == 1
 
