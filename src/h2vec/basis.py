@@ -1,11 +1,14 @@
-"""Nested cluster bases and their exact error factors.
+"""Nested cluster bases, their transformations and exact error factors.
 
 A cluster basis stores one matrix per leaf cluster and one transfer
 matrix per non-root cluster; the matrix of an interior cluster is
 defined implicitly by stacking son matrices times their transfers.
-Ranks may vary from cluster to cluster.  An isometric basis has
-orthonormal columns at every cluster, which makes optimal projections
-and exact error computation possible:
+Ranks may vary from cluster to cluster.  The basis owns two layouts:
+one flat coefficient array (ptr) and one store of transfers stacked
+per (level, rank, father rank), over which its forward and backward
+transformations run as one stacked product per group.  An isometric
+basis has orthonormal columns at every cluster, which makes optimal
+projections and exact error computation possible:
 
 * merge factors: the orthogonal factor of one QR per interior cluster
   over the stacked transfer matrices.  Applying its adjoint to stacked
@@ -19,6 +22,7 @@ and exact error computation possible:
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,38 +39,138 @@ __all__ = [
     "projection_factors",
 ]
 
+# largest entry of V^T V - I accepted in a basis flagged isometric
+ISOMETRY_TOL = 1e-10
+
+
+@dataclass
+class TransferGroup:
+    """Non-root clusters of one level whose ranks, and those of their
+    fathers, agree.  son_target and father_target hold their entries
+    in a flat array laid out by the basis's ptr, and transfer stacks
+    their transfers, a view into the basis's transfer store."""
+
+    sons: np.ndarray
+    fathers: np.ndarray
+    son_target: np.ndarray
+    father_target: np.ndarray
+    transfer: np.ndarray
+
 
 class ClusterBasis:
     """Nested basis with per-cluster ranks: leaf plus transfer matrices.
 
     leaf_matrix maps each tree leaf t to its (#indices, r_t) matrix;
     transfer maps each non-root cluster s with father t to the r_s x r_t
-    matrix realizing nestedness.  rank is the common rank of a uniform
-    basis and the largest rank of a basis whose ranks vary.
+    matrix realizing nestedness.  rank is the largest cluster rank, the
+    common rank of a uniform basis.  A basis flagged isometric is
+    checked: V_t^T V_t = I at every leaf and sum_s E_s^T E_s = I over
+    the sons of every interior cluster.
 
     The read-only ptr lays out one coefficient per cluster in a flat
     array: cluster t owns the entries ptr[t] to ptr[t + 1], as many as
     the columns of its leaf matrix or of its sons' transfers.  offsets
     holds ptr as a list, for walks that slice one cluster at a time.
+
+    The transfers are copied once into the flat transfer_store, where
+    the transfer of s starts at transfer_start[s], row-major.  groups
+    holds the non-root clusters grouped by (level, rank, father rank)
+    in top-down order, each with its transfers as one stack in the
+    store, and transfer is a read-only mapping of views into them.
     """
 
-    def __init__(self, tree, rank, leaf_matrix, transfer, isometric=False):
+    def __init__(self, tree, leaf_matrix, transfer, isometric=False):
         self.tree = tree
-        self.rank = rank
         self.leaf_matrix = leaf_matrix
-        self.transfer = transfer
         self.isometric = isometric
         ranks = [
             transfer[c.sons[0]].shape[1] if c.sons else leaf_matrix[c.index].shape[1]
             for c in tree.clusters
         ]
+        self.rank = max(ranks)
         self.ptr = np.cumsum([0] + ranks)
         self.ptr.flags.writeable = False
         self.offsets = self.ptr.tolist()
+        # transfers grouped by (level, rank, father rank), top-down
+        keys, level = {}, tree.level.tolist()
+        for s, t in enumerate(tree.father.tolist()):
+            if t >= 0:
+                keys.setdefault((level[s], ranks[s], ranks[t]), []).append(s)
+        keys = sorted(keys.items())
+        sizes = [len(sons) * r2 * r for (_, r2, r), sons in keys]
+        self.transfer_store = np.empty(sum(sizes))
+        self.transfer_start = np.zeros(len(tree), dtype=np.intp)
+        self.groups = []
+        views = {}
+        for ((_, r2, r), sons), at in zip(keys, np.cumsum([0] + sizes).tolist()):
+            stack = self.transfer_store[at : at + len(sons) * r2 * r].reshape(-1, r2, r)
+            self.transfer_start[sons] = at + r2 * r * np.arange(len(sons))
+            mats = [transfer[s] for s in sons]
+            bad = [s for s, e in zip(sons, mats) if e.shape != (r2, r)]
+            if bad:
+                raise ValueError(f"cluster {bad[0]}: expected a {r2} x {r} transfer")
+            np.concatenate(mats, out=stack.reshape(-1, r))
+            views.update(zip(sons, stack))
+            sons = np.array(sons, dtype=np.intp)
+            fathers = tree.father[sons]
+            son_target = self.ptr[sons][:, None] + np.arange(r2)
+            father_target = self.ptr[fathers][:, None] + np.arange(r)
+            self.groups.append(TransferGroup(sons, fathers, son_target, father_target, stack))
+        self.transfer = MappingProxyType(dict(sorted(views.items())))
+        if isometric:
+            self._check_isometric()
+
+    def _check_isometric(self):
+        rank = np.diff(self.ptr)
+        square = np.concatenate([[0], np.cumsum(rank * rank)])
+        # V_t^T V_t - I, or sum_s E_s^T E_s - I, flat, r_t^2 entries per cluster
+        gram = np.zeros(square[-1])
+        row = np.arange(self.ptr[-1]) - np.repeat(self.ptr[:-1], rank)
+        gram[np.repeat(square[:-1], rank) + row * np.repeat(rank + 1, rank)] = -1.0
+        for t, v in self.leaf_matrix.items():
+            gram[square[t] : square[t + 1]] += (v.T @ v).ravel()
+        for g in self.groups:
+            sums = (g.transfer.transpose(0, 2, 1) @ g.transfer).reshape(len(g.sons), -1)
+            np.add.at(gram, square[g.fathers][:, None] + np.arange(sums.shape[1]), sums)
+        deviation = np.maximum.reduceat(np.abs(gram), square[:-1])
+        bad = np.flatnonzero(deviation > ISOMETRY_TOL)
+        if bad.size:
+            raise ValueError(
+                f"cluster {bad[0]}: basis flagged isometric, but its Gram matrix "
+                f"deviates from the identity by {deviation[bad[0]]:.1e}"
+            )
 
     def rank_of(self, i):
         """Rank r_i of cluster i."""
         return self.offsets[i + 1] - self.offsets[i]
+
+    def forward(self, data, member):
+        """Forward transformation in the flat array data laid out by ptr:
+        bottom-up, add E_s^T data[s] into the father of every son s
+        marked in member."""
+        for group in reversed(self.groups):
+            active = member[group.sons]
+            if not active.any():
+                continue
+            pick = slice(None) if active.all() else active
+            # copied: a product with the transposed view rounds differently
+            transposed = np.ascontiguousarray(group.transfer[pick].transpose(0, 2, 1))
+            pushed = kernels.matvec(transposed, data[group.son_target[pick]])
+            np.add.at(data, group.father_target[pick].ravel(), pushed.ravel())
+            kernels.tally(pushed.size)
+
+    def backward(self, data, interior):
+        """Backward transformation in the flat array data laid out by
+        ptr: top-down, add E_s data[t] into every son s of every
+        cluster t marked in interior."""
+        for group in self.groups:
+            active = interior[group.fathers]
+            if not active.any():
+                continue
+            pick = slice(None) if active.all() else active
+            son, father = group.son_target[pick], data[group.father_target[pick]]
+            data[son] += kernels.matvec(group.transfer[pick], father)
+            kernels.tally(son.size)
 
     def materialize(self, i):
         """Expand the basis matrix of cluster i down to its leaves."""
@@ -151,7 +255,7 @@ def polynomial_basis(tree, points, degree):
                     "exceeds tolerance"
                 )
             transfer[s] = e
-    return ClusterBasis(tree, rank, leaf_matrix, transfer, isometric=False)
+    return ClusterBasis(tree, leaf_matrix, transfer, isometric=False)
 
 
 def orthogonalize(basis):
@@ -167,30 +271,23 @@ def orthogonalize(basis):
     transfer = {}
     change = {}
     for i in tree.postorder():
-        if tree.is_leaf(i):
-            v = basis.leaf_matrix[i]
-            if v.shape[0] < k:
-                raise ValueError(f"cluster {i}: fewer rows than rank")
-            stack, r = kernels.triangularize(v)
-            scale = max(1.0, float(np.max(np.abs(np.diagonal(r)))))
-            if np.min(np.diagonal(r)) < 1e-12 * scale:
-                raise ValueError(f"cluster {i}: rank-deficient leaf matrix")
-            leaf_matrix[i] = stack.thin_q()
-            change[i] = r
+        sons = tree.sons(i)
+        if sons:
+            a = np.vstack([kernels.matmul(change[s], basis.transfer[s]) for s in sons])
         else:
-            sons = tree.sons(i)
-            stacked = np.vstack(
-                [kernels.matmul(change[s], basis.transfer[s]) for s in sons]
-            )
-            stack, r = kernels.triangularize(stacked)
-            scale = max(1.0, float(np.max(np.abs(np.diagonal(r)))))
-            if np.min(np.diagonal(r)) < 1e-12 * scale:
-                raise ValueError(f"cluster {i}: rank-deficient transfer stack")
-            qhat = stack.thin_q()
-            for j, s in enumerate(sons):
-                transfer[s] = qhat[j * k : (j + 1) * k]
-            change[i] = r
-    iso = ClusterBasis(tree, k, leaf_matrix, transfer, isometric=True)
+            a = basis.leaf_matrix[i]
+            if a.shape[0] < k:
+                raise ValueError(f"cluster {i}: fewer rows than rank")
+        stack, change[i] = kernels.triangularize(a)
+        diagonal = np.diagonal(change[i])
+        if np.min(diagonal) < 1e-12 * max(1.0, float(np.max(np.abs(diagonal)))):
+            what = "transfer stack" if sons else "leaf matrix"
+            raise ValueError(f"cluster {i}: rank-deficient {what}")
+        if sons:
+            transfer.update(zip(sons, stack.thin_q().reshape(len(sons), k, -1)))
+        else:
+            leaf_matrix[i] = stack.thin_q()
+    iso = ClusterBasis(tree, leaf_matrix, transfer, isometric=True)
     return iso, change
 
 
@@ -203,19 +300,16 @@ def cross_gram_family(left, right):
     """Per-cluster products left^T right for two bases on one tree."""
     if left.tree is not right.tree:
         raise ValueError("bases live on different trees")
-    tree = left.tree
+    tree, lt, rt = left.tree, left.transfer, right.transfer
     cross = {}
     for i in tree.postorder():
         if tree.is_leaf(i):
             cross[i] = kernels.matmul(left.leaf_matrix[i].T, right.leaf_matrix[i])
         else:
-            total = np.zeros((left.rank_of(i), right.rank_of(i)))
-            for s in tree.sons(i):
-                term = kernels.matmul(
-                    left.transfer[s].T, kernels.matmul(cross[s], right.transfer[s])
-                )
-                total = total + term
-            cross[i] = total
+            cross[i] = sum(
+                kernels.matmul(lt[s].T, kernels.matmul(cross[s], rt[s]))
+                for s in tree.sons(i)
+            )
     return cross
 
 
@@ -231,11 +325,9 @@ def coarsening_factors(basis):
     tree = basis.tree
     factors = {}
     for i in tree.postorder():
-        if tree.is_leaf(i):
-            continue
-        stacked = np.vstack([basis.transfer[s] for s in tree.sons(i)])
-        stack, _ = kernels.triangularize(stacked)
-        factors[i] = stack
+        if not tree.is_leaf(i):
+            stacked = np.vstack([basis.transfer[s] for s in tree.sons(i)])
+            factors[i], _ = kernels.triangularize(stacked)
     return factors
 
 
@@ -271,26 +363,19 @@ def projection_factors(source, target):
     z = {}
     cross = {}
     for i in tree.postorder():
-        if tree.is_leaf(i):
-            v = source.leaf_matrix[i]
-            q = target.leaf_matrix[i]
-            stack, _ = kernels.triangularize(q)
-            transformed = stack.apply_adjoint(v)
-            cross[i] = transformed[:kq]
-            complement = transformed[kq:]
+        sons = tree.sons(i)
+        if sons:
+            q = np.vstack([target.transfer[s] for s in sons])
+            v = np.vstack([kernels.matmul(cross[s], source.transfer[s]) for s in sons])
         else:
-            sons = tree.sons(i)
-            stacked = np.vstack([target.transfer[s] for s in sons])
-            stack, _ = kernels.triangularize(stacked)
-            vhat = np.vstack(
-                [kernels.matmul(cross[s], source.transfer[s]) for s in sons]
-            )
-            transformed = stack.apply_adjoint(vhat)
-            cross[i] = transformed[:kq]
-            pushed = np.vstack(
-                [kernels.matmul(z[s], source.transfer[s]) for s in sons]
-            )
-            complement = np.vstack([pushed, transformed[kq:]])
+            q, v = target.leaf_matrix[i], source.leaf_matrix[i]
+        stack, _ = kernels.triangularize(q)
+        transformed = stack.apply_adjoint(v)
+        cross[i] = transformed[:kq]
+        complement = transformed[kq:]
+        if sons:
+            pushed = np.vstack([kernels.matmul(z[s], source.transfer[s]) for s in sons])
+            complement = np.vstack([pushed, complement])
         kv = source.rank_of(i)
         zi = np.zeros((kv, kv))
         r = kernels.triangular_factor(complement)

@@ -79,16 +79,17 @@ def materialize_induced(plan):
     rows are the block's own entries and whose columns are its parent
     block's slot, coupling times cross Gram times input transfer for
     a leaf block and the input transfer for a non-leaf block.  The
-    transfers are written into fresh stacks, one per group of
-    plan.groups, and the basis holds views into them, so they are
-    stored once.  rank is the largest of the cluster ranks.
+    basis is built on zero transfers, and each kind of tile is
+    scattered once into its transfer store, by the start of each
+    son's transfer, so the transfers are written into one store only.
     """
     mat = plan.matrix
     row_tree = mat.block_tree.row_tree
     col_tree = mat.block_tree.col_tree
     ptr = plan.ptr
+    rank, father = np.diff(ptr), row_tree.father
     leaf, nonleaf = plan.leaf_blocks, plan.nonleaf_blocks
-    sons = np.flatnonzero(row_tree.father >= 0)
+    sons = np.flatnonzero(father >= 0)
     cols = np.flatnonzero(col_tree.father >= 0)
     lead = np.arange(mat.rank)
     k = plan.input_basis.rank
@@ -98,53 +99,34 @@ def materialize_induced(plan):
     # cross[s2] times the input transfer of s2, shared by all blocks (t2, s2)
     pushed = np.zeros(plan.cross.shape)
     pushed[cols] = kernels.matmul(plan.cross[cols], input_transfer[cols])
-    below = leaf.parent < nonleaf.row.size
-    inner = nonleaf.parent < nonleaf.row.size
-    # (son, rows, columns, tiles, write); only leaf-block tiles overlap
-    tiles = [
-        (
-            sons,
-            ptr[sons][:, None] + lead,
-            ptr[row_tree.father[sons]][:, None] + lead,
-            np.array([mat.row_basis.transfer[t2] for t2 in sons.tolist()]),
-            np.put,
-        ),
-        (
-            leaf.row[below],
-            leaf.target[below],
-            nonleaf.target[leaf.parent[below]],
-            kernels.matmul(leaf.coupling[below], pushed[leaf.col[below]]),
-            np.add.at,
-        ),
-        (
-            nonleaf.row[inner],
-            nonleaf.target[inner],
-            nonleaf.target[nonleaf.parent[inner]],
-            input_transfer[nonleaf.col[inner]],
-            np.put,
-        ),
-    ]
-    group_of = np.empty(len(row_tree), dtype=np.intp)
-    index = np.empty(len(row_tree), dtype=np.intp)
-    for g, group in enumerate(plan.groups):
-        group_of[group.sons] = g
-        index[group.sons] = np.arange(group.sons.size)
-    transfer = {}
-    for g, group in enumerate(plan.groups):
-        (n, r2), r = group.son_target.shape, group.father_target.shape[1]
-        group.transfer = np.zeros((n, r2, r))
-        flat = group.transfer.reshape(-1)
-        for son, rows, columns, tile, write in tiles:
-            pick = group_of[son] == g
-            t2 = son[pick]
-            row = (index[t2] * r2 - ptr[t2])[:, None] + rows[pick]
-            col = columns[pick] - ptr[row_tree.father[t2]][:, None]
-            at = row[:, :, None] * r + col[:, None, :]
-            write(flat, at.ravel(), tile[pick].ravel())
-        transfer.update(zip(group.sons.tolist(), group.transfer))
+    zero = np.zeros((rank.max(), rank.max()))
     leaf_matrix = {t: mat.row_basis.leaf_matrix[t] for t in row_tree.leaves()}
-    rank = int(np.diff(ptr).max())
-    return ClusterBasis(row_tree, rank, leaf_matrix, transfer, isometric=False)
+    blank = {t2: zero[: rank[t2], : rank[father[t2]]] for t2 in sons.tolist()}
+    induced = ClusterBasis(row_tree, leaf_matrix, blank)
+    start = induced.transfer_start
+
+    def place(son, rows, columns, tiles, write):
+        """Write tiles[j] into the transfer of son[j], at the given
+        rows and columns in accumulator coordinates."""
+        t = father[son]
+        row = (rows - ptr[son][:, None]) * rank[t][:, None]
+        col = columns - ptr[t][:, None]
+        at = start[son][:, None, None] + row[:, :, None] + col[:, None, :]
+        write(induced.transfer_store, at.ravel(), tiles.ravel())
+
+    # only the leaf-block tiles overlap; they add up in block order
+    rows, columns = ptr[sons][:, None] + lead, ptr[father[sons]][:, None] + lead
+    tiles = np.array([mat.row_basis.transfer[t2] for t2 in sons.tolist()])
+    place(sons, rows, columns, tiles, np.put)
+    below = leaf.parent < nonleaf.row.size
+    coupled = kernels.matmul(leaf.coupling[below], pushed[leaf.col[below]])
+    slot = nonleaf.target[leaf.parent[below]]
+    place(leaf.row[below], leaf.target[below], slot, coupled, np.add.at)
+    inner = nonleaf.parent < nonleaf.row.size
+    slot = nonleaf.target[nonleaf.parent[inner]]
+    tiles = input_transfer[nonleaf.col[inner]]
+    place(nonleaf.row[inner], nonleaf.target[inner], slot, tiles, np.put)
+    return induced
 
 
 def _ascent(y, pfactors, budget, merge_errors):

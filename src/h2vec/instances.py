@@ -55,7 +55,7 @@ def random_basis(tree, rank, rng):
     for i in range(len(tree.clusters)):
         for s in tree.sons(i):
             transfer[s] = rng.standard_normal((rank, rank))
-    return ClusterBasis(tree, rank, leaf_matrix, transfer, isometric=False)
+    return ClusterBasis(tree, leaf_matrix, transfer, isometric=False)
 
 
 def random_iso_basis(tree, rank, rng):

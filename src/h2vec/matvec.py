@@ -6,26 +6,21 @@ matrices; where a non-leaf block meets an input leaf, the raw input
 coefficient is parked in an extra slot of the accumulator.  The result
 therefore lives in the induced cluster basis: the row basis augmented,
 per cluster, with the matrix columns hit by such parked coefficients.
-The plan materializes that basis once, at its true per-cluster ranks,
-and the standard backward transformation over it distributes the
-accumulators into leaf coefficients.
+The plan materializes that basis once, at its true per-cluster ranks.
 
-The three passes run level by level over index arrays that the plan
-computes once, so each pass is a few stacked products rather than one
-small product per cluster or block:
+Each of the three passes is a few stacked products over index arrays
+rather than one small product per cluster or block:
 
 * forward: one stacked product of the cross Gram matrices at the
-  input's subtree leaves, then, from the deepest column level up, one
-  stacked product of the transposed column transfers per level, added
-  into the fathers;
+  input's subtree leaves, then the forward transformation
+  (ClusterBasis.forward) of the matrix's column basis;
 * coupling: a block is visited when it is the root block or the
   column of its parent block is interior in the input's subtree.
   Visited leaf blocks make one stacked coupling product; visited
   non-leaf blocks park the input coefficient when their column is an
   input leaf and make their row interior in the result otherwise;
-* backward: from the top row level down, one stacked product of the
-  induced transfers per group of sons sharing a level, a rank and a
-  father rank, restricted to fathers interior in the result.
+* backward: the backward transformation (ClusterBasis.backward) of
+  the induced basis from the clusters interior in the result.
 
 All accumulators share one flat buffer laid out by the induced
 basis's ptr: cluster t owns the entries ptr[t] to ptr[t + 1].  The
@@ -76,20 +71,6 @@ class BlockSet:
 
 
 @dataclass
-class TransferGroup:
-    """Row clusters of one level whose induced ranks, and those of
-    their fathers, agree; son_target and father_target hold their flat
-    accumulator entries.  transfer stacks their induced transfers and
-    is written by materialize_induced."""
-
-    sons: np.ndarray
-    fathers: np.ndarray
-    son_target: np.ndarray
-    father_target: np.ndarray
-    transfer: np.ndarray = None
-
-
-@dataclass
 class MatvecPlan:
     """Per-(matrix, input basis) precomputation reused across products.
 
@@ -97,13 +78,9 @@ class MatvecPlan:
     ptr[t + 1]: the matrix rank, then one slot of input-rank entries
     per non-leaf block of row t, numbered in block construction
     order; its length is the induced rank of t.  cross[s] = W_s^T Q_s
-    couples the matrix column basis with the input basis, and
-    col_transfer_t[s] is the transposed column transfer of s, both
-    stacked per column cluster.  col_levels[l] lists the column
-    clusters of level l.  leaf_blocks and nonleaf_blocks describe the
-    block tree, groups the induced transfers in top-down order, and
-    induced is the induced basis, whose transfers are views into the
-    group stacks.
+    couples the matrix column basis with the input basis, stacked per
+    column cluster.  leaf_blocks and nonleaf_blocks describe the block
+    tree, and induced is the induced basis.
 
     A plan is a snapshot of its matrix: the coupling matrices are
     copied into leaf_blocks and the induced transfers, so a matrix
@@ -113,30 +90,25 @@ class MatvecPlan:
     matrix: object
     input_basis: object
     cross: np.ndarray
-    col_transfer_t: np.ndarray
-    col_levels: list
     ptr: np.ndarray
     leaf_blocks: BlockSet
     nonleaf_blocks: BlockSet
-    groups: list
     induced: object = None
 
 
 def build_plan(matrix, input_basis):
     if input_basis.tree is not matrix.block_tree.col_tree:
         raise ValueError("input basis does not live on the column tree")
+    bases = (("input", input_basis), ("row", matrix.row_basis), ("column", matrix.col_basis))
+    for name, basis in bases:
+        if np.any(np.diff(basis.ptr) != basis.rank):
+            raise ValueError(f"{name} basis: the product needs one rank at every cluster")
     bt = matrix.block_tree
     row_tree, col_tree = bt.row_tree, bt.col_tree
     ka = matrix.rank
     k = input_basis.rank
     cross = cross_gram_family(matrix.col_basis, input_basis)
     cross = np.array([cross[s] for s in range(len(col_tree))])
-    col_transfer_t = np.zeros((len(col_tree), ka, ka))
-    for s, e in matrix.col_basis.transfer.items():
-        col_transfer_t[s] = e.T
-    col_levels = [
-        np.flatnonzero(col_tree.level == level) for level in range(col_tree.depth + 1)
-    ]
     leaves = [b for b in bt.blocks if b.is_leaf]
     others = [b for b in bt.blocks if not b.is_leaf]
     parent = np.full(len(bt.blocks), len(others), dtype=np.intp)
@@ -163,44 +135,10 @@ def build_plan(matrix, input_basis):
     leaf_blocks = block_set(leaves, ptr[[b.row for b in leaves]], ka)
     leaf_blocks.coupling = np.array([matrix.coupling[b.index] for b in leaves])
     nonleaf_blocks = block_set(others, ptr[rows] + ka + k * slot, k)
-    plan = MatvecPlan(
-        matrix,
-        input_basis,
-        cross,
-        col_transfer_t,
-        col_levels,
-        ptr,
-        leaf_blocks,
-        nonleaf_blocks,
-        _transfer_groups(row_tree, ptr),
-    )
+    plan = MatvecPlan(matrix, input_basis, cross, ptr, leaf_blocks, nonleaf_blocks)
     plan.induced = materialize_induced(plan)
     plan.ptr = plan.induced.ptr  # the same offsets, computed from the transfers
     return plan
-
-
-def _transfer_groups(tree, ptr):
-    """Non-root clusters grouped by (level, rank, father rank), in
-    top-down order."""
-    rank = np.diff(ptr).tolist()
-    level = tree.level.tolist()
-    keys = {}
-    for t2, t in enumerate(tree.father.tolist()):
-        if t >= 0:
-            keys.setdefault((level[t2], rank[t2], rank[t]), []).append(t2)
-    groups = []
-    for (_, r2, r), sons in sorted(keys.items()):
-        sons = np.array(sons, dtype=np.intp)
-        fathers = tree.father[sons]
-        groups.append(
-            TransferGroup(
-                sons,
-                fathers,
-                ptr[sons][:, None] + np.arange(r2),
-                ptr[fathers][:, None] + np.arange(r),
-            )
-        )
-    return groups
 
 
 class InducedHVector(HVector):
@@ -211,6 +149,9 @@ class InducedHVector(HVector):
         super().__init__(plan.induced, sub, data)
         self.plan = plan
 
+    def copy(self):
+        return InducedHVector(self.plan, self.sub.copy(), self.data.copy())
+
 
 def _forward(plan, coeff, leaf, member):
     """W_s^T x|_s for every member s of the input's subtree.
@@ -220,20 +161,10 @@ def _forward(plan, coeff, leaf, member):
     Returns an array with one row per column cluster, zero outside
     the subtree.
     """
-    ka = plan.matrix.rank
-    col_tree = plan.matrix.block_tree.col_tree
-    xbar = np.zeros((len(col_tree), ka))
+    xbar = np.zeros((len(leaf), plan.matrix.rank))
     leaves = np.flatnonzero(leaf)
     xbar[leaves] = kernels.matvec(plan.cross[leaves], coeff[leaves])
-    flat = xbar.reshape(-1)
-    lead = np.arange(ka)
-    for nodes in reversed(plan.col_levels[1:]):
-        nodes = nodes[member[nodes]]
-        if nodes.size:
-            pushed = kernels.matvec(plan.col_transfer_t[nodes], xbar[nodes])
-            target = (col_tree.father[nodes] * ka)[:, None] + lead
-            np.add.at(flat, target.ravel(), pushed.ravel())
-            kernels.tally(pushed.size)
+    plan.matrix.col_basis.forward(xbar.reshape(-1), member)
     return xbar
 
 
@@ -265,19 +196,6 @@ def _coupling(plan, coeff, leaf, interior, xbar, buf):
     return result_interior
 
 
-def _backward(plan, interior, buf):
-    """Push the accumulators of the clusters marked in interior into
-    their sons, top-down, in the flat buffer buf."""
-    for group in plan.groups:
-        active = interior[group.fathers]
-        if not active.any():
-            continue
-        pick = slice(None) if active.all() else active
-        son = group.son_target[pick]
-        buf[son] += kernels.matvec(group.transfer[pick], buf[group.father_target[pick]])
-        kernels.tally(son.size)
-
-
 def multiply(plan, x):
     """Exact product of the planned matrix with a hierarchical vector.
 
@@ -297,7 +215,7 @@ def multiply(plan, x):
         result_interior = _coupling(plan, coeff, leaf, interior, xbar, buf)
     sub = Subtree.from_interior(plan.matrix.block_tree.row_tree, result_interior)
     with kernels.phase("backward"):
-        _backward(plan, result_interior, buf)
+        plan.induced.backward(buf, result_interior)
     return InducedHVector(plan, sub, buf)
 
 

@@ -4,6 +4,8 @@ Each suite runs a handful of randomized checks at small sizes against
 independent dense computations and returns (passed, failed, messages).
 """
 
+import warnings
+
 import numpy as np
 
 from . import hvector, kernels
@@ -68,9 +70,14 @@ def _suite_tree(seed):
     suite = _Suite("tree")
     rng = np.random.default_rng(seed)
     for trial in range(5):
-        n = int(rng.integers(20, 200))
-        tree = random_tree(rng, n, 2, int(rng.integers(3, 12)))
+        n, leaf_size = int(rng.integers(20, 200)), int(rng.integers(3, 12))
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            tree = random_tree(rng, n, 2, leaf_size)
         suite.check(validate_tree(tree) is None, f"random tree {trial} valid")
+        # a raised leaf size is checked here rather than left to warn
+        ok = len(raised) == (tree.leaf_size != leaf_size) and tree.leaf_size >= leaf_size
+        suite.check(ok, f"random tree {trial} leaf size {leaf_size} -> {tree.leaf_size}")
     tree = line_tree(8, 2)
     suite.check(len(tree.clusters) == 7, "8-point line tree has 7 clusters")
     return suite

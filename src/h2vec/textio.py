@@ -114,7 +114,10 @@ def load_basis(text, tree):
             leaf_matrix[int(idx)] = mat
         else:
             transfer[int(idx)] = mat
-    return ClusterBasis(tree, rank, leaf_matrix, transfer, isometric)
+    basis = ClusterBasis(tree, leaf_matrix, transfer, isometric)
+    if basis.rank != rank:
+        raise ValueError(f"dump header says rank {rank}, its matrices rank {basis.rank}")
+    return basis
 
 
 def _dump_leaves(header, x):

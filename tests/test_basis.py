@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2vec import kernels, textio
 from h2vec.basis import (
+    ClusterBasis,
     coarsening_factors,
     cross_gram_family,
     gram_family,
@@ -10,7 +13,13 @@ from h2vec.basis import (
     polynomial_basis,
     projection_factors,
 )
-from h2vec.instances import line_tree, random_basis, random_iso_basis
+from h2vec.instances import (
+    line_tree,
+    random_basis,
+    random_instance,
+    random_iso_basis,
+    random_tree,
+)
 from h2vec.tree import build_cluster_tree
 
 
@@ -175,9 +184,7 @@ def test_coarsening_factors_analytic_rank_one():
     s = 1.0 / np.sqrt(2.0)
     leaf_matrix = {i: np.ones((1, 1)) for i in tree.leaves()}
     transfer = {i: np.array([[s]]) for i in tree.leaves()}
-    from h2vec.basis import ClusterBasis
-
-    iso = ClusterBasis(tree, 1, leaf_matrix, transfer, isometric=True)
+    iso = ClusterBasis(tree, leaf_matrix, transfer, isometric=True)
     factors = coarsening_factors(iso)
     out = factors[tree.root].apply_adjoint(np.array([1.0, -1.0]))
     assert abs(abs(out[0]) - 0.0) <= 1e-14  # merged coefficient (1-1)/sqrt2
@@ -315,3 +322,136 @@ def test_basis_dump_roundtrip(rng):
     assert back.rank == 2 and not back.isometric
     for i in b.leaf_matrix:
         assert np.array_equal(back.leaf_matrix[i], b.leaf_matrix[i])
+
+
+def test_basis_dump_rejects_wrong_rank_header(rng):
+    tree = line_tree(16, 4)
+    text = textio.dump_basis(random_basis(tree, 2, rng))
+    with pytest.raises(ValueError, match="rank 3"):
+        textio.load_basis(text.replace("rank 2", "rank 3"), tree)
+
+
+def test_isometric_flag_is_checked():
+    # a non-isometric basis flagged isometric would let coarsen_pass
+    # report a bound below the true error
+    tree = random_instance(64, 2, 2, 1.0, 0).tree
+    b = random_basis(tree, 2, np.random.default_rng(1))
+    with pytest.raises(ValueError, match=r"cluster \d+: basis flagged isometric"):
+        ClusterBasis(tree, b.leaf_matrix, b.transfer, isometric=True)
+    iso, _ = orthogonalize(b)
+    again = ClusterBasis(tree, iso.leaf_matrix, iso.transfer, isometric=True)
+    assert all(np.array_equal(again.transfer[s], e) for s, e in iso.transfer.items())
+
+
+def test_isometric_check_names_a_bad_leaf(rng):
+    iso = random_iso_basis(line_tree(16, 4), 2, rng)
+    leaf = iso.tree.leaves()[1]
+    leaf_matrix = {**iso.leaf_matrix, leaf: 2.0 * iso.leaf_matrix[leaf]}
+    with pytest.raises(ValueError, match=f"cluster {leaf}:"):
+        ClusterBasis(iso.tree, leaf_matrix, iso.transfer, isometric=True)
+
+
+def test_transfer_shape_mismatch_names_the_cluster(rng):
+    b = random_basis(line_tree(16, 4), 2, rng)
+    son = b.tree.sons(b.tree.root)[1]
+    transfer = {**b.transfer, son: np.ones((3, 2))}
+    with pytest.raises(ValueError, match=f"cluster {son}: expected a 2 x 2 transfer"):
+        ClusterBasis(b.tree, b.leaf_matrix, transfer)
+
+
+def ragged_basis(tree, rng, max_rank):
+    """Random nested basis whose ranks vary from cluster to cluster."""
+    rank = [
+        int(rng.integers(1, min(max_rank, tree.size(i)) + 1)) for i in range(len(tree))
+    ]
+    leaf_matrix = {i: rng.standard_normal((tree.size(i), rank[i])) for i in tree.leaves()}
+    transfer = {
+        s: rng.standard_normal((rank[s], rank[i]))
+        for i in range(len(tree))
+        for s in tree.sons(i)
+    }
+    return ClusterBasis(tree, leaf_matrix, transfer)
+
+
+def loop_forward(basis, data, member):
+    """Forward transformation, one cluster at a time."""
+    tree, off = basis.tree, basis.offsets
+    for s in tree.postorder():
+        t = int(tree.father[s])
+        if t >= 0 and member[s]:
+            pushed = kernels.matvec(basis.transfer[s].T, data[off[s] : off[s + 1]])
+            data[off[t] : off[t + 1]] += pushed
+            kernels.tally(pushed.size)
+
+
+def loop_backward(basis, data, interior):
+    """Backward transformation, one cluster at a time (sons follow fathers)."""
+    tree, off = basis.tree, basis.offsets
+    for s in range(1, len(tree)):
+        t = int(tree.father[s])
+        if interior[t]:
+            data[off[s] : off[s + 1]] += kernels.matvec(
+                basis.transfer[s], data[off[t] : off[t + 1]]
+            )
+            kernels.tally(off[s + 1] - off[s])
+
+
+def _basis_of(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "induced":
+        k, ka = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        return random_instance(int(rng.choice([16, 32, 64])), k, ka, 1.0, seed).plan.induced
+    tree = random_tree(rng, int(rng.integers(8, 120)), int(rng.integers(1, 3)), 6)
+    if kind == "uniform":
+        smallest = min(map(tree.size, tree.leaves()))
+        return random_basis(tree, int(rng.integers(1, min(3, smallest) + 1)), rng)
+    return ragged_basis(tree, rng, 5)
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["uniform", "ragged", "induced"]), seed=st.integers(0, 2**16))
+def test_transformations_match_cluster_loops(kind, seed):
+    basis = _basis_of(kind, seed)
+    rng = np.random.default_rng(seed + 1)
+    marks = rng.random(len(basis.tree)) < 0.6
+    for stacked, looped in ((basis.forward, loop_forward), (basis.backward, loop_backward)):
+        data = rng.standard_normal(basis.ptr[-1])
+        want = data.copy()
+        with kernels.count_flops() as batched:
+            stacked(data, marks)
+        with kernels.count_flops() as walked:
+            looped(basis, want, marks)
+        assert batched.total == walked.total
+        assert np.max(np.abs(data - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _assert_transfer_views(basis):
+    seen = 0
+    for group in basis.groups:
+        assert np.shares_memory(group.transfer, basis.transfer_store)
+        for j, s in enumerate(group.sons.tolist()):
+            e = basis.transfer[s]
+            assert e.shape == group.transfer[j].shape
+            assert e.ctypes.data == group.transfer[j].ctypes.data
+            assert e.ctypes.data == basis.transfer_store[basis.transfer_start[s] :].ctypes.data
+            seen += 1
+    assert seen == len(basis.transfer) == len(basis.tree) - 1
+    with pytest.raises(TypeError):
+        basis.transfer[seen] = np.zeros((1, 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), degree=st.integers(0, 2))
+def test_transfers_are_views_into_group_stacks(seed, degree):
+    n = int(np.random.default_rng(seed).integers(16, 160))
+    poly = polynomial_basis(line_tree(n, 8), np.linspace(0.0, 1.0, n), degree)
+    for basis in (poly, orthogonalize(poly)[0], _basis_of("induced", seed)):
+        _assert_transfer_views(basis)
+        # groups are top-down, and one group holds one level and one
+        # pair of ranks
+        levels = [int(basis.tree.level[g.sons[0]]) for g in basis.groups]
+        assert levels == sorted(levels)
+        for g in basis.groups:
+            assert len(set(basis.tree.level[g.sons].tolist())) == 1
+            assert np.array_equal(g.fathers, basis.tree.father[g.sons])

@@ -1,5 +1,8 @@
 import os
 import re
+import warnings
+
+import pytest
 
 from h2vec.cli import main
 from h2vec.selftest import run_selftest
@@ -7,6 +10,13 @@ from h2vec.selftest import run_selftest
 
 def test_selftest_passes():
     assert run_selftest(seed=0, verbose=False) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_selftest_emits_no_warning(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_selftest(seed=seed, verbose=False) == 0
 
 
 def test_selftest_detects_corrupted_coupling():

@@ -165,7 +165,7 @@ def test_convert_representable_at_root(rng, setup):
             e[:2, :2] = row.transfer[s]
             e[2, 2] = 1.0 + rng.random()
             transfer[s] = e
-    wide = ClusterBasis(tree, 3, leaf_matrix, transfer)
+    wide = ClusterBasis(tree, leaf_matrix, transfer)
     target, _ = orthogonalize(wide)
     zfac = projection_factors(induced, target)
     pfac = coarsening_factors(target)

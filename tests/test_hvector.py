@@ -88,7 +88,6 @@ def test_coarsen_analytic_rank_one():
     s = 1.0 / np.sqrt(2.0)
     iso = ClusterBasis(
         tree,
-        1,
         {i: np.ones((1, 1)) for i in tree.leaves()},
         {i: np.array([[s]]) for i in tree.leaves()},
         isometric=True,

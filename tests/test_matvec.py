@@ -14,7 +14,7 @@ from h2vec.instances import (
     random_iso_basis,
     random_subtree,
 )
-from h2vec.matvec import _backward, _forward, build_plan, induced_to_dense, multiply
+from h2vec.matvec import _forward, build_plan, induced_to_dense, multiply
 
 import matvec_reference as reference
 from conftest import prefix_subtree
@@ -61,16 +61,21 @@ def test_plan_nonleaf_root_block(rng):
     assert plan.ptr[root + 1] - plan.ptr[root] == 2 + 2
 
 
-def test_induced_transfers_are_views_into_group_stacks(inst):
-    plan = inst.plan
-    seen = 0
-    for group in plan.groups:
-        for j, t2 in enumerate(group.sons.tolist()):
-            e = plan.induced.transfer[t2]
-            assert e.base is group.transfer
-            assert np.shares_memory(e, group.transfer[j])
-            seen += 1
-    assert seen == len(plan.induced.transfer) == len(inst.tree.clusters) - 1
+def test_build_plan_rejects_varying_ranks(inst):
+    # the induced basis has per-cluster ranks; the product needs uniform ones
+    with pytest.raises(ValueError, match="input basis: the product needs one rank"):
+        build_plan(inst.matrix, inst.plan.induced)
+
+
+def test_induced_copy_keeps_plan(rng, inst, dense):
+    y = multiply(inst.plan, random_hvector(inst.input_basis, rng, steps=4))
+    before = induced_to_dense(y, dense)
+    z = y.copy()
+    assert z.plan is inst.plan and z.basis is inst.plan.induced
+    assert np.array_equal(induced_to_dense(z, dense), before)
+    z.data[:] = 1.0
+    z.sub.expand(next(i for i in z.sub.leaves() if inst.tree.sons(i)))
+    assert np.array_equal(induced_to_dense(y, dense), before)
 
 
 def test_plan_rank_bound(inst):
@@ -382,7 +387,7 @@ def test_standard_backward_zero(rng, inst):
     buf = _bars_and_buffer(inst.plan, sub, bars)
     out = reference.standard_backward(basis, sub, bars)
     assert np.max(np.abs(hv_dense(out))) == 0.0
-    _backward(inst.plan, sub.interior_mask(), buf)
+    basis.backward(buf, sub.interior_mask())
     assert np.max(np.abs(buf)) == 0.0
 
 
@@ -399,7 +404,7 @@ def test_standard_backward_matches_dense(rng, inst):
     out = reference.standard_backward(basis, sub, bars)  # consumes bars
     assert np.max(np.abs(hv_dense(out) - want)) <= scale
     # the batched pass, on the same accumulators, gives the same leaves
-    _backward(inst.plan, sub.interior_mask(), buf)
+    basis.backward(buf, sub.interior_mask())
     for i in sub.leaves():
         got = buf[inst.plan.ptr[i] : inst.plan.ptr[i + 1]]
         assert np.max(np.abs(got - out.coeff[i])) <= 1e-13 * max(
