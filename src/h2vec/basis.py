@@ -8,7 +8,10 @@ one flat coefficient array (ptr) and one store of transfers stacked
 per (level, rank, father rank), over which its forward and backward
 transformations run as one stacked product per group.  An isometric
 basis has orthonormal columns at every cluster, which makes optimal
-projections and exact error computation possible:
+projections and exact error computation possible.  The per-cluster
+matrices below, like the Gram family, are ClusterMatrices: stored
+once, stacked per (level, shape), for passes that treat one level of
+the tree at a time, and read per cluster through views.
 
 * merge factors: the orthogonal factor of one QR per interior cluster
   over the stacked transfer matrices.  Applying its adjoint to stacked
@@ -21,6 +24,7 @@ projections and exact error computation possible:
 """
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -30,6 +34,8 @@ from . import kernels
 
 __all__ = [
     "ClusterBasis",
+    "ClusterMatrices",
+    "MergeFactors",
     "ProjectionFactors",
     "polynomial_basis",
     "orthogonalize",
@@ -44,17 +50,71 @@ ISOMETRY_TOL = 1e-10
 
 
 @dataclass
-class TransferGroup:
-    """Non-root clusters of one level whose ranks, and those of their
-    fathers, agree.  son_target and father_target hold their entries
-    in a flat array laid out by the basis's ptr, and transfer stacks
-    their transfers, a view into the basis's transfer store."""
+class MatrixGroup:
+    """Clusters of one level whose matrices share their shape.
 
-    sons: np.ndarray
-    fathers: np.ndarray
-    son_target: np.ndarray
-    father_target: np.ndarray
-    transfer: np.ndarray
+    stack holds their matrices, one per cluster.  source and target
+    hold per cluster the entries of the flat coefficient arrays that
+    its matrix maps from and to, laid out by the ptr of the bases the
+    builder names; a basis's transfer groups also hold the fathers.
+    """
+
+    clusters: np.ndarray
+    stack: np.ndarray
+    source: np.ndarray = None
+    target: np.ndarray = None
+    fathers: np.ndarray = None
+
+
+class ClusterMatrices(Mapping):
+    """One small matrix per cluster, stored once, in stacks.
+
+    shapes maps clusters to tuples (rows, cols, *more); the clusters
+    of one level with equal tuples form one group, whose matrices are
+    one (b, rows, cols) stack.  groups run top-down, and levels[l]
+    lists the groups of level l, for passes that treat one level at a
+    time.  The stacks lie in one flat store, where the matrix of
+    cluster i starts at start[i], row-major; it holds the given
+    matrices, or zeros.  views, also read as self[i], is a read-only
+    mapping from each cluster to a view of its matrix.
+    """
+
+    def __init__(self, tree, shapes, matrices=None):
+        keys, level = {}, tree.level.tolist()
+        for i, shape in shapes.items():
+            keys.setdefault((level[i], *shape), []).append(i)
+        keys = sorted(keys.items())
+        sizes = [len(ids) * rows * cols for (_, rows, cols, *_), ids in keys]
+        self.store = np.zeros(sum(sizes))
+        self.start = np.zeros(len(tree), dtype=np.intp)
+        self.groups = []
+        self.levels = [[] for _ in tree.by_level]
+        views = {}
+        for ((level, rows, cols, *_), ids), at in zip(keys, np.cumsum([0] + sizes).tolist()):
+            stack = self.store[at : at + len(ids) * rows * cols].reshape(-1, rows, cols)
+            self.start[ids] = at + rows * cols * np.arange(len(ids))
+            if matrices is not None:
+                np.concatenate([matrices[i] for i in ids], out=stack.reshape(-1, cols))
+            group = MatrixGroup(np.array(ids, dtype=np.intp), stack)
+            views.update(zip(ids, stack))
+            self.groups.append(group)
+            self.levels[level].append(group)
+        self.views = MappingProxyType(dict(sorted(views.items())))
+
+    def __getitem__(self, i):
+        return self.views[i]
+
+    def __iter__(self):
+        return iter(self.views)
+
+    def __len__(self):
+        return len(self.views)
+
+
+def _entries(ptr, clusters, width):
+    """Entries of the given clusters, all of the given rank, in a flat
+    coefficient array laid out by ptr, as a (len(clusters), width) array."""
+    return ptr[clusters][:, None] + np.arange(width)
 
 
 class ClusterBasis:
@@ -72,11 +132,13 @@ class ClusterBasis:
     the columns of its leaf matrix or of its sons' transfers.  offsets
     holds ptr as a list, for walks that slice one cluster at a time.
 
-    The transfers are copied once into the flat transfer_store, where
-    the transfer of s starts at transfer_start[s], row-major.  groups
-    holds the non-root clusters grouped by (level, rank, father rank)
-    in top-down order, each with its transfers as one stack in the
-    store, and transfer is a read-only mapping of views into them.
+    The transfers are copied once into ClusterMatrices stacked per
+    (level, rank, father rank): groups holds these groups in top-down
+    order, their source and target hold the entries of the fathers and
+    of the sons, and levels[l] lists the groups of the sons on level
+    l.  The stacks lie in the flat transfer_store, where the transfer
+    of s starts at transfer_start[s], and transfer is a read-only
+    mapping of views into them.
     """
 
     def __init__(self, tree, leaf_matrix, transfer, isometric=False):
@@ -91,32 +153,19 @@ class ClusterBasis:
         self.ptr = np.cumsum([0] + ranks)
         self.ptr.flags.writeable = False
         self.offsets = self.ptr.tolist()
-        # transfers grouped by (level, rank, father rank), top-down
-        keys, level = {}, tree.level.tolist()
-        for s, t in enumerate(tree.father.tolist()):
-            if t >= 0:
-                keys.setdefault((level[s], ranks[s], ranks[t]), []).append(s)
-        keys = sorted(keys.items())
-        sizes = [len(sons) * r2 * r for (_, r2, r), sons in keys]
-        self.transfer_store = np.empty(sum(sizes))
-        self.transfer_start = np.zeros(len(tree), dtype=np.intp)
-        self.groups = []
-        views = {}
-        for ((_, r2, r), sons), at in zip(keys, np.cumsum([0] + sizes).tolist()):
-            stack = self.transfer_store[at : at + len(sons) * r2 * r].reshape(-1, r2, r)
-            self.transfer_start[sons] = at + r2 * r * np.arange(len(sons))
-            mats = [transfer[s] for s in sons]
-            bad = [s for s, e in zip(sons, mats) if e.shape != (r2, r)]
-            if bad:
-                raise ValueError(f"cluster {bad[0]}: expected a {r2} x {r} transfer")
-            np.concatenate(mats, out=stack.reshape(-1, r))
-            views.update(zip(sons, stack))
-            sons = np.array(sons, dtype=np.intp)
-            fathers = tree.father[sons]
-            son_target = self.ptr[sons][:, None] + np.arange(r2)
-            father_target = self.ptr[fathers][:, None] + np.arange(r)
-            self.groups.append(TransferGroup(sons, fathers, son_target, father_target, stack))
-        self.transfer = MappingProxyType(dict(sorted(views.items())))
+        shapes = {s: (ranks[s], ranks[t]) for s, t in enumerate(tree.father.tolist()) if t >= 0}
+        bad = [s for s, shape in shapes.items() if transfer[s].shape != shape]
+        if bad:
+            r2, r = shapes[bad[0]]
+            raise ValueError(f"cluster {bad[0]}: expected a {r2} x {r} transfer")
+        stacks = ClusterMatrices(tree, shapes, transfer)
+        self.transfer, self.groups, self.levels = stacks.views, stacks.groups, stacks.levels
+        self.transfer_store, self.transfer_start = stacks.store, stacks.start
+        for group in self.groups:
+            r2, r = group.stack.shape[1:]
+            group.fathers = tree.father[group.clusters]
+            group.source = _entries(self.ptr, group.fathers, r)
+            group.target = _entries(self.ptr, group.clusters, r2)
         if isometric:
             self._check_isometric()
 
@@ -130,7 +179,7 @@ class ClusterBasis:
         for t, v in self.leaf_matrix.items():
             gram[square[t] : square[t + 1]] += (v.T @ v).ravel()
         for g in self.groups:
-            sums = (g.transfer.transpose(0, 2, 1) @ g.transfer).reshape(len(g.sons), -1)
+            sums = (g.stack.transpose(0, 2, 1) @ g.stack).reshape(len(g.clusters), -1)
             np.add.at(gram, square[g.fathers][:, None] + np.arange(sums.shape[1]), sums)
         deviation = np.maximum.reduceat(np.abs(gram), square[:-1])
         bad = np.flatnonzero(deviation > ISOMETRY_TOL)
@@ -149,28 +198,37 @@ class ClusterBasis:
         bottom-up, add E_s^T data[s] into the father of every son s
         marked in member."""
         for group in reversed(self.groups):
-            active = member[group.sons]
+            active = member[group.clusters]
             if not active.any():
                 continue
             pick = slice(None) if active.all() else active
             # copied: a product with the transposed view rounds differently
-            transposed = np.ascontiguousarray(group.transfer[pick].transpose(0, 2, 1))
-            pushed = kernels.matvec(transposed, data[group.son_target[pick]])
-            np.add.at(data, group.father_target[pick].ravel(), pushed.ravel())
+            transposed = np.ascontiguousarray(group.stack[pick].transpose(0, 2, 1))
+            pushed = kernels.matvec(transposed, data[group.target[pick]])
+            np.add.at(data, group.source[pick].ravel(), pushed.ravel())
             kernels.tally(pushed.size)
 
-    def backward(self, data, interior):
+    def backward(self, data, interior, add=True, level=None):
         """Backward transformation in the flat array data laid out by
         ptr: top-down, add E_s data[t] into every son s of every
-        cluster t marked in interior."""
-        for group in self.groups:
+        cluster t marked in interior.
+
+        With add=False E_s data[t] overwrites the son's entries, and
+        no adds are counted: this refines, pushing coefficients down
+        to the sons.  A level restricts the pass to the fathers on it.
+        """
+        for group in self.groups if level is None else self.levels[level + 1]:
             active = interior[group.fathers]
             if not active.any():
                 continue
             pick = slice(None) if active.all() else active
-            son, father = group.son_target[pick], data[group.father_target[pick]]
-            data[son] += kernels.matvec(group.transfer[pick], father)
-            kernels.tally(son.size)
+            son, father = group.target[pick], data[group.source[pick]]
+            pushed = kernels.matvec(group.stack[pick], father)
+            if add:
+                data[son] += pushed
+                kernels.tally(son.size)
+            else:
+                data[son] = pushed
 
     def materialize(self, i):
         """Expand the basis matrix of cluster i down to its leaves."""
@@ -266,34 +324,42 @@ def orthogonalize(basis):
     for every cluster i.
     """
     tree = basis.tree
-    k = basis.rank
     leaf_matrix = {}
     transfer = {}
     change = {}
     for i in tree.postorder():
         sons = tree.sons(i)
+        what = "transfer stack" if sons else "leaf matrix"
         if sons:
             a = np.vstack([kernels.matmul(change[s], basis.transfer[s]) for s in sons])
         else:
             a = basis.leaf_matrix[i]
-            if a.shape[0] < k:
-                raise ValueError(f"cluster {i}: fewer rows than rank")
+        if a.shape[0] < a.shape[1]:
+            raise ValueError(f"cluster {i}: {what} has {a.shape[0]} rows, fewer than its rank {a.shape[1]}")
         stack, change[i] = kernels.triangularize(a)
         diagonal = np.diagonal(change[i])
         if np.min(diagonal) < 1e-12 * max(1.0, float(np.max(np.abs(diagonal)))):
-            what = "transfer stack" if sons else "leaf matrix"
             raise ValueError(f"cluster {i}: rank-deficient {what}")
-        if sons:
-            transfer.update(zip(sons, stack.thin_q().reshape(len(sons), k, -1)))
-        else:
-            leaf_matrix[i] = stack.thin_q()
+        q = stack.thin_q()
+        if not sons:
+            leaf_matrix[i] = q
+        # the rows of son s are those of its change, r_s of them
+        at = 0
+        for s in sons:
+            transfer[s] = q[at : at + len(change[s])]
+            at += len(change[s])
     iso = ClusterBasis(tree, leaf_matrix, transfer, isometric=True)
     return iso, change
 
 
 def gram_family(basis):
-    """Per-cluster Gram matrices V^T V via the transfer recursion."""
-    return cross_gram_family(basis, basis)
+    """Per-cluster Gram matrices V^T V via the transfer recursion, as
+    ClusterMatrices over the entries of the basis's ptr."""
+    gram = cross_gram_family(basis, basis)
+    gram = ClusterMatrices(basis.tree, {i: g.shape for i, g in gram.items()}, gram)
+    for group in gram.groups:
+        group.source = group.target = _entries(basis.ptr, group.clusters, group.stack.shape[1])
+    return gram
 
 
 def cross_gram_family(left, right):
@@ -313,22 +379,57 @@ def cross_gram_family(left, right):
     return cross
 
 
+class MergeFactors(Mapping):
+    """The merge factors of an isometric basis, one per interior cluster.
+
+    self[i] is the ReflectorStack of cluster i, whose Q is a view into
+    the stacks of q, the ClusterMatrices of the orthogonal factors.
+    The clusters of one q group share the level, the rank and the sum
+    of their sons' ranks; the group's source holds, per cluster, the
+    entries of its sons in son order in a flat array laid out by the
+    basis's ptr, and its target the cluster's own entries.
+    """
+
+    def __init__(self, basis, q):
+        self.basis = basis
+        self.q = q
+        self._factors = {i: kernels.ReflectorStack(v, basis.rank_of(i)) for i, v in q.views.items()}
+
+    def __getitem__(self, i):
+        return self._factors[i]
+
+    def __iter__(self):
+        return iter(self._factors)
+
+    def __len__(self):
+        return len(self._factors)
+
+
 def coarsening_factors(basis):
     """QR orthogonal factors of the stacked transfers of an isometric basis.
 
     For each interior cluster, applying the factor's adjoint to the
     stacked son coefficients puts the optimally merged coefficient in
     the first k rows and the exact merge error in the remaining rows.
+    Returns MergeFactors.
     """
     if not basis.isometric:
         raise ValueError("merge factors require an isometric basis")
-    tree = basis.tree
-    factors = {}
-    for i in tree.postorder():
-        if not tree.is_leaf(i):
+    tree, ptr = basis.tree, basis.ptr
+    spans = {
+        i: np.concatenate([np.arange(ptr[s], ptr[s + 1]) for s in tree.sons(i)])
+        for i in np.flatnonzero(tree.has_sons).tolist()
+    }
+    shapes = {i: (span.size, span.size, basis.rank_of(i)) for i, span in spans.items()}
+    q = ClusterMatrices(tree, shapes)
+    for group in q.groups:
+        ids = group.clusters.tolist()
+        for qi, i in zip(group.stack, ids):
             stacked = np.vstack([basis.transfer[s] for s in tree.sons(i)])
-            factors[i], _ = kernels.triangularize(stacked)
-    return factors
+            qi[:] = kernels.triangularize(stacked)[0].q
+        group.source = np.array([spans[i] for i in ids])
+        group.target = _entries(ptr, group.clusters, basis.rank_of(ids[0]))
+    return MergeFactors(basis, q)
 
 
 @dataclass
@@ -337,12 +438,17 @@ class ProjectionFactors:
 
     z[i] is upper triangular with || Vx - QQ^T Vx || = || z[i] x || on
     cluster i; cross[i] = Q^T V supplies the projected coefficients.
+    Both are read-only mappings of views into stacked, the
+    ClusterMatrices holding [cross[i]; z[i]] per cluster; a group's
+    source holds its clusters' entries in flat arrays laid out by the
+    source basis's ptr, and its target those laid out by the target's.
     """
 
     source: ClusterBasis
     target: ClusterBasis
-    z: dict
-    cross: dict
+    z: Mapping
+    cross: Mapping
+    stacked: ClusterMatrices
 
 
 def projection_factors(source, target):
@@ -359,9 +465,10 @@ def projection_factors(source, target):
     if not target.isometric:
         raise ValueError("target basis must be isometric")
     tree = source.tree
-    kq = target.rank
-    z = {}
-    cross = {}
+    rs, rt = np.diff(source.ptr), np.diff(target.ptr)
+    stacked = ClusterMatrices(tree, {i: (rt[i] + rs[i], rs[i]) for i in range(len(tree))})
+    cross = {i: m[: rt[i]] for i, m in stacked.views.items()}
+    z = {i: m[rt[i] :] for i, m in stacked.views.items()}
     for i in tree.postorder():
         sons = tree.sons(i)
         if sons:
@@ -371,14 +478,16 @@ def projection_factors(source, target):
             q, v = target.leaf_matrix[i], source.leaf_matrix[i]
         stack, _ = kernels.triangularize(q)
         transformed = stack.apply_adjoint(v)
-        cross[i] = transformed[:kq]
-        complement = transformed[kq:]
+        cross[i][:] = transformed[: rt[i]]
+        complement = transformed[rt[i] :]
         if sons:
             pushed = np.vstack([kernels.matmul(z[s], source.transfer[s]) for s in sons])
             complement = np.vstack([pushed, complement])
-        kv = source.rank_of(i)
-        zi = np.zeros((kv, kv))
         r = kernels.triangular_factor(complement)
-        zi[: r.shape[0]] = r
-        z[i] = zi
-    return ProjectionFactors(source, target, z, cross)
+        z[i][: r.shape[0]] = r
+    for group in stacked.groups:
+        group.source = _entries(source.ptr, group.clusters, group.stack.shape[2])
+        group.target = _entries(target.ptr, group.clusters, group.stack.shape[1] - group.stack.shape[2])
+    return ProjectionFactors(
+        source, target, MappingProxyType(z), MappingProxyType(cross), stacked
+    )

@@ -91,8 +91,8 @@ def _run_demo(args):
     )
     write_csv(
         f"{prefix}-clusters.csv",
-        ["step", "tx", "ty"],
-        [(s.step, s.tx, s.ty) for s in run.steps],
+        ["step", "tx", "ty", "commits", "merges", "forced"],
+        [(s.step, s.tx, s.ty, s.commits, s.merges, s.forced) for s in run.steps],
         "h2vec demo poisson clusters",
     )
     write_csv(

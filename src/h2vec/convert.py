@@ -13,16 +13,26 @@ error is bounded by eps.  Accumulated bounds follow the recursion
 acc(t) = local(t) + sqrt(sum of son acc squared), an upper bound for
 the true error by the triangle inequality along refinement chains and
 Pythagoras across disjoint supports.
+
+Both directions run one tree level at a time.  The descent makes one
+stacked Z product per group of projection factors (level, source and
+target rank) over the clusters holding a source coefficient, commits
+those whose error fits, or that are tree leaves, with one stacked
+cross product, and pushes the rest to their sons by the source
+basis's backward transformation of that level.  The ascent treats the
+clusters whose sons are all leaves as merge candidates, with one
+stacked Q^T product per group of merge factors, and builds the
+subtree once at the end.  coarsen_pass is the ascent alone.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .basis import ClusterBasis
-from .hvector import HVector, merge
+from .hvector import HVector, check_merge_factors
+from .tree import Subtree
 
 __all__ = [
     "ToleranceBudget",
@@ -51,8 +61,9 @@ class ToleranceBudget:
 
     def limit(self, size, total, scale):
         """Acceptance limit at a cluster holding `size` of `total`
-        indices whose coefficient has norm `scale`."""
-        return max(self.eps * math.sqrt(size / total), REL_FLOOR * scale)
+        indices whose coefficient has norm `scale`; size and scale may
+        be arrays, one entry per cluster."""
+        return np.maximum(self.eps * np.sqrt(size / total), REL_FLOOR * scale)
 
 
 @dataclass
@@ -129,28 +140,56 @@ def materialize_induced(plan):
     return induced
 
 
-def _ascent(y, pfactors, budget, merge_errors):
-    """The merge step of convert and coarsen_pass, as ascend(i, acc).
+def _rows(mask):
+    """Index for the rows marked in mask: a slice when all are, which
+    takes a view of a stack instead of a copy."""
+    return slice(None) if mask.all() else mask
 
-    Merges the sons of i into i when all are subtree leaves of y and
-    the exact merge error plus their accumulated bound acc fits the
-    local budget; returns the bound at i.
+
+def _ascent(y, interior, acc, factors, budget, merge_errors):
+    """The merge step of convert and coarsen_pass, bottom-up by level.
+
+    interior marks the interior clusters of y and acc holds the
+    accumulated bound at y's leaves; both are updated in place, as is
+    y.data.  On each level the bound of an interior cluster is the
+    root of the sum of its sons' squared bounds, added in son order.
+    The interior clusters whose sons are all leaves are the
+    candidates: one stacked Q^T product per group of merge factors
+    gives their merged coefficients, exact merge errors and stack
+    norms, and a candidate merges when its error plus its bound fits
+    the local budget.  Sets y.sub once and returns the bound at the
+    root.
     """
-    tree, off = y.basis.tree, y.basis.offsets
-
-    def ascend(i, acc):
-        if not all(y.sub.is_leaf(s) for s in tree.sons(i)):
-            return acc
-        merged, merge_err, scale = merge(y, i, pfactors)
-        candidate = merge_err + acc
-        if candidate <= budget.limit(tree.size(i), tree.n, scale):
-            y.sub.contract(i)
-            y.data[off[i] : off[i + 1]] = merged
-            merge_errors[i] = merge_err
-            return candidate
-        return acc
-
-    return ascend
+    tree, data = y.basis.tree, y.data
+    for level in range(len(tree.by_level) - 2, -1, -1):
+        here, sons = tree.by_level[level], tree.by_level[level + 1]
+        inner = here[interior[here]]
+        if not inner.size:
+            continue
+        fathers = tree.father[sons]
+        sq = np.bincount(fathers, weights=np.square(acc[sons]), minlength=len(tree))
+        acc[inner] = np.sqrt(sq[inner])
+        candidate = interior.copy()
+        candidate[fathers[interior[sons]]] = False
+        for group in factors.q.levels[level]:
+            pick = candidate[group.clusters]
+            if not pick.any():
+                continue
+            pick = _rows(pick)
+            ids, stacked = group.clusters[pick], data[group.source[pick]]
+            transformed = kernels.matvec(group.stack[pick].transpose(0, 2, 1), stacked)
+            k = group.target.shape[1]
+            error = np.sqrt(np.einsum("ij,ij->i", transformed[:, k:], transformed[:, k:]))
+            bound = error + acc[ids]
+            scale = np.sqrt(np.einsum("ij,ij->i", stacked, stacked))
+            merge = bound <= budget.limit(tree.sizes[ids], tree.n, scale)
+            ids = ids[merge]
+            interior[ids] = False
+            data[group.target[pick][merge]] = transformed[merge, :k]
+            acc[ids] = bound[merge]
+            merge_errors.update(zip(ids.tolist(), error[merge].tolist()))
+    y.sub = Subtree.from_interior(tree, interior)
+    return float(acc[tree.root])
 
 
 def convert(x, target, zfactors, pfactors, budget):
@@ -161,7 +200,7 @@ def convert(x, target, zfactors, pfactors, budget):
     x : HVector over the source basis (a product result qualifies).
     target : isometric ClusterBasis on the same tree.
     zfactors : ProjectionFactors for (source, target).
-    pfactors : merge factors of the target basis.
+    pfactors : MergeFactors of the target basis.
     budget : ToleranceBudget.
 
     Returns
@@ -174,34 +213,40 @@ def convert(x, target, zfactors, pfactors, budget):
         raise ValueError("projection factors do not match source/target bases")
     if not target.isometric:
         raise ValueError("target basis must be isometric")
+    check_merge_factors(pfactors, target)
     x.validate()
     tree = target.tree
     y = HVector(target)
-    xoff, yoff = x.basis.offsets, target.offsets
     report = ConversionReport()
-    ascend = _ascent(y, pfactors, budget, report.merge_errors)
-
-    def descend(i, xhat):
-        # xhat: the source coefficient at i, or None above x's leaves
-        if xhat is None and x.sub.is_leaf(i):
-            xhat = x.data[xoff[i] : xoff[i + 1]]
-        if xhat is not None:
-            err = float(np.linalg.norm(kernels.matvec(zfactors.z[i], xhat)))
-            fits = err <= budget.limit(tree.size(i), tree.n, float(np.linalg.norm(xhat)))
-            if fits or tree.is_leaf(i):
-                y.data[yoff[i] : yoff[i + 1]] = kernels.matvec(zfactors.cross[i], xhat)
-                report.commit_errors[i] = err
-                if not fits:
-                    report.forced.append(i)
-                return err
-        y.sub.expand(i)
-        acc = 0.0
-        for s in tree.sons(i):
-            son = None if xhat is None else kernels.matvec(x.basis.transfer[s], xhat)
-            acc += descend(s, son) ** 2
-        return ascend(i, math.sqrt(acc))
-
-    bound = descend(tree.root, None)
+    data = x.data.copy()  # pushed down in place
+    has = x.sub.leaf_mask().copy()  # the clusters holding a source coefficient
+    interior = x.sub.interior_mask()
+    acc = np.zeros(len(tree))
+    for level, group_list in enumerate(zfactors.stacked.levels):
+        push = np.zeros(len(tree), dtype=bool)
+        for group in group_list:
+            pick = has[group.clusters]
+            if not pick.any():
+                continue
+            pick = _rows(pick)
+            ids, xhat = group.clusters[pick], data[group.source[pick]]
+            stack, k = group.stack[pick], group.target.shape[1]
+            zx = kernels.matvec(stack[:, k:], xhat)
+            err = np.sqrt(np.einsum("ij,ij->i", zx, zx))
+            scale = np.sqrt(np.einsum("ij,ij->i", xhat, xhat))
+            fits = err <= budget.limit(tree.sizes[ids], tree.n, scale)
+            commit = fits | ~tree.has_sons[ids]
+            y.data[group.target[pick][commit]] = kernels.matvec(stack[_rows(commit), :k], xhat[commit])
+            acc[ids[commit]] = err[commit]
+            report.commit_errors.update(zip(ids[commit].tolist(), err[commit].tolist()))
+            report.forced.extend(ids[commit & ~fits].tolist())
+            push[ids[~commit]] = True
+        if push.any():
+            interior |= push
+            x.basis.backward(data, push, add=False, level=level)
+            sons = tree.by_level[level + 1]
+            has[sons] |= push[tree.father[sons]]
+    bound = _ascent(y, interior, acc, pfactors, budget, report.merge_errors)
     report.bound = bound
     report.cluster_count = y.sub.count()
     return y, bound, report
@@ -214,18 +259,7 @@ def coarsen_pass(y, pfactors, budget):
     local budget; a second pass changes nothing.  Returns the total
     bound acc(root).
     """
-    if not y.basis.isometric:
-        raise ValueError("coarsening requires an isometric basis")
+    check_merge_factors(pfactors, y.basis)
     y.validate()
-    tree = y.basis.tree
-    ascend = _ascent(y, pfactors, budget, {})
-
-    def walk(i):
-        if y.sub.is_leaf(i):
-            return 0.0
-        acc = 0.0
-        for s in tree.sons(i):
-            acc += walk(s) ** 2
-        return ascend(i, math.sqrt(acc))
-
-    return walk(tree.root)
+    acc = np.zeros(len(y.basis.tree))
+    return _ascent(y, y.sub.interior_mask(), acc, pfactors, budget, {})

@@ -45,9 +45,7 @@ __all__ = [
 
 def full_subtree(tree):
     """The subtree holding every cluster of the tree."""
-    has_sons = np.zeros(len(tree), dtype=bool)
-    has_sons[tree.father[tree.father >= 0]] = True
-    return Subtree.from_interior(tree, has_sons)
+    return Subtree.from_interior(tree, tree.has_sons)
 
 
 @dataclass
@@ -60,6 +58,9 @@ class DemoStep:
     true_diff: float
     tx: int  # clusters in the iterate's subtree after the step
     ty: int  # clusters in the product subtree before conversion
+    commits: int  # clusters where the conversion committed a projection
+    merges: int  # clusters whose sons the conversion merged again
+    forced: int  # commits at tree leaves whose error exceeded the budget
     flops: dict
     seconds: dict
 
@@ -135,7 +136,7 @@ class PoissonDemo:
                 product = multiply(self.plan, xh)
                 t2 = time.perf_counter()
                 with kernels.phase("convert"):
-                    yh, conv_bound, _ = convert(
+                    yh, conv_bound, report = convert(
                         product, self.iso, self.zfactors, self.pfactors, budget
                     )
                 t3 = time.perf_counter()
@@ -159,6 +160,9 @@ class PoissonDemo:
                     true_diff=true_diff,
                     tx=xh.sub.count(),
                     ty=product.sub.count(),
+                    commits=len(report.commit_errors),
+                    merges=len(report.merge_errors),
+                    forced=len(report.forced),
                     flops=dict(counter.phases),
                     seconds={
                         "dense": t1 - t0,

@@ -7,6 +7,14 @@ is; only the entries of subtree leaves are read.  Refining a leaf
 pushes the coefficient through the transfer matrices and keeps the
 represented vector; merging sons back into their father uses the
 optimal orthogonal projection and reports the exact error.
+
+axpy, dot and norm work on the common refinement of their operands,
+the subtree whose interior is the union of theirs.  Each operand is
+pushed down to its leaves by the basis's backward transformation,
+one stacked product per transfer group, restricted to the clusters
+interior to the union but not to the operand; what remains is one
+masked update (axpy) or one stacked Gram product per level and rank
+of the union's leaves (dot).
 """
 
 import math
@@ -140,13 +148,13 @@ def merge(x, i, factors):
 def coarsen(x, i, factors):
     """Merge the sons of i into i; returns the exact merge error.
 
-    Requires an isometric basis and all tree sons of i to be subtree
-    leaves.  The new coefficient is the orthogonal projection of the
-    previous subvector; the returned value is the Euclidean norm of
-    the difference, computed exactly from the merge factors.
+    Requires an isometric basis, its merge factors and all tree sons
+    of i to be subtree leaves.  The new coefficient is the orthogonal
+    projection of the previous subvector; the returned value is the
+    Euclidean norm of the difference, computed exactly from the merge
+    factors.
     """
-    if not x.basis.isometric:
-        raise ValueError("coarsening requires an isometric basis")
+    check_merge_factors(factors, x.basis)
     if not x.basis.tree.sons(i):
         raise ValueError(f"cluster {i} has no sons")
     merged, error, _ = merge(x, i, factors)
@@ -156,31 +164,40 @@ def coarsen(x, i, factors):
     return error
 
 
-def axpy(alpha, x, y):
-    """Update y <- y + alpha*x exactly, refining y's subtree as needed."""
+def check_merge_factors(factors, basis):
+    """Raise ValueError unless basis is isometric and factors are its
+    merge factors."""
+    if not basis.isometric:
+        raise ValueError("coarsening requires an isometric basis")
+    if factors.basis is not basis:
+        raise ValueError("merge factors belong to a different basis")
+
+
+def _refined(x, interior, data):
+    """Push the coefficients in data, laid out as x's, from x's leaves
+    down to the leaves of the subtree with the given interior; returns
+    data."""
+    push = interior & ~x.sub.interior_mask()
+    if push.any():
+        x.basis.backward(data, push, add=False)
+    return data
+
+
+def _common_interior(x, y):
     if x.basis is not y.basis:
         raise ValueError("vectors use different bases")
-    tree, transfer, off = x.basis.tree, x.basis.transfer, x.basis.offsets
-    xdata, ydata = x.data, y.data
+    return x.sub.interior_mask() | y.sub.interior_mask()
 
-    def add_leaf(i, z):
-        if y.sub.is_leaf(i):
-            a, b = off[i], off[i + 1]
-            ydata[a:b] = kernels.axpy(1.0, z, ydata[a:b])
-        else:
-            for s in tree.sons(i):
-                add_leaf(s, kernels.matvec(transfer[s], z))
 
-    def add(i):
-        if x.sub.is_leaf(i):
-            add_leaf(i, alpha * xdata[off[i] : off[i + 1]])
-        else:
-            if y.sub.is_leaf(i):
-                refine(y, i)
-            for s in tree.sons(i):
-                add(s)
-
-    add(tree.root)
+def axpy(alpha, x, y):
+    """Update y <- y + alpha*x exactly, refining y's subtree as needed."""
+    interior = _common_interior(x, y)
+    z = _refined(x, interior, x.data.copy())
+    _refined(y, interior, y.data)
+    y.sub = Subtree.from_interior(y.basis.tree, interior)
+    live = y.leaf_entries()
+    kernels.tally(int(np.count_nonzero(live)))
+    y.data[live] += alpha * z[live]
 
 
 def scale(x, alpha):
@@ -193,30 +210,22 @@ def scale(x, alpha):
 def dot(x, y, gram):
     """Inner product of two hierarchical vectors over one basis.
 
-    gram holds the per-cluster Gram matrices of the basis.  Where one
-    subtree is deeper than the other, coefficients are pushed through
-    the transfer matrices until both sides sit on a common leaf.
+    gram holds the per-cluster Gram matrices of the basis, as
+    gram_family returns them.  Where one subtree is deeper than the
+    other, coefficients are pushed through the transfer matrices until
+    both sides sit on the leaves of the common refinement.
     """
-    if x.basis is not y.basis:
-        raise ValueError("vectors use different bases")
-    tree, transfer, off = x.basis.tree, x.basis.transfer, x.basis.offsets
-
-    def dot_leaf(i, z, w):
-        if w.sub.is_leaf(i):
-            return kernels.vdot(z, kernels.matvec(gram[i], w.data[off[i] : off[i + 1]]))
-        total = 0.0
-        for s in tree.sons(i):
-            total += dot_leaf(s, kernels.matvec(transfer[s], z), w)
-        return total
-
-    def descend(i):
-        if x.sub.is_leaf(i):
-            return dot_leaf(i, x.data[off[i] : off[i + 1]], y)
-        if y.sub.is_leaf(i):
-            return dot_leaf(i, y.data[off[i] : off[i + 1]], x)
-        return sum(descend(s) for s in tree.sons(i))
-
-    return descend(tree.root)
+    interior = _common_interior(x, y)
+    u = _refined(x, interior, x.data.copy())
+    v = _refined(y, interior, y.data.copy())
+    leaf = Subtree.from_interior(x.basis.tree, interior).leaf_mask()
+    total = 0.0
+    for group in gram.groups:
+        pick = leaf[group.clusters]
+        if pick.any():
+            gv = kernels.matvec(group.stack[pick], v[group.source[pick]])
+            total += kernels.vdot(u[group.target[pick]].ravel(), gv.ravel())
+    return total
 
 
 def norm(x, gram):

@@ -46,9 +46,11 @@ class Cluster:
 class ClusterTree:
     """Immutable cluster tree; root has index 0, sons follow fathers.
 
-    level[i] and father[i] hold the level and the father of cluster i
-    as index arrays (father[root] is -1), for passes that treat one
-    level of the tree at a time.
+    level[i], father[i], sizes[i] and has_sons[i] hold the level, the
+    father (-1 at the root), the index count and whether cluster i has
+    sons, as arrays, for passes that treat one level of the tree at a
+    time.  by_level[l] lists the clusters of level l, the sons of one
+    father together and in son order.
     """
 
     def __init__(self, clusters, perm, dim, leaf_size):
@@ -66,6 +68,13 @@ class ClusterTree:
             for s in c.sons:
                 father[s] = c.index
         self.father = np.array(father, dtype=np.intp)
+        self.sizes = np.array([c.size for c in clusters], dtype=np.intp)
+        self.has_sons = np.array([bool(c.sons) for c in clusters])
+        by_level = [[self.root]] + [[] for _ in range(int(self.level.max()))]
+        for c in clusters:
+            if c.sons:
+                by_level[c.level + 1].extend(c.sons)
+        self.by_level = [np.array(ids, dtype=np.intp) for ids in by_level]
         self._diameter = [
             float(np.linalg.norm(c.box_max - c.box_min)) for c in clusters
         ]
@@ -279,9 +288,7 @@ class Subtree:
         has_father = tree.father >= 0
         member = np.zeros(len(tree.clusters), dtype=bool)
         member[has_father] = interior[tree.father[has_father]]
-        has_sons = np.zeros(len(tree.clusters), dtype=bool)
-        has_sons[tree.father[has_father]] = True
-        if np.any(interior & ~has_sons) or np.any(interior & ~member & has_father):
+        if np.any(interior & ~tree.has_sons) or np.any(interior & ~member & has_father):
             raise ValueError("interior clusters do not form a subtree")
         member[tree.root] = True
         other = cls.__new__(cls)

@@ -429,11 +429,11 @@ def test_transformations_match_cluster_loops(kind, seed):
 def _assert_transfer_views(basis):
     seen = 0
     for group in basis.groups:
-        assert np.shares_memory(group.transfer, basis.transfer_store)
-        for j, s in enumerate(group.sons.tolist()):
+        assert np.shares_memory(group.stack, basis.transfer_store)
+        for j, s in enumerate(group.clusters.tolist()):
             e = basis.transfer[s]
-            assert e.shape == group.transfer[j].shape
-            assert e.ctypes.data == group.transfer[j].ctypes.data
+            assert e.shape == group.stack[j].shape
+            assert e.ctypes.data == group.stack[j].ctypes.data
             assert e.ctypes.data == basis.transfer_store[basis.transfer_start[s] :].ctypes.data
             seen += 1
     assert seen == len(basis.transfer) == len(basis.tree) - 1
@@ -450,8 +450,37 @@ def test_transfers_are_views_into_group_stacks(seed, degree):
         _assert_transfer_views(basis)
         # groups are top-down, and one group holds one level and one
         # pair of ranks
-        levels = [int(basis.tree.level[g.sons[0]]) for g in basis.groups]
+        levels = [int(basis.tree.level[g.clusters[0]]) for g in basis.groups]
         assert levels == sorted(levels)
         for g in basis.groups:
-            assert len(set(basis.tree.level[g.sons].tolist())) == 1
-            assert np.array_equal(g.fathers, basis.tree.father[g.sons])
+            assert len(set(basis.tree.level[g.clusters].tolist())) == 1
+            assert np.array_equal(g.fathers, basis.tree.father[g.clusters])
+
+
+def _short_stack(basis):
+    """The first cluster, in post-order, whose leaf matrix or stacked
+    son transfers have fewer rows than its rank; None if there is none."""
+    tree = basis.tree
+    for i in tree.postorder():
+        rows = sum(basis.rank_of(s) for s in tree.sons(i)) or tree.size(i)
+        if rows < basis.rank_of(i):
+            return i
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["ragged", "induced"]), seed=st.integers(0, 2**16))
+def test_orthogonalize_varying_ranks(kind, seed):
+    basis = _basis_of(kind, seed)
+    short = _short_stack(basis)
+    if short is not None:
+        with pytest.raises(ValueError, match=f"cluster {short}: .* fewer than its rank"):
+            orthogonalize(basis)
+        return
+    iso, change = orthogonalize(basis)  # flagged isometric: checked on construction
+    assert iso.isometric and np.array_equal(iso.ptr, basis.ptr)
+    for i in range(len(basis.tree)):
+        v = basis.materialize(i)
+        got = iso.materialize(i) @ change[i]
+        assert np.max(np.abs(got - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))

@@ -106,6 +106,9 @@ def test_cli_demo_poisson(tmp_path):
     assert code == 0
     for suffix in ("-runtime.csv", "-clusters.csv", "-eigen.csv", "-partition.svg"):
         assert os.path.exists(prefix + suffix)
+    clusters = open(prefix + "-clusters.csv").read().splitlines()
+    assert clusters[1] == "step,tx,ty,commits,merges,forced"
+    assert len(clusters) == 2 + 5
     eigen = open(prefix + "-eigen.csv").read().splitlines()
     assert eigen[1].startswith("step,")
     assert len(eigen) == 2 + 5

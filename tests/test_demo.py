@@ -59,6 +59,13 @@ def test_flops_and_seconds_recorded(run):
         assert set(step.seconds) == {"dense", "matvec", "convert"}
 
 
+def test_conversion_report_recorded(run):
+    for step in run.steps:
+        assert step.commits >= 1 and step.merges >= 0 and step.forced >= 0
+        # a binary tree: every merge turns two committed leaves into one
+        assert step.tx == 2 * (step.commits - step.merges) - 1
+
+
 def test_svg_output(tmp_path, demo, run):
     path = tmp_path / "partition.svg"
     write_partition_svg(path, demo.tree, run.final_leaves, demo.problem)

@@ -95,10 +95,12 @@ def test_sparsity_bounded_in_problem_size():
 def test_sparsity_bounded_2d():
     rng = np.random.default_rng(0)
     csps = []
-    for n in (256, 1024, 4096):
-        pts = rng.random((n, 2))
-        tree = build_cluster_tree(pts, 16)
-        csps.append(sparsity_constant(build_block_tree(tree, tree, 1.0)))
+    # one of the draws needs a larger leaf to keep all leaves on one level
+    with pytest.warns(UserWarning, match="leaf_size raised from 16 to 17"):
+        for n in (256, 1024, 4096):
+            pts = rng.random((n, 2))
+            tree = build_cluster_tree(pts, 16)
+            csps.append(sparsity_constant(build_block_tree(tree, tree, 1.0)))
     assert csps[-1] <= 2 * csps[0]
 
 
