@@ -23,6 +23,7 @@ the tree at a time, and read per cluster through views.
   Q^T V needed to commit projected coefficients.
 """
 
+import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -76,10 +77,13 @@ class ClusterMatrices(Mapping):
     time.  The stacks lie in one flat store, where the matrix of
     cluster i starts at start[i], row-major; it holds the given
     matrices, or zeros.  views, also read as self[i], is a read-only
-    mapping from each cluster to a view of its matrix.
+    mapping from each cluster to a view of its matrix.  basis names
+    the basis the matrices belong to, for a family of one basis such
+    as its Gram matrices.
     """
 
-    def __init__(self, tree, shapes, matrices=None):
+    def __init__(self, tree, shapes, matrices=None, basis=None):
+        self.basis = basis
         keys, level = {}, tree.level.tolist()
         for i, shape in shapes.items():
             keys.setdefault((level[i], *shape), []).append(i)
@@ -168,6 +172,22 @@ class ClusterBasis:
             group.target = _entries(self.ptr, group.clusters, r2)
         if isometric:
             self._check_isometric()
+
+    @functools.cached_property
+    def leaf_groups(self):
+        """The leaf matrices stacked once more per (level, shape), built
+        at the first expansion to a dense vector, so a leaf matrix
+        changed after it is not seen: each group's source holds the
+        entries of its clusters, its target their tree positions."""
+        tree = self.tree
+        shapes = {t: m.shape for t, m in self.leaf_matrix.items()}
+        groups = ClusterMatrices(tree, shapes, self.leaf_matrix).groups
+        for group in groups:
+            rows, r = group.stack.shape[1:]
+            begin = np.array([tree.clusters[t].begin for t in group.clusters.tolist()])
+            group.source = _entries(self.ptr, group.clusters, r)
+            group.target = begin[:, None] + np.arange(rows)
+        return groups
 
     def _check_isometric(self):
         rank = np.diff(self.ptr)
@@ -354,9 +374,10 @@ def orthogonalize(basis):
 
 def gram_family(basis):
     """Per-cluster Gram matrices V^T V via the transfer recursion, as
-    ClusterMatrices over the entries of the basis's ptr."""
+    ClusterMatrices over the entries of the basis's ptr that name the
+    basis."""
     gram = cross_gram_family(basis, basis)
-    gram = ClusterMatrices(basis.tree, {i: g.shape for i, g in gram.items()}, gram)
+    gram = ClusterMatrices(basis.tree, {i: g.shape for i, g in gram.items()}, gram, basis)
     for group in gram.groups:
         group.source = group.target = _entries(basis.ptr, group.clusters, group.stack.shape[1])
     return gram

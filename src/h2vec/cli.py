@@ -71,6 +71,8 @@ def _run_demo(args):
             float(s.seconds["dense"]),
             float(s.seconds["matvec"]),
             float(s.seconds["convert"]),
+            float(s.seconds["vector"]),
+            float(s.seconds["check"]),
         )
         for s in run.steps
     ]
@@ -85,6 +87,8 @@ def _run_demo(args):
             "seconds_dense",
             "seconds_matvec",
             "seconds_convert",
+            "seconds_vector",
+            "seconds_check",
         ],
         runtime_rows,
         "h2vec demo poisson runtime",

@@ -62,6 +62,9 @@ class DemoStep:
     merges: int  # clusters whose sons the conversion merged again
     forced: int  # commits at tree leaves whose error exceeded the budget
     flops: dict
+    # wall time per part: "dense" (the dense step), "matvec", "convert",
+    # "vector" (Rayleigh quotient, norm and scale) and "check" (the
+    # dense expansion and the true difference)
     seconds: dict
 
 
@@ -146,10 +149,12 @@ class PoissonDemo:
             norm_yh = hvector.norm(yh, self.gram)
             hvector.scale(yh, 1.0 / norm_yh)
             xh = yh
+            t4 = time.perf_counter()
             # normalization is 2-Lipschitz relative to the larger norm;
             # both iterates are unit vectors, so their distance is at most 2
             delta = min(2.0, 2.0 * (self.op_norm * delta + conv_bound) / norm_yd)
             true_diff = float(np.linalg.norm(hvector.to_dense(xh) - xd))
+            t5 = time.perf_counter()
             run.steps.append(
                 DemoStep(
                     step=step,
@@ -168,6 +173,8 @@ class PoissonDemo:
                         "dense": t1 - t0,
                         "matvec": t2 - t1,
                         "convert": t3 - t2,
+                        "vector": t4 - t3,
+                        "check": t5 - t4,
                     },
                 )
             )

@@ -14,7 +14,9 @@ pushed down to its leaves by the basis's backward transformation,
 one stacked product per transfer group, restricted to the clusters
 interior to the union but not to the operand; what remains is one
 masked update (axpy) or one stacked Gram product per level and rank
-of the union's leaves (dot).
+of the union's leaves (dot).  to_dense pushes the coefficients down
+to the tree leaves in the same way and expands them by one stacked
+product per group of equally shaped leaf matrices.
 """
 
 import math
@@ -216,6 +218,8 @@ def dot(x, y, gram):
     both sides sit on the leaves of the common refinement.
     """
     interior = _common_interior(x, y)
+    if gram.basis is not x.basis:
+        raise ValueError("Gram family belongs to a different basis")
     u = _refined(x, interior, x.data.copy())
     v = _refined(y, interior, y.data.copy())
     leaf = Subtree.from_interior(x.basis.tree, interior).leaf_mask()
@@ -234,11 +238,20 @@ def norm(x, gram):
 
 
 def to_dense(x):
-    """Expand to a dense vector in tree position order."""
-    tree = x.basis.tree
-    out = np.zeros(tree.n)
-    for i, c in x.coeff.items():
-        out[tree.positions(i)] = x.basis.materialize(i) @ c
+    """Expand to a dense vector in tree position order.
+
+    One backward pass pushes the coefficients from the subtree leaves
+    down to the tree leaves; one stacked product per leaf group of
+    the basis expands them.
+    """
+    basis = x.basis
+    data = x.data.copy()
+    push = basis.tree.has_sons & ~x.sub.interior_mask()
+    if push.any():
+        basis.backward(data, push, add=False)
+    out = np.zeros(basis.tree.n)
+    for group in basis.leaf_groups:
+        out[group.target] = kernels.matvec(group.stack, data[group.source])
     return out
 
 

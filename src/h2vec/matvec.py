@@ -8,25 +8,38 @@ therefore lives in the induced cluster basis: the row basis augmented,
 per cluster, with the matrix columns hit by such parked coefficients.
 The plan materializes that basis once, at its true per-cluster ranks.
 
-Each of the three passes is a few stacked products over index arrays
-rather than one small product per cluster or block:
+Every slot below a parked one holds the same thing: the input pushed
+down to the slot's column cluster, whatever the row.  The product
+therefore never multiplies the induced transfers; it factors their
+backward transformation into the transformations of the input, the
+column and the row bases.  Once the result's subtree is known (a row
+is interior when a non-leaf block joins it with an interior column of
+the input), a block is in the result when its parent's row is
+interior there, and each pass is a few stacked products over index
+arrays rather than one small product per cluster or block:
 
-* forward: one stacked product of the cross Gram matrices at the
-  input's subtree leaves, then the forward transformation
-  (ClusterBasis.forward) of the matrix's column basis;
-* coupling: a block is visited when it is the root block or the
-  column of its parent block is interior in the input's subtree.
-  Visited leaf blocks make one stacked coupling product; visited
-  non-leaf blocks park the input coefficient when their column is an
-  input leaf and make their row interior in the result otherwise;
-* backward: the backward transformation (ClusterBasis.backward) of
-  the induced basis from the clusters interior in the result.
+* forward: the input basis's backward transformation (add=False)
+  pushes the input from its leaves down to the column clusters below
+  them that blocks of the result read, and to their brothers; one
+  stacked product of the cross Gram matrices at the input's leaves
+  and at the column clusters below them that leaf blocks read, then
+  the forward transformation (ClusterBasis.forward) of the matrix's
+  column basis;
+* coupling: one stacked coupling product over the leaf blocks of the
+  result, summed per row (the plan orders the leaf blocks by row)
+  into one accumulator of matrix rank per row cluster; parking an
+  input leaf's coefficient is charged here as well;
+* backward: the backward transformation of the row basis from the
+  clusters interior in the result.
 
-All accumulators share one flat buffer laid out by the induced
-basis's ptr: cluster t owns the entries ptr[t] to ptr[t + 1].  The
-input's flat array is read in place, one row per column cluster, and
-the buffer becomes the result's array.  Counted flops equal those of
-the recursive walk: each add into an accumulator is charged per batch.
+The result's leaves then take their leading entries from the row
+accumulators and every slot of a block of the result the input
+pushed down to its column.  The result's flat array is laid out by
+the induced basis's ptr: cluster t owns the entries ptr[t] to
+ptr[t + 1].  The plan keeps the induced basis, with its dense
+transfers, for conversion, the projection factors and the oracles.
+Counted flops equal those of the recursive walk of this factored
+model; each add into an accumulator is charged per batch.
 
 The product is exact; only the representation is unusual.
 """
@@ -53,14 +66,15 @@ __all__ = [
 
 @dataclass
 class BlockSet:
-    """Blocks of one kind (leaf or non-leaf) in construction order.
+    """Blocks of one kind: leaf blocks in row order, non-leaf blocks in
+    construction order.
 
     row, col: the block clusters.  parent: the position of the parent
     block in the plan's non-leaf blocks, or their count at the root
-    block.  target[j]: the flat accumulator entries block j writes
-    to, the leading matrix-rank entries of its row for a leaf block
-    and its slot for a non-leaf block.  coupling: the stacked coupling
-    matrices of leaf blocks.
+    block.  target[j]: the entries of the induced layout that block j
+    stands for, the leading matrix-rank entries of its row for a leaf
+    block and its slot for a non-leaf block.  coupling: the stacked
+    coupling matrices of leaf blocks.
     """
 
     row: np.ndarray
@@ -109,7 +123,8 @@ def build_plan(matrix, input_basis):
     k = input_basis.rank
     cross = cross_gram_family(matrix.col_basis, input_basis)
     cross = np.array([cross[s] for s in range(len(col_tree))])
-    leaves = [b for b in bt.blocks if b.is_leaf]
+    # leaf blocks in row order: the coupling sums them per row
+    leaves = sorted((b for b in bt.blocks if b.is_leaf), key=lambda b: b.row)
     others = [b for b in bt.blocks if not b.is_leaf]
     parent = np.full(len(bt.blocks), len(others), dtype=np.intp)
     for j, b in enumerate(others):
@@ -153,47 +168,39 @@ class InducedHVector(HVector):
         return InducedHVector(self.plan, self.sub.copy(), self.data.copy())
 
 
-def _forward(plan, coeff, leaf, member):
+def _forward(plan, coeff, at, member):
     """W_s^T x|_s for every member s of the input's subtree.
 
-    coeff holds the input coefficient of every subtree leaf in its
-    row (other rows are ignored); leaf and member mark the subtree.
+    coeff holds the input coefficient of every cluster marked in at,
+    the subtree leaves and any clusters below them whose values are
+    wanted too (other rows are ignored); member marks the subtree.
     Returns an array with one row per column cluster, zero outside
-    the subtree.
+    the subtree and at.
     """
-    xbar = np.zeros((len(leaf), plan.matrix.rank))
-    leaves = np.flatnonzero(leaf)
-    xbar[leaves] = kernels.matvec(plan.cross[leaves], coeff[leaves])
+    xbar = np.zeros((len(member), plan.matrix.rank))
+    at = np.flatnonzero(at)
+    xbar[at] = kernels.matvec(plan.cross[at], coeff[at])
     plan.matrix.col_basis.forward(xbar.reshape(-1), member)
     return xbar
 
 
-def _coupling(plan, coeff, leaf, interior, xbar, buf):
-    """Add every block contribution into the flat buffer buf.
-
-    Returns the boolean array of row clusters that are interior in
-    the result's subtree.
-    """
-    # a block is visited when its parent block's column is interior;
-    # the sentinel entry visits the root block, which has no parent
-    descend = np.append(interior[plan.nonleaf_blocks.col], True)
-    blocks = plan.leaf_blocks
-    visited = descend[blocks.parent]
-    if visited.any():
-        pick = slice(None) if visited.all() else visited
-        contrib = kernels.matvec(blocks.coupling[pick], xbar[blocks.col[pick]])
-        np.add.at(buf, blocks.target[pick].ravel(), contrib.ravel())
-    blocks = plan.nonleaf_blocks
-    visited = descend[blocks.parent]
-    parked = visited & leaf[blocks.col]
-    if parked.any():
-        # every slot belongs to one block and starts at zero
-        target = blocks.target[parked]
-        buf[target] = coeff[blocks.col[parked]]
-        kernels.tally(target.size)
-    result_interior = np.zeros(plan.ptr.size - 1, dtype=bool)
-    result_interior[blocks.row[visited & interior[blocks.col]]] = True
-    return result_interior
+def _pushed(plan, x, member, below):
+    """The input coefficients pushed down from x's leaves to the
+    clusters marked in below, which lie below them, and to their
+    brothers; rows elsewhere below the leaves are not written."""
+    tree = plan.input_basis.tree
+    push = np.zeros(len(member), dtype=bool)
+    while below.any():
+        fathers = tree.father[below]
+        push[fathers] = True
+        below = np.zeros_like(push)
+        below[fathers] = True
+        below &= ~member
+    data = x.data
+    if push.any():
+        data = data.copy()
+        plan.input_basis.backward(data, push, add=False)
+    return data.reshape(len(member), plan.input_basis.rank)
 
 
 def multiply(plan, x):
@@ -207,15 +214,46 @@ def multiply(plan, x):
     x.validate()
     leaf = x.sub.leaf_mask()
     interior = x.sub.interior_mask()
-    coeff = x.data.reshape(len(leaf), plan.input_basis.rank)
+    member = leaf | interior
+    leaves, others = plan.leaf_blocks, plan.nonleaf_blocks
+    row_tree = plan.matrix.block_tree.row_tree
+    result_interior = np.zeros(len(row_tree), dtype=bool)
+    result_interior[others.row[interior[others.col]]] = True
+    sub = Subtree.from_interior(row_tree, result_interior)
+    # a block is in the result when its parent's row is interior in it;
+    # the sentinel entry is the root block's
+    inside = np.append(result_interior[others.row], True)
+    coupled = inside[leaves.parent]
+    # the non-leaf blocks of the result at its leaves keep their slots
+    slotted = inside[others.parent] & ~result_interior[others.row]
+    # below x's leaves: the columns leaf blocks read, and the slots'
+    crossed = np.zeros_like(member)
+    crossed[leaves.col[coupled]] = True
+    crossed &= ~member
+    below = crossed.copy()
+    below[others.col[slotted]] = True
+    below &= ~member
     with kernels.phase("forward"):
-        xbar = _forward(plan, coeff, leaf, leaf | interior)
-    buf = np.zeros(plan.ptr[-1])
+        coeff = _pushed(plan, x, member, below)
+        xbar = _forward(plan, coeff, leaf | crossed, member)
+    ka = plan.matrix.rank
+    rows = np.zeros((len(row_tree), ka))
     with kernels.phase("coupling"):
-        result_interior = _coupling(plan, coeff, leaf, interior, xbar, buf)
-    sub = Subtree.from_interior(plan.matrix.block_tree.row_tree, result_interior)
+        if coupled.any():
+            pick = slice(None) if coupled.all() else coupled
+            contrib = kernels.matvec(leaves.coupling[pick], xbar[leaves.col[pick]])
+            row = leaves.row[pick]
+            starts = np.flatnonzero(np.append(True, row[1:] != row[:-1]))
+            rows[row[starts]] = np.add.reduceat(contrib, starts)
+        parked = np.count_nonzero(leaf[others.col])
+        if parked:
+            kernels.tally(parked * plan.input_basis.rank)
     with kernels.phase("backward"):
-        plan.induced.backward(buf, result_interior)
+        plan.matrix.row_basis.backward(rows.reshape(-1), result_interior)
+    buf = np.zeros(plan.ptr[-1])
+    out = np.flatnonzero(sub.leaf_mask())
+    buf[plan.ptr[out][:, None] + np.arange(ka)] = rows[out]
+    buf[others.target[slotted]] = coeff[others.col[slotted]]
     return InducedHVector(plan, sub, buf)
 
 

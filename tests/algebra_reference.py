@@ -7,6 +7,9 @@ against them: equal subtrees, equal commit, merge and forced cluster
 sets, equal counted flops and coefficients and bounds equal up to
 round-off.  The merge candidates of a cluster and the bound it
 accumulates are taken in son order, as the level passes take them.
+``to_dense`` expands each subtree leaf by its materialized basis
+matrix, the oracle for the library's one backward pass and stacked
+leaf products; it counts other flops.
 """
 
 import math
@@ -67,6 +70,15 @@ def dot(x, y, gram):
 
 def norm(x, gram):
     return float(np.sqrt(max(dot(x, x, gram), 0.0)))
+
+
+def to_dense(x):
+    """Expand each subtree leaf by its materialized basis matrix."""
+    tree = x.basis.tree
+    out = np.zeros(tree.n)
+    for i, c in x.coeff.items():
+        out[tree.positions(i)] = x.basis.materialize(i) @ c
+    return out
 
 
 def _ascent(y, pfactors, budget, merge_errors):

@@ -1,18 +1,23 @@
-"""Recursive H2 product: the reference for the level-batched passes.
+"""Recursive H2 products: the references for the level-batched passes.
 
-The walk visits one cluster or block at a time and makes one small
-counted product each, charging the same flops per phase as the
-batched passes of ``h2vec.matvec``.  Tests compare the library's
-product against it: equal subtrees, equal per-phase flop counts and
-coefficients equal up to round-off.  The slot layout and the induced
-transfers are rebuilt here from the block tree alone, by the loops the
-plan's index arrays replace.
+The walks visit one cluster or block at a time and make one small
+counted product each.  ``multiply`` collects the block contributions
+into the induced accumulators and distributes them by the dense
+induced transfers; it is the value oracle.  ``factored_multiply``
+walks the factored model of ``h2vec.matvec``: the input is refined
+to the column clusters the result reads, and the row basis alone
+carries the accumulators down; it charges the same flops per phase
+as the batched passes.  Tests compare the library's product against
+both: equal subtrees, coefficients equal up to round-off and equal
+per-phase flop counts.  The slot layout and the induced transfers are
+rebuilt here from the block tree alone, by the loops the plan's index
+arrays replace.
 """
 
 import numpy as np
 
 from h2vec import kernels
-from h2vec.hvector import HVector
+from h2vec.hvector import HVector, refine
 from h2vec.matvec import InducedHVector
 from h2vec.tree import Subtree
 
@@ -145,7 +150,8 @@ def standard_backward(basis, sub, bars):
 
 
 def multiply(plan, x):
-    """The product by the recursive walk, with the library's phases."""
+    """The product by the recursive walk through the dense induced
+    transfers, the value oracle."""
     row_tree = plan.matrix.block_tree.row_tree
     xbar = {}
     with kernels.phase("forward"):
@@ -156,4 +162,80 @@ def multiply(plan, x):
         coupling(x, plan, xbar, sub, bars)
     with kernels.phase("backward"):
         y = standard_backward(plan.induced, sub, bars)
+    return InducedHVector(plan, y.sub, y.data)
+
+
+def factored_multiply(plan, x):
+    """The product by the factored model, one block at a time.
+
+    The result's subtree comes first: a row is interior when a
+    non-leaf block joins it with an interior column of x.  A leaf
+    block whose row lies in that subtree adds S_b xbar_s into its
+    row's accumulator; below x's leaves xbar_s is cross[s] times the
+    input refined down to s.  A non-leaf block at a leaf row of the
+    result hands the refined input at its column to its slot; parking
+    an input leaf's coefficient is charged to the coupling.  The
+    refinement and its cross products are charged to the forward pass.
+    """
+    bt = plan.matrix.block_tree
+    row_tree, col_tree = bt.row_tree, bt.col_tree
+    ka, k = plan.matrix.rank, plan.input_basis.rank
+    sub = Subtree(row_tree)
+
+    def grow(bid):
+        b = bt.blocks[bid]
+        if not b.is_leaf and b.col in x.sub and not x.sub.is_leaf(b.col):
+            if sub.is_leaf(b.row):
+                sub.expand(b.row)
+            for sid in b.sons:
+                grow(sid)
+
+    grow(bt.root)
+    xbar = {}
+    with kernels.phase("forward"):
+        forward(x, plan, xbar)
+    refined = x.copy()
+    off = plan.input_basis.offsets
+
+    def pushed(s):
+        if s not in refined.sub:
+            f = int(col_tree.father[s])
+            pushed(f)
+            if refined.sub.is_leaf(f):
+                refine(refined, f)
+        return refined.data[off[s] : off[s + 1]]
+
+    bars = {t: np.zeros(ka) for t in sub.members()}
+    slots = {}
+
+    def walk(bid):
+        b = bt.blocks[bid]
+        t, s = b.row, b.col
+        if b.is_leaf:
+            if s not in xbar:
+                with kernels.phase("forward"):
+                    xbar[s] = kernels.matvec(plan.cross[s], pushed(s))
+            bars[t] += kernels.matvec(plan.matrix.coupling[bid], xbar[s])
+            return
+        if x.sub.is_leaf(s):
+            kernels.tally(k)
+        if sub.is_leaf(t):
+            with kernels.phase("forward"):
+                slots[(t, s)] = pushed(s)
+        else:
+            for sid in b.sons:
+                walk(sid)
+
+    with kernels.phase("coupling"):
+        walk(bt.root)
+    with kernels.phase("backward"):
+        lead = standard_backward(plan.matrix.row_basis, sub, bars)
+    offsets, rank = layout(plan)
+    coeff = {}
+    for t in sub.leaves():
+        coeff[t] = np.zeros(rank[t])
+        coeff[t][:ka] = lead.coeff[t]
+    for (t, s), v in slots.items():
+        coeff[t][offsets[(t, s)] : offsets[(t, s)] + k] = v
+    y = HVector.from_leaves(plan.induced, sub, coeff)
     return InducedHVector(plan, y.sub, y.data)

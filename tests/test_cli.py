@@ -106,10 +106,18 @@ def test_cli_demo_poisson(tmp_path):
     assert code == 0
     for suffix in ("-runtime.csv", "-clusters.csv", "-eigen.csv", "-partition.svg"):
         assert os.path.exists(prefix + suffix)
-    clusters = open(prefix + "-clusters.csv").read().splitlines()
+    with open(prefix + "-runtime.csv") as handle:
+        runtime = handle.read().splitlines()
+    assert runtime[1].endswith(
+        "seconds_dense,seconds_matvec,seconds_convert,seconds_vector,seconds_check"
+    )
+    assert len(runtime) == 2 + 5
+    with open(prefix + "-clusters.csv") as handle:
+        clusters = handle.read().splitlines()
     assert clusters[1] == "step,tx,ty,commits,merges,forced"
     assert len(clusters) == 2 + 5
-    eigen = open(prefix + "-eigen.csv").read().splitlines()
+    with open(prefix + "-eigen.csv") as handle:
+        eigen = handle.read().splitlines()
     assert eigen[1].startswith("step,")
     assert len(eigen) == 2 + 5
     # floats carry 17 significant digits

@@ -56,7 +56,8 @@ def test_eigenvalue_agreement(run):
 def test_flops_and_seconds_recorded(run):
     for step in run.steps:
         assert step.flops.get("coupling", 0) > 0
-        assert set(step.seconds) == {"dense", "matvec", "convert"}
+        assert set(step.seconds) == {"dense", "matvec", "convert", "vector", "check"}
+        assert all(v >= 0.0 for v in step.seconds.values())
 
 
 def test_conversion_report_recorded(run):

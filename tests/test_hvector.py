@@ -242,6 +242,24 @@ def test_dot_dense_oracle(seed):
     assert abs(dot(y, x, gram) - got) <= 1e-13 * max(1.0, abs(got))
 
 
+def test_dot_refuses_another_basis_gram_family():
+    # the other basis's Gram family once gave -101.86 for -465.70
+    rng = np.random.default_rng(0)
+    tree = line_tree(64, 4)
+    basis, other = random_basis(tree, 3, rng), random_basis(tree, 3, rng)
+    x = random_hvector(basis, rng, steps=4)
+    y = random_hvector(basis, rng, steps=6)
+    wrong = gram_family(other)
+    with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
+        dot(x, y, wrong)
+    with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
+        norm(x, wrong)
+    gram = gram_family(basis)
+    assert gram.basis is basis
+    want = float(to_dense(x) @ to_dense(y))
+    assert abs(dot(x, y, gram) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_norm_examples(rng, small_iso):
     gram = gram_family(small_iso)
     assert norm(HVector.zeros(small_iso), gram) == 0.0

@@ -194,6 +194,38 @@ def test_convert_matches_reference(seed, n, dim, rank, kind, steps, fraction):
     _assert_within_bound(ry, x, ref, eps, scale)
 
 
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@_property
+@given(**_shape, kind=st.sampled_from(["iso", "plain", "ragged"]), steps=st.integers(0, 40))
+def test_to_dense_matches_reference(seed, n, dim, rank, kind, steps):
+    tree, rng, rank = _tree(seed, n, dim, rank)
+    x = _vector(_basis(kind, tree, rank, rng), rng, steps)
+    want = reference.to_dense(x)
+    assert np.max(np.abs(to_dense(x) - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("steps", [0, 5, 200])
+def test_to_dense_of_induced_vectors_matches_reference(steps):
+    inst = random_instance(96, 3, 2, 1.0, seed=steps)
+    rng = np.random.default_rng(steps)
+    y = multiply(inst.plan, random_hvector(inst.input_basis, rng, steps=steps))
+    want = reference.to_dense(y)
+    assert np.max(np.abs(to_dense(y) - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_leaf_groups_stack_every_leaf_once(rng):
+    basis = ragged_basis(random_tree(rng, 200, 2, 8), rng, 3)
+    tree = basis.tree
+    seen = []
+    for group in basis.leaf_groups:
+        for j, t in enumerate(group.clusters.tolist()):
+            assert np.array_equal(group.stack[j], basis.leaf_matrix[t])
+            assert group.source[j].tolist() == list(range(basis.ptr[t], basis.ptr[t + 1]))
+            assert group.target[j].tolist() == list(range(tree.n)[tree.positions(t)])
+            seen.append(t)
+    assert sorted(seen) == sorted(tree.leaves())
+
+
 def test_factors_are_views_into_stacks(rng, small_iso):
     source = random_basis(small_iso.tree, 2, rng)
     zf = projection_factors(source, small_iso)

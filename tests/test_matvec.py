@@ -294,17 +294,21 @@ def _parked_blocks(plan, x):
 
 
 def _assert_matches_reference(plan, x):
+    """The product against the dense-induced recursion, for its values,
+    and against the factored recursion, for its values and its flops."""
     with kernels.count_flops() as batched:
         y = multiply(plan, x)
     with kernels.count_flops() as walked:
-        want = reference.multiply(plan, x)
-    assert y.sub.leaves() == want.sub.leaves()
-    assert y.sub.count() == want.sub.count()
+        factored = reference.factored_multiply(plan, x)
+    want = reference.multiply(plan, x)
     assert batched.phases == walked.phases
-    assert y.coeff.keys() == want.coeff.keys()
     scale = max(np.max(np.abs(v)) for v in want.coeff.values())
-    for i, v in want.coeff.items():
-        assert np.max(np.abs(y.coeff[i] - v), initial=0.0) <= 1e-13 * scale
+    for other in (want, factored):
+        assert y.sub.leaves() == other.sub.leaves()
+        assert y.sub.count() == other.sub.count()
+        assert y.coeff.keys() == other.coeff.keys()
+        for i, v in other.coeff.items():
+            assert np.max(np.abs(y.coeff[i] - v), initial=0.0) <= 1e-13 * scale
     y.validate()
     return y
 
@@ -338,7 +342,8 @@ def test_multiply_matches_reference_on_zero_vector(rng, inst):
     with kernels.count_flops() as batched:
         y = multiply(inst.plan, zero)
     with kernels.count_flops() as walked:
-        want = reference.multiply(inst.plan, zero)
+        reference.factored_multiply(inst.plan, zero)
+    want = reference.multiply(inst.plan, zero)
     assert y.sub.leaves() == want.sub.leaves()
     assert batched.phases == walked.phases
     assert all(not np.any(v) for v in y.coeff.values())
@@ -437,6 +442,21 @@ def test_induced_to_dense_v_only_coefficients(rng, inst, dense):
     for i in y.sub.leaves():
         want[tree.positions(i)] = inst.matrix.row_basis.materialize(i) @ y.coeff[i][:ka]
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_multiply_never_runs_the_induced_backward(rng, monkeypatch):
+    inst = random_instance(128, 3, 2, 1.0, seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product ran the induced backward")
+
+    monkeypatch.setattr(inst.plan.induced, "backward", refuse)
+    x = random_hvector(inst.input_basis, rng, steps=8)
+    assert _parked_blocks(inst.plan, x) > 0
+    dense = to_dense(inst.matrix)
+    want = dense @ hv_dense(x)
+    got = induced_to_dense(multiply(inst.plan, x), dense)
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 def test_multiply_flop_ratio_linear():
