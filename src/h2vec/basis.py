@@ -3,19 +3,20 @@
 A cluster basis stores one matrix per leaf cluster and one transfer
 matrix per non-root cluster; the matrix of an interior cluster is
 defined implicitly by stacking son matrices times their transfers.
-Ranks may vary from cluster to cluster.  The basis owns two layouts:
-one flat coefficient array (ptr) and one store of transfers stacked
-per (level, rank, father rank), over which its forward and backward
-transformations run as one stacked product per group.  An isometric
-basis has orthonormal columns at every cluster, which makes optimal
-projections and exact error computation possible.  The per-cluster
-matrices below, like the Gram family, are ClusterMatrices: stored
-once, stacked per (level, shape), for passes that treat one level of
-the tree at a time, and read per cluster through views.
+Ranks may vary from cluster to cluster.  The basis owns its layouts:
+one flat coefficient array (ptr), and one store each of leaf matrices
+and of transfers, stacked per (level, shape), over which its forward
+and backward transformations and the expansion of its vectors run as
+one stacked product per group.  An isometric basis has orthonormal
+columns at every cluster, which makes optimal projections and exact
+error computation possible.  The per-cluster matrices below, like the
+Gram family, are ClusterMatrices: stored once, stacked per (level,
+shape), for passes that treat one level of the tree at a time, and
+read per cluster through views.
 
-* merge factors: the orthogonal factor of one QR per interior cluster
-  over the stacked transfer matrices.  Applying its adjoint to stacked
-  son coefficients yields the optimally merged coefficient in the
+* merge factors: the orthogonal factor Q of one QR per interior
+  cluster over the stacked transfer matrices.  Multiplying stacked son
+  coefficients by Q^T yields the optimally merged coefficient in the
   leading rows and the exact merge error in the trailing rows.
 * projection factors: small upper-triangular matrices Z per cluster
   with  || V x - Q Q^T V x || = || Z x ||  for all coefficient vectors
@@ -23,7 +24,6 @@ the tree at a time, and read per cluster through views.
   Q^T V needed to commit projected coefficients.
 """
 
-import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -136,18 +136,19 @@ class ClusterBasis:
     the columns of its leaf matrix or of its sons' transfers.  offsets
     holds ptr as a list, for walks that slice one cluster at a time.
 
-    The transfers are copied once into ClusterMatrices stacked per
-    (level, rank, father rank): groups holds these groups in top-down
-    order, their source and target hold the entries of the fathers and
-    of the sons, and levels[l] lists the groups of the sons on level
-    l.  The stacks lie in the flat transfer_store, where the transfer
-    of s starts at transfer_start[s], and transfer is a read-only
-    mapping of views into them.
+    The leaf matrices and the transfers are copied once into
+    ClusterMatrices stacked per (level, shape), and leaf_matrix and
+    transfer are read-only mappings of views into the stacks.  The
+    leaf_groups' source holds their clusters' entries, their target
+    the clusters' tree positions.  The transfer groups, per (level,
+    rank, father rank), run top-down in groups; their source and
+    target hold the entries of the fathers and of the sons, and
+    levels[l] lists the groups of the sons on level l.  The transfer
+    of s starts at transfer_start[s] in the flat transfer_store.
     """
 
     def __init__(self, tree, leaf_matrix, transfer, isometric=False):
         self.tree = tree
-        self.leaf_matrix = leaf_matrix
         self.isometric = isometric
         ranks = [
             transfer[c.sons[0]].shape[1] if c.sons else leaf_matrix[c.index].shape[1]
@@ -158,10 +159,20 @@ class ClusterBasis:
         self.ptr.flags.writeable = False
         self.offsets = self.ptr.tolist()
         shapes = {s: (ranks[s], ranks[t]) for s, t in enumerate(tree.father.tolist()) if t >= 0}
-        bad = [s for s, shape in shapes.items() if transfer[s].shape != shape]
-        if bad:
-            r2, r = shapes[bad[0]]
-            raise ValueError(f"cluster {bad[0]}: expected a {r2} x {r} transfer")
+        leaf_shapes = {t: (tree.size(t), ranks[t]) for t in tree.leaves()}
+        expected = [(transfer, shapes, "transfer"), (leaf_matrix, leaf_shapes, "leaf matrix")]
+        for given, want, what in expected:
+            bad = [i for i, shape in want.items() if np.shape(given[i]) != shape]
+            if bad:
+                rows, r = want[bad[0]]
+                raise ValueError(f"cluster {bad[0]}: expected a {rows} x {r} {what}")
+        leaves = ClusterMatrices(tree, leaf_shapes, leaf_matrix)
+        self.leaf_matrix, self.leaf_groups = leaves.views, leaves.groups
+        begin = np.array([c.begin for c in tree.clusters])
+        for group in self.leaf_groups:
+            rows, r = group.stack.shape[1:]
+            group.source = _entries(self.ptr, group.clusters, r)
+            group.target = begin[group.clusters][:, None] + np.arange(rows)
         stacks = ClusterMatrices(tree, shapes, transfer)
         self.transfer, self.groups, self.levels = stacks.views, stacks.groups, stacks.levels
         self.transfer_store, self.transfer_start = stacks.store, stacks.start
@@ -173,22 +184,6 @@ class ClusterBasis:
         if isometric:
             self._check_isometric()
 
-    @functools.cached_property
-    def leaf_groups(self):
-        """The leaf matrices stacked once more per (level, shape), built
-        at the first expansion to a dense vector, so a leaf matrix
-        changed after it is not seen: each group's source holds the
-        entries of its clusters, its target their tree positions."""
-        tree = self.tree
-        shapes = {t: m.shape for t, m in self.leaf_matrix.items()}
-        groups = ClusterMatrices(tree, shapes, self.leaf_matrix).groups
-        for group in groups:
-            rows, r = group.stack.shape[1:]
-            begin = np.array([tree.clusters[t].begin for t in group.clusters.tolist()])
-            group.source = _entries(self.ptr, group.clusters, r)
-            group.target = begin[:, None] + np.arange(rows)
-        return groups
-
     def _check_isometric(self):
         rank = np.diff(self.ptr)
         square = np.concatenate([[0], np.cumsum(rank * rank)])
@@ -196,11 +191,10 @@ class ClusterBasis:
         gram = np.zeros(square[-1])
         row = np.arange(self.ptr[-1]) - np.repeat(self.ptr[:-1], rank)
         gram[np.repeat(square[:-1], rank) + row * np.repeat(rank + 1, rank)] = -1.0
-        for t, v in self.leaf_matrix.items():
-            gram[square[t] : square[t + 1]] += (v.T @ v).ravel()
-        for g in self.groups:
-            sums = (g.stack.transpose(0, 2, 1) @ g.stack).reshape(len(g.clusters), -1)
-            np.add.at(gram, square[g.fathers][:, None] + np.arange(sums.shape[1]), sums)
+        owned = [(g, g.clusters) for g in self.leaf_groups]
+        for g, owner in owned + [(g, g.fathers) for g in self.groups]:
+            sums = (g.stack.transpose(0, 2, 1) @ g.stack).reshape(len(owner), -1)
+            np.add.at(gram, square[owner][:, None] + np.arange(sums.shape[1]), sums)
         deviation = np.maximum.reduceat(np.abs(gram), square[:-1])
         bad = np.flatnonzero(deviation > ISOMETRY_TOL)
         if bad.size:
@@ -400,39 +394,23 @@ def cross_gram_family(left, right):
     return cross
 
 
-class MergeFactors(Mapping):
-    """The merge factors of an isometric basis, one per interior cluster.
-
-    self[i] is the ReflectorStack of cluster i, whose Q is a view into
-    the stacks of q, the ClusterMatrices of the orthogonal factors.
-    The clusters of one q group share the level, the rank and the sum
-    of their sons' ranks; the group's source holds, per cluster, the
-    entries of its sons in son order in a flat array laid out by the
-    basis's ptr, and its target the cluster's own entries.
+class MergeFactors(ClusterMatrices):
+    """The merge factors of an isometric basis, named by it: self[i] is
+    the m x m orthogonal factor Q of interior cluster i, in the stack
+    of its group.  The clusters of one group share the level, the rank
+    and the sum of their sons' ranks; the group's source holds, per
+    cluster, its sons' entries in son order in a flat array laid out
+    by the basis's ptr, and its target the cluster's own entries.
     """
-
-    def __init__(self, basis, q):
-        self.basis = basis
-        self.q = q
-        self._factors = {i: kernels.ReflectorStack(v, basis.rank_of(i)) for i, v in q.views.items()}
-
-    def __getitem__(self, i):
-        return self._factors[i]
-
-    def __iter__(self):
-        return iter(self._factors)
-
-    def __len__(self):
-        return len(self._factors)
 
 
 def coarsening_factors(basis):
     """QR orthogonal factors of the stacked transfers of an isometric basis.
 
-    For each interior cluster, applying the factor's adjoint to the
-    stacked son coefficients puts the optimally merged coefficient in
-    the first k rows and the exact merge error in the remaining rows.
-    Returns MergeFactors.
+    For each interior cluster i, multiplying the stacked son
+    coefficients by the factor's transpose puts the optimally merged
+    coefficient in the first rank_of(i) rows and the exact merge error
+    in the remaining rows.  Returns MergeFactors.
     """
     if not basis.isometric:
         raise ValueError("merge factors require an isometric basis")
@@ -442,7 +420,7 @@ def coarsening_factors(basis):
         for i in np.flatnonzero(tree.has_sons).tolist()
     }
     shapes = {i: (span.size, span.size, basis.rank_of(i)) for i, span in spans.items()}
-    q = ClusterMatrices(tree, shapes)
+    q = MergeFactors(tree, shapes, basis=basis)
     for group in q.groups:
         ids = group.clusters.tolist()
         for qi, i in zip(group.stack, ids):
@@ -450,7 +428,7 @@ def coarsening_factors(basis):
             qi[:] = kernels.triangularize(stacked)[0].q
         group.source = np.array([spans[i] for i in ids])
         group.target = _entries(ptr, group.clusters, basis.rank_of(ids[0]))
-    return MergeFactors(basis, q)
+    return q
 
 
 @dataclass

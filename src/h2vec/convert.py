@@ -21,8 +21,8 @@ those whose error fits, or that are tree leaves, with one stacked
 cross product, and pushes the rest to their sons by the source
 basis's backward transformation of that level.  The ascent treats the
 clusters whose sons are all leaves as merge candidates, with one
-stacked Q^T product per group of merge factors, and builds the
-subtree once at the end.  coarsen_pass is the ascent alone.
+stacked Q^T product per stack of the target's merge factors Q, and
+builds the subtree once at the end.  coarsen_pass is the ascent alone.
 """
 
 from dataclasses import dataclass, field
@@ -55,9 +55,14 @@ class ToleranceBudget:
 
     The floor REL_FLOOR only widens acceptance tests; accumulated
     bounds always use the true computed errors, never the floor.
+    eps is non-negative; 0 and inf are allowed.
     """
 
     eps: float
+
+    def __post_init__(self):
+        if not self.eps >= 0.0:
+            raise ValueError(f"eps must be non-negative, got {self.eps}")
 
     def limit(self, size, total, scale):
         """Acceptance limit at a cluster holding `size` of `total`
@@ -83,7 +88,7 @@ def materialize_induced(plan):
     Cluster t has the rank ptr[t + 1] - ptr[t] of its accumulator: the
     row basis in the leading columns, then one slot of input-basis
     columns per non-leaf block of row t.  Leaves own no such blocks,
-    so the leaf matrices are the row basis's own.  The transfer of a
+    so the leaf matrices equal the row basis's.  The transfer of a
     son t2 of t is assembled from tiles placed in accumulator
     coordinates: the row transfer of t2 on the leading entries of t2
     and t, and for every block below a non-leaf block a tile whose
@@ -111,9 +116,8 @@ def materialize_induced(plan):
     pushed = np.zeros(plan.cross.shape)
     pushed[cols] = kernels.matmul(plan.cross[cols], input_transfer[cols])
     zero = np.zeros((rank.max(), rank.max()))
-    leaf_matrix = {t: mat.row_basis.leaf_matrix[t] for t in row_tree.leaves()}
     blank = {t2: zero[: rank[t2], : rank[father[t2]]] for t2 in sons.tolist()}
-    induced = ClusterBasis(row_tree, leaf_matrix, blank)
+    induced = ClusterBasis(row_tree, mat.row_basis.leaf_matrix, blank)
     start = induced.transfer_start
 
     def place(son, rows, columns, tiles, write):
@@ -171,7 +175,7 @@ def _ascent(y, interior, acc, factors, budget, merge_errors):
         acc[inner] = np.sqrt(sq[inner])
         candidate = interior.copy()
         candidate[fathers[interior[sons]]] = False
-        for group in factors.q.levels[level]:
+        for group in factors.levels[level]:
             pick = candidate[group.clusters]
             if not pick.any():
                 continue
@@ -200,7 +204,7 @@ def convert(x, target, zfactors, pfactors, budget):
     x : HVector over the source basis (a product result qualifies).
     target : isometric ClusterBasis on the same tree.
     zfactors : ProjectionFactors for (source, target).
-    pfactors : MergeFactors of the target basis.
+    pfactors : coarsening_factors(target), its stacked Q factors.
     budget : ToleranceBudget.
 
     Returns

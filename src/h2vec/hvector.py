@@ -16,7 +16,8 @@ interior to the union but not to the operand; what remains is one
 masked update (axpy) or one stacked Gram product per level and rank
 of the union's leaves (dot).  to_dense pushes the coefficients down
 to the tree leaves in the same way and expands them by one stacked
-product per group of equally shaped leaf matrices.
+product per leaf group of the basis; from_dense runs the other way,
+by the transposed leaf stacks and the forward transformation.
 """
 
 import math
@@ -25,6 +26,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import kernels
+from .basis import ClusterMatrices, MergeFactors
 from .tree import Subtree
 
 __all__ = [
@@ -132,15 +134,14 @@ def merge(x, i, factors):
     """Optimal merge of the sons of i, without changing x.
 
     Stacks the son coefficients (all sons must be subtree leaves) and
-    applies the adjoint of i's merge factor: the leading rank_of(i)
+    multiplies them by Q^T for i's merge factor Q: the leading rank_of(i)
     entries are the merged coefficient, the norm of the rest is the
     exact merge error.  Returns (merged, error, norm of the stack).
     """
     off, data = x.basis.offsets, x.data
     stacked = np.concatenate([data[off[s] : off[s + 1]] for s in x.basis.tree.sons(i)])
-    factor = factors[i]
-    transformed = factor.apply_adjoint(stacked)
-    k = factor.count  # the columns of the stacked transfers: rank_of(i)
+    transformed = kernels.matvec(factors[i].T, stacked)
+    k = x.basis.rank_of(i)
     rest = transformed[k:]
     # np.linalg.norm computes sqrt(x . x) as well, at a higher call cost
     error = math.sqrt(rest.dot(rest))
@@ -166,11 +167,19 @@ def coarsen(x, i, factors):
     return error
 
 
+def _family(factors):
+    """What factors are, for messages."""
+    kind = "merge factors" if isinstance(factors, MergeFactors) else "a Gram family"
+    return kind if isinstance(factors, ClusterMatrices) else type(factors).__name__
+
+
 def check_merge_factors(factors, basis):
     """Raise ValueError unless basis is isometric and factors are its
     merge factors."""
     if not basis.isometric:
         raise ValueError("coarsening requires an isometric basis")
+    if not isinstance(factors, MergeFactors):
+        raise ValueError(f"expected merge factors, got {_family(factors)}")
     if factors.basis is not basis:
         raise ValueError("merge factors belong to a different basis")
 
@@ -218,6 +227,8 @@ def dot(x, y, gram):
     both sides sit on the leaves of the common refinement.
     """
     interior = _common_interior(x, y)
+    if isinstance(gram, MergeFactors) or not isinstance(gram, ClusterMatrices):
+        raise ValueError(f"expected a Gram family, got {_family(gram)}")
     if gram.basis is not x.basis:
         raise ValueError("Gram family belongs to a different basis")
     u = _refined(x, interior, x.data.copy())
@@ -259,8 +270,9 @@ def from_dense(v, basis, sub=None):
     """Project a dense vector (tree position order) onto a subtree.
 
     Requires an isometric basis; each leaf coefficient is the optimal
-    projection of the corresponding slice.  Returns (hvector, error)
-    with the exact Euclidean norm of the residual.
+    projection V_t^T v|_t, by one stacked product per leaf group at the
+    tree leaves and the forward transformation above them.  Returns
+    (hvector, error), the error being || v - to_dense(hvector) ||.
     """
     if not basis.isometric:
         raise ValueError("projection requires an isometric basis")
@@ -268,12 +280,16 @@ def from_dense(v, basis, sub=None):
     tree = basis.tree
     if v.shape != (tree.n,):
         raise ValueError(f"expected a vector of length {tree.n}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"position {bad[0]}: non-finite entry")
+    if sub is not None and sub.tree is not tree:
+        raise ValueError("subtree and basis live on different trees")
     x = HVector(basis, sub.copy() if sub is not None else None)
-    residual = 0.0
-    for i in x.sub.leaves():
-        q = basis.materialize(i)
-        block = v[tree.positions(i)]
-        c = x.coeff[i]
-        c[:] = q.T @ block
-        residual += float(np.sum((block - q @ c) ** 2))
-    return x, float(np.sqrt(max(residual, 0.0)))
+    for group in basis.leaf_groups:
+        # the transposed view rounds as each leaf's v.T @ block does; a copy does not
+        x.data[group.source] = kernels.matvec(group.stack.transpose(0, 2, 1), v[group.target])
+    below = ~(x.sub.interior_mask() | x.sub.leaf_mask())
+    if below.any():
+        basis.forward(x.data, below)
+    return x, float(np.linalg.norm(v - to_dense(x)))

@@ -95,7 +95,7 @@ def test_criterion_2_coarsening_error_theorem():
         )
         q = iso.materialize(i)
         truth = np.linalg.norm(dense - q @ (q.T @ dense))
-        out = factors[i].apply_adjoint(np.concatenate(coeffs))
+        out = factors[i].T @ np.concatenate(coeffs)
         got = np.linalg.norm(out[k:])
         rel = abs(got - truth) / max(truth, 1e-30)
         worst = max(worst, rel)

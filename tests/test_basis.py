@@ -16,10 +16,12 @@ from h2vec.basis import (
 from h2vec.instances import (
     line_tree,
     random_basis,
+    random_hvector,
     random_instance,
     random_iso_basis,
     random_tree,
 )
+from h2vec.hvector import to_dense
 from h2vec.tree import build_cluster_tree
 
 
@@ -186,10 +188,10 @@ def test_coarsening_factors_analytic_rank_one():
     transfer = {i: np.array([[s]]) for i in tree.leaves()}
     iso = ClusterBasis(tree, leaf_matrix, transfer, isometric=True)
     factors = coarsening_factors(iso)
-    out = factors[tree.root].apply_adjoint(np.array([1.0, -1.0]))
+    out = factors[tree.root].T @ np.array([1.0, -1.0])
     assert abs(abs(out[0]) - 0.0) <= 1e-14  # merged coefficient (1-1)/sqrt2
     assert abs(np.linalg.norm(out[1:]) - np.sqrt(2.0)) <= 1e-14
-    out2 = factors[tree.root].apply_adjoint(np.array([1.0, 1.0]))
+    out2 = factors[tree.root].T @ np.array([1.0, 1.0])
     assert abs(out2[0] - np.sqrt(2.0)) <= 1e-14
     assert np.linalg.norm(out2[1:]) <= 1e-14
 
@@ -202,7 +204,7 @@ def test_coarsening_factors_zero_error_in_range(rng, small_iso):
     stacked = np.concatenate(
         [small_iso.transfer[s] @ y for s in tree.sons(i)]
     )
-    out = factors[i].apply_adjoint(stacked)
+    out = factors[i].T @ stacked
     assert np.linalg.norm(out[3:]) <= 1e-13 * max(1.0, np.linalg.norm(y))
 
 
@@ -220,7 +222,7 @@ def test_coarsening_error_matches_dense(seed):
     dense = np.concatenate([iso.materialize(s) @ c for s, c in zip(sons, coeffs)])
     q = iso.materialize(i)
     truth = np.linalg.norm(dense - q @ (q.T @ dense))
-    out = factors[i].apply_adjoint(np.concatenate(coeffs))
+    out = factors[i].T @ np.concatenate(coeffs)
     got = np.linalg.norm(out[k:])
     assert abs(got - truth) <= 1e-11 * max(1.0, truth)
 
@@ -357,6 +359,10 @@ def test_transfer_shape_mismatch_names_the_cluster(rng):
     transfer = {**b.transfer, son: np.ones((3, 2))}
     with pytest.raises(ValueError, match=f"cluster {son}: expected a 2 x 2 transfer"):
         ClusterBasis(b.tree, b.leaf_matrix, transfer)
+    leaf = b.tree.leaves()[2]
+    leaf_matrix = {**b.leaf_matrix, leaf: np.ones((3, 2))}
+    with pytest.raises(ValueError, match=f"cluster {leaf}: expected a 4 x 2 leaf matrix"):
+        ClusterBasis(b.tree, leaf_matrix, b.transfer)
 
 
 def ragged_basis(tree, rng, max_rank):
@@ -455,6 +461,21 @@ def test_transfers_are_views_into_group_stacks(seed, degree):
         for g in basis.groups:
             assert len(set(basis.tree.level[g.clusters].tolist())) == 1
             assert np.array_equal(g.fathers, basis.tree.father[g.clusters])
+
+
+def test_leaf_matrices_are_stored_once(rng):
+    basis = random_basis(line_tree(32, 4), 2, rng)
+    tree = basis.tree
+    x = random_hvector(basis, rng, steps=3)
+    before = to_dense(x)
+    leaf = tree.leaves()[3]
+    # a write through the view is seen by the next expansion
+    basis.leaf_matrix[leaf][:] *= 2.0
+    want = before.copy()
+    want[tree.positions(leaf)] *= 2.0
+    assert np.array_equal(to_dense(x), want)
+    with pytest.raises(TypeError):
+        basis.leaf_matrix[leaf] = np.zeros((4, 2))
 
 
 def _short_stack(basis):

@@ -45,10 +45,10 @@ def test_materialize_induced_nested(setup):
     row = inst.matrix.row_basis
     _, rank = reference.layout(inst.plan)
     for i in range(len(tree.clusters)):
-        # true per-cluster ranks; leaves keep the row basis's own matrices
+        # true per-cluster ranks; leaves hold copies of the row basis's matrices
         assert induced.rank_of(i) == rank[i]
         if tree.is_leaf(i):
-            assert induced.leaf_matrix[i] is row.leaf_matrix[i]
+            assert np.array_equal(induced.leaf_matrix[i], row.leaf_matrix[i])
         full = induced.materialize(i)
         offset = 0
         for s in tree.sons(i):
@@ -346,3 +346,11 @@ def test_reported_local_errors_match_dense(rng, setup):
         q = iso.materialize(i)
         truth = np.linalg.norm(dense_y[sl] - q @ (q.T @ dense_y[sl]))
         assert abs(err - truth) <= 1e-11 * max(1.0, truth)
+
+
+def test_tolerance_budget_rejects_negative_or_nan_eps():
+    for eps in (-1.0, -1e-300, float("nan"), -float("inf")):
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            ToleranceBudget(eps)
+    for eps in (0.0, 1e-5, float("inf")):
+        assert ToleranceBudget(eps).eps == eps

@@ -319,6 +319,17 @@ def test_from_dense_requires_isometric(rng):
         from_dense(np.zeros(8), b)
 
 
+def test_from_dense_rejects_bad_input(rng, small_iso):
+    tree = small_iso.tree
+    with pytest.raises(ValueError, match="different trees"):
+        from_dense(np.zeros(tree.n), small_iso, Subtree(line_tree(tree.n, 4)))
+    for bad in (np.nan, np.inf):
+        v = rng.standard_normal(tree.n)
+        v[5] = bad
+        with pytest.raises(ValueError, match="position 5: non-finite"):
+            from_dense(v, small_iso)
+
+
 def test_hvector_dump_roundtrip(rng, small_iso):
     x = random_hvector(small_iso, rng, steps=3)
     text = textio.dump_hvector(x)

@@ -128,14 +128,18 @@ def test_qr_flop_tallies(rng):
 
 def test_orthogonalized_leaves_hold_no_larger_array(rng):
     # a view into the complete orthogonal factor would keep every
-    # (size x size) leaf factor alive as long as the basis
+    # (size x size) leaf factor alive as long as the basis: the leaf
+    # store holds exactly the entries of the leaf matrices
     tree = line_tree(64, 8)
     iso = random_iso_basis(tree, 3, rng)
+    owners = set()
     for leaf in tree.leaves():
         owner = iso.leaf_matrix[leaf]
         while owner.base is not None:
             owner = owner.base
-        assert owner.nbytes == iso.leaf_matrix[leaf].nbytes
+        owners.add(id(owner))
+    assert len(owners) == 1
+    assert owner.size == sum(iso.leaf_matrix[leaf].size for leaf in tree.leaves())
 
 
 def test_matvec_identity():

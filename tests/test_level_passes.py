@@ -20,6 +20,7 @@ from h2vec.convert import ToleranceBudget, coarsen_pass, convert
 from h2vec.demo import full_subtree
 from h2vec.hvector import HVector, axpy, coarsen, dot, from_dense, norm, to_dense
 from h2vec.instances import (
+    line_tree,
     random_basis,
     random_hvector,
     random_instance,
@@ -219,6 +220,7 @@ def test_leaf_groups_stack_every_leaf_once(rng):
     seen = []
     for group in basis.leaf_groups:
         for j, t in enumerate(group.clusters.tolist()):
+            assert np.shares_memory(basis.leaf_matrix[t], group.stack)
             assert np.array_equal(group.stack[j], basis.leaf_matrix[t])
             assert group.source[j].tolist() == list(range(basis.ptr[t], basis.ptr[t + 1]))
             assert group.target[j].tolist() == list(range(tree.n)[tree.positions(t)])
@@ -236,11 +238,29 @@ def test_factors_are_views_into_stacks(rng, small_iso):
             assert np.shares_memory(zf.z[i], group.stack) and np.shares_memory(zf.cross[i], group.stack)
             assert np.array_equal(group.stack[j], np.vstack([zf.cross[i], zf.z[i]]))
             assert k == small_iso.rank_of(i)
-    for group in pf.q.groups:
+    for group in pf.groups:
         for j, i in enumerate(group.clusters.tolist()):
-            assert pf[i].q.ctypes.data == group.stack[j].ctypes.data
+            assert np.shares_memory(pf[i], group.stack)
+            assert pf[i].ctypes.data == group.stack[j].ctypes.data
     with pytest.raises(TypeError):
         zf.z[0] = np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("entry", ["coarsen", "coarsen_pass", "convert", "dot", "norm"])
+def test_families_refuse_each_other(rng, entry):
+    iso = random_iso_basis(line_tree(64, 4), 3, rng)
+    x = random_hvector(iso, rng, steps=4)
+    gram, merge, budget = gram_family(iso), coarsening_factors(iso), ToleranceBudget(1.0)
+    calls = {
+        "coarsen": lambda: coarsen(x, iso.tree.root, gram),
+        "coarsen_pass": lambda: coarsen_pass(x, gram, budget),
+        "convert": lambda: convert(x, iso, projection_factors(iso, iso), gram, budget),
+        "dot": lambda: dot(x, x, merge),
+        "norm": lambda: norm(x, merge),
+    }
+    got = "merge factors" if entry in ("dot", "norm") else "a Gram family"
+    with pytest.raises(ValueError, match=f"expected .*, got {got}"):
+        calls[entry]()
 
 
 @pytest.mark.filterwarnings("ignore:leaf_size raised")
