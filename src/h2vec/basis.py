@@ -150,6 +150,14 @@ class ClusterBasis:
     def __init__(self, tree, leaf_matrix, transfer, isometric=False):
         self.tree = tree
         self.isometric = isometric
+        wanted = [
+            (leaf_matrix, tree.leaves(), "leaf matrix"),
+            (transfer, np.flatnonzero(tree.father >= 0).tolist(), "transfer"),
+        ]
+        for given, clusters, what in wanted:
+            missing = [i for i in clusters if i not in given]
+            if missing:
+                raise ValueError(f"cluster {missing[0]}: no {what} given")
         ranks = [
             transfer[c.sons[0]].shape[1] if c.sons else leaf_matrix[c.index].shape[1]
             for c in tree.clusters

@@ -150,6 +150,11 @@ def _rows(mask):
     return slice(None) if mask.all() else mask
 
 
+def _check_budget(budget):
+    if not isinstance(budget, ToleranceBudget):
+        raise ValueError(f"budget must be a ToleranceBudget, got {type(budget).__name__}")
+
+
 def _ascent(y, interior, acc, factors, budget, merge_errors):
     """The merge step of convert and coarsen_pass, bottom-up by level.
 
@@ -213,6 +218,7 @@ def convert(x, target, zfactors, pfactors, budget):
     bound acc(root) (an upper bound for the true Euclidean error), and
     the per-cluster report of exact local errors.
     """
+    _check_budget(budget)
     if zfactors.source is not x.basis or zfactors.target is not target:
         raise ValueError("projection factors do not match source/target bases")
     if not target.isometric:
@@ -263,6 +269,7 @@ def coarsen_pass(y, pfactors, budget):
     local budget; a second pass changes nothing.  Returns the total
     bound acc(root).
     """
+    _check_budget(budget)
     check_merge_factors(pfactors, y.basis)
     y.validate()
     acc = np.zeros(len(y.basis.tree))

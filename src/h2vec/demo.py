@@ -1,7 +1,8 @@
 """Inverse-iteration demo on the L-shaped Poisson problem.
 
-The stencil matrix is inverted densely (the problem sizes here stay in
-the low thousands), compressed into an H2 matrix over a geometric
+The stencil matrix is inverted through its block-tridiagonal Cholesky
+factorization into one dense n x n array (the problem sizes here stay
+in the low thousands), compressed into an H2 matrix over a geometric
 cluster tree with orthogonalized tensor-polynomial bases, and used to
 drive twenty steps of inverse iteration twice: once with plain dense
 vectors and once with hierarchical vectors (product in the induced
@@ -25,10 +26,10 @@ from .basis import (
     projection_factors,
 )
 from .convert import ToleranceBudget, coarsen_pass, convert
-from .h2matrix import build_block_tree, compress_dense, sparsity_constant, to_dense
+from .h2matrix import build_block_tree, compress_dense, sparsity_constant
 from .hvector import from_dense
 from .matvec import build_plan, multiply
-from .poisson import assemble_lshape
+from .poisson import assemble_lshape, block_tridiagonal_inverse
 from .tree import Subtree, build_cluster_tree
 
 __all__ = [
@@ -100,22 +101,24 @@ class PoissonDemo:
         self.gram = gram_family(self.iso)
         self.block_tree = build_block_tree(self.tree, self.tree, eta)
         self.csp = sparsity_constant(self.block_tree)
-        inverse = np.linalg.inv(self.problem.matrix)
+        # one diagonal block per grid row of the row-major numbering
+        rows = self.problem.site[:, 1]
+        bounds = np.r_[0, np.flatnonzero(np.diff(rows)) + 1, n]
+        inverse = block_tridiagonal_inverse(self.problem.matrix, bounds)
         permuted = inverse[np.ix_(self.tree.perm, self.tree.perm)]
-        self.matrix, self.compression_error = compress_dense(
+        del inverse
+        self.matrix, self.compression_error, self.dense_op = compress_dense(
             permuted, self.iso, self.iso, self.block_tree
         )
+        del permuted
         self.plan = build_plan(self.matrix, self.iso)
         self.zfactors = projection_factors(self.plan.induced, self.iso)
         self.pfactors = coarsening_factors(self.iso)
-        self.dense_op = to_dense(self.matrix)
         # valid upper bound for the spectral norm of the compressed operator
+        absolute = np.abs(self.dense_op)
         self.op_norm = min(
             float(np.linalg.norm(self.dense_op)),
-            math.sqrt(
-                np.abs(self.dense_op).sum(axis=0).max()
-                * np.abs(self.dense_op).sum(axis=1).max()
-            ),
+            math.sqrt(absolute.sum(axis=0).max() * absolute.sum(axis=1).max()),
         )
 
     def run(self, eps, steps=20):

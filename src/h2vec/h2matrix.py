@@ -139,8 +139,10 @@ def compress_dense(a, row_basis, col_basis, bt):
     """Project a dense matrix (tree position order) onto the H2 format.
 
     Coupling matrices are the two-sided orthogonal projections of the
-    leaf blocks; returns (matrix, error) with the Frobenius norm of
-    the difference between input and expansion.
+    leaf blocks.  Returns (matrix, error, expansion): the expansion is
+    the matrix's dense form, equal to `to_dense(matrix)`, filled block
+    by block, and the error is the Frobenius norm of its difference
+    with the input, summed up over the blocks.
     """
     if not (row_basis.isometric and col_basis.isometric):
         raise ValueError("compression requires isometric bases")
@@ -151,19 +153,26 @@ def compress_dense(a, row_basis, col_basis, bt):
     row_mat = {}
     col_mat = {}
     coupling = {}
+    expansion = np.zeros(shape)
+    sumsq = 0.0
     for idx in bt.leaves():
         b = bt.blocks[idx]
         if b.row not in row_mat:
             row_mat[b.row] = row_basis.materialize(b.row)
         if b.col not in col_mat:
             col_mat[b.col] = col_basis.materialize(b.col)
-        block = a[bt.row_tree.positions(b.row), bt.col_tree.positions(b.col)]
+        rows = bt.row_tree.positions(b.row)
+        cols = bt.col_tree.positions(b.col)
+        block = a[rows, cols]
         coupling[idx] = kernels.matmul(
             row_mat[b.row].T, kernels.matmul(block, col_mat[b.col])
         )
-    m = H2Matrix(bt, row_basis, col_basis, coupling)
-    error = float(np.linalg.norm(a - to_dense(m)))
-    return m, error
+        # the same products as to_dense, so the expansions agree exactly
+        expanded = row_mat[b.row] @ coupling[idx] @ col_mat[b.col].T
+        expansion[rows, cols] = expanded
+        diff = (block - expanded).ravel()
+        sumsq += float(diff @ diff)
+    return H2Matrix(bt, row_basis, col_basis, coupling), math.sqrt(sumsq), expansion
 
 
 def random_h2(bt, row_basis, col_basis, seed, scale=1.0):

@@ -315,7 +315,8 @@ def test_criterion_8_poisson_demo(poisson_demo):
 
 
 def test_criterion_9_accuracy_vs_clusters(poisson_demo):
-    """Criterion 9: cluster counts grow monotonically as eps shrinks."""
+    """Criterion 9: cluster counts grow monotonically as eps shrinks,
+    to the final counts of the grid-64 demo."""
     demo = poisson_demo
     eps_grid = [1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
     counts = []
@@ -323,5 +324,6 @@ def test_criterion_9_accuracy_vs_clusters(poisson_demo):
         run = demo.run(eps, steps=20)
         counts.append(run.final_tx)
     assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:])), counts
+    assert counts == [25, 71, 99, 115, 127], counts
     curve = ", ".join(f"eps={e:.0e}: {c}" for e, c in zip(eps_grid, counts))
     print(f"\nACCEPT 9 accuracy-vs-clusters trend: PASS ({curve})")

@@ -365,6 +365,19 @@ def test_transfer_shape_mismatch_names_the_cluster(rng):
         ClusterBasis(b.tree, leaf_matrix, b.transfer)
 
 
+def test_missing_leaf_matrix_or_transfer_names_the_cluster(rng):
+    iso = random_iso_basis(line_tree(16, 4), 2, rng)
+    leaf = iso.tree.leaves()[0]
+    with pytest.raises(ValueError, match=f"cluster {leaf}: no leaf matrix given"):
+        ClusterBasis(iso.tree, {}, iso.transfer)
+    son = iso.tree.sons(iso.tree.root)[0]
+    with pytest.raises(ValueError, match=f"cluster {son}: no transfer given"):
+        ClusterBasis(iso.tree, iso.leaf_matrix, {})
+    leaf_matrix = {i: m for i, m in iso.leaf_matrix.items() if i != iso.tree.leaves()[-1]}
+    with pytest.raises(ValueError, match=f"cluster {iso.tree.leaves()[-1]}: no leaf matrix"):
+        ClusterBasis(iso.tree, leaf_matrix, iso.transfer)
+
+
 def ragged_basis(tree, rng, max_rank):
     """Random nested basis whose ranks vary from cluster to cluster."""
     rank = [

@@ -9,6 +9,7 @@ from h2vec.demo import (
     partition_areas,
     write_partition_svg,
 )
+from h2vec.h2matrix import compress_dense, to_dense
 from h2vec.tree import Subtree
 
 
@@ -93,6 +94,14 @@ def test_full_subtree(demo):
     assert np.array_equal(sub.leaf_mask(), walked.leaf_mask())
     assert np.array_equal(sub.interior_mask(), walked.interior_mask())
     assert sub.check_partition() is None
+
+
+def test_setup_matches_the_dense_inverse_oracle(demo):
+    perm = demo.tree.perm
+    inverse = np.linalg.inv(demo.problem.matrix)[np.ix_(perm, perm)]
+    _, error, _ = compress_dense(inverse, demo.iso, demo.iso, demo.block_tree)
+    assert abs(demo.compression_error - error) <= 1e-12 * error
+    assert np.array_equal(demo.dense_op, to_dense(demo.matrix))
 
 
 def test_dense_guard():

@@ -111,7 +111,7 @@ def test_compress_representable_matrix(rng):
     bt = build_block_tree(tree, tree, 1.0)
     m0 = random_h2(bt, row, col, seed=5)
     a = to_dense(m0)
-    m1, err = compress_dense(a, row, col, bt)
+    m1, err, _ = compress_dense(a, row, col, bt)
     assert err <= 1e-12 * np.linalg.norm(a)
     for idx in bt.leaves():
         assert np.max(np.abs(m1.coupling[idx] - m0.coupling[idx])) <= 1e-12
@@ -121,7 +121,7 @@ def test_compress_identity_with_square_leaves(rng, square_leaf_iso):
     tree = square_leaf_iso.tree
     bt = build_block_tree(tree, tree, 0.0)  # inadmissible-only leaf pairs
     a = np.eye(tree.n)
-    _, err = compress_dense(a, square_leaf_iso, square_leaf_iso, bt)
+    _, err, _ = compress_dense(a, square_leaf_iso, square_leaf_iso, bt)
     assert err <= 1e-12 * np.linalg.norm(a)
 
 
@@ -146,11 +146,24 @@ def test_compress_is_projection(rng):
     col = random_iso_basis(tree, 2, rng)
     bt = build_block_tree(tree, tree, 1.0)
     a = rng.standard_normal((32, 32))
-    m1, _ = compress_dense(a, row, col, bt)
-    m2, err2 = compress_dense(to_dense(m1), row, col, bt)
+    m1, _, _ = compress_dense(a, row, col, bt)
+    m2, err2, _ = compress_dense(to_dense(m1), row, col, bt)
     assert err2 <= 1e-12 * np.linalg.norm(a)
     for idx in bt.leaves():
         assert np.max(np.abs(m2.coupling[idx] - m1.coupling[idx])) <= 1e-13
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_compress_returns_the_expansion_and_its_error(rng, eta):
+    tree = line_tree(48, 4)
+    row = random_iso_basis(tree, 3, rng)
+    col = random_iso_basis(tree, 3, rng)
+    bt = build_block_tree(tree, tree, eta)
+    a = rng.standard_normal((48, 48))
+    m, err, expansion = compress_dense(a, row, col, bt)
+    assert np.array_equal(expansion, to_dense(m))
+    ref = np.linalg.norm(a - to_dense(m))
+    assert abs(err - ref) <= 1e-12 * ref
 
 
 def test_compress_requires_isometric(rng):

@@ -263,6 +263,21 @@ def test_families_refuse_each_other(rng, entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize("entry", ["coarsen_pass", "convert"])
+def test_budget_must_be_a_tolerance_budget(rng, entry):
+    iso = random_iso_basis(line_tree(64, 4), 3, rng)
+    x = random_hvector(iso, rng, steps=4)
+    before = x.data.copy()
+    merge = coarsening_factors(iso)
+    calls = {
+        "coarsen_pass": lambda: coarsen_pass(x, merge, 1e-3),
+        "convert": lambda: convert(x, iso, projection_factors(iso, iso), merge, 1e-3),
+    }
+    with pytest.raises(ValueError, match="budget must be a ToleranceBudget, got float"):
+        calls[entry]()
+    assert np.array_equal(x.data, before)
+
+
 @pytest.mark.filterwarnings("ignore:leaf_size raised")
 def test_merge_factors_of_another_basis_are_refused():
     pts = np.random.default_rng(0).random((2000, 2))
