@@ -18,6 +18,16 @@ def _parse_sizes(text):
     return sizes
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="h2vec",
@@ -45,7 +55,7 @@ def _build_parser():
     p_poisson.add_argument("--degree", type=int, default=3)
     p_poisson.add_argument("--eta", type=float, default=1.0)
     p_poisson.add_argument("--eps", type=float, default=1e-5)
-    p_poisson.add_argument("--steps", type=int, default=20)
+    p_poisson.add_argument("--steps", type=_positive_int, default=20)
     p_poisson.add_argument("--out-prefix", required=True)
     return parser
 

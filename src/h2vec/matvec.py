@@ -41,6 +41,14 @@ transfers, for conversion, the projection factors and the oracles.
 Counted flops equal those of the recursive walk of this factored
 model; each add into an accumulator is charged per batch.
 
+Every index array these passes read depends only on the input's
+subtree: the result's subtree, the clusters to push from, the rows
+the forward pass starts at, the leaf blocks of the result with their
+coupling matrices stacked, and the targets of the output.  The plan
+keeps them for the last input subtree (a ProductPattern), so a run of
+products on one subtree, as in inverse iteration once the iterate's
+subtree has settled, does only the arithmetic.
+
 The product is exact; only the representation is unusual.
 """
 
@@ -85,6 +93,45 @@ class BlockSet:
 
 
 @dataclass
+class ProductPattern:
+    """The index work of a product that depends only on the input's
+    subtree, kept on the plan for the next product on that subtree.
+
+    key: the input's interior mask as bytes.  sub, interior: the
+    result's subtree, copied into every result, and its interior.
+    member: the input's members.  push: the input clusters
+    whose coefficients the forward pass pushes down to their sons, or
+    None.  at, cross: the input clusters the forward pass starts from
+    and their stacked cross Gram matrices.  coupling, col: the stacked
+    coupling matrices of the result's leaf blocks and their columns;
+    starts, row: where each row's run of blocks starts and the row it
+    sums into.  parked: the number of input coefficients parked
+    in slots.  slot_target, slot_col: the slots of the non-leaf blocks
+    at the result's leaves and their columns.  leaf_target, leaf_row:
+    the leading entries of each result leaf and the row accumulator
+    they come from.  Every array is read-only; when every leaf block
+    is in the result, coupling is the plan's own stack, not a copy.
+    """
+
+    key: bytes
+    sub: Subtree
+    interior: np.ndarray
+    member: np.ndarray
+    push: np.ndarray
+    at: np.ndarray
+    cross: np.ndarray
+    coupling: np.ndarray
+    col: np.ndarray
+    starts: np.ndarray
+    row: np.ndarray
+    parked: int
+    slot_target: np.ndarray
+    slot_col: np.ndarray
+    leaf_target: np.ndarray
+    leaf_row: np.ndarray
+
+
+@dataclass
 class MatvecPlan:
     """Per-(matrix, input basis) precomputation reused across products.
 
@@ -94,7 +141,9 @@ class MatvecPlan:
     order; its length is the induced rank of t.  cross[s] = W_s^T Q_s
     couples the matrix column basis with the input basis, stacked per
     column cluster.  leaf_blocks and nonleaf_blocks describe the block
-    tree, and induced is the induced basis.
+    tree, and induced is the induced basis.  pattern is the
+    ProductPattern of the last input subtree, replaced when a product
+    meets another one.
 
     A plan is a snapshot of its matrix: the coupling matrices are
     copied into leaf_blocks and the induced transfers, so a matrix
@@ -108,6 +157,7 @@ class MatvecPlan:
     leaf_blocks: BlockSet
     nonleaf_blocks: BlockSet
     induced: object = None
+    pattern: ProductPattern = None
 
 
 def build_plan(matrix, input_basis):
@@ -168,39 +218,79 @@ class InducedHVector(HVector):
         return InducedHVector(self.plan, self.sub.copy(), self.data.copy())
 
 
-def _forward(plan, coeff, at, member):
-    """W_s^T x|_s for every member s of the input's subtree.
-
-    coeff holds the input coefficient of every cluster marked in at,
-    the subtree leaves and any clusters below them whose values are
-    wanted too (other rows are ignored); member marks the subtree.
-    Returns an array with one row per column cluster, zero outside
-    the subtree and at.
-    """
-    xbar = np.zeros((len(member), plan.matrix.rank))
-    at = np.flatnonzero(at)
-    xbar[at] = kernels.matvec(plan.cross[at], coeff[at])
-    plan.matrix.col_basis.forward(xbar.reshape(-1), member)
-    return xbar
-
-
-def _pushed(plan, x, member, below):
-    """The input coefficients pushed down from x's leaves to the
-    clusters marked in below, which lie below them, and to their
-    brothers; rows elsewhere below the leaves are not written."""
+def _pattern(plan, x_sub):
+    """The ProductPattern of inputs on the subtree x_sub."""
     tree = plan.input_basis.tree
-    push = np.zeros(len(member), dtype=bool)
+    interior = x_sub.interior_mask()
+    leaf = x_sub.leaf_mask()
+    member = leaf | interior
+    leaves, others = plan.leaf_blocks, plan.nonleaf_blocks
+    row_tree = plan.matrix.block_tree.row_tree
+    result = np.zeros(len(row_tree), dtype=bool)
+    result[others.row[interior[others.col]]] = True
+    # a block is in the result when its parent's row is interior in it;
+    # the sentinel entry is the root block's
+    inside = np.append(result[others.row], True)
+    coupled = inside[leaves.parent]
+    # the non-leaf blocks of the result at its leaves keep their slots
+    slotted = inside[others.parent] & ~result[others.row]
+    # below x's leaves: the columns leaf blocks read, and the slots';
+    # the input is pushed down to them and to their brothers
+    crossed = np.zeros_like(member)
+    crossed[leaves.col[coupled]] = True
+    crossed &= ~member
+    below = crossed.copy()
+    below[others.col[slotted]] = True
+    below &= ~member
+    push = np.zeros_like(member)
     while below.any():
         fathers = tree.father[below]
         push[fathers] = True
         below = np.zeros_like(push)
         below[fathers] = True
         below &= ~member
-    data = x.data
-    if push.any():
-        data = data.copy()
-        plan.input_basis.backward(data, push, add=False)
-    return data.reshape(len(member), plan.input_basis.rank)
+    at = np.flatnonzero(leaf | crossed)
+    pick = slice(None) if coupled.all() else coupled
+    row = leaves.row[pick]
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    sub = Subtree.from_interior(row_tree, result)
+    out = np.flatnonzero(sub.leaf_mask())
+    pattern = ProductPattern(
+        key=interior.tobytes(),
+        sub=sub,
+        interior=result,
+        member=member,
+        push=push if push.any() else None,
+        at=at,
+        cross=plan.cross[at],
+        coupling=leaves.coupling[pick],
+        col=leaves.col[pick],
+        starts=starts,
+        row=row[starts],
+        parked=int(np.count_nonzero(leaf[others.col])),
+        slot_target=others.target[slotted],
+        slot_col=others.col[slotted],
+        leaf_target=plan.ptr[out][:, None] + np.arange(plan.matrix.rank),
+        leaf_row=out,
+    )
+    for value in [*vars(pattern).values(), *vars(sub).values()]:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return pattern
+
+
+def _forward(plan, coeff, pattern):
+    """W_s^T x|_s for every member s of the input's subtree.
+
+    coeff holds the input coefficient of every cluster in pattern.at,
+    the subtree leaves and the clusters below them that leaf blocks
+    read (other rows are ignored).  Returns an array with one row per
+    column cluster, zero outside the subtree and pattern.at.
+    """
+    xbar = np.zeros((len(pattern.member), plan.matrix.rank))
+    xbar[pattern.at] = kernels.matvec(pattern.cross, coeff[pattern.at])
+    plan.matrix.col_basis.forward(xbar.reshape(-1), pattern.member)
+    return xbar
 
 
 def multiply(plan, x):
@@ -208,53 +298,36 @@ def multiply(plan, x):
 
     Returns an InducedHVector over plan.induced.  Operation counts are
     attributed to the phases "forward", "coupling" and "backward".
+    The plan keeps the pattern of the last input subtree.
     """
     if x.basis is not plan.input_basis:
         raise ValueError("plan was built for a different input basis")
     x.validate()
-    leaf = x.sub.leaf_mask()
-    interior = x.sub.interior_mask()
-    member = leaf | interior
-    leaves, others = plan.leaf_blocks, plan.nonleaf_blocks
-    row_tree = plan.matrix.block_tree.row_tree
-    result_interior = np.zeros(len(row_tree), dtype=bool)
-    result_interior[others.row[interior[others.col]]] = True
-    sub = Subtree.from_interior(row_tree, result_interior)
-    # a block is in the result when its parent's row is interior in it;
-    # the sentinel entry is the root block's
-    inside = np.append(result_interior[others.row], True)
-    coupled = inside[leaves.parent]
-    # the non-leaf blocks of the result at its leaves keep their slots
-    slotted = inside[others.parent] & ~result_interior[others.row]
-    # below x's leaves: the columns leaf blocks read, and the slots'
-    crossed = np.zeros_like(member)
-    crossed[leaves.col[coupled]] = True
-    crossed &= ~member
-    below = crossed.copy()
-    below[others.col[slotted]] = True
-    below &= ~member
+    key = x.sub.interior_mask().tobytes()
+    if plan.pattern is None or plan.pattern.key != key:
+        plan.pattern = None  # free the old stacks before gathering new ones
+        plan.pattern = _pattern(plan, x.sub)
+    p = plan.pattern
     with kernels.phase("forward"):
-        coeff = _pushed(plan, x, member, below)
-        xbar = _forward(plan, coeff, leaf | crossed, member)
-    ka = plan.matrix.rank
-    rows = np.zeros((len(row_tree), ka))
+        data = x.data
+        if p.push is not None:
+            data = data.copy()
+            plan.input_basis.backward(data, p.push, add=False)
+        coeff = data.reshape(len(p.member), plan.input_basis.rank)
+        xbar = _forward(plan, coeff, p)
+    rows = np.zeros((len(p.interior), plan.matrix.rank))
     with kernels.phase("coupling"):
-        if coupled.any():
-            pick = slice(None) if coupled.all() else coupled
-            contrib = kernels.matvec(leaves.coupling[pick], xbar[leaves.col[pick]])
-            row = leaves.row[pick]
-            starts = np.flatnonzero(np.append(True, row[1:] != row[:-1]))
-            rows[row[starts]] = np.add.reduceat(contrib, starts)
-        parked = np.count_nonzero(leaf[others.col])
-        if parked:
-            kernels.tally(parked * plan.input_basis.rank)
+        if p.col.size:
+            contrib = kernels.matvec(p.coupling, xbar[p.col])
+            rows[p.row] = np.add.reduceat(contrib, p.starts)
+        if p.parked:
+            kernels.tally(p.parked * plan.input_basis.rank)
     with kernels.phase("backward"):
-        plan.matrix.row_basis.backward(rows.reshape(-1), result_interior)
+        plan.matrix.row_basis.backward(rows.reshape(-1), p.interior)
     buf = np.zeros(plan.ptr[-1])
-    out = np.flatnonzero(sub.leaf_mask())
-    buf[plan.ptr[out][:, None] + np.arange(ka)] = rows[out]
-    buf[others.target[slotted]] = coeff[others.col[slotted]]
-    return InducedHVector(plan, sub, buf)
+    buf[p.leaf_target] = rows[p.leaf_row]
+    buf[p.slot_target] = coeff[p.slot_col]
+    return InducedHVector(plan, p.sub.copy(), buf)
 
 
 def induced_to_dense(y, dense_matrix=None):

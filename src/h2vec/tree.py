@@ -299,7 +299,12 @@ class Subtree:
         return other
 
     def copy(self):
-        return Subtree.from_interior(self.tree, self.interior_mask())
+        other = Subtree.__new__(Subtree)
+        other.tree = self.tree
+        other._member = self._member.copy()
+        other._leaf = self._leaf.copy()
+        other._count = self._count
+        return other
 
     def __contains__(self, i):
         return bool(self._member[i])

@@ -1,0 +1,79 @@
+"""The interleaved inverse-iteration schedule: the reference for the demo.
+
+``interleaved_run`` takes one dense step and then one hierarchical step
+at a time, as ``PoissonDemo.run`` did before it ran the dense sweep
+first.  The arithmetic is the same in either order, so every field of
+every step but the wall times, and the final leaves, must agree
+exactly with the library's run.
+"""
+
+import math
+import time
+
+import numpy as np
+
+from h2vec import hvector, kernels
+from h2vec.convert import ToleranceBudget, coarsen_pass, convert
+from h2vec.demo import DemoRun, DemoStep, full_subtree
+from h2vec.hvector import from_dense
+from h2vec.matvec import multiply
+
+
+def interleaved_run(demo, eps, steps):
+    """Dense and hierarchical inverse iteration, one step of each in turn."""
+    n = demo.tree.n
+    budget = ToleranceBudget(eps)
+    start = np.ones(n) / math.sqrt(n)
+    xd = start.copy()
+    xh, start_error = from_dense(start, demo.iso, full_subtree(demo.tree))
+    start_error += coarsen_pass(xh, demo.pfactors, budget)
+    run = DemoRun(eps=eps, start_bound=start_error)
+    delta = start_error
+    for step in range(1, steps + 1):
+        t0 = time.perf_counter()
+        yd = demo.dense_op @ xd
+        nu_dense = float(xd @ yd)
+        norm_yd = float(np.linalg.norm(yd))
+        xd = yd / norm_yd
+        t1 = time.perf_counter()
+        with kernels.count_flops() as counter:
+            product = multiply(demo.plan, xh)
+            t2 = time.perf_counter()
+            with kernels.phase("convert"):
+                yh, conv_bound, report = convert(
+                    product, demo.iso, demo.zfactors, demo.pfactors, budget
+                )
+            t3 = time.perf_counter()
+        nu_hier = hvector.dot(xh, yh, demo.gram) / hvector.dot(xh, xh, demo.gram)
+        norm_yh = hvector.norm(yh, demo.gram)
+        hvector.scale(yh, 1.0 / norm_yh)
+        xh = yh
+        t4 = time.perf_counter()
+        delta = min(2.0, 2.0 * (demo.op_norm * delta + conv_bound) / norm_yd)
+        true_diff = float(np.linalg.norm(hvector.to_dense(xh) - xd))
+        t5 = time.perf_counter()
+        run.steps.append(
+            DemoStep(
+                step=step,
+                nu_dense=nu_dense,
+                nu_hier=nu_hier,
+                conv_bound=conv_bound,
+                cum_bound=delta,
+                true_diff=true_diff,
+                tx=xh.sub.count(),
+                ty=product.sub.count(),
+                commits=len(report.commit_errors),
+                merges=len(report.merge_errors),
+                forced=len(report.forced),
+                flops=dict(counter.phases),
+                seconds={
+                    "dense": t1 - t0,
+                    "matvec": t2 - t1,
+                    "convert": t3 - t2,
+                    "vector": t4 - t3,
+                    "check": t5 - t4,
+                },
+            )
+        )
+    run.final_leaves = xh.sub.leaves()
+    return run

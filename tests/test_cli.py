@@ -123,3 +123,18 @@ def test_cli_demo_poisson(tmp_path):
     # floats carry 17 significant digits
     cell = eigen[2].split(",")[1]
     assert re.match(r"-?\d\.\d{10,}", cell) or "e" in cell
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_cli_demo_rejects_a_step_count_below_one(tmp_path, capsys, steps):
+    prefix = str(tmp_path / "demo")
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            [
+                "demo", "poisson", "--grid", "16", "--degree", "1",
+                "--steps", steps, "--out-prefix", prefix,
+            ]
+        )
+    assert exit_info.value.code == 2
+    assert "expected a positive count" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

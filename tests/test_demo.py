@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from h2vec.demo import (
 )
 from h2vec.h2matrix import compress_dense, to_dense
 from h2vec.tree import Subtree
+
+from demo_reference import interleaved_run
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +106,27 @@ def test_setup_matches_the_dense_inverse_oracle(demo):
     _, error, _ = compress_dense(inverse, demo.iso, demo.iso, demo.block_tree)
     assert abs(demo.compression_error - error) <= 1e-12 * error
     assert np.array_equal(demo.dense_op, to_dense(demo.matrix))
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-8])
+def test_run_matches_the_interleaved_schedule(demo, eps):
+    run = demo.run(eps, steps=20)
+    want = interleaved_run(demo, eps, steps=20)
+    assert (run.eps, run.start_bound) == (want.eps, want.start_bound)
+    assert len(run.steps) == len(want.steps) == 20
+    names = [f.name for f in dataclasses.fields(run.steps[0]) if f.name != "seconds"]
+    for got, ref in zip(run.steps, want.steps):
+        for name in names:
+            assert getattr(got, name) == getattr(ref, name), (got.step, name)
+        assert set(got.seconds) == set(ref.seconds)
+    assert run.final_leaves == want.final_leaves
+    assert run.final_tx == want.final_tx
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_run_rejects_a_step_count_below_one(demo, steps):
+    with pytest.raises(ValueError, match="steps must be a positive count"):
+        demo.run(1e-5, steps=steps)
 
 
 def test_dense_guard():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from h2vec import kernels
 from h2vec.h2matrix import build_block_tree, random_h2, to_dense
-from h2vec.hvector import HVector, axpy, to_dense as hv_dense
+from h2vec.hvector import HVector, axpy, refine, to_dense as hv_dense
 from h2vec.instances import (
     line_tree,
     random_basis,
@@ -14,7 +14,7 @@ from h2vec.instances import (
     random_iso_basis,
     random_subtree,
 )
-from h2vec.matvec import _forward, build_plan, induced_to_dense, multiply
+from h2vec.matvec import _forward, _pattern, build_plan, induced_to_dense, multiply
 
 import matvec_reference as reference
 from conftest import prefix_subtree
@@ -131,7 +131,7 @@ def test_forward_matches_dense_per_cluster(rng, inst):
     coeff = np.zeros((len(leaf), inst.input_basis.rank))
     for i, c in x.coeff.items():
         coeff[i] = c
-    out = _forward(inst.plan, coeff, leaf, leaf | x.sub.interior_mask())
+    out = _forward(inst.plan, coeff, _pattern(inst.plan, x.sub))
     tree = inst.tree
     col = inst.matrix.col_basis
     for s in range(len(tree.clusters)):
@@ -510,3 +510,77 @@ def test_induced_dump_roundtrip(rng, inst):
     back = textio.load_induced_hvector(text, inst.plan)
     assert textio.dump_induced_hvector(back) == text
     assert np.max(np.abs(induced_to_dense(back) - induced_to_dense(y))) == 0.0
+
+
+def _fresh_product(inst, x):
+    """The product on a newly built plan, with its flops per phase."""
+    plan = build_plan(inst.matrix, inst.input_basis)
+    with kernels.count_flops() as counter:
+        y = multiply(plan, x)
+    return y, counter.phases
+
+
+def _assert_same_product(plan, inst, x):
+    with kernels.count_flops() as counter:
+        y = multiply(plan, x)
+    want, phases = _fresh_product(inst, x)
+    assert counter.phases == phases
+    assert y.sub.leaves() == want.sub.leaves()
+    assert np.array_equal(y.data, want.data)
+    return y
+
+
+def test_pattern_reuse_matches_fresh_plans(rng):
+    inst = random_instance(128, 3, 2, 1.0, seed=11)
+    plan = build_plan(inst.matrix, inst.input_basis)
+    a = random_subtree(inst.tree, rng, steps=6)
+    b = random_subtree(inst.tree, rng, steps=12)
+    assert a.interior_mask().tobytes() != b.interior_mask().tobytes()
+    patterns = []
+    for sub in (a, a, b, a):
+        x = random_hvector(inst.input_basis, rng, sub=sub)
+        y = _assert_same_product(plan, inst, x)
+        patterns.append(plan.pattern)
+        # the result owns its subtree and its coefficients
+        assert not np.shares_memory(y.data, x.data)
+        leaf = next(i for i in y.sub.leaves() if inst.tree.sons(i))
+        refine(y, leaf)
+        y.data[:] = 7.0
+    assert patterns[1] is patterns[0]
+    assert patterns[2] is not patterns[1] and patterns[3] is not patterns[0]
+
+
+def test_pattern_of_a_root_only_input(rng):
+    inst = random_instance(128, 3, 2, 1.0, seed=12)
+    plan = build_plan(inst.matrix, inst.input_basis)
+    x = HVector.from_leaves(inst.input_basis, None, {inst.tree.root: rng.standard_normal(3)})
+    y = _assert_same_product(plan, inst, x)
+    assert plan.pattern.coupling.shape[0] == 0 and y.sub.count() == 1
+    y.data[:] = 0.0
+    _assert_same_product(plan, inst, x)
+
+
+def test_pattern_of_a_full_input_views_the_coupling_stack(rng):
+    inst = random_instance(128, 3, 2, 1.0, seed=13)
+    plan = build_plan(inst.matrix, inst.input_basis)
+    full = prefix_subtree(inst.tree, inst.tree.depth)
+    for _ in range(2):
+        x = random_hvector(inst.input_basis, rng, sub=full)
+        _assert_same_product(plan, inst, x)
+        assert np.shares_memory(plan.pattern.coupling, plan.leaf_blocks.coupling)
+        assert plan.pattern.coupling.shape == plan.leaf_blocks.coupling.shape
+
+
+def test_pattern_arrays_are_read_only(rng):
+    inst = random_instance(128, 3, 2, 1.0, seed=14)
+    plan = build_plan(inst.matrix, inst.input_basis)
+    multiply(plan, random_hvector(inst.input_basis, rng, steps=8))
+    arrays = [v for v in vars(plan.pattern).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 12
+    for array in arrays:
+        assert not array.flags.writeable
+        if array.size:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+    # the plan's own arrays stay writable behind the read-only views
+    assert plan.leaf_blocks.coupling.flags.writeable
