@@ -12,7 +12,8 @@ columns at every cluster, which makes optimal projections and exact
 error computation possible.  The per-cluster matrices below, like the
 Gram family, are ClusterMatrices: stored once, stacked per (level,
 shape), for passes that treat one level of the tree at a time, and
-read per cluster through views.
+read per cluster through views.  A Gram family and merge factors name
+their basis and say which of the two they are by their kind.
 
 * merge factors: the orthogonal factor Q of one QR per interior
   cluster over the stacked transfer matrices.  Multiplying stacked son
@@ -36,7 +37,6 @@ from . import kernels
 __all__ = [
     "ClusterBasis",
     "ClusterMatrices",
-    "MergeFactors",
     "ProjectionFactors",
     "polynomial_basis",
     "orthogonalize",
@@ -79,11 +79,14 @@ class ClusterMatrices(Mapping):
     matrices, or zeros.  views, also read as self[i], is a read-only
     mapping from each cluster to a view of its matrix.  basis names
     the basis the matrices belong to, for a family of one basis such
-    as its Gram matrices.
+    as its Gram matrices.  kind is "gram" for a Gram family, "merge"
+    for merge factors and None for other matrices; gram_family and
+    coarsening_factors set it.
     """
 
     def __init__(self, tree, shapes, matrices=None, basis=None):
         self.basis = basis
+        self.kind = None
         keys, level = {}, tree.level.tolist()
         for i, shape in shapes.items():
             keys.setdefault((level[i], *shape), []).append(i)
@@ -380,6 +383,7 @@ def gram_family(basis):
     basis."""
     gram = cross_gram_family(basis, basis)
     gram = ClusterMatrices(basis.tree, {i: g.shape for i, g in gram.items()}, gram, basis)
+    gram.kind = "gram"
     for group in gram.groups:
         group.source = group.target = _entries(basis.ptr, group.clusters, group.stack.shape[1])
     return gram
@@ -402,23 +406,19 @@ def cross_gram_family(left, right):
     return cross
 
 
-class MergeFactors(ClusterMatrices):
-    """The merge factors of an isometric basis, named by it: self[i] is
-    the m x m orthogonal factor Q of interior cluster i, in the stack
-    of its group.  The clusters of one group share the level, the rank
-    and the sum of their sons' ranks; the group's source holds, per
-    cluster, its sons' entries in son order in a flat array laid out
-    by the basis's ptr, and its target the cluster's own entries.
-    """
-
-
 def coarsening_factors(basis):
     """QR orthogonal factors of the stacked transfers of an isometric basis.
 
     For each interior cluster i, multiplying the stacked son
     coefficients by the factor's transpose puts the optimally merged
     coefficient in the first rank_of(i) rows and the exact merge error
-    in the remaining rows.  Returns MergeFactors.
+    in the remaining rows.  Returns the merge factors as
+    ClusterMatrices of kind "merge", named by the basis: self[i] is
+    the m x m orthogonal factor Q of interior cluster i.  The clusters
+    of one group share the level, the rank and the sum of their sons'
+    ranks; the group's source holds, per cluster, its sons' entries in
+    son order in a flat array laid out by the basis's ptr, and its
+    target the cluster's own entries.
     """
     if not basis.isometric:
         raise ValueError("merge factors require an isometric basis")
@@ -428,7 +428,8 @@ def coarsening_factors(basis):
         for i in np.flatnonzero(tree.has_sons).tolist()
     }
     shapes = {i: (span.size, span.size, basis.rank_of(i)) for i, span in spans.items()}
-    q = MergeFactors(tree, shapes, basis=basis)
+    q = ClusterMatrices(tree, shapes, basis=basis)
+    q.kind = "merge"
     for group in q.groups:
         ids = group.clusters.tolist()
         for qi, i in zip(group.stack, ids):

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .basis import ClusterBasis
-from .hvector import HVector, check_merge_factors
+from .basis import ClusterBasis, ProjectionFactors
+from .hvector import HVector, check_merge_factors, describe_factors
 from .tree import Subtree
 
 __all__ = [
@@ -219,6 +219,8 @@ def convert(x, target, zfactors, pfactors, budget):
     the per-cluster report of exact local errors.
     """
     _check_budget(budget)
+    if not isinstance(zfactors, ProjectionFactors):
+        raise ValueError(f"expected projection factors, got {describe_factors(zfactors)}")
     if zfactors.source is not x.basis or zfactors.target is not target:
         raise ValueError("projection factors do not match source/target bases")
     if not target.isometric:

@@ -135,6 +135,23 @@ class H2Matrix:
         return (self.block_tree.row_tree.n, self.block_tree.col_tree.n)
 
 
+def _leaf_blocks(bt, row_basis, col_basis):
+    """Yield (idx, rows, cols, V_t, W_s) per leaf block (t, s): the
+    block's positions and its row and column basis matrices, each
+    materialized once per cluster."""
+    row_mat = {}
+    col_mat = {}
+    for idx in bt.leaves():
+        b = bt.blocks[idx]
+        if b.row not in row_mat:
+            row_mat[b.row] = row_basis.materialize(b.row)
+        if b.col not in col_mat:
+            col_mat[b.col] = col_basis.materialize(b.col)
+        rows = bt.row_tree.positions(b.row)
+        cols = bt.col_tree.positions(b.col)
+        yield idx, rows, cols, row_mat[b.row], col_mat[b.col]
+
+
 def compress_dense(a, row_basis, col_basis, bt):
     """Project a dense matrix (tree position order) onto the H2 format.
 
@@ -150,25 +167,14 @@ def compress_dense(a, row_basis, col_basis, bt):
     shape = (bt.row_tree.n, bt.col_tree.n)
     if a.shape != shape:
         raise ValueError(f"expected shape {shape}, got {a.shape}")
-    row_mat = {}
-    col_mat = {}
     coupling = {}
     expansion = np.zeros(shape)
     sumsq = 0.0
-    for idx in bt.leaves():
-        b = bt.blocks[idx]
-        if b.row not in row_mat:
-            row_mat[b.row] = row_basis.materialize(b.row)
-        if b.col not in col_mat:
-            col_mat[b.col] = col_basis.materialize(b.col)
-        rows = bt.row_tree.positions(b.row)
-        cols = bt.col_tree.positions(b.col)
+    for idx, rows, cols, v, w in _leaf_blocks(bt, row_basis, col_basis):
         block = a[rows, cols]
-        coupling[idx] = kernels.matmul(
-            row_mat[b.row].T, kernels.matmul(block, col_mat[b.col])
-        )
+        coupling[idx] = kernels.matmul(v.T, kernels.matmul(block, w))
         # the same products as to_dense, so the expansions agree exactly
-        expanded = row_mat[b.row] @ coupling[idx] @ col_mat[b.col].T
+        expanded = v @ coupling[idx] @ w.T
         expansion[rows, cols] = expanded
         diff = (block - expanded).ravel()
         sumsq += float(diff @ diff)
@@ -187,17 +193,7 @@ def random_h2(bt, row_basis, col_basis, seed, scale=1.0):
 
 def to_dense(m):
     """Expand every leaf block; result is in tree position order."""
-    bt = m.block_tree
     out = np.zeros(m.shape)
-    row_mat = {}
-    col_mat = {}
-    for idx in bt.leaves():
-        b = bt.blocks[idx]
-        if b.row not in row_mat:
-            row_mat[b.row] = m.row_basis.materialize(b.row)
-        if b.col not in col_mat:
-            col_mat[b.col] = m.col_basis.materialize(b.col)
-        out[bt.row_tree.positions(b.row), bt.col_tree.positions(b.col)] = (
-            row_mat[b.row] @ m.coupling[idx] @ col_mat[b.col].T
-        )
+    for idx, rows, cols, v, w in _leaf_blocks(m.block_tree, m.row_basis, m.col_basis):
+        out[rows, cols] = v @ m.coupling[idx] @ w.T
     return out

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import kernels
-from .basis import ClusterMatrices, MergeFactors
+from .basis import ClusterMatrices
 from .tree import Subtree
 
 __all__ = [
@@ -112,11 +112,6 @@ class HVector:
             i = int(np.searchsorted(self.basis.ptr, bad[0], side="right")) - 1
             raise ValueError(f"cluster {i}: non-finite coefficients")
 
-    @classmethod
-    def zeros(cls, basis):
-        """Zero vector on the minimal subtree."""
-        return cls(basis)
-
     def copy(self):
         return HVector(self.basis, self.sub.copy(), self.data.copy())
 
@@ -158,19 +153,18 @@ def coarsen(x, i, factors):
     factors.
     """
     check_merge_factors(factors, x.basis)
-    if not x.basis.tree.sons(i):
-        raise ValueError(f"cluster {i} has no sons")
+    # raises, leaving x as it was, unless i is interior with leaf sons
+    x.sub.contract(i)
     merged, error, _ = merge(x, i, factors)
-    x.sub.contract(i)  # raises, leaving x as it was, unless all sons are leaves
     off = x.basis.offsets
     x.data[off[i] : off[i + 1]] = merged
     return error
 
 
-def _family(factors):
+def describe_factors(factors):
     """What factors are, for messages."""
-    kind = "merge factors" if isinstance(factors, MergeFactors) else "a Gram family"
-    return kind if isinstance(factors, ClusterMatrices) else type(factors).__name__
+    kind = factors.kind if isinstance(factors, ClusterMatrices) else None
+    return {"merge": "merge factors", "gram": "a Gram family"}.get(kind, type(factors).__name__)
 
 
 def check_merge_factors(factors, basis):
@@ -178,8 +172,8 @@ def check_merge_factors(factors, basis):
     merge factors."""
     if not basis.isometric:
         raise ValueError("coarsening requires an isometric basis")
-    if not isinstance(factors, MergeFactors):
-        raise ValueError(f"expected merge factors, got {_family(factors)}")
+    if not isinstance(factors, ClusterMatrices) or factors.kind != "merge":
+        raise ValueError(f"expected merge factors, got {describe_factors(factors)}")
     if factors.basis is not basis:
         raise ValueError("merge factors belong to a different basis")
 
@@ -200,8 +194,14 @@ def _common_interior(x, y):
     return x.sub.interior_mask() | y.sub.interior_mask()
 
 
+def _check_factor(alpha):
+    if not math.isfinite(alpha):
+        raise ValueError(f"expected a finite factor, got {alpha}")
+
+
 def axpy(alpha, x, y):
     """Update y <- y + alpha*x exactly, refining y's subtree as needed."""
+    _check_factor(alpha)
     interior = _common_interior(x, y)
     z = _refined(x, interior, x.data.copy())
     _refined(y, interior, y.data)
@@ -213,6 +213,7 @@ def axpy(alpha, x, y):
 
 def scale(x, alpha):
     """Multiply the represented vector by alpha in place."""
+    _check_factor(alpha)
     live = x.leaf_entries()
     kernels.tally(int(np.count_nonzero(live)))
     x.data[live] *= alpha
@@ -227,8 +228,8 @@ def dot(x, y, gram):
     both sides sit on the leaves of the common refinement.
     """
     interior = _common_interior(x, y)
-    if isinstance(gram, MergeFactors) or not isinstance(gram, ClusterMatrices):
-        raise ValueError(f"expected a Gram family, got {_family(gram)}")
+    if not isinstance(gram, ClusterMatrices) or gram.kind != "gram":
+        raise ValueError(f"expected a Gram family, got {describe_factors(gram)}")
     if gram.basis is not x.basis:
         raise ValueError("Gram family belongs to a different basis")
     u = _refined(x, interior, x.data.copy())

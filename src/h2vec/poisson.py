@@ -18,7 +18,6 @@ __all__ = [
     "PoissonProblem",
     "assemble_lshape",
     "block_tridiagonal_inverse",
-    "lshape_interior_count",
 ]
 
 
@@ -39,11 +38,6 @@ def _interior_sites(grid):
                 continue
             sites.append((i, j))
     return sites
-
-
-def lshape_interior_count(grid):
-    """Number of interior grid points, by direct enumeration."""
-    return len(_interior_sites(grid))
 
 
 def assemble_lshape(grid):

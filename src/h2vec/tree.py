@@ -318,6 +318,8 @@ class Subtree:
 
     def expand(self, i):
         """Turn leaf i into an interior node by adding its tree sons."""
+        if not 0 <= i < self._leaf.size:
+            raise ValueError(f"cluster {i}: not in the tree")
         if not self._leaf[i]:
             raise ValueError(f"cluster {i} is not a subtree leaf")
         sons = self.tree.sons(i)
@@ -331,6 +333,8 @@ class Subtree:
 
     def contract(self, i):
         """Remove the sons of i, making i a leaf again."""
+        if not 0 <= i < self._leaf.size:
+            raise ValueError(f"cluster {i}: not in the tree")
         if not self._member[i] or self._leaf[i]:
             raise ValueError(f"cluster {i} is not an interior subtree node")
         sons = self.tree.sons(i)

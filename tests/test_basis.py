@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2vec import kernels, textio
+from h2vec import kernels
 from h2vec.basis import (
     ClusterBasis,
     coarsening_factors,
@@ -313,24 +313,6 @@ def test_projection_factor_cost_scales_with_tree_size():
             projection_factors(source, target)
         costs.append(counter.total / len(tree.clusters))
     assert max(costs) <= 2.0 * min(costs)
-
-
-def test_basis_dump_roundtrip(rng):
-    tree = line_tree(16, 4)
-    b = random_basis(tree, 2, rng)
-    text = textio.dump_basis(b)
-    back = textio.load_basis(text, tree)
-    assert textio.dump_basis(back) == text
-    assert back.rank == 2 and not back.isometric
-    for i in b.leaf_matrix:
-        assert np.array_equal(back.leaf_matrix[i], b.leaf_matrix[i])
-
-
-def test_basis_dump_rejects_wrong_rank_header(rng):
-    tree = line_tree(16, 4)
-    text = textio.dump_basis(random_basis(tree, 2, rng))
-    with pytest.raises(ValueError, match="rank 3"):
-        textio.load_basis(text.replace("rank 2", "rank 3"), tree)
 
 
 def test_isometric_flag_is_checked():

@@ -221,9 +221,13 @@ def test_convert_monotone_in_eps(setup):
 def test_convert_rejects_mismatched_factors(rng, setup):
     inst, induced, zfac, pfac = setup
     other = random_iso_basis(inst.tree, 3, rng)
-    x = HVector.zeros(induced)
+    x = HVector(induced)
     with pytest.raises(ValueError):
         convert(x, other, zfac, pfac, ToleranceBudget(1e-6))
+    # factors of the wrong kind once raised AttributeError
+    for wrong, got in ((pfac, "merge factors"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=f"expected projection factors, got {got}"):
+            convert(x, inst.input_basis, wrong, pfac, ToleranceBudget(1e-6))
 
 
 def test_convert_rejects_padded_coefficients(rng, setup):

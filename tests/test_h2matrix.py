@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from h2vec import textio
 from h2vec.basis import orthogonalize
 from h2vec.h2matrix import (
     build_block_tree,
@@ -208,15 +207,3 @@ def test_to_dense_matches_blockwise(rng):
         )
         got = dense[tree.positions(b.row), tree.positions(b.col)]
         assert np.max(np.abs(got - want)) <= 1e-13
-
-
-def test_h2_dump_roundtrip(rng):
-    tree = line_tree(16, 4)
-    row = random_basis(tree, 2, rng)
-    col = random_basis(tree, 2, rng)
-    bt = build_block_tree(tree, tree, 1.0)
-    m = random_h2(bt, row, col, seed=17)
-    text = textio.dump_h2matrix(m)
-    back = textio.load_h2matrix(text, row, col)
-    assert textio.dump_h2matrix(back) == text
-    assert np.max(np.abs(to_dense(back) - to_dense(m))) == 0.0

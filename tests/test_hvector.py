@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from h2vec import kernels, textio
+from h2vec import kernels
 from h2vec.basis import coarsening_factors, gram_family
 from h2vec.hvector import (
     HVector,
@@ -20,7 +20,6 @@ from h2vec.instances import (
     line_tree,
     random_basis,
     random_hvector,
-    random_instance,
     random_iso_basis,
 )
 from h2vec.tree import Subtree
@@ -38,7 +37,7 @@ def test_refine_keeps_dense_value(rng, small_iso):
 
 
 def test_refine_zero_coefficients(small_iso):
-    x = HVector.zeros(small_iso)
+    x = HVector(small_iso)
     refine(x, small_iso.tree.root)
     assert all(np.all(v == 0.0) for v in x.coeff.values())
 
@@ -55,7 +54,7 @@ def test_refine_constant_scaling():
 
 
 def test_refine_errors(small_iso):
-    x = HVector.zeros(small_iso)
+    x = HVector(small_iso)
     leaf = small_iso.tree.leaves()[0]
     with pytest.raises(ValueError):
         refine(x, leaf)  # not a subtree leaf
@@ -67,6 +66,20 @@ def test_refine_errors(small_iso):
             stack.extend(small_iso.tree.sons(i))
     with pytest.raises(ValueError):
         refine(x, small_iso.tree.leaves()[0])  # bottom reached
+
+
+@pytest.mark.parametrize("where", ["end", "negative"])
+def test_cluster_outside_the_tree_is_refused(rng, small_iso, where):
+    # -1 once read the flags of the last cluster, len(tree) raised IndexError
+    tree, factors = small_iso.tree, coarsening_factors(small_iso)
+    i = len(tree) if where == "end" else -1
+    x = random_hvector(small_iso, rng, steps=3)
+    before, members = x.data.copy(), x.sub.members()
+    with pytest.raises(ValueError, match=f"cluster {i}: not in the tree"):
+        refine(x, i)
+    with pytest.raises(ValueError, match=f"cluster {i}: not in the tree"):
+        coarsen(x, i, factors)
+    assert np.array_equal(x.data, before) and x.sub.members() == members
 
 
 def test_coarsen_round_trip(rng, small_iso):
@@ -209,13 +222,13 @@ def test_axpy_rejects_mismatched_bases(rng):
     a = random_iso_basis(tree, 2, rng)
     b = random_iso_basis(tree, 2, rng)
     with pytest.raises(ValueError):
-        axpy(1.0, HVector.zeros(a), HVector.zeros(b))
+        axpy(1.0, HVector(a), HVector(b))
 
 
 def test_dot_zero(rng, small_iso):
     gram = gram_family(small_iso)
     x = random_hvector(small_iso, rng, steps=2)
-    z = HVector.zeros(small_iso)
+    z = HVector(small_iso)
     assert dot(x, z, gram) == 0.0
 
 
@@ -262,7 +275,7 @@ def test_dot_refuses_another_basis_gram_family():
 
 def test_norm_examples(rng, small_iso):
     gram = gram_family(small_iso)
-    assert norm(HVector.zeros(small_iso), gram) == 0.0
+    assert norm(HVector(small_iso), gram) == 0.0
     x = HVector.from_leaves(small_iso, None, {small_iso.tree.root: np.array([3.0, 4.0, 0.0])})
     assert abs(norm(x, gram) - 5.0) <= 1e-13
     y = random_hvector(small_iso, rng, steps=3)
@@ -276,6 +289,18 @@ def test_scale(rng, small_iso):
     want = -2.5 * to_dense(x)
     scale(x, -2.5)
     assert np.max(np.abs(to_dense(x) - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_scale_and_axpy_refuse_a_non_finite_factor(rng, small_iso, alpha):
+    x = random_hvector(small_iso, rng, steps=2)
+    y = random_hvector(small_iso, rng, steps=3)
+    before = x.data.copy(), y.data.copy()
+    with pytest.raises(ValueError, match="expected a finite factor"):
+        scale(x, alpha)
+    with pytest.raises(ValueError, match="expected a finite factor"):
+        axpy(alpha, x, y)
+    assert np.array_equal(x.data, before[0]) and np.array_equal(y.data, before[1])
 
 
 def test_from_dense_round_trip(rng, small_iso):
@@ -330,29 +355,6 @@ def test_from_dense_rejects_bad_input(rng, small_iso):
             from_dense(v, small_iso)
 
 
-def test_hvector_dump_roundtrip(rng, small_iso):
-    x = random_hvector(small_iso, rng, steps=3)
-    text = textio.dump_hvector(x)
-    back = textio.load_hvector(text, small_iso)
-    assert textio.dump_hvector(back) == text
-    assert np.max(np.abs(to_dense(back) - to_dense(x))) == 0.0
-
-
-def test_hvector_load_rejects_padded_and_off_subtree_leaves(rng):
-    iso = random_instance(256, 3, 3, 1.0, 1).input_basis
-    x = random_hvector(iso, rng, steps=4)
-    lines = textio.dump_hvector(x).splitlines()
-    leaf = int(lines[1].split()[1])
-    padded = "\n".join([lines[0], lines[1] + " 0.5"] + lines[2:]) + "\n"
-    with pytest.raises(ValueError, match=f"cluster {leaf}: expected shape"):
-        textio.load_hvector(padded, iso)
-    # a leaf listed below another turns that one interior
-    son = iso.tree.sons(leaf)[0]
-    off = "\n".join(lines + [f"leaf {son} 1 2 3"]) + "\n"
-    with pytest.raises(ValueError, match=f"cluster {leaf}: coefficients off"):
-        textio.load_hvector(off, iso)
-
-
 def test_from_leaves_names_the_cluster(rng, small_iso):
     x = random_hvector(small_iso, rng, steps=3)
     leaf = max(x.coeff)
@@ -360,12 +362,18 @@ def test_from_leaves_names_the_cluster(rng, small_iso):
     coeff[leaf][2] = np.inf
     with pytest.raises(ValueError, match=f"cluster {leaf}: non-finite"):
         HVector.from_leaves(small_iso, x.sub, coeff)
-    coeff[leaf] = coeff[leaf][:2]
-    with pytest.raises(ValueError, match=f"cluster {leaf}: expected shape \\(3,\\)"):
-        HVector.from_leaves(small_iso, x.sub, coeff)
+    for wrong in (x.coeff[leaf][:2], np.append(x.coeff[leaf], 0.5)):
+        coeff[leaf] = wrong
+        with pytest.raises(ValueError, match=f"cluster {leaf}: expected shape \\(3,\\)"):
+            HVector.from_leaves(small_iso, x.sub, coeff)
     del coeff[leaf]
     with pytest.raises(ValueError, match=f"cluster {leaf}: coefficients off"):
         HVector.from_leaves(small_iso, x.sub, coeff)
+    # a key below a subtree leaf
+    upper = min(i for i in x.coeff if small_iso.tree.sons(i))
+    son = small_iso.tree.sons(upper)[0]
+    with pytest.raises(ValueError, match=f"cluster {son}: coefficients off"):
+        HVector.from_leaves(small_iso, x.sub, {**x.coeff, son: np.zeros(3)})
 
 
 def test_coeff_is_a_read_only_mapping_of_views(rng, small_iso):

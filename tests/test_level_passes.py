@@ -263,6 +263,44 @@ def test_families_refuse_each_other(rng, entry):
         calls[entry]()
 
 
+_KINDS = {
+    "merge": "merge factors",
+    "gram": "a Gram family",
+    "stacked": "ClusterMatrices",
+    "transfer": "mappingproxy",
+}
+
+
+@pytest.mark.parametrize(
+    ("entry", "wrong"),
+    [
+        (entry, wrong)
+        for entry in ("dot", "coarsen", "coarsen_pass", "convert")
+        for wrong in _KINDS
+        if wrong != ("gram" if entry == "dot" else "merge")
+    ],
+)
+def test_wrong_kind_is_named(rng, entry, wrong):
+    # a projection stack was once called "a Gram family"
+    iso = random_iso_basis(line_tree(64, 4), 3, rng)
+    x = random_hvector(iso, rng, steps=4)
+    zf, budget = projection_factors(iso, iso), ToleranceBudget(1.0)
+    factors = {
+        "merge": coarsening_factors(iso),
+        "gram": gram_family(iso),
+        "stacked": zf.stacked,
+        "transfer": iso.transfer,
+    }[wrong]
+    calls = {
+        "dot": lambda: dot(x, x, factors),
+        "coarsen": lambda: coarsen(x, iso.tree.root, factors),
+        "coarsen_pass": lambda: coarsen_pass(x, factors, budget),
+        "convert": lambda: convert(x, iso, zf, factors, budget),
+    }
+    with pytest.raises(ValueError, match=f"expected .*, got {_KINDS[wrong]}$"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("entry", ["coarsen_pass", "convert"])
 def test_budget_must_be_a_tolerance_budget(rng, entry):
     iso = random_iso_basis(line_tree(64, 4), 3, rng)

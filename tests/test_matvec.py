@@ -106,7 +106,7 @@ def test_plan_layout_matches_block_tree(inst):
 
 
 def test_forward_zero(inst):
-    x = HVector.zeros(inst.input_basis)
+    x = HVector(inst.input_basis)
     y = multiply(inst.plan, x)
     assert np.max(np.abs(induced_to_dense(y))) == 0.0
 
@@ -244,7 +244,7 @@ def test_multiply_linearity(rng, inst, dense):
 
 def test_multiply_rejects_wrong_basis(rng, inst):
     other = random_iso_basis(inst.tree, 3, rng)
-    x = HVector.zeros(other)
+    x = HVector(other)
     with pytest.raises(ValueError):
         multiply(inst.plan, x)
 
@@ -477,7 +477,7 @@ def test_multiply_flop_ratio_linear():
 def test_zero_vector_coupling_flops_negligible(rng, inst):
     # a zero vector lives on the minimal subtree, so coupling reduces to
     # parking one coefficient; compare with a refined random input
-    zero = HVector.zeros(inst.input_basis)
+    zero = HVector(inst.input_basis)
     with kernels.count_flops() as fz:
         multiply(inst.plan, zero)
     x = random_hvector(inst.input_basis, rng, target=len(inst.tree.clusters))
@@ -499,17 +499,6 @@ def test_rank_doubling_quadruples_flops():
             multiply(inst.plan, x)
         totals.append(counter.total)
     assert 3.0 <= totals[1] / totals[0] <= 5.0
-
-
-def test_induced_dump_roundtrip(rng, inst):
-    from h2vec import textio
-
-    x = random_hvector(inst.input_basis, rng, steps=4)
-    y = multiply(inst.plan, x)
-    text = textio.dump_induced_hvector(y)
-    back = textio.load_induced_hvector(text, inst.plan)
-    assert textio.dump_induced_hvector(back) == text
-    assert np.max(np.abs(induced_to_dense(back) - induced_to_dense(y))) == 0.0
 
 
 def _fresh_product(inst, x):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from h2vec import textio
 from h2vec.instances import line_tree
 from h2vec.tree import (
     Cluster,
@@ -195,17 +194,3 @@ def test_leaf_size_raised_when_needed():
         tree = build_cluster_tree(pts, 1)
     assert validate_tree(tree) is None
     assert tree.leaf_size > 1
-
-
-def test_tree_dump_roundtrip():
-    import warnings
-
-    rng = np.random.default_rng(9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        tree = build_cluster_tree(rng.random((23, 2)), 3)
-    text = textio.dump_tree(tree)
-    back = textio.load_tree(text)
-    assert textio.dump_tree(back) == text
-    assert np.array_equal(back.perm, tree.perm)
-    assert validate_tree(back) is None
