@@ -25,7 +25,6 @@ their basis and say which of the two they are by their kind.
   Q^T V needed to commit projected coefficients.
 """
 
-import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -267,78 +266,68 @@ class ClusterBasis:
         return np.vstack(blocks)
 
 
-def _legendre_columns(block, box_min, box_max, degree):
-    """Tensor Legendre basis on a box, evaluated at the given points."""
-    npts, dim = block.shape
-    mapped = np.zeros_like(block)
-    for d in range(dim):
-        lo, hi = box_min[d], box_max[d]
-        if hi > lo:
-            mapped[:, d] = (2.0 * block[:, d] - lo - hi) / (hi - lo)
-    per_dim = [
-        np.polynomial.legendre.legvander(mapped[:, d], degree) for d in range(dim)
-    ]
-    cols = []
-    for alpha in itertools.product(range(degree + 1), repeat=dim):
-        c = np.ones(npts)
-        for d, a in enumerate(alpha):
-            c = c * per_dim[d][:, a]
-        cols.append(c)
-    return np.column_stack(cols)
+def _kron(factors):
+    """Kronecker products over a batch: factors[d] is a (b, m_d, k_d)
+    stack, and the first factor's indices vary slowest."""
+    out = np.ones((len(factors[0]), 1, 1))
+    for f in factors:
+        shape = (len(out), out.shape[1] * f.shape[1], out.shape[2] * f.shape[2])
+        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(shape)
+    return out
 
 
 def polynomial_basis(tree, points, degree):
     """Cluster basis of tensor Legendre polynomials, rank (degree+1)^d.
 
-    Leaf matrices evaluate the polynomials (scaled to each cluster's
-    bounding box) at the cluster's points.  Transfer matrices are
-    recovered by least squares from the nestedness relation, which is
-    exact for polynomials as long as every cluster's evaluation matrix
-    has full column rank.
+    Each cluster scales the polynomials to its bounding box.  Leaf
+    matrices evaluate them at the leaf's points.  The transfers need
+    no evaluation: on each axis a son's scaled coordinate y is
+    scale * y + shift in its father's (both 0 where the father's box
+    is flat), P_a(scale * y + shift) re-expands exactly in P_0(y) ...
+    P_p(y) by a (p+1) x (p+1) matrix, one solve at the p+1 Gauss
+    nodes, and a transfer is the Kronecker product of these matrices
+    over the axes (Börm, Efficient Numerical Methods for Non-local
+    Operators, 2010).  Raises ValueError unless points holds tree.n
+    finite rows of tree.dim coordinates (or tree.n values on a line),
+    and when a leaf has fewer points than the rank or a rank-deficient
+    evaluation matrix.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
-    dim = points.shape[1]
-    rank = (degree + 1) ** dim
-    vander = {}
-    for i, c in enumerate(tree.clusters):
-        if c.size < rank:
-            raise ValueError(
-                f"cluster {i} holds {c.size} points, need at least {rank}"
-            )
-        block = points[tree.indices(i)]
-        vander[i] = _legendre_columns(block, c.box_min, c.box_max, degree)
-
+    if points.shape != (tree.n, tree.dim) or not np.all(np.isfinite(points)):
+        raise ValueError(
+            f"expected {tree.n} finite points of dimension {tree.dim}, "
+            f"got an array of shape {points.shape}"
+        )
+    rank = (degree + 1) ** tree.dim
+    legvander = np.polynomial.legendre.legvander
+    low = np.array([c.box_min for c in tree.clusters])
+    high = np.array([c.box_max for c in tree.clusters])
+    # dividing by an infinite span maps a flat axis to 0
+    span = np.where(high > low, high - low, np.inf)
     leaf_matrix = {}
-    transfer = {}
-    for i, c in enumerate(tree.clusters):
-        if not c.sons:
-            if np.linalg.matrix_rank(vander[i]) < rank:
-                raise ValueError(
-                    f"cluster {i}: leaf evaluation matrix is rank deficient; "
-                    "points are not in general position"
-                )
-            leaf_matrix[i] = vander[i]
-            continue
-        offset = 0
-        for s in c.sons:
-            rows = tree.clusters[s].size
-            target = vander[i][offset : offset + rows]
-            offset += rows
-            # restricted polynomials stay in the son's span, so the
-            # least-squares residual is zero up to round-off; interior
-            # rank deficiencies only make the transfer non-unique
-            e = np.linalg.lstsq(vander[s], target, rcond=None)[0]
-            residual = np.linalg.norm(vander[s] @ e - target)
-            scale = max(1.0, np.linalg.norm(target))
-            if residual > 1e-10 * scale:
-                raise ValueError(
-                    f"cluster {s}: nestedness residual {residual:.3e} "
-                    "exceeds tolerance"
-                )
-            transfer[s] = e
-    return ClusterBasis(tree, leaf_matrix, transfer, isometric=False)
+    for i in tree.leaves():
+        if tree.size(i) < rank:
+            raise ValueError(f"cluster {i} holds {tree.size(i)} points, need at least {rank}")
+        scaled = (2.0 * points[tree.indices(i)] - low[i] - high[i]) / span[i]
+        leaf_matrix[i] = _kron([legvander(x, degree)[:, None, :] for x in scaled.T])[:, 0, :]
+        if np.linalg.matrix_rank(leaf_matrix[i]) < rank:
+            raise ValueError(
+                f"cluster {i}: leaf evaluation matrix is rank deficient; "
+                "points are not in general position"
+            )
+    sons = np.flatnonzero(tree.father >= 0)
+    fathers = tree.father[sons]
+    scale = (high[sons] - low[sons]) / span[fathers]
+    shift = (low[sons] + high[sons] - low[fathers] - high[fathers]) / span[fathers]
+    nodes = np.polynomial.legendre.leggauss(degree + 1)[0]
+    # per_axis[s, d][b, a]: the coefficient of P_b(y) in P_a(scale * y + shift)
+    per_axis = np.linalg.solve(
+        legvander(nodes, degree), legvander(scale[..., None] * nodes + shift[..., None], degree)
+    )
+    transfers = _kron([per_axis[:, d] for d in range(tree.dim)])
+    return ClusterBasis(tree, leaf_matrix, dict(zip(sons.tolist(), transfers)), isometric=False)
 
 
 def orthogonalize(basis):

@@ -18,14 +18,24 @@ def _parse_sizes(text):
     return sizes
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive count, got {value}")
-    return value
+def _checked(convert, what, valid, expected):
+    """An argparse type: convert the text, then require valid(value)."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from exc
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, "count", lambda v: v >= 1, "a positive count")
+_even_grid = _checked(int, "grid", lambda v: v >= 4 and v % 2 == 0, "an even grid of at least 4")
+_tolerance = _checked(float, "tolerance", lambda v: v >= 0.0, "a non-negative tolerance")
 
 
 def _build_parser():
@@ -51,10 +61,10 @@ def _build_parser():
     p_demo = sub.add_parser("demo", help="run demos")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     p_poisson = demo_sub.add_parser("poisson", help="L-shape inverse iteration")
-    p_poisson.add_argument("--grid", type=int, default=64)
+    p_poisson.add_argument("--grid", type=_even_grid, default=64)
     p_poisson.add_argument("--degree", type=int, default=3)
     p_poisson.add_argument("--eta", type=float, default=1.0)
-    p_poisson.add_argument("--eps", type=float, default=1e-5)
+    p_poisson.add_argument("--eps", type=_tolerance, default=1e-5)
     p_poisson.add_argument("--steps", type=_positive_int, default=20)
     p_poisson.add_argument("--out-prefix", required=True)
     return parser

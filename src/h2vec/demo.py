@@ -1,14 +1,15 @@
 """Inverse-iteration demo on the L-shaped Poisson problem.
 
-The stencil matrix is inverted through its block-tridiagonal Cholesky
-factorization into one dense n x n array (the problem sizes here stay
-in the low thousands), compressed into an H2 matrix over a geometric
-cluster tree with orthogonalized tensor-polynomial bases, and used to
-drive twenty steps of inverse iteration twice: first with plain dense
-vectors, then with hierarchical vectors (product in the induced basis,
-adaptive conversion back, normalization).  Every conversion
-reports an exact error bound, and the demo tracks a certified bound on
-the distance between the two iterates.
+The stencil, assembled as its grid-row blocks, is inverted through
+its block-tridiagonal Cholesky factorization into one dense n x n
+array (the problem sizes here stay in the low thousands), compressed
+into an H2 matrix over a geometric cluster tree with orthogonalized
+tensor-polynomial bases, and used to drive twenty steps of inverse
+iteration twice: first with plain dense vectors, then with
+hierarchical vectors (product in the induced basis, adaptive
+conversion back, normalization).  Every conversion reports an exact
+error bound, and the demo tracks a certified bound on the distance
+between the two iterates.
 """
 
 import math
@@ -89,7 +90,7 @@ class PoissonDemo:
         self.degree = degree
         self.eta = eta
         self.problem = assemble_lshape(grid)
-        n = self.problem.matrix.shape[0]
+        n = len(self.problem.points)
         if n > 5000:
             raise ValueError(f"{n} unknowns is too large for dense inversion here")
         # midpoint boxes near the boundary hold down to a quarter of
@@ -101,10 +102,7 @@ class PoissonDemo:
         self.gram = gram_family(self.iso)
         self.block_tree = build_block_tree(self.tree, self.tree, eta)
         self.csp = sparsity_constant(self.block_tree)
-        # one diagonal block per grid row of the row-major numbering
-        rows = self.problem.site[:, 1]
-        bounds = np.r_[0, np.flatnonzero(np.diff(rows)) + 1, n]
-        inverse = block_tridiagonal_inverse(self.problem.matrix, bounds)
+        inverse = block_tridiagonal_inverse(self.problem.diagonal, self.problem.below)
         permuted = inverse[np.ix_(self.tree.perm, self.tree.perm)]
         del inverse
         self.matrix, self.compression_error, self.dense_op = compress_dense(

@@ -6,8 +6,10 @@ boundary lines) carry Dirichlet conditions and are excluded, leaving
 the interior points of the L.  The 5-point stencil with spacing h =
 1/grid yields a symmetric positive definite matrix in row-major
 interior numbering.  Numbered that way, the matrix is block
-tridiagonal with one block per grid row, and `block_tridiagonal_inverse`
-inverts it through a block Cholesky factorization.
+tridiagonal with one block per grid row (Golub & Van Loan, Matrix
+Computations, 4.5): the problem holds only those blocks, and
+`block_tridiagonal_inverse` inverts the matrix from them through a
+block Cholesky factorization.
 """
 
 from dataclasses import dataclass
@@ -25,95 +27,77 @@ __all__ = [
 class PoissonProblem:
     grid: int
     points: np.ndarray  # (n, 2) interior coordinates, row-major order
-    matrix: np.ndarray  # (n, n) dense stencil matrix
     site: np.ndarray  # (n, 2) integer grid coordinates (i, j)
-
-
-def _interior_sites(grid):
-    half = grid // 2
-    sites = []
-    for j in range(1, grid):
-        for i in range(1, grid):
-            if i >= half and j >= half:
-                continue
-            sites.append((i, j))
-    return sites
+    diagonal: list  # per grid row k, its (m_k, m_k) tridiagonal block
+    below: list  # per pair of adjacent rows, the (m_{k+1}, m_k) coupling block
 
 
 def assemble_lshape(grid):
-    """Assemble the 5-point stencil matrix on the L-shaped domain."""
+    """Assemble the 5-point stencil on the L-shaped domain, in blocks."""
     if grid < 4 or grid % 2:
         raise ValueError("grid must be an even number >= 4")
     h = 1.0 / grid
-    sites = _interior_sites(grid)
-    n = len(sites)
-    number = {ij: p for p, ij in enumerate(sites)}
-    a = np.zeros((n, n))
     inv_h2 = 1.0 / (h * h)
-    for p, (i, j) in enumerate(sites):
-        a[p, p] = 4.0 * inv_h2
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            q = number.get((i + di, j + dj))
-            if q is not None:
-                a[p, q] = -inv_h2
-    points = np.array([(i * h, j * h) for i, j in sites])
-    return PoissonProblem(grid, points, a, np.array(sites))
+    half = grid // 2
+    j, i = np.mgrid[1:grid, 1:grid]
+    keep = (i < half) | (j < half)
+    site = np.column_stack([i[keep], j[keep]])
+    # row j holds the sites i = 1..m_j
+    sizes = np.count_nonzero(keep, axis=1).tolist()
+    diagonal = [inv_h2 * (4.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) for m in sizes]
+    below = [-inv_h2 * np.eye(m1, m0) for m0, m1 in zip(sizes[:-1], sizes[1:])]
+    return PoissonProblem(grid, site * h, site, diagonal, below)
 
 
-def block_tridiagonal_inverse(a, bounds):
+def block_tridiagonal_inverse(diagonal, below):
     """Inverse of a symmetric positive definite block-tridiagonal matrix.
 
-    `bounds` lists the block offsets from 0 to n: block k spans rows
-    and columns bounds[k]:bounds[k + 1].  For the stencil they are the
-    offsets where `site[:, 1]` changes, one block per grid row.  With
-    A = L Lᵀ factored block by block (Golub & Van Loan, Matrix
-    Computations, 4.3 and 4.5), the block rows of L⁻¹ are formed top
-    down in one n x n buffer and overwritten bottom up by those of
-    A⁻¹ = L⁻ᵀ L⁻¹.  Only the blocks on and below the diagonal are
-    computed and the rest is mirrored, so the result is exactly
-    symmetric.  Raises ValueError for an entry outside the block
-    pattern or an asymmetric matrix (LinAlgError, also a ValueError,
-    when a pivot block is not positive definite).
+    diagonal[k] is the (m_k, m_k) block on the diagonal and below[k]
+    the (m_{k+1}, m_k) block under it; the blocks above are their
+    transposes.  With A = L Lᵀ factored block by block (Golub & Van
+    Loan, Matrix Computations, 4.3 and 4.5), the block rows of L⁻¹ are
+    formed top down in one n x n buffer and overwritten bottom up by
+    those of A⁻¹ = L⁻ᵀ L⁻¹.  Only the blocks on and below the diagonal
+    are computed and the rest is mirrored, so the result is exactly
+    symmetric.  Raises ValueError for blocks of the wrong shape or an
+    asymmetric diagonal block (LinAlgError, also a ValueError, when a
+    pivot block is not positive definite).
     """
-    a = np.asarray(a, dtype=float)
-    bounds = np.asarray(bounds)
-    n = bounds[-1]
-    if a.shape != (n, n) or bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
+    diagonal = [np.asarray(d, dtype=float) for d in diagonal]
+    below = [np.asarray(b, dtype=float) for b in below]
+    for k, d in enumerate(diagonal):
+        if d.ndim != 2 or d.shape[0] != d.shape[1] or not d.size:
+            raise ValueError(
+                f"diagonal block {k}: expected a non-empty square matrix, got shape {d.shape}"
+            )
+        if not np.array_equal(d, d.T):
+            raise ValueError(f"diagonal block {k} is not symmetric")
+    sizes = [len(d) for d in diagonal]
+    if not sizes or len(below) != len(sizes) - 1:
         raise ValueError(
-            f"expected increasing block bounds from 0 to the order of a square "
-            f"matrix, got {bounds[0]}..{n} for shape {a.shape}"
+            f"expected one block below each diagonal block but the last, "
+            f"got {len(sizes)} diagonal and {len(below)} below"
         )
+    for k, b in enumerate(below):
+        if b.shape != (sizes[k + 1], sizes[k]):
+            want = (sizes[k + 1], sizes[k])
+            raise ValueError(f"block below {k}: expected shape {want}, got {b.shape}")
+    bounds = np.cumsum([0] + sizes).tolist()
     spans = [slice(b, e) for b, e in zip(bounds[:-1], bounds[1:])]
-    bands = [
-        slice(bounds[max(k - 1, 0)], bounds[min(k + 2, len(spans))])
-        for k in range(len(spans))
-    ]
-    inside = sum(np.count_nonzero(a[s, band]) for s, band in zip(spans, bands))
-    if inside != np.count_nonzero(a):
-        rows, cols = np.nonzero(a)
-        gap = np.searchsorted(bounds, rows, "right") - np.searchsorted(bounds, cols, "right")
-        first = np.argmax(np.abs(gap) > 1)
-        raise ValueError(
-            f"entry ({rows[first]}, {cols[first]}) lies outside the "
-            f"block-tridiagonal pattern"
-        )
-    for s, band in zip(spans, bands):
-        if not np.array_equal(a[s, band], a[band, s].T):
-            raise ValueError("matrix is not symmetric")
-    x = np.empty((n, n))
+    x = np.empty((bounds[-1], bounds[-1]))
     # block row k of L⁻¹: L_k⁻¹ on the diagonal and, to its left,
     # -L_k⁻¹ C_{k-1} times block row k - 1
     inv_l = []  # L_k⁻¹
-    below = []  # C_k = A[k+1, k] L_k⁻ᵀ, the block of L below L_k
-    schur = a[spans[0], spans[0]]
+    factor = []  # C_k = A[k+1, k] L_k⁻ᵀ, the block of L below L_k
+    schur = diagonal[0]
     for k, s in enumerate(spans):
-        inv_l.append(np.linalg.solve(np.linalg.cholesky(schur), np.eye(s.stop - s.start)))
+        inv_l.append(np.linalg.solve(np.linalg.cholesky(schur), np.eye(sizes[k])))
         x[s, s] = inv_l[k]
         if k:
-            x[s, : s.start] = -(inv_l[k] @ below[k - 1]) @ x[spans[k - 1], : s.start]
+            x[s, : s.start] = -(inv_l[k] @ factor[k - 1]) @ x[spans[k - 1], : s.start]
         if k + 1 < len(spans):
-            below.append(a[spans[k + 1], s] @ inv_l[k].T)
-            schur = a[spans[k + 1], spans[k + 1]] - below[k] @ below[k].T
+            factor.append(below[k] @ inv_l[k].T)
+            schur = diagonal[k + 1] - factor[k] @ factor[k].T
     # block row k of A⁻¹ = L_k⁻ᵀ (row k of L⁻¹ - C_kᵀ row k + 1 of A⁻¹),
     # left of and on the diagonal: one product with both block rows
     s = spans[-1]
@@ -121,7 +105,7 @@ def block_tridiagonal_inverse(a, bounds):
     for k in range(len(spans) - 2, -1, -1):
         s = spans[k]
         both = x[s.start : spans[k + 1].stop, : s.stop]
-        x[s, : s.stop] = np.hstack([inv_l[k].T, -inv_l[k].T @ below[k].T]) @ both
+        x[s, : s.stop] = np.hstack([inv_l[k].T, -inv_l[k].T @ factor[k].T]) @ both
     for s in spans:
         x[: s.start, s] = x[s, : s.start].T
         d = x[s, s]

@@ -282,9 +282,15 @@ class Subtree:
 
         The marked clusters must have sons in the tree and, apart from
         the root, a marked father; the members are the root and every
-        son of a marked cluster.
+        son of a marked cluster.  Raises ValueError unless the mask
+        has one entry per cluster.
         """
         interior = np.asarray(interior, dtype=bool)
+        if interior.shape != (len(tree.clusters),):
+            raise ValueError(
+                f"expected an interior mask of {len(tree.clusters)} entries, "
+                f"got shape {interior.shape}"
+            )
         has_father = tree.father >= 0
         member = np.zeros(len(tree.clusters), dtype=bool)
         member[has_father] = interior[tree.father[has_father]]
@@ -306,11 +312,17 @@ class Subtree:
         other._count = self._count
         return other
 
+    def _cluster(self, i):
+        """i, checked to number a cluster of the tree."""
+        if not 0 <= i < self._leaf.size:
+            raise ValueError(f"cluster {i}: not in the tree")
+        return i
+
     def __contains__(self, i):
-        return bool(self._member[i])
+        return bool(self._member[self._cluster(i)])
 
     def is_leaf(self, i):
-        return bool(self._leaf[i])
+        return bool(self._leaf[self._cluster(i)])
 
     def count(self):
         """Number of member clusters."""
@@ -318,9 +330,7 @@ class Subtree:
 
     def expand(self, i):
         """Turn leaf i into an interior node by adding its tree sons."""
-        if not 0 <= i < self._leaf.size:
-            raise ValueError(f"cluster {i}: not in the tree")
-        if not self._leaf[i]:
+        if not self.is_leaf(i):
             raise ValueError(f"cluster {i} is not a subtree leaf")
         sons = self.tree.sons(i)
         if not sons:
@@ -333,9 +343,7 @@ class Subtree:
 
     def contract(self, i):
         """Remove the sons of i, making i a leaf again."""
-        if not 0 <= i < self._leaf.size:
-            raise ValueError(f"cluster {i}: not in the tree")
-        if not self._member[i] or self._leaf[i]:
+        if i not in self or self._leaf[i]:
             raise ValueError(f"cluster {i} is not an interior subtree node")
         sons = self.tree.sons(i)
         for s in sons:

@@ -25,6 +25,24 @@ def prefix_subtree(tree, level):
     return sub
 
 
+def dense_stencil(problem):
+    """The problem's 5-point stencil as a dense matrix, built only from
+    its grid sites: 4/h^2 on the diagonal and -1/h^2 between sites one
+    step apart."""
+    h = 1.0 / problem.grid
+    inv_h2 = 1.0 / (h * h)
+    sites = [tuple(ij) for ij in problem.site.tolist()]
+    number = {ij: p for p, ij in enumerate(sites)}
+    a = np.zeros((len(sites), len(sites)))
+    for p, (i, j) in enumerate(sites):
+        a[p, p] = 4.0 * inv_h2
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            q = number.get((i + di, j + dj))
+            if q is not None:
+                a[p, q] = -inv_h2
+    return a
+
+
 def dense_columns(basis, i):
     return basis.materialize(i)
 

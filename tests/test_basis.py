@@ -25,6 +25,16 @@ from h2vec.hvector import to_dense
 from h2vec.tree import build_cluster_tree
 
 
+def legendre_columns(tree, points, i, degree):
+    """Products P_a(x) P_b(y) of Legendre polynomials scaled to cluster
+    i's box, at its points in the plane, for a, b = 0..degree, with a
+    varying slowest."""
+    c = tree.clusters[i]
+    x, y = ((2.0 * points[tree.indices(i)] - c.box_min - c.box_max) / (c.box_max - c.box_min)).T
+    p = [np.polynomial.Legendre.basis(a) for a in range(degree + 1)]
+    return np.column_stack([pa(x) * pb(y) for pa in p for pb in p])
+
+
 def nestedness_defect(basis):
     tree = basis.tree
     worst = 0.0
@@ -80,6 +90,42 @@ def test_polynomial_basis_uses_cluster_points():
     tree = build_cluster_tree(pts, 24)
     b = polynomial_basis(tree, pts, 1)
     assert nestedness_defect(b) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.linspace(0, 1, 40),  # more points than the tree's indices
+        np.linspace(0, 1, 16),  # fewer
+        np.zeros((32, 2)),  # 2-D points on a tree on a line
+        np.r_[np.linspace(0, 1, 31), np.nan],
+        np.r_[np.linspace(0, 1, 31), np.inf],
+    ],
+)
+def test_polynomial_basis_rejects_points_that_do_not_fit_the_tree(points):
+    tree = line_tree(32, 4)
+    with pytest.raises(ValueError, match="expected 32 finite points of dimension 1"):
+        polynomial_basis(tree, points, 1)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_polynomial_transfers_match_least_squares(degree):
+    # the closed-form transfers solve the nestedness relation that a
+    # least-squares fit over each son's points recovers
+    rng = np.random.default_rng(degree)
+    pts = rng.random((400, 2))
+    tree = build_cluster_tree(pts, 64)
+    b = polynomial_basis(tree, pts, degree)
+    for i, c in enumerate(tree.clusters):
+        offset = 0
+        full = legendre_columns(tree, pts, i, degree)
+        for s in c.sons:
+            son = legendre_columns(tree, pts, s, degree)
+            want = full[offset : offset + len(son)]
+            offset += len(son)
+            e = np.linalg.lstsq(son, want, rcond=None)[0]
+            assert np.max(np.abs(b.transfer[s] - e)) <= 1e-12
+    assert nestedness_defect(b) <= 1e-12
 
 
 def test_orthogonalize_identity_change_for_isometric(rng):

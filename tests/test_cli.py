@@ -1,10 +1,13 @@
+import copy
 import os
 import re
 import warnings
 
 import pytest
 
+from h2vec import selftest
 from h2vec.cli import main
+from h2vec.h2matrix import H2Matrix, to_dense
 from h2vec.selftest import run_selftest
 
 
@@ -19,8 +22,17 @@ def test_selftest_emits_no_warning(seed):
         assert run_selftest(seed=seed, verbose=False) == 0
 
 
-def test_selftest_detects_corrupted_coupling():
-    assert run_selftest(seed=0, corrupt_coupling=True, verbose=False) > 0
+def test_selftest_detects_corrupted_coupling(monkeypatch):
+    # the product suite's dense reference expands the matrix with one
+    # coupling matrix changed, so its oracles must disagree
+    def corrupted(m):
+        coupling = copy.copy(m.coupling)
+        first = m.block_tree.leaves()[0]
+        coupling[first] = coupling[first] + 0.5
+        return to_dense(H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling))
+
+    monkeypatch.setattr(selftest, "to_dense", corrupted)
+    assert run_selftest(seed=0, verbose=False) > 0
 
 
 def test_selftest_deterministic(capsys):
@@ -137,4 +149,24 @@ def test_cli_demo_rejects_a_step_count_below_one(tmp_path, capsys, steps):
         )
     assert exit_info.value.code == 2
     assert "expected a positive count" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--grid", "15", "expected an even grid of at least 4"),
+        ("--grid", "2", "expected an even grid of at least 4"),
+        ("--grid", "x", "bad grid"),
+        ("--eps", "-1e-5", "expected a non-negative tolerance"),
+        ("--eps", "nan", "expected a non-negative tolerance"),
+        ("--eps", "x", "bad tolerance"),
+    ],
+)
+def test_cli_demo_rejects_bad_grid_or_eps(tmp_path, capsys, option, value, message):
+    prefix = str(tmp_path / "demo")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["demo", "poisson", "--degree", "1", f"{option}={value}", "--out-prefix", prefix])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

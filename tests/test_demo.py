@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from h2vec.demo import (
 from h2vec.h2matrix import compress_dense, to_dense
 from h2vec.tree import Subtree
 
+from conftest import dense_stencil
 from demo_reference import interleaved_run
 
 
@@ -102,7 +104,7 @@ def test_full_subtree(demo):
 
 def test_setup_matches_the_dense_inverse_oracle(demo):
     perm = demo.tree.perm
-    inverse = np.linalg.inv(demo.problem.matrix)[np.ix_(perm, perm)]
+    inverse = np.linalg.inv(dense_stencil(demo.problem))[np.ix_(perm, perm)]
     _, error, _ = compress_dense(inverse, demo.iso, demo.iso, demo.block_tree)
     assert abs(demo.compression_error - error) <= 1e-12 * error
     assert np.array_equal(demo.dense_op, to_dense(demo.matrix))
@@ -127,6 +129,20 @@ def test_run_matches_the_interleaved_schedule(demo, eps):
 def test_run_rejects_a_step_count_below_one(demo, steps):
     with pytest.raises(ValueError, match="steps must be a positive count"):
         demo.run(1e-5, steps=steps)
+
+
+def test_setup_peak_memory(demo):
+    # the module's demo has warmed up imports and caches; at its peak
+    # the set-up holds the inverse, its permuted copy and the expansion,
+    # and no dense stencil
+    tracemalloc.start()
+    try:
+        big = PoissonDemo(grid=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = big.tree.n
+    assert peak < 3.7 * 8 * n * n
 
 
 def test_dense_guard():

@@ -1,7 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from h2vec.poisson import assemble_lshape, block_tridiagonal_inverse
+
+from conftest import dense_stencil
+
+
+def blocks_to_dense(prob):
+    """The block-tridiagonal matrix that the problem's blocks describe."""
+    bounds = np.cumsum([0] + [len(d) for d in prob.diagonal])
+    spans = [slice(b, e) for b, e in zip(bounds[:-1], bounds[1:])]
+    a = np.zeros((bounds[-1], bounds[-1]))
+    for s, d in zip(spans, prob.diagonal):
+        a[s, s] = d
+    for s, t, b in zip(spans[:-1], spans[1:], prob.below):
+        a[t, s] = b
+        a[s, t] = b.T
+    return a
 
 
 def test_interior_count_by_enumeration():
@@ -14,18 +31,31 @@ def test_interior_count_by_enumeration():
                 if not (i >= half and j >= half):
                     count += 1
         prob = assemble_lshape(grid)
-        assert prob.matrix.shape == (count, count)
+        assert len(prob.points) == len(prob.site) == count
+        assert sum(len(d) for d in prob.diagonal) == count
+
+
+@pytest.mark.parametrize("grid", [4, 8, 16, 32])
+def test_blocks_match_the_dense_stencil(grid):
+    prob = assemble_lshape(grid)
+    # one diagonal block per grid row, in row-major site order
+    rows = np.unique(prob.site[:, 1], return_counts=True)[1]
+    assert [len(d) for d in prob.diagonal] == rows.tolist()
+    assert len(prob.below) == len(prob.diagonal) - 1
+    assert np.array_equal(blocks_to_dense(prob), dense_stencil(prob))
 
 
 def test_matrix_symmetric():
     prob = assemble_lshape(8)
-    assert np.array_equal(prob.matrix, prob.matrix.T)
+    for d in prob.diagonal:
+        assert np.array_equal(d, d.T)
+    a = dense_stencil(prob)
+    assert np.array_equal(a, a.T)
 
 
 @pytest.mark.parametrize("grid", [8, 16, 32])
 def test_positive_definite(grid):
-    prob = assemble_lshape(grid)
-    smallest = np.linalg.eigvalsh(prob.matrix)[0]
+    smallest = np.linalg.eigvalsh(dense_stencil(assemble_lshape(grid)))[0]
     assert smallest > 0.0
 
 
@@ -41,41 +71,48 @@ def test_points_inside_lshape():
     for x, y in prob.points:
         assert 0.0 < x < 1.0 and 0.0 < y < 1.0
         assert not (x >= 0.5 and y >= 0.5)
+    assert np.array_equal(prob.points, prob.site / 16)
 
 
-def row_bounds(prob):
-    """Block offsets of the grid rows in the row-major numbering."""
-    rows = prob.site[:, 1]
-    return np.r_[0, np.flatnonzero(np.diff(rows)) + 1, len(rows)]
+def test_assembly_holds_no_array_of_n_squared_entries():
+    prob = assemble_lshape(64)
+    n = len(prob.points)
+    arrays = []
+    for f in dataclasses.fields(prob):
+        value = getattr(prob, f.name)
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, list):
+            arrays.extend(value)
+    assert len(arrays) == 2 + 2 * 63 - 1
+    assert all(isinstance(a, np.ndarray) and a.size < n * n for a in arrays)
 
 
 @pytest.mark.parametrize("grid", [8, 16, 32])
 def test_block_inverse_matches_dense_inverse(grid):
     prob = assemble_lshape(grid)
-    x = block_tridiagonal_inverse(prob.matrix, row_bounds(prob))
-    ref = np.linalg.inv(prob.matrix)
+    x = block_tridiagonal_inverse(prob.diagonal, prob.below)
+    ref = np.linalg.inv(dense_stencil(prob))
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.array_equal(x, x.T)
 
 
-def test_block_inverse_rejects_entries_outside_the_pattern():
-    prob = assemble_lshape(8)
-    a = prob.matrix.copy()
-    a[0, 20] = a[20, 0] = -1.0  # grid rows 1 and 3
-    with pytest.raises(ValueError, match=r"entry \(0, 20\) lies outside"):
-        block_tridiagonal_inverse(a, row_bounds(prob))
-
-
 def test_block_inverse_rejects_bad_input():
     prob = assemble_lshape(8)
-    bounds = row_bounds(prob)
-    a = prob.matrix.copy()
-    a[0, 1] *= 2.0
-    with pytest.raises(ValueError, match="not symmetric"):
-        block_tridiagonal_inverse(a, bounds)
-    with pytest.raises(ValueError, match="block bounds"):
-        block_tridiagonal_inverse(prob.matrix, bounds[:-1])
-    with pytest.raises(ValueError, match="block bounds"):
-        block_tridiagonal_inverse(prob.matrix, bounds[::-1])
+    diagonal, below = prob.diagonal, prob.below
+    skewed = [d.copy() for d in diagonal]
+    skewed[2][0, 1] *= 2.0
+    with pytest.raises(ValueError, match="diagonal block 2 is not symmetric"):
+        block_tridiagonal_inverse(skewed, below)
+    with pytest.raises(ValueError, match="1 below"):
+        block_tridiagonal_inverse(diagonal[:3], below[:1])
+    with pytest.raises(ValueError, match="0 diagonal"):
+        block_tridiagonal_inverse([], [])
+    with pytest.raises(ValueError, match=r"block below 2: expected shape \(3, 7\)"):
+        block_tridiagonal_inverse(diagonal, [b.T for b in below])
+    with pytest.raises(ValueError, match="diagonal block 0: expected a non-empty square"):
+        block_tridiagonal_inverse([diagonal[0][:, 1:]] + diagonal[1:], below)
+    with pytest.raises(ValueError, match="diagonal block 1: expected a non-empty square"):
+        block_tridiagonal_inverse([np.eye(1), np.zeros((0, 0))], [np.zeros((0, 1))])
     with pytest.raises(np.linalg.LinAlgError):
-        block_tridiagonal_inverse(-prob.matrix, bounds)
+        block_tridiagonal_inverse([-d for d in diagonal], below)

@@ -188,6 +188,26 @@ def test_subtree_precondition_errors():
         sub.expand(leaf)  # not a member leaf of the subtree
 
 
+@pytest.mark.parametrize("cluster", [-1, 15, 100])
+def test_subtree_rejects_a_cluster_outside_the_tree(cluster):
+    tree = line_tree(32, 4)
+    sub = Subtree.from_interior(tree, tree.has_sons)
+    assert sub.count() == len(tree) == 15
+    for query in (sub.__contains__, sub.is_leaf, sub.expand, sub.contract):
+        with pytest.raises(ValueError, match=f"cluster {cluster}: not in the tree"):
+            query(cluster)
+    assert 14 in sub and sub.is_leaf(14)
+
+
+@pytest.mark.parametrize("entries", [3, 14, 16, 40])
+def test_from_interior_rejects_a_mask_of_another_length(entries):
+    tree = line_tree(32, 4)
+    with pytest.raises(ValueError, match=rf"mask of 15 entries, got shape \({entries},\)"):
+        Subtree.from_interior(tree, np.ones(entries, dtype=bool))
+    with pytest.raises(ValueError, match="mask of 15 entries"):
+        Subtree.from_interior(tree, tree.has_sons[None, :])
+
+
 def test_leaf_size_raised_when_needed():
     pts = np.array([0.0, 0.4, 1.0])
     with pytest.warns(UserWarning):
