@@ -36,6 +36,7 @@ def _checked(convert, what, valid, expected):
 _positive_int = _checked(int, "count", lambda v: v >= 1, "a positive count")
 _even_grid = _checked(int, "grid", lambda v: v >= 4 and v % 2 == 0, "an even grid of at least 4")
 _tolerance = _checked(float, "tolerance", lambda v: v >= 0.0, "a non-negative tolerance")
+_degree = _checked(int, "degree", lambda v: v >= 0, "a non-negative degree")
 
 
 def _build_parser():
@@ -62,7 +63,7 @@ def _build_parser():
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     p_poisson = demo_sub.add_parser("poisson", help="L-shape inverse iteration")
     p_poisson.add_argument("--grid", type=_even_grid, default=64)
-    p_poisson.add_argument("--degree", type=int, default=3)
+    p_poisson.add_argument("--degree", type=_degree, default=3)
     p_poisson.add_argument("--eta", type=float, default=1.0)
     p_poisson.add_argument("--eps", type=_tolerance, default=1e-5)
     p_poisson.add_argument("--steps", type=_positive_int, default=20)
@@ -73,7 +74,11 @@ def _build_parser():
 def _run_demo(args):
     from .demo import PoissonDemo, corner_concentration, write_partition_svg
 
-    demo = PoissonDemo(grid=args.grid, degree=args.degree, eta=args.eta)
+    try:
+        demo = PoissonDemo(grid=args.grid, degree=args.degree, eta=args.eta)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"grid {args.grid}: n={demo.tree.n}, depth={demo.tree.depth}, "
         f"csp={demo.csp}, compression error {demo.compression_error:.3e}"

@@ -10,6 +10,12 @@ hierarchical vectors (product in the induced basis, adaptive
 conversion back, normalization).  Every conversion reports an exact
 error bound, and the demo tracks a certified bound on the distance
 between the two iterates.
+
+Every leaf block of the compressed operator is stored through the
+leaf bases, so the operator is exactly L M L^T, with L the isometric,
+block-diagonal matrix of the leaf matrices and M = L^T A L of order
+(#leaves * rank).  The dense steps apply it in that form; set-up keeps
+M and no n x n array.
 """
 
 import math
@@ -64,7 +70,8 @@ class DemoStep:
     merges: int  # clusters whose sons the conversion merged again
     forced: int  # commits at tree leaves whose error exceeded the budget
     flops: dict
-    # wall time per part: "dense" (the dense step), "matvec", "convert",
+    # wall time per part: "dense" (the dense step: L M L^T x, its
+    # Rayleigh quotient and normalization), "matvec", "convert",
     # "vector" (Rayleigh quotient, norm and scale) and "check" (the
     # dense expansion and the true difference)
     seconds: dict
@@ -105,7 +112,7 @@ class PoissonDemo:
         inverse = block_tridiagonal_inverse(self.problem.diagonal, self.problem.below)
         permuted = inverse[np.ix_(self.tree.perm, self.tree.perm)]
         del inverse
-        self.matrix, self.compression_error, self.dense_op = compress_dense(
+        self.matrix, self.compression_error, expansion = compress_dense(
             permuted, self.iso, self.iso, self.block_tree
         )
         del permuted
@@ -113,19 +120,45 @@ class PoissonDemo:
         self.zfactors = projection_factors(self.plan.induced, self.iso)
         self.pfactors = coarsening_factors(self.iso)
         # valid upper bound for the spectral norm of the compressed operator
-        absolute = np.abs(self.dense_op)
+        absolute = np.abs(expansion)
         self.op_norm = min(
-            float(np.linalg.norm(self.dense_op)),
+            float(np.linalg.norm(expansion)),
             math.sqrt(absolute.sum(axis=0).max() * absolute.sum(axis=1).max()),
         )
+        del absolute
+        # M = L^T A L, leaf coefficients in leaf-group order
+        self.leaf_operator = _leaf_form(expansion, self.iso.leaf_groups)
+
+    def apply(self, x):
+        """The compressed operator times the vector x (tree position
+        order), computed as L (M (L^T x)).  Raises ValueError unless x
+        has shape (n,) and finite entries."""
+        n = self.tree.n
+        x = np.asarray(x, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"expected a vector of shape ({n},), got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("vector has non-finite entries")
+        groups = self.iso.leaf_groups
+        coefficients = np.concatenate(
+            [(g.stack.transpose(0, 2, 1) @ x[g.target][:, :, None]).ravel() for g in groups]
+        )
+        product = self.leaf_operator @ coefficients
+        out = np.empty(n)
+        at = 0
+        for g in groups:
+            b, _, r = g.stack.shape
+            out[g.target] = (g.stack @ product[at : at + b * r].reshape(b, r, 1))[:, :, 0]
+            at += b * r
+        return out
 
     def run(self, eps, steps=20):
         """Run dense and hierarchical inverse iteration from one start.
 
-        The dense iteration runs to completion first, so that the dense
-        operator is not streamed between every two hierarchical steps;
-        the hierarchical loop then reads its Rayleigh quotients, norms
-        and iterates.  Raises ValueError unless steps is positive.
+        The dense iteration, through apply, runs to completion first, so
+        that its operator is not streamed between every two hierarchical
+        steps; the hierarchical loop then reads its Rayleigh quotients,
+        norms and iterates.  Raises ValueError unless steps is positive.
         """
         if steps < 1:
             raise ValueError(f"steps must be a positive count, got {steps}")
@@ -136,7 +169,7 @@ class PoissonDemo:
         xd = start
         for _ in range(steps):
             t0 = time.perf_counter()
-            yd = self.dense_op @ xd
+            yd = self.apply(xd)
             nu_dense = float(xd @ yd)
             norm_yd = float(np.linalg.norm(yd))
             xd = yd / norm_yd
@@ -192,6 +225,18 @@ class PoissonDemo:
             )
         run.final_leaves = xh.sub.leaves()
         return run
+
+
+def _leaf_form(a, leaf_groups):
+    """L^T a L for the block-diagonal matrix L of the leaf matrices of
+    the given leaf groups, with the leaf coefficients in group order:
+    L^T b is taken from row slices of b, first of a, then of (L^T a)^T."""
+    leaves = [(t[0], v) for g in leaf_groups for t, v in zip(g.target, g.stack)]
+
+    def project(b):
+        return np.concatenate([v.T @ b[begin : begin + len(v)] for begin, v in leaves])
+
+    return project(project(a).T).T
 
 
 def cell_bounds(grid):

@@ -2,9 +2,12 @@
 
 ``interleaved_run`` takes one dense step and then one hierarchical step
 at a time, as ``PoissonDemo.run`` did before it ran the dense sweep
-first.  The arithmetic is the same in either order, so every field of
-every step but the wall times, and the final leaves, must agree
-exactly with the library's run.
+first.  With the demo's own dense step the arithmetic is the same in
+either order, so every field of every step but the wall times, and the
+final leaves, must agree exactly with the library's run.  Given another
+dense step, such as the n x n product with the expanded matrix, only
+the dense fields may move, by round-off.  ``dense_sweep`` is the dense
+iteration alone, with its iterates.
 """
 
 import math
@@ -19,8 +22,22 @@ from h2vec.hvector import from_dense
 from h2vec.matvec import multiply
 
 
-def interleaved_run(demo, eps, steps):
-    """Dense and hierarchical inverse iteration, one step of each in turn."""
+def dense_sweep(dense_step, start, steps):
+    """Dense inverse iteration: per step (Rayleigh quotient, iterate)."""
+    out = []
+    xd = start
+    for _ in range(steps):
+        yd = dense_step(xd)
+        nu_dense = float(xd @ yd)
+        xd = yd / float(np.linalg.norm(yd))
+        out.append((nu_dense, xd))
+    return out
+
+
+def interleaved_run(demo, eps, steps, dense_step=None):
+    """Dense and hierarchical inverse iteration, one step of each in
+    turn; dense_step is demo.apply unless given."""
+    dense_step = demo.apply if dense_step is None else dense_step
     n = demo.tree.n
     budget = ToleranceBudget(eps)
     start = np.ones(n) / math.sqrt(n)
@@ -31,7 +48,7 @@ def interleaved_run(demo, eps, steps):
     delta = start_error
     for step in range(1, steps + 1):
         t0 = time.perf_counter()
-        yd = demo.dense_op @ xd
+        yd = dense_step(xd)
         nu_dense = float(xd @ yd)
         norm_yd = float(np.linalg.norm(yd))
         xd = yd / norm_yd

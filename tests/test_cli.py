@@ -161,6 +161,8 @@ def test_cli_demo_rejects_a_step_count_below_one(tmp_path, capsys, steps):
         ("--eps", "-1e-5", "expected a non-negative tolerance"),
         ("--eps", "nan", "expected a non-negative tolerance"),
         ("--eps", "x", "bad tolerance"),
+        ("--degree", "-1", "expected a non-negative degree"),
+        ("--degree", "1.5", "bad degree"),
     ],
 )
 def test_cli_demo_rejects_bad_grid_or_eps(tmp_path, capsys, option, value, message):
@@ -169,4 +171,20 @@ def test_cli_demo_rejects_bad_grid_or_eps(tmp_path, capsys, option, value, messa
         main(["demo", "poisson", "--degree", "1", f"{option}={value}", "--out-prefix", prefix])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "grid, degree, message",
+    [
+        ("128", "1", "error: 12033 unknowns is too large for dense inversion here"),
+        ("16", "10", "error: cluster 0: leaf evaluation matrix is rank deficient"),
+    ],
+)
+def test_cli_demo_reports_a_refused_setup(tmp_path, capsys, grid, degree, message):
+    prefix = str(tmp_path / "demo")
+    code = main(["demo", "poisson", "--grid", grid, "--degree", degree, "--out-prefix", prefix])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []

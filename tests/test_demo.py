@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -16,7 +18,45 @@ from h2vec.h2matrix import compress_dense, to_dense
 from h2vec.tree import Subtree
 
 from conftest import dense_stencil
-from demo_reference import interleaved_run
+from demo_reference import dense_sweep, interleaved_run
+
+
+def leaf_matrix(demo):
+    """L: the leaf matrices of the demo's basis, block-diagonal, with
+    their columns in leaf-group order."""
+    groups = demo.iso.leaf_groups
+    out = np.zeros((demo.tree.n, sum(g.stack.shape[0] * g.stack.shape[2] for g in groups)))
+    at = 0
+    for g in groups:
+        for rows, v in zip(g.target, g.stack):
+            out[rows, at : at + v.shape[1]] = v
+            at += v.shape[1]
+    return out
+
+
+def reachable_arrays(root):
+    """Every ndarray reachable from root through instance attributes,
+    containers and array bases."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        elif isinstance(obj, (str, bytes, int, float, type)):
+            continue
+        elif isinstance(obj, Mapping):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return arrays
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +147,61 @@ def test_setup_matches_the_dense_inverse_oracle(demo):
     inverse = np.linalg.inv(dense_stencil(demo.problem))[np.ix_(perm, perm)]
     _, error, _ = compress_dense(inverse, demo.iso, demo.iso, demo.block_tree)
     assert abs(demo.compression_error - error) <= 1e-12 * error
-    assert np.array_equal(demo.dense_op, to_dense(demo.matrix))
+    # the operator in its leaf form reproduces the expanded matrix
+    want = to_dense(demo.matrix)
+    ell = leaf_matrix(demo)
+    got = ell @ demo.leaf_operator @ ell.T
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_apply_matches_the_expansion(demo):
+    full = to_dense(demo.matrix)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x = rng.standard_normal(demo.tree.n)
+        want = full @ x
+        assert np.linalg.norm(demo.apply(x) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape", [(160,), (162,), (161, 1), (1, 161), ()])
+def test_apply_rejects_a_vector_of_another_shape(demo, shape):
+    assert demo.tree.n == 161
+    with pytest.raises(ValueError, match=r"expected a vector of shape \(161,\)"):
+        demo.apply(np.ones(shape))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_apply_rejects_non_finite_entries(demo, value):
+    x = np.ones(demo.tree.n)
+    x[5] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        demo.apply(x)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_dense_sweep_matches_the_n_by_n_sweep(degree):
+    demo = PoissonDemo(grid=16, degree=degree)
+    full = to_dense(demo.matrix)
+    n = demo.tree.n
+    assert demo.leaf_operator.shape[0] < n
+    start = np.ones(n) / math.sqrt(n)
+    for (nu, x), (nu_ref, x_ref) in zip(
+        dense_sweep(demo.apply, start, 20), dense_sweep(full.__matmul__, start, 20)
+    ):
+        assert abs(nu - nu_ref) <= 1e-14 * abs(nu_ref)
+        assert np.abs(x - x_ref).max() <= 1e-14
+    run = demo.run(1e-5, steps=20)
+    want = interleaved_run(demo, 1e-5, 20, dense_step=full.__matmul__)
+    assert run.start_bound == want.start_bound
+    dense = {"nu_dense", "true_diff", "cum_bound", "seconds"}
+    names = [f.name for f in dataclasses.fields(run.steps[0]) if f.name not in dense]
+    for got, ref in zip(run.steps, want.steps):
+        assert abs(got.nu_dense - ref.nu_dense) <= 1e-14 * abs(ref.nu_dense)
+        assert abs(got.true_diff - ref.true_diff) <= 1e-14
+        assert abs(got.cum_bound - ref.cum_bound) <= 1e-13 * ref.cum_bound
+        for name in names:
+            assert getattr(got, name) == getattr(ref, name), (got.step, name)
+    assert run.final_leaves == want.final_leaves
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-8])
@@ -132,9 +226,10 @@ def test_run_rejects_a_step_count_below_one(demo, steps):
 
 
 def test_setup_peak_memory(demo):
-    # the module's demo has warmed up imports and caches; at its peak
-    # the set-up holds the inverse, its permuted copy and the expansion,
-    # and no dense stencil
+    # the module's demo has warmed up imports and caches; the set-up
+    # peaks (3.25 * 8n^2 bytes) while op_norm reads the expansion and
+    # its absolute value, next to the plan and the factors; it holds no
+    # dense stencil, and at most two n x n arrays at a time
     tracemalloc.start()
     try:
         big = PoissonDemo(grid=32)
@@ -143,6 +238,15 @@ def test_setup_peak_memory(demo):
         tracemalloc.stop()
     n = big.tree.n
     assert peak < 3.7 * 8 * n * n
+
+
+def test_demo_holds_no_array_of_n_squared_entries():
+    demo = PoissonDemo(grid=32)
+    n = demo.tree.n
+    assert not hasattr(demo, "dense_op")
+    sizes = [a.size for a in reachable_arrays(demo)]
+    assert demo.leaf_operator.size in sizes
+    assert max(sizes) < n * n
 
 
 def test_dense_guard():
