@@ -7,7 +7,6 @@ that run in time proportional to the active subtree size.
 
 from .basis import (
     ClusterBasis,
-    ProjectionFactors,
     coarsening_factors,
     cross_gram_family,
     gram_family,

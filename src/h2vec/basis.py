@@ -12,17 +12,17 @@ columns at every cluster, which makes optimal projections and exact
 error computation possible.  The per-cluster matrices below, like the
 Gram family, are ClusterMatrices: stored once, stacked per (level,
 shape), for passes that treat one level of the tree at a time, and
-read per cluster through views.  A Gram family and merge factors name
-their basis and say which of the two they are by their kind.
+read per cluster through views.  A family names its kind and the
+source and target bases it was built for, which _check_family checks.
 
 * merge factors: the orthogonal factor Q of one QR per interior
   cluster over the stacked transfer matrices.  Multiplying stacked son
   coefficients by Q^T yields the optimally merged coefficient in the
   leading rows and the exact merge error in the trailing rows.
-* projection factors: small upper-triangular matrices Z per cluster
-  with  || V x - Q Q^T V x || = || Z x ||  for all coefficient vectors
-  x, computed by a bottom-up recursion together with the cross terms
-  Q^T V needed to commit projected coefficients.
+* projection factors: per cluster the cross term Q^T V, which commits
+  projected coefficients, over a small upper-triangular Z with
+  || V x - Q Q^T V x || = || Z x ||  for all coefficient vectors x,
+  both from one bottom-up recursion.
 """
 
 from collections.abc import Mapping
@@ -36,7 +36,6 @@ from . import kernels
 __all__ = [
     "ClusterBasis",
     "ClusterMatrices",
-    "ProjectionFactors",
     "polynomial_basis",
     "orthogonalize",
     "gram_family",
@@ -76,16 +75,14 @@ class ClusterMatrices(Mapping):
     time.  The stacks lie in one flat store, where the matrix of
     cluster i starts at start[i], row-major; it holds the given
     matrices, or zeros.  views, also read as self[i], is a read-only
-    mapping from each cluster to a view of its matrix.  basis names
-    the basis the matrices belong to, for a family of one basis such
-    as its Gram matrices.  kind is "gram" for a Gram family, "merge"
-    for merge factors and None for other matrices; gram_family and
-    coarsening_factors set it.
+    mapping from each cluster to a view of its matrix.  A family's
+    kind, one of FAMILIES, and the source and target bases it was
+    built for, by whose ptr its groups' source and target entries are
+    laid out, are set by its builder; other matrices keep None.
     """
 
-    def __init__(self, tree, shapes, matrices=None, basis=None):
-        self.basis = basis
-        self.kind = None
+    def __init__(self, tree, shapes, matrices=None):
+        self.kind = self.source = self.target = None
         keys, level = {}, tree.level.tolist()
         for i, shape in shapes.items():
             keys.setdefault((level[i], *shape), []).append(i)
@@ -115,6 +112,36 @@ class ClusterMatrices(Mapping):
 
     def __len__(self):
         return len(self.views)
+
+
+# each kind of family as messages name it, given and as an owner
+FAMILIES = {
+    "gram": ("a Gram family", "Gram family belongs"),
+    "cross": ("a cross-Gram family", "cross-Gram family belongs"),
+    "merge": ("merge factors", "merge factors belong"),
+    "projection": ("projection factors", "projection factors belong"),
+}
+
+
+def _check_family(factors, kind, source, target=None):
+    """Raise ValueError, naming what was expected and what was given, unless
+    factors is a family of this kind built for source and target (or source)."""
+    given = factors.kind if isinstance(factors, ClusterMatrices) else None
+    if given != kind:
+        raise ValueError(f"expected {FAMILIES[kind][0]}, got {FAMILIES.get(given, [type(factors).__name__])[0]}")
+    for role, want, have in (("source ", source, factors.source), ("target ", target or source, factors.target)):
+        if have is not want:
+            raise ValueError(f"{FAMILIES[kind][1]} to a different {role if target else ''}basis")
+
+
+def _family(family, kind, source, target):
+    """Tag family with its kind and bases, and give each group its
+    clusters' entries in the layouts of source and target."""
+    family.kind, family.source, family.target = kind, source, target
+    for group in family.groups:
+        group.source = _entries(source.ptr, group.clusters, group.stack.shape[2])
+        group.target = _entries(target.ptr, group.clusters, target.rank_of(group.clusters[0]))
+    return family
 
 
 def _entries(ptr, clusters, width):
@@ -367,32 +394,30 @@ def orthogonalize(basis):
 
 
 def gram_family(basis):
-    """Per-cluster Gram matrices V^T V via the transfer recursion, as
-    ClusterMatrices over the entries of the basis's ptr that name the
-    basis."""
+    """Per-cluster Gram matrices V^T V: the cross-Gram family of the
+    basis with itself, of kind "gram"."""
     gram = cross_gram_family(basis, basis)
-    gram = ClusterMatrices(basis.tree, {i: g.shape for i, g in gram.items()}, gram, basis)
     gram.kind = "gram"
-    for group in gram.groups:
-        group.source = group.target = _entries(basis.ptr, group.clusters, group.stack.shape[1])
     return gram
 
 
 def cross_gram_family(left, right):
-    """Per-cluster products left^T right for two bases on one tree."""
+    """Per-cluster products left^T right via the transfer recursion, as
+    a family of kind "cross" from right (source) to left (target)."""
     if left.tree is not right.tree:
         raise ValueError("bases live on different trees")
     tree, lt, rt = left.tree, left.transfer, right.transfer
-    cross = {}
-    for i in tree.postorder():
+    order = tree.postorder()
+    cross = ClusterMatrices(tree, {i: (left.rank_of(i), right.rank_of(i)) for i in order})
+    for i in order:
         if tree.is_leaf(i):
-            cross[i] = kernels.matmul(left.leaf_matrix[i].T, right.leaf_matrix[i])
+            cross[i][:] = kernels.matmul(left.leaf_matrix[i].T, right.leaf_matrix[i])
         else:
-            cross[i] = sum(
+            cross[i][:] = sum(
                 kernels.matmul(lt[s].T, kernels.matmul(cross[s], rt[s]))
                 for s in tree.sons(i)
             )
-    return cross
+    return _family(cross, "cross", right, left)
 
 
 def coarsening_factors(basis):
@@ -402,7 +427,7 @@ def coarsening_factors(basis):
     coefficients by the factor's transpose puts the optimally merged
     coefficient in the first rank_of(i) rows and the exact merge error
     in the remaining rows.  Returns the merge factors as
-    ClusterMatrices of kind "merge", named by the basis: self[i] is
+    ClusterMatrices of kind "merge", built for the basis: self[i] is
     the m x m orthogonal factor Q of interior cluster i.  The clusters
     of one group share the level, the rank and the sum of their sons'
     ranks; the group's source holds, per cluster, its sons' entries in
@@ -417,8 +442,8 @@ def coarsening_factors(basis):
         for i in np.flatnonzero(tree.has_sons).tolist()
     }
     shapes = {i: (span.size, span.size, basis.rank_of(i)) for i, span in spans.items()}
-    q = ClusterMatrices(tree, shapes, basis=basis)
-    q.kind = "merge"
+    q = ClusterMatrices(tree, shapes)
+    q.kind, q.source, q.target = "merge", basis, basis
     for group in q.groups:
         ids = group.clusters.tolist()
         for qi, i in zip(group.stack, ids):
@@ -429,33 +454,15 @@ def coarsening_factors(basis):
     return q
 
 
-@dataclass
-class ProjectionFactors:
-    """Exact projection-error matrices between two bases on one tree.
-
-    z[i] is upper triangular with || Vx - QQ^T Vx || = || z[i] x || on
-    cluster i; cross[i] = Q^T V supplies the projected coefficients.
-    Both are read-only mappings of views into stacked, the
-    ClusterMatrices holding [cross[i]; z[i]] per cluster; a group's
-    source holds its clusters' entries in flat arrays laid out by the
-    source basis's ptr, and its target those laid out by the target's.
-    """
-
-    source: ClusterBasis
-    target: ClusterBasis
-    z: Mapping
-    cross: Mapping
-    stacked: ClusterMatrices
-
-
 def projection_factors(source, target):
-    """Build ProjectionFactors for projecting `source` onto `target`.
+    """Family of kind "projection" for projecting `source` onto `target`.
 
+    self[i] is [Q^T V; Z] on cluster i: the cross term in the first
+    target.rank_of(i) rows, then Z with || Vx - QQ^T Vx || = || Z x ||.
     Works bottom-up: on leaves the orthonormal complement of the target
     matrix is applied to the source matrix and condensed by a thin QR;
-    on interior clusters the son factors are pushed through the source
-    transfers and combined with the complement of the stacked target
-    transfers.  The cross terms Q^T V fall out of the same pass.
+    on interior clusters the son factors, pushed through the source
+    transfers, join the complement of the stacked target transfers.
     """
     if source.tree is not target.tree:
         raise ValueError("bases live on different trees")
@@ -482,9 +489,4 @@ def projection_factors(source, target):
             complement = np.vstack([pushed, complement])
         r = kernels.triangular_factor(complement)
         z[i][: r.shape[0]] = r
-    for group in stacked.groups:
-        group.source = _entries(source.ptr, group.clusters, group.stack.shape[2])
-        group.target = _entries(target.ptr, group.clusters, group.stack.shape[1] - group.stack.shape[2])
-    return ProjectionFactors(
-        source, target, MappingProxyType(z), MappingProxyType(cross), stacked
-    )
+    return _family(stacked, "projection", source, target)

@@ -1,21 +1,13 @@
 """Command-line driver: self tests, scaling benchmarks, Poisson demo."""
 
 import argparse
+import math
+import os
 import sys
 
 from .bench import bench_matvec, write_csv
 
 __all__ = ["main"]
-
-
-def _parse_sizes(text):
-    try:
-        sizes = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from exc
-    if not sizes:
-        raise argparse.ArgumentTypeError("empty size list")
-    return sizes
 
 
 def _checked(convert, what, valid, expected):
@@ -37,6 +29,23 @@ _positive_int = _checked(int, "count", lambda v: v >= 1, "a positive count")
 _even_grid = _checked(int, "grid", lambda v: v >= 4 and v % 2 == 0, "an even grid of at least 4")
 _tolerance = _checked(float, "tolerance", lambda v: v >= 0.0, "a non-negative tolerance")
 _degree = _checked(int, "degree", lambda v: v >= 0, "a non-negative degree")
+_rank = _checked(int, "rank", lambda v: v >= 1, "a positive rank")
+_size = _checked(int, "size", lambda v: v >= 1, "a positive size")
+_eta = _checked(float, "eta", lambda v: math.isfinite(v) and v >= 0.0, "a finite, non-negative eta")
+
+
+def _parse_sizes(text):
+    sizes = [_size(v) for v in text.split(",") if v.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("empty size list")
+    return sizes
+
+
+def _check_folder(path):
+    """Raise ValueError unless the folder an output path names exists."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"no directory {folder} to write {path} in")
 
 
 def _build_parser():
@@ -53,9 +62,9 @@ def _build_parser():
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
     p_mv = bench_sub.add_parser("matvec", help="product cost vs subtree size")
     p_mv.add_argument("--sizes", type=_parse_sizes, default=[64, 128, 256, 512])
-    p_mv.add_argument("--k", type=int, default=3, help="vector basis rank")
-    p_mv.add_argument("--ka", type=int, default=3, help="matrix basis rank")
-    p_mv.add_argument("--eta", type=float, default=1.0)
+    p_mv.add_argument("--k", type=_rank, default=3, help="vector basis rank")
+    p_mv.add_argument("--ka", type=_rank, default=3, help="matrix basis rank")
+    p_mv.add_argument("--eta", type=_eta, default=1.0)
     p_mv.add_argument("--seed", type=int, default=0)
     p_mv.add_argument("--out", required=True, help="output CSV path")
 
@@ -64,7 +73,7 @@ def _build_parser():
     p_poisson = demo_sub.add_parser("poisson", help="L-shape inverse iteration")
     p_poisson.add_argument("--grid", type=_even_grid, default=64)
     p_poisson.add_argument("--degree", type=_degree, default=3)
-    p_poisson.add_argument("--eta", type=float, default=1.0)
+    p_poisson.add_argument("--eta", type=_eta, default=1.0)
     p_poisson.add_argument("--eps", type=_tolerance, default=1e-5)
     p_poisson.add_argument("--steps", type=_positive_int, default=20)
     p_poisson.add_argument("--out-prefix", required=True)
@@ -75,6 +84,7 @@ def _run_demo(args):
     from .demo import PoissonDemo, corner_concentration, write_partition_svg
 
     try:
+        _check_folder(args.out_prefix)
         demo = PoissonDemo(grid=args.grid, degree=args.degree, eta=args.eta)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -171,9 +181,12 @@ def main(argv=None):
         failed = run_selftest(seed=args.seed)
         return 1 if failed else 0
     if args.command == "bench":
-        header, rows = bench_matvec(
-            args.sizes, args.k, args.ka, args.eta, args.seed
-        )
+        try:
+            _check_folder(args.out)
+            header, rows = bench_matvec(args.sizes, args.k, args.ka, args.eta, args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         write_csv(args.out, header, rows, "h2vec bench matvec")
         print(f"wrote {len(rows)} rows to {args.out}")
         return 0

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .basis import ClusterBasis, ProjectionFactors
-from .hvector import HVector, check_merge_factors, describe_factors
+from .basis import ClusterBasis, _check_family
+from .hvector import HVector
 from .tree import Subtree
 
 __all__ = [
@@ -208,7 +208,7 @@ def convert(x, target, zfactors, pfactors, budget):
     ----------
     x : HVector over the source basis (a product result qualifies).
     target : isometric ClusterBasis on the same tree.
-    zfactors : ProjectionFactors for (source, target).
+    zfactors : projection_factors(source, target).
     pfactors : coarsening_factors(target), its stacked Q factors.
     budget : ToleranceBudget.
 
@@ -219,13 +219,8 @@ def convert(x, target, zfactors, pfactors, budget):
     the per-cluster report of exact local errors.
     """
     _check_budget(budget)
-    if not isinstance(zfactors, ProjectionFactors):
-        raise ValueError(f"expected projection factors, got {describe_factors(zfactors)}")
-    if zfactors.source is not x.basis or zfactors.target is not target:
-        raise ValueError("projection factors do not match source/target bases")
-    if not target.isometric:
-        raise ValueError("target basis must be isometric")
-    check_merge_factors(pfactors, target)
+    _check_family(zfactors, "projection", x.basis, target)
+    _check_family(pfactors, "merge", target)
     x.validate()
     tree = target.tree
     y = HVector(target)
@@ -234,7 +229,7 @@ def convert(x, target, zfactors, pfactors, budget):
     has = x.sub.leaf_mask().copy()  # the clusters holding a source coefficient
     interior = x.sub.interior_mask()
     acc = np.zeros(len(tree))
-    for level, group_list in enumerate(zfactors.stacked.levels):
+    for level, group_list in enumerate(zfactors.levels):
         push = np.zeros(len(tree), dtype=bool)
         for group in group_list:
             pick = has[group.clusters]
@@ -272,7 +267,7 @@ def coarsen_pass(y, pfactors, budget):
     bound acc(root).
     """
     _check_budget(budget)
-    check_merge_factors(pfactors, y.basis)
+    _check_family(pfactors, "merge", y.basis)
     y.validate()
     acc = np.zeros(len(y.basis.tree))
     return _ascent(y, y.sub.interior_mask(), acc, pfactors, budget, {})

@@ -61,8 +61,11 @@ def build_block_tree(row_tree, col_tree, eta):
 
     A pair is admissible when the larger bounding-box diameter is at
     most eta times the box distance.  Both trees must be level uniform
-    with equal depth so that leaf pairs align.
+    with equal depth so that leaf pairs align.  Raises ValueError
+    unless eta is finite and non-negative; 0 makes no pair admissible.
     """
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise ValueError(f"eta must be finite and non-negative, got {eta}")
     if row_tree.depth != col_tree.depth:
         raise ValueError(
             f"tree depths differ: {row_tree.depth} vs {col_tree.depth}"

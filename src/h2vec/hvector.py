@@ -26,7 +26,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from . import kernels
-from .basis import ClusterMatrices
+from .basis import _check_family
 from .tree import Subtree
 
 __all__ = [
@@ -152,30 +152,13 @@ def coarsen(x, i, factors):
     Euclidean norm of the difference, computed exactly from the merge
     factors.
     """
-    check_merge_factors(factors, x.basis)
+    _check_family(factors, "merge", x.basis)
     # raises, leaving x as it was, unless i is interior with leaf sons
     x.sub.contract(i)
     merged, error, _ = merge(x, i, factors)
     off = x.basis.offsets
     x.data[off[i] : off[i + 1]] = merged
     return error
-
-
-def describe_factors(factors):
-    """What factors are, for messages."""
-    kind = factors.kind if isinstance(factors, ClusterMatrices) else None
-    return {"merge": "merge factors", "gram": "a Gram family"}.get(kind, type(factors).__name__)
-
-
-def check_merge_factors(factors, basis):
-    """Raise ValueError unless basis is isometric and factors are its
-    merge factors."""
-    if not basis.isometric:
-        raise ValueError("coarsening requires an isometric basis")
-    if not isinstance(factors, ClusterMatrices) or factors.kind != "merge":
-        raise ValueError(f"expected merge factors, got {describe_factors(factors)}")
-    if factors.basis is not basis:
-        raise ValueError("merge factors belong to a different basis")
 
 
 def _refined(x, interior, data):
@@ -228,10 +211,7 @@ def dot(x, y, gram):
     both sides sit on the leaves of the common refinement.
     """
     interior = _common_interior(x, y)
-    if not isinstance(gram, ClusterMatrices) or gram.kind != "gram":
-        raise ValueError(f"expected a Gram family, got {describe_factors(gram)}")
-    if gram.basis is not x.basis:
-        raise ValueError("Gram family belongs to a different basis")
+    _check_family(gram, "gram", x.basis)
     u = _refined(x, interior, x.data.copy())
     v = _refined(y, interior, y.data.copy())
     leaf = Subtree.from_interior(x.basis.tree, interior).leaf_mask()

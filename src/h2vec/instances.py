@@ -103,10 +103,15 @@ class RandomInstance:
 
 
 def random_instance(n, k, ka, eta, seed, dim=1, leaf_size=None):
-    """Random H2 matrix over a geometric tree plus a matching plan."""
+    """Random H2 matrix over a geometric tree plus a matching plan.
+
+    Raises ValueError unless both ranks are positive and at most n.
+    """
+    if min(k, ka) < 1 or n < max(k, ka):
+        raise ValueError(f"ranks must lie between 1 and n = {n}, got k = {k} and ka = {ka}")
     rng = np.random.default_rng(seed)
     points = np.linspace(0.0, 1.0, n) if dim == 1 else rng.random((n, dim))
-    rank = max(k, ka, 1)
+    rank = max(k, ka)
     tree = build_cluster_tree(points, 2 * rank if leaf_size is None else leaf_size)
     # midpoint bisection can cut leaves below the rank: grow the default
     while leaf_size is None and min(map(tree.size, tree.leaves())) < rank:

@@ -168,11 +168,10 @@ def build_plan(matrix, input_basis):
         if np.any(np.diff(basis.ptr) != basis.rank):
             raise ValueError(f"{name} basis: the product needs one rank at every cluster")
     bt = matrix.block_tree
-    row_tree, col_tree = bt.row_tree, bt.col_tree
+    row_tree = bt.row_tree
     ka = matrix.rank
     k = input_basis.rank
-    cross = cross_gram_family(matrix.col_basis, input_basis)
-    cross = np.array([cross[s] for s in range(len(col_tree))])
+    cross = np.array(list(cross_gram_family(matrix.col_basis, input_basis).values()))
     # leaf blocks in row order: the coupling sums them per row
     leaves = sorted((b for b in bt.blocks if b.is_leaf), key=lambda b: b.row)
     others = [b for b in bt.blocks if not b.is_leaf]

@@ -115,10 +115,11 @@ def convert(x, target, zfactors, pfactors, budget):
         if xhat is None and x.sub.is_leaf(i):
             xhat = x.data[xoff[i] : xoff[i + 1]]
         if xhat is not None:
-            err = float(np.linalg.norm(kernels.matvec(zfactors.z[i], xhat)))
+            r = target.rank_of(i)
+            err = float(np.linalg.norm(kernels.matvec(zfactors[i][r:], xhat)))
             fits = err <= budget.limit(tree.size(i), tree.n, float(np.linalg.norm(xhat)))
             if fits or tree.is_leaf(i):
-                y.data[yoff[i] : yoff[i + 1]] = kernels.matvec(zfactors.cross[i], xhat)
+                y.data[yoff[i] : yoff[i + 1]] = kernels.matvec(zfactors[i][:r], xhat)
                 report.commit_errors[i] = err
                 if not fits:
                     report.forced.append(i)

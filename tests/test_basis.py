@@ -281,8 +281,8 @@ def test_coarsening_factors_require_isometric(rng):
 
 def test_projection_factors_zero_for_same_basis(rng, small_iso):
     z = projection_factors(small_iso, small_iso)
-    for i, zi in z.z.items():
-        assert np.max(np.abs(zi)) <= 1e-13
+    for i, f in z.items():
+        assert np.max(np.abs(f[small_iso.rank_of(i) :])) <= 1e-13
 
 
 def test_projection_factors_zero_for_same_range(rng):
@@ -290,9 +290,9 @@ def test_projection_factors_zero_for_same_range(rng):
     b = random_basis(tree, 3, rng)
     iso, _ = orthogonalize(b)
     z = projection_factors(b, iso)
-    for i, zi in z.z.items():
+    for i, f in z.items():
         scale = max(1.0, np.max(np.abs(b.materialize(i))))
-        assert np.max(np.abs(zi)) <= 1e-11 * scale
+        assert np.max(np.abs(f[iso.rank_of(i) :])) <= 1e-11 * scale
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -309,18 +309,19 @@ def test_projection_error_matches_dense_every_cluster(seed):
         v = source.materialize(i) @ xhat
         q = target.materialize(i)
         truth = np.linalg.norm(v - q @ (q.T @ v))
-        got = np.linalg.norm(factors.z[i] @ xhat)
+        r = target.rank_of(i)
+        got = np.linalg.norm(factors[i][r:] @ xhat)
         assert abs(got - truth) <= 1e-11 * max(1.0, truth)
         dense_cross = q.T @ source.materialize(i)
         scale = max(1.0, np.max(np.abs(dense_cross)))
-        assert np.max(np.abs(factors.cross[i] - dense_cross)) <= 1e-11 * scale
+        assert np.max(np.abs(factors[i][:r] - dense_cross)) <= 1e-11 * scale
 
 
 def test_projection_z_is_upper_triangular(rng, small_iso):
     source = random_basis(small_iso.tree, 4, rng)
     factors = projection_factors(source, small_iso)
-    for zi in factors.z.values():
-        assert np.max(np.abs(np.tril(zi, -1))) == 0.0
+    for i, f in factors.items():
+        assert np.max(np.abs(np.tril(f[small_iso.rank_of(i) :], -1))) == 0.0
 
 
 def test_materialize_leaf_verbatim(rng):

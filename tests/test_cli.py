@@ -161,6 +161,9 @@ def test_cli_demo_rejects_a_step_count_below_one(tmp_path, capsys, steps):
         ("--eps", "-1e-5", "expected a non-negative tolerance"),
         ("--eps", "nan", "expected a non-negative tolerance"),
         ("--eps", "x", "bad tolerance"),
+        ("--eta", "nan", "expected a finite, non-negative eta"),
+        ("--eta", "-1", "expected a finite, non-negative eta"),
+        ("--eta", "x", "bad eta"),
         ("--degree", "-1", "expected a non-negative degree"),
         ("--degree", "1.5", "bad degree"),
     ],
@@ -171,6 +174,60 @@ def test_cli_demo_rejects_bad_grid_or_eps(tmp_path, capsys, option, value, messa
         main(["demo", "poisson", "--degree", "1", f"{option}={value}", "--out-prefix", prefix])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--k", "0", "expected a positive rank"),
+        ("--k", "x", "bad rank"),
+        ("--ka", "-1", "expected a positive rank"),
+        ("--sizes", "0", "expected a positive size"),
+        ("--sizes", "64,-8", "expected a positive size"),
+        ("--sizes", "64,x", "bad size"),
+        ("--sizes", ",", "empty size list"),
+        ("--eta", "nan", "expected a finite, non-negative eta"),
+        ("--eta", "-1", "expected a finite, non-negative eta"),
+        ("--eta", "inf", "expected a finite, non-negative eta"),
+    ],
+)
+def test_cli_bench_rejects_bad_arguments(tmp_path, capsys, option, value, message):
+    out = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "matvec", f"{option}={value}", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sizes", "8", "--k", "16"], "error: ranks must lie between 1 and n = 8"),
+        (["--sizes", "2"], "error: ranks must lie between 1 and n = 2"),
+    ],
+)
+def test_cli_bench_reports_a_refused_setup(tmp_path, capsys, argv, message):
+    code = main(["bench", "matvec", *argv, "--out", str(tmp_path / "bench.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["bench", "demo"])
+def test_cli_refuses_a_missing_output_folder_before_setup(tmp_path, capsys, command):
+    # the demo once ran its whole solve before failing to write
+    path = str(tmp_path / "missing" / "out")
+    argv = {
+        "bench": ["bench", "matvec", "--sizes", "64", "--out", path],
+        "demo": ["demo", "poisson", "--grid", "16", "--degree", "1", "--out-prefix", path],
+    }[command]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no directory {tmp_path / 'missing'}") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,6 +5,7 @@ from h2vec import kernels
 
 from h2vec.basis import (
     coarsening_factors,
+    cross_gram_family,
     gram_family,
     orthogonalize,
     projection_factors,
@@ -169,7 +170,7 @@ def test_convert_representable_at_root(rng, setup):
     target, _ = orthogonalize(wide)
     zfac = projection_factors(induced, target)
     pfac = coarsening_factors(target)
-    assert np.max(np.abs(zfac.z[tree.root])) > 1e-6  # generically lossy
+    assert np.max(np.abs(zfac[tree.root][target.rank_of(tree.root) :])) > 1e-6  # generically lossy
     xhat = np.zeros(induced.rank_of(tree.root))
     xhat[:2] = rng.standard_normal(2)
     x = HVector.from_leaves(induced, None, {tree.root: xhat})
@@ -222,11 +223,28 @@ def test_convert_rejects_mismatched_factors(rng, setup):
     inst, induced, zfac, pfac = setup
     other = random_iso_basis(inst.tree, 3, rng)
     x = HVector(induced)
-    with pytest.raises(ValueError):
-        convert(x, other, zfac, pfac, ToleranceBudget(1e-6))
+    with pytest.raises(ValueError, match="^projection factors belong to a different target basis$"):
+        convert(x, other, zfac, coarsening_factors(other), ToleranceBudget(1e-6))
+    # projection factors built for another pair of bases
+    pairs = (
+        (projection_factors(induced, other), "target"),
+        (projection_factors(other, inst.input_basis), "source"),
+        (projection_factors(other, other), "source"),
+    )
+    for wrong, role in pairs:
+        with pytest.raises(ValueError, match=f"^projection factors belong to a different {role} basis$"):
+            convert(x, inst.input_basis, wrong, pfac, ToleranceBudget(1e-6))
+    with pytest.raises(ValueError, match="^merge factors belong to a different basis$"):
+        convert(x, inst.input_basis, zfac, coarsening_factors(other), ToleranceBudget(1e-6))
     # factors of the wrong kind once raised AttributeError
-    for wrong, got in ((pfac, "merge factors"), (None, "NoneType")):
-        with pytest.raises(ValueError, match=f"expected projection factors, got {got}"):
+    wrong_kinds = (
+        (pfac, "merge factors"),
+        (gram_family(inst.input_basis), "a Gram family"),
+        (cross_gram_family(induced, inst.input_basis), "a cross-Gram family"),
+        (None, "NoneType"),
+    )
+    for wrong, got in wrong_kinds:
+        with pytest.raises(ValueError, match=f"^expected projection factors, got {got}$"):
             convert(x, inst.input_basis, wrong, pfac, ToleranceBudget(1e-6))
 
 

@@ -47,6 +47,14 @@ def test_eta_zero_gives_leaf_pairs_only():
     assert block_labels_partition(bt)
 
 
+@pytest.mark.parametrize("eta", [float("nan"), -1.0, float("inf"), -float("inf")])
+def test_block_tree_rejects_a_bad_eta(eta):
+    # a NaN or negative eta once gave 341 blocks, none admissible
+    tree = line_tree(64, 4)
+    with pytest.raises(ValueError, match=f"eta must be finite and non-negative, got {eta}"):
+        build_block_tree(tree, tree, eta)
+
+
 def test_depth_mismatch_rejected():
     a = line_tree(8, 2)
     b = line_tree(8, 1)

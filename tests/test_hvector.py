@@ -268,7 +268,7 @@ def test_dot_refuses_another_basis_gram_family():
     with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
         norm(x, wrong)
     gram = gram_family(basis)
-    assert gram.basis is basis
+    assert gram.source is basis and gram.target is basis
     want = float(to_dense(x) @ to_dense(y))
     assert abs(dot(x, y, gram) - want) <= 1e-12 * max(1.0, abs(want))
 

@@ -11,6 +11,7 @@ import algebra_reference as reference
 from h2vec import kernels
 from h2vec.basis import (
     coarsening_factors,
+    cross_gram_family,
     gram_family,
     orthogonalize,
     polynomial_basis,
@@ -232,18 +233,19 @@ def test_factors_are_views_into_stacks(rng, small_iso):
     source = random_basis(small_iso.tree, 2, rng)
     zf = projection_factors(source, small_iso)
     pf = coarsening_factors(small_iso)
-    for group in zf.stacked.groups:
+    for group in zf.groups:
         k = group.target.shape[1]
         for j, i in enumerate(group.clusters.tolist()):
-            assert np.shares_memory(zf.z[i], group.stack) and np.shares_memory(zf.cross[i], group.stack)
-            assert np.array_equal(group.stack[j], np.vstack([zf.cross[i], zf.z[i]]))
+            assert np.shares_memory(zf[i], group.stack)
+            assert np.array_equal(group.stack[j], zf[i])
             assert k == small_iso.rank_of(i)
+            assert group.source[j].tolist() == list(range(source.ptr[i], source.ptr[i + 1]))
     for group in pf.groups:
         for j, i in enumerate(group.clusters.tolist()):
             assert np.shares_memory(pf[i], group.stack)
             assert pf[i].ctypes.data == group.stack[j].ctypes.data
     with pytest.raises(TypeError):
-        zf.z[0] = np.zeros((2, 2))
+        zf[0] = np.zeros((2, 2))
 
 
 @pytest.mark.parametrize("entry", ["coarsen", "coarsen_pass", "convert", "dot", "norm"])
@@ -266,7 +268,8 @@ def test_families_refuse_each_other(rng, entry):
 _KINDS = {
     "merge": "merge factors",
     "gram": "a Gram family",
-    "stacked": "ClusterMatrices",
+    "cross": "a cross-Gram family",
+    "stacked": "projection factors",
     "transfer": "mappingproxy",
 }
 
@@ -275,9 +278,9 @@ _KINDS = {
     ("entry", "wrong"),
     [
         (entry, wrong)
-        for entry in ("dot", "coarsen", "coarsen_pass", "convert")
+        for entry in ("dot", "norm", "coarsen", "coarsen_pass", "convert")
         for wrong in _KINDS
-        if wrong != ("gram" if entry == "dot" else "merge")
+        if wrong != ("gram" if entry in ("dot", "norm") else "merge")
     ],
 )
 def test_wrong_kind_is_named(rng, entry, wrong):
@@ -288,16 +291,19 @@ def test_wrong_kind_is_named(rng, entry, wrong):
     factors = {
         "merge": coarsening_factors(iso),
         "gram": gram_family(iso),
-        "stacked": zf.stacked,
+        "cross": cross_gram_family(iso, iso),
+        "stacked": zf,
         "transfer": iso.transfer,
     }[wrong]
     calls = {
         "dot": lambda: dot(x, x, factors),
+        "norm": lambda: norm(x, factors),
         "coarsen": lambda: coarsen(x, iso.tree.root, factors),
         "coarsen_pass": lambda: coarsen_pass(x, factors, budget),
         "convert": lambda: convert(x, iso, zf, factors, budget),
     }
-    with pytest.raises(ValueError, match=f"expected .*, got {_KINDS[wrong]}$"):
+    expected = "a Gram family" if entry in ("dot", "norm") else "merge factors"
+    with pytest.raises(ValueError, match=f"^expected {expected}, got {_KINDS[wrong]}$"):
         calls[entry]()
 
 

@@ -61,6 +61,13 @@ def test_plan_nonleaf_root_block(rng):
     assert plan.ptr[root + 1] - plan.ptr[root] == 2 + 2
 
 
+@pytest.mark.parametrize("n, k, ka", [(8, 16, 3), (8, 3, 9), (64, 0, 3), (64, 3, -1)])
+def test_random_instance_rejects_ranks_out_of_range(n, k, ka):
+    # a rank above n once grew the leaf size forever
+    with pytest.raises(ValueError, match=f"ranks must lie between 1 and n = {n}"):
+        random_instance(n, k, ka, 1.0, 0)
+
+
 def test_build_plan_rejects_varying_ranks(inst):
     # the induced basis has per-cluster ranks; the product needs uniform ones
     with pytest.raises(ValueError, match="input basis: the product needs one rank"):
