@@ -1,11 +1,9 @@
 """Inverse-iteration demo on the L-shaped Poisson problem.
 
-The stencil, assembled as its grid-row blocks, is inverted through
-its block-tridiagonal Cholesky factorization into one dense n x n
-array (the problem sizes here stay in the low thousands), compressed
-into an H2 matrix over a geometric cluster tree with orthogonalized
-tensor-polynomial bases, and used to drive twenty steps of inverse
-iteration twice: first with plain dense vectors, then with
+The inverse of the stencil, assembled as its grid-row blocks, is
+compressed into an H2 matrix over a geometric cluster tree with
+orthogonalized tensor-polynomial bases, and used to drive twenty steps
+of inverse iteration twice: first with plain dense vectors, then with
 hierarchical vectors (product in the induced basis, adaptive
 conversion back, normalization).  Every conversion reports an exact
 error bound, and the demo tracks a certified bound on the distance
@@ -13,9 +11,18 @@ between the two iterates.
 
 Every leaf block of the compressed operator is stored through the
 leaf bases, so the operator is exactly L M L^T, with L the isometric,
-block-diagonal matrix of the leaf matrices and M = L^T A L of order
-(#leaves * rank).  The dense steps apply it in that form; set-up keeps
-M and no n x n array.
+block-diagonal matrix of the leaf matrices and M of order
+K = #leaves * rank.  Set-up never forms an n x n array: block solves
+through the stencil's block Cholesky factor give M0 = L^T A^-1 L a few
+leaves at a time; since V_t = L_t E_t, with E_t stacking the transfer
+products from t's leaves up to t, the coupling of a leaf block (t, s)
+is E_t^T M0[t, s] E_s (Börm, Efficient Numerical Methods for Non-local
+Operators, 2010), and M takes M0's place, block by block.  The
+compression is a Frobenius-orthogonal projection, so its error is
+sqrt(||A^-1||_F^2 - sum of the squared coupling norms), with
+||A^-1||_F^2 = trace((A^2)^-1) from the blocks.  The dense steps apply
+the operator as L (M (L^T x)); set-up keeps M, of K^2 floats, and
+refuses an order above MAX_LEAF_ORDER.
 """
 
 import math
@@ -33,10 +40,10 @@ from .basis import (
     projection_factors,
 )
 from .convert import ToleranceBudget, coarsen_pass, convert
-from .h2matrix import build_block_tree, compress_dense, sparsity_constant
+from .h2matrix import H2Matrix, build_block_tree, sparsity_constant
 from .hvector import from_dense
 from .matvec import build_plan, multiply
-from .poisson import assemble_lshape, block_tridiagonal_inverse
+from .poisson import assemble_lshape, block_cholesky, block_solve, inverse_square_trace
 from .tree import Subtree, build_cluster_tree
 
 __all__ = [
@@ -49,6 +56,11 @@ __all__ = [
     "corner_concentration",
     "write_partition_svg",
 ]
+
+
+# the leaf operator M holds K^2 floats for K = #leaves * rank: 537 MB
+# at this order, 134 MB at grid 128 (K = 4,096), 2.1 GB at grid 256
+MAX_LEAF_ORDER = 8192
 
 
 def full_subtree(tree):
@@ -97,37 +109,34 @@ class PoissonDemo:
         self.degree = degree
         self.eta = eta
         self.problem = assemble_lshape(grid)
-        n = len(self.problem.points)
-        if n > 5000:
-            raise ValueError(f"{n} unknowns is too large for dense inversion here")
+        rank = (degree + 1) ** 2
         # midpoint boxes near the boundary hold down to a quarter of
         # the largest leaf count; keep the smallest above the rank
-        leaf_size = 4 * (degree + 1) ** 2
-        self.tree = build_cluster_tree(self.problem.points, leaf_size)
+        self.tree = build_cluster_tree(self.problem.points, 4 * rank)
+        order = len(self.tree.leaves()) * rank
+        if order > MAX_LEAF_ORDER:
+            raise ValueError(
+                f"{self.tree.n} unknowns need a leaf operator of order {order} "
+                f"({8 * order**2 / 1e6:.0f} MB), above the limit of order {MAX_LEAF_ORDER}"
+            )
         nodal = polynomial_basis(self.tree, self.problem.points, degree)
         self.iso, _ = orthogonalize(nodal)
         self.gram = gram_family(self.iso)
         self.block_tree = build_block_tree(self.tree, self.tree, eta)
         self.csp = sparsity_constant(self.block_tree)
-        inverse = block_tridiagonal_inverse(self.problem.diagonal, self.problem.below)
-        permuted = inverse[np.ix_(self.tree.perm, self.tree.perm)]
-        del inverse
-        self.matrix, self.compression_error, expansion = compress_dense(
-            permuted, self.iso, self.iso, self.block_tree
-        )
-        del permuted
+        self._leaf_entries, span = _leaf_layout(self.iso)
+        self.leaf_operator = _leaf_inverse(self.problem, self.iso, self._leaf_entries, span)
+        coupling, sumsq = _project_in_place(self.leaf_operator, self.iso, self.block_tree, span)
+        self.matrix = H2Matrix(self.block_tree, self.iso, self.iso, coupling)
+        # the compression is a Frobenius-orthogonal projection of A^-1
+        square = inverse_square_trace(self.problem.diagonal, self.problem.below)
+        self.compression_error = math.sqrt(max(square - sumsq, 0.0))
+        # valid upper bounds on the spectral norm of L M L^T, which is
+        # that of M since L is isometric
+        self.op_norm = min(float(np.linalg.norm(self.leaf_operator)), _norm_1_inf(self.leaf_operator))
         self.plan = build_plan(self.matrix, self.iso)
         self.zfactors = projection_factors(self.plan.induced, self.iso)
         self.pfactors = coarsening_factors(self.iso)
-        # valid upper bound for the spectral norm of the compressed operator
-        absolute = np.abs(expansion)
-        self.op_norm = min(
-            float(np.linalg.norm(expansion)),
-            math.sqrt(absolute.sum(axis=0).max() * absolute.sum(axis=1).max()),
-        )
-        del absolute
-        # M = L^T A L, leaf coefficients in leaf-group order
-        self.leaf_operator = _leaf_form(expansion, self.iso.leaf_groups)
 
     def apply(self, x):
         """The compressed operator times the vector x (tree position
@@ -139,17 +148,13 @@ class PoissonDemo:
             raise ValueError(f"expected a vector of shape ({n},), got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("vector has non-finite entries")
-        groups = self.iso.leaf_groups
-        coefficients = np.concatenate(
-            [(g.stack.transpose(0, 2, 1) @ x[g.target][:, :, None]).ravel() for g in groups]
-        )
+        coefficients = np.empty(len(self.leaf_operator))
+        for g, at in zip(self.iso.leaf_groups, self._leaf_entries):
+            coefficients[at] = g.stack.transpose(0, 2, 1) @ x[g.target][:, :, None]
         product = self.leaf_operator @ coefficients
         out = np.empty(n)
-        at = 0
-        for g in groups:
-            b, _, r = g.stack.shape
-            out[g.target] = (g.stack @ product[at : at + b * r].reshape(b, r, 1))[:, :, 0]
-            at += b * r
+        for g, at in zip(self.iso.leaf_groups, self._leaf_entries):
+            out[g.target] = (g.stack @ product[at])[:, :, 0]
         return out
 
     def run(self, eps, steps=20):
@@ -227,16 +232,89 @@ class PoissonDemo:
         return run
 
 
-def _leaf_form(a, leaf_groups):
-    """L^T a L for the block-diagonal matrix L of the leaf matrices of
-    the given leaf groups, with the leaf coefficients in group order:
-    L^T b is taken from row slices of b, first of a, then of (L^T a)^T."""
-    leaves = [(t[0], v) for g in leaf_groups for t, v in zip(g.target, g.stack)]
+def _leaf_layout(basis):
+    """Leaf coefficients in tree position order: per leaf group the
+    (b, r, 1) entries of its leaves, and per cluster the slice of the
+    entries of its leaves, which are contiguous in that order."""
+    tree = basis.tree
+    span = {}
+    at = 0
+    for i in sorted(tree.leaves(), key=lambda i: tree.clusters[i].begin):
+        span[i] = slice(at, at + basis.rank_of(i))
+        at = span[i].stop
+    for i in tree.postorder():
+        sons = tree.sons(i)
+        if sons:
+            span[i] = slice(span[sons[0]].start, span[sons[-1]].stop)
+    entries = [
+        (np.array([span[i].start for i in g.clusters])[:, None] + np.arange(g.stack.shape[2]))[:, :, None]
+        for g in basis.leaf_groups
+    ]
+    return entries, span
 
-    def project(b):
-        return np.concatenate([v.T @ b[begin : begin + len(v)] for begin, v in leaves])
 
-    return project(project(a).T).T
+def _leaf_inverse(problem, basis, entries, span):
+    """M0 = L^T A^-1 L, with L the block-diagonal matrix of the leaf
+    matrices, leaf coefficients laid out by entries and span: the
+    columns of A^-1 L come from block solves through the stencil's
+    block Cholesky factor, those of about 256 leaf coefficients at a
+    time, so that the solves hold two n x 256 arrays."""
+    tree = basis.tree
+    factor = block_cholesky(problem.diagonal, problem.below)
+    m = np.empty((span[tree.root].stop, span[tree.root].stop))
+    leaves = sorted(tree.leaves(), key=lambda i: span[i].start)
+    step = max(1, 256 // basis.rank)
+    for first in range(0, len(leaves), step):
+        chunk = leaves[first : first + step]
+        lo, hi = span[chunk[0]].start, span[chunk[-1]].stop
+        rhs = np.zeros((tree.n, hi - lo))
+        for i in chunk:
+            rhs[tree.indices(i), span[i].start - lo : span[i].stop - lo] = basis.leaf_matrix[i]
+        x = block_solve(factor, rhs)
+        del rhs
+        for g, at in zip(basis.leaf_groups, entries):
+            m[at.ravel(), lo:hi] = (
+                g.stack.transpose(0, 2, 1) @ x[tree.perm[g.target]]
+            ).reshape(-1, hi - lo)
+        del x
+    return m
+
+
+def _project_in_place(m, basis, block_tree, span):
+    """Couplings S_ts = E_t^T M0[t, s] E_s of the leaf blocks, where
+    V_t = L_t E_t, and the leaf operator M in place of M0: each leaf
+    block's region of M0, read once, becomes E_t S_ts E_s^T.  Returns
+    the couplings and the sum of their squared Frobenius norms."""
+    tree = basis.tree
+    stacked = {}
+    for i in tree.postorder():
+        sons = tree.sons(i)
+        if sons:
+            stacked[i] = np.vstack([stacked[s] @ basis.transfer[s] for s in sons])
+        else:
+            stacked[i] = np.eye(basis.rank_of(i))
+    coupling = {}
+    sumsq = 0.0
+    for idx in block_tree.leaves():
+        b = block_tree.blocks[idx]
+        region = (span[b.row], span[b.col])
+        left, right = stacked[b.row], stacked[b.col]
+        coupling[idx] = s = left.T @ m[region] @ right
+        m[region] = left @ s @ right.T
+        sumsq += float(np.vdot(s, s))
+    return coupling, sumsq
+
+
+def _norm_1_inf(m):
+    """sqrt(||m||_1 ||m||_inf), an upper bound on the spectral norm,
+    with absolute values taken 256 rows at a time."""
+    column_sums = np.zeros(m.shape[1])
+    row_max = 0.0
+    for lo in range(0, len(m), 256):
+        absolute = np.abs(m[lo : lo + 256])
+        column_sums += absolute.sum(axis=0)
+        row_max = max(row_max, float(absolute.sum(axis=1).max()))
+    return math.sqrt(float(column_sums.max()) * row_max)
 
 
 def cell_bounds(grid):

@@ -7,9 +7,11 @@ the interior points of the L.  The 5-point stencil with spacing h =
 1/grid yields a symmetric positive definite matrix in row-major
 interior numbering.  Numbered that way, the matrix is block
 tridiagonal with one block per grid row (Golub & Van Loan, Matrix
-Computations, 4.5): the problem holds only those blocks, and
-`block_tridiagonal_inverse` inverts the matrix from them through a
-block Cholesky factorization.
+Computations, 4.5): the problem holds only those blocks.
+`block_cholesky` factors the matrix from them, `block_solve` applies
+its inverse to many right-hand sides through that factor, and
+`inverse_square_trace` computes ||A^-1||_F^2 = trace((A^2)^-1) by
+selected inversion, so that no n x n array is ever formed.
 """
 
 from dataclasses import dataclass
@@ -17,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BlockCholesky",
     "PoissonProblem",
     "assemble_lshape",
-    "block_tridiagonal_inverse",
+    "block_cholesky",
+    "block_solve",
+    "inverse_square_trace",
 ]
 
 
@@ -30,6 +35,17 @@ class PoissonProblem:
     site: np.ndarray  # (n, 2) integer grid coordinates (i, j)
     diagonal: list  # per grid row k, its (m_k, m_k) tridiagonal block
     below: list  # per pair of adjacent rows, the (m_{k+1}, m_k) coupling block
+
+
+@dataclass
+class BlockCholesky:
+    """A = L L^T for a block-tridiagonal A, block by block: L is block
+    lower bidiagonal, inverse[k] holds L_kk^-1 and below[k] the block
+    L_{k+1,k}; spans[k] is block k's slice of the unknowns."""
+
+    inverse: list
+    below: list
+    spans: list
 
 
 def assemble_lshape(grid):
@@ -49,20 +65,9 @@ def assemble_lshape(grid):
     return PoissonProblem(grid, site * h, site, diagonal, below)
 
 
-def block_tridiagonal_inverse(diagonal, below):
-    """Inverse of a symmetric positive definite block-tridiagonal matrix.
-
-    diagonal[k] is the (m_k, m_k) block on the diagonal and below[k]
-    the (m_{k+1}, m_k) block under it; the blocks above are their
-    transposes.  With A = L Lᵀ factored block by block (Golub & Van
-    Loan, Matrix Computations, 4.3 and 4.5), the block rows of L⁻¹ are
-    formed top down in one n x n buffer and overwritten bottom up by
-    those of A⁻¹ = L⁻ᵀ L⁻¹.  Only the blocks on and below the diagonal
-    are computed and the rest is mirrored, so the result is exactly
-    symmetric.  Raises ValueError for blocks of the wrong shape or an
-    asymmetric diagonal block (LinAlgError, also a ValueError, when a
-    pivot block is not positive definite).
-    """
+def _check_blocks(diagonal, below):
+    """The blocks as float arrays; raises ValueError for blocks of the
+    wrong shape or an asymmetric diagonal block."""
     diagonal = [np.asarray(d, dtype=float) for d in diagonal]
     below = [np.asarray(b, dtype=float) for b in below]
     for k, d in enumerate(diagonal):
@@ -82,32 +87,97 @@ def block_tridiagonal_inverse(diagonal, below):
         if b.shape != (sizes[k + 1], sizes[k]):
             want = (sizes[k + 1], sizes[k])
             raise ValueError(f"block below {k}: expected shape {want}, got {b.shape}")
-    bounds = np.cumsum([0] + sizes).tolist()
-    spans = [slice(b, e) for b, e in zip(bounds[:-1], bounds[1:])]
-    x = np.empty((bounds[-1], bounds[-1]))
-    # block row k of L⁻¹: L_k⁻¹ on the diagonal and, to its left,
-    # -L_k⁻¹ C_{k-1} times block row k - 1
-    inv_l = []  # L_k⁻¹
-    factor = []  # C_k = A[k+1, k] L_k⁻ᵀ, the block of L below L_k
+    return diagonal, below
+
+
+def block_cholesky(diagonal, below):
+    """Block Cholesky factor of a symmetric positive definite
+    block-tridiagonal matrix.
+
+    diagonal[k] is the (m_k, m_k) block on the diagonal and below[k]
+    the (m_{k+1}, m_k) block under it; the blocks above are their
+    transposes.  Block by block (Golub & Van Loan, Matrix Computations,
+    4.3 and 4.5), L_kk is the Cholesky factor of the Schur complement
+    S_k = A_kk - L_{k,k-1} L_{k,k-1}^T and L_{k+1,k} = A_{k+1,k} L_kk^-T.
+    Raises ValueError for blocks of the wrong shape or an asymmetric
+    diagonal block (LinAlgError, also a ValueError, when a pivot block
+    is not positive definite).
+    """
+    diagonal, below = _check_blocks(diagonal, below)
+    bounds = np.cumsum([0] + [len(d) for d in diagonal]).tolist()
+    factor = BlockCholesky([], [], [slice(b, e) for b, e in zip(bounds[:-1], bounds[1:])])
     schur = diagonal[0]
-    for k, s in enumerate(spans):
-        inv_l.append(np.linalg.solve(np.linalg.cholesky(schur), np.eye(sizes[k])))
-        x[s, s] = inv_l[k]
-        if k:
-            x[s, : s.start] = -(inv_l[k] @ factor[k - 1]) @ x[spans[k - 1], : s.start]
-        if k + 1 < len(spans):
-            factor.append(below[k] @ inv_l[k].T)
-            schur = diagonal[k + 1] - factor[k] @ factor[k].T
-    # block row k of A⁻¹ = L_k⁻ᵀ (row k of L⁻¹ - C_kᵀ row k + 1 of A⁻¹),
-    # left of and on the diagonal: one product with both block rows
-    s = spans[-1]
-    x[s, :] = inv_l[-1].T @ x[s, :]
+    for k, d in enumerate(diagonal):
+        factor.inverse.append(np.linalg.solve(np.linalg.cholesky(schur), np.eye(len(d))))
+        if k + 1 < len(diagonal):
+            factor.below.append(below[k] @ factor.inverse[k].T)
+            schur = diagonal[k + 1] - factor.below[k] @ factor.below[k].T
+    return factor
+
+
+def block_solve(factor, b):
+    """A^-1 b for the factor of A and b of shape (n,) or (n, c), by
+    block forward and back substitution through the stored L_kk^-1:
+    matrix products only.  Raises ValueError unless b has n rows."""
+    b = np.asarray(b, dtype=float)
+    n = factor.spans[-1].stop
+    if b.ndim not in (1, 2) or len(b) != n:
+        raise ValueError(f"expected {n} right-hand side rows, got shape {b.shape}")
+    x = b.copy()
+    spans = factor.spans
+    # L y = b top down, then L^T x = y bottom up, in place
+    x[spans[0]] = factor.inverse[0] @ x[spans[0]]
+    for k in range(1, len(spans)):
+        x[spans[k]] = factor.inverse[k] @ (x[spans[k]] - factor.below[k - 1] @ x[spans[k - 1]])
+    x[spans[-1]] = factor.inverse[-1].T @ x[spans[-1]]
     for k in range(len(spans) - 2, -1, -1):
-        s = spans[k]
-        both = x[s.start : spans[k + 1].stop, : s.stop]
-        x[s, : s.stop] = np.hstack([inv_l[k].T, -inv_l[k].T @ factor[k].T]) @ both
-    for s in spans:
-        x[: s.start, s] = x[s, : s.start].T
-        d = x[s, s]
-        d[...] = np.tril(d) + np.tril(d, -1).T
+        x[spans[k]] = factor.inverse[k].T @ (x[spans[k]] - factor.below[k].T @ x[spans[k + 1]])
     return x
+
+
+def inverse_square_trace(diagonal, below):
+    """trace((A^2)^-1) = ||A^-1||_F^2 for a symmetric positive definite
+    block-tridiagonal A given by its blocks, as for block_cholesky.
+
+    Over pairs of block rows (the last one alone when their count is
+    odd) A stays block tridiagonal, and its blocks below the diagonal
+    are nonzero only in their upper right corner, so A^2 is block
+    tridiagonal too.  With its block Cholesky factor G, the diagonal
+    blocks of Z = (A^2)^-1 follow bottom up by selected inversion
+    (Takahashi, Fagan & Chen, 1973; Erisman & Tinney, CACM 1975):
+    Z_jj = G_jj^-T G_jj^-1 + H^T Z_{j+1,j+1} H with H = G_{j+1,j} G_jj^-1.
+    Raises as block_cholesky does.
+    """
+    diagonal, below = _check_blocks(diagonal, below)
+    sizes = [len(d) for d in diagonal]
+
+    def block(i, k):
+        if i == k:
+            return diagonal[k]
+        if abs(i - k) == 1:
+            return below[k] if i > k else below[i].T
+        return np.zeros((sizes[i], sizes[k]))
+
+    pairs = [range(k, min(k + 2, len(sizes))) for k in range(0, len(sizes), 2)]
+    d = [np.block([[block(i, k) for k in p] for i in p]) for p in pairs]
+    b = [np.block([[block(i, k) for k in p] for i in q]) for p, q in zip(pairs[:-1], pairs[1:])]
+    square = []
+    for j, dj in enumerate(d):
+        s = dj @ dj
+        if j:
+            s += b[j - 1] @ b[j - 1].T
+        if j < len(b):
+            s += b[j].T @ b[j]
+        # symmetric only up to round-off
+        square.append(0.5 * (s + s.T))
+    square_below = [bj @ dj + dk @ bj for bj, dj, dk in zip(b, d, d[1:])]
+    # the paired blocks of A are no longer needed while G is formed
+    del d, b
+    g = block_cholesky(square, square_below)
+    z = g.inverse[-1].T @ g.inverse[-1]
+    total = np.trace(z)
+    for j in range(len(pairs) - 2, -1, -1):
+        h = g.below[j] @ g.inverse[j]
+        z = g.inverse[j].T @ g.inverse[j] + h.T @ z @ h
+        total += np.trace(z)
+    return float(total)

@@ -43,6 +43,15 @@ def dense_stencil(problem):
     return a
 
 
+def dense_inverse(problem):
+    """The inverse of the problem's stencil as one dense array: the
+    block solve of the identity, an oracle for tests only."""
+    from h2vec.poisson import block_cholesky, block_solve
+
+    factor = block_cholesky(problem.diagonal, problem.below)
+    return block_solve(factor, np.eye(len(problem.points)))
+
+
 def dense_columns(basis, i):
     return basis.materialize(i)
 

@@ -234,7 +234,7 @@ def test_cli_refuses_a_missing_output_folder_before_setup(tmp_path, capsys, comm
 @pytest.mark.parametrize(
     "grid, degree, message",
     [
-        ("128", "1", "error: 12033 unknowns is too large for dense inversion here"),
+        ("256", "3", "error: 48641 unknowns need a leaf operator of order 16384 (2147 MB)"),
         ("16", "10", "error: cluster 0: leaf evaluation matrix is rank deficient"),
     ],
 )

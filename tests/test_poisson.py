@@ -1,11 +1,17 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from h2vec.poisson import assemble_lshape, block_tridiagonal_inverse
+from h2vec.poisson import (
+    assemble_lshape,
+    block_cholesky,
+    block_solve,
+    inverse_square_trace,
+)
 
-from conftest import dense_stencil
+from conftest import dense_inverse, dense_stencil
 
 
 def blocks_to_dense(prob):
@@ -91,28 +97,97 @@ def test_assembly_holds_no_array_of_n_squared_entries():
 @pytest.mark.parametrize("grid", [8, 16, 32])
 def test_block_inverse_matches_dense_inverse(grid):
     prob = assemble_lshape(grid)
-    x = block_tridiagonal_inverse(prob.diagonal, prob.below)
+    x = dense_inverse(prob)
     ref = np.linalg.inv(dense_stencil(prob))
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-    assert np.array_equal(x, x.T)
+    assert np.linalg.norm(x - x.T) <= 1e-14 * np.linalg.norm(ref)
 
 
-def test_block_inverse_rejects_bad_input():
+@pytest.mark.parametrize("grid", [4, 8, 16, 32])
+def test_block_solve_matches_the_dense_solve(grid):
+    prob = assemble_lshape(grid)
+    factor = block_cholesky(prob.diagonal, prob.below)
+    a = dense_stencil(prob)
+    b = np.random.default_rng(grid).standard_normal((len(a), 7))
+    ref = np.linalg.solve(a, b)
+    assert np.linalg.norm(block_solve(factor, b) - ref) <= 1e-14 * np.linalg.norm(ref)
+    # one right-hand side as a vector, and the input left as it was
+    kept = b.copy()
+    one = block_solve(factor, b[:, 3])
+    assert one.shape == (len(a),)
+    assert np.linalg.norm(one - ref[:, 3]) <= 1e-14 * np.linalg.norm(ref[:, 3])
+    assert np.array_equal(b, kept)
+
+
+@pytest.mark.parametrize("shape", [(160,), (162, 2), (1, 161), ()])
+def test_block_solve_rejects_a_right_hand_side_of_another_length(shape):
+    prob = assemble_lshape(16)
+    factor = block_cholesky(prob.diagonal, prob.below)
+    with pytest.raises(ValueError, match="expected 161 right-hand side rows"):
+        block_solve(factor, np.ones(shape))
+
+
+@pytest.mark.parametrize("grid", [4, 8, 16])
+def test_inverse_square_trace_matches_the_dense_inverse(grid):
+    # grid - 1 rows: the pairing of rows ends with one alone
+    prob = assemble_lshape(grid)
+    assert len(prob.diagonal) % 2 == 1
+    ref = np.linalg.inv(dense_stencil(prob))
+    want = float(np.sum(ref * ref))
+    got = inverse_square_trace(prob.diagonal, prob.below)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def random_block_tridiagonal(sizes, seed):
+    """Blocks of a symmetric positive definite block-tridiagonal
+    matrix: random blocks below, diagonal blocks shifted past the
+    Gershgorin bound of their block rows."""
+    rng = np.random.default_rng(seed)
+    below = [rng.standard_normal((m1, m0)) for m0, m1 in zip(sizes[:-1], sizes[1:])]
+    diagonal = []
+    for k, m in enumerate(sizes):
+        r = rng.standard_normal((m, m))
+        d = r @ r.T
+        d = 0.5 * (d + d.T)
+        reach = sum(np.abs(b).sum() for b in below[max(k - 1, 0) : k + 1])
+        diagonal.append(d + (1.0 + reach) * np.eye(m))
+    return diagonal, below
+
+
+@pytest.mark.parametrize("sizes", [[3, 5, 2, 4], [4, 4, 4, 4, 4, 4], [3, 1, 2], [5], [2, 3]])
+def test_inverse_square_trace_with_any_block_count(sizes):
+    diagonal, below = random_block_tridiagonal(sizes, len(sizes))
+    a = blocks_to_dense(SimpleNamespace(diagonal=diagonal, below=below))
+    assert np.linalg.eigvalsh(a)[0] > 0.0
+    ref = np.linalg.inv(a)
+    want = float(np.sum(ref * ref))
+    assert abs(inverse_square_trace(diagonal, below) - want) <= 1e-13 * want
+    b = np.eye(len(a))[:, ::2]
+    x = block_solve(block_cholesky(diagonal, below), b)
+    assert np.linalg.norm(x - ref[:, ::2]) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("function", [block_cholesky, inverse_square_trace])
+def test_block_cholesky_rejects_bad_input(function):
     prob = assemble_lshape(8)
     diagonal, below = prob.diagonal, prob.below
     skewed = [d.copy() for d in diagonal]
     skewed[2][0, 1] *= 2.0
     with pytest.raises(ValueError, match="diagonal block 2 is not symmetric"):
-        block_tridiagonal_inverse(skewed, below)
+        function(skewed, below)
     with pytest.raises(ValueError, match="1 below"):
-        block_tridiagonal_inverse(diagonal[:3], below[:1])
+        function(diagonal[:3], below[:1])
     with pytest.raises(ValueError, match="0 diagonal"):
-        block_tridiagonal_inverse([], [])
+        function([], [])
     with pytest.raises(ValueError, match=r"block below 2: expected shape \(3, 7\)"):
-        block_tridiagonal_inverse(diagonal, [b.T for b in below])
+        function(diagonal, [b.T for b in below])
     with pytest.raises(ValueError, match="diagonal block 0: expected a non-empty square"):
-        block_tridiagonal_inverse([diagonal[0][:, 1:]] + diagonal[1:], below)
+        function([diagonal[0][:, 1:]] + diagonal[1:], below)
     with pytest.raises(ValueError, match="diagonal block 1: expected a non-empty square"):
-        block_tridiagonal_inverse([np.eye(1), np.zeros((0, 0))], [np.zeros((0, 1))])
+        function([np.eye(1), np.zeros((0, 0))], [np.zeros((0, 1))])
+
+
+def test_block_cholesky_rejects_an_indefinite_pivot():
+    prob = assemble_lshape(8)
     with pytest.raises(np.linalg.LinAlgError):
-        block_tridiagonal_inverse([-d for d in diagonal], below)
+        block_cholesky([-d for d in prob.diagonal], prob.below)
