@@ -43,7 +43,13 @@ from .convert import ToleranceBudget, coarsen_pass, convert
 from .h2matrix import H2Matrix, build_block_tree, sparsity_constant
 from .hvector import from_dense
 from .matvec import build_plan, multiply
-from .poisson import assemble_lshape, block_cholesky, block_solve, inverse_square_trace
+from .poisson import (
+    assemble_lshape,
+    block_cholesky,
+    block_solve,
+    inverse_square_trace,
+    lshape_sites,
+)
 from .tree import Subtree, build_cluster_tree
 
 __all__ = [
@@ -108,17 +114,19 @@ class PoissonDemo:
         self.grid = grid
         self.degree = degree
         self.eta = eta
-        self.problem = assemble_lshape(grid)
+        _, points = lshape_sites(grid)
         rank = (degree + 1) ** 2
         # midpoint boxes near the boundary hold down to a quarter of
         # the largest leaf count; keep the smallest above the rank
-        self.tree = build_cluster_tree(self.problem.points, 4 * rank)
+        self.tree = build_cluster_tree(points, 4 * rank)
         order = len(self.tree.leaves()) * rank
         if order > MAX_LEAF_ORDER:
             raise ValueError(
                 f"{self.tree.n} unknowns need a leaf operator of order {order} "
                 f"({8 * order**2 / 1e6:.0f} MB), above the limit of order {MAX_LEAF_ORDER}"
             )
+        # the stencil blocks only once the order is known to be allowed
+        self.problem = assemble_lshape(grid)
         nodal = polynomial_basis(self.tree, self.problem.points, degree)
         self.iso, _ = orthogonalize(nodal)
         self.gram = gram_family(self.iso)

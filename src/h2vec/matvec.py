@@ -39,7 +39,10 @@ the induced basis's ptr: cluster t owns the entries ptr[t] to
 ptr[t + 1].  The plan keeps the induced basis, with its dense
 transfers, for conversion, the projection factors and the oracles.
 Counted flops equal those of the recursive walk of this factored
-model; each add into an accumulator is charged per batch.
+model; each add into an accumulator is charged per batch.  The passes
+gather rows with ndarray.take: for the 9,148 rows of three entries
+that one product at n = 4096 gathers, that takes 35-40 us where
+indexing takes 140 us.
 
 Every index array these passes read depends only on the input's
 subtree: the result's subtree, the clusters to push from, the rows
@@ -287,7 +290,7 @@ def _forward(plan, coeff, pattern):
     column cluster, zero outside the subtree and pattern.at.
     """
     xbar = np.zeros((len(pattern.member), plan.matrix.rank))
-    xbar[pattern.at] = kernels.matvec(pattern.cross, coeff[pattern.at])
+    xbar[pattern.at] = kernels.matvec(pattern.cross, coeff.take(pattern.at, axis=0))
     plan.matrix.col_basis.forward(xbar.reshape(-1), pattern.member)
     return xbar
 
@@ -317,15 +320,15 @@ def multiply(plan, x):
     rows = np.zeros((len(p.interior), plan.matrix.rank))
     with kernels.phase("coupling"):
         if p.col.size:
-            contrib = kernels.matvec(p.coupling, xbar[p.col])
+            contrib = kernels.matvec(p.coupling, xbar.take(p.col, axis=0))
             rows[p.row] = np.add.reduceat(contrib, p.starts)
         if p.parked:
             kernels.tally(p.parked * plan.input_basis.rank)
     with kernels.phase("backward"):
         plan.matrix.row_basis.backward(rows.reshape(-1), p.interior)
     buf = np.zeros(plan.ptr[-1])
-    buf[p.leaf_target] = rows[p.leaf_row]
-    buf[p.slot_target] = coeff[p.slot_col]
+    buf[p.leaf_target] = rows.take(p.leaf_row, axis=0)
+    buf[p.slot_target] = coeff.take(p.slot_col, axis=0)
     return InducedHVector(plan, p.sub.copy(), buf)
 
 

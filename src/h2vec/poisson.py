@@ -25,6 +25,7 @@ __all__ = [
     "block_cholesky",
     "block_solve",
     "inverse_square_trace",
+    "lshape_sites",
 ]
 
 
@@ -48,21 +49,28 @@ class BlockCholesky:
     spans: list
 
 
-def assemble_lshape(grid):
-    """Assemble the 5-point stencil on the L-shaped domain, in blocks."""
+def lshape_sites(grid):
+    """The interior sites of the L in row-major order: their integer
+    grid coordinates (i, j), shape (n, 2), and their points (i h, j h)."""
     if grid < 4 or grid % 2:
         raise ValueError("grid must be an even number >= 4")
-    h = 1.0 / grid
-    inv_h2 = 1.0 / (h * h)
     half = grid // 2
     j, i = np.mgrid[1:grid, 1:grid]
     keep = (i < half) | (j < half)
     site = np.column_stack([i[keep], j[keep]])
+    return site, site * (1.0 / grid)
+
+
+def assemble_lshape(grid):
+    """Assemble the 5-point stencil on the L-shaped domain, in blocks."""
+    site, points = lshape_sites(grid)
+    h = 1.0 / grid
+    inv_h2 = 1.0 / (h * h)
     # row j holds the sites i = 1..m_j
-    sizes = np.count_nonzero(keep, axis=1).tolist()
+    sizes = np.bincount(site[:, 1])[1:].tolist()
     diagonal = [inv_h2 * (4.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) for m in sizes]
     below = [-inv_h2 * np.eye(m1, m0) for m0, m1 in zip(sizes[:-1], sizes[1:])]
-    return PoissonProblem(grid, site * h, site, diagonal, below)
+    return PoissonProblem(grid, points, site, diagonal, below)
 
 
 def _check_blocks(diagonal, below):

@@ -63,6 +63,16 @@ def _suite_kernels(seed):
     with kernels.count_flops() as counter:
         kernels.matvec(np.zeros((5, 7)), np.zeros(7))
     suite.check(counter.total == 35, "matvec flop count")
+    # one stack on each of the kernel's branches, einsum and @
+    ok = True
+    for size in (3, 16):
+        a = rng.standard_normal((6, size, size))
+        v = rng.standard_normal((6, size))
+        out = kernels.matvec(a, v)
+        for j in range(6):
+            error = np.abs(out[j] - a[j] @ v[j])
+            ok &= bool(np.all(error <= 1e-15 * (np.abs(a[j]) @ np.abs(v[j]))))
+    suite.check(ok, "stacked matvec matches separate products")
     return suite
 
 

@@ -176,6 +176,60 @@ def test_stacked_matmul_matches_separate_products(rng):
         kernels.matmul(a, b[0])
 
 
+STACK_SHAPES = [(3, 3), (4, 3), (8, 8), (9, 9), (16, 16), (64, 3)]
+
+
+def assert_matches_separate_products(a, x, out):
+    # einsum and BLAS may sum in another order: compare within the
+    # rounding scale |a[j]| |x[j]| rather than bit for bit
+    assert out.shape == a.shape[:2]
+    for j in range(len(a)):
+        scale = np.abs(a[j]) @ np.abs(x[j])
+        assert np.all(np.abs(out[j] - a[j] @ x[j]) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("shape", STACK_SHAPES)
+def test_stacked_matvec_matches_separate_products(rng, shape):
+    # 3 x 3 to 8 x 8 take the einsum branch, 9 x 9 and up the @ branch
+    a = rng.standard_normal((40, *shape))
+    x = rng.standard_normal((40, shape[1]))
+    with kernels.count_flops() as counter:
+        out = kernels.matvec(a, x)
+    assert counter.total == a.size
+    assert_matches_separate_products(a, x, out)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (16, 16)])
+def test_stacked_matvec_of_a_transposed_view(rng, shape):
+    # a non-contiguous operand on each branch
+    a = rng.standard_normal((25, *shape[::-1])).transpose(0, 2, 1)
+    assert not a.flags.c_contiguous
+    x = rng.standard_normal((25, shape[1]))
+    with kernels.count_flops() as counter:
+        out = kernels.matvec(a, x)
+    assert counter.total == a.size
+    assert_matches_separate_products(a, x, out)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (16, 16)])
+def test_empty_stacked_matvec(shape):
+    with kernels.count_flops() as counter:
+        out = kernels.matvec(np.zeros((0, *shape)), np.zeros((0, shape[1])))
+    assert out.shape == (0, shape[0])
+    assert counter.total == 0
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (16, 16)])
+def test_stacked_matvec_shape_mismatch(shape):
+    a = np.zeros((5, *shape))
+    with pytest.raises(ValueError, match="matvec shape mismatch"):
+        kernels.matvec(a, np.zeros((4, shape[1])))
+    with pytest.raises(ValueError, match="matvec shape mismatch"):
+        kernels.matvec(a, np.zeros((5, shape[1] + 1)))
+    with pytest.raises(ValueError, match="matvec shape mismatch"):
+        kernels.matvec(a, np.zeros(shape[1]))
+
+
 def test_counter_phases_and_reset():
     with kernels.count_flops() as counter:
         with kernels.phase("one"):

@@ -9,6 +9,7 @@ from h2vec.poisson import (
     block_cholesky,
     block_solve,
     inverse_square_trace,
+    lshape_sites,
 )
 
 from conftest import dense_inverse, dense_stencil
@@ -66,10 +67,19 @@ def test_positive_definite(grid):
 
 
 def test_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        assemble_lshape(2)
-    with pytest.raises(ValueError):
-        assemble_lshape(7)
+    for make in (assemble_lshape, lshape_sites):
+        with pytest.raises(ValueError):
+            make(2)
+        with pytest.raises(ValueError):
+            make(7)
+
+
+@pytest.mark.parametrize("grid", [4, 6, 16])
+def test_sites_are_the_problem_sites(grid):
+    site, points = lshape_sites(grid)
+    prob = assemble_lshape(grid)
+    assert np.array_equal(site, prob.site)
+    assert np.array_equal(points, prob.points)
 
 
 def test_points_inside_lshape():
