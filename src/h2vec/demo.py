@@ -22,7 +22,8 @@ compression is a Frobenius-orthogonal projection, so its error is
 sqrt(||A^-1||_F^2 - sum of the squared coupling norms), with
 ||A^-1||_F^2 = trace((A^2)^-1) from the blocks.  The dense steps apply
 the operator as L (M (L^T x)); set-up keeps M, of K^2 floats, and
-refuses an order above MAX_LEAF_ORDER.
+refuses an order above MAX_LEAF_ORDER, from the points and the
+cluster tree alone, before any stencil block is built.
 """
 
 import math

@@ -12,6 +12,7 @@ Computations, 4.5): the problem holds only those blocks.
 its inverse to many right-hand sides through that factor, and
 `inverse_square_trace` computes ||A^-1||_F^2 = trace((A^2)^-1) by
 selected inversion, so that no n x n array is ever formed.
+`lshape_sites` gives the sites and points without the blocks.
 """
 
 from dataclasses import dataclass

@@ -273,17 +273,11 @@ def test_demo_holds_no_array_of_n_squared_entries():
 
 
 def test_dense_guard():
-    # refused after the cluster tree, before the stencil blocks
-    with pytest.raises(ValueError, match="48641 unknowns need a leaf operator of order 16384"):
-        PoissonDemo(grid=256)
-
-
-def test_refusal_builds_no_stencil_block():
-    # the grid-256 stencil blocks alone take about 167 MB; the points
-    # and the cluster tree that the refusal needs take about 5 MB
+    # refused after the cluster tree, before the stencil blocks: those
+    # alone take about 167 MB, the points and the tree about 5 MB
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="above the limit"):
+        with pytest.raises(ValueError, match="48641 unknowns need a leaf operator of order 16384"):
             PoissonDemo(grid=256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
