@@ -16,13 +16,14 @@ Pythagoras across disjoint supports.
 
 Both directions run one tree level at a time.  The descent makes one
 stacked Z product per group of projection factors (level, source and
-target rank) over the clusters holding a source coefficient, commits
-those whose error fits, or that are tree leaves, with one stacked
-cross product, and pushes the rest to their sons by the source
-basis's backward transformation of that level.  The ascent treats the
-clusters whose sons are all leaves as merge candidates, with one
-stacked Q^T product per stack of the target's merge factors Q, and
-builds the subtree once at the end.  coarsen_pass is the ascent alone.
+target rank, rows of Z) over the clusters holding a source
+coefficient, commits those whose error fits, or that are tree leaves,
+with one stacked cross product, and pushes the rest to their sons by
+the source basis's backward transformation of that level.  The ascent
+treats the clusters whose sons are all leaves as merge candidates,
+with one stacked Q^T product per stack of the target's merge factors
+Q, and builds the subtree once at the end.  coarsen_pass is the
+ascent alone.
 """
 
 from dataclasses import dataclass, field

@@ -324,6 +324,46 @@ def test_projection_z_is_upper_triangular(rng, small_iso):
         assert np.max(np.abs(np.tril(f[small_iso.rank_of(i) :], -1))) == 0.0
 
 
+def residual_rows(tree, source, target, i, z_rows):
+    """Rows m_i of the projection residual that cluster i's Z condenses,
+    by recursion over the sons; z_rows[i] is set to min(m_i, r_s)."""
+    sons = tree.sons(i)
+    if sons:
+        rows = sum(residual_rows(tree, source, target, s, z_rows) + target.rank_of(s) for s in sons)
+    else:
+        rows = tree.size(i)
+    m = rows - target.rank_of(i)
+    z_rows[i] = min(m, source.rank_of(i))
+    return z_rows[i]
+
+
+@pytest.mark.parametrize(
+    "n, ka, leaf_size, seed",
+    [(128, 3, None, 0), (128, 3, None, 1), (128, 3, None, 2), (96, 2, 3, 1), (96, 2, 3, 2)],
+)
+def test_projection_z_has_the_residual_rows(n, ka, leaf_size, seed):
+    inst = random_instance(n, 3, ka, 1.0, seed, leaf_size=leaf_size)
+    tree, source, target = inst.tree, inst.plan.induced, inst.input_basis
+    factors = projection_factors(source, target)
+    z_rows = {}
+    residual_rows(tree, source, target, tree.root, z_rows)
+    # the cases trim Z below the source rank, and the rank-sized leaves
+    # leave no residual at all
+    assert sum(z_rows[i] < source.rank_of(i) for i in z_rows) > len(tree) // 2
+    if leaf_size == 3:
+        assert all(z_rows[i] == 0 for i in tree.leaves())
+    rng = np.random.default_rng(seed)
+    for i, f in factors.items():
+        z = f[target.rank_of(i) :]
+        assert z.shape == (z_rows[i], source.rank_of(i))
+        assert np.max(np.abs(np.tril(z, -1)), initial=0.0) == 0.0
+        xhat = rng.standard_normal(source.rank_of(i))
+        v = source.materialize(i) @ xhat
+        q = target.materialize(i)
+        truth = np.linalg.norm(v - q @ (q.T @ v))
+        assert abs(np.linalg.norm(z @ xhat) - truth) <= 1e-11 * max(1.0, truth)
+
+
 def test_materialize_leaf_verbatim(rng):
     tree = line_tree(16, 4)
     b = random_basis(tree, 2, rng)
