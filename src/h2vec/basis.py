@@ -462,7 +462,8 @@ def projection_factors(source, target):
     """Family of kind "projection" for projecting `source` onto `target`.
 
     self[i] is [Q^T V; Z] on cluster i: the cross term in the first
-    r_t = target.rank_of(i) rows, then Z with || Vx - QQ^T Vx || = || Z x ||.
+    r_t = target.rank_of(i) rows, then Z with
+    || Vx - QQ^T Vx || = || Z x ||.
     Works bottom-up: on leaves the orthonormal complement of the target
     matrix is applied to the source matrix and condensed by a QR; on
     interior clusters the son factors, pushed through the source
@@ -472,8 +473,8 @@ def projection_factors(source, target):
     |i| - r_t on a leaf and, on an interior cluster, the sum over its
     sons of their Z rows and target ranks, less r_t.  The groups run
     per (level, r_t + zr_i, r_s, r_t), so clusters whose Z differ in
-    rows lie apart (the grid-64 demo's induced basis: 33 groups, 26
-    when every Z had r_s rows).
+    rows lie apart: the grid-64 demo's induced basis has 26 triples of
+    level, r_s and r_t, and 33 groups.
     """
     if source.tree is not target.tree:
         raise ValueError("bases live on different trees")

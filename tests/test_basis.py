@@ -325,8 +325,9 @@ def test_projection_z_is_upper_triangular(rng, small_iso):
 
 
 def residual_rows(tree, source, target, i, z_rows):
-    """Rows m_i of the projection residual that cluster i's Z condenses,
-    by recursion over the sons; z_rows[i] is set to min(m_i, r_s)."""
+    """Rows of cluster i's Z, min(m_i, r_s) for the m_i rows of the
+    projection residual it condenses, by recursion over the sons; sets
+    z_rows for i and every cluster below it."""
     sons = tree.sons(i)
     if sons:
         rows = sum(residual_rows(tree, source, target, s, z_rows) + target.rank_of(s) for s in sons)
