@@ -21,10 +21,11 @@ source and target bases it was built for, which _check_family checks.
   leading rows and the exact merge error in the trailing rows.
 * projection factors: per cluster the cross term Q^T V, which commits
   projected coefficients, over an upper-trapezoidal Z with
-  || V x - Q Q^T V x || = || Z x ||  for all coefficient vectors x,
-  both from one bottom-up recursion.  Z is the triangular factor of a
-  QR of the projection residual, so it has min(m_t, r_s) rows, where
-  m_t is the residual's row count and r_s the source rank.
+  || V x - Q Q^T V x || = || Z x ||  for all coefficient vectors x:
+  the trailing columns of the triangular factor of one QR per cluster
+  of the target's columns beside the source's, whose leading block is
+  I as the target is isometric.  Z has min(m_t, r_s) rows, where m_t
+  is the projection residual's row count and r_s the source rank.
 """
 
 from collections.abc import Mapping
@@ -464,17 +465,20 @@ def projection_factors(source, target):
     self[i] is [Q^T V; Z] on cluster i: the cross term in the first
     r_t = target.rank_of(i) rows, then Z with
     || Vx - QQ^T Vx || = || Z x ||.
-    Works bottom-up: on leaves the orthonormal complement of the target
-    matrix is applied to the source matrix and condensed by a QR; on
-    interior clusters the son factors, pushed through the source
-    transfers, join the complement of the stacked target transfers.
-    Z is that QR's upper-trapezoidal factor: zr_i = min(m_i, r_s)
-    rows by the source rank r_s, where m_i, the rows it condenses, is
-    |i| - r_t on a leaf and, on an interior cluster, the sum over its
-    sons of their Z rows and target ranks, less r_t.  The groups run
-    per (level, r_t + zr_i, r_s, r_t), so clusters whose Z differ in
-    rows lie apart: the grid-64 demo's induced basis has 26 triples of
-    level, r_s and r_t, and 33 groups.
+    Bottom-up, self[i] is the trailing r_s columns of the triangular
+    factor R of [A | B]: the target and source leaf matrices on a
+    leaf; on an interior cluster, per son s, the son's target
+    transfer, padded with zeros to the rows of f_s = self[s], beside
+    f_s times the son's source transfer.  A has orthonormal columns,
+    the target being isometric, so R's leading block, upper triangular
+    with R_11^T R_11 = A^T A = I and a non-negative diagonal, is I.
+    Hence self[i] is A^T B, the cross term, over Z, a triangular
+    factor of B - A A^T B with zr_i = min(m_i, r_s) rows: m_i, the
+    rows of [A | B] less r_t, is |i| - r_t on a leaf and, on an
+    interior cluster, the sum over its sons of their Z rows and target
+    ranks, less r_t.  The groups run per (level, r_t + zr_i, r_s, r_t),
+    so clusters whose Z differ in rows lie apart: the grid-64 demo's
+    induced basis has 26 triples of level, r_s and r_t, and 33 groups.
     """
     if source.tree is not target.tree:
         raise ValueError("bases live on different trees")
@@ -487,22 +491,16 @@ def projection_factors(source, target):
         sons = tree.sons(i)
         rows = sum(zr[s] + rt[s] for s in sons) if sons else tree.size(i)
         zr[i] = min(rows - rt[i], rs[i])
-    stacked = ClusterMatrices(tree, {i: (rt[i] + zr[i], rs[i], rt[i]) for i in range(len(tree))})
-    cross = {i: m[: rt[i]] for i, m in stacked.views.items()}
-    z = {i: m[rt[i] :] for i, m in stacked.views.items()}
+    factors = ClusterMatrices(tree, {i: (rt[i] + zr[i], rs[i], rt[i]) for i in range(len(tree))})
     for i in tree.postorder():
         sons = tree.sons(i)
         if sons:
-            q = np.vstack([target.transfer[s] for s in sons])
-            v = np.vstack([kernels.matmul(cross[s], source.transfer[s]) for s in sons])
+            ab, at = np.zeros((sum(len(factors[s]) for s in sons), rt[i] + rs[i])), 0
+            for s in sons:
+                ab[at : at + rt[s], : rt[i]] = target.transfer[s]
+                ab[at : at + len(factors[s]), rt[i] :] = kernels.matmul(factors[s], source.transfer[s])
+                at += len(factors[s])
         else:
-            q, v = target.leaf_matrix[i], source.leaf_matrix[i]
-        stack, _ = kernels.triangularize(q)
-        transformed = stack.apply_adjoint(v)
-        cross[i][:] = transformed[: rt[i]]
-        complement = transformed[rt[i] :]
-        if sons:
-            pushed = np.vstack([kernels.matmul(z[s], source.transfer[s]) for s in sons])
-            complement = np.vstack([pushed, complement])
-        z[i][:] = kernels.triangular_factor(complement)
-    return _family(stacked, "projection", source, target)
+            ab = np.hstack([target.leaf_matrix[i], source.leaf_matrix[i]])
+        factors[i][:] = kernels.triangular_factor(ab)[:, rt[i] :]
+    return _family(factors, "projection", source, target)

@@ -80,7 +80,6 @@ class ConversionReport:
     merge_errors: dict = field(default_factory=dict)
     forced: list = field(default_factory=list)
     bound: float = 0.0
-    cluster_count: int = 0
 
 
 def materialize_induced(plan):
@@ -256,7 +255,6 @@ def convert(x, target, zfactors, pfactors, budget):
             has[sons] |= push[tree.father[sons]]
     bound = _ascent(y, interior, acc, pfactors, budget, report.merge_errors)
     report.bound = bound
-    report.cluster_count = y.sub.count()
     return y, bound, report
 
 

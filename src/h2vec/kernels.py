@@ -27,11 +27,11 @@ for 6 x 6, 1.1-1.3 for 8 x 8, 1.0-1.2 for 9 x 9, but 0.8 for 16 x 16,
 entries, not columns.  Both kernels are charged the same count.
 
 The QR routines fix signs so that the triangular factor has a
-non-negative diagonal.  For input with orthonormal columns this forces
-R = I, which means the leading columns of the orthogonal factor
-coincide with the input itself; one application of its adjoint then
-yields both projection coefficients (leading rows) and the exact
-residual (trailing rows).
+non-negative diagonal.  For input [A | B] whose leading columns A are
+orthonormal this forces the leading block of R to be I, so that R's
+trailing columns hold the projection coefficients A^T B (leading
+rows) over a triangular factor of the residual B - A A^T B: one
+``triangular_factor`` gives both, with no orthogonal factor formed.
 """
 
 import contextlib
@@ -186,8 +186,9 @@ class ReflectorStack:
 
     Holds the complete m x m matrix Q with Q^T A = [R; 0] for the
     triangularized (m, count) matrix A, R upper triangular and
-    non-negative on the diagonal.  The benchmark's layer tracer
-    (``perfbench/tracing.py``) wraps ``apply_adjoint`` by this class name.
+    non-negative on the diagonal.  ``apply_adjoint`` has no library
+    caller left but ``selftest``; it stays because the benchmark's layer
+    tracer (``perfbench/tracing.py``) wraps it by this class name.
     """
 
     def __init__(self, q, count):

@@ -133,7 +133,6 @@ def convert(x, target, zfactors, pfactors, budget):
 
     bound = descend(tree.root, None)
     report.bound = bound
-    report.cluster_count = y.sub.count()
     return y, bound, report
 
 

@@ -22,6 +22,7 @@ from h2vec.instances import (
     random_tree,
 )
 from h2vec.hvector import to_dense
+from h2vec.poisson import lshape_sites
 from h2vec.tree import build_cluster_tree
 
 
@@ -315,6 +316,22 @@ def test_projection_error_matches_dense_every_cluster(seed):
         dense_cross = q.T @ source.materialize(i)
         scale = max(1.0, np.max(np.abs(dense_cross)))
         assert np.max(np.abs(factors[i][:r] - dense_cross)) <= 1e-11 * scale
+    assert_whole_factors(factors, source, target)
+
+
+def assert_whole_factors(factors, source, target):
+    """At every cluster i, f = factors[i] keeps the source Gram matrix,
+    f^T f = V^T V, and its leading rows are the cross-Gram family's
+    Q^T V; both relative to the largest entry of V^T V, the square of
+    V's largest column norm."""
+    cross = cross_gram_family(target, source)
+    for i, f in factors.items():
+        v = source.materialize(i)
+        gram = v.T @ v
+        scale = np.max(np.abs(gram))
+        assert np.max(np.abs(f.T @ f - gram)) <= 1e-11 * scale
+        lead = f[: target.rank_of(i)]
+        assert np.max(np.abs(lead - cross[i]), initial=0.0) <= 1e-12 * np.sqrt(scale)
 
 
 def test_projection_z_is_upper_triangular(rng, small_iso):
@@ -338,21 +355,41 @@ def residual_rows(tree, source, target, i, z_rows):
     return z_rows[i]
 
 
-@pytest.mark.parametrize(
-    "n, ka, leaf_size, seed",
-    [(128, 3, None, 0), (128, 3, None, 1), (128, 3, None, 2), (96, 2, 3, 1), (96, 2, 3, 2)],
-)
-def test_projection_z_has_the_residual_rows(n, ka, leaf_size, seed):
+def induced_pair(n, ka, leaf_size, seed):
+    """Source and target of a random instance's conversion: the induced
+    basis of its product plan, with varying ranks, and its input basis."""
     inst = random_instance(n, 3, ka, 1.0, seed, leaf_size=leaf_size)
-    tree, source, target = inst.tree, inst.plan.induced, inst.input_basis
+    return inst.plan.induced, inst.input_basis
+
+
+def legendre_pair(grid, leaf_size):
+    """Uniform ranks: isometric Legendre bases of degree 2 (source,
+    rank 9) and 3 (target, rank 16) on the L-shape's grid points."""
+    points = lshape_sites(grid)[1]
+    tree = build_cluster_tree(points, leaf_size)
+    return tuple(orthogonalize(polynomial_basis(tree, points, d))[0] for d in (2, 3))
+
+
+INDUCED_CASES = [(128, 3, None, 0), (128, 3, None, 1), (128, 3, None, 2), (96, 2, 3, 1), (96, 2, 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "pair, args, seed",
+    [pytest.param(induced_pair, a, a[3], id="-".join(map(str, a))) for a in INDUCED_CASES]
+    + [pytest.param(legendre_pair, (32, 64), 0, id="lshape-32-64")],
+)
+def test_projection_z_has_the_residual_rows(pair, args, seed):
+    source, target = pair(*args)
+    tree = source.tree
     factors = projection_factors(source, target)
     z_rows = {}
     residual_rows(tree, source, target, tree.root, z_rows)
-    # the cases trim Z below the source rank, and the rank-sized leaves
-    # leave no residual at all
-    assert sum(z_rows[i] < source.rank_of(i) for i in z_rows) > len(tree) // 2
-    if leaf_size == 3:
-        assert all(z_rows[i] == 0 for i in tree.leaves())
+    if pair is induced_pair:
+        # these cases trim Z below the source rank, and the rank-sized
+        # leaves leave no residual at all
+        assert sum(z_rows[i] < source.rank_of(i) for i in z_rows) > len(tree) // 2
+        if args[2] == 3:
+            assert all(z_rows[i] == 0 for i in tree.leaves())
     rng = np.random.default_rng(seed)
     for i, f in factors.items():
         z = f[target.rank_of(i) :]
@@ -363,6 +400,7 @@ def test_projection_z_has_the_residual_rows(n, ka, leaf_size, seed):
         q = target.materialize(i)
         truth = np.linalg.norm(v - q @ (q.T @ v))
         assert abs(np.linalg.norm(z @ xhat) - truth) <= 1e-11 * max(1.0, truth)
+    assert_whole_factors(factors, source, target)
 
 
 def test_materialize_leaf_verbatim(rng):
