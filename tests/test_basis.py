@@ -321,9 +321,9 @@ def test_projection_error_matches_dense_every_cluster(seed):
 
 def assert_whole_factors(factors, source, target):
     """At every cluster i, f = factors[i] keeps the source Gram matrix,
-    f^T f = V^T V, and its leading rows are the cross-Gram family's
-    Q^T V; both relative to the largest entry of V^T V, the square of
-    V's largest column norm."""
+    f^T f = V^T V, relative to its largest entry, and its leading rows
+    are the cross-Gram family's Q^T V, relative to the square root of
+    that entry, V's largest column norm."""
     cross = cross_gram_family(target, source)
     for i, f in factors.items():
         v = source.materialize(i)
