@@ -312,17 +312,18 @@ def polynomial_basis(tree, points, degree):
     """Cluster basis of tensor Legendre polynomials, rank (degree+1)^d.
 
     Each cluster scales the polynomials to its bounding box.  Leaf
-    matrices evaluate them at the leaf's points.  The transfers need
-    no evaluation: on each axis a son's scaled coordinate y is
-    scale * y + shift in its father's (both 0 where the father's box
-    is flat), P_a(scale * y + shift) re-expands exactly in P_0(y) ...
-    P_p(y) by a (p+1) x (p+1) matrix, one solve at the p+1 Gauss
-    nodes, and a transfer is the Kronecker product of these matrices
-    over the axes (Börm, Efficient Numerical Methods for Non-local
-    Operators, 2010).  Raises ValueError unless points holds tree.n
-    finite rows of tree.dim coordinates (or tree.n values on a line),
-    and when a leaf has fewer points than the rank or a rank-deficient
-    evaluation matrix.
+    matrices evaluate them at the leaf's points, all leaves in one
+    pass, and one stacked matrix_rank per leaf group checks them.  The
+    transfers need no evaluation: on each axis a son's scaled
+    coordinate y is scale * y + shift in its father's (both 0 where the
+    father's box is flat), P_a(scale * y + shift) re-expands exactly in
+    P_0(y) ... P_p(y) by a (p+1) x (p+1) matrix, one solve at the p+1
+    Gauss nodes, and a transfer is the Kronecker product of these
+    matrices over the axes (Börm, Efficient Numerical Methods for
+    Non-local Operators, 2010).  Raises ValueError unless points holds
+    tree.n finite rows of tree.dim coordinates (or tree.n values on a
+    line), and names the first leaf, in tree.leaves() order, that has
+    fewer points than the rank or a rank-deficient evaluation matrix.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -338,17 +339,11 @@ def polynomial_basis(tree, points, degree):
     high = np.array([c.box_max for c in tree.clusters])
     # dividing by an infinite span maps a flat axis to 0
     span = np.where(high > low, high - low, np.inf)
-    leaf_matrix = {}
-    for i in tree.leaves():
-        if tree.size(i) < rank:
-            raise ValueError(f"cluster {i} holds {tree.size(i)} points, need at least {rank}")
-        scaled = (2.0 * points[tree.indices(i)] - low[i] - high[i]) / span[i]
-        leaf_matrix[i] = _kron([legvander(x, degree)[:, None, :] for x in scaled.T])[:, 0, :]
-        if np.linalg.matrix_rank(leaf_matrix[i]) < rank:
-            raise ValueError(
-                f"cluster {i}: leaf evaluation matrix is rank deficient; "
-                "points are not in general position"
-            )
+    leaves = tree.leaves()
+    owner, at = np.repeat(leaves, tree.sizes[leaves]), np.concatenate([tree.indices(i) for i in leaves])
+    scaled = (2.0 * points[at] - low[owner] - high[owner]) / span[owner]
+    values = _kron([legvander(x, degree)[:, None, :] for x in scaled.T])[:, 0, :]
+    leaf_matrix = dict(zip(leaves, np.split(values, np.cumsum(tree.sizes[leaves])[:-1])))
     sons = np.flatnonzero(tree.father >= 0)
     fathers = tree.father[sons]
     scale = (high[sons] - low[sons]) / span[fathers]
@@ -359,43 +354,78 @@ def polynomial_basis(tree, points, degree):
         legvander(nodes, degree), legvander(scale[..., None] * nodes + shift[..., None], degree)
     )
     transfers = _kron([per_axis[:, d] for d in range(tree.dim)])
-    return ClusterBasis(tree, leaf_matrix, dict(zip(sons.tolist(), transfers)), isometric=False)
+    basis = ClusterBasis(tree, leaf_matrix, dict(zip(sons.tolist(), transfers)), isometric=False)
+    deficient = np.zeros(len(tree), dtype=bool)
+    for group in basis.leaf_groups:
+        deficient[group.clusters] = np.linalg.matrix_rank(group.stack) < rank
+    for i in leaves:
+        if tree.size(i) < rank:
+            raise ValueError(f"cluster {i} holds {tree.size(i)} points, need at least {rank}")
+        if deficient[i]:
+            raise ValueError(
+                f"cluster {i}: leaf evaluation matrix is rank deficient; "
+                "points are not in general position"
+            )
+    return basis
 
 
 def orthogonalize(basis):
     """Turn a cluster basis into an isometric one with the same ranges.
 
     Returns (iso, change) where change[i] is the upper-triangular
-    matrix with  basis.materialize(i) = iso.materialize(i) @ change[i]
-    for every cluster i.
+    matrix, with non-negative diagonal, such that
+    basis.materialize(i) = iso.materialize(i) @ change[i] for every
+    cluster i.  Level by level, bottom-up, one stacked QR factors each
+    group of the level's clusters whose leaf matrices or transfer
+    stacks [change[s] @ E_s over the sons s] share a shape; then one
+    stacked product per transfer group of the level gives its
+    change[s] @ E_s.  Raises ValueError naming the first cluster, in
+    post-order, whose matrix has fewer rows than its rank, checked
+    before any QR, and else the first whose matrix is rank-deficient.
     """
-    tree = basis.tree
-    leaf_matrix = {}
-    transfer = {}
-    change = {}
-    for i in tree.postorder():
-        sons = tree.sons(i)
-        what = "transfer stack" if sons else "leaf matrix"
-        if sons:
-            a = np.vstack([kernels.matmul(change[s], basis.transfer[s]) for s in sons])
-        else:
-            a = basis.leaf_matrix[i]
-        if a.shape[0] < a.shape[1]:
-            raise ValueError(f"cluster {i}: {what} has {a.shape[0]} rows, fewer than its rank {a.shape[1]}")
-        stack, change[i] = kernels.triangularize(a)
-        diagonal = np.diagonal(change[i])
-        if np.min(diagonal) < 1e-12 * max(1.0, float(np.max(np.abs(diagonal)))):
-            raise ValueError(f"cluster {i}: rank-deficient {what}")
-        q = stack.thin_q()
-        if not sons:
-            leaf_matrix[i] = q
-        # the rows of son s are those of its change, r_s of them
-        at = 0
-        for s in sons:
-            transfer[s] = q[at : at + len(change[s])]
-            at += len(change[s])
-    iso = ClusterBasis(tree, leaf_matrix, transfer, isometric=True)
-    return iso, change
+    tree, rank, start = basis.tree, np.diff(basis.ptr), basis.transfer_start
+    order, what = tree.postorder(), np.where(tree.has_sons, "transfer stack", "leaf matrix")
+    rows = np.where(tree.has_sons, np.bincount(tree.father[1:], rank[1:], len(tree)), tree.sizes).astype(int)
+    i = next((i for i in order if rows[i] < rank[i]), None)
+    if i is not None:
+        raise ValueError(f"cluster {i}: {what[i]} has {rows[i]} rows, fewer than its rank {rank[i]}")
+    # per son s, change[s] @ E_s and then the new transfer, laid out as the transfers
+    product, transfers = np.empty_like(basis.transfer_store), np.empty_like(basis.transfer_store)
+    change, leaf_matrix, deficient = {}, {}, np.zeros(len(tree), dtype=bool)
+    for level in reversed(range(len(tree.by_level))):
+        shapes = {}
+        for i in tree.by_level[level].tolist():
+            shapes.setdefault((tree.has_sons[i], rows[i], rank[i]), []).append(i)
+        for (interior, m, n), ids in shapes.items():
+            at = _son_entries(tree, ids, start, rank * rank[tree.father]) if interior else None
+            a = product[at].reshape(-1, m, n) if interior else np.stack([basis.leaf_matrix[i] for i in ids])
+            q, r = kernels.qr_stack(a)
+            d = np.diagonal(r, axis1=1, axis2=2)
+            deficient[ids] = d.min(1, initial=np.inf) < 1e-12 * d.max(1, initial=1.0)
+            change.update(zip(ids, r))
+            if interior:
+                transfers[at] = q[:, :, :n].reshape(len(ids), -1)
+            else:
+                leaf_matrix.update(zip(ids, q[:, :, :n].copy()))
+        for group in basis.levels[level]:
+            at = start[group.clusters[0]]
+            r = np.stack([change[s] for s in group.clusters.tolist()])
+            product[at : at + group.stack.size] = kernels.matmul(r, group.stack).ravel()
+    bad = [i for i in order if deficient[i]]
+    if bad:
+        raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")
+    transfer = {s: transfers[start[s] : start[s] + e.size].reshape(e.shape) for s, e in basis.transfer.items()}
+    return ClusterBasis(tree, leaf_matrix, transfer, isometric=True), change
+
+
+def _son_entries(tree, fathers, start, width):
+    """Per father, the entries of its sons, in son order, in a flat array
+    where cluster s owns width[s] entries from start[s]: a
+    (len(fathers), -1) array, so the fathers' sons must own as many."""
+    sons = [s for i in fathers for s in tree.sons(i)]
+    w = width[sons]
+    ends = np.cumsum(w)
+    return (np.repeat(start[sons] + w - ends, w) + np.arange(ends[-1])).reshape(len(fathers), -1)
 
 
 def gram_family(basis):
@@ -435,27 +465,23 @@ def coarsening_factors(basis):
     ClusterMatrices of kind "merge", built for the basis: self[i] is
     the m x m orthogonal factor Q of interior cluster i.  The clusters
     of one group share the level, the rank and the sum of their sons'
-    ranks; the group's source holds, per cluster, its sons' entries in
-    son order in a flat array laid out by the basis's ptr, and its
-    target the cluster's own entries.
+    ranks, and one stacked complete QR gives all their factors; the
+    group's source holds, per cluster, its sons' entries in son order
+    in a flat array laid out by the basis's ptr, and its target the
+    cluster's own entries.
     """
     if not basis.isometric:
         raise ValueError("merge factors require an isometric basis")
-    tree, ptr = basis.tree, basis.ptr
-    spans = {
-        i: np.concatenate([np.arange(ptr[s], ptr[s + 1]) for s in tree.sons(i)])
-        for i in np.flatnonzero(tree.has_sons).tolist()
-    }
-    shapes = {i: (span.size, span.size, basis.rank_of(i)) for i, span in spans.items()}
-    q = ClusterMatrices(tree, shapes)
+    tree, rank = basis.tree, np.diff(basis.ptr)
+    rows = np.bincount(tree.father[1:], rank[1:], len(tree)).astype(int)
+    q = ClusterMatrices(tree, {i: (rows[i], rows[i], rank[i]) for i in np.flatnonzero(tree.has_sons).tolist()})
     q.kind, q.source, q.target = "merge", basis, basis
     for group in q.groups:
-        ids = group.clusters.tolist()
-        for qi, i in zip(group.stack, ids):
-            stacked = np.vstack([basis.transfer[s] for s in tree.sons(i)])
-            qi[:] = kernels.triangularize(stacked)[0].q
-        group.source = np.array([spans[i] for i in ids])
-        group.target = _entries(ptr, group.clusters, basis.rank_of(ids[0]))
+        ids, (b, m), r = group.clusters.tolist(), group.stack.shape[:2], rank[group.clusters[0]]
+        at = _son_entries(tree, ids, basis.transfer_start, rank * rank[tree.father])
+        group.stack[:] = kernels.qr_stack(basis.transfer_store[at].reshape(b, m, r))[0]
+        group.source = _son_entries(tree, ids, basis.ptr, rank)
+        group.target = _entries(basis.ptr, group.clusters, r)
     return q
 
 

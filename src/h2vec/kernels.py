@@ -12,9 +12,9 @@ b separate calls.  Callers that add the results into accumulators
 charge the adds themselves, per batch, with ``tally``.  A QR of an
 (m, n) matrix is charged m*n*min(m, n) for the triangular factor,
 plus m*m*n when the complete m x m orthogonal factor is formed as
-well (``triangularize``).  The orthogonal factor is kept dense, so
-applying its adjoint to p columns is one counted product of m*m*p.
-Comparisons and copies are not counted.
+well, b*m*n*(m + n) for a stack of b (``qr_stack``).  The orthogonal
+factor is kept dense, so applying its adjoint to p columns is one
+counted product of m*m*p.  Comparisons and copies are not counted.
 
 Stacks of matrix-vector products pick their kernel by shape.  A
 stack of matrices with at most TINY_ENTRIES = 64 entries each is
@@ -49,6 +49,7 @@ __all__ = [
     "axpy",
     "vdot",
     "ReflectorStack",
+    "qr_stack",
     "triangularize",
     "triangular_factor",
 ]
@@ -217,42 +218,41 @@ class ReflectorStack:
 
 
 def _sign_fix(r):
-    """Signs that make the diagonal of the triangular factor r non-negative."""
-    return np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    """Signs that make the diagonals of the triangular factors r non-negative."""
+    return np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
 
 
-def _check_matrix(a):
+def _check_matrix(a, ndim=2):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
+    if a.ndim != ndim:
+        raise ValueError("expected a matrix" if ndim == 2 else "expected a stack of matrices")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in input")
     return a
 
 
-def triangularize(a):
-    """QR of a tall matrix with non-negative diagonal.
-
-    Parameters
-    ----------
-    a : (m, n) array with m >= n and finite entries.
-
-    Returns
-    -------
-    stack : ReflectorStack
-        The orthogonal factor; ``stack.thin_q() @ r`` reproduces ``a``.
-    r : (n, n) ndarray
-        Upper triangular with non-negative diagonal.
-    """
-    a = _check_matrix(a)
-    m, n = a.shape
+def qr_stack(a):
+    """QRs of a (b, m, n) stack of tall finite matrices, m >= n: the
+    complete (b, m, m) orthogonal factors q, by one LAPACK call, and
+    the (b, n, n) upper triangular factors r with non-negative
+    diagonal, a new array, with q[j][:, :n] @ r[j] = a[j]."""
+    a = _check_matrix(a, ndim=3)
+    b, m, n = a.shape
     if m < n:
-        raise ValueError(f"need at least as many rows as columns, got {a.shape}")
-    tally(m * n * (m + n))
+        raise ValueError(f"need at least as many rows as columns, got {a.shape[1:]}")
+    tally(b * m * n * (m + n))
     q, r = np.linalg.qr(a, mode="complete")
     signs = _sign_fix(r)
-    q[:, :n] *= signs
-    return ReflectorStack(q, n), r[:n] * signs[:, None]
+    q[:, :, :n] *= signs[:, None, :]
+    return q, r[:, :n] * signs[:, :, None]
+
+
+def triangularize(a):
+    """QR of one tall (m, n) matrix with finite entries, by ``qr_stack``:
+    the orthogonal factor as a ReflectorStack, whose ``thin_q() @ r``
+    reproduces a, and the (n, n) factor r with non-negative diagonal."""
+    q, r = qr_stack(_check_matrix(a)[None])
+    return ReflectorStack(q[0], r.shape[1]), r[0]
 
 
 def triangular_factor(a):

@@ -73,6 +73,10 @@ def _suite_kernels(seed):
             error = np.abs(out[j] - a[j] @ v[j])
             ok &= bool(np.all(error <= 1e-15 * (np.abs(a[j]) @ np.abs(v[j]))))
     suite.check(ok, "stacked matvec matches separate products")
+    a = rng.standard_normal((3, 9, 4))
+    (q, r), ones = kernels.qr_stack(a), [kernels.triangularize(one) for one in a]
+    ok = all(np.array_equal(q[j], s.q) and np.array_equal(r[j], rj) for j, (s, rj) in enumerate(ones))
+    suite.check(ok, "stacked qr matches one-matrix qr")
     return suite
 
 

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import basis_reference
 from h2vec import kernels
 from h2vec.basis import (
     ClusterBasis,
@@ -626,3 +629,103 @@ def test_orthogonalize_varying_ranks(kind, seed):
         v = basis.materialize(i)
         got = iso.materialize(i) @ change[i]
         assert np.max(np.abs(got - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+
+
+def _assert_same_orthogonalization(basis):
+    """orthogonalize equals the per-cluster oracle bit for bit, with the
+    same counted flops, or refuses the basis with the oracle's message."""
+    try:
+        with kernels.count_flops() as looped:
+            want_iso, want_change = basis_reference.orthogonalize(basis)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+            orthogonalize(basis)
+        return None
+    with kernels.count_flops() as stacked:
+        iso, change = orthogonalize(basis)
+    assert stacked.total == looped.total
+    assert np.array_equal(iso.transfer_store, want_iso.transfer_store)
+    for got, want in zip(iso.leaf_groups, want_iso.leaf_groups):
+        assert np.array_equal(got.clusters, want.clusters)
+        assert np.array_equal(got.stack, want.stack)
+    assert sorted(change) == sorted(want_change)
+    for i, c in want_change.items():
+        assert np.array_equal(change[i], c)
+    merge, want_merge = coarsening_factors(iso), basis_reference.coarsening_factors(iso)
+    assert np.array_equal(merge.store, want_merge.store)
+    for got, want in zip(merge.groups, want_merge.groups):
+        assert np.array_equal(got.source, want.source)
+        assert np.array_equal(got.target, want.target)
+    return iso
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ragged", "induced"]), seed=st.integers(0, 2**16))
+def test_level_passes_match_cluster_loops(kind, seed):
+    _assert_same_orthogonalization(_basis_of(kind, seed))
+
+
+@pytest.mark.parametrize(
+    "points, leaf_size, degree",
+    [
+        (lshape_sites(32)[1], 64, 2),
+        (lshape_sites(32)[1], 64, 3),
+        (np.linspace(0.0, 1.0, 200), 8, 0),
+        (np.linspace(0.0, 1.0, 200), 8, 2),
+    ],
+    ids=["lshape-degree-2", "lshape-degree-3", "line-degree-0", "line-degree-2"],
+)
+def test_legendre_set_up_matches_cluster_loops(points, leaf_size, degree):
+    tree = build_cluster_tree(points, leaf_size)
+    poly = polynomial_basis(tree, points, degree)
+    want = basis_reference.legendre_leaf_matrices(tree, points, degree)
+    assert sorted(poly.leaf_matrix) == sorted(want)
+    for i, v in want.items():
+        assert np.array_equal(poly.leaf_matrix[i], v)
+    assert _assert_same_orthogonalization(poly) is not None
+
+
+def test_polynomial_basis_names_the_first_bad_leaf():
+    points = np.linspace(0.0, 1.0, 16)
+    tree = line_tree(16, 4)
+    leaves = tree.leaves()
+    for bad in ([leaves[2]], [leaves[1], leaves[3]], [leaves[3], leaves[0]]):
+        # all of a leaf's points on one site: its evaluation matrix has rank 1
+        pts = points.copy()
+        for i in bad:
+            pts[tree.indices(i)[1:]] = pts[tree.indices(i)[0]]
+        first = min(bad, key=leaves.index)
+        for build in (basis_reference.legendre_leaf_matrices, polynomial_basis):
+            with pytest.raises(ValueError, match=f"^cluster {first}: leaf evaluation matrix is rank deficient"):
+                build(tree, pts, 1)
+
+
+def test_orthogonalize_names_the_first_deficient_cluster_in_post_order(rng):
+    tree = line_tree(16, 4)
+    order = tree.postorder()
+    interior = next(i for i in order if tree.sons(i) and i != tree.root)
+    leaf = next(i for i in order[order.index(interior) :] if tree.is_leaf(i))
+    basis = random_basis(tree, 2, rng)
+    # the sons' transfers lose their second column, so the stack does too
+    for s in tree.sons(interior):
+        basis.transfer[s][:, 1] = 0.0
+    basis.leaf_matrix[leaf][:, 1] = basis.leaf_matrix[leaf][:, 0]
+    message = f"^cluster {interior}: rank-deficient transfer stack$"
+    for build in (basis_reference.orthogonalize, orthogonalize):
+        with pytest.raises(ValueError, match=message):
+            build(basis)
+
+
+def test_change_factors_hold_no_orthogonal_factor(rng):
+    # a view into a complete Q stack would keep every (m x m) factor
+    # alive as long as the caller keeps change
+    basis = random_basis(line_tree(96, 8), 3, rng)
+    _, change = orthogonalize(basis)
+    owners = {}
+    for c in change.values():
+        owner = c
+        while owner.base is not None:
+            owner = owner.base
+        owners[id(owner)] = owner
+    assert sum(o.size for o in owners.values()) == sum(c.size for c in change.values())

@@ -81,6 +81,37 @@ def test_triangularize_rejects_bad_input():
         kernels.triangular_factor(np.array([[1.0, np.inf]]))
 
 
+
+@pytest.mark.parametrize("shape", [(5, 7, 3), (4, 6, 6), (3, 9, 0), (1, 4, 2), (0, 5, 2)])
+def test_qr_stack_is_triangularize_per_slice(rng, shape):
+    a = rng.standard_normal(shape)
+    with kernels.count_flops() as counter:
+        q, r = kernels.qr_stack(a)
+    b, m, n = shape
+    assert q.shape == (b, m, m) and r.shape == (b, n, n)
+    assert counter.total == b * m * n * (m + n)
+    for j in range(b):
+        with kernels.count_flops() as one:
+            stack, rj = kernels.triangularize(a[j])
+        assert counter.total == b * one.total
+        assert np.array_equal(q[j], stack.q)
+        assert np.array_equal(r[j], rj)
+    assert np.all(np.diagonal(r, axis1=1, axis2=2) >= 0.0)
+
+
+def test_qr_stack_rejects_bad_input():
+    with pytest.raises(ValueError, match=r"^need at least as many rows as columns, got \(2, 3\)$"):
+        kernels.qr_stack(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match=r"^need at least as many rows as columns, got \(2, 3\)$"):
+        kernels.triangularize(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        a = np.ones((3, 4, 2))
+        a[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="^non-finite entries in input$"):
+            kernels.qr_stack(a)
+    with pytest.raises(ValueError, match="^expected a stack of matrices$"):
+        kernels.qr_stack(np.zeros((4, 2)))
+
 def _complement(q):
     """Trailing columns of the orthogonal factor of an isometric q."""
     stack, _ = kernels.triangularize(q)
