@@ -9,10 +9,11 @@ HEAD, and ``--parent``, default its first parent), exported with
 ``git archive`` into a temporary directory, so uncommitted files take
 no part and ``meta.git_sha`` reads null.  Pair k runs
 
-    python3 perfbench/run.py --workload W --seed S+k --seconds 15 --trace 0
+    python3 perfbench/run.py --workload W --seed S+k --seconds T --trace 0
 
-once on each side, one run at a time; the parent runs first in even
-pairs and the change in odd ones.  The file records, per side, the
+with T the run_seconds of the change's BENCHMARK.json, once on each
+side, one run at a time; the parent runs first in even pairs and the
+change in odd ones.  The file records, per side, the
 median and quartiles (inclusive method) of every end-to-end metric of
 BENCHMARK.json, how many pairs the change was lower in for each metric
 that is better lower, every pair's values, and the first pair's full
@@ -78,7 +79,6 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--parent", default=None, help="default: the change's first parent")
     parser.add_argument("--machine", default=f"{os.cpu_count()}-CPU {platform.machine()} host")
@@ -91,8 +91,7 @@ def main(argv=None):
     parent = git("rev-parse", f"{args.parent or change + '^'}^{{commit}}")
     spec = json.loads(git("show", f"{change}:BENCHMARK.json"))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = f"{args.seconds:g}"
-    template = f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {seconds} --trace 0"
+    template = f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {spec['run_seconds']:g} --trace 0"
     pairs, output = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         trees = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
