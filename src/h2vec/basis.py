@@ -335,8 +335,7 @@ def polynomial_basis(tree, points, degree):
         )
     rank = (degree + 1) ** tree.dim
     legvander = np.polynomial.legendre.legvander
-    low = np.array([c.box_min for c in tree.clusters])
-    high = np.array([c.box_max for c in tree.clusters])
+    low, high = tree.box_min, tree.box_max
     # dividing by an infinite span maps a flat axis to 0
     span = np.where(high > low, high - low, np.inf)
     leaves = tree.leaves()

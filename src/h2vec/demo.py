@@ -304,13 +304,13 @@ def _project_in_place(m, basis, block_tree, span):
             stacked[i] = np.eye(basis.rank_of(i))
     coupling = {}
     sumsq = 0.0
-    for idx in block_tree.leaves():
-        b = block_tree.blocks[idx]
-        region = (span[b.row], span[b.col])
-        left, right = stacked[b.row], stacked[b.col]
-        coupling[idx] = s = left.T @ m[region] @ right
-        m[region] = left @ s @ right.T
-        sumsq += float(np.vdot(s, s))
+    leaves = block_tree.leaves()
+    for idx, t, s in zip(leaves, block_tree.row[leaves].tolist(), block_tree.col[leaves].tolist()):
+        region = (span[t], span[s])
+        left, right = stacked[t], stacked[s]
+        coupling[idx] = c = left.T @ m[region] @ right
+        m[region] = left @ c @ right.T
+        sumsq += float(np.vdot(c, c))
     return coupling, sumsq
 
 
@@ -364,15 +364,11 @@ def corner_concentration(tree, leaf_ids, problem, radius=0.125):
     may be nan when its group is empty.
     """
     areas = partition_areas(tree, leaf_ids, problem)
-    corner = np.array([0.5, 0.5])
-    near = []
-    far = []
-    for leaf in leaf_ids:
-        cl = tree.clusters[leaf]
-        gap = np.maximum(0.0, np.maximum(cl.box_min - corner, corner - cl.box_max))
-        (near if np.linalg.norm(gap) <= radius else far).append(areas[leaf])
-    near_mean = float(np.mean(near)) if near else float("nan")
-    far_mean = float(np.mean(far)) if far else float("nan")
+    area = np.array([areas[leaf] for leaf in leaf_ids])
+    gap = np.maximum(0.0, np.maximum(tree.box_min[leaf_ids] - 0.5, 0.5 - tree.box_max[leaf_ids]))
+    near = np.sqrt(np.vecdot(gap, gap)) <= radius
+    near_mean = float(np.mean(area[near])) if near.any() else float("nan")
+    far_mean = float(np.mean(area[~near])) if not near.all() else float("nan")
     return near_mean, far_mean
 
 
@@ -397,7 +393,6 @@ def write_partition_svg(path, tree, leaf_ids, problem, size=640):
                 f'fill="{fill}"/>'
             )
     for rank, leaf in enumerate(leaf_ids):
-        cl = tree.clusters[leaf]
         pts = problem.site[tree.indices(leaf)]
         xs = [c[i - 1] for i, _ in pts] + [c[i] for i, _ in pts]
         ys = [c[j - 1] for _, j in pts] + [c[j] for _, j in pts]

@@ -2,11 +2,13 @@
 
 A block tree partitions the product of two index sets; its leaves are
 either admissible (well-separated bounding boxes) or pairs of tree
-leaves.  In the simplified format used here every leaf block carries a
-coupling matrix, so an H2 matrix consists of a block tree, a row and a
-column cluster basis, and one coupling matrix per leaf block.  Leaf
-blocks of full-rank leaf bases are represented exactly, admissible
-blocks up to the compression error of the bases.
+leaves.  It is held as arrays, one entry per block, and built one
+level of block pairs at a time.  In the simplified format used here
+every leaf block carries a coupling matrix, so an H2 matrix consists
+of a block tree, a row and a column cluster basis, and one coupling
+matrix per leaf block.  Leaf blocks of full-rank leaf bases are
+represented exactly, admissible blocks up to the compression error of
+the bases.
 """
 
 import math
@@ -17,7 +19,6 @@ import numpy as np
 from . import kernels
 
 __all__ = [
-    "Block",
     "BlockTree",
     "H2Matrix",
     "build_block_tree",
@@ -28,36 +29,46 @@ __all__ = [
 ]
 
 
-@dataclass
-class Block:
-    index: int
-    row: int
-    col: int
-    sons: tuple
-    admissible: bool
-
-    @property
-    def is_leaf(self):
-        return not self.sons
-
-
+@dataclass(eq=False)
 class BlockTree:
-    def __init__(self, row_tree, col_tree, blocks, eta):
-        self.row_tree = row_tree
-        self.col_tree = col_tree
-        self.blocks = blocks
-        self.eta = eta
-        self.root = 0
+    """Blocks as arrays, numbered depth first from the root block 0.
+
+    Block j pairs the row cluster row[j] with the column cluster
+    col[j], and parent[j] is its parent block (-1 at the root).
+    admissible[j] marks a well-separated pair and leaf[j] a block
+    without sons: an admissible one or one with a leaf cluster.  A
+    block's sons pair each son of its row with each son of its column,
+    the row's son slowest.
+    """
+
+    row_tree: object
+    col_tree: object
+    row: np.ndarray
+    col: np.ndarray
+    parent: np.ndarray
+    admissible: np.ndarray
+    leaf: np.ndarray
+    root = 0
 
     def __len__(self):
-        return len(self.blocks)
+        return self.row.size
 
     def leaves(self):
-        return [b.index for b in self.blocks if b.is_leaf]
+        """Leaf blocks in numbering order."""
+        return np.flatnonzero(self.leaf).tolist()
+
+
+def _son_lists(tree):
+    """(sons, first, count): cluster i's sons, in order, are sons[first[i]:][:count[i]]."""
+    sons = np.concatenate(tree.by_level)[1:]
+    sons = sons[np.argsort(tree.father[sons], kind="stable")]
+    count = np.bincount(tree.father[sons], minlength=len(tree))
+    return sons, np.cumsum(count) - count, count
 
 
 def build_block_tree(row_tree, col_tree, eta):
-    """Descend from the root pair, stopping at admissible or leaf pairs.
+    """Split block pairs level by level from the root pair, stopping
+    at admissible pairs and at pairs with a leaf cluster.
 
     A pair is admissible when the larger bounding-box diameter is at
     most eta times the box distance.  Both trees must be level uniform
@@ -67,55 +78,52 @@ def build_block_tree(row_tree, col_tree, eta):
     if not (math.isfinite(eta) and eta >= 0.0):
         raise ValueError(f"eta must be finite and non-negative, got {eta}")
     if row_tree.depth != col_tree.depth:
-        raise ValueError(
-            f"tree depths differ: {row_tree.depth} vs {col_tree.depth}"
-        )
-    blocks = []
-
-    def admissible(t, s):
-        diam = max(row_tree.diameter(t), col_tree.diameter(s))
-        gap = _box_distance(row_tree, t, col_tree, s)
-        return diam <= eta * gap
-
-    def descend(t, s):
-        idx = len(blocks)
-        blocks.append(None)
-        adm = admissible(t, s)
-        if adm or (row_tree.is_leaf(t) and col_tree.is_leaf(s)):
-            blocks[idx] = Block(idx, t, s, (), adm)
-            return idx
-        sons = tuple(
-            descend(t2, s2)
-            for t2 in row_tree.sons(t)
-            for s2 in col_tree.sons(s)
-        )
-        blocks[idx] = Block(idx, t, s, sons, False)
-        return idx
-
-    descend(row_tree.root, col_tree.root)
-    return BlockTree(row_tree, col_tree, blocks, eta)
-
-
-def _box_distance(row_tree, t, col_tree, s):
-    a = row_tree.clusters[t]
-    b = col_tree.clusters[s]
-    gap = np.maximum(0.0, np.maximum(a.box_min - b.box_max, b.box_min - a.box_max))
-    # np.linalg.norm computes sqrt(gap . gap) as well, at a higher call cost
-    return math.sqrt(gap.dot(gap))
+        raise ValueError(f"tree depths differ: {row_tree.depth} vs {col_tree.depth}")
+    (row_sons, row_first, row_count), (col_sons, col_first, col_count) = map(_son_lists, (row_tree, col_tree))
+    # per level: the blocks' clusters, parents (numbered level by level),
+    # tests, and paths, the son numbers that lead to them from the root
+    row, col, parent, path = [[row_tree.root]], [[col_tree.root]], [[-1]], [np.zeros((1, 0), dtype=np.intp)]
+    admissible, leaf, start = [], [], 0
+    while len(row[-1]):
+        t, s = np.asarray(row[-1]), np.asarray(col[-1])
+        gap = np.maximum(row_tree.box_min[t] - col_tree.box_max[s], col_tree.box_min[s] - row_tree.box_max[t])
+        gap = np.maximum(gap, 0.0)
+        diam = np.maximum(row_tree.diameter[t], col_tree.diameter[s])
+        # vecdot rounds as the dot product of one gap with itself does
+        admissible.append(diam <= eta * np.sqrt(np.vecdot(gap, gap)))
+        leaf.append(admissible[-1] | ~row_tree.has_sons[t] | ~col_tree.has_sons[s])
+        split = np.flatnonzero(~leaf[-1])
+        t, s = t[split], s[split]
+        # son pair q of a block pairs row son q // c with column son q % c
+        per = row_count[t] * col_count[s]
+        q = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+        c = np.repeat(col_count[s], per)
+        row.append(row_sons[np.repeat(row_first[t], per) + q // c])
+        col.append(col_sons[np.repeat(col_first[s], per) + q % c])
+        parent.append(np.repeat(start + split, per))
+        path.append(np.column_stack([path[-1][np.repeat(split, per)], q]))
+        start += len(leaf[-1])
+    # depth-first order sorts the paths, a parent's (padded with -1) first
+    path = np.concatenate([np.pad(p, ((0, 0), (0, len(path) - p.shape[1])), constant_values=-1) for p in path])
+    order = np.lexsort(path.T[::-1])
+    parent = np.append(-1, np.argsort(order)[np.concatenate(parent)[order[1:]]])
+    row, col, admissible, leaf = (np.concatenate(a)[order] for a in (row, col, admissible, leaf))
+    return BlockTree(row_tree, col_tree, row, col, parent, admissible, leaf)
 
 
 def sparsity_constant(bt):
     """Largest number of blocks any single cluster participates in."""
-    rows = {}
-    cols = {}
-    for b in bt.blocks:
-        rows[b.row] = rows.get(b.row, 0) + 1
-        cols[b.col] = cols.get(b.col, 0) + 1
-    return max(max(rows.values()), max(cols.values()))
+    return int(max(np.bincount(bt.row).max(), np.bincount(bt.col).max()))
 
 
 class H2Matrix:
-    """Block tree + row/column bases + per-leaf-block coupling matrices."""
+    """Block tree + row/column bases + per-leaf-block coupling matrices.
+
+    coupling maps each leaf block (t, s), by its number, to a finite
+    r_t x r_s matrix.  Raises ValueError naming the first leaf block
+    whose coupling matrix is missing, of another shape or not finite,
+    and else the first other block given one.
+    """
 
     def __init__(self, block_tree, row_basis, col_basis, coupling):
         if row_basis.rank != col_basis.rank:
@@ -124,6 +132,18 @@ class H2Matrix:
             raise ValueError("row basis does not match the block tree")
         if col_basis.tree is not block_tree.col_tree:
             raise ValueError("column basis does not match the block tree")
+        bt, leaves = block_tree, block_tree.leaves()
+        shapes = zip(np.diff(row_basis.ptr)[bt.row[leaves]].tolist(), np.diff(col_basis.ptr)[bt.col[leaves]].tolist())
+        for idx, shape in zip(leaves, shapes):
+            if np.shape(coupling.get(idx)) != shape:
+                got = f"shape {np.shape(coupling[idx])}" if idx in coupling else "none"
+                raise ValueError(f"block {idx}: expected a {shape[0]} x {shape[1]} coupling matrix, got {got}")
+        if not np.isfinite(np.concatenate([coupling[idx] for idx in leaves], axis=None)).all():
+            idx = next(idx for idx in leaves if not np.isfinite(coupling[idx]).all())
+            raise ValueError(f"block {idx}: non-finite coupling matrix")
+        extra = set(coupling).difference(leaves)
+        if extra:
+            raise ValueError(f"block {min(extra)}: not a leaf block, but given a coupling matrix")
         self.block_tree = block_tree
         self.row_basis = row_basis
         self.col_basis = col_basis
@@ -142,17 +162,13 @@ def _leaf_blocks(bt, row_basis, col_basis):
     """Yield (idx, rows, cols, V_t, W_s) per leaf block (t, s): the
     block's positions and its row and column basis matrices, each
     materialized once per cluster."""
-    row_mat = {}
-    col_mat = {}
-    for idx in bt.leaves():
-        b = bt.blocks[idx]
-        if b.row not in row_mat:
-            row_mat[b.row] = row_basis.materialize(b.row)
-        if b.col not in col_mat:
-            col_mat[b.col] = col_basis.materialize(b.col)
-        rows = bt.row_tree.positions(b.row)
-        cols = bt.col_tree.positions(b.col)
-        yield idx, rows, cols, row_mat[b.row], col_mat[b.col]
+    row_mat, col_mat, leaves = {}, {}, bt.leaves()
+    for idx, t, s in zip(leaves, bt.row[leaves].tolist(), bt.col[leaves].tolist()):
+        if t not in row_mat:
+            row_mat[t] = row_basis.materialize(t)
+        if s not in col_mat:
+            col_mat[s] = col_basis.materialize(s)
+        yield idx, bt.row_tree.positions(t), bt.col_tree.positions(s), row_mat[t], col_mat[s]
 
 
 def compress_dense(a, row_basis, col_basis, bt):
@@ -187,11 +203,10 @@ def compress_dense(a, row_basis, col_basis, bt):
 def random_h2(bt, row_basis, col_basis, seed, scale=1.0):
     """H2 matrix with seeded uniform coupling entries in [-scale, scale]."""
     rng = np.random.default_rng(seed)
-    k = row_basis.rank
-    coupling = {}
-    for idx in bt.leaves():
-        coupling[idx] = scale * rng.uniform(-1.0, 1.0, size=(k, k))
-    return H2Matrix(bt, row_basis, col_basis, coupling)
+    leaves, k = bt.leaves(), row_basis.rank
+    # one draw: the same stream as one (k, k) draw per leaf block
+    draws = scale * rng.uniform(-1.0, 1.0, size=(len(leaves), k, k))
+    return H2Matrix(bt, row_basis, col_basis, dict(zip(leaves, draws)))
 
 
 def to_dense(m):

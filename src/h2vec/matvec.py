@@ -78,7 +78,7 @@ __all__ = [
 @dataclass
 class BlockSet:
     """Blocks of one kind: leaf blocks in row order, non-leaf blocks in
-    construction order.
+    the block tree's order.
 
     row, col: the block clusters.  parent: the position of the parent
     block in the plan's non-leaf blocks, or their count at the root
@@ -140,7 +140,7 @@ class MatvecPlan:
 
     Row cluster t's accumulator occupies the flat entries ptr[t] to
     ptr[t + 1]: the matrix rank, then one slot of input-rank entries
-    per non-leaf block of row t, numbered in block construction
+    per non-leaf block of row t, numbered in the block tree's
     order; its length is the induced rank of t.  cross[s] = W_s^T Q_s
     couples the matrix column basis with the input basis, stacked per
     column cluster.  leaf_blocks and nonleaf_blocks describe the block
@@ -170,38 +170,27 @@ def build_plan(matrix, input_basis):
     for name, basis in bases:
         if np.any(np.diff(basis.ptr) != basis.rank):
             raise ValueError(f"{name} basis: the product needs one rank at every cluster")
-    bt = matrix.block_tree
-    row_tree = bt.row_tree
-    ka = matrix.rank
-    k = input_basis.rank
+    bt, ka, k = matrix.block_tree, matrix.rank, input_basis.rank
     cross = np.array(list(cross_gram_family(matrix.col_basis, input_basis).values()))
     # leaf blocks in row order: the coupling sums them per row
-    leaves = sorted((b for b in bt.blocks if b.is_leaf), key=lambda b: b.row)
-    others = [b for b in bt.blocks if not b.is_leaf]
-    parent = np.full(len(bt.blocks), len(others), dtype=np.intp)
-    for j, b in enumerate(others):
-        parent[list(b.sons)] = j
+    leaves = np.flatnonzero(bt.leaf)[np.argsort(bt.row[bt.leaf], kind="stable")]
+    others = np.flatnonzero(~bt.leaf)
+    # a block's parent by its position among the non-leaf blocks
+    parent = np.append(np.cumsum(~bt.leaf) - 1, others.size)[bt.parent]
     # a non-leaf block's slot is its rank among the non-leaf blocks of its row
-    rows = np.array([b.row for b in others], dtype=np.intp)
+    rows = bt.row[others]
     order = np.argsort(rows, kind="stable")
-    count = np.bincount(rows, minlength=len(row_tree))
+    count = np.bincount(rows, minlength=len(bt.row_tree))
     slot = np.empty_like(rows)
     slot[order] = np.arange(rows.size) - (np.cumsum(count) - count)[rows[order]]
-    ptr = np.zeros(len(row_tree) + 1, dtype=np.intp)
+    ptr = np.zeros(len(bt.row_tree) + 1, dtype=np.intp)
     ptr[1:] = np.cumsum(ka + k * count)
-
-    def block_set(blocks, starts, width):
-        ids = np.array([b.index for b in blocks], dtype=np.intp)
-        return BlockSet(
-            row=np.array([b.row for b in blocks], dtype=np.intp),
-            col=np.array([b.col for b in blocks], dtype=np.intp),
-            parent=parent[ids],
-            target=np.asarray(starts, dtype=np.intp).reshape(-1, 1) + np.arange(width),
-        )
-
-    leaf_blocks = block_set(leaves, ptr[[b.row for b in leaves]], ka)
-    leaf_blocks.coupling = np.array([matrix.coupling[b.index] for b in leaves])
-    nonleaf_blocks = block_set(others, ptr[rows] + ka + k * slot, k)
+    leaf_blocks = BlockSet(
+        bt.row[leaves], bt.col[leaves], parent[leaves], ptr[bt.row[leaves], None] + np.arange(ka),
+        np.array([matrix.coupling[j] for j in leaves.tolist()]),
+    )
+    starts = ptr[rows] + ka + k * slot
+    nonleaf_blocks = BlockSet(rows, bt.col[others], parent[others], starts[:, None] + np.arange(k))
     plan = MatvecPlan(matrix, input_basis, cross, ptr, leaf_blocks, nonleaf_blocks)
     plan.induced = materialize_induced(plan)
     plan.ptr = plan.induced.ptr  # the same offsets, computed from the transfers

@@ -49,8 +49,10 @@ class ClusterTree:
     level[i], father[i], sizes[i] and has_sons[i] hold the level, the
     father (-1 at the root), the index count and whether cluster i has
     sons, as arrays, for passes that treat one level of the tree at a
-    time.  by_level[l] lists the clusters of level l, the sons of one
-    father together and in son order.
+    time; box_min[i], box_max[i] and diameter[i] hold the corners and
+    the diameter of cluster i's bounding box.  by_level[l] lists the
+    clusters of level l, the sons of one father together and in son
+    order.
     """
 
     def __init__(self, clusters, perm, dim, leaf_size):
@@ -75,9 +77,11 @@ class ClusterTree:
             if c.sons:
                 by_level[c.level + 1].extend(c.sons)
         self.by_level = [np.array(ids, dtype=np.intp) for ids in by_level]
-        self._diameter = [
-            float(np.linalg.norm(c.box_max - c.box_min)) for c in clusters
-        ]
+        self.box_min = np.array([c.box_min for c in clusters])
+        self.box_max = np.array([c.box_max for c in clusters])
+        extent = self.box_max - self.box_min
+        # vecdot rounds as np.linalg.norm of one extent does
+        self.diameter = np.sqrt(np.vecdot(extent, extent))
 
     def __len__(self):
         return len(self.clusters)
@@ -115,10 +119,6 @@ class ClusterTree:
                 for s in reversed(self.sons(node)):
                     stack.append((s, False))
         return order
-
-    def diameter(self, i):
-        """Diameter of cluster i's bounding box."""
-        return self._diameter[i]
 
 
 def _bisect(points, perm, begin, end):

@@ -22,6 +22,15 @@ from h2vec.matvec import InducedHVector
 from h2vec.tree import Subtree
 
 
+def block_sons(bt):
+    """sons[j]: the son blocks of block j, in numbering order."""
+    sons = [[] for _ in range(len(bt))]
+    for j, p in enumerate(bt.parent.tolist()):
+        if p >= 0:
+            sons[p].append(j)
+    return sons
+
+
 def layout(plan):
     """Slot offsets and induced ranks, read from the block tree alone.
 
@@ -34,10 +43,9 @@ def layout(plan):
     k = plan.input_basis.rank
     rank = {t: plan.matrix.rank for t in range(len(bt.row_tree))}
     offsets = {}
-    for b in bt.blocks:
-        if not b.is_leaf:
-            offsets[(b.row, b.col)] = rank[b.row]
-            rank[b.row] += k
+    for t, s in zip(bt.row[~bt.leaf].tolist(), bt.col[~bt.leaf].tolist()):
+        offsets[(t, s)] = rank[t]
+        rank[t] += k
     return offsets, rank
 
 
@@ -56,7 +64,7 @@ def induced_transfers(plan):
     slots = {}
     for (t, s), o in offsets.items():
         slots.setdefault(t, []).append((s, o))
-    by_pair = {(b.row, b.col): b for b in bt.blocks}
+    by_pair = {pair: j for j, pair in enumerate(zip(bt.row.tolist(), bt.col.tolist()))}
     pushed = {
         s2: kernels.matmul(plan.cross[s2], f)
         for s2, f in plan.input_basis.transfer.items()
@@ -69,8 +77,8 @@ def induced_transfers(plan):
         for s, o in slots.get(t, []):
             for s2 in bt.col_tree.sons(s):
                 b = by_pair[(t2, s2)]
-                if b.is_leaf:
-                    product = kernels.matmul(mat.coupling[b.index], pushed[s2])
+                if bt.leaf[b]:
+                    product = kernels.matmul(mat.coupling[b], pushed[s2])
                     e[:ka, o : o + k] += product
                 else:
                     o2 = offsets[(t2, s2)]
@@ -103,11 +111,11 @@ def coupling(x, plan, xbar, sub, bars):
     row_tree = bt.row_tree
     k = plan.input_basis.rank
     offsets, rank = layout(plan)
+    sons = block_sons(bt)
 
     def walk(bid):
-        b = bt.blocks[bid]
-        t, s = b.row, b.col
-        if b.is_leaf:
+        t, s = int(bt.row[bid]), int(bt.col[bid])
+        if bt.leaf[bid]:
             bars[t][: plan.matrix.rank] += kernels.matvec(
                 plan.matrix.coupling[bid], xbar[s]
             )
@@ -119,7 +127,7 @@ def coupling(x, plan, xbar, sub, bars):
                 sub.expand(t)
                 for t2 in row_tree.sons(t):
                     bars[t2] = np.zeros(rank[t2])
-            for sid in b.sons:
+            for sid in sons[bid]:
                 walk(sid)
 
     walk(bt.root)
@@ -181,13 +189,14 @@ def factored_multiply(plan, x):
     row_tree, col_tree = bt.row_tree, bt.col_tree
     ka, k = plan.matrix.rank, plan.input_basis.rank
     sub = Subtree(row_tree)
+    sons = block_sons(bt)
 
     def grow(bid):
-        b = bt.blocks[bid]
-        if not b.is_leaf and b.col in x.sub and not x.sub.is_leaf(b.col):
-            if sub.is_leaf(b.row):
-                sub.expand(b.row)
-            for sid in b.sons:
+        t, s = int(bt.row[bid]), int(bt.col[bid])
+        if not bt.leaf[bid] and s in x.sub and not x.sub.is_leaf(s):
+            if sub.is_leaf(t):
+                sub.expand(t)
+            for sid in sons[bid]:
                 grow(sid)
 
     grow(bt.root)
@@ -209,9 +218,8 @@ def factored_multiply(plan, x):
     slots = {}
 
     def walk(bid):
-        b = bt.blocks[bid]
-        t, s = b.row, b.col
-        if b.is_leaf:
+        t, s = int(bt.row[bid]), int(bt.col[bid])
+        if bt.leaf[bid]:
             if s not in xbar:
                 with kernels.phase("forward"):
                     xbar[s] = kernels.matvec(plan.cross[s], pushed(s))
@@ -223,7 +231,7 @@ def factored_multiply(plan, x):
             with kernels.phase("forward"):
                 slots[(t, s)] = pushed(s)
         else:
-            for sid in b.sons:
+            for sid in sons[bid]:
                 walk(sid)
 
     with kernels.phase("coupling"):

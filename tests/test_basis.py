@@ -490,10 +490,13 @@ def test_missing_leaf_matrix_or_transfer_names_the_cluster(rng):
 
 
 def ragged_basis(tree, rng, max_rank):
-    """Random nested basis whose ranks vary from cluster to cluster."""
-    rank = [
-        int(rng.integers(1, min(max_rank, tree.size(i)) + 1)) for i in range(len(tree))
-    ]
+    """Random nested basis whose ranks vary from cluster to cluster,
+    drawn bottom-up: at most a leaf's size, and at most the sum of the
+    sons' ranks at an interior cluster, so orthogonalize accepts it."""
+    rank = [0] * len(tree)
+    for i in tree.postorder():
+        rows = sum(rank[s] for s in tree.sons(i)) or tree.size(i)
+        rank[i] = int(rng.integers(1, min(max_rank, rows) + 1))
     leaf_matrix = {i: rng.standard_normal((tree.size(i), rank[i])) for i in tree.leaves()}
     transfer = {
         s: rng.standard_normal((rank[s], rank[i]))
@@ -629,6 +632,21 @@ def test_orthogonalize_varying_ranks(kind, seed):
         v = basis.materialize(i)
         got = iso.materialize(i) @ change[i]
         assert np.max(np.abs(got - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+
+
+def test_orthogonalize_names_the_first_short_stack_in_post_order(rng):
+    tree = line_tree(16, 4)
+    # post-order 2 3 1 5 6 4 0: clusters 4 and 0 stack fewer rows than
+    # their ranks, and 4 comes first
+    rank = [6, 2, 1, 1, 3, 1, 1]
+    assert tree.postorder() == [2, 3, 1, 5, 6, 4, 0]
+    leaf_matrix = {i: rng.standard_normal((4, rank[i])) for i in tree.leaves()}
+    transfer = {s: rng.standard_normal((rank[s], rank[int(tree.father[s])])) for s in range(1, 7)}
+    basis = ClusterBasis(tree, leaf_matrix, transfer)
+    message = "^cluster 4: transfer stack has 2 rows, fewer than its rank 3$"
+    for build in (basis_reference.orthogonalize, orthogonalize):
+        with pytest.raises(ValueError, match=message):
+            build(basis)
 
 
 def _assert_same_orthogonalization(basis):

@@ -1,16 +1,50 @@
+import math
+
 import numpy as np
 import pytest
 
 from h2vec.basis import orthogonalize
 from h2vec.h2matrix import (
+    H2Matrix,
     build_block_tree,
     compress_dense,
     random_h2,
     sparsity_constant,
     to_dense,
 )
-from h2vec.instances import line_tree, random_basis, random_iso_basis
+from h2vec.instances import line_tree, random_basis, random_instance, random_iso_basis
+from h2vec.poisson import lshape_sites
 from h2vec.tree import build_cluster_tree
+
+
+def recursive_block_tree(row_tree, col_tree, eta):
+    """The block tree by recursive descent from the root pair, one
+    admissibility test per pair: the oracle of build_block_tree.
+
+    Returns the arrays row, col, parent, admissible and leaf, one
+    entry per block in depth-first order.
+    """
+    blocks = []
+
+    def diameter(tree, i):
+        c = tree.clusters[i]
+        return float(np.linalg.norm(c.box_max - c.box_min))
+
+    def box_distance(t, s):
+        a, b = row_tree.clusters[t], col_tree.clusters[s]
+        gap = np.maximum(0.0, np.maximum(a.box_min - b.box_max, b.box_min - a.box_max))
+        return math.sqrt(gap.dot(gap))
+
+    def descend(t, s, parent):
+        idx = len(blocks)
+        adm = max(diameter(row_tree, t), diameter(col_tree, s)) <= eta * box_distance(t, s)
+        sons = [] if adm else [(t2, s2) for t2 in row_tree.sons(t) for s2 in col_tree.sons(s)]
+        blocks.append((t, s, parent, adm, not sons))
+        for t2, s2 in sons:
+            descend(t2, s2, idx)
+
+    descend(row_tree.root, col_tree.root, -1)
+    return [np.array(column) for column in zip(*blocks)]
 
 
 def block_labels_partition(bt):
@@ -18,16 +52,46 @@ def block_labels_partition(bt):
     nr, nc = bt.row_tree.n, bt.col_tree.n
     cover = np.zeros((nr, nc), dtype=int)
     for idx in bt.leaves():
-        b = bt.blocks[idx]
-        cover[bt.row_tree.positions(b.row), bt.col_tree.positions(b.col)] += 1
+        cover[bt.row_tree.positions(bt.row[idx]), bt.col_tree.positions(bt.col[idx])] += 1
     return np.all(cover == 1)
 
 
 def test_single_point_trees_give_single_block():
     tree = line_tree(1, 1)
     bt = build_block_tree(tree, tree, 1.0)
-    assert len(bt.blocks) == 1
-    assert bt.blocks[0].is_leaf
+    assert len(bt) == 1
+    assert bt.leaf[0] and bt.parent[0] == -1
+
+
+def _assert_matches_recursion(row_tree, col_tree, eta):
+    bt = build_block_tree(row_tree, col_tree, eta)
+    want = recursive_block_tree(row_tree, col_tree, eta)
+    for name, column in zip(["row", "col", "parent", "admissible", "leaf"], want):
+        assert np.array_equal(getattr(bt, name), column), name
+    assert bt.leaves() == np.flatnonzero(want[4]).tolist()
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_tree_matches_recursive_descent(eta, dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        n = int(rng.integers(1, 300))
+        points = rng.random((n, dim))
+        tree = build_cluster_tree(points, int(rng.integers(1, 12)))
+        _assert_matches_recursion(tree, tree, eta)
+        # a column tree of the same shape on moved boxes
+        other = build_cluster_tree(0.7 * points + 0.4, tree.leaf_size)
+        _assert_matches_recursion(tree, other, eta)
+
+
+@pytest.mark.parametrize("grid, leaf_size", [(16, 8), (32, 64)])
+def test_block_tree_matches_recursive_descent_on_grid_points(grid, leaf_size):
+    # at grid 16, eta 1 puts 82 pairs exactly on the admissibility bound
+    tree = build_cluster_tree(lshape_sites(grid)[1], leaf_size)
+    for eta in (0.5, 1.0, 2.0):
+        _assert_matches_recursion(tree, tree, eta)
 
 
 def test_block_tree_partitions_product():
@@ -42,8 +106,7 @@ def test_eta_zero_gives_leaf_pairs_only():
     leaves = bt.leaves()
     assert len(leaves) == len(tree.leaves()) ** 2
     for idx in leaves:
-        b = bt.blocks[idx]
-        assert tree.is_leaf(b.row) and tree.is_leaf(b.col)
+        assert tree.is_leaf(bt.row[idx]) and tree.is_leaf(bt.col[idx])
     assert block_labels_partition(bt)
 
 
@@ -74,9 +137,9 @@ def test_sparsity_direct_count():
         bt = build_block_tree(tree, tree, eta)
         rows = {}
         cols = {}
-        for b in bt.blocks:
-            rows[b.row] = rows.get(b.row, 0) + 1
-            cols[b.col] = cols.get(b.col, 0) + 1
+        for t, s in zip(bt.row.tolist(), bt.col.tolist()):
+            rows[t] = rows.get(t, 0) + 1
+            cols[s] = cols.get(s, 0) + 1
         want = max(max(rows.values()), max(cols.values()))
         assert sparsity_constant(bt) == want
 
@@ -209,9 +272,61 @@ def test_to_dense_matches_blockwise(rng):
     m = random_h2(bt, row, col, seed=3)
     dense = to_dense(m)
     for idx in bt.leaves():
-        b = bt.blocks[idx]
-        want = (
-            row.materialize(b.row) @ m.coupling[idx] @ col.materialize(b.col).T
-        )
-        got = dense[tree.positions(b.row), tree.positions(b.col)]
+        t, s = int(bt.row[idx]), int(bt.col[idx])
+        want = row.materialize(t) @ m.coupling[idx] @ col.materialize(s).T
+        got = dense[tree.positions(t), tree.positions(s)]
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_random_h2_draws_one_matrix_per_leaf_block_in_order(rng):
+    tree = line_tree(64, 4)
+    row = random_basis(tree, 2, rng)
+    col = random_basis(tree, 2, rng)
+    bt = build_block_tree(tree, tree, 1.0)
+    m = random_h2(bt, row, col, seed=7, scale=0.5)
+    draws = np.random.default_rng(7)
+    assert list(m.coupling) == bt.leaves()
+    for idx in bt.leaves():
+        assert np.array_equal(m.coupling[idx], 0.5 * draws.uniform(-1.0, 1.0, size=(2, 2)))
+
+
+def _instance_coupling():
+    inst = random_instance(64, 3, 3, 1.0, 0)
+    m = inst.matrix
+    return m, dict(m.coupling), m.block_tree.leaves()
+
+
+def test_h2matrix_names_the_first_missing_coupling():
+    # a missing coupling once failed inside build_plan with KeyError: 4
+    m, coupling, leaves = _instance_coupling()
+    del coupling[leaves[5]], coupling[leaves[2]]
+    with pytest.raises(ValueError, match=f"^block {leaves[2]}: expected a 3 x 3 coupling matrix, got none$"):
+        H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+
+
+def test_h2matrix_refuses_a_coupling_of_another_shape():
+    # a 2 x 3 coupling once failed with NumPy's "inhomogeneous shape" error
+    m, coupling, leaves = _instance_coupling()
+    coupling[leaves[3]] = np.zeros((2, 3))
+    message = rf"^block {leaves[3]}: expected a 3 x 3 coupling matrix, got shape \(2, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+
+
+def test_h2matrix_refuses_a_non_finite_coupling():
+    # a NaN coupling was once accepted, and the product returned NaN
+    m, coupling, leaves = _instance_coupling()
+    for j, bad in ((6, np.inf), (4, np.nan)):
+        coupling[leaves[j]] = coupling[leaves[j]].copy()
+        coupling[leaves[j]][1, 2] = bad
+    with pytest.raises(ValueError, match=f"^block {leaves[4]}: non-finite coupling matrix$"):
+        H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+
+
+def test_h2matrix_refuses_a_coupling_of_a_non_leaf_block():
+    m, coupling, _ = _instance_coupling()
+    others = np.flatnonzero(~m.block_tree.leaf).tolist()
+    for idx in (others[-1], others[1]):
+        coupling[idx] = np.zeros((3, 3))
+    with pytest.raises(ValueError, match=f"^block {others[1]}: not a leaf block, but given a coupling matrix$"):
+        H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)

@@ -51,7 +51,7 @@ def test_plan_nonleaf_root_block(rng):
     iso = random_iso_basis(tree, 2, rng)
     plan = build_plan(matrix, iso)
     root = tree.root
-    assert not bt.blocks[bt.root].is_leaf
+    assert not bt.leaf[bt.root]
     # the root block is the first non-leaf block and the only one of its row
     blocks = plan.nonleaf_blocks
     assert np.count_nonzero(blocks.row == root) == 1
@@ -172,7 +172,7 @@ def test_single_block_product(rng):
     row = random_basis(tree, 2, rng)
     col = random_basis(tree, 2, rng)
     bt = build_block_tree(tree, tree, 1.0)
-    assert len(bt.blocks) == 1
+    assert len(bt) == 1
     matrix = random_h2(bt, row, col, seed=0)
     iso = random_iso_basis(tree, 2, rng)
     plan = build_plan(matrix, iso)
@@ -287,16 +287,17 @@ def test_multiply_rejects_non_finite_coefficients(rng, inst):
 def _parked_blocks(plan, x):
     """Non-leaf blocks the product visits whose column is an input leaf."""
     bt = plan.matrix.block_tree
+    sons = reference.block_sons(bt)
     count = 0
     stack = [bt.root]
     while stack:
-        b = bt.blocks[stack.pop()]
-        if b.is_leaf:
+        b = stack.pop()
+        if bt.leaf[b]:
             continue
-        if x.sub.is_leaf(b.col):
+        if x.sub.is_leaf(int(bt.col[b])):
             count += 1
         else:
-            stack.extend(b.sons)
+            stack.extend(sons[b])
     return count
 
 
