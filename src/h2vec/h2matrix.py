@@ -120,9 +120,11 @@ class H2Matrix:
     """Block tree + row/column bases + per-leaf-block coupling matrices.
 
     coupling maps each leaf block (t, s), by its number, to a finite
-    r_t x r_s matrix.  Raises ValueError naming the first leaf block
-    whose coupling matrix is missing, of another shape or not finite,
-    and else the first other block given one.
+    r_t x r_s matrix.  The check makes three passes and raises
+    ValueError at the first that fails: it names the first leaf block
+    whose coupling matrix is missing or of another shape, then the
+    first leaf block whose matrix is not finite, then the first other
+    block given one.
     """
 
     def __init__(self, block_tree, row_basis, col_basis, coupling):

@@ -35,8 +35,6 @@ class Cluster:
     begin: int
     end: int
     sons: tuple
-    box_min: np.ndarray
-    box_max: np.ndarray
 
     @property
     def size(self):
@@ -55,7 +53,7 @@ class ClusterTree:
     order.
     """
 
-    def __init__(self, clusters, perm, dim, leaf_size):
+    def __init__(self, clusters, perm, dim, leaf_size, box_min, box_max):
         self.clusters = clusters
         self.perm = np.asarray(perm, dtype=np.intp)
         self.n = self.perm.size
@@ -77,8 +75,8 @@ class ClusterTree:
             if c.sons:
                 by_level[c.level + 1].extend(c.sons)
         self.by_level = [np.array(ids, dtype=np.intp) for ids in by_level]
-        self.box_min = np.array([c.box_min for c in clusters])
-        self.box_max = np.array([c.box_max for c in clusters])
+        self.box_min = np.asarray(box_min, dtype=float)
+        self.box_max = np.asarray(box_max, dtype=float)
         extent = self.box_max - self.box_min
         # vecdot rounds as np.linalg.norm of one extent does
         self.diameter = np.sqrt(np.vecdot(extent, extent))
@@ -185,21 +183,13 @@ def _try_build(points, leaf_size):
             if level + 1 < depth:
                 pending.append(child)
 
-    clusters = []
+    clusters, box_min, box_max = [], [], []
     for i, (begin, end, level, sons) in enumerate(records):
         block = points[perm[begin:end]]
-        clusters.append(
-            Cluster(
-                index=i,
-                level=level,
-                begin=begin,
-                end=end,
-                sons=tuple(sons),
-                box_min=block.min(axis=0),
-                box_max=block.max(axis=0),
-            )
-        )
-    return ClusterTree(clusters, perm, points.shape[1], leaf_size)
+        clusters.append(Cluster(index=i, level=level, begin=begin, end=end, sons=tuple(sons)))
+        box_min.append(block.min(axis=0))
+        box_max.append(block.max(axis=0))
+    return ClusterTree(clusters, perm, points.shape[1], leaf_size, box_min, box_max)
 
 
 def build_cluster_tree(points, leaf_size):

@@ -75,8 +75,7 @@ def legendre_leaf_matrices(tree, points, degree):
         points = points[:, None]
     rank = (degree + 1) ** tree.dim
     legvander = np.polynomial.legendre.legvander
-    low = np.array([c.box_min for c in tree.clusters])
-    high = np.array([c.box_max for c in tree.clusters])
+    low, high = tree.box_min, tree.box_max
     span = np.where(high > low, high - low, np.inf)
     leaf_matrix = {}
     for i in tree.leaves():

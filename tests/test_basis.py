@@ -33,8 +33,8 @@ def legendre_columns(tree, points, i, degree):
     """Products P_a(x) P_b(y) of Legendre polynomials scaled to cluster
     i's box, at its points in the plane, for a, b = 0..degree, with a
     varying slowest."""
-    c = tree.clusters[i]
-    x, y = ((2.0 * points[tree.indices(i)] - c.box_min - c.box_max) / (c.box_max - c.box_min)).T
+    low, high = tree.box_min[i], tree.box_max[i]
+    x, y = ((2.0 * points[tree.indices(i)] - low - high) / (high - low)).T
     p = [np.polynomial.Legendre.basis(a) for a in range(degree + 1)]
     return np.column_stack([pa(x) * pb(y) for pa in p for pb in p])
 

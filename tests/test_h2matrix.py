@@ -27,12 +27,12 @@ def recursive_block_tree(row_tree, col_tree, eta):
     blocks = []
 
     def diameter(tree, i):
-        c = tree.clusters[i]
-        return float(np.linalg.norm(c.box_max - c.box_min))
+        return float(np.linalg.norm(tree.box_max[i] - tree.box_min[i]))
 
     def box_distance(t, s):
-        a, b = row_tree.clusters[t], col_tree.clusters[s]
-        gap = np.maximum(0.0, np.maximum(a.box_min - b.box_max, b.box_min - a.box_max))
+        a_min, a_max = row_tree.box_min[t], row_tree.box_max[t]
+        b_min, b_max = col_tree.box_min[s], col_tree.box_max[s]
+        gap = np.maximum(0.0, np.maximum(a_min - b_max, b_min - a_max))
         return math.sqrt(gap.dot(gap))
 
     def descend(t, s, parent):
@@ -330,3 +330,24 @@ def test_h2matrix_refuses_a_coupling_of_a_non_leaf_block():
         coupling[idx] = np.zeros((3, 3))
     with pytest.raises(ValueError, match=f"^block {others[1]}: not a leaf block, but given a coupling matrix$"):
         H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+
+
+def test_h2matrix_checks_shapes_then_finiteness_then_extra_blocks():
+    m, coupling, leaves = _instance_coupling()
+    others = np.flatnonzero(~m.block_tree.leaf).tolist()
+    coupling[others[0]] = np.zeros((3, 3))
+    coupling[leaves[2]] = np.full((3, 3), np.nan)
+    coupling[leaves[5]] = np.zeros((2, 3))
+    checks = [
+        (leaves[5], rf"^block {leaves[5]}: expected a 3 x 3 coupling matrix, got shape \(2, 3\)$"),
+        (leaves[2], f"^block {leaves[2]}: non-finite coupling matrix$"),
+        (others[0], f"^block {others[0]}: not a leaf block, but given a coupling matrix$"),
+    ]
+    for idx, message in checks:
+        with pytest.raises(ValueError, match=message):
+            H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+        if idx in m.coupling:
+            coupling[idx] = m.coupling[idx]
+        else:
+            del coupling[idx]
+    H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)

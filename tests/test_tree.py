@@ -65,10 +65,9 @@ def test_permutation_ranges_contiguous():
 def _hand_tree(ranges):
     clusters = []
     for idx, (level, begin, end, sons) in enumerate(ranges):
-        clusters.append(
-            Cluster(idx, level, begin, end, tuple(sons), np.zeros(1), np.ones(1))
-        )
-    return ClusterTree(clusters, np.arange(ranges[0][2]), 1, 1)
+        clusters.append(Cluster(idx, level, begin, end, tuple(sons)))
+    m = len(clusters)
+    return ClusterTree(clusters, np.arange(ranges[0][2]), 1, 1, np.zeros((m, 1)), np.ones((m, 1)))
 
 
 def test_validator_catches_overlap():
