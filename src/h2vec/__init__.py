@@ -19,7 +19,6 @@ from .h2matrix import (
     BlockTree,
     H2Matrix,
     build_block_tree,
-    compress_dense,
     random_h2,
     sparsity_constant,
 )

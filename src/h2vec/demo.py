@@ -293,7 +293,8 @@ def _project_in_place(m, basis, block_tree, span):
     """Couplings S_ts = E_t^T M0[t, s] E_s of the leaf blocks, where
     V_t = L_t E_t, and the leaf operator M in place of M0: each leaf
     block's region of M0, read once, becomes E_t S_ts E_s^T.  Returns
-    the couplings and the sum of their squared Frobenius norms."""
+    the couplings in leaf-block order and the sum of their squared
+    Frobenius norms."""
     tree = basis.tree
     stacked = {}
     for i in tree.postorder():
@@ -302,13 +303,13 @@ def _project_in_place(m, basis, block_tree, span):
             stacked[i] = np.vstack([stacked[s] @ basis.transfer[s] for s in sons])
         else:
             stacked[i] = np.eye(basis.rank_of(i))
-    coupling = {}
-    sumsq = 0.0
     leaves = block_tree.leaves()
-    for idx, t, s in zip(leaves, block_tree.row[leaves].tolist(), block_tree.col[leaves].tolist()):
+    coupling = np.empty((len(leaves), basis.rank, basis.rank))
+    sumsq = 0.0
+    for c, t, s in zip(coupling, block_tree.row[leaves].tolist(), block_tree.col[leaves].tolist()):
         region = (span[t], span[s])
         left, right = stacked[t], stacked[s]
-        coupling[idx] = c = left.T @ m[region] @ right
+        c[...] = left.T @ m[region] @ right
         m[region] = left @ c @ right.T
         sumsq += float(np.vdot(c, c))
     return coupling, sumsq

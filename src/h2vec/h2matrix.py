@@ -5,25 +5,24 @@ either admissible (well-separated bounding boxes) or pairs of tree
 leaves.  It is held as arrays, one entry per block, and built one
 level of block pairs at a time.  In the simplified format used here
 every leaf block carries a coupling matrix, so an H2 matrix consists
-of a block tree, a row and a column cluster basis, and one coupling
-matrix per leaf block.  Leaf blocks of full-rank leaf bases are
+of a block tree, a row and a column cluster basis of one rank k, and
+one k x k coupling matrix per leaf block, held as one (L, k, k) stack
+in leaf-block order.  Leaf blocks of full-rank leaf bases are
 represented exactly, admissible blocks up to the compression error of
 the bases.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import kernels
 
 __all__ = [
     "BlockTree",
     "H2Matrix",
     "build_block_tree",
     "sparsity_constant",
-    "compress_dense",
     "random_h2",
     "to_dense",
 ]
@@ -117,35 +116,35 @@ def sparsity_constant(bt):
 
 
 class H2Matrix:
-    """Block tree + row/column bases + per-leaf-block coupling matrices.
+    """Block tree + row/column bases + one coupling matrix per leaf block.
 
-    coupling maps each leaf block (t, s), by its number, to a finite
-    r_t x r_s matrix.  The check makes three passes and raises
-    ValueError at the first that fails: it names the first leaf block
-    whose coupling matrix is missing or of another shape, then the
-    first leaf block whose matrix is not finite, then the first other
-    block given one.
+    coupling is one float64 array of shape (L, k, k): the coupling
+    matrices of the L leaf blocks in block_tree.leaves() order, with k
+    the one rank of both bases at every cluster.  The checks raise
+    ValueError in this order: a basis on another tree or of varying
+    rank, bases of different ranks, a stack of another type or shape,
+    then the first leaf block, by its block number, whose matrix is not
+    finite.
     """
 
     def __init__(self, block_tree, row_basis, col_basis, coupling):
+        bt = block_tree
+        for name, basis, tree in (("row", row_basis, bt.row_tree), ("column", col_basis, bt.col_tree)):
+            if basis.tree is not tree:
+                raise ValueError(f"{name} basis does not match the block tree")
+            if np.any(np.diff(basis.ptr) != basis.rank):
+                raise ValueError(f"{name} basis: an H2 matrix needs one rank at every cluster")
         if row_basis.rank != col_basis.rank:
             raise ValueError("row and column bases must share one rank")
-        if row_basis.tree is not block_tree.row_tree:
-            raise ValueError("row basis does not match the block tree")
-        if col_basis.tree is not block_tree.col_tree:
-            raise ValueError("column basis does not match the block tree")
-        bt, leaves = block_tree, block_tree.leaves()
-        shapes = zip(np.diff(row_basis.ptr)[bt.row[leaves]].tolist(), np.diff(col_basis.ptr)[bt.col[leaves]].tolist())
-        for idx, shape in zip(leaves, shapes):
-            if np.shape(coupling.get(idx)) != shape:
-                got = f"shape {np.shape(coupling[idx])}" if idx in coupling else "none"
-                raise ValueError(f"block {idx}: expected a {shape[0]} x {shape[1]} coupling matrix, got {got}")
-        if not np.isfinite(np.concatenate([coupling[idx] for idx in leaves], axis=None)).all():
-            idx = next(idx for idx in leaves if not np.isfinite(coupling[idx]).all())
-            raise ValueError(f"block {idx}: non-finite coupling matrix")
-        extra = set(coupling).difference(leaves)
-        if extra:
-            raise ValueError(f"block {min(extra)}: not a leaf block, but given a coupling matrix")
+        k = row_basis.rank
+        shape = (int(np.count_nonzero(bt.leaf)), k, k)
+        array = isinstance(coupling, np.ndarray)
+        if not (array and coupling.dtype == np.float64 and coupling.shape == shape):
+            got = f"{coupling.dtype} array of shape {coupling.shape}" if array else type(coupling).__name__
+            raise ValueError(f"expected a float64 coupling stack of shape {shape} in leaf-block order, got {got}")
+        finite = np.isfinite(coupling).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"block {np.flatnonzero(bt.leaf)[finite.argmin()]}: non-finite coupling matrix")
         self.block_tree = block_tree
         self.row_basis = row_basis
         self.col_basis = col_basis
@@ -160,60 +159,22 @@ class H2Matrix:
         return (self.block_tree.row_tree.n, self.block_tree.col_tree.n)
 
 
-def _leaf_blocks(bt, row_basis, col_basis):
-    """Yield (idx, rows, cols, V_t, W_s) per leaf block (t, s): the
-    block's positions and its row and column basis matrices, each
-    materialized once per cluster."""
-    row_mat, col_mat, leaves = {}, {}, bt.leaves()
-    for idx, t, s in zip(leaves, bt.row[leaves].tolist(), bt.col[leaves].tolist()):
-        if t not in row_mat:
-            row_mat[t] = row_basis.materialize(t)
-        if s not in col_mat:
-            col_mat[s] = col_basis.materialize(s)
-        yield idx, bt.row_tree.positions(t), bt.col_tree.positions(s), row_mat[t], col_mat[s]
-
-
-def compress_dense(a, row_basis, col_basis, bt):
-    """Project a dense matrix (tree position order) onto the H2 format.
-
-    Coupling matrices are the two-sided orthogonal projections of the
-    leaf blocks.  Returns (matrix, error, expansion): the expansion is
-    the matrix's dense form, equal to `to_dense(matrix)`, filled block
-    by block, and the error is the Frobenius norm of its difference
-    with the input, summed up over the blocks.
-    """
-    if not (row_basis.isometric and col_basis.isometric):
-        raise ValueError("compression requires isometric bases")
-    a = np.asarray(a, dtype=float)
-    shape = (bt.row_tree.n, bt.col_tree.n)
-    if a.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {a.shape}")
-    coupling = {}
-    expansion = np.zeros(shape)
-    sumsq = 0.0
-    for idx, rows, cols, v, w in _leaf_blocks(bt, row_basis, col_basis):
-        block = a[rows, cols]
-        coupling[idx] = kernels.matmul(v.T, kernels.matmul(block, w))
-        # the same products as to_dense, so the expansions agree exactly
-        expanded = v @ coupling[idx] @ w.T
-        expansion[rows, cols] = expanded
-        diff = (block - expanded).ravel()
-        sumsq += float(diff @ diff)
-    return H2Matrix(bt, row_basis, col_basis, coupling), math.sqrt(sumsq), expansion
-
-
 def random_h2(bt, row_basis, col_basis, seed, scale=1.0):
-    """H2 matrix with seeded uniform coupling entries in [-scale, scale]."""
+    """H2 matrix with seeded uniform coupling entries in [-scale, scale],
+    drawn in leaf-block order."""
     rng = np.random.default_rng(seed)
-    leaves, k = bt.leaves(), row_basis.rank
+    k = row_basis.rank
     # one draw: the same stream as one (k, k) draw per leaf block
-    draws = scale * rng.uniform(-1.0, 1.0, size=(len(leaves), k, k))
-    return H2Matrix(bt, row_basis, col_basis, dict(zip(leaves, draws)))
+    draws = scale * rng.uniform(-1.0, 1.0, size=(int(np.count_nonzero(bt.leaf)), k, k))
+    return H2Matrix(bt, row_basis, col_basis, draws)
 
 
 def to_dense(m):
     """Expand every leaf block; result is in tree position order."""
-    out = np.zeros(m.shape)
-    for idx, rows, cols, v, w in _leaf_blocks(m.block_tree, m.row_basis, m.col_basis):
-        out[rows, cols] = v @ m.coupling[idx] @ w.T
+    bt, out = m.block_tree, np.zeros(m.shape)
+    # each cluster's basis matrix materialized once
+    row, col = functools.cache(m.row_basis.materialize), functools.cache(m.col_basis.materialize)
+    leaves = bt.leaves()
+    for c, t, s in zip(m.coupling, bt.row[leaves].tolist(), bt.col[leaves].tolist()):
+        out[bt.row_tree.positions(t), bt.col_tree.positions(s)] = row(t) @ c @ col(s).T
     return out

@@ -148,9 +148,10 @@ class MatvecPlan:
     ProductPattern of the last input subtree, replaced when a product
     meets another one.
 
-    A plan is a snapshot of its matrix: the coupling matrices are
-    copied into leaf_blocks and the induced transfers, so a matrix
-    changed after build_plan needs a new plan.
+    A plan is a snapshot of its matrix: leaf_blocks.coupling is a copy
+    of the matrix's coupling stack, taken from leaf-block order into
+    row order, and the induced transfers are built from it, so a
+    matrix changed after build_plan needs a new plan.
     """
 
     matrix: object
@@ -166,14 +167,13 @@ class MatvecPlan:
 def build_plan(matrix, input_basis):
     if input_basis.tree is not matrix.block_tree.col_tree:
         raise ValueError("input basis does not live on the column tree")
-    bases = (("input", input_basis), ("row", matrix.row_basis), ("column", matrix.col_basis))
-    for name, basis in bases:
-        if np.any(np.diff(basis.ptr) != basis.rank):
-            raise ValueError(f"{name} basis: the product needs one rank at every cluster")
+    if np.any(np.diff(input_basis.ptr) != input_basis.rank):
+        raise ValueError("input basis: the product needs one rank at every cluster")
     bt, ka, k = matrix.block_tree, matrix.rank, input_basis.rank
     cross = np.array(list(cross_gram_family(matrix.col_basis, input_basis).values()))
     # leaf blocks in row order: the coupling sums them per row
-    leaves = np.flatnonzero(bt.leaf)[np.argsort(bt.row[bt.leaf], kind="stable")]
+    by_row = np.argsort(bt.row[bt.leaf], kind="stable")
+    leaves = np.flatnonzero(bt.leaf)[by_row]
     others = np.flatnonzero(~bt.leaf)
     # a block's parent by its position among the non-leaf blocks
     parent = np.append(np.cumsum(~bt.leaf) - 1, others.size)[bt.parent]
@@ -187,7 +187,7 @@ def build_plan(matrix, input_basis):
     ptr[1:] = np.cumsum(ka + k * count)
     leaf_blocks = BlockSet(
         bt.row[leaves], bt.col[leaves], parent[leaves], ptr[bt.row[leaves], None] + np.arange(ka),
-        np.array([matrix.coupling[j] for j in leaves.tolist()]),
+        matrix.coupling[by_row],
     )
     starts = ptr[rows] + ka + k * slot
     nonleaf_blocks = BlockSet(rows, bt.col[others], parent[others], starts[:, None] + np.arange(k))

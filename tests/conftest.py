@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from h2vec.h2matrix import H2Matrix
 from h2vec.instances import line_tree, random_iso_basis
 
 
@@ -50,6 +53,39 @@ def dense_inverse(problem):
 
     factor = block_cholesky(problem.diagonal, problem.below)
     return block_solve(factor, np.eye(len(problem.points)))
+
+
+def compress_dense(a, row_basis, col_basis, bt):
+    """Project a dense matrix (tree position order) onto the H2 format,
+    one leaf block at a time: the oracle of the demo's couplings.
+
+    Coupling matrices are the two-sided orthogonal projections of the
+    leaf blocks.  Returns (matrix, error, expansion): the expansion is
+    the matrix's dense form, equal to `to_dense(matrix)`, filled block
+    by block, and the error is the Frobenius norm of its difference
+    with the input, summed up over the blocks.
+    """
+    if not (row_basis.isometric and col_basis.isometric):
+        raise ValueError("compression requires isometric bases")
+    a = np.asarray(a, dtype=float)
+    shape = (bt.row_tree.n, bt.col_tree.n)
+    if a.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {a.shape}")
+    leaves = bt.leaves()
+    coupling = np.empty((len(leaves), row_basis.rank, col_basis.rank))
+    expansion = np.zeros(shape)
+    sumsq = 0.0
+    for c, t, s in zip(coupling, bt.row[leaves].tolist(), bt.col[leaves].tolist()):
+        rows, cols = bt.row_tree.positions(t), bt.col_tree.positions(s)
+        v, w = row_basis.materialize(t), col_basis.materialize(s)
+        block = a[rows, cols]
+        c[...] = v.T @ (block @ w)
+        # the same products as to_dense, so the expansions agree exactly
+        expanded = v @ c @ w.T
+        expansion[rows, cols] = expanded
+        diff = (block - expanded).ravel()
+        sumsq += float(diff @ diff)
+    return H2Matrix(bt, row_basis, col_basis, coupling), math.sqrt(sumsq), expansion
 
 
 def dense_columns(basis, i):

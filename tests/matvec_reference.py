@@ -31,6 +31,12 @@ def block_sons(bt):
     return sons
 
 
+def leaf_couplings(matrix):
+    """The coupling matrices by block number: the stack is in leaf-block
+    order."""
+    return dict(zip(matrix.block_tree.leaves(), matrix.coupling))
+
+
 def layout(plan):
     """Slot offsets and induced ranks, read from the block tree alone.
 
@@ -65,6 +71,7 @@ def induced_transfers(plan):
     for (t, s), o in offsets.items():
         slots.setdefault(t, []).append((s, o))
     by_pair = {pair: j for j, pair in enumerate(zip(bt.row.tolist(), bt.col.tolist()))}
+    couplings = leaf_couplings(mat)
     pushed = {
         s2: kernels.matmul(plan.cross[s2], f)
         for s2, f in plan.input_basis.transfer.items()
@@ -78,7 +85,7 @@ def induced_transfers(plan):
             for s2 in bt.col_tree.sons(s):
                 b = by_pair[(t2, s2)]
                 if bt.leaf[b]:
-                    product = kernels.matmul(mat.coupling[b], pushed[s2])
+                    product = kernels.matmul(couplings[b], pushed[s2])
                     e[:ka, o : o + k] += product
                 else:
                     o2 = offsets[(t2, s2)]
@@ -112,13 +119,12 @@ def coupling(x, plan, xbar, sub, bars):
     k = plan.input_basis.rank
     offsets, rank = layout(plan)
     sons = block_sons(bt)
+    couplings = leaf_couplings(plan.matrix)
 
     def walk(bid):
         t, s = int(bt.row[bid]), int(bt.col[bid])
         if bt.leaf[bid]:
-            bars[t][: plan.matrix.rank] += kernels.matvec(
-                plan.matrix.coupling[bid], xbar[s]
-            )
+            bars[t][: plan.matrix.rank] += kernels.matvec(couplings[bid], xbar[s])
         elif x.sub.is_leaf(s):
             o = offsets[(t, s)]
             bars[t][o : o + k] = kernels.axpy(1.0, x.coeff[s], bars[t][o : o + k])
@@ -216,6 +222,7 @@ def factored_multiply(plan, x):
 
     bars = {t: np.zeros(ka) for t in sub.members()}
     slots = {}
+    couplings = leaf_couplings(plan.matrix)
 
     def walk(bid):
         t, s = int(bt.row[bid]), int(bt.col[bid])
@@ -223,7 +230,7 @@ def factored_multiply(plan, x):
             if s not in xbar:
                 with kernels.phase("forward"):
                     xbar[s] = kernels.matvec(plan.cross[s], pushed(s))
-            bars[t] += kernels.matvec(plan.matrix.coupling[bid], xbar[s])
+            bars[t] += kernels.matvec(couplings[bid], xbar[s])
             return
         if x.sub.is_leaf(s):
             kernels.tally(k)

@@ -530,10 +530,18 @@ def loop_backward(basis, data, interior):
 
 
 def _basis_of(kind, seed):
+    """A basis of the given kind.  "ragged" and "induced-accepted" bases
+    pass orthogonalize; "induced" ones, from ranks k, ka in 1..3, mostly
+    stack short.  An induced rank is ka plus k per non-leaf block of the
+    row, so at a father of leaves with three non-leaf blocks the sons
+    stack 2 ka rows for a rank of ka + 3 k: enough only when ka >= 3 k,
+    as with k = 1 and ka = 3."""
     rng = np.random.default_rng(seed)
     if kind == "induced":
         k, ka = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         return random_instance(int(rng.choice([16, 32, 64])), k, ka, 1.0, seed).plan.induced
+    if kind == "induced-accepted":
+        return random_instance(int(rng.choice([16, 32, 64])), 1, 3, 1.0, seed).plan.induced
     tree = random_tree(rng, int(rng.integers(8, 120)), int(rng.integers(1, 3)), 6)
     if kind == "uniform":
         smallest = min(map(tree.size, tree.leaves()))
@@ -618,10 +626,11 @@ def _short_stack(basis):
 
 @pytest.mark.filterwarnings("ignore:leaf_size raised")
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["ragged", "induced"]), seed=st.integers(0, 2**16))
+@given(kind=st.sampled_from(["ragged", "induced", "induced-accepted"]), seed=st.integers(0, 2**16))
 def test_orthogonalize_varying_ranks(kind, seed):
     basis = _basis_of(kind, seed)
     short = _short_stack(basis)
+    assert short is None or kind == "induced"
     if short is not None:
         with pytest.raises(ValueError, match=f"cluster {short}: .* fewer than its rank"):
             orthogonalize(basis)
@@ -679,9 +688,17 @@ def _assert_same_orthogonalization(basis):
 
 @pytest.mark.filterwarnings("ignore:leaf_size raised")
 @settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["ragged", "induced"]), seed=st.integers(0, 2**16))
+@given(kind=st.sampled_from(["ragged", "induced", "induced-accepted"]), seed=st.integers(0, 2**16))
 def test_level_passes_match_cluster_loops(kind, seed):
-    _assert_same_orthogonalization(_basis_of(kind, seed))
+    iso = _assert_same_orthogonalization(_basis_of(kind, seed))
+    assert iso is not None or kind == "induced"
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+def test_induced_draws_reach_the_short_stack_refusal():
+    # the property tests above cover the refusal through this kind only
+    refused = [_short_stack(_basis_of("induced", seed)) is not None for seed in range(20)]
+    assert sum(refused) >= 15
 
 
 @pytest.mark.parametrize(

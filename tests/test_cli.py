@@ -1,4 +1,3 @@
-import copy
 import os
 import re
 import warnings
@@ -26,9 +25,8 @@ def test_selftest_detects_corrupted_coupling(monkeypatch):
     # the product suite's dense reference expands the matrix with one
     # coupling matrix changed, so its oracles must disagree
     def corrupted(m):
-        coupling = copy.copy(m.coupling)
-        first = m.block_tree.leaves()[0]
-        coupling[first] = coupling[first] + 0.5
+        coupling = m.coupling.copy()
+        coupling[0] += 0.5  # the first leaf block's
         return to_dense(H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling))
 
     monkeypatch.setattr(selftest, "to_dense", corrupted)

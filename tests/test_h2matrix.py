@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,14 +8,16 @@ from h2vec.basis import orthogonalize
 from h2vec.h2matrix import (
     H2Matrix,
     build_block_tree,
-    compress_dense,
     random_h2,
     sparsity_constant,
     to_dense,
 )
 from h2vec.instances import line_tree, random_basis, random_instance, random_iso_basis
+from h2vec.matvec import build_plan
 from h2vec.poisson import lshape_sites
 from h2vec.tree import build_cluster_tree
+
+from conftest import compress_dense
 
 
 def recursive_block_tree(row_tree, col_tree, eta):
@@ -183,8 +186,7 @@ def test_compress_representable_matrix(rng):
     a = to_dense(m0)
     m1, err, _ = compress_dense(a, row, col, bt)
     assert err <= 1e-12 * np.linalg.norm(a)
-    for idx in bt.leaves():
-        assert np.max(np.abs(m1.coupling[idx] - m0.coupling[idx])) <= 1e-12
+    assert np.max(np.abs(m1.coupling - m0.coupling)) <= 1e-12
 
 
 def test_compress_identity_with_square_leaves(rng, square_leaf_iso):
@@ -219,8 +221,7 @@ def test_compress_is_projection(rng):
     m1, _, _ = compress_dense(a, row, col, bt)
     m2, err2, _ = compress_dense(to_dense(m1), row, col, bt)
     assert err2 <= 1e-12 * np.linalg.norm(a)
-    for idx in bt.leaves():
-        assert np.max(np.abs(m2.coupling[idx] - m1.coupling[idx])) <= 1e-13
+    assert np.max(np.abs(m2.coupling - m1.coupling)) <= 1e-13
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.0])
@@ -251,8 +252,7 @@ def test_random_h2_deterministic(rng):
     bt = build_block_tree(tree, tree, 1.0)
     m1 = random_h2(bt, row, col, seed=42)
     m2 = random_h2(bt, row, col, seed=42)
-    for idx in bt.leaves():
-        assert np.array_equal(m1.coupling[idx], m2.coupling[idx])
+    assert np.array_equal(m1.coupling, m2.coupling)
 
 
 def test_random_h2_zero_scale(rng):
@@ -271,9 +271,9 @@ def test_to_dense_matches_blockwise(rng):
     bt = build_block_tree(tree, tree, 1.0)
     m = random_h2(bt, row, col, seed=3)
     dense = to_dense(m)
-    for idx in bt.leaves():
+    for idx, c in zip(bt.leaves(), m.coupling):
         t, s = int(bt.row[idx]), int(bt.col[idx])
-        want = row.materialize(t) @ m.coupling[idx] @ col.materialize(s).T
+        want = row.materialize(t) @ c @ col.materialize(s).T
         got = dense[tree.positions(t), tree.positions(s)]
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -285,69 +285,89 @@ def test_random_h2_draws_one_matrix_per_leaf_block_in_order(rng):
     bt = build_block_tree(tree, tree, 1.0)
     m = random_h2(bt, row, col, seed=7, scale=0.5)
     draws = np.random.default_rng(7)
-    assert list(m.coupling) == bt.leaves()
-    for idx in bt.leaves():
-        assert np.array_equal(m.coupling[idx], 0.5 * draws.uniform(-1.0, 1.0, size=(2, 2)))
+    assert m.coupling.shape == (len(bt.leaves()), 2, 2)
+    for c in m.coupling:
+        assert np.array_equal(c, 0.5 * draws.uniform(-1.0, 1.0, size=(2, 2)))
 
 
 def _instance_coupling():
     inst = random_instance(64, 3, 3, 1.0, 0)
     m = inst.matrix
-    return m, dict(m.coupling), m.block_tree.leaves()
+    return inst, m.coupling.copy(), m.block_tree.leaves()
 
 
-def test_h2matrix_names_the_first_missing_coupling():
+def _stack_refusal(count, got):
+    """The refusal of a stack for count leaf blocks of rank 3, as a pattern."""
+    return f"^{re.escape(f'expected a float64 coupling stack of shape {(count, 3, 3)} in leaf-block order, got {got}')}$"
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_h2matrix_refuses_a_stack_of_another_length(change):
     # a missing coupling once failed inside build_plan with KeyError: 4
-    m, coupling, leaves = _instance_coupling()
-    del coupling[leaves[5]], coupling[leaves[2]]
-    with pytest.raises(ValueError, match=f"^block {leaves[2]}: expected a 3 x 3 coupling matrix, got none$"):
-        H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+    inst, coupling, leaves = _instance_coupling()
+    m, count = inst.matrix, len(leaves)
+    stack = np.concatenate([coupling, coupling[:1]])[: count + change]
+    with pytest.raises(ValueError, match=_stack_refusal(count, f"float64 array of shape {stack.shape}")):
+        H2Matrix(m.block_tree, m.row_basis, m.col_basis, stack)
 
 
 def test_h2matrix_refuses_a_coupling_of_another_shape():
     # a 2 x 3 coupling once failed with NumPy's "inhomogeneous shape" error
-    m, coupling, leaves = _instance_coupling()
-    coupling[leaves[3]] = np.zeros((2, 3))
-    message = rf"^block {leaves[3]}: expected a 3 x 3 coupling matrix, got shape \(2, 3\)$"
-    with pytest.raises(ValueError, match=message):
-        H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+    inst, coupling, leaves = _instance_coupling()
+    m, count = inst.matrix, len(leaves)
+    for shape in ((count, 2, 2), (count, 3, 2), (count, 9)):
+        with pytest.raises(ValueError, match=_stack_refusal(count, f"float64 array of shape {shape}")):
+            H2Matrix(m.block_tree, m.row_basis, m.col_basis, np.zeros(shape))
+
+
+@pytest.mark.parametrize("kind", ["dict", "list", "float32"])
+def test_h2matrix_refuses_a_coupling_that_is_not_a_float64_array(kind):
+    inst, coupling, leaves = _instance_coupling()
+    m = inst.matrix
+    given = {"dict": dict(zip(leaves, coupling)), "list": list(coupling), "float32": coupling.astype(np.float32)}[kind]
+    got = f"float32 array of shape {coupling.shape}" if kind == "float32" else kind
+    with pytest.raises(ValueError, match=_stack_refusal(len(leaves), got)):
+        H2Matrix(m.block_tree, m.row_basis, m.col_basis, given)
 
 
 def test_h2matrix_refuses_a_non_finite_coupling():
     # a NaN coupling was once accepted, and the product returned NaN
-    m, coupling, leaves = _instance_coupling()
-    for j, bad in ((6, np.inf), (4, np.nan)):
-        coupling[leaves[j]] = coupling[leaves[j]].copy()
-        coupling[leaves[j]][1, 2] = bad
+    inst, coupling, leaves = _instance_coupling()
+    m = inst.matrix
+    coupling[6, 1, 2] = np.inf
+    coupling[4, 1, 2] = np.nan
     with pytest.raises(ValueError, match=f"^block {leaves[4]}: non-finite coupling matrix$"):
         H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
 
 
-def test_h2matrix_refuses_a_coupling_of_a_non_leaf_block():
-    m, coupling, _ = _instance_coupling()
-    others = np.flatnonzero(~m.block_tree.leaf).tolist()
-    for idx in (others[-1], others[1]):
-        coupling[idx] = np.zeros((3, 3))
-    with pytest.raises(ValueError, match=f"^block {others[1]}: not a leaf block, but given a coupling matrix$"):
-        H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+@pytest.mark.parametrize("side", ["row", "column"])
+def test_h2matrix_refuses_a_basis_of_varying_rank(side):
+    # the induced basis adds one slot per non-leaf block of a row
+    inst, coupling, _ = _instance_coupling()
+    m, ragged = inst.matrix, inst.plan.induced
+    assert len(set(np.diff(ragged.ptr).tolist())) > 1
+    bases = (ragged, m.col_basis) if side == "row" else (m.row_basis, ragged)
+    with pytest.raises(ValueError, match=f"^{side} basis: an H2 matrix needs one rank at every cluster$"):
+        H2Matrix(m.block_tree, *bases, coupling)
+    # the product checks only the input basis
+    with pytest.raises(ValueError, match="^input basis: the product needs one rank at every cluster$"):
+        build_plan(m, ragged)
 
 
-def test_h2matrix_checks_shapes_then_finiteness_then_extra_blocks():
-    m, coupling, leaves = _instance_coupling()
-    others = np.flatnonzero(~m.block_tree.leaf).tolist()
-    coupling[others[0]] = np.zeros((3, 3))
-    coupling[leaves[2]] = np.full((3, 3), np.nan)
-    coupling[leaves[5]] = np.zeros((2, 3))
+def test_h2matrix_checks_bases_then_shape_then_finiteness():
+    inst, coupling, leaves = _instance_coupling()
+    m = inst.matrix
+    coupling[5, 0, 0] = np.inf
+    coupling[2, 1, 1] = np.nan
+    short = coupling[:-1]
+    count = len(leaves)
     checks = [
-        (leaves[5], rf"^block {leaves[5]}: expected a 3 x 3 coupling matrix, got shape \(2, 3\)$"),
-        (leaves[2], f"^block {leaves[2]}: non-finite coupling matrix$"),
-        (others[0], f"^block {others[0]}: not a leaf block, but given a coupling matrix$"),
+        ((inst.plan.induced, m.col_basis, short), "^row basis: an H2 matrix needs one rank at every cluster$"),
+        ((m.row_basis, m.col_basis, short), _stack_refusal(count, f"float64 array of shape {short.shape}")),
+        ((m.row_basis, m.col_basis, coupling), f"^block {leaves[2]}: non-finite coupling matrix$"),
     ]
-    for idx, message in checks:
+    for args, message in checks:
         with pytest.raises(ValueError, match=message):
-            H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
-        if idx in m.coupling:
-            coupling[idx] = m.coupling[idx]
-        else:
-            del coupling[idx]
-    H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling)
+            H2Matrix(m.block_tree, *args)
+    coupling[5, 0, 0] = coupling[2, 1, 1] = 0.0
+    assert H2Matrix(m.block_tree, m.row_basis, m.col_basis, coupling).coupling is coupling

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h2vec import kernels
-from h2vec.h2matrix import build_block_tree, random_h2, to_dense
+from h2vec.h2matrix import H2Matrix, build_block_tree, random_h2, to_dense
 from h2vec.hvector import HVector, axpy, refine, to_dense as hv_dense
 from h2vec.instances import (
     line_tree,
@@ -581,3 +581,20 @@ def test_pattern_arrays_are_read_only(rng):
                 array.flat[0] = array.flat[0]
     # the plan's own arrays stay writable behind the read-only views
     assert plan.leaf_blocks.coupling.flags.writeable
+
+
+def test_a_plan_is_a_snapshot_of_its_matrix(rng):
+    inst = random_instance(128, 3, 2, 1.0, seed=15)
+    m, plan, bt = inst.matrix, inst.plan, inst.matrix.block_tree
+    # the stack in row order, as the coupling sums it per row
+    by_row = np.argsort(bt.row[bt.leaf], kind="stable")
+    assert np.array_equal(plan.leaf_blocks.coupling, m.coupling[by_row])
+    assert np.all(np.diff(plan.leaf_blocks.row) >= 0)
+    kept = build_plan(H2Matrix(bt, m.row_basis, m.col_basis, m.coupling.copy()), inst.input_basis)
+    m.coupling[...] = 1.0
+    assert np.array_equal(plan.leaf_blocks.coupling, kept.leaf_blocks.coupling)
+    assert np.array_equal(plan.induced.transfer_store, kept.induced.transfer_store)
+    x = random_hvector(inst.input_basis, rng, steps=8)
+    y, want = multiply(plan, x), multiply(kept, x)
+    assert y.sub.leaves() == want.sub.leaves()
+    assert np.array_equal(y.data, want.data)
