@@ -3,10 +3,12 @@
 A cluster tree is a hierarchical disjoint partition of an index set.
 Indices are stored through a permutation so that every cluster owns a
 contiguous range of positions; restricting a vector to a cluster is
-then a plain slice.  All leaves sit on the same level, which the
-geometric builder enforces by splitting shallow leaves further (and,
-if that would ever require splitting a single index, by raising the
-requested leaf size).
+then a plain slice.  The geometric builder bisects every cluster of a
+level at once, top down, until no cluster holds more than the leaf
+size, so all leaves sit on one level and the tree is perfect binary,
+numbered depth first.  Where a level holds a single index before that,
+it stops there and raises the leaf size to that level's largest
+cluster, with a warning.
 
 A Subtree marks a pruning of the reference tree: the root is always a
 member, and every non-leaf member keeps all of its tree sons.  The
@@ -43,6 +45,10 @@ class Cluster:
 
 class ClusterTree:
     """Immutable cluster tree; root has index 0, sons follow fathers.
+
+    build_cluster_tree numbers clusters depth first: the sons of
+    cluster i on level l of a tree of depth D are i + 1 and
+    i + 2**(D - l), so the leaves in index order are in position order.
 
     level[i], father[i], sizes[i] and has_sons[i] hold the level, the
     father (-1 at the root), the index count and whether cluster i has
@@ -119,110 +125,97 @@ class ClusterTree:
         return order
 
 
-def _bisect(points, perm, begin, end):
-    """Reorder perm[begin:end] along the split axis; return split point.
+def _bisect_level(coords, edges, lo, hi):
+    """Bisect every cluster of one level at once; return the reordering
+    of the positions and the size of each cluster's left son.
 
-    The split axis is the one with the most distinct coordinate values,
-    ties broken by box extent, then by axis index; the split position
-    is the box midpoint on that axis (points at the midpoint go right).
-    Midpoint bisection keeps gridded point sets decomposing into full
-    grid rectangles, which count-balanced splitting does not; for
-    degenerate extents it falls back to halving the count.
+    Cluster c owns positions edges[c]:edges[c + 1] of coords, at least
+    two, and has the box [lo[c], hi[c]].  Its split axis has the most
+    distinct coordinates, ties broken by box extent, then by the lower
+    axis.  It is sorted stably along that axis and split at the box
+    midpoint, points on it going right: gridded point sets then split
+    into full grid rectangles, which count-balanced splitting does not
+    give.  If one side would be empty, the count is halved instead.
     """
-    block = perm[begin:end]
-    coords = points[block]
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    distinct = [np.unique(coords[:, d]).size for d in range(coords.shape[1])]
-    axis = max(
-        range(coords.shape[1]), key=lambda d: (distinct[d], hi[d] - lo[d], -d)
-    )
-    order = np.argsort(coords[:, axis], kind="stable")
-    perm[begin:end] = block[order]
-    mid = 0.5 * (lo[axis] + hi[axis])
-    split = int(np.searchsorted(coords[order, axis], mid))
-    if split == 0 or split == end - begin:
-        split = (end - begin + 1) // 2
-    return begin + split
-
-
-def _try_build(points, leaf_size):
-    n = points.shape[0]
-    perm = np.arange(n, dtype=np.intp)
-    # records: [begin, end, level, sons]
-    records = []
-
-    def split(begin, end, level):
-        idx = len(records)
-        records.append([begin, end, level, []])
-        if end - begin > leaf_size:
-            mid = _bisect(points, perm, begin, end)
-            records[idx][3] = [
-                split(begin, mid, level + 1),
-                split(mid, end, level + 1),
-            ]
-        return idx
-
-    split(0, n, 0)
-
-    # pad shallow leaves until all leaves share the deepest level
-    depth = max(r[2] for r in records if not r[3])
-    pending = [i for i, r in enumerate(records) if not r[3] and r[2] < depth]
-    while pending:
-        i = pending.pop()
-        begin, end, level, _ = records[i]
-        if end - begin < 2:
-            return None  # cannot split a singleton; caller raises leaf_size
-        mid = _bisect(points, perm, begin, end)
-        left = len(records)
-        records.append([begin, mid, level + 1, []])
-        right = len(records)
-        records.append([mid, end, level + 1, []])
-        records[i][3] = [left, right]
-        for child in (left, right):
-            if level + 1 < depth:
-                pending.append(child)
-
-    clusters, box_min, box_max = [], [], []
-    for i, (begin, end, level, sons) in enumerate(records):
-        block = points[perm[begin:end]]
-        clusters.append(Cluster(index=i, level=level, begin=begin, end=end, sons=tuple(sons)))
-        box_min.append(block.min(axis=0))
-        box_max.append(block.max(axis=0))
-    return ClusterTree(clusters, perm, points.shape[1], leaf_size, box_min, box_max)
+    n, dim = coords.shape
+    begins, sizes = edges[:-1], np.diff(edges)
+    cluster = np.repeat(np.arange(begins.size), sizes)
+    orders = np.stack([np.lexsort((coords[:, d], cluster)) for d in range(dim)])
+    values = np.take_along_axis(coords.T, orders, axis=1)
+    new = np.ones(values.shape, dtype=bool)
+    new[:, 1:] = values[:, 1:] != values[:, :-1]
+    new[:, begins] = True
+    distinct = np.add.reduceat(new, begins, axis=1).T
+    # the last of the axes sorted by (distinct, extent, -axis)
+    axis = np.lexsort((np.broadcast_to(-np.arange(dim), lo.shape), hi - lo, distinct))[:, -1]
+    mid = np.take_along_axis(lo + hi, axis[:, None], axis=1)[:, 0] * 0.5
+    below = coords[np.arange(n), axis[cluster]] < mid[cluster]
+    split = np.add.reduceat(below, begins)
+    split = np.where((split == 0) | (split == sizes), (sizes + 1) // 2, split)
+    return orders[axis[cluster], np.arange(n)], split
 
 
 def build_cluster_tree(points, leaf_size):
     """Build a level-uniform binary cluster tree by midpoint bisection.
 
+    One top-down loop over the levels bisects every cluster of a level
+    at once and stops at the first level where no cluster holds more
+    than leaf_size indices.  Every cluster above it splits in two, so
+    the tree is perfect binary of some depth D, numbered depth first:
+    the sons of cluster i on level l are i + 1 and i + 2**(D - l).  If
+    a level holds a single index before that, the loop stops there and
+    raises leaf_size to that level's largest cluster size, the smallest
+    that keeps all leaves on one level, with a warning.
+
     Parameters
     ----------
-    points : (n, d) array of coordinates (a flat array is treated as 1D).
-    leaf_size : maximum number of indices per leaf; raised automatically
-        (with a warning) when level uniformity would require splitting a
-        single index.
+    points : (n, d) array of coordinates, d >= 1 (a flat array is 1D).
+    leaf_size : maximum number of indices per leaf, an integer >= 1.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("expected a non-empty set of points")
+    if points.shape[1] == 0:
+        raise ValueError(f"points have no coordinates: shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValueError("non-finite coordinates")
-    if leaf_size < 1:
-        raise ValueError("leaf_size must be at least 1")
-    size = leaf_size
+    integer = isinstance(leaf_size, (int, np.integer)) and not isinstance(leaf_size, bool)
+    if not integer or leaf_size < 1:
+        raise ValueError(f"leaf_size must be an integer of at least 1, got {leaf_size!r}")
+    size, perm = int(leaf_size), np.arange(points.shape[0])
+    edges = np.array([0, points.shape[0]])
+    levels = []  # (edges, box_min, box_max) per level, clusters in position order
     while True:
-        tree = _try_build(points, size)
-        if tree is not None:
-            if size != leaf_size:
-                warnings.warn(
-                    f"leaf_size raised from {leaf_size} to {size} "
-                    "to keep all leaves on one level",
-                    stacklevel=2,
-                )
-            return tree
-        size += 1
+        coords = points[perm]
+        lo, hi = np.minimum.reduceat(coords, edges[:-1]), np.maximum.reduceat(coords, edges[:-1])
+        levels.append((edges, lo, hi))
+        sizes = np.diff(edges)
+        if sizes.max() <= size:
+            break
+        if sizes.min() == 1:
+            size = int(sizes.max())
+            warnings.warn(
+                f"leaf_size raised from {leaf_size} to {size} to keep all leaves on one level",
+                stacklevel=2,
+            )
+            break
+        order, split = _bisect_level(coords, edges, lo, hi)
+        perm = perm[order]
+        edges = np.sort(np.concatenate((edges, edges[:-1] + split)))
+
+    depth = len(levels) - 1
+    clusters = [None] * (2 ** (depth + 1) - 1)
+    box_min, box_max = np.empty((2, len(clusters), points.shape[1]))
+    index = np.zeros(1, dtype=np.intp)
+    for level, (edges, lo, hi) in enumerate(levels):
+        step = 2 ** (depth - level)
+        for i, b, e in zip(index.tolist(), edges[:-1].tolist(), edges[1:].tolist()):
+            clusters[i] = Cluster(i, level, b, e, (i + 1, i + step) if level < depth else ())
+        box_min[index], box_max[index] = lo, hi
+        index = np.stack((index + 1, index + step), axis=1).ravel()
+    return ClusterTree(clusters, perm, points.shape[1], size, box_min, box_max)
 
 
 def validate_tree(tree):

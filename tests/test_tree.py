@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import tree_reference
 
-from h2vec.instances import line_tree
+from h2vec.instances import line_tree, random_instance
 from h2vec.tree import (
     Cluster,
     ClusterTree,
@@ -34,8 +37,6 @@ def test_random_trees_validate(seed):
     n = int(rng.integers(1, 200))
     dim = int(rng.integers(1, 4))
     leaf_size = int(rng.integers(1, 10))
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tree = build_cluster_tree(rng.random((n, dim)), leaf_size)
@@ -213,3 +214,98 @@ def test_leaf_size_raised_when_needed():
         tree = build_cluster_tree(pts, 1)
     assert validate_tree(tree) is None
     assert tree.leaf_size > 1
+
+
+def _point_set(seed):
+    """Seeded points of one of four kinds: random, with duplicate
+    coordinates, all equal, or collinear in 2-D."""
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(1, 300)), int(rng.integers(1, 4))
+    kind = seed % 4
+    if kind == 1:
+        return np.round(rng.random((n, dim)) * rng.integers(1, 4))
+    if kind == 2:
+        return np.tile(rng.random(dim), (n, 1))
+    if kind == 3:
+        t = rng.random(n)
+        return np.stack((1.0 + 2.0 * t, 3.0 * t - 1.0), axis=1)
+    return rng.random((n, dim))
+
+
+def _build_both(points, leaf_size):
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        tree = build_cluster_tree(points, leaf_size)
+    with warnings.catch_warnings(record=True) as theirs:
+        warnings.simplefilter("always")
+        oracle, padded = tree_reference.build_cluster_tree(points, leaf_size)
+    assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
+    assert np.array_equal(tree.perm, oracle.perm)
+    assert tree.leaf_size == oracle.leaf_size
+    ranges = {(c.level, c.begin, c.end) for c in tree.clusters}
+    assert ranges == {(c.level, c.begin, c.end) for c in oracle.clusters}
+    if not padded:
+        assert [(c.level, c.begin, c.end, c.sons) for c in tree.clusters] == [
+            (c.level, c.begin, c.end, c.sons) for c in oracle.clusters
+        ]
+    return tree, oracle
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_builder_matches_recursive_reference(seed):
+    points = _point_set(seed)
+    leaf_size = 1 + seed % 11
+    tree, oracle = _build_both(points, leaf_size)
+    assert validate_tree(tree) is None
+    at = {(c.level, c.begin, c.end): c.index for c in oracle.clusters}
+    for c in tree.clusters:
+        j = at[c.level, c.begin, c.end]
+        assert np.array_equal(tree.box_min[c.index], oracle.box_min[j])
+        assert np.array_equal(tree.box_max[c.index], oracle.box_max[j])
+
+
+def test_builder_raises_leaf_size_once_on_random_points():
+    points = np.random.default_rng(0).random((4096, 2))
+    tree, _ = _build_both(points, 6)
+    assert tree.leaf_size == 19
+
+
+def _built_trees():
+    yield line_tree(64, 4)
+    yield line_tree(100, 6)  # shallow leaves on level 3 split further
+    yield random_instance(256, 3, 3, 1.0, 0).tree
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(8):
+            yield build_cluster_tree(_point_set(seed), 1 + seed)
+
+
+def test_built_trees_are_numbered_depth_first():
+    for tree in _built_trees():
+        assert len(tree) == 2 ** (tree.depth + 1) - 1
+        for c in tree.clusters:
+            if c.level < tree.depth:
+                assert c.sons == (c.index + 1, c.index + 2 ** (tree.depth - c.level))
+            else:
+                assert c.sons == ()
+        starts = [tree.clusters[i].begin for i in tree.leaves()]
+        assert starts == sorted(starts)
+        full = Subtree.from_interior(tree, tree.has_sons)
+        assert full.members() == list(range(len(tree)))
+
+
+def test_builder_refuses_points_without_coordinates():
+    for leaf_size in (2, 9):
+        with pytest.raises(ValueError, match=r"no coordinates: shape \(5, 0\)"):
+            build_cluster_tree(np.zeros((5, 0)), leaf_size)
+
+
+@pytest.mark.parametrize("leaf_size", [True, False, 2.5, 2.0, "4", None, 0, -3])
+def test_builder_refuses_a_leaf_size_that_is_not_a_positive_integer(leaf_size):
+    with pytest.raises(ValueError, match=f"got {leaf_size!r}"):
+        build_cluster_tree(np.linspace(0.0, 1.0, 8), leaf_size)
+
+
+def test_builder_accepts_a_numpy_integer_leaf_size():
+    tree = build_cluster_tree(np.linspace(0.0, 1.0, 8), np.int64(2))
+    assert tree.leaf_size == 2 and tree.depth == 2
