@@ -71,41 +71,50 @@ class MatrixGroup:
 class ClusterMatrices(Mapping):
     """One small matrix per cluster, stored once, in stacks.
 
-    shapes maps clusters to tuples (rows, cols, *more); the clusters
-    of one level with equal tuples form one group, whose matrices are
-    one (b, rows, cols) stack.  groups run top-down, and levels[l]
-    lists the groups of level l, for passes that treat one level at a
-    time.  The stacks lie in one flat store, where the matrix of
-    cluster i starts at start[i], row-major; it holds the given
-    matrices, or zeros.  views, also read as self[i], is a read-only
-    mapping from each cluster to a view of its matrix.  A family's
-    kind, one of FAMILIES, and the source and target bases it was
-    built for, by whose ptr its groups' source and target entries are
-    laid out, are set by its builder; other matrices keep None.
+    shapes[j], a row of a two-dimensional array, is the tuple
+    (rows, cols, *more) of cluster clusters[j]; the clusters of one
+    level with equal tuples form one group, in the order given, whose
+    matrices are one (b, rows, cols) stack.  groups run top-down, and levels[l] lists
+    the groups of level l, for passes that treat one level at a time.
+    The stacks lie in one flat store, where the matrix of cluster i
+    starts at start[i], row-major; it holds matrices[j] for clusters[j],
+    or zeros.  views, also read as self[i], is a read-only mapping
+    from each cluster to a view of its matrix.  A family's kind, one
+    of FAMILIES, and the source and target bases it was built for, by
+    whose ptr its groups' source and target entries are laid out, are
+    set by its builder; other matrices keep None.
     """
 
-    def __init__(self, tree, shapes, matrices=None):
+    def __init__(self, tree, clusters, shapes, matrices=None):
         self.kind = self.source = self.target = None
-        keys, level = {}, tree.level.tolist()
-        for i, shape in shapes.items():
-            keys.setdefault((level[i], *shape), []).append(i)
-        keys = sorted(keys.items())
-        sizes = [len(ids) * rows * cols for (_, rows, cols, *_), ids in keys]
-        self.store = np.zeros(sum(sizes))
+        keys = np.column_stack((tree.level[clusters], shapes))
+        order, bounds = _runs(keys)
+        keys, clusters = keys[order], np.asarray(clusters, dtype=np.intp)[order]
+        size = keys[:, 1] * keys[:, 2]
+        self.store = np.zeros(size.sum())
         self.start = np.zeros(len(tree), dtype=np.intp)
+        self.start[clusters] = np.cumsum(size) - size
         self.groups = []
         self.levels = [[] for _ in tree.by_level]
-        views = {}
-        for ((level, rows, cols, *_), ids), at in zip(keys, np.cumsum([0] + sizes).tolist()):
-            stack = self.store[at : at + len(ids) * rows * cols].reshape(-1, rows, cols)
-            self.start[ids] = at + rows * cols * np.arange(len(ids))
+        views = []
+        for a, z in zip(bounds[:-1], bounds[1:]):
+            level, rows, cols = keys[a, :3].tolist()
+            at = self.start[clusters[a]]
+            stack = self.store[at : at + (z - a) * rows * cols].reshape(-1, rows, cols)
             if matrices is not None:
-                np.concatenate([matrices[i] for i in ids], out=stack.reshape(-1, cols))
-            group = MatrixGroup(np.array(ids, dtype=np.intp), stack)
-            views.update(zip(ids, stack))
+                np.concatenate([matrices[j] for j in order[a:z].tolist()], out=stack.reshape(-1, cols))
+            group = MatrixGroup(clusters[a:z], stack)
+            views.extend(stack)
             self.groups.append(group)
             self.levels[level].append(group)
-        self.views = MappingProxyType(dict(sorted(views.items())))
+        by_cluster = np.argsort(clusters).tolist()
+        views = map(views.__getitem__, by_cluster)
+        self.views = MappingProxyType(dict(zip(clusters[by_cluster].tolist(), views)))
+
+    def stacked(self, clusters, rows, cols):
+        """A copy of the matrices of the given clusters, each rows x cols,
+        as one stack in the given order."""
+        return self.store[self.start[clusters][:, None] + np.arange(rows * cols)].reshape(-1, rows, cols)
 
     def __getitem__(self, i):
         return self.views[i]
@@ -147,6 +156,22 @@ def _family(family, kind, source, target):
     return family
 
 
+def _runs(keys):
+    """Sort the rows of keys, a two-dimensional array, stably: returns
+    the order, and the bounds of its runs of equal rows, as a list."""
+    order = np.lexsort(keys.T[::-1])
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    return order, np.append(np.flatnonzero(new), len(order)).tolist()
+
+
+def _shapes(matrices):
+    """The shapes of the given matrices as a (len(matrices), 2) array,
+    with -1 in both columns where one is not a matrix."""
+    shapes = (m.shape if isinstance(m, np.ndarray) else np.shape(m) for m in matrices)
+    return np.array([s if len(s) == 2 else (-1, -1) for s in shapes], dtype=np.intp).reshape(-1, 2)
+
+
 def _entries(ptr, clusters, width):
     """Entries of the given clusters, all of the given rank, in a flat
     coefficient array laid out by ptr, as a (len(clusters), width) array."""
@@ -182,38 +207,41 @@ class ClusterBasis:
     def __init__(self, tree, leaf_matrix, transfer, isometric=False):
         self.tree = tree
         self.isometric = isometric
-        wanted = [
-            (leaf_matrix, tree.leaves(), "leaf matrix"),
-            (transfer, np.flatnonzero(tree.father >= 0).tolist(), "transfer"),
-        ]
-        for given, clusters, what in wanted:
-            missing = [i for i in clusters if i not in given]
-            if missing:
-                raise ValueError(f"cluster {missing[0]}: no {what} given")
-        ranks = [
-            transfer[c.sons[0]].shape[1] if c.sons else leaf_matrix[c.index].shape[1]
-            for c in tree.clusters
-        ]
-        self.rank = max(ranks)
-        self.ptr = np.cumsum([0] + ranks)
+        leaves, sons = np.flatnonzero(~tree.has_sons), np.flatnonzero(tree.father >= 0)
+        given = []
+        for mapping, clusters, what in ((leaf_matrix, leaves, "leaf matrix"), (transfer, sons, "transfer")):
+            matrices = list(map(mapping.get, clusters.tolist()))
+            missing = [m is None for m in matrices]
+            if any(missing):
+                raise ValueError(f"cluster {clusters[missing.index(True)]}: no {what} given")
+            given.append((matrices, _shapes(matrices)))
+        (leaf_list, leaf_shape), (transfer_list, transfer_shape) = given
+        fathers = tree.father[sons]
+        # a father's rank is the column count of its eldest son's transfer
+        eldest = np.full(len(tree), len(tree))
+        np.minimum.at(eldest, fathers, np.arange(len(sons)))
+        rank = np.zeros(len(tree), dtype=np.intp)
+        rank[leaves] = leaf_shape[:, 1]
+        rank[fathers] = transfer_shape[eldest[fathers], 1]
+        self.rank = int(rank.max())
+        self.ptr = np.concatenate([[0], np.cumsum(rank)])
         self.ptr.flags.writeable = False
         self.offsets = self.ptr.tolist()
-        shapes = {s: (ranks[s], ranks[t]) for s, t in enumerate(tree.father.tolist()) if t >= 0}
-        leaf_shapes = {t: (tree.size(t), ranks[t]) for t in tree.leaves()}
-        expected = [(transfer, shapes, "transfer"), (leaf_matrix, leaf_shapes, "leaf matrix")]
-        for given, want, what in expected:
-            bad = [i for i, shape in want.items() if np.shape(given[i]) != shape]
-            if bad:
+        shapes = np.column_stack((rank[sons], rank[fathers]))
+        leaf_shapes = np.column_stack((tree.sizes[leaves], rank[leaves]))
+        expected = [(sons, transfer_shape, shapes, "transfer"), (leaves, leaf_shape, leaf_shapes, "leaf matrix")]
+        for clusters, have, want, what in expected:
+            bad = np.flatnonzero(np.any(have != want, axis=1))
+            if bad.size:
                 rows, r = want[bad[0]]
-                raise ValueError(f"cluster {bad[0]}: expected a {rows} x {r} {what}")
-        leaves = ClusterMatrices(tree, leaf_shapes, leaf_matrix)
-        self.leaf_matrix, self.leaf_groups = leaves.views, leaves.groups
-        begin = np.array([c.begin for c in tree.clusters])
+                raise ValueError(f"cluster {clusters[bad[0]]}: expected a {rows} x {r} {what}")
+        stacks = ClusterMatrices(tree, leaves, leaf_shapes, leaf_list)
+        self.leaf_matrix, self.leaf_groups = stacks.views, stacks.groups
         for group in self.leaf_groups:
             rows, r = group.stack.shape[1:]
             group.source = _entries(self.ptr, group.clusters, r)
-            group.target = begin[group.clusters][:, None] + np.arange(rows)
-        stacks = ClusterMatrices(tree, shapes, transfer)
+            group.target = tree.begin[group.clusters][:, None] + np.arange(rows)
+        stacks = ClusterMatrices(tree, sons, shapes, transfer_list)
         self.transfer, self.groups, self.levels = stacks.views, stacks.groups, stacks.levels
         self.transfer_store, self.transfer_start = stacks.store, stacks.start
         for group in self.groups:
@@ -371,10 +399,10 @@ def polynomial_basis(tree, points, degree):
 def orthogonalize(basis):
     """Turn a cluster basis into an isometric one with the same ranges.
 
-    Returns (iso, change) where change[i] is the upper-triangular
-    matrix, with non-negative diagonal, such that
-    basis.materialize(i) = iso.materialize(i) @ change[i] for every
-    cluster i.  Level by level, bottom-up, one stacked QR factors each
+    Returns (iso, change): change, a read-only mapping, holds for every
+    cluster i the upper-triangular matrix change[i], with non-negative
+    diagonal, such that basis.materialize(i) = iso.materialize(i) @
+    change[i].  Level by level, bottom-up, one stacked QR factors each
     group of the level's clusters whose leaf matrices or transfer
     stacks [change[s] @ E_s over the sons s] share a shape; then one
     stacked product per transfer group of the level gives its
@@ -383,45 +411,63 @@ def orthogonalize(basis):
     before any QR, and else the first whose matrix is rank-deficient.
     """
     tree, rank, start = basis.tree, np.diff(basis.ptr), basis.transfer_start
-    order, what = tree.postorder(), np.where(tree.has_sons, "transfer stack", "leaf matrix")
+    order, what = tree.post_order, np.where(tree.has_sons, "transfer stack", "leaf matrix")
     rows = np.where(tree.has_sons, np.bincount(tree.father[1:], rank[1:], len(tree)), tree.sizes).astype(int)
-    i = next((i for i in order if rows[i] < rank[i]), None)
-    if i is not None:
+    short = order[rows[order] < rank[order]]
+    if short.size:
+        i = short[0]
         raise ValueError(f"cluster {i}: {what[i]} has {rows[i]} rows, fewer than its rank {rank[i]}")
     # per son s, change[s] @ E_s and then the new transfer, laid out as the transfers
     product, transfers = np.empty_like(basis.transfer_store), np.empty_like(basis.transfer_store)
-    change, leaf_matrix, deficient = {}, {}, np.zeros(len(tree), dtype=bool)
+    change = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rank, rank)))
+    leaf_matrix, deficient = {}, np.zeros(len(tree), dtype=bool)
+
+    def factor(ids, a):
+        """QRs of the stack a of the matrices of clusters ids: records
+        their change and deficiency, returns the thin orthogonal factors."""
+        q, r = kernels.qr_stack(a)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        deficient[ids] = d.min(1, initial=np.inf) < 1e-12 * d.max(1, initial=1.0)
+        change.store[change.start[ids][:, None] + np.arange(r[0].size)] = r.reshape(len(ids), -1)
+        return q[:, :, : r.shape[2]]
+
     for level in reversed(range(len(tree.by_level))):
-        shapes = {}
-        for i in tree.by_level[level].tolist():
-            shapes.setdefault((tree.has_sons[i], rows[i], rank[i]), []).append(i)
-        for (interior, m, n), ids in shapes.items():
-            at = _son_entries(tree, ids, start, rank * rank[tree.father]) if interior else None
-            a = product[at].reshape(-1, m, n) if interior else np.stack([basis.leaf_matrix[i] for i in ids])
-            q, r = kernels.qr_stack(a)
-            d = np.diagonal(r, axis1=1, axis2=2)
-            deficient[ids] = d.min(1, initial=np.inf) < 1e-12 * d.max(1, initial=1.0)
-            change.update(zip(ids, r))
-            if interior:
-                transfers[at] = q[:, :, :n].reshape(len(ids), -1)
-            else:
-                leaf_matrix.update(zip(ids, q[:, :, :n].copy()))
+        for group in basis.leaf_groups:
+            if tree.level[group.clusters[0]] == level:
+                # copied: a view would keep the complete (m x m) factors alive
+                q = factor(group.clusters, group.stack).copy()
+                leaf_matrix.update(zip(group.clusters.tolist(), q))
+        here = tree.by_level[level][tree.has_sons[tree.by_level[level]]]
+        by_shape, bounds = _runs(np.column_stack((rows[here], rank[here])))
+        for a, z in zip(bounds[:-1], bounds[1:]):
+            ids = here[by_shape[a:z]]
+            m, n = rows[ids[0]], rank[ids[0]]
+            at = _son_entries(tree, ids, start, rank * rank[tree.father])
+            transfers[at] = factor(ids, product[at].reshape(-1, m, n)).reshape(len(ids), -1)
         for group in basis.levels[level]:
-            at = start[group.clusters[0]]
-            r = np.stack([change[s] for s in group.clusters.tolist()])
+            at, (r2, _) = start[group.clusters[0]], group.stack.shape[1:]
+            r = change.stacked(group.clusters, r2, r2)
             product[at : at + group.stack.size] = kernels.matmul(r, group.stack).ravel()
-    bad = [i for i in order if deficient[i]]
-    if bad:
+    bad = order[deficient[order]]
+    if bad.size:
         raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")
-    transfer = {s: transfers[start[s] : start[s] + e.size].reshape(e.shape) for s, e in basis.transfer.items()}
-    return ClusterBasis(tree, leaf_matrix, transfer, isometric=True), change
+    transfer = {}
+    for group in basis.groups:
+        at = start[group.clusters[0]]
+        stack = transfers[at : at + group.stack.size].reshape(group.stack.shape)
+        transfer.update(zip(group.clusters.tolist(), stack))
+    return ClusterBasis(tree, leaf_matrix, transfer, isometric=True), change.views
 
 
 def _son_entries(tree, fathers, start, width):
     """Per father, the entries of its sons, in son order, in a flat array
     where cluster s owns width[s] entries from start[s]: a
     (len(fathers), -1) array, so the fathers' sons must own as many."""
-    sons = [s for i in fathers for s in tree.sons(i)]
+    position = np.full(len(tree) + 1, -1)
+    position[fathers] = np.arange(len(fathers))
+    # the root's father -1 reads the last entry, which no father sets
+    sons = np.flatnonzero(position[tree.father] >= 0)
+    sons = sons[np.argsort(position[tree.father[sons]], kind="stable")]
     w = width[sons]
     ends = np.cumsum(w)
     return (np.repeat(start[sons] + w - ends, w) + np.arange(ends[-1])).reshape(len(fathers), -1)
@@ -437,21 +483,56 @@ def gram_family(basis):
 
 def cross_gram_family(left, right):
     """Per-cluster products left^T right via the transfer recursion, as
-    a family of kind "cross" from right (source) to left (target)."""
+    a family of kind "cross" from right (source) to left (target).
+
+    Bottom-up, level by level: one stacked L^T R per pair of a left and
+    a right leaf group gives the leaves' products; one stacked
+    E_L^T (C E_R) per pair of a left and a right transfer group gives
+    each son's share of its father's product, C being the son's; and
+    the shares add into the fathers in son order.  The clusters of a
+    group of the family lie in post-order.
+    """
     if left.tree is not right.tree:
         raise ValueError("bases live on different trees")
-    tree, lt, rt = left.tree, left.transfer, right.transfer
-    order = tree.postorder()
-    cross = ClusterMatrices(tree, {i: (left.rank_of(i), right.rank_of(i)) for i in order})
-    for i in order:
-        if tree.is_leaf(i):
-            cross[i][:] = kernels.matmul(left.leaf_matrix[i].T, right.leaf_matrix[i])
-        else:
-            cross[i][:] = sum(
-                kernels.matmul(lt[s].T, kernels.matmul(cross[s], rt[s]))
-                for s in tree.sons(i)
-            )
+    tree = left.tree
+    lr, rr = np.diff(left.ptr), np.diff(right.ptr)
+    order = tree.post_order
+    cross = ClusterMatrices(tree, order, np.column_stack((lr[order], rr[order])))
+    store, start, width = cross.store, cross.start, lr * rr
+
+    for ids, lv, rv in _group_pairs(left.leaf_groups, right.leaf_groups, len(tree)):
+        product = kernels.matmul(lv.transpose(0, 2, 1), rv)
+        store[start[ids][:, None] + np.arange(width[ids[0]])] = product.reshape(len(ids), -1)
+    for level in range(len(tree.by_level) - 1, 0, -1):
+        sons = tree.by_level[level]
+        fathers = tree.father[sons]
+        w = width[fathers]
+        # each son's share, laid out as its father's product, in by_level order
+        offset = np.zeros(len(tree), dtype=np.intp)
+        offset[sons] = np.cumsum(w) - w
+        shares = np.empty(w.sum())
+        for ids, le, re in _group_pairs(left.levels[level], right.levels[level], len(tree)):
+            c = cross.stacked(ids, lr[ids[0]], rr[ids[0]])
+            share = kernels.matmul(le.transpose(0, 2, 1), kernels.matmul(c, re))
+            shares[offset[ids][:, None] + np.arange(share[0].size)] = share.reshape(len(ids), -1)
+        np.add.at(store, np.repeat(start[fathers] - offset[sons], w) + np.arange(w.sum()), shares)
     return _family(cross, "cross", right, left)
+
+
+def _group_pairs(lgroups, rgroups, size):
+    """Per pair of a left and a right group that share clusters, of a
+    tree of the given size: those clusters, in the left group's order,
+    and their matrices in the two groups, stacked."""
+    group, row = np.zeros((2, 2, size), dtype=np.intp)
+    for side, groups in enumerate((lgroups, rgroups)):
+        for k, g in enumerate(groups):
+            group[side, g.clusters], row[side, g.clusters] = k, np.arange(len(g.clusters))
+    for lg in lgroups:
+        order, bounds = _runs(group[1, lg.clusters][:, None])
+        for a, z in zip(bounds[:-1], bounds[1:]):
+            ids = lg.clusters[order[a:z]]
+            rg = rgroups[group[1, ids[0]]]
+            yield ids, lg.stack[row[0, ids]], rg.stack[row[1, ids]]
 
 
 def coarsening_factors(basis):
@@ -473,7 +554,8 @@ def coarsening_factors(basis):
         raise ValueError("merge factors require an isometric basis")
     tree, rank = basis.tree, np.diff(basis.ptr)
     rows = np.bincount(tree.father[1:], rank[1:], len(tree)).astype(int)
-    q = ClusterMatrices(tree, {i: (rows[i], rows[i], rank[i]) for i in np.flatnonzero(tree.has_sons).tolist()})
+    ids = np.flatnonzero(tree.has_sons)
+    q = ClusterMatrices(tree, ids, np.column_stack((rows[ids], rows[ids], rank[ids])))
     q.kind, q.source, q.target = "merge", basis, basis
     for group in q.groups:
         ids, (b, m), r = group.clusters.tolist(), group.stack.shape[:2], rank[group.clusters[0]]
@@ -516,7 +598,7 @@ def projection_factors(source, target):
         sons = tree.sons(i)
         rows = sum(zr[s] + rt[s] for s in sons) if sons else tree.size(i)
         zr[i] = min(rows - rt[i], rs[i])
-    factors = ClusterMatrices(tree, {i: (rt[i] + zr[i], rs[i], rt[i]) for i in range(len(tree))})
+    factors = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rt + zr, rs, rt)))
     for i in tree.postorder():
         sons = tree.sons(i)
         if sons:

@@ -13,7 +13,7 @@ from .basis import ClusterBasis, orthogonalize
 from .h2matrix import build_block_tree, random_h2, sparsity_constant
 from .hvector import HVector
 from .matvec import build_plan
-from .tree import Subtree, build_cluster_tree
+from .tree import Subtree, _assemble, _bisection, build_cluster_tree
 
 __all__ = [
     "line_tree",
@@ -41,20 +41,21 @@ def random_basis(tree, rank, rng):
 
     Leaf matrices are Gaussian plus twice the identity in the leading
     rows, which keeps them comfortably full rank; transfers are
-    Gaussian.
+    Gaussian.  One draw gives the leaf matrices, stacked in leaf order,
+    and one draw the transfers, by father and then by son.
     """
-    leaf_matrix = {}
-    transfer = {}
-    for i in tree.leaves():
-        size = tree.size(i)
-        if size < rank:
-            raise ValueError(f"leaf {i} smaller than rank {rank}")
-        v = rng.standard_normal((size, rank))
-        v[:rank] += 2.0 * np.eye(rank)
-        leaf_matrix[i] = v
-    for i in range(len(tree.clusters)):
-        for s in tree.sons(i):
-            transfer[s] = rng.standard_normal((rank, rank))
+    leaves = np.flatnonzero(~tree.has_sons)
+    sizes = tree.sizes[leaves]
+    small = np.flatnonzero(sizes < rank)
+    if small.size:
+        raise ValueError(f"leaf {leaves[small[0]]} smaller than rank {rank}")
+    v = rng.standard_normal((sizes.sum(), rank))
+    ends = np.cumsum(sizes)
+    v[(ends - sizes)[:, None] + np.arange(rank), np.arange(rank)] += 2.0
+    leaf_matrix = {i: v[z - k : z] for i, k, z in zip(leaves.tolist(), sizes.tolist(), ends.tolist())}
+    sons = np.flatnonzero(tree.father >= 0)
+    sons = sons[np.argsort(tree.father[sons], kind="stable")]
+    transfer = dict(zip(sons.tolist(), rng.standard_normal((sons.size, rank, rank))))
     return ClusterBasis(tree, leaf_matrix, transfer, isometric=False)
 
 
@@ -67,19 +68,22 @@ def random_subtree(tree, rng, target=None, steps=None):
     """Grow a subtree by expanding random refinable leaves.
 
     Stops once the member count reaches `target` (or after `steps`
-    expansions); saturates at the full tree.
+    expansions); saturates at the full tree.  Each expansion draws one
+    of the refinable leaves, kept in depth-first order: the expanded
+    leaf's place goes to those of its sons that have sons.
     """
     sub = Subtree(tree)
+    candidates = [tree.root] if tree.sons(tree.root) else []
     done = 0
-    while True:
+    while candidates:
         if target is not None and sub.count() >= target:
             break
         if steps is not None and done >= steps:
             break
-        candidates = [i for i in sub.leaves() if tree.sons(i)]
-        if not candidates:
-            break
-        sub.expand(candidates[rng.integers(len(candidates))])
+        at = int(rng.integers(len(candidates)))
+        i = candidates[at]
+        sub.expand(i)
+        candidates[at : at + 1] = [s for s in tree.sons(i) if tree.sons(s)]
         done += 1
     return sub
 
@@ -110,12 +114,20 @@ def random_instance(n, k, ka, eta, seed, dim=1, leaf_size=None):
     if min(k, ka) < 1 or n < max(k, ka):
         raise ValueError(f"ranks must lie between 1 and n = {n}, got k = {k} and ka = {ka}")
     rng = np.random.default_rng(seed)
-    points = np.linspace(0.0, 1.0, n) if dim == 1 else rng.random((n, dim))
+    points = np.linspace(0.0, 1.0, n)[:, None] if dim == 1 else rng.random((n, dim))
     rank = max(k, ka)
-    tree = build_cluster_tree(points, 2 * rank if leaf_size is None else leaf_size)
-    # midpoint bisection can cut leaves below the rank: grow the default
-    while leaf_size is None and min(map(tree.size, tree.leaves())) < rank:
-        tree = build_cluster_tree(points, tree.leaf_size + 1)
+    if leaf_size is None:
+        # midpoint bisection can cut leaves below the rank: of the levels
+        # down to the leaf size 2 * rank, the deepest with no cluster below
+        # the rank holds the leaves, and its largest cluster, if it is not
+        # the last level, the leaf size, as the next leaf sizes would give
+        levels, size = _bisection(points, 2 * rank)
+        sizes = [np.diff(edges) for _, edges, _, _ in levels]
+        depth = max(d for d, s in enumerate(sizes) if s.min() >= rank)
+        size = size if depth == len(levels) - 1 else int(sizes[depth].max())
+        tree = _assemble(points, levels[: depth + 1], size)
+    else:
+        tree = build_cluster_tree(points, leaf_size)
     input_basis = random_iso_basis(tree, k, rng)
     row_basis = random_basis(tree, ka, rng)
     col_basis = random_basis(tree, ka, rng)

@@ -170,7 +170,7 @@ def build_plan(matrix, input_basis):
     if np.any(np.diff(input_basis.ptr) != input_basis.rank):
         raise ValueError("input basis: the product needs one rank at every cluster")
     bt, ka, k = matrix.block_tree, matrix.rank, input_basis.rank
-    cross = np.array(list(cross_gram_family(matrix.col_basis, input_basis).values()))
+    cross = cross_gram_family(matrix.col_basis, input_basis).stacked(np.arange(len(bt.col_tree)), ka, k)
     # leaf blocks in row order: the coupling sums them per row
     by_row = np.argsort(bt.row[bt.leaf], kind="stable")
     leaves = np.flatnonzero(bt.leaf)[by_row]

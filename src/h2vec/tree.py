@@ -46,41 +46,63 @@ class Cluster:
 class ClusterTree:
     """Immutable cluster tree; root has index 0, sons follow fathers.
 
-    build_cluster_tree numbers clusters depth first: the sons of
-    cluster i on level l of a tree of depth D are i + 1 and
-    i + 2**(D - l), so the leaves in index order are in position order.
+    The tree is given by arrays, one entry per cluster: level[i],
+    father[i] (-1 at the root), and the positions begin[i] to end[i]
+    that cluster i owns.  The sons of a cluster are the clusters whose
+    father it is, in index order.  build_cluster_tree numbers clusters
+    depth first: the sons of cluster i on level l of a tree of depth D
+    are i + 1 and i + 2**(D - l), so the leaves in index order are in
+    position order.
 
-    level[i], father[i], sizes[i] and has_sons[i] hold the level, the
-    father (-1 at the root), the index count and whether cluster i has
-    sons, as arrays, for passes that treat one level of the tree at a
-    time; box_min[i], box_max[i] and diameter[i] hold the corners and
-    the diameter of cluster i's bounding box.  by_level[l] lists the
+    level, father, begin, sizes[i] (the index count) and has_sons[i]
+    are arrays, for passes that treat one level of the tree at a time;
+    box_min[i], box_max[i] and diameter[i] hold the corners and the
+    diameter of cluster i's bounding box.  by_level[l] lists the
     clusters of level l, the sons of one father together and in son
-    order.
+    order, and post_order lists all clusters in post-order, sons in
+    son order before their father.  clusters[i] is the Cluster record
+    of cluster i.
     """
 
-    def __init__(self, clusters, perm, dim, leaf_size, box_min, box_max):
-        self.clusters = clusters
+    def __init__(self, level, father, begin, end, perm, dim, leaf_size, box_min, box_max):
+        self.level = np.asarray(level, dtype=np.intp)
+        self.father = np.asarray(father, dtype=np.intp)
+        self.begin, end = np.asarray(begin, dtype=np.intp), np.asarray(end, dtype=np.intp)
         self.perm = np.asarray(perm, dtype=np.intp)
         self.n = self.perm.size
         self.dim = dim
         self.leaf_size = leaf_size
         self.root = 0
-        levels = [c.level for c in clusters if not c.sons]
-        self.depth = max(levels) if levels else 0
-        self.level = np.array([c.level for c in clusters], dtype=np.intp)
-        father = [-1] * len(clusters)
-        for c in clusters:
-            for s in c.sons:
-                father[s] = c.index
-        self.father = np.array(father, dtype=np.intp)
-        self.sizes = np.array([c.size for c in clusters], dtype=np.intp)
-        self.has_sons = np.array([bool(c.sons) for c in clusters])
-        by_level = [[self.root]] + [[] for _ in range(int(self.level.max()))]
-        for c in clusters:
-            if c.sons:
-                by_level[c.level + 1].extend(c.sons)
-        self.by_level = [np.array(ids, dtype=np.intp) for ids in by_level]
+        count = len(self.level)
+        self.sizes = end - self.begin
+        # all sons, those of one father together, fathers and sons in index order
+        sons = np.flatnonzero(self.father >= 0)
+        sons = sons[np.argsort(self.father[sons], kind="stable")]
+        per_father = np.bincount(self.father[sons], minlength=count)
+        self.has_sons = per_father > 0
+        leaf_levels = self.level[~self.has_sons]
+        self.depth = int(leaf_levels.max()) if leaf_levels.size else 0
+        by_level = sons[np.argsort(self.level[self.father[sons]], kind="stable")]
+        on_level = np.bincount(self.level[self.father[sons]] + 1, minlength=int(self.level.max()) + 1)
+        self.by_level = [np.array([self.root], dtype=np.intp)] + np.split(by_level, np.cumsum(on_level)[:-1])[1:]
+        # post-order: a subtree's first position is its father's first
+        # position plus the counts of its elder brothers' subtrees
+        subtree = np.ones(count, dtype=np.intp)
+        for ids in reversed(self.by_level[1:]):
+            np.add.at(subtree, self.father[ids], subtree[ids])
+        ends = np.cumsum(per_father)
+        elder = np.cumsum(subtree[sons]) - subtree[sons]
+        first = np.zeros(count, dtype=np.intp)
+        first[sons] = elder - np.repeat(elder[(ends - per_father)[self.has_sons]], per_father[self.has_sons])
+        for ids in self.by_level[1:]:
+            first[ids] += first[self.father[ids]]
+        self.post_order = np.empty(count, dtype=np.intp)
+        self.post_order[first + subtree - 1] = np.arange(count)
+        self.post_order.flags.writeable = False
+        flat = sons.tolist()
+        sons_of = map(lambda a, z: tuple(flat[a:z]), (ends - per_father).tolist(), ends.tolist())
+        fields = (self.level.tolist(), self.begin.tolist(), end.tolist(), sons_of)
+        self.clusters = list(map(Cluster, range(count), *fields))
         self.box_min = np.asarray(box_min, dtype=float)
         self.box_max = np.asarray(box_max, dtype=float)
         extent = self.box_max - self.box_min
@@ -109,20 +131,11 @@ class ClusterTree:
         return self.perm[c.begin : c.end]
 
     def leaves(self):
-        return [c.index for c in self.clusters if not c.sons]
+        return np.flatnonzero(~self.has_sons).tolist()
 
     def postorder(self):
-        order = []
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for s in reversed(self.sons(node)):
-                    stack.append((s, False))
-        return order
+        """All clusters in post-order, as a list."""
+        return self.post_order.tolist()
 
 
 def _bisect_level(coords, edges, lo, hi):
@@ -184,13 +197,25 @@ def build_cluster_tree(points, leaf_size):
     integer = isinstance(leaf_size, (int, np.integer)) and not isinstance(leaf_size, bool)
     if not integer or leaf_size < 1:
         raise ValueError(f"leaf_size must be an integer of at least 1, got {leaf_size!r}")
-    size, perm = int(leaf_size), np.arange(points.shape[0])
+    levels, size = _bisection(points, int(leaf_size))
+    return _assemble(points, levels, size)
+
+
+def _bisection(points, leaf_size):
+    """The levels of midpoint bisection of an (n, d) array of points,
+    top down, as (perm, edges, box_min, box_max), the clusters of a
+    level in position order: perm orders the points, cluster c owns
+    positions edges[c] to edges[c + 1].  Stops at the first level where
+    no cluster holds more than leaf_size indices, or, raising leaf_size
+    to that level's largest cluster size with a warning, where one
+    holds a single index.  Returns the levels and the leaf size."""
+    size, perm = leaf_size, np.arange(points.shape[0])
     edges = np.array([0, points.shape[0]])
-    levels = []  # (edges, box_min, box_max) per level, clusters in position order
+    levels = []
     while True:
         coords = points[perm]
         lo, hi = np.minimum.reduceat(coords, edges[:-1]), np.maximum.reduceat(coords, edges[:-1])
-        levels.append((edges, lo, hi))
+        levels.append((perm, edges, lo, hi))
         sizes = np.diff(edges)
         if sizes.max() <= size:
             break
@@ -198,24 +223,34 @@ def build_cluster_tree(points, leaf_size):
             size = int(sizes.max())
             warnings.warn(
                 f"leaf_size raised from {leaf_size} to {size} to keep all leaves on one level",
-                stacklevel=2,
+                stacklevel=3,
             )
             break
         order, split = _bisect_level(coords, edges, lo, hi)
         perm = perm[order]
         edges = np.sort(np.concatenate((edges, edges[:-1] + split)))
+    return levels, size
 
+
+def _assemble(points, levels, leaf_size):
+    """The cluster tree whose levels are the given levels of _bisection,
+    its leaves the last, numbered depth first."""
     depth = len(levels) - 1
-    clusters = [None] * (2 ** (depth + 1) - 1)
-    box_min, box_max = np.empty((2, len(clusters), points.shape[1]))
-    index = np.zeros(1, dtype=np.intp)
-    for level, (edges, lo, hi) in enumerate(levels):
-        step = 2 ** (depth - level)
-        for i, b, e in zip(index.tolist(), edges[:-1].tolist(), edges[1:].tolist()):
-            clusters[i] = Cluster(i, level, b, e, (i + 1, i + step) if level < depth else ())
-        box_min[index], box_max[index] = lo, hi
-        index = np.stack((index + 1, index + step), axis=1).ravel()
-    return ClusterTree(clusters, perm, points.shape[1], size, box_min, box_max)
+    # per level, its clusters' numbers in position order
+    index = [np.zeros(1, dtype=np.intp)]
+    for level in range(depth):
+        index.append(np.stack((index[-1] + 1, index[-1] + 2 ** (depth - level)), axis=1).ravel())
+    at = np.concatenate(index)
+    level, father, begin, end = np.empty((4, at.size), dtype=np.intp)
+    level[at] = np.repeat(np.arange(depth + 1), [i.size for i in index])
+    father[at] = np.concatenate([[-1]] + [np.repeat(i, 2) for i in index[:-1]])
+    begin[at] = np.concatenate([edges[:-1] for _, edges, _, _ in levels])
+    end[at] = np.concatenate([edges[1:] for _, edges, _, _ in levels])
+    box_min, box_max = np.empty((2, at.size, points.shape[1]))
+    box_min[at] = np.concatenate([lo for _, _, lo, _ in levels])
+    box_max[at] = np.concatenate([hi for _, _, _, hi in levels])
+    perm = levels[-1][0]
+    return ClusterTree(level, father, begin, end, perm, points.shape[1], leaf_size, box_min, box_max)
 
 
 def validate_tree(tree):

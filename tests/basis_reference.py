@@ -1,17 +1,19 @@
 """Per-cluster oracles for the level passes of basis set-up.
 
 Each routine here is the one-cluster-at-a-time form of a stacked pass
-in h2vec.basis: one QR per cluster in post-order for `orthogonalize`,
-one QR per interior cluster for `coarsening_factors`, and one Legendre
-evaluation per leaf for `polynomial_basis`.  They call the same
-kernels in the same order per cluster, so their outputs, and their
-counted flops, are the library's bit for bit.
+in h2vec: one QR per cluster in post-order for `orthogonalize`, one QR
+per interior cluster for `coarsening_factors`, one Legendre evaluation
+per leaf for `polynomial_basis`, the transfer recursion one cluster at
+a time in post-order for `cross_gram_family`, and one draw per leaf
+and per transfer for `instances.random_basis`.  They call the same
+kernels, or draw the same numbers, in the same order per cluster, so
+their outputs, and their counted flops, are the library's bit for bit.
 """
 
 import numpy as np
 
 from h2vec import kernels
-from h2vec.basis import ClusterBasis, ClusterMatrices, _entries, _kron
+from h2vec.basis import ClusterBasis, ClusterMatrices, _entries, _family, _kron
 
 
 def orthogonalize(basis):
@@ -53,8 +55,8 @@ def coarsening_factors(basis):
         i: np.concatenate([np.arange(ptr[s], ptr[s + 1]) for s in tree.sons(i)])
         for i in np.flatnonzero(tree.has_sons).tolist()
     }
-    shapes = {i: (span.size, span.size, basis.rank_of(i)) for i, span in spans.items()}
-    q = ClusterMatrices(tree, shapes)
+    shapes = [(span.size, span.size, basis.rank_of(i)) for i, span in spans.items()]
+    q = ClusterMatrices(tree, list(spans), shapes)
     q.kind, q.source, q.target = "merge", basis, basis
     for group in q.groups:
         ids = group.clusters.tolist()
@@ -89,3 +91,40 @@ def legendre_leaf_matrices(tree, points, degree):
                 "points are not in general position"
             )
     return leaf_matrix
+
+
+def cross_gram_family(left, right):
+    """cross_gram_family(left, right), one cluster at a time in
+    post-order: L^T R at a leaf, the sum over the sons s in son order of
+    E_L,s^T (C_s E_R,s) at an interior cluster."""
+    tree, lt, rt = left.tree, left.transfer, right.transfer
+    order = tree.postorder()
+    cross = ClusterMatrices(tree, order, [(left.rank_of(i), right.rank_of(i)) for i in order])
+    for i in order:
+        if tree.is_leaf(i):
+            cross[i][:] = kernels.matmul(left.leaf_matrix[i].T, right.leaf_matrix[i])
+        else:
+            cross[i][:] = sum(
+                kernels.matmul(lt[s].T, kernels.matmul(cross[s], rt[s]))
+                for s in tree.sons(i)
+            )
+    return _family(cross, "cross", right, left)
+
+
+def random_basis(tree, rank, rng):
+    """instances.random_basis(tree, rank, rng), drawing one leaf matrix
+    at a time in leaf order, then one transfer at a time by father and
+    then by son."""
+    leaf_matrix = {}
+    transfer = {}
+    for i in tree.leaves():
+        size = tree.size(i)
+        if size < rank:
+            raise ValueError(f"leaf {i} smaller than rank {rank}")
+        v = rng.standard_normal((size, rank))
+        v[:rank] += 2.0 * np.eye(rank)
+        leaf_matrix[i] = v
+    for i in range(len(tree.clusters)):
+        for s in tree.sons(i):
+            transfer[s] = rng.standard_normal((rank, rank))
+    return ClusterBasis(tree, leaf_matrix, transfer, isometric=False)

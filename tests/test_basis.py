@@ -694,6 +694,50 @@ def test_level_passes_match_cluster_loops(kind, seed):
     assert iso is not None or kind == "induced"
 
 
+def _assert_same_family(got, want):
+    assert (got.kind, got.source, got.target) == (want.kind, want.source, want.target)
+    assert np.array_equal(got.store, want.store)
+    assert np.array_equal(got.start, want.start)
+    assert len(got.groups) == len(want.groups)
+    for g, w in zip(got.groups, want.groups):
+        for name in ("clusters", "source", "target"):
+            assert np.array_equal(getattr(g, name), getattr(w, name))
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["uniform", "ragged", "induced"]), seed=st.integers(0, 2**16))
+def test_cross_gram_families_match_cluster_loops(kind, seed):
+    # ranks vary within a level on both sides, so groups pair up partly
+    basis = _basis_of(kind, seed)
+    other = ragged_basis(basis.tree, np.random.default_rng(seed + 1), 4)
+    for left, right in ((basis, basis), (basis, other), (other, basis)):
+        with kernels.count_flops() as looped:
+            want = basis_reference.cross_gram_family(left, right)
+        with kernels.count_flops() as stacked:
+            got = cross_gram_family(left, right)
+        assert stacked.total == looped.total
+        _assert_same_family(got, want)
+    for b in (basis, other):
+        want = basis_reference.cross_gram_family(b, b)
+        want.kind = "gram"
+        _assert_same_family(gram_family(b), want)
+
+
+def test_cross_gram_family_multiplies_per_group_not_per_cluster(rng, monkeypatch):
+    tree = line_tree(4096, 6)
+    left, right = random_basis(tree, 3, rng), random_iso_basis(tree, 2, rng)
+    calls = []
+    matmul = kernels.matmul
+    monkeypatch.setattr(kernels, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
+    for l, r in ((left, left), (left, right)):
+        calls.clear()
+        cross_gram_family(l, r)
+        # both bases hold one group per level: one product for the
+        # leaves, two per transfer group
+        assert len(calls) <= len(l.leaf_groups) + 2 * len(l.groups) < len(tree) // 50
+
+
 @pytest.mark.filterwarnings("ignore:leaf_size raised")
 def test_induced_draws_reach_the_short_stack_refusal():
     # the property tests above cover the refusal through this kind only

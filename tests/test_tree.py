@@ -6,7 +6,6 @@ import tree_reference
 
 from h2vec.instances import line_tree, random_instance
 from h2vec.tree import (
-    Cluster,
     ClusterTree,
     Subtree,
     build_cluster_tree,
@@ -64,11 +63,13 @@ def test_permutation_ranges_contiguous():
 
 
 def _hand_tree(ranges):
-    clusters = []
-    for idx, (level, begin, end, sons) in enumerate(ranges):
-        clusters.append(Cluster(idx, level, begin, end, tuple(sons)))
-    m = len(clusters)
-    return ClusterTree(clusters, np.arange(ranges[0][2]), 1, 1, np.zeros((m, 1)), np.ones((m, 1)))
+    father = [-1] * len(ranges)
+    for idx, (_, _, _, sons) in enumerate(ranges):
+        for s in sons:
+            father[s] = idx
+    level, begin, end, _ = zip(*ranges)
+    m = len(ranges)
+    return ClusterTree(level, father, begin, end, np.arange(ranges[0][2]), 1, 1, np.zeros((m, 1)), np.ones((m, 1)))
 
 
 def test_validator_catches_overlap():
@@ -292,6 +293,49 @@ def test_built_trees_are_numbered_depth_first():
         assert starts == sorted(starts)
         full = Subtree.from_interior(tree, tree.has_sons)
         assert full.members() == list(range(len(tree)))
+
+
+def _walked_postorder(tree):
+    """Post-order by a depth-first walk, sons in son order."""
+    order, stack = [], [(tree.root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((s, False) for s in reversed(tree.sons(node)))
+    return order
+
+
+def _father_loops(tree):
+    """level, father, sizes, has_sons and by_level, one cluster at a time."""
+    father = [-1] * len(tree)
+    by_level = [[tree.root]] + [[] for _ in range(max(c.level for c in tree.clusters))]
+    for c in tree.clusters:
+        for s in c.sons:
+            father[s] = c.index
+        if c.sons:
+            by_level[c.level + 1].extend(c.sons)
+    fields = [(c.level, c.size, bool(c.sons)) for c in tree.clusters]
+    return [list(x) for x in zip(*fields)] + [father, by_level]
+
+
+def test_tree_arrays_match_the_cluster_records():
+    trees = list(_built_trees())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # the recursive builder numbers padded clusters after the others
+        trees += [tree_reference.build_cluster_tree(_point_set(seed), 2 + seed)[0] for seed in range(8)]
+    for tree in trees:
+        level, sizes, has_sons, father, by_level = _father_loops(tree)
+        assert tree.level.tolist() == level
+        assert tree.sizes.tolist() == sizes
+        assert tree.has_sons.tolist() == has_sons
+        assert tree.father.tolist() == father
+        assert [ids.tolist() for ids in tree.by_level] == by_level
+        assert tree.postorder() == _walked_postorder(tree)
+        assert tree.post_order.tolist() == tree.postorder()
 
 
 def test_builder_refuses_points_without_coordinates():

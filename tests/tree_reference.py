@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from h2vec.tree import Cluster, ClusterTree
+from h2vec.tree import ClusterTree
 
 
 def _bisect(points, perm, begin, end):
@@ -81,13 +81,15 @@ def _try_build(points, leaf_size):
             if level + 1 < depth:
                 pending.append(child)
 
-    clusters, box_min, box_max = [], [], []
+    father, box_min, box_max = [-1] * len(records), [], []
     for i, (begin, end, level, sons) in enumerate(records):
         block = points[perm[begin:end]]
-        clusters.append(Cluster(index=i, level=level, begin=begin, end=end, sons=tuple(sons)))
+        for s in sons:
+            father[s] = i
         box_min.append(block.min(axis=0))
         box_max.append(block.max(axis=0))
-    tree = ClusterTree(clusters, perm, points.shape[1], leaf_size, box_min, box_max)
+    begin, end, level, _ = zip(*records)
+    tree = ClusterTree(level, father, begin, end, perm, points.shape[1], leaf_size, box_min, box_max)
     return tree, padded
 
 
