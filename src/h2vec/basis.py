@@ -158,7 +158,8 @@ def _family(family, kind, source, target):
 
 def _runs(keys):
     """Sort the rows of keys, a two-dimensional array, stably: returns
-    the order, and the bounds of its runs of equal rows, as a list."""
+    the order, and the bounds of its runs of equal rows, as a list.
+    (np.unique would do, but its first call imports numpy.ma.)"""
     order = np.lexsort(keys.T[::-1])
     new = np.ones(len(order), dtype=bool)
     new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
