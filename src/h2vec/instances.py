@@ -117,10 +117,9 @@ def random_instance(n, k, ka, eta, seed, dim=1, leaf_size=None):
     points = np.linspace(0.0, 1.0, n)[:, None] if dim == 1 else rng.random((n, dim))
     rank = max(k, ka)
     if leaf_size is None:
-        # midpoint bisection can cut leaves below the rank: of the levels
-        # down to the leaf size 2 * rank, the deepest with no cluster below
-        # the rank holds the leaves, and its largest cluster, if it is not
-        # the last level, the leaf size, as the next leaf sizes would give
+        # midpoint bisection can cut leaves below the rank: the tree is that
+        # of the smallest leaf size from 2 * rank up whose leaves all hold
+        # the rank, whose leaves are the deepest such level of one bisection
         levels, size = _bisection(points, 2 * rank)
         sizes = [np.diff(edges) for _, edges, _, _ in levels]
         depth = max(d for d, s in enumerate(sizes) if s.min() >= rank)
