@@ -45,6 +45,7 @@ __all__ = [
     "cross_gram_family",
     "coarsening_factors",
     "projection_factors",
+    "run_steps",
 ]
 
 # largest entry of V^T V - I accepted in a basis flagged isometric
@@ -53,12 +54,15 @@ ISOMETRY_TOL = 1e-10
 
 @dataclass
 class MatrixGroup:
-    """Clusters of one level whose matrices share their shape.
+    """Clusters whose matrices share their shape, in a basis or a
+    family those of one level.
 
     stack holds their matrices, one per cluster.  source and target
     hold per cluster the entries of the flat coefficient arrays that
     its matrix maps from and to, laid out by the ptr of the bases the
     builder names; a basis's transfer groups also hold the fathers.
+    A step, one stacked product of a pass (see run_steps), is a
+    MatrixGroup too, often one picked from a larger group.
     """
 
     clusters: np.ndarray
@@ -66,6 +70,19 @@ class MatrixGroup:
     source: np.ndarray = None
     target: np.ndarray = None
     fathers: np.ndarray = None
+
+    def pick(self, mask):
+        """The group of the clusters marked in mask, a boolean array
+        with one entry per cluster, or None when none is; its arrays are views of this group's when the marked
+        clusters form one run, copies otherwise."""
+        at = mask.nonzero()[0]
+        if not at.size:
+            return None
+        first, last = int(at[0]), int(at[-1])
+        if last - first == at.size - 1:
+            at = slice(first, last + 1)
+        more = (None if a is None else a[at] for a in (self.source, self.target, self.fathers))
+        return MatrixGroup(self.clusters[at], self.stack[at], *more)
 
 
 class ClusterMatrices(Mapping):
@@ -179,6 +196,22 @@ def _entries(ptr, clusters, width):
     return ptr[clusters][:, None] + np.arange(width)
 
 
+def run_steps(data, steps, add=True, out=None):
+    """Run stacked products, in order: each step's stack times data at
+    its source entries is added into out (by default data) at its
+    target entries, which may repeat, or with add=False written there.
+    Adds are counted.  data and out are flat arrays; steps are
+    MatrixGroups, as the step builders of ClusterBasis return them."""
+    out = data if out is None else out
+    for step in steps:
+        pushed = kernels.matvec(step.stack, data.take(step.source))
+        if add:
+            np.add.at(out, step.target.ravel(), pushed.ravel())
+            kernels.tally(pushed.size)
+        else:
+            out[step.target] = pushed
+
+
 class ClusterBasis:
     """Nested basis with per-cluster ranks: leaf plus transfer matrices.
 
@@ -203,6 +236,9 @@ class ClusterBasis:
     target hold the entries of the fathers and of the sons, and
     levels[l] lists the groups of the sons on level l.  The transfer
     of s starts at transfer_start[s] in the flat transfer_store.
+    forward_steps and backward_steps cut the transfer groups to the
+    clusters a transformation treats, and forward and backward run
+    those steps.
     """
 
     def __init__(self, tree, leaf_matrix, transfer, isometric=False):
@@ -276,22 +312,40 @@ class ClusterBasis:
         """Rank r_i of cluster i."""
         return self.offsets[i + 1] - self.offsets[i]
 
+    def forward_steps(self, member):
+        """The steps of the forward transformation over the sons marked
+        in member, bottom-up: per transfer group with such sons, their
+        transfers transposed, reading the sons' entries and adding into
+        the fathers'."""
+        steps = []
+        for group in reversed(self.groups):
+            step = group.pick(member[group.clusters])
+            if step is None:
+                continue
+            # copied, and kept by a product pattern for all products on
+            # its subtree: on the @ branch a product with the transposed
+            # view rounds differently, and passing the view instead
+            # raised the grid-64 demo's peak RSS from 107 to 114 MB
+            step.stack = np.ascontiguousarray(step.stack.transpose(0, 2, 1))
+            step.source, step.target = step.target, step.source
+            steps.append(step)
+        return steps
+
+    def backward_steps(self, interior, level=None):
+        """The steps of the backward transformation from the clusters
+        marked in interior, top-down: per transfer group whose fathers
+        are marked, their transfers, reading the fathers' entries and
+        writing the sons'.  A level restricts the steps to the fathers
+        on it."""
+        groups = self.groups if level is None else self.levels[level + 1]
+        steps = (group.pick(interior[group.fathers]) for group in groups)
+        return [step for step in steps if step is not None]
+
     def forward(self, data, member):
         """Forward transformation in the flat array data laid out by ptr:
         bottom-up, add E_s^T data[s] into the father of every son s
         marked in member."""
-        for group in reversed(self.groups):
-            active = member[group.clusters]
-            if not active.any():
-                continue
-            pick = slice(None) if active.all() else active
-            # copied: on the @ branch a product with the transposed view
-            # rounds differently, and passing the view instead raised
-            # the grid-64 demo's peak RSS from 107 to 114 MB
-            transposed = np.ascontiguousarray(group.stack[pick].transpose(0, 2, 1))
-            pushed = kernels.matvec(transposed, data.take(group.target[pick]))
-            np.add.at(data, group.source[pick].ravel(), pushed.ravel())
-            kernels.tally(pushed.size)
+        run_steps(data, self.forward_steps(member))
 
     def backward(self, data, interior, add=True, level=None):
         """Backward transformation in the flat array data laid out by
@@ -302,18 +356,7 @@ class ClusterBasis:
         no adds are counted: this refines, pushing coefficients down
         to the sons.  A level restricts the pass to the fathers on it.
         """
-        for group in self.groups if level is None else self.levels[level + 1]:
-            active = interior[group.fathers]
-            if not active.any():
-                continue
-            pick = slice(None) if active.all() else active
-            son, father = group.target[pick], data.take(group.source[pick])
-            pushed = kernels.matvec(group.stack[pick], father)
-            if add:
-                data[son] += pushed
-                kernels.tally(son.size)
-            else:
-                data[son] = pushed
+        run_steps(data, self.backward_steps(interior, level), add)
 
     def materialize(self, i):
         """Expand the basis matrix of cluster i down to its leaves."""

@@ -137,7 +137,7 @@ def materialize_induced(plan):
     tiles = _stacked(mat.row_basis, sons)
     place(sons, rows, columns, tiles, np.put)
     below = leaf.parent < nonleaf.row.size
-    coupled = kernels.matmul(leaf.coupling[below], pushed[leaf.col[below]])
+    coupled = kernels.matmul(mat.coupling[leaf.number[below]], pushed[leaf.col[below]])
     slot = nonleaf.target[leaf.parent[below]]
     place(leaf.row[below], leaf.target[below], slot, coupled, np.add.at)
     inner = nonleaf.parent < nonleaf.row.size

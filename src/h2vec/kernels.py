@@ -24,7 +24,15 @@ time of ``a @ x[:, :, None]`` over that of ``einsum`` (best of 5 x
 200 calls, one process, 2 CPUs): 2.1-2.6 for 3 x 3 matrices, 1.5-1.8
 for 6 x 6, 1.1-1.3 for 8 x 8, 1.0-1.2 for 9 x 9, but 0.8 for 16 x 16,
 0.7 for 16 x 8 and 0.3 for tall 64 x 3 matrices, so the rule counts
-entries, not columns.  Both kernels are charged the same count.
+entries, not columns.  The product's coupling stacks are wide: a row
+of c leaf blocks is one k x ck matrix.  For 1,000 3 x 3c matrices
+the ratio was 1.6-2.6, 1.6-3.3, 1.8-2.4, 2.1-3.2, 1.6-2.1, 1.9-2.1
+and 1.0-1.9 for c = 1 ... 7, and for 200 16 x 16c matrices 0.65-0.79,
+0.64-1.0, 0.61-0.64 and 0.56-0.66 for c = 1 ... 4 (three runs each),
+so the one threshold holds for them too.  Wider three-row matrices,
+3 x 24 and 3 x 30, still ran 1.6-1.8 times faster by einsum though
+above it; no benchmarked product has a row of more than six leaf
+blocks at rank 3.  Both kernels are charged the same count.
 
 The QR routines fix signs so that the triangular factor has a
 non-negative diagonal.  For input [A | B] whose leading columns A are

@@ -23,34 +23,41 @@ arrays rather than one small product per cluster or block:
   them that blocks of the result read, and to their brothers; one
   stacked product of the cross Gram matrices at the input's leaves
   and at the column clusters below them that leaf blocks read, then
-  the forward transformation (ClusterBasis.forward) of the matrix's
-  column basis;
-* coupling: one stacked coupling product over the leaf blocks of the
-  result, summed per row (the plan orders the leaf blocks by row)
-  into one accumulator of matrix rank per row cluster; parking an
-  input leaf's coefficient is charged here as well;
+  the forward transformation of the matrix's column basis;
+* coupling: a row's leaf blocks are in the result together, when
+  the row's father is interior there, so the plan keeps the leaf
+  blocks by row: per count c of leaf blocks in a row, one stack of
+  each row's c coupling matrices side by side.  One stacked product
+  per count, of these stacks with the entries of their columns,
+  writes each row's sum into its accumulator of matrix rank; parking
+  an input leaf's coefficient is charged here as well;
 * backward: the backward transformation of the row basis from the
   clusters interior in the result.
 
-The result's leaves then take their leading entries from the row
-accumulators and every slot of a block of the result the input
-pushed down to its column.  The result's flat array is laid out by
-the induced basis's ptr: cluster t owns the entries ptr[t] to
-ptr[t + 1].  The plan keeps the induced basis, with its dense
-transfers, for conversion, the projection factors and the oracles.
-Counted flops equal those of the recursive walk of this factored
-model; each add into an accumulator is charged per batch.  The passes
-gather rows with ndarray.take: for the 9,148 rows of three entries
-that one product at n = 4096 gathers, that takes 35-40 us where
-indexing takes 140 us.
+Each pass is a list of steps (basis.run_steps): a stack of matrices
+with the entries it reads and the entries it adds or writes into.
+ClusterBasis.forward_steps and backward_steps cut a basis's transfer
+groups to the clusters a pass treats.  The result's leaves then take
+their leading entries from the row accumulators and every slot of a
+block of the result the input pushed down to its column.  The
+result's flat array is laid out by the induced basis's ptr: cluster t
+owns the entries ptr[t] to ptr[t + 1].  The plan keeps the induced
+basis, with its dense transfers, for conversion, the projection
+factors and the oracles.  Counted flops equal those of the recursive
+walk of this factored model; each add into an accumulator is charged
+per batch.  The passes gather entries with ndarray.take: for the
+27,444 entries the coupling of one product at n = 4096 reads, that
+takes 38-44 us, against 44-47 us by indexing.
 
-Every index array these passes read depends only on the input's
-subtree: the result's subtree, the clusters to push from, the rows
-the forward pass starts at, the leaf blocks of the result with their
-coupling matrices stacked, and the targets of the output.  The plan
-keeps them for the last input subtree (a ProductPattern), so a run of
-products on one subtree, as in inverse iteration once the iterate's
-subtree has settled, does only the arithmetic.
+Everything these passes read but the input's coefficients depends
+only on the input's subtree: the result's subtree, the steps of the
+three transformations, the rows the forward pass starts at with their
+cross Gram matrices, the coupling stacks of the rows of the result,
+and the targets of the output.  The plan keeps them for the last
+input subtree (a ProductPattern), so a run of products on one
+subtree, as in inverse iteration once the iterate's subtree has
+settled, does only the arithmetic: per step one take, one stacked
+product and one add or write.
 
 The product is exact; only the representation is unusual.
 """
@@ -60,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import cross_gram_family
+from .basis import MatrixGroup, cross_gram_family, run_steps
 from .convert import materialize_induced
 from .h2matrix import to_dense as h2_to_dense
 from .hvector import HVector
@@ -84,49 +91,50 @@ class BlockSet:
     block in the plan's non-leaf blocks, or their count at the root
     block.  target[j]: the entries of the induced layout that block j
     stands for, the leading matrix-rank entries of its row for a leaf
-    block and its slot for a non-leaf block.  coupling: the stacked
-    coupling matrices of leaf blocks.
+    block and its slot for a non-leaf block.  number: for leaf blocks,
+    their places in the matrix's coupling stack.
     """
 
     row: np.ndarray
     col: np.ndarray
     parent: np.ndarray
     target: np.ndarray
-    coupling: np.ndarray = None
+    number: np.ndarray = None
 
 
 @dataclass
 class ProductPattern:
-    """The index work of a product that depends only on the input's
-    subtree, kept on the plan for the next product on that subtree.
+    """What a product reads that depends only on the input's subtree,
+    kept on the plan for the next product on that subtree.
 
-    key: the input's interior mask as bytes.  sub, interior: the
-    result's subtree, copied into every result, and its interior.
-    member: the input's members.  push: the input clusters
-    whose coefficients the forward pass pushes down to their sons, or
-    None.  at, cross: the input clusters the forward pass starts from
-    and their stacked cross Gram matrices.  coupling, col: the stacked
-    coupling matrices of the result's leaf blocks and their columns;
-    starts, row: where each row's run of blocks starts and the row it
-    sums into.  parked: the number of input coefficients parked
-    in slots.  slot_target, slot_col: the slots of the non-leaf blocks
-    at the result's leaves and their columns.  leaf_target, leaf_row:
-    the leading entries of each result leaf and the row accumulator
-    they come from.  Every array is read-only; when every leaf block
-    is in the result, coupling is the plan's own stack, not a copy.
+    key: the input's interior mask as bytes.  sub: the result's
+    subtree, copied into every result.  push: the steps of the input
+    basis's backward transformation that push the input down to the
+    clusters the forward pass reads.  at, cross: the input clusters
+    the forward pass starts from and their stacked cross Gram
+    matrices.  forward: the steps of the column basis's forward
+    transformation over the input's members.  coupling: the plan's
+    coupling groups cut to the rows of the result.  backward: the
+    steps of the row basis's backward transformation from the
+    result's interior.  parked: the number of input coefficients
+    parked in slots.  slot_target, slot_col: the slots of the
+    non-leaf blocks at the result's leaves and their columns.
+    leaf_target, leaf_row: the leading entries of each result leaf
+    and the row accumulators they come from.  Every array, also those
+    of the steps and groups, is read-only.  Where the clusters that
+    take part form one run of a group of the plan or of a basis, a
+    whole group in particular, the pattern holds views of the group's
+    arrays, not copies.
     """
 
     key: bytes
     sub: Subtree
-    interior: np.ndarray
-    member: np.ndarray
-    push: np.ndarray
+    push: list
     at: np.ndarray
     cross: np.ndarray
-    coupling: np.ndarray
-    col: np.ndarray
-    starts: np.ndarray
-    row: np.ndarray
+    forward: list
+    coupling: list
+    backward: list
     parked: int
     slot_target: np.ndarray
     slot_col: np.ndarray
@@ -144,14 +152,19 @@ class MatvecPlan:
     order; its length is the induced rank of t.  cross[s] = W_s^T Q_s
     couples the matrix column basis with the input basis, stacked per
     column cluster.  leaf_blocks and nonleaf_blocks describe the block
-    tree, and induced is the induced basis.  pattern is the
-    ProductPattern of the last input subtree, replaced when a product
-    meets another one.
+    tree, and induced is the induced basis.  coupling holds one
+    MatrixGroup per count c of leaf blocks in a row: its clusters are
+    the rows with c leaf blocks, its stack the (rows, k, c k) matrices
+    [S_1 ... S_c] of each row's couplings side by side, in the order
+    of leaf_blocks, its source the entries of the c columns in the flat (clusters, k)
+    array of the forward pass and its target the row's entries in the
+    flat (clusters, k) row accumulators, k the matrix rank.  pattern
+    is the ProductPattern of the last input subtree, replaced when a
+    product meets another one.
 
-    A plan is a snapshot of its matrix: leaf_blocks.coupling is a copy
-    of the matrix's coupling stack, taken from leaf-block order into
-    row order, and the induced transfers are built from it, so a
-    matrix changed after build_plan needs a new plan.
+    A plan is a snapshot of its matrix: the coupling stacks are copies
+    of the matrix's couplings, and the induced transfers are built
+    from them, so a matrix changed after build_plan needs a new plan.
     """
 
     matrix: object
@@ -160,6 +173,7 @@ class MatvecPlan:
     ptr: np.ndarray
     leaf_blocks: BlockSet
     nonleaf_blocks: BlockSet
+    coupling: list
     induced: object = None
     pattern: ProductPattern = None
 
@@ -185,16 +199,30 @@ def build_plan(matrix, input_basis):
     slot[order] = np.arange(rows.size) - (np.cumsum(count) - count)[rows[order]]
     ptr = np.zeros(len(bt.row_tree) + 1, dtype=np.intp)
     ptr[1:] = np.cumsum(ka + k * count)
-    leaf_blocks = BlockSet(
-        bt.row[leaves], bt.col[leaves], parent[leaves], ptr[bt.row[leaves], None] + np.arange(ka),
-        matrix.coupling[by_row],
-    )
+    leaf_blocks = BlockSet(bt.row[leaves], bt.col[leaves], parent[leaves], ptr[bt.row[leaves], None] + np.arange(ka), by_row)
     starts = ptr[rows] + ka + k * slot
     nonleaf_blocks = BlockSet(rows, bt.col[others], parent[others], starts[:, None] + np.arange(k))
-    plan = MatvecPlan(matrix, input_basis, cross, ptr, leaf_blocks, nonleaf_blocks)
+    coupling = _coupling_groups(matrix, leaf_blocks)
+    plan = MatvecPlan(matrix, input_basis, cross, ptr, leaf_blocks, nonleaf_blocks, coupling)
     plan.induced = materialize_induced(plan)
     plan.ptr = plan.induced.ptr  # the same offsets, computed from the transfers
     return plan
+
+
+def _coupling_groups(matrix, leaves):
+    """The plan's coupling groups, one per count of leaf blocks in a row."""
+    ka = matrix.rank
+    count = np.bincount(leaves.row)
+    first = np.cumsum(count) - count
+    groups = []
+    for c in sorted(set(count[count > 0].tolist())):
+        rows = np.flatnonzero(count == c)
+        blocks = first[rows][:, None] + np.arange(c)
+        # (rows, c, ka, ka) -> (rows, ka, c, ka): S_1 ... S_c side by side
+        stack = matrix.coupling[leaves.number[blocks]].transpose(0, 2, 1, 3).reshape(rows.size, ka, c * ka)
+        source = (leaves.col[blocks][:, :, None] * ka + np.arange(ka)).reshape(rows.size, c * ka)
+        groups.append(MatrixGroup(rows, stack, source, rows[:, None] * ka + np.arange(ka)))
+    return groups
 
 
 class InducedHVector(HVector):
@@ -241,30 +269,30 @@ def _pattern(plan, x_sub):
         below[fathers] = True
         below &= ~member
     at = np.flatnonzero(leaf | crossed)
-    pick = slice(None) if coupled.all() else coupled
-    row = leaves.row[pick]
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    # so a row's leaf blocks are in the result together, when the row's
+    # father is interior there; the root's father, -1, reads the
+    # appended True
+    row_in = np.append(result, True)[row_tree.father]
+    coupling = (group.pick(row_in[group.clusters]) for group in plan.coupling)
     sub = Subtree.from_interior(row_tree, result)
     out = np.flatnonzero(sub.leaf_mask())
     pattern = ProductPattern(
         key=interior.tobytes(),
         sub=sub,
-        interior=result,
-        member=member,
-        push=push if push.any() else None,
+        push=plan.input_basis.backward_steps(push),
         at=at,
         cross=plan.cross[at],
-        coupling=leaves.coupling[pick],
-        col=leaves.col[pick],
-        starts=starts,
-        row=row[starts],
+        forward=plan.matrix.col_basis.forward_steps(member),
+        coupling=[group for group in coupling if group is not None],
+        backward=plan.matrix.row_basis.backward_steps(result),
         parked=int(np.count_nonzero(leaf[others.col])),
         slot_target=others.target[slotted],
         slot_col=others.col[slotted],
         leaf_target=plan.ptr[out][:, None] + np.arange(plan.matrix.rank),
         leaf_row=out,
     )
-    for value in [*vars(pattern).values(), *vars(sub).values()]:
+    steps = [*pattern.push, *pattern.forward, *pattern.coupling, *pattern.backward]
+    for value in [*vars(pattern).values(), *vars(sub).values(), *(v for s in steps for v in vars(s).values())]:
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return pattern
@@ -278,9 +306,9 @@ def _forward(plan, coeff, pattern):
     read (other rows are ignored).  Returns an array with one row per
     column cluster, zero outside the subtree and pattern.at.
     """
-    xbar = np.zeros((len(pattern.member), plan.matrix.rank))
+    xbar = np.zeros((len(plan.cross), plan.matrix.rank))
     xbar[pattern.at] = kernels.matvec(pattern.cross, coeff.take(pattern.at, axis=0))
-    plan.matrix.col_basis.forward(xbar.reshape(-1), pattern.member)
+    run_steps(xbar.reshape(-1), pattern.forward)
     return xbar
 
 
@@ -301,20 +329,18 @@ def multiply(plan, x):
     p = plan.pattern
     with kernels.phase("forward"):
         data = x.data
-        if p.push is not None:
+        if p.push:
             data = data.copy()
-            plan.input_basis.backward(data, p.push, add=False)
-        coeff = data.reshape(len(p.member), plan.input_basis.rank)
+            run_steps(data, p.push, add=False)
+        coeff = data.reshape(-1, plan.input_basis.rank)
         xbar = _forward(plan, coeff, p)
-    rows = np.zeros((len(p.interior), plan.matrix.rank))
+    rows = np.zeros((len(p.sub.tree), plan.matrix.rank))
     with kernels.phase("coupling"):
-        if p.col.size:
-            contrib = kernels.matvec(p.coupling, xbar.take(p.col, axis=0))
-            rows[p.row] = np.add.reduceat(contrib, p.starts)
+        run_steps(xbar.reshape(-1), p.coupling, add=False, out=rows.reshape(-1))
         if p.parked:
             kernels.tally(p.parked * plan.input_basis.rank)
     with kernels.phase("backward"):
-        plan.matrix.row_basis.backward(rows.reshape(-1), p.interior)
+        run_steps(rows.reshape(-1), p.backward)
     buf = np.zeros(plan.ptr[-1])
     buf[p.leaf_target] = rows.take(p.leaf_row, axis=0)
     buf[p.slot_target] = coeff.take(p.slot_col, axis=0)

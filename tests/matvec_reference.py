@@ -179,6 +179,52 @@ def multiply(plan, x):
     return InducedHVector(plan, y.sub, y.data)
 
 
+def result_subtree(plan, x):
+    """The subtree of the product with x: a row is interior when a
+    non-leaf block joins it with an interior column of x."""
+    bt = plan.matrix.block_tree
+    sub = Subtree(bt.row_tree)
+    sons = block_sons(bt)
+
+    def grow(bid):
+        t, s = int(bt.row[bid]), int(bt.col[bid])
+        if not bt.leaf[bid] and s in x.sub and not x.sub.is_leaf(s):
+            if sub.is_leaf(t):
+                sub.expand(t)
+            for sid in sons[bid]:
+                grow(sid)
+
+    grow(bt.root)
+    return sub
+
+
+def coupling_sums(matrix, sub, xbar):
+    """The coupling of the factored model, one leaf block at a time.
+
+    Walks the block tree down to the leaves of the result's subtree
+    sub; every leaf block on the way adds S_b xbar[s], one counted
+    product, into its row's sum.  xbar has one row per column cluster.
+    Returns the sums by row cluster, in the order the walk first
+    reaches each row.
+    """
+    bt = matrix.block_tree
+    sons = block_sons(bt)
+    couplings = leaf_couplings(matrix)
+    sums = {}
+
+    def walk(bid):
+        t, s = int(bt.row[bid]), int(bt.col[bid])
+        if bt.leaf[bid]:
+            product = kernels.matvec(couplings[bid], xbar[s])
+            sums[t] = sums[t] + product if t in sums else product
+        elif not sub.is_leaf(t):
+            for sid in sons[bid]:
+                walk(sid)
+
+    walk(bt.root)
+    return sums
+
+
 def factored_multiply(plan, x):
     """The product by the factored model, one block at a time.
 
@@ -192,20 +238,10 @@ def factored_multiply(plan, x):
     refinement and its cross products are charged to the forward pass.
     """
     bt = plan.matrix.block_tree
-    row_tree, col_tree = bt.row_tree, bt.col_tree
+    col_tree = bt.col_tree
     ka, k = plan.matrix.rank, plan.input_basis.rank
-    sub = Subtree(row_tree)
+    sub = result_subtree(plan, x)
     sons = block_sons(bt)
-
-    def grow(bid):
-        t, s = int(bt.row[bid]), int(bt.col[bid])
-        if not bt.leaf[bid] and s in x.sub and not x.sub.is_leaf(s):
-            if sub.is_leaf(t):
-                sub.expand(t)
-            for sid in sons[bid]:
-                grow(sid)
-
-    grow(bt.root)
     xbar = {}
     with kernels.phase("forward"):
         forward(x, plan, xbar)

@@ -14,6 +14,7 @@ from h2vec.instances import (
     random_iso_basis,
     random_subtree,
 )
+from h2vec.basis import ClusterBasis, MatrixGroup, run_steps
 from h2vec.matvec import _forward, _pattern, build_plan, induced_to_dense, multiply
 
 import matvec_reference as reference
@@ -552,9 +553,14 @@ def test_pattern_of_a_root_only_input(rng):
     plan = build_plan(inst.matrix, inst.input_basis)
     x = HVector.from_leaves(inst.input_basis, None, {inst.tree.root: rng.standard_normal(3)})
     y = _assert_same_product(plan, inst, x)
-    assert plan.pattern.coupling.shape[0] == 0 and y.sub.count() == 1
+    # no row of the result has leaf blocks: no coupling step, no product
+    assert plan.pattern.coupling == [] and y.sub.count() == 1
     y.data[:] = 0.0
     _assert_same_product(plan, inst, x)
+    with kernels.count_flops() as counter:
+        multiply(plan, x)
+    # the coupling only parks the root coefficient in its slot
+    assert counter.phases["coupling"] == 3
 
 
 def test_pattern_of_a_full_input_views_the_coupling_stack(rng):
@@ -564,37 +570,159 @@ def test_pattern_of_a_full_input_views_the_coupling_stack(rng):
     for _ in range(2):
         x = random_hvector(inst.input_basis, rng, sub=full)
         _assert_same_product(plan, inst, x)
-        assert np.shares_memory(plan.pattern.coupling, plan.leaf_blocks.coupling)
-        assert plan.pattern.coupling.shape == plan.leaf_blocks.coupling.shape
+        # every row with leaf blocks is in the result: each group is the
+        # plan's own, viewed whole
+        coupling = plan.pattern.coupling
+        assert len(coupling) == len(plan.coupling) > 1
+        for mine, group in zip(coupling, plan.coupling):
+            for name in ("clusters", "stack", "source", "target"):
+                view, array = getattr(mine, name), getattr(group, name)
+                assert view is not array and view.shape == array.shape
+                assert view.ctypes.data == array.ctypes.data
+        # so is each transfer group the row basis's backward pass reads
+        for step in plan.pattern.backward:
+            assert any(step.stack.ctypes.data == g.stack.ctypes.data for g in inst.matrix.row_basis.groups)
 
 
 def test_pattern_arrays_are_read_only(rng):
     inst = random_instance(128, 3, 2, 1.0, seed=14)
     plan = build_plan(inst.matrix, inst.input_basis)
     multiply(plan, random_hvector(inst.input_basis, rng, steps=8))
-    arrays = [v for v in vars(plan.pattern).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) >= 12
+    pattern = plan.pattern
+    arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 6
+    steps = [*pattern.push, *pattern.forward, *pattern.coupling, *pattern.backward]
+    assert pattern.push and pattern.forward and pattern.coupling and pattern.backward
+    arrays += [v for step in steps for v in vars(step).values() if v is not None]
+    arrays += [v for v in vars(pattern.sub).values() if isinstance(v, np.ndarray)]
     for array in arrays:
         assert not array.flags.writeable
         if array.size:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
-    # the plan's own arrays stay writable behind the read-only views
-    assert plan.leaf_blocks.coupling.flags.writeable
+    # the plan's and the bases' own arrays stay writable behind the views
+    bases = (inst.matrix.row_basis, inst.matrix.col_basis, inst.input_basis)
+    for group in [*plan.coupling, *(g for b in bases for g in b.groups)]:
+        assert group.stack.flags.writeable and group.source.flags.writeable
+        assert group.target.flags.writeable and group.clusters.flags.writeable
+
+
+def _row_couplings(plan):
+    """The plan's coupling matrices, one per leaf block in row order,
+    read back from its per-row stacks, and the blocks' columns."""
+    ka = plan.matrix.rank
+    per_row = {}
+    for group in plan.coupling:
+        c = group.stack.shape[2] // ka
+        assert group.stack.shape[1:] == (ka, c * ka) and group.source.shape == (len(group.clusters), c * ka)
+        for t, stack, source in zip(group.clusters.tolist(), group.stack, group.source):
+            per_row[t] = [(stack[:, j * ka : (j + 1) * ka], source[j * ka] // ka) for j in range(c)]
+    blocks = [block for t in sorted(per_row) for block in per_row[t]]
+    return np.array([m for m, _ in blocks]), np.array([s for _, s in blocks])
 
 
 def test_a_plan_is_a_snapshot_of_its_matrix(rng):
     inst = random_instance(128, 3, 2, 1.0, seed=15)
     m, plan, bt = inst.matrix, inst.plan, inst.matrix.block_tree
-    # the stack in row order, as the coupling sums it per row
+    # the stacks hold each row's blocks side by side, rows and blocks in
+    # the row order of the leaf blocks
     by_row = np.argsort(bt.row[bt.leaf], kind="stable")
-    assert np.array_equal(plan.leaf_blocks.coupling, m.coupling[by_row])
+    stacked, cols = _row_couplings(plan)
+    assert np.array_equal(stacked, m.coupling[by_row])
+    assert np.array_equal(cols, plan.leaf_blocks.col)
+    assert np.array_equal(plan.leaf_blocks.number, by_row)
     assert np.all(np.diff(plan.leaf_blocks.row) >= 0)
     kept = build_plan(H2Matrix(bt, m.row_basis, m.col_basis, m.coupling.copy()), inst.input_basis)
     m.coupling[...] = 1.0
-    assert np.array_equal(plan.leaf_blocks.coupling, kept.leaf_blocks.coupling)
+    assert np.array_equal(_row_couplings(plan)[0], _row_couplings(kept)[0])
     assert np.array_equal(plan.induced.transfer_store, kept.induced.transfer_store)
     x = random_hvector(inst.input_basis, rng, steps=8)
     y, want = multiply(plan, x), multiply(kept, x)
     assert y.sub.leaves() == want.sub.leaves()
     assert np.array_equal(y.data, want.data)
+
+
+def test_a_product_on_a_known_subtree_does_only_arithmetic(rng, monkeypatch):
+    inst = random_instance(128, 3, 2, 1.0, seed=16)
+    plan = build_plan(inst.matrix, inst.input_basis)
+    sub = random_subtree(inst.tree, rng, steps=10)
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            # a kernel call is counted by the phase it runs in
+            key = (kernels._COUNTER.get()._phase, name) if name == "matvec" else name
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in [(ClusterBasis, "forward_steps"), (ClusterBasis, "backward_steps"),
+                        (MatrixGroup, "pick"), (kernels, "matvec"), (np, "ascontiguousarray")]:
+        counted(owner, name)
+    x, again = (random_hvector(inst.input_basis, rng, sub=sub) for _ in range(2))
+    calls.clear()
+    with kernels.count_flops():
+        multiply(plan, x)
+    assert calls["forward_steps"] == 1 and calls["backward_steps"] == 2 and calls["pick"] > 0
+    calls.clear()
+    with kernels.count_flops():
+        y = multiply(plan, again)
+    # no step builder, no gather: only the stacked products
+    assert set(calls) <= {("forward", "matvec"), ("coupling", "matvec"), ("backward", "matvec")}
+    assert 0 < calls[("coupling", "matvec")] == len(plan.pattern.coupling) <= len(plan.coupling)
+    assert calls[("backward", "matvec")] == len(plan.pattern.backward)
+    push, forward = len(plan.pattern.push), len(plan.pattern.forward)
+    assert calls[("forward", "matvec")] == push + 1 + forward
+    assert y.sub.leaves() == plan.pattern.sub.leaves()
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@settings(max_examples=30, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    n=st.sampled_from([64, 128, 200]),
+    k=st.integers(1, 4),
+    ka=st.integers(1, 4),
+    eta=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["partial", "root", "full"]),
+    steps=st.integers(0, 40),
+)
+def test_row_coupling_sums_equal_block_sums(dim, n, k, ka, eta, seed, kind, steps):
+    inst = random_instance(n, k, ka, eta, seed, dim=dim)
+    plan, tree = inst.plan, inst.tree
+    # the rows are ragged: one group per count of leaf blocks, up to csp
+    counts = [g.stack.shape[2] // ka for g in plan.coupling]
+    assert counts == sorted(set(counts)) and 1 <= counts[-1] <= inst.csp
+    rows = np.concatenate([g.clusters for g in plan.coupling])
+    assert np.array_equal(np.sort(rows), np.unique(plan.leaf_blocks.row))
+    rng = np.random.default_rng(seed)
+    if kind == "root":
+        x = HVector.from_leaves(inst.input_basis, None, {tree.root: rng.standard_normal(k)})
+    elif kind == "full":
+        x = random_hvector(inst.input_basis, rng, sub=prefix_subtree(tree, tree.depth))
+    else:
+        x = random_hvector(inst.input_basis, rng, steps=steps)
+    pattern = _pattern(plan, x.sub)
+    xbar = rng.standard_normal((len(tree), ka))
+    got = np.zeros((len(tree), ka))
+    with kernels.count_flops() as stacked:
+        run_steps(xbar.reshape(-1), pattern.coupling, add=False, out=got.reshape(-1))
+    sub = reference.result_subtree(plan, x)
+    assert sub.leaves() == pattern.sub.leaves()
+    with kernels.count_flops() as walked:
+        want = reference.coupling_sums(inst.matrix, sub, xbar)
+    assert stacked.total == walked.total
+    assert sorted(want) == sorted(t for g in pattern.coupling for t in g.clusters.tolist())
+    # the rounding scale of each entry: the sum of its terms' magnitudes
+    m = inst.matrix
+    magnitude = H2Matrix(m.block_tree, m.row_basis, m.col_basis, np.abs(m.coupling))
+    scale = reference.coupling_sums(magnitude, sub, np.abs(xbar))
+    for t, v in want.items():
+        assert np.all(np.abs(got[t] - v) <= 1e-14 * scale[t])
+    outside = np.ones(len(tree), dtype=bool)
+    outside[list(want)] = False
+    assert not np.any(got[outside])
