@@ -73,8 +73,9 @@ class MatrixGroup:
 
     def pick(self, mask):
         """The group of the clusters marked in mask, a boolean array
-        with one entry per cluster, or None when none is; its arrays are views of this group's when the marked
-        clusters form one run, copies otherwise."""
+        with one entry per cluster, or None when none is; its arrays
+        are views of this group's when the marked clusters form one
+        run, copies otherwise."""
         at = mask.nonzero()[0]
         if not at.size:
             return None
@@ -335,7 +336,7 @@ class ClusterBasis:
         """The steps of the backward transformation from the clusters
         marked in interior, top-down: per transfer group whose fathers
         are marked, their transfers, reading the fathers' entries and
-        writing the sons'.  A level restricts the steps to the fathers
+        adding into or writing the sons'.  A level restricts the steps to the fathers
         on it."""
         groups = self.groups if level is None else self.levels[level + 1]
         steps = (group.pick(interior[group.fathers]) for group in groups)
