@@ -431,8 +431,8 @@ def polynomial_basis(tree, points, degree):
     for group in basis.leaf_groups:
         deficient[group.clusters] = np.linalg.matrix_rank(group.stack) < rank
     for i in leaves:
-        if tree.size(i) < rank:
-            raise ValueError(f"cluster {i} holds {tree.size(i)} points, need at least {rank}")
+        if tree.sizes[i] < rank:
+            raise ValueError(f"cluster {i} holds {tree.sizes[i]} points, need at least {rank}")
         if deficient[i]:
             raise ValueError(
                 f"cluster {i}: leaf evaluation matrix is rank deficient; "
@@ -639,12 +639,12 @@ def projection_factors(source, target):
     tree = source.tree
     rs, rt = np.diff(source.ptr), np.diff(target.ptr)
     zr = np.zeros_like(rs)
-    for i in tree.postorder():
+    for i in tree.post_order.tolist():
         sons = tree.sons(i)
-        rows = sum(zr[s] + rt[s] for s in sons) if sons else tree.size(i)
+        rows = sum(zr[s] + rt[s] for s in sons) if sons else tree.sizes[i]
         zr[i] = min(rows - rt[i], rs[i])
     factors = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rt + zr, rs, rt)))
-    for i in tree.postorder():
+    for i in tree.post_order.tolist():
         sons = tree.sons(i)
         if sons:
             ab, at = np.zeros((sum(len(factors[s]) for s in sons), rt[i] + rs[i])), 0

@@ -248,10 +248,10 @@ def _leaf_layout(basis):
     tree = basis.tree
     span = {}
     at = 0
-    for i in sorted(tree.leaves(), key=lambda i: tree.clusters[i].begin):
+    for i in sorted(tree.leaves(), key=lambda i: tree.begin[i]):
         span[i] = slice(at, at + basis.rank_of(i))
         at = span[i].stop
-    for i in tree.postorder():
+    for i in tree.post_order.tolist():
         sons = tree.sons(i)
         if sons:
             span[i] = slice(span[sons[0]].start, span[sons[-1]].stop)
@@ -297,7 +297,7 @@ def _project_in_place(m, basis, block_tree, span):
     Frobenius norms."""
     tree = basis.tree
     stacked = {}
-    for i in tree.postorder():
+    for i in tree.post_order.tolist():
         sons = tree.sons(i)
         if sons:
             stacked[i] = np.vstack([stacked[s] @ basis.transfer[s] for s in sons])

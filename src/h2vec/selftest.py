@@ -105,9 +105,7 @@ def _suite_basis(seed):
     b = polynomial_basis(tree, points, 1)
     for i in range(len(tree.clusters)):
         for s in tree.sons(i):
-            lhs = b.materialize(i)[
-                tree.clusters[s].begin - tree.clusters[i].begin :
-            ][: tree.size(s)]
+            lhs = b.materialize(i)[tree.begin[s] - tree.begin[i] :][: tree.sizes[s]]
             rhs = b.materialize(s) @ b.transfer[s]
             suite.check(np.max(np.abs(lhs - rhs)) < 1e-12, f"nested at {s}")
     iso, change = orthogonalize(b)

@@ -1,14 +1,14 @@
 """Cluster trees over index sets and mutable subtrees.
 
-A cluster tree is a hierarchical disjoint partition of an index set.
-Indices are stored through a permutation so that every cluster owns a
-contiguous range of positions; restricting a vector to a cluster is
-then a plain slice.  The geometric builder bisects every cluster of a
-level at once, top down, until no cluster holds more than the leaf
-size, so all leaves sit on one level and the tree is perfect binary,
-numbered depth first.  Where a level holds a single index before that,
-it stops there and raises the leaf size to that level's largest
-cluster, with a warning.
+A cluster tree is a hierarchical disjoint partition of an index set,
+held as arrays with one entry per cluster.  Indices are stored through
+a permutation so that every cluster owns a contiguous range of
+positions; restricting a vector to a cluster is then a plain slice.
+The geometric builder bisects every cluster of a level at once, top
+down, until no cluster holds more than the leaf size, so all leaves
+sit on one level and the tree is perfect binary, numbered depth first.
+Where a level holds a single index before that, it stops there and
+raises the leaf size to that level's largest cluster, with a warning.
 
 A Subtree marks a pruning of the reference tree: the root is always a
 member, and every non-leaf member keeps all of its tree sons.  The
@@ -17,30 +17,15 @@ resolution of a compressed vector.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Cluster",
     "ClusterTree",
     "Subtree",
     "build_cluster_tree",
     "validate_tree",
 ]
-
-
-@dataclass
-class Cluster:
-    index: int
-    level: int
-    begin: int
-    end: int
-    sons: tuple
-
-    @property
-    def size(self):
-        return self.end - self.begin
 
 
 class ClusterTree:
@@ -54,14 +39,17 @@ class ClusterTree:
     are i + 1 and i + 2**(D - l), so the leaves in index order are in
     position order.
 
-    level, father, begin, sizes[i] (the index count) and has_sons[i]
-    are arrays, for passes that treat one level of the tree at a time;
-    box_min[i], box_max[i] and diameter[i] hold the corners and the
-    diameter of cluster i's bounding box.  by_level[l] lists the
-    clusters of level l, the sons of one father together and in son
-    order, and post_order lists all clusters in post-order, sons in
-    son order before their father.  clusters[i] is the Cluster record
-    of cluster i.
+    Arrays are the tree's only data.  level, father, begin, sizes[i]
+    (the index count) and has_sons[i] serve passes that treat one
+    level of the tree at a time; box_min[i], box_max[i] and diameter[i]
+    hold the corners and the diameter of cluster i's bounding box.  The
+    sons of cluster i are son_ids[son_ptr[i] : son_ptr[i + 1]].
+    by_level[l] lists the clusters of level l, the sons of one father
+    together and in son order.  pre_order and post_order list all
+    clusters depth first, sons in son order, pre_order with every
+    father before its sons and post_order after them.  clusters holds
+    the cluster numbers 0 to len(tree) - 1.  son_ptr, son_ids,
+    pre_order, post_order and clusters are read-only.
     """
 
     def __init__(self, level, father, begin, end, perm, dim, leaf_size, box_min, box_max):
@@ -80,29 +68,31 @@ class ClusterTree:
         sons = sons[np.argsort(self.father[sons], kind="stable")]
         per_father = np.bincount(self.father[sons], minlength=count)
         self.has_sons = per_father > 0
+        self.son_ptr, self.son_ids = np.concatenate(([0], np.cumsum(per_father))), sons
         leaf_levels = self.level[~self.has_sons]
         self.depth = int(leaf_levels.max()) if leaf_levels.size else 0
         by_level = sons[np.argsort(self.level[self.father[sons]], kind="stable")]
         on_level = np.bincount(self.level[self.father[sons]] + 1, minlength=int(self.level.max()) + 1)
         self.by_level = [np.array([self.root], dtype=np.intp)] + np.split(by_level, np.cumsum(on_level)[:-1])[1:]
-        # post-order: a subtree's first position is its father's first
-        # position plus the counts of its elder brothers' subtrees
+        # in either order a subtree's positions are contiguous: the first
+        # is its father's first plus the counts of its elder brothers'
+        # subtrees, plus one in pre-order, where the father comes first
         subtree = np.ones(count, dtype=np.intp)
         for ids in reversed(self.by_level[1:]):
             np.add.at(subtree, self.father[ids], subtree[ids])
-        ends = np.cumsum(per_father)
         elder = np.cumsum(subtree[sons]) - subtree[sons]
         first = np.zeros(count, dtype=np.intp)
-        first[sons] = elder - np.repeat(elder[(ends - per_father)[self.has_sons]], per_father[self.has_sons])
+        first[sons] = elder - np.repeat(elder[self.son_ptr[:-1][self.has_sons]], per_father[self.has_sons])
+        pre = first + (self.father >= 0)
         for ids in self.by_level[1:]:
             first[ids] += first[self.father[ids]]
-        self.post_order = np.empty(count, dtype=np.intp)
-        self.post_order[first + subtree - 1] = np.arange(count)
-        self.post_order.flags.writeable = False
-        flat = sons.tolist()
-        sons_of = map(lambda a, z: tuple(flat[a:z]), (ends - per_father).tolist(), ends.tolist())
-        fields = (self.level.tolist(), self.begin.tolist(), end.tolist(), sons_of)
-        self.clusters = list(map(Cluster, range(count), *fields))
+            pre[ids] += pre[self.father[ids]]
+        self.clusters = np.arange(count)
+        self.post_order, self.pre_order = np.empty((2, count), dtype=np.intp)
+        self.post_order[first + subtree - 1] = self.clusters
+        self.pre_order[pre] = self.clusters
+        for fixed in (self.son_ptr, self.son_ids, self.pre_order, self.post_order, self.clusters):
+            fixed.flags.writeable = False
         self.box_min = np.asarray(box_min, dtype=float)
         self.box_max = np.asarray(box_max, dtype=float)
         extent = self.box_max - self.box_min
@@ -110,32 +100,24 @@ class ClusterTree:
         self.diameter = np.sqrt(np.vecdot(extent, extent))
 
     def __len__(self):
-        return len(self.clusters)
+        return self.clusters.size
 
     def sons(self, i):
-        return self.clusters[i].sons
+        return tuple(self.son_ids[self.son_ptr[i] : self.son_ptr[i + 1]].tolist())
 
     def is_leaf(self, i):
-        return not self.clusters[i].sons
-
-    def size(self, i):
-        return self.clusters[i].size
+        return not self.has_sons[i]
 
     def positions(self, i):
-        c = self.clusters[i]
-        return slice(c.begin, c.end)
+        begin = int(self.begin[i])
+        return slice(begin, begin + int(self.sizes[i]))
 
     def indices(self, i):
         """Original indices owned by cluster i."""
-        c = self.clusters[i]
-        return self.perm[c.begin : c.end]
+        return self.perm[self.positions(i)]
 
     def leaves(self):
         return np.flatnonzero(~self.has_sons).tolist()
-
-    def postorder(self):
-        """All clusters in post-order, as a list."""
-        return self.post_order.tolist()
 
 
 def _bisect_level(coords, edges, lo, hi):
@@ -256,29 +238,34 @@ def _assemble(points, levels, leaf_size):
 def validate_tree(tree):
     """Check cluster-tree invariants; return None or a description of
     the first violation found."""
-    root = tree.clusters[tree.root]
-    if root.begin != 0 or root.end != tree.n:
-        return f"root covers [{root.begin}, {root.end}) instead of [0, {tree.n})"
-    for c in tree.clusters:
-        if not c.sons:
-            continue
-        ranges = sorted((tree.clusters[s].begin, tree.clusters[s].end) for s in c.sons)
+    if not np.array_equal(np.sort(tree.perm), np.arange(tree.n)):
+        return f"perm is not a permutation of 0 to {tree.n - 1}"
+    level, begin = tree.level.tolist(), tree.begin.tolist()
+    end = (tree.begin + tree.sizes).tolist()
+    root = tree.root
+    if level[root] != 0:
+        return f"root is on level {level[root]} instead of 0"
+    if begin[root] != 0 or end[root] != tree.n:
+        return f"root covers [{begin[root]}, {end[root]}) instead of [0, {tree.n})"
+    for i in np.flatnonzero(tree.has_sons).tolist():
+        sons = tree.sons(i)
+        ranges = sorted((begin[s], end[s]) for s in sons)
         for (b1, e1), (b2, e2) in zip(ranges, ranges[1:]):
             if b2 < e1:
-                return f"cluster {c.index}: sons overlap at position {b2}"
-        pos = c.begin
+                return f"cluster {i}: sons overlap at position {b2}"
+        pos = begin[i]
         for b, e in ranges:
             if b != pos:
-                return f"cluster {c.index}: sons miss positions [{pos}, {b})"
+                return f"cluster {i}: sons miss positions [{pos}, {b})"
             pos = e
-        if pos != c.end:
-            return f"cluster {c.index}: sons miss positions [{pos}, {c.end})"
-        for s in c.sons:
-            if tree.clusters[s].level != c.level + 1:
+        if pos != end[i]:
+            return f"cluster {i}: sons miss positions [{pos}, {end[i]})"
+        for s in sons:
+            if level[s] != level[i] + 1:
                 return f"cluster {s}: level is not father level + 1"
-    levels = {c.level for c in tree.clusters if not c.sons}
+    levels = np.unique(tree.level[~tree.has_sons]).tolist()
     if len(levels) > 1:
-        return f"leaves on multiple levels: {sorted(levels)}"
+        return f"leaves on multiple levels: {levels}"
     return None
 
 
@@ -331,8 +318,9 @@ class Subtree:
         return other
 
     def _cluster(self, i):
-        """i, checked to number a cluster of the tree."""
-        if not 0 <= i < self._leaf.size:
+        """i, checked to be an integer that numbers a cluster of the tree."""
+        integer = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+        if not (integer and 0 <= i < self._leaf.size):
             raise ValueError(f"cluster {i}: not in the tree")
         return i
 
@@ -375,7 +363,8 @@ class Subtree:
 
     def leaves(self):
         """Leaf clusters in depth-first order."""
-        return [i for i in self.members() if self._leaf[i]]
+        pre = self.tree.pre_order
+        return pre[self._leaf[pre]].tolist()
 
     def leaf_mask(self):
         """Read-only boolean array marking the subtree leaves."""
@@ -389,26 +378,5 @@ class Subtree:
 
     def members(self):
         """Member clusters in depth-first order."""
-        out = []
-        stack = [self.tree.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not self._leaf[node]:
-                stack.extend(reversed(self.tree.sons(node)))
-        return out
-
-    def check_partition(self):
-        """Verify that leaf ranges tile [0, n); returns None or a message."""
-        ranges = sorted(
-            (self.tree.clusters[i].begin, self.tree.clusters[i].end)
-            for i in self.leaves()
-        )
-        pos = 0
-        for b, e in ranges:
-            if b != pos:
-                return f"gap or overlap at position {pos} (next range starts {b})"
-            pos = e
-        if pos != self.tree.n:
-            return f"leaves stop at {pos} instead of {self.tree.n}"
-        return None
+        pre = self.tree.pre_order
+        return pre[self._member[pre]].tolist()

@@ -92,7 +92,7 @@ def _ascent(y, pfactors, budget, merge_errors):
             return acc
         merged, merge_err, scale = merge(y, i, pfactors)
         candidate = merge_err + acc
-        if candidate <= budget.limit(tree.size(i), tree.n, scale):
+        if candidate <= budget.limit(tree.sizes[i], tree.n, scale):
             y.sub.contract(i)
             y.data[off[i] : off[i + 1]] = merged
             merge_errors[i] = merge_err
@@ -117,7 +117,7 @@ def convert(x, target, zfactors, pfactors, budget):
         if xhat is not None:
             r = target.rank_of(i)
             err = float(np.linalg.norm(kernels.matvec(zfactors[i][r:], xhat)))
-            fits = err <= budget.limit(tree.size(i), tree.n, float(np.linalg.norm(xhat)))
+            fits = err <= budget.limit(tree.sizes[i], tree.n, float(np.linalg.norm(xhat)))
             if fits or tree.is_leaf(i):
                 y.data[yoff[i] : yoff[i + 1]] = kernels.matvec(zfactors[i][:r], xhat)
                 report.commit_errors[i] = err

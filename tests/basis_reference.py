@@ -23,7 +23,7 @@ def orthogonalize(basis):
     leaf_matrix = {}
     transfer = {}
     change = {}
-    for i in tree.postorder():
+    for i in tree.post_order.tolist():
         sons = tree.sons(i)
         what = "transfer stack" if sons else "leaf matrix"
         if sons:
@@ -81,8 +81,8 @@ def legendre_leaf_matrices(tree, points, degree):
     span = np.where(high > low, high - low, np.inf)
     leaf_matrix = {}
     for i in tree.leaves():
-        if tree.size(i) < rank:
-            raise ValueError(f"cluster {i} holds {tree.size(i)} points, need at least {rank}")
+        if tree.sizes[i] < rank:
+            raise ValueError(f"cluster {i} holds {tree.sizes[i]} points, need at least {rank}")
         scaled = (2.0 * points[tree.indices(i)] - low[i] - high[i]) / span[i]
         leaf_matrix[i] = _kron([legvander(x, degree)[:, None, :] for x in scaled.T])[:, 0, :]
         if np.linalg.matrix_rank(leaf_matrix[i]) < rank:
@@ -98,7 +98,7 @@ def cross_gram_family(left, right):
     post-order: L^T R at a leaf, the sum over the sons s in son order of
     E_L,s^T (C_s E_R,s) at an interior cluster."""
     tree, lt, rt = left.tree, left.transfer, right.transfer
-    order = tree.postorder()
+    order = tree.post_order.tolist()
     cross = ClusterMatrices(tree, order, [(left.rank_of(i), right.rank_of(i)) for i in order])
     for i in order:
         if tree.is_leaf(i):
@@ -118,7 +118,7 @@ def random_basis(tree, rank, rng):
     leaf_matrix = {}
     transfer = {}
     for i in tree.leaves():
-        size = tree.size(i)
+        size = tree.sizes[i]
         if size < rank:
             raise ValueError(f"leaf {i} smaller than rank {rank}")
         v = rng.standard_normal((size, rank))

@@ -5,6 +5,7 @@ import pytest
 
 from h2vec.h2matrix import H2Matrix
 from h2vec.instances import line_tree, random_iso_basis
+from h2vec.tree import Subtree
 
 
 @pytest.fixture
@@ -14,18 +15,14 @@ def rng():
 
 def prefix_subtree(tree, level):
     """Subtree containing every cluster down to the given level."""
-    from h2vec.tree import Subtree
+    return Subtree.from_interior(tree, tree.has_sons & (tree.level < level))
 
-    sub = Subtree(tree)
-    frontier = [tree.root]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            if tree.clusters[i].level < level and tree.sons(i):
-                sub.expand(i)
-                nxt.extend(tree.sons(i))
-        frontier = nxt
-    return sub
+
+def leaf_ranges_tile(tree, leaves):
+    """Whether the position ranges of the given clusters tile [0, n)."""
+    ranges = sorted(zip(tree.begin[leaves].tolist(), (tree.begin + tree.sizes)[leaves].tolist()))
+    ends = [0] + [e for _, e in ranges]
+    return [b for b, _ in ranges] == ends[:-1] and ends[-1] == tree.n
 
 
 def dense_stencil(problem):

@@ -46,7 +46,7 @@ def nestedness_defect(basis):
         full = basis.materialize(i)
         offset = 0
         for s in tree.sons(i):
-            rows = tree.size(s)
+            rows = tree.sizes[s]
             lhs = full[offset : offset + rows]
             rhs = basis.materialize(s) @ basis.transfer[s]
             scale = max(1.0, np.max(np.abs(full)))
@@ -120,10 +120,10 @@ def test_polynomial_transfers_match_least_squares(degree):
     pts = rng.random((400, 2))
     tree = build_cluster_tree(pts, 64)
     b = polynomial_basis(tree, pts, degree)
-    for i, c in enumerate(tree.clusters):
+    for i in range(len(tree)):
         offset = 0
         full = legendre_columns(tree, pts, i, degree)
-        for s in c.sons:
+        for s in tree.sons(i):
             son = legendre_columns(tree, pts, s, degree)
             want = full[offset : offset + len(son)]
             offset += len(son)
@@ -352,7 +352,7 @@ def residual_rows(tree, source, target, i, z_rows):
     if sons:
         rows = sum(residual_rows(tree, source, target, s, z_rows) + target.rank_of(s) for s in sons)
     else:
-        rows = tree.size(i)
+        rows = tree.sizes[i]
     m = rows - target.rank_of(i)
     z_rows[i] = min(m, source.rank_of(i))
     return z_rows[i]
@@ -424,7 +424,7 @@ def test_random_nested_bases_stay_nested(seed):
     rng = np.random.default_rng(seed)
     tree = line_tree(int(rng.choice([8, 16, 32])), int(rng.integers(2, 6)))
     k = int(rng.integers(1, 4))
-    if min(tree.size(i) for i in tree.leaves()) < k:
+    if tree.sizes[~tree.has_sons].min() < k:
         pytest.skip("leaves too small for this rank draw")
     b = random_basis(tree, k, rng)
     assert nestedness_defect(b) <= 1e-12
@@ -494,10 +494,10 @@ def ragged_basis(tree, rng, max_rank):
     drawn bottom-up: at most a leaf's size, and at most the sum of the
     sons' ranks at an interior cluster, so orthogonalize accepts it."""
     rank = [0] * len(tree)
-    for i in tree.postorder():
-        rows = sum(rank[s] for s in tree.sons(i)) or tree.size(i)
+    for i in tree.post_order.tolist():
+        rows = sum(rank[s] for s in tree.sons(i)) or tree.sizes[i]
         rank[i] = int(rng.integers(1, min(max_rank, rows) + 1))
-    leaf_matrix = {i: rng.standard_normal((tree.size(i), rank[i])) for i in tree.leaves()}
+    leaf_matrix = {i: rng.standard_normal((tree.sizes[i], rank[i])) for i in tree.leaves()}
     transfer = {
         s: rng.standard_normal((rank[s], rank[i]))
         for i in range(len(tree))
@@ -509,7 +509,7 @@ def ragged_basis(tree, rng, max_rank):
 def loop_forward(basis, data, member):
     """Forward transformation, one cluster at a time."""
     tree, off = basis.tree, basis.offsets
-    for s in tree.postorder():
+    for s in tree.post_order.tolist():
         t = int(tree.father[s])
         if t >= 0 and member[s]:
             pushed = kernels.matvec(basis.transfer[s].T, data[off[s] : off[s + 1]])
@@ -544,7 +544,7 @@ def _basis_of(kind, seed):
         return random_instance(int(rng.choice([16, 32, 64])), 1, 3, 1.0, seed).plan.induced
     tree = random_tree(rng, int(rng.integers(8, 120)), int(rng.integers(1, 3)), 6)
     if kind == "uniform":
-        smallest = min(map(tree.size, tree.leaves()))
+        smallest = tree.sizes[~tree.has_sons].min()
         return random_basis(tree, int(rng.integers(1, min(3, smallest) + 1)), rng)
     return ragged_basis(tree, rng, 5)
 
@@ -617,8 +617,8 @@ def _short_stack(basis):
     """The first cluster, in post-order, whose leaf matrix or stacked
     son transfers have fewer rows than its rank; None if there is none."""
     tree = basis.tree
-    for i in tree.postorder():
-        rows = sum(basis.rank_of(s) for s in tree.sons(i)) or tree.size(i)
+    for i in tree.post_order.tolist():
+        rows = sum(basis.rank_of(s) for s in tree.sons(i)) or tree.sizes[i]
         if rows < basis.rank_of(i):
             return i
     return None
@@ -648,7 +648,7 @@ def test_orthogonalize_names_the_first_short_stack_in_post_order(rng):
     # post-order 2 3 1 5 6 4 0: clusters 4 and 0 stack fewer rows than
     # their ranks, and 4 comes first
     rank = [6, 2, 1, 1, 3, 1, 1]
-    assert tree.postorder() == [2, 3, 1, 5, 6, 4, 0]
+    assert tree.post_order.tolist() == [2, 3, 1, 5, 6, 4, 0]
     leaf_matrix = {i: rng.standard_normal((4, rank[i])) for i in tree.leaves()}
     transfer = {s: rng.standard_normal((rank[s], rank[int(tree.father[s])])) for s in range(1, 7)}
     basis = ClusterBasis(tree, leaf_matrix, transfer)
@@ -782,7 +782,7 @@ def test_polynomial_basis_names_the_first_bad_leaf():
 
 def test_orthogonalize_names_the_first_deficient_cluster_in_post_order(rng):
     tree = line_tree(16, 4)
-    order = tree.postorder()
+    order = tree.post_order.tolist()
     interior = next(i for i in order if tree.sons(i) and i != tree.root)
     leaf = next(i for i in order[order.index(interior) :] if tree.is_leaf(i))
     basis = random_basis(tree, 2, rng)

@@ -10,11 +10,15 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
+def _side(setup_s, attempted, failed):
+    return {"setup_s": setup_s, "clusters": 7.0, "attempted": attempted, "failed": failed}
+
+
 def test_summary_has_inclusive_quartiles_and_lower_counts():
     parent = [0.40, 0.42, 0.41, 0.39, 0.43]
     change = [0.30, 0.44, 0.29, 0.31, 0.28]
     pairs = [
-        {"seed": k, "parent": {"setup_s": p, "clusters": 7.0}, "change": {"setup_s": c, "clusters": 7.0}}
+        {"seed": k, "parent": _side(p, 100, 0), "change": _side(c, 50 + 10 * k, k % 2)}
         for k, (p, c) in enumerate(zip(parent, change))
     ]
     summary = bench_pairs.summarize(pairs, {"setup_s": "lower", "clusters": "lower"})
@@ -23,3 +27,6 @@ def test_summary_has_inclusive_quartiles_and_lower_counts():
     assert summary["setup_s_lower_in"] == 4
     assert summary["clusters_lower_in"] == 0
     assert summary["pairs"] == 5
+    # shares over all attempted operations, not a mean of per-pair shares
+    assert summary["parent"]["failed_share"] == 0.0
+    assert summary["change"]["failed_share"] == pytest.approx(2 / 350)

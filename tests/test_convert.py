@@ -53,7 +53,7 @@ def test_materialize_induced_nested(setup):
         full = induced.materialize(i)
         offset = 0
         for s in tree.sons(i):
-            rows = tree.size(s)
+            rows = tree.sizes[s]
             lhs = full[offset : offset + rows]
             rhs = induced.materialize(s) @ induced.transfer[s]
             scale = max(1.0, np.max(np.abs(full)))
@@ -73,7 +73,7 @@ def test_materialize_induced_columns(setup):
     slots = 0
     for i in range(len(tree.clusters)):
         u = induced.materialize(i)
-        assert u.shape == (tree.size(i), rank[i])
+        assert u.shape == (tree.sizes[i], rank[i])
         v = inst.matrix.row_basis.materialize(i)
         assert np.max(np.abs(u[:, :ka] - v)) <= 1e-11 * max(1.0, np.max(np.abs(v)))
         mine = sorted((o, s) for (t, s), o in offsets.items() if t == i)
@@ -156,7 +156,7 @@ def test_convert_representable_at_root(rng, setup):
     row = inst.matrix.row_basis
     tree = inst.tree
     leaf_matrix = {
-        i: np.column_stack([row.leaf_matrix[i], rng.standard_normal(tree.size(i))])
+        i: np.column_stack([row.leaf_matrix[i], rng.standard_normal(tree.sizes[i])])
         for i in tree.leaves()
     }
     transfer = {}

@@ -17,7 +17,7 @@ from h2vec.demo import (
 from h2vec.h2matrix import to_dense
 from h2vec.tree import Subtree
 
-from conftest import compress_dense, dense_inverse, dense_stencil
+from conftest import compress_dense, dense_inverse, dense_stencil, leaf_ranges_tile
 from demo_reference import dense_sweep, interleaved_run
 
 
@@ -25,7 +25,7 @@ def leaf_matrix(demo):
     """L: the leaf matrices of the demo's basis, block-diagonal, with
     their columns in the tree position order of the leaves."""
     tree = demo.tree
-    leaves = sorted(tree.leaves(), key=lambda i: tree.clusters[i].begin)
+    leaves = sorted(tree.leaves(), key=lambda i: tree.begin[i])
     blocks = [demo.iso.leaf_matrix[i] for i in leaves]
     out = np.zeros((tree.n, sum(v.shape[1] for v in blocks)))
     at = 0
@@ -140,7 +140,7 @@ def test_full_subtree(demo):
     assert sub.leaves() == walked.leaves()
     assert np.array_equal(sub.leaf_mask(), walked.leaf_mask())
     assert np.array_equal(sub.interior_mask(), walked.interior_mask())
-    assert sub.check_partition() is None
+    assert leaf_ranges_tile(tree, sub.leaves())
 
 
 def test_setup_matches_the_dense_inverse_oracle(demo):

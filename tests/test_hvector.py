@@ -68,11 +68,12 @@ def test_refine_errors(small_iso):
         refine(x, small_iso.tree.leaves()[0])  # bottom reached
 
 
-@pytest.mark.parametrize("where", ["end", "negative"])
+@pytest.mark.parametrize("where", ["end", "negative", "fraction", "bool"])
 def test_cluster_outside_the_tree_is_refused(rng, small_iso, where):
-    # -1 once read the flags of the last cluster, len(tree) raised IndexError
+    # -1 once read the flags of the last cluster, len(tree) and 1.5
+    # raised IndexError
     tree, factors = small_iso.tree, coarsening_factors(small_iso)
-    i = len(tree) if where == "end" else -1
+    i = {"end": len(tree), "negative": -1, "fraction": 1.5, "bool": True}[where]
     x = random_hvector(small_iso, rng, steps=3)
     before, members = x.data.copy(), x.sub.members()
     with pytest.raises(ValueError, match=f"cluster {i}: not in the tree"):
@@ -400,7 +401,7 @@ _instance = dict(
 
 def _iso_and_rng(n, rank, seed):
     tree = line_tree(n, 2 * rank)
-    assume(min(map(tree.size, tree.leaves())) >= rank)
+    assume(tree.sizes[~tree.has_sons].min() >= rank)
     rng = np.random.default_rng(seed)
     return random_iso_basis(tree, rank, rng), rng
 

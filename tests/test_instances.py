@@ -20,7 +20,7 @@ def loop_instance(n, k, ka, eta, seed, dim):
     points = np.linspace(0.0, 1.0, n) if dim == 1 else rng.random((n, dim))
     rank = max(k, ka)
     tree = build_cluster_tree(points, 2 * rank)
-    while min(map(tree.size, tree.leaves())) < rank:
+    while tree.sizes[~tree.has_sons].min() < rank:
         tree = build_cluster_tree(points, tree.leaf_size + 1)
     input_basis, _ = orthogonalize(basis_reference.random_basis(tree, k, rng))
     row_basis = basis_reference.random_basis(tree, ka, rng)
@@ -66,7 +66,7 @@ def test_random_basis_matches_the_loop(rank):
 
 def test_random_basis_names_the_first_short_leaf():
     tree = line_tree(40, 6)
-    first = next(i for i in tree.leaves() if tree.size(i) < 6)
+    first = next(i for i in tree.leaves() if tree.sizes[i] < 6)
     for draw in (basis_reference.random_basis, random_basis):
         with pytest.raises(ValueError, match=f"^leaf {first} smaller than rank 6$"):
             draw(tree, 6, np.random.default_rng(0))

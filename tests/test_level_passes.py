@@ -48,7 +48,7 @@ def _tree(seed, n, dim, rank):
     """A random tree, a generator and a rank no leaf is too small for."""
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, n, dim, 2 * rank + 2)
-    return tree, rng, min(rank, *map(tree.size, tree.leaves()))
+    return tree, rng, min(rank, int(tree.sizes[~tree.has_sons].min()))
 
 
 def _basis(kind, tree, rank, rng):
@@ -163,7 +163,7 @@ def _conversion_case(kind, seed, n, dim, rank, steps):
     else:
         tree, rng, rank = _tree(seed, n, dim, rank)
         target = random_iso_basis(tree, rank, rng)
-        other = min(int(rng.integers(1, 4)), *map(tree.size, tree.leaves()))
+        other = min(int(rng.integers(1, 4)), int(tree.sizes[~tree.has_sons].min()))
         source = random_iso_basis(tree, other, rng) if kind == "iso" else random_basis(tree, other, rng)
         x = _vector(source, rng, steps)
     return x, target, projection_factors(x.basis, target), coarsening_factors(target)

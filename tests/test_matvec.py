@@ -206,7 +206,7 @@ def test_multiply_exactness(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_multiply_exactness_2d(seed):
     inst = random_instance(300, 2, 3, 2.0, seed, dim=2)
-    assert min(map(inst.tree.size, inst.tree.leaves())) >= 3
+    assert inst.tree.sizes[~inst.tree.has_sons].min() >= 3
     rng = np.random.default_rng(seed)
     x = random_hvector(inst.input_basis, rng, steps=int(rng.integers(0, 12)))
     dense = to_dense(inst.matrix)

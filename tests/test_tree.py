@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import tree_reference
 
-from h2vec.instances import line_tree, random_instance
+from h2vec.instances import line_tree, random_instance, random_subtree
 from h2vec.tree import (
     ClusterTree,
     Subtree,
@@ -12,12 +12,14 @@ from h2vec.tree import (
     validate_tree,
 )
 
+from conftest import leaf_ranges_tile
+
 
 def test_line_eight_points_leaf_two():
     tree = line_tree(8, 2)
     assert len(tree.clusters) == 7
     assert tree.depth == 2
-    assert all(tree.size(i) == 2 for i in tree.leaves())
+    assert all(tree.sizes[i] == 2 for i in tree.leaves())
     assert validate_tree(tree) is None
 
 
@@ -26,7 +28,7 @@ def test_unit_square_corners_singletons():
     tree = build_cluster_tree(pts, 1)
     leaves = tree.leaves()
     assert len(leaves) == 4
-    assert all(tree.size(i) == 1 for i in leaves)
+    assert all(tree.sizes[i] == 1 for i in leaves)
     assert tree.depth == 2
 
 
@@ -40,8 +42,7 @@ def test_random_trees_validate(seed):
         warnings.simplefilter("ignore")
         tree = build_cluster_tree(rng.random((n, dim)), leaf_size)
     assert validate_tree(tree) is None
-    levels = {tree.clusters[i].level for i in tree.leaves()}
-    assert len(levels) == 1
+    assert np.unique(tree.level[tree.leaves()]).size == 1
 
 
 def test_builder_rejects_bad_input():
@@ -62,14 +63,19 @@ def test_permutation_ranges_contiguous():
     assert np.all(seen == 1)
 
 
-def _hand_tree(ranges):
+def _hand_tree(ranges, perm=None):
     father = [-1] * len(ranges)
     for idx, (_, _, _, sons) in enumerate(ranges):
         for s in sons:
             father[s] = idx
     level, begin, end, _ = zip(*ranges)
     m = len(ranges)
-    return ClusterTree(level, father, begin, end, np.arange(ranges[0][2]), 1, 1, np.zeros((m, 1)), np.ones((m, 1)))
+    perm = np.arange(ranges[0][2]) if perm is None else perm
+    return ClusterTree(level, father, begin, end, perm, 1, 1, np.zeros((m, 1)), np.ones((m, 1)))
+
+
+def test_validator_accepts_a_hand_built_tree():
+    assert validate_tree(_hand_tree([(0, 0, 4, (1, 2)), (1, 0, 2, ()), (1, 2, 4, ())])) is None
 
 
 def test_validator_catches_overlap():
@@ -80,6 +86,17 @@ def test_validator_catches_overlap():
 def test_validator_catches_missing_index():
     tree = _hand_tree([(0, 0, 4, (1, 2)), (1, 0, 1, ()), (1, 2, 4, ())])
     assert "miss" in validate_tree(tree)
+
+
+def test_validator_catches_a_perm_that_is_no_permutation():
+    ranges = [(0, 0, 4, (1, 2)), (1, 0, 2, ()), (1, 2, 4, ())]
+    for perm in ([0, 0, 1, 2], [1, 2, 3, 4], [0, 1, 2, -1]):
+        assert validate_tree(_hand_tree(ranges, perm)) == "perm is not a permutation of 0 to 3"
+
+
+def test_validator_catches_a_root_off_level_zero():
+    tree = _hand_tree([(1, 0, 4, (1, 2)), (2, 0, 2, ()), (2, 2, 4, ())])
+    assert validate_tree(tree) == "root is on level 1 instead of 0"
 
 
 def test_validator_catches_mixed_leaf_levels():
@@ -102,7 +119,7 @@ def test_expand_contract_inverse():
     sub = Subtree(tree)
     sub.expand(tree.root)
     assert sub.count() == 3
-    assert sorted(tree.size(i) for i in sub.leaves()) == [4, 4]
+    assert tree.sizes[sub.leaves()].tolist() == [4, 4]
     sub.contract(tree.root)
     assert sub.count() == 1
     assert sub.leaves() == [tree.root]
@@ -120,7 +137,7 @@ def test_expand_all_then_contract_all():
             order.append(i)
             frontier.extend(tree.sons(i))
     assert sub.count() == len(tree.clusters)
-    assert sub.check_partition() is None
+    assert leaf_ranges_tile(tree, sub.leaves())
     for i in reversed(order):
         sub.contract(i)
     assert sub.count() == 1
@@ -152,7 +169,7 @@ def test_partition_after_random_walk(rng):
             sub.expand(expandable[rng.integers(len(expandable))])
         elif contractible:
             sub.contract(contractible[rng.integers(len(contractible))])
-        assert sub.check_partition() is None
+        assert leaf_ranges_tile(tree, sub.leaves())
 
 
 def test_from_interior_rebuilds_subtree(rng):
@@ -189,7 +206,7 @@ def test_subtree_precondition_errors():
         sub.expand(leaf)  # not a member leaf of the subtree
 
 
-@pytest.mark.parametrize("cluster", [-1, 15, 100])
+@pytest.mark.parametrize("cluster", [-1, 15, 100, 1.5, 2.0, np.float64(3.0), True, False, "3", None])
 def test_subtree_rejects_a_cluster_outside_the_tree(cluster):
     tree = line_tree(32, 4)
     sub = Subtree.from_interior(tree, tree.has_sons)
@@ -197,7 +214,7 @@ def test_subtree_rejects_a_cluster_outside_the_tree(cluster):
     for query in (sub.__contains__, sub.is_leaf, sub.expand, sub.contract):
         with pytest.raises(ValueError, match=f"cluster {cluster}: not in the tree"):
             query(cluster)
-    assert 14 in sub and sub.is_leaf(14)
+    assert 14 in sub and sub.is_leaf(14) and sub.is_leaf(np.int64(14))
 
 
 @pytest.mark.parametrize("entries", [3, 14, 16, 40])
@@ -243,13 +260,16 @@ def _build_both(points, leaf_size):
     assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
     assert np.array_equal(tree.perm, oracle.perm)
     assert tree.leaf_size == oracle.leaf_size
-    ranges = {(c.level, c.begin, c.end) for c in tree.clusters}
-    assert ranges == {(c.level, c.begin, c.end) for c in oracle.clusters}
+    assert set(_ranges(tree)) == set(_ranges(oracle))
     if not padded:
-        assert [(c.level, c.begin, c.end, c.sons) for c in tree.clusters] == [
-            (c.level, c.begin, c.end, c.sons) for c in oracle.clusters
-        ]
+        assert _ranges(tree) == _ranges(oracle)
+        assert list(map(tree.sons, range(len(tree)))) == list(map(oracle.sons, range(len(oracle))))
     return tree, oracle
+
+
+def _ranges(tree):
+    """(level, begin, end) of every cluster, in index order."""
+    return list(zip(tree.level.tolist(), tree.begin.tolist(), (tree.begin + tree.sizes).tolist()))
 
 
 @pytest.mark.parametrize("seed", range(120))
@@ -258,11 +278,10 @@ def test_builder_matches_recursive_reference(seed):
     leaf_size = 1 + seed % 11
     tree, oracle = _build_both(points, leaf_size)
     assert validate_tree(tree) is None
-    at = {(c.level, c.begin, c.end): c.index for c in oracle.clusters}
-    for c in tree.clusters:
-        j = at[c.level, c.begin, c.end]
-        assert np.array_equal(tree.box_min[c.index], oracle.box_min[j])
-        assert np.array_equal(tree.box_max[c.index], oracle.box_max[j])
+    at = {r: j for j, r in enumerate(_ranges(oracle))}
+    for i, r in enumerate(_ranges(tree)):
+        assert np.array_equal(tree.box_min[i], oracle.box_min[at[r]])
+        assert np.array_equal(tree.box_max[i], oracle.box_max[at[r]])
 
 
 def test_builder_raises_leaf_size_once_on_random_points():
@@ -284,58 +303,105 @@ def _built_trees():
 def test_built_trees_are_numbered_depth_first():
     for tree in _built_trees():
         assert len(tree) == 2 ** (tree.depth + 1) - 1
-        for c in tree.clusters:
-            if c.level < tree.depth:
-                assert c.sons == (c.index + 1, c.index + 2 ** (tree.depth - c.level))
+        level = tree.level.tolist()
+        for i in range(len(tree)):
+            if level[i] < tree.depth:
+                assert tree.sons(i) == (i + 1, i + 2 ** (tree.depth - level[i]))
             else:
-                assert c.sons == ()
-        starts = [tree.clusters[i].begin for i in tree.leaves()]
+                assert tree.sons(i) == ()
+        starts = tree.begin[tree.leaves()].tolist()
         assert starts == sorted(starts)
         full = Subtree.from_interior(tree, tree.has_sons)
         assert full.members() == list(range(len(tree)))
 
 
-def _walked_postorder(tree):
-    """Post-order by a depth-first walk, sons in son order."""
+def _walked(tree, pre):
+    """Pre- or post-order by a depth-first walk, sons in son order."""
     order, stack = [], [(tree.root, False)]
     while stack:
         node, expanded = stack.pop()
-        if expanded:
+        if expanded != pre:
             order.append(node)
-        else:
+        if not expanded:
             stack.append((node, True))
             stack.extend((s, False) for s in reversed(tree.sons(node)))
     return order
 
 
-def _father_loops(tree):
-    """level, father, sizes, has_sons and by_level, one cluster at a time."""
-    father = [-1] * len(tree)
-    by_level = [[tree.root]] + [[] for _ in range(max(c.level for c in tree.clusters))]
-    for c in tree.clusters:
-        for s in c.sons:
-            father[s] = c.index
-        if c.sons:
-            by_level[c.level + 1].extend(c.sons)
-    fields = [(c.level, c.size, bool(c.sons)) for c in tree.clusters]
-    return [list(x) for x in zip(*fields)] + [father, by_level]
-
-
-def test_tree_arrays_match_the_cluster_records():
-    trees = list(_built_trees())
+def _reference_trees():
+    """The built trees, then trees of the recursive builder, which
+    numbers padded clusters after the others, so not depth first."""
+    yield from _built_trees()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        # the recursive builder numbers padded clusters after the others
-        trees += [tree_reference.build_cluster_tree(_point_set(seed), 2 + seed)[0] for seed in range(8)]
-    for tree in trees:
-        level, sizes, has_sons, father, by_level = _father_loops(tree)
+        for seed in range(8):
+            yield tree_reference.build_cluster_tree(_point_set(seed), 2 + seed)[0]
+
+
+def _cluster_loops(tree, father):
+    """sons from the father input, then level, father, sizes, has_sons
+    and by_level from sons(i), one cluster at a time."""
+    sons = [[] for _ in father]
+    for i, f in enumerate(father):
+        if f >= 0:
+            sons[f].append(i)
+    level, father, sizes = [0] * len(tree), [-1] * len(tree), [0] * len(tree)
+    for i in _walked(tree, pre=True):
+        for s in tree.sons(i):
+            level[s], father[s] = level[i] + 1, i
+    by_level = [[tree.root]] + [[] for _ in range(max(level))]
+    for i in range(len(tree)):
+        if tree.sons(i):
+            by_level[level[i] + 1].extend(tree.sons(i))
+    # a leaf reaches to the next leaf in position order, a father's
+    # sons tile its positions
+    leaves = sorted((b, i) for i, b in enumerate(tree.begin.tolist()) if not tree.sons(i))
+    for (b, i), (e, _) in zip(leaves, leaves[1:] + [(tree.n, None)]):
+        sizes[i] = e - b
+    for i in _walked(tree, pre=False):
+        if tree.sons(i):
+            sizes[i] = sum(sizes[s] for s in tree.sons(i))
+    has_sons = [bool(tree.sons(i)) for i in range(len(tree))]
+    return [tuple(s) for s in sons], level, father, sizes, has_sons, by_level
+
+
+def test_tree_arrays_match_per_cluster_loops():
+    for tree in _reference_trees():
+        # both builders hand the tree an intp father array, which it keeps
+        father_input = tree.father.tolist()
+        sons, level, father, sizes, has_sons, by_level = _cluster_loops(tree, father_input)
+        assert [tree.sons(i) for i in range(len(tree))] == sons
         assert tree.level.tolist() == level
         assert tree.sizes.tolist() == sizes
         assert tree.has_sons.tolist() == has_sons
         assert tree.father.tolist() == father
         assert [ids.tolist() for ids in tree.by_level] == by_level
-        assert tree.postorder() == _walked_postorder(tree)
-        assert tree.post_order.tolist() == tree.postorder()
+        assert tree.post_order.tolist() == _walked(tree, pre=False)
+        assert tree.pre_order.tolist() == _walked(tree, pre=True)
+        assert tree.clusters.tolist() == list(range(len(tree)))
+        for fixed in (tree.son_ptr, tree.son_ids, tree.pre_order, tree.post_order, tree.clusters):
+            assert not fixed.flags.writeable
+
+
+def _walked_members(sub):
+    """Subtree members by a stack walk, sons in son order."""
+    out, stack = [], [sub.tree.root]
+    while stack:
+        i = stack.pop()
+        out.append(i)
+        if not sub.is_leaf(i):
+            stack.extend(reversed(sub.tree.sons(i)))
+    return out
+
+
+def test_members_and_leaves_equal_a_stack_walk(rng):
+    for tree in _reference_trees():
+        for steps in (0, 1, 3, 10, 40, len(tree)):
+            sub = random_subtree(tree, rng, steps=steps)
+            walked = _walked_members(sub)
+            assert sub.members() == walked
+            assert sub.leaves() == [i for i in walked if sub.is_leaf(i)]
+            assert leaf_ranges_tile(tree, sub.leaves())
 
 
 def test_builder_refuses_points_without_coordinates():

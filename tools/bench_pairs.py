@@ -15,10 +15,12 @@ with T the run_seconds of the change's BENCHMARK.json, once on each
 side, one run at a time; the parent runs first in even pairs and the
 change in odd ones.  The file records, per side, the
 median and quartiles (inclusive method) of every end-to-end metric of
-BENCHMARK.json, how many pairs the change was lower in for each metric
-that is better lower, every pair's values, and the first pair's full
-output.  Exits non-zero, writing nothing, if a run fails or reports a
-wrong output.
+BENCHMARK.json and the share of failed operations over all pairs, how
+many pairs the change was lower in for each metric that is better
+lower, every pair's values with its attempted and failed operations,
+and the first pair's full output.  Exits non-zero, writing nothing, if
+a run fails or reports a wrong output, so a written file shows the
+count of operations that passed the workload's oracle on each side.
 """
 
 import argparse
@@ -67,6 +69,8 @@ def summarize(pairs, metrics):
             values = [p[side][name] for p in pairs]
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             summary[side][name] = {"median": median, "q1": q1, "q3": q3}
+        failed, attempted = (sum(p[side][key] for p in pairs) for key in ("failed", "attempted"))
+        summary[side]["failed_share"] = failed / attempted
     for name, better in metrics.items():
         if better == "lower":
             summary[f"{name}_lower_in"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
@@ -106,7 +110,7 @@ def main(argv=None):
             for side in ("parent", "change"):
                 result = lines[side][-1]
                 pair[side] = {name: result["metrics"][name]["value"] for name in metrics}
-                pair[side].update(correct=result["correct"], failed=result["failed"])
+                pair[side].update({key: result[key] for key in ("correct", "attempted", "failed")})
             pairs.append(pair)
             if output is None:
                 output = {"seed": seed, "parent": lines["parent"], "change": lines["change"]}
