@@ -3,17 +3,17 @@
 A cluster basis stores one matrix per leaf cluster and one transfer
 matrix per non-root cluster; the matrix of an interior cluster is
 defined implicitly by stacking son matrices times their transfers.
-Ranks may vary from cluster to cluster.  The basis owns its layouts:
-one flat coefficient array (ptr), and one store each of leaf matrices
-and of transfers, stacked per (level, shape), over which its forward
-and backward transformations and the expansion of its vectors run as
-one stacked product per group.  An isometric basis has orthonormal
-columns at every cluster, which makes optimal projections and exact
-error computation possible.  The per-cluster matrices below, like the
-Gram family, are ClusterMatrices: stored once, stacked per (level,
-shape), for passes that treat one level of the tree at a time, and
-read per cluster through views.  A family names its kind and the
-source and target bases it was built for, which _check_family checks.
+Ranks may vary from cluster to cluster.  A basis is built from arrays:
+its ranks, its leaf matrices and its transfers in cluster order, which
+it copies once into its own layouts: one flat coefficient array (ptr),
+and one store each of leaf matrices and of transfers, stacked per
+(level, shape), over which its transformations and the expansion of
+its vectors run as one stacked product per group.  An isometric basis
+has orthonormal columns at every cluster, which makes optimal
+projections and exact error computation possible.  The per-cluster
+matrices below, like the Gram family, are ClusterMatrices too, read
+per cluster through views built on first read.  A family names its
+kind and its source and target bases, which _check_family checks.
 
 * merge factors: the orthogonal factor Q of one QR per interior
   cluster over the stacked transfer matrices.  Multiplying stacked son
@@ -30,6 +30,7 @@ source and target bases it was built for, which _check_family checks.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -92,42 +93,46 @@ class ClusterMatrices(Mapping):
     shapes[j], a row of a two-dimensional array, is the tuple
     (rows, cols, *more) of cluster clusters[j]; the clusters of one
     level with equal tuples form one group, in the order given, whose
-    matrices are one (b, rows, cols) stack.  groups run top-down, and levels[l] lists
-    the groups of level l, for passes that treat one level at a time.
-    The stacks lie in one flat store, where the matrix of cluster i
-    starts at start[i], row-major; it holds matrices[j] for clusters[j],
-    or zeros.  views, also read as self[i], is a read-only mapping
-    from each cluster to a view of its matrix.  A family's kind, one
-    of FAMILIES, and the source and target bases it was built for, by
-    whose ptr its groups' source and target entries are laid out, are
-    set by its builder; other matrices keep None.
+    matrices are one (b, rows, cols) stack.  groups run top-down, and
+    levels[l] lists the groups of level l.  The stacks lie in one flat
+    store, a copy of matrices (an array holding those of the given
+    clusters in the given order, one after another) or zeros, where
+    the matrix of cluster i starts at start[i], row-major; clusters
+    lists the clusters in store order.  views, also read as self[i], is
+    a read-only mapping from each cluster to a view of its matrix,
+    built on first read.  A family's kind, one of FAMILIES, and the
+    source and target bases it was built for, by whose ptr its groups'
+    source and target entries are laid out, are set by its builder;
+    other matrices keep None.
     """
 
     def __init__(self, tree, clusters, shapes, matrices=None):
         self.kind = self.source = self.target = None
         keys = np.column_stack((tree.level[clusters], shapes))
         order, bounds = _runs(keys)
-        keys, clusters = keys[order], np.asarray(clusters, dtype=np.intp)[order]
         size = keys[:, 1] * keys[:, 2]
-        self.store = np.zeros(size.sum())
+        self.store = np.zeros(size.sum()) if matrices is None else _reordered(matrices, size, order)
+        keys, size, self.clusters = keys[order], size[order], np.asarray(clusters, dtype=np.intp)[order]
         self.start = np.zeros(len(tree), dtype=np.intp)
-        self.start[clusters] = np.cumsum(size) - size
-        self.groups = []
-        self.levels = [[] for _ in tree.by_level]
-        views = []
+        self.start[self.clusters] = np.cumsum(size) - size
+        self.groups, self.levels = [], [[] for _ in tree.by_level]
         for a, z in zip(bounds[:-1], bounds[1:]):
             level, rows, cols = keys[a, :3].tolist()
-            at = self.start[clusters[a]]
+            at = self.start[self.clusters[a]]
             stack = self.store[at : at + (z - a) * rows * cols].reshape(-1, rows, cols)
-            if matrices is not None:
-                np.concatenate([matrices[j] for j in order[a:z].tolist()], out=stack.reshape(-1, cols))
-            group = MatrixGroup(clusters[a:z], stack)
-            views.extend(stack)
+            group = MatrixGroup(self.clusters[a:z], stack)
             self.groups.append(group)
             self.levels[level].append(group)
-        by_cluster = np.argsort(clusters).tolist()
-        views = map(views.__getitem__, by_cluster)
-        self.views = MappingProxyType(dict(zip(clusters[by_cluster].tolist(), views)))
+
+    @cached_property
+    def views(self):
+        views = zip(self.clusters.tolist(), (m for group in self.groups for m in group.stack))
+        return MappingProxyType(dict(sorted(views, key=lambda item: item[0])))
+
+    def by_index(self, store=None):
+        """The matrices, or those of a store laid out alike, as one new flat array in cluster order."""
+        size = np.diff(np.append(self.start[self.clusters], self.store.size))
+        return _reordered(self.store if store is None else store, size, np.argsort(self.clusters))
 
     def stacked(self, clusters, rows, cols):
         """A copy of the matrices of the given clusters, each rows x cols,
@@ -141,7 +146,7 @@ class ClusterMatrices(Mapping):
         return iter(self.views)
 
     def __len__(self):
-        return len(self.views)
+        return len(self.clusters)
 
 
 # each kind of family as messages name it, given and as an owner
@@ -184,11 +189,40 @@ def _runs(keys):
     return order, np.append(np.flatnonzero(new), len(order)).tolist()
 
 
-def _shapes(matrices):
-    """The shapes of the given matrices as a (len(matrices), 2) array,
-    with -1 in both columns where one is not a matrix."""
-    shapes = (m.shape if isinstance(m, np.ndarray) else np.shape(m) for m in matrices)
-    return np.array([s if len(s) == 2 else (-1, -1) for s in shapes], dtype=np.intp).reshape(-1, 2)
+def _reordered(matrices, size, order):
+    """Matrices of the given sizes, held row-major one after another in
+    an array, as one new flat array that holds them in the given order.
+    They move in units of the largest size dividing every size: whole
+    matrices when all share one size, whole rows when all share a rank."""
+    flat = np.asarray(matrices, dtype=float).ravel()
+    unit = int(np.gcd.reduce(size)) or 1
+    count = size // unit
+    begin, moved = (np.cumsum(count) - count)[order], count[order]
+    at = np.repeat(begin - np.cumsum(moved) + moved, moved)
+    at += np.arange(at.size)
+    return flat.reshape(-1, unit)[at].ravel()
+
+
+def _checked(store, clusters, shapes, what):
+    """The store, an array or None, as a flat array, or None; raises
+    ValueError, naming the first cluster at fault, unless it holds one
+    finite matrix of the given shape per cluster."""
+    if store is None:
+        return None
+    store = np.asarray(store, dtype=float).ravel()
+    ends = np.cumsum(shapes[:, 0] * shapes[:, 1])
+    if store.size != ends[-1:].sum():
+        if not ends.size:
+            raise ValueError(f"{store.size} {what} entries given, none needed")
+        j = min(int(np.searchsorted(ends, store.size, side="right")), ends.size - 1)
+        rows, cols = shapes[j]
+        raise ValueError(f"cluster {clusters[j]}: {store.size} {what} entries given, {ends[j]} needed "
+                         f"through its {rows} x {cols} {what}")
+    # the extremes are non-finite if any entry is, and reading them allocates no mask
+    if not np.isfinite([store.min(initial=0.0), store.max(initial=0.0)]).all():
+        j = int(np.searchsorted(ends, np.flatnonzero(~np.isfinite(store))[0], side="right"))
+        raise ValueError(f"cluster {clusters[j]}: non-finite entries in its {what}")
+    return store
 
 
 def _entries(ptr, clusters, width):
@@ -216,71 +250,59 @@ def run_steps(data, steps, add=True, out=None):
 class ClusterBasis:
     """Nested basis with per-cluster ranks: leaf plus transfer matrices.
 
-    leaf_matrix maps each tree leaf t to its (#indices, r_t) matrix;
-    transfer maps each non-root cluster s with father t to the r_s x r_t
-    matrix realizing nestedness.  rank is the largest cluster rank, the
-    common rank of a uniform basis.  A basis flagged isometric is
-    checked: V_t^T V_t = I at every leaf and sum_s E_s^T E_s = I over
-    the sons of every interior cluster.
+    ranks holds the rank r_t of every cluster t.  leaf_store holds the
+    (|t|, r_t) matrix of every leaf t, and transfer_store the r_s x r_t
+    transfer of every non-root cluster s with father t, realizing
+    nestedness: any arrays holding their matrices row-major, one after
+    another, in cluster order, or None for zeros.  Refused, naming
+    the first cluster at fault: ranks other than one positive integer
+    per cluster, and stores with a non-finite entry or not as many as
+    the ranks call for.  rank is the largest cluster rank, the common
+    rank of a uniform basis.  A basis flagged isometric is checked:
+    V_t^T V_t = I at every leaf and sum_s E_s^T E_s = I over the sons
+    of every interior cluster.
 
     The read-only ptr lays out one coefficient per cluster in a flat
-    array: cluster t owns the entries ptr[t] to ptr[t + 1], as many as
-    the columns of its leaf matrix or of its sons' transfers.  offsets
+    array: cluster t owns the entries ptr[t] to ptr[t + 1].  offsets
     holds ptr as a list, for walks that slice one cluster at a time.
 
-    The leaf matrices and the transfers are copied once into
-    ClusterMatrices stacked per (level, shape), and leaf_matrix and
-    transfer are read-only mappings of views into the stacks.  The
-    leaf_groups' source holds their clusters' entries, their target
+    The stores are copied once into ClusterMatrices stacked per (level,
+    shape), leaf_matrices and transfer_matrices; by_index gives them
+    back in cluster order, and leaf_matrix and transfer are their views.
+    The leaf_groups' source holds their clusters' entries, their target
     the clusters' tree positions.  The transfer groups, per (level,
-    rank, father rank), run top-down in groups; their source and
-    target hold the entries of the fathers and of the sons, and
-    levels[l] lists the groups of the sons on level l.  The transfer
-    of s starts at transfer_start[s] in the flat transfer_store.
-    forward_steps and backward_steps cut the transfer groups to the
-    clusters a transformation treats, and forward and backward run
-    those steps.
+    rank, father rank), run top-down in groups; their source and target
+    hold the entries of the fathers and of the sons, and levels[l] lists
+    the groups of the sons on level l.  The transfer of s starts at
+    transfer_start[s] in the flat transfer_store.  forward_steps and
+    backward_steps cut the transfer groups to the clusters a
+    transformation treats, and forward and backward run those steps.
     """
 
-    def __init__(self, tree, leaf_matrix, transfer, isometric=False):
-        self.tree = tree
-        self.isometric = isometric
+    def __init__(self, tree, ranks, leaf_store, transfer_store, isometric=False):
+        self.tree, self.isometric = tree, isometric
+        rank = np.asarray(ranks)
+        if rank.shape != (len(tree),) or rank.dtype.kind != "i":
+            raise ValueError(f"expected {len(tree)} integer ranks, got {rank.dtype} of shape {rank.shape}")
+        if rank.min() < 1:
+            raise ValueError(f"cluster {np.argmin(rank)}: rank {rank.min()} is not positive")
         leaves, sons = np.flatnonzero(~tree.has_sons), np.flatnonzero(tree.father >= 0)
-        given = []
-        for mapping, clusters, what in ((leaf_matrix, leaves, "leaf matrix"), (transfer, sons, "transfer")):
-            matrices = list(map(mapping.get, clusters.tolist()))
-            missing = [m is None for m in matrices]
-            if any(missing):
-                raise ValueError(f"cluster {clusters[missing.index(True)]}: no {what} given")
-            given.append((matrices, _shapes(matrices)))
-        (leaf_list, leaf_shape), (transfer_list, transfer_shape) = given
-        fathers = tree.father[sons]
-        # a father's rank is the column count of its eldest son's transfer
-        eldest = np.full(len(tree), len(tree))
-        np.minimum.at(eldest, fathers, np.arange(len(sons)))
-        rank = np.zeros(len(tree), dtype=np.intp)
-        rank[leaves] = leaf_shape[:, 1]
-        rank[fathers] = transfer_shape[eldest[fathers], 1]
+        leaf_shapes = np.column_stack((tree.sizes[leaves], rank[leaves]))
+        shapes = np.column_stack((rank[sons], rank[tree.father[sons]]))
+        leaf_store = _checked(leaf_store, leaves, leaf_shapes, "leaf matrix")
+        transfer_store = _checked(transfer_store, sons, shapes, "transfer")
         self.rank = int(rank.max())
         self.ptr = np.concatenate([[0], np.cumsum(rank)])
         self.ptr.flags.writeable = False
         self.offsets = self.ptr.tolist()
-        shapes = np.column_stack((rank[sons], rank[fathers]))
-        leaf_shapes = np.column_stack((tree.sizes[leaves], rank[leaves]))
-        expected = [(sons, transfer_shape, shapes, "transfer"), (leaves, leaf_shape, leaf_shapes, "leaf matrix")]
-        for clusters, have, want, what in expected:
-            bad = np.flatnonzero(np.any(have != want, axis=1))
-            if bad.size:
-                rows, r = want[bad[0]]
-                raise ValueError(f"cluster {clusters[bad[0]]}: expected a {rows} x {r} {what}")
-        stacks = ClusterMatrices(tree, leaves, leaf_shapes, leaf_list)
-        self.leaf_matrix, self.leaf_groups = stacks.views, stacks.groups
+        self.leaf_matrices = ClusterMatrices(tree, leaves, leaf_shapes, leaf_store)
+        self.leaf_groups = self.leaf_matrices.groups
         for group in self.leaf_groups:
             rows, r = group.stack.shape[1:]
             group.source = _entries(self.ptr, group.clusters, r)
             group.target = tree.begin[group.clusters][:, None] + np.arange(rows)
-        stacks = ClusterMatrices(tree, sons, shapes, transfer_list)
-        self.transfer, self.groups, self.levels = stacks.views, stacks.groups, stacks.levels
+        stacks = self.transfer_matrices = ClusterMatrices(tree, sons, shapes, transfer_store)
+        self.groups, self.levels = stacks.groups, stacks.levels
         self.transfer_store, self.transfer_start = stacks.store, stacks.start
         for group in self.groups:
             r2, r = group.stack.shape[1:]
@@ -289,6 +311,9 @@ class ClusterBasis:
             group.target = _entries(self.ptr, group.clusters, r2)
         if isometric:
             self._check_isometric()
+
+    leaf_matrix = property(lambda self: self.leaf_matrices.views)
+    transfer = property(lambda self: self.transfer_matrices.views)
 
     def _check_isometric(self):
         rank = np.diff(self.ptr)
@@ -361,14 +386,9 @@ class ClusterBasis:
 
     def materialize(self, i):
         """Expand the basis matrix of cluster i down to its leaves."""
-        tree = self.tree
-        if tree.is_leaf(i):
+        if self.tree.is_leaf(i):
             return self.leaf_matrix[i]
-        blocks = [
-            kernels.matmul(self.materialize(s), self.transfer[s])
-            for s in tree.sons(i)
-        ]
-        return np.vstack(blocks)
+        return np.vstack([kernels.matmul(self.materialize(s), self.transfer[s]) for s in self.tree.sons(i)])
 
 
 def _kron(factors):
@@ -415,7 +435,6 @@ def polynomial_basis(tree, points, degree):
     owner, at = np.repeat(leaves, tree.sizes[leaves]), np.concatenate([tree.indices(i) for i in leaves])
     scaled = (2.0 * points[at] - low[owner] - high[owner]) / span[owner]
     values = _kron([legvander(x, degree)[:, None, :] for x in scaled.T])[:, 0, :]
-    leaf_matrix = dict(zip(leaves, np.split(values, np.cumsum(tree.sizes[leaves])[:-1])))
     sons = np.flatnonzero(tree.father >= 0)
     fathers = tree.father[sons]
     scale = (high[sons] - low[sons]) / span[fathers]
@@ -426,7 +445,7 @@ def polynomial_basis(tree, points, degree):
         legvander(nodes, degree), legvander(scale[..., None] * nodes + shift[..., None], degree)
     )
     transfers = _kron([per_axis[:, d] for d in range(tree.dim)])
-    basis = ClusterBasis(tree, leaf_matrix, dict(zip(sons.tolist(), transfers)), isometric=False)
+    basis = ClusterBasis(tree, np.full(len(tree), rank), values, transfers, isometric=False)
     deficient = np.zeros(len(tree), dtype=bool)
     for group in basis.leaf_groups:
         deficient[group.clusters] = np.linalg.matrix_rank(group.stack) < rank
@@ -444,7 +463,7 @@ def polynomial_basis(tree, points, degree):
 def orthogonalize(basis):
     """Turn a cluster basis into an isometric one with the same ranges.
 
-    Returns (iso, change): change, a read-only mapping, holds for every
+    Returns (iso, change): change, ClusterMatrices, holds for every
     cluster i the upper-triangular matrix change[i], with non-negative
     diagonal, such that basis.materialize(i) = iso.materialize(i) @
     change[i].  Level by level, bottom-up, one stacked QR factors each
@@ -465,7 +484,7 @@ def orthogonalize(basis):
     # per son s, change[s] @ E_s and then the new transfer, laid out as the transfers
     product, transfers = np.empty_like(basis.transfer_store), np.empty_like(basis.transfer_store)
     change = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rank, rank)))
-    leaf_matrix, deficient = {}, np.zeros(len(tree), dtype=bool)
+    leaves, deficient = np.empty_like(basis.leaf_matrices.store), np.zeros(len(tree), dtype=bool)
 
     def factor(ids, a):
         """QRs of the stack a of the matrices of clusters ids: records
@@ -477,11 +496,10 @@ def orthogonalize(basis):
         return q[:, :, : r.shape[2]]
 
     for level in reversed(range(len(tree.by_level))):
-        for group in basis.leaf_groups:
-            if tree.level[group.clusters[0]] == level:
-                # copied: a view would keep the complete (m x m) factors alive
-                q = factor(group.clusters, group.stack).copy()
-                leaf_matrix.update(zip(group.clusters.tolist(), q))
+        for group in basis.leaf_matrices.levels[level]:
+            # copied: a view would keep the complete (m x m) factors alive
+            at, shape = basis.leaf_matrices.start[group.clusters[0]], group.stack.shape
+            leaves[at : at + group.stack.size].reshape(shape)[:] = factor(group.clusters, group.stack)
         here = tree.by_level[level][tree.has_sons[tree.by_level[level]]]
         by_shape, bounds = _runs(np.column_stack((rows[here], rank[here])))
         for a, z in zip(bounds[:-1], bounds[1:]):
@@ -496,12 +514,8 @@ def orthogonalize(basis):
     bad = order[deficient[order]]
     if bad.size:
         raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")
-    transfer = {}
-    for group in basis.groups:
-        at = start[group.clusters[0]]
-        stack = transfers[at : at + group.stack.size].reshape(group.stack.shape)
-        transfer.update(zip(group.clusters.tolist(), stack))
-    return ClusterBasis(tree, leaf_matrix, transfer, isometric=True), change.views
+    leaves, transfers = basis.leaf_matrices.by_index(leaves), basis.transfer_matrices.by_index(transfers)
+    return ClusterBasis(tree, rank, leaves, transfers, isometric=True), change
 
 
 def _son_entries(tree, fathers, start, width):

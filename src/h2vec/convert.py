@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .basis import ClusterBasis, _check_family, _runs
+from .basis import ClusterBasis, _check_family
 from .hvector import HVector
 from .tree import Subtree
 
@@ -100,27 +100,19 @@ def materialize_induced(plan):
     son's transfer, so the transfers are written into one store only.
     """
     mat = plan.matrix
-    row_tree = mat.block_tree.row_tree
-    col_tree = mat.block_tree.col_tree
+    row_tree, col_tree = mat.block_tree.row_tree, mat.block_tree.col_tree
     ptr = plan.ptr
     rank, father = np.diff(ptr), row_tree.father
     leaf, nonleaf = plan.leaf_blocks, plan.nonleaf_blocks
     sons = np.flatnonzero(father >= 0)
     cols = np.flatnonzero(col_tree.father >= 0)
-    lead = np.arange(mat.rank)
-    input_transfer = np.zeros((len(col_tree), plan.input_basis.rank, plan.input_basis.rank))
-    input_transfer[cols] = _stacked(plan.input_basis, cols)
+    lead, k = np.arange(mat.rank), plan.input_basis.rank
+    input_transfer = np.zeros((len(col_tree), k, k))
+    input_transfer[cols] = plan.input_basis.transfer_matrices.stacked(cols, k, k)
     # cross[s2] times the input transfer of s2, shared by all blocks (t2, s2)
     pushed = np.zeros(plan.cross.shape)
     pushed[cols] = kernels.matmul(plan.cross[cols], input_transfer[cols])
-    # zero transfers, one view of one zero matrix per pair of ranks
-    zero = np.zeros((rank.max(), rank.max()))
-    order, bounds = _runs(np.column_stack((rank[sons], rank[father[sons]])))
-    blank = {}
-    for a, z in zip(bounds[:-1], bounds[1:]):
-        ids = sons[order[a:z]]
-        blank.update(dict.fromkeys(ids.tolist(), zero[: rank[ids[0]], : rank[father[ids[0]]]]))
-    induced = ClusterBasis(row_tree, mat.row_basis.leaf_matrix, blank)
+    induced = ClusterBasis(row_tree, rank, mat.row_basis.leaf_matrices.by_index(), None)
     start = induced.transfer_start
 
     def place(son, rows, columns, tiles, write):
@@ -134,7 +126,7 @@ def materialize_induced(plan):
 
     # only the leaf-block tiles overlap; they add up in block order
     rows, columns = ptr[sons][:, None] + lead, ptr[father[sons]][:, None] + lead
-    tiles = _stacked(mat.row_basis, sons)
+    tiles = mat.row_basis.transfer_matrices.stacked(sons, mat.rank, mat.rank)
     place(sons, rows, columns, tiles, np.put)
     below = leaf.parent < nonleaf.row.size
     coupled = kernels.matmul(mat.coupling[leaf.number[below]], pushed[leaf.col[below]])
@@ -145,12 +137,6 @@ def materialize_induced(plan):
     tiles = input_transfer[nonleaf.col[inner]]
     place(nonleaf.row[inner], nonleaf.target[inner], slot, tiles, np.put)
     return induced
-
-
-def _stacked(basis, sons):
-    """The transfers of the given sons in a basis of one rank, stacked."""
-    r = basis.rank
-    return basis.transfer_store[basis.transfer_start[sons][:, None] + np.arange(r * r)].reshape(-1, r, r)
 
 
 def _rows(mask):

@@ -44,14 +44,14 @@ __all__ = [
 
 class LeafCoefficients(Mapping):
     """Read-only mapping from the subtree leaves of x to writable views
-    of their entries in x.data."""
+    of their entries in x.data; any other key is missing."""
 
     def __init__(self, x):
         self.x = x
 
     def __getitem__(self, i):
         off = self.x.basis.offsets
-        if not (0 <= i < len(off) - 1 and self.x.sub.is_leaf(i)):
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < len(off) - 1 and self.x.sub.is_leaf(i)):
             raise KeyError(i)
         return self.x.data[off[i] : off[i + 1]]
 

@@ -52,11 +52,10 @@ def random_basis(tree, rank, rng):
     v = rng.standard_normal((sizes.sum(), rank))
     ends = np.cumsum(sizes)
     v[(ends - sizes)[:, None] + np.arange(rank), np.arange(rank)] += 2.0
-    leaf_matrix = {i: v[z - k : z] for i, k, z in zip(leaves.tolist(), sizes.tolist(), ends.tolist())}
     sons = np.flatnonzero(tree.father >= 0)
-    sons = sons[np.argsort(tree.father[sons], kind="stable")]
-    transfer = dict(zip(sons.tolist(), rng.standard_normal((sons.size, rank, rank))))
-    return ClusterBasis(tree, leaf_matrix, transfer, isometric=False)
+    transfers = np.empty((sons.size, rank, rank))
+    transfers[np.argsort(tree.father[sons], kind="stable")] = rng.standard_normal(transfers.shape)
+    return ClusterBasis(tree, np.full(len(tree), rank), v, transfers, isometric=False)
 
 
 def random_iso_basis(tree, rank, rng):

@@ -205,7 +205,7 @@ def build_plan(matrix, input_basis):
     coupling = _coupling_groups(matrix, leaf_blocks)
     plan = MatvecPlan(matrix, input_basis, cross, ptr, leaf_blocks, nonleaf_blocks, coupling)
     plan.induced = materialize_induced(plan)
-    plan.ptr = plan.induced.ptr  # the same offsets, computed from the transfers
+    plan.ptr = plan.induced.ptr  # the same offsets, read-only
     return plan
 
 

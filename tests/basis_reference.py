@@ -8,12 +8,80 @@ a time in post-order for `cross_gram_family`, and one draw per leaf
 and per transfer for `instances.random_basis`.  They call the same
 kernels, or draw the same numbers, in the same order per cluster, so
 their outputs, and their counted flops, are the library's bit for bit.
+
+`mapping_basis` builds a basis from per-cluster mappings, as hand-built
+test bases are written, and `mapping_layout` lays such mappings out one
+matrix at a time: the oracle of the stores and groups that the array
+constructor of `ClusterBasis` lays out in one pass.
 """
 
 import numpy as np
 
 from h2vec import kernels
 from h2vec.basis import ClusterBasis, ClusterMatrices, _entries, _family, _kron
+
+
+def _mapping_ranks(tree, leaf_matrix, transfer):
+    """Per-cluster ranks read from the mappings: a leaf's from its leaf
+    matrix, an interior cluster's from its eldest son's transfer.  Raises
+    ValueError naming the first leaf or son, in index order, that has no
+    matrix or one of the wrong shape."""
+    leaves, sons = tree.leaves(), np.flatnonzero(tree.father >= 0).tolist()
+    for clusters, mapping, what in ((leaves, leaf_matrix, "leaf matrix"), (sons, transfer, "transfer")):
+        for i in clusters:
+            if i not in mapping:
+                raise ValueError(f"cluster {i}: no {what} given")
+    rank = np.zeros(len(tree), dtype=int)
+    for i in leaves:
+        rank[i] = np.shape(leaf_matrix[i])[-1]
+    for s in reversed(sons):
+        rank[tree.father[s]] = np.shape(transfer[s])[-1]
+    for s in sons:
+        if np.shape(transfer[s]) != (rank[s], rank[tree.father[s]]):
+            raise ValueError(f"cluster {s}: expected a {rank[s]} x {rank[tree.father[s]]} transfer")
+    for i in leaves:
+        if np.shape(leaf_matrix[i]) != (tree.sizes[i], rank[i]):
+            raise ValueError(f"cluster {i}: expected a {tree.sizes[i]} x {rank[i]} leaf matrix")
+    return rank
+
+
+def mapping_basis(tree, leaf_matrix, transfer, isometric=False):
+    """ClusterBasis from mappings of each leaf to its leaf matrix and of
+    each non-root cluster to its transfer, with the ranks they imply."""
+    rank = _mapping_ranks(tree, leaf_matrix, transfer)
+    leaves, sons = tree.leaves(), np.flatnonzero(tree.father >= 0).tolist()
+    leaf_store = np.concatenate([np.ravel(leaf_matrix[i]) for i in leaves])
+    transfer_store = np.concatenate([np.zeros(0)] + [np.ravel(transfer[s]) for s in sons])
+    return ClusterBasis(tree, rank, leaf_store, transfer_store, isometric=isometric)
+
+
+def mapping_layout(tree, leaf_matrix, transfer):
+    """The layout of a basis built from the mappings, one matrix at a
+    time: ptr, and per kind ("leaf", "transfer") the store, the start of
+    each cluster's matrix in it, and per (level, shape) group, top-down,
+    its clusters in index order and their source, target and fathers."""
+    rank = _mapping_ranks(tree, leaf_matrix, transfer)
+    ptr = np.concatenate([[0], np.cumsum(rank)])
+    out = {"ptr": ptr}
+    for kind, mapping in (("leaf", leaf_matrix), ("transfer", transfer)):
+        start, store, groups, at = np.zeros(len(tree), dtype=np.intp), [np.zeros(0)], [], 0
+        key = {i: (int(tree.level[i]), *np.shape(mapping[i])) for i in mapping}
+        for i in sorted(mapping, key=lambda i: (key[i], i)):
+            start[i], at = at, at + np.size(mapping[i])
+            store.append(np.ravel(mapping[i]))
+            if not groups or key[groups[-1]["clusters"][-1]] != key[i]:
+                groups.append({"clusters": [], "source": [], "target": [], "fathers": []})
+            group, father = groups[-1], int(tree.father[i])
+            group["clusters"].append(i)
+            if kind == "leaf":
+                group["source"].append(list(range(ptr[i], ptr[i + 1])))
+                group["target"].append(list(range(tree.begin[i], tree.begin[i] + tree.sizes[i])))
+            else:
+                group["fathers"].append(father)
+                group["source"].append(list(range(ptr[father], ptr[father + 1])))
+                group["target"].append(list(range(ptr[i], ptr[i + 1])))
+        out[kind] = {"store": np.concatenate(store), "start": start, "groups": groups}
+    return out
 
 
 def orthogonalize(basis):
@@ -44,7 +112,7 @@ def orthogonalize(basis):
         for s in sons:
             transfer[s] = q[at : at + len(change[s])]
             at += len(change[s])
-    iso = ClusterBasis(tree, leaf_matrix, transfer, isometric=True)
+    iso = mapping_basis(tree, leaf_matrix, transfer, isometric=True)
     return iso, change
 
 
@@ -127,4 +195,4 @@ def random_basis(tree, rank, rng):
     for i in range(len(tree.clusters)):
         for s in tree.sons(i):
             transfer[s] = rng.standard_normal((rank, rank))
-    return ClusterBasis(tree, leaf_matrix, transfer, isometric=False)
+    return mapping_basis(tree, leaf_matrix, transfer)

@@ -236,7 +236,7 @@ def test_coarsening_factors_analytic_rank_one():
     s = 1.0 / np.sqrt(2.0)
     leaf_matrix = {i: np.ones((1, 1)) for i in tree.leaves()}
     transfer = {i: np.array([[s]]) for i in tree.leaves()}
-    iso = ClusterBasis(tree, leaf_matrix, transfer, isometric=True)
+    iso = basis_reference.mapping_basis(tree, leaf_matrix, transfer, isometric=True)
     factors = coarsening_factors(iso)
     out = factors[tree.root].T @ np.array([1.0, -1.0])
     assert abs(abs(out[0]) - 0.0) <= 1e-14  # merged coefficient (1-1)/sqrt2
@@ -450,9 +450,9 @@ def test_isometric_flag_is_checked():
     tree = random_instance(64, 2, 2, 1.0, 0).tree
     b = random_basis(tree, 2, np.random.default_rng(1))
     with pytest.raises(ValueError, match=r"cluster \d+: basis flagged isometric"):
-        ClusterBasis(tree, b.leaf_matrix, b.transfer, isometric=True)
+        ClusterBasis(tree, np.diff(b.ptr), b.leaf_matrices.by_index(), b.transfer_matrices.by_index(), isometric=True)
     iso, _ = orthogonalize(b)
-    again = ClusterBasis(tree, iso.leaf_matrix, iso.transfer, isometric=True)
+    again = basis_reference.mapping_basis(tree, iso.leaf_matrix, iso.transfer, isometric=True)
     assert all(np.array_equal(again.transfer[s], e) for s, e in iso.transfer.items())
 
 
@@ -461,32 +461,120 @@ def test_isometric_check_names_a_bad_leaf(rng):
     leaf = iso.tree.leaves()[1]
     leaf_matrix = {**iso.leaf_matrix, leaf: 2.0 * iso.leaf_matrix[leaf]}
     with pytest.raises(ValueError, match=f"cluster {leaf}:"):
-        ClusterBasis(iso.tree, leaf_matrix, iso.transfer, isometric=True)
+        basis_reference.mapping_basis(iso.tree, leaf_matrix, iso.transfer, isometric=True)
+
+
+def _stores(basis):
+    """A basis's ranks, leaf store and transfer store, in cluster order."""
+    return np.diff(basis.ptr), basis.leaf_matrices.by_index(), basis.transfer_matrices.by_index()
 
 
 def test_transfer_shape_mismatch_names_the_cluster(rng):
+    # ranks that do not fit the tree or the stores; a store that ends
+    # early names the first cluster whose matrix it cuts
     b = random_basis(line_tree(16, 4), 2, rng)
-    son = b.tree.sons(b.tree.root)[1]
-    transfer = {**b.transfer, son: np.ones((3, 2))}
-    with pytest.raises(ValueError, match=f"cluster {son}: expected a 2 x 2 transfer"):
-        ClusterBasis(b.tree, b.leaf_matrix, transfer)
-    leaf = b.tree.leaves()[2]
-    leaf_matrix = {**b.leaf_matrix, leaf: np.ones((3, 2))}
-    with pytest.raises(ValueError, match=f"cluster {leaf}: expected a 4 x 2 leaf matrix"):
-        ClusterBasis(b.tree, leaf_matrix, b.transfer)
+    tree, (rank, leaves, transfers) = b.tree, _stores(b)
+    assert len(tree) == 7
+    with pytest.raises(ValueError, match="^expected 7 integer ranks, got int64 of shape \\(6,\\)$"):
+        ClusterBasis(tree, rank[:-1], leaves, transfers)
+    with pytest.raises(ValueError, match="^expected 7 integer ranks, got float64 of shape \\(7,\\)$"):
+        ClusterBasis(tree, rank * 1.0, leaves, transfers)
+    zero = rank.copy()
+    zero[3] = 0
+    with pytest.raises(ValueError, match="^cluster 3: rank 0 is not positive$"):
+        ClusterBasis(tree, zero, leaves, transfers)
+    last = tree.leaves()[-1]
+    wide = rank.copy()
+    wide[last] = 3
+    message = f"^cluster {last}: 32 leaf matrix entries given, 36 needed through its 4 x 3 leaf matrix$"
+    with pytest.raises(ValueError, match=message):
+        ClusterBasis(tree, wide, leaves, transfers)
+    message = f"^cluster {last}: 24 transfer entries given, 26 needed through its 3 x 2 transfer$"
+    with pytest.raises(ValueError, match=message):
+        ClusterBasis(tree, wide, np.ones(36), transfers)
 
 
 def test_missing_leaf_matrix_or_transfer_names_the_cluster(rng):
+    # a store that ends early names the first cluster whose matrix is
+    # missing; one with entries left over names the last cluster
     iso = random_iso_basis(line_tree(16, 4), 2, rng)
-    leaf = iso.tree.leaves()[0]
-    with pytest.raises(ValueError, match=f"cluster {leaf}: no leaf matrix given"):
-        ClusterBasis(iso.tree, {}, iso.transfer)
-    son = iso.tree.sons(iso.tree.root)[0]
-    with pytest.raises(ValueError, match=f"cluster {son}: no transfer given"):
-        ClusterBasis(iso.tree, iso.leaf_matrix, {})
-    leaf_matrix = {i: m for i, m in iso.leaf_matrix.items() if i != iso.tree.leaves()[-1]}
-    with pytest.raises(ValueError, match=f"cluster {iso.tree.leaves()[-1]}: no leaf matrix"):
-        ClusterBasis(iso.tree, leaf_matrix, iso.transfer)
+    tree, (rank, leaves, transfers) = iso.tree, _stores(iso)
+    first, last = tree.leaves()[0], tree.leaves()[-1]
+    message = f"^cluster {first}: 0 leaf matrix entries given, 8 needed through its 4 x 2 leaf matrix$"
+    with pytest.raises(ValueError, match=message):
+        ClusterBasis(tree, rank, [], transfers)
+    son = tree.sons(tree.root)[0]
+    with pytest.raises(ValueError, match=f"^cluster {son}: 0 transfer entries given, 4 needed through its 2 x 2"):
+        ClusterBasis(tree, rank, leaves, [])
+    with pytest.raises(ValueError, match=f"^cluster {last}: 24 leaf matrix entries given, 32 needed"):
+        ClusterBasis(tree, rank, leaves[:-8], transfers)
+    with pytest.raises(ValueError, match=f"^cluster {len(tree) - 1}: 25 transfer entries given, 24 needed"):
+        ClusterBasis(tree, rank, leaves, np.append(transfers, 0.0))
+    with pytest.raises(ValueError, match="^2 transfer entries given, none needed$"):
+        ClusterBasis(line_tree(4, 4), [1], np.ones(4), np.ones(2))
+
+
+@pytest.mark.parametrize("isometric", [False, True])
+def test_non_finite_entries_name_the_cluster(rng, isometric):
+    iso = random_iso_basis(line_tree(16, 4), 2, rng)
+    tree, (rank, leaves, transfers) = iso.tree, _stores(iso)
+    # clusters 1, 2 and 3 come first, 4 entries each
+    son = tree.sons(tree.root)[1]
+    assert son == 4
+    bad = transfers.copy()
+    bad[3 * 4 + 3] = np.nan
+    with pytest.raises(ValueError, match=f"^cluster {son}: non-finite entries in its transfer$"):
+        ClusterBasis(tree, rank, leaves, bad, isometric=isometric)
+    leaf = tree.leaves()[2]
+    bad = leaves.copy()
+    bad[2 * 8] = -np.inf
+    with pytest.raises(ValueError, match=f"^cluster {leaf}: non-finite entries in its leaf matrix$"):
+        ClusterBasis(tree, rank, bad, transfers, isometric=isometric)
+    assert ClusterBasis(tree, rank, leaves, transfers, isometric=isometric).isometric == isometric
+
+
+def _layout_cases():
+    rng = np.random.default_rng(28)
+    line, plane = line_tree(200, 8), build_cluster_tree(lshape_sites(32)[1], 64)
+    tree = random_tree(rng, 150, 2, 8)
+    yield "random", random_basis(tree, min(3, tree.sizes[~tree.has_sons].min()), rng)
+    yield "random-iso", random_iso_basis(line_tree(96, 6), 2, rng)
+    for degree in (1, 2, 3):
+        yield f"line-degree-{degree}", polynomial_basis(line, np.linspace(0.0, 1.0, 200), degree)
+        yield f"plane-degree-{degree}", polynomial_basis(plane, lshape_sites(32)[1], degree)
+    yield "ragged", ragged_basis(random_tree(rng, 200, 2, 8), rng, 5)
+    for n in (64, 300, 4096):
+        yield f"induced-{n}", random_instance(n, 3, 3, 1.0, n).plan.induced
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+def test_array_constructor_lays_out_the_mapping_constructors_stores():
+    # the stores, ptr, starts and groups, bit for bit, against the
+    # former constructor's layout of the same matrices one at a time
+    for name, basis in _layout_cases():
+        want = basis_reference.mapping_layout(basis.tree, basis.leaf_matrix, basis.transfer)
+        assert np.array_equal(basis.ptr, want["ptr"]), name
+        for kind, stacks, groups in (
+            ("leaf", basis.leaf_matrices, basis.leaf_groups),
+            ("transfer", basis.transfer_matrices, basis.groups),
+        ):
+            assert stacks.store.tobytes() == want[kind]["store"].tobytes(), (name, kind)
+            assert np.array_equal(stacks.start, want[kind]["start"]), (name, kind)
+            assert len(groups) == len(want[kind]["groups"]), (name, kind)
+            for got, expected in zip(groups, want[kind]["groups"]):
+                assert got.clusters.tolist() == expected["clusters"], (name, kind)
+                assert got.source.tolist() == expected["source"], (name, kind)
+                assert got.target.tolist() == expected["target"], (name, kind)
+                fathers = [] if got.fathers is None else got.fathers.tolist()
+                assert fathers == expected["fathers"], (name, kind)
+        assert basis.transfer_store is basis.transfer_matrices.store
+        assert np.array_equal(basis.transfer_start, want["transfer"]["start"]), name
+        # the views are built once, on first read
+        assert basis.leaf_matrix is basis.leaf_matrix and basis.transfer is basis.transfer
+        # and the mapping constructor gives the same basis again
+        again = basis_reference.mapping_basis(basis.tree, basis.leaf_matrix, basis.transfer)
+        assert again.leaf_matrices.store.tobytes() == basis.leaf_matrices.store.tobytes(), name
+        assert again.transfer_store.tobytes() == basis.transfer_store.tobytes(), name
 
 
 def ragged_basis(tree, rng, max_rank):
@@ -503,7 +591,7 @@ def ragged_basis(tree, rng, max_rank):
         for i in range(len(tree))
         for s in tree.sons(i)
     }
-    return ClusterBasis(tree, leaf_matrix, transfer)
+    return basis_reference.mapping_basis(tree, leaf_matrix, transfer)
 
 
 def loop_forward(basis, data, member):
@@ -651,7 +739,7 @@ def test_orthogonalize_names_the_first_short_stack_in_post_order(rng):
     assert tree.post_order.tolist() == [2, 3, 1, 5, 6, 4, 0]
     leaf_matrix = {i: rng.standard_normal((4, rank[i])) for i in tree.leaves()}
     transfer = {s: rng.standard_normal((rank[s], rank[int(tree.father[s])])) for s in range(1, 7)}
-    basis = ClusterBasis(tree, leaf_matrix, transfer)
+    basis = basis_reference.mapping_basis(tree, leaf_matrix, transfer)
     message = "^cluster 4: transfer stack has 2 rows, fewer than its rank 3$"
     for build in (basis_reference.orthogonalize, orthogonalize):
         with pytest.raises(ValueError, match=message):

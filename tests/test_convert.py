@@ -27,6 +27,7 @@ from h2vec.instances import (
 )
 from h2vec.matvec import InducedHVector, multiply
 
+import basis_reference
 import matvec_reference as reference
 
 
@@ -151,8 +152,6 @@ def test_convert_representable_at_root(rng, setup):
     # induced coefficients supported on the row-basis block then commit
     # at the root with zero error, even though Z_root itself is nonzero
     inst, induced, _, _ = setup
-    from h2vec.basis import ClusterBasis
-
     row = inst.matrix.row_basis
     tree = inst.tree
     leaf_matrix = {
@@ -166,7 +165,7 @@ def test_convert_representable_at_root(rng, setup):
             e[:2, :2] = row.transfer[s]
             e[2, 2] = 1.0 + rng.random()
             transfer[s] = e
-    wide = ClusterBasis(tree, leaf_matrix, transfer)
+    wide = basis_reference.mapping_basis(tree, leaf_matrix, transfer)
     target, _ = orthogonalize(wide)
     zfac = projection_factors(induced, target)
     pfac = coarsening_factors(target)

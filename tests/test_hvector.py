@@ -24,6 +24,7 @@ from h2vec.instances import (
 )
 from h2vec.tree import Subtree
 
+import basis_reference
 from conftest import prefix_subtree
 
 
@@ -96,11 +97,9 @@ def test_coarsen_round_trip(rng, small_iso):
 
 
 def test_coarsen_analytic_rank_one():
-    from h2vec.basis import ClusterBasis
-
     tree = line_tree(2, 1)
     s = 1.0 / np.sqrt(2.0)
-    iso = ClusterBasis(
+    iso = basis_reference.mapping_basis(
         tree,
         {i: np.ones((1, 1)) for i in tree.leaves()},
         {i: np.array([[s]]) for i in tree.leaves()},
@@ -388,6 +387,19 @@ def test_coeff_is_a_read_only_mapping_of_views(rng, small_iso):
         x.coeff[small_iso.tree.root]
     with pytest.raises(TypeError):
         x.coeff[small_iso.tree.root] = np.zeros(3)
+
+
+def test_non_integer_keys_are_missing_from_coefficients_and_views(rng, small_iso):
+    # Mapping.__contains__ answers False only on KeyError
+    x = random_hvector(small_iso, rng, steps=3)
+    views = (small_iso.leaf_matrix, small_iso.transfer, gram_family(small_iso))
+    for mapping in (x.coeff, *views):
+        for key in (1.5, "3", None):
+            assert key not in mapping
+            with pytest.raises(KeyError):
+                mapping[key]
+    leaf = x.sub.leaves()[0]
+    assert leaf in x.coeff and np.int64(leaf) in x.coeff and float(leaf) not in x.coeff
 
 
 _property = settings(max_examples=40, deadline=None)

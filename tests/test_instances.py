@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import basis_reference
+from h2vec import basis
 from h2vec.basis import orthogonalize
 from h2vec.h2matrix import build_block_tree, random_h2
 from h2vec.instances import line_tree, random_basis, random_instance, random_subtree, random_tree
@@ -107,3 +108,15 @@ def test_random_subtree_matches_the_loop(target, steps, monkeypatch):
                 sub = grow(tree, rng, target=target, steps=steps)
                 runs.append((sub.leaves(), sub.count(), list(expanded), rng.integers(2**31)))
             assert runs[0] == runs[1]
+
+
+def test_random_instance_builds_no_per_cluster_mapping(monkeypatch):
+    # set-up runs on the stores: no mapping of per-cluster views is built
+    built = []
+    views = basis.ClusterMatrices.views.func
+    monkeypatch.setattr(basis.ClusterMatrices, "views", property(lambda self: built.append(self) or views(self)))
+    inst = random_instance(300, 3, 3, 1.0, 0)
+    assert built == []
+    # a read of a basis's per-cluster mapping builds one
+    inst.plan.induced.leaf_matrix[inst.tree.leaves()[0]]
+    assert built == [inst.plan.induced.leaf_matrices]
