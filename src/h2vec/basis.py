@@ -115,7 +115,8 @@ class ClusterMatrices(Mapping):
         keys, size, self.clusters = keys[order], size[order], np.asarray(clusters, dtype=np.intp)[order]
         self.start = np.zeros(len(tree), dtype=np.intp)
         self.start[self.clusters] = np.cumsum(size) - size
-        self.groups, self.levels = [], [[] for _ in tree.by_level]
+        self.groups = []
+        self.levels = [[] for _ in tree.by_level]
         for a, z in zip(bounds[:-1], bounds[1:]):
             level, rows, cols = keys[a, :3].tolist()
             at = self.start[self.clusters[a]]
@@ -129,17 +130,15 @@ class ClusterMatrices(Mapping):
         views = zip(self.clusters.tolist(), (m for group in self.groups for m in group.stack))
         return MappingProxyType(dict(sorted(views, key=lambda item: item[0])))
 
-    def by_index(self, store=None):
-        """The matrices, or those of a store laid out alike, as one new flat array in cluster order."""
-        size = np.diff(np.append(self.start[self.clusters], self.store.size))
-        return _reordered(self.store if store is None else store, size, np.argsort(self.clusters))
-
     def stacked(self, clusters, rows, cols):
         """A copy of the matrices of the given clusters, each rows x cols,
         as one stack in the given order."""
         return self.store[self.start[clusters][:, None] + np.arange(rows * cols)].reshape(-1, rows, cols)
 
     def __getitem__(self, i):
+        # a dict would find cluster 2 under the key 2.0, cluster 1 under True
+        if type(i) is not int and not isinstance(i, np.integer):
+            raise KeyError(i)
         return self.views[i]
 
     def __iter__(self):
@@ -267,8 +266,8 @@ class ClusterBasis:
     holds ptr as a list, for walks that slice one cluster at a time.
 
     The stores are copied once into ClusterMatrices stacked per (level,
-    shape), leaf_matrices and transfer_matrices; by_index gives them
-    back in cluster order, and leaf_matrix and transfer are their views.
+    shape), leaf_matrix and transfer, read per cluster through views
+    built on first read.
     The leaf_groups' source holds their clusters' entries, their target
     the clusters' tree positions.  The transfer groups, per (level,
     rank, father rank), run top-down in groups; their source and target
@@ -280,7 +279,8 @@ class ClusterBasis:
     """
 
     def __init__(self, tree, ranks, leaf_store, transfer_store, isometric=False):
-        self.tree, self.isometric = tree, isometric
+        self.tree = tree
+        self.isometric = isometric
         rank = np.asarray(ranks)
         if rank.shape != (len(tree),) or rank.dtype.kind != "i":
             raise ValueError(f"expected {len(tree)} integer ranks, got {rank.dtype} of shape {rank.shape}")
@@ -295,13 +295,13 @@ class ClusterBasis:
         self.ptr = np.concatenate([[0], np.cumsum(rank)])
         self.ptr.flags.writeable = False
         self.offsets = self.ptr.tolist()
-        self.leaf_matrices = ClusterMatrices(tree, leaves, leaf_shapes, leaf_store)
-        self.leaf_groups = self.leaf_matrices.groups
+        self.leaf_matrix = ClusterMatrices(tree, leaves, leaf_shapes, leaf_store)
+        self.leaf_groups = self.leaf_matrix.groups
         for group in self.leaf_groups:
             rows, r = group.stack.shape[1:]
             group.source = _entries(self.ptr, group.clusters, r)
             group.target = tree.begin[group.clusters][:, None] + np.arange(rows)
-        stacks = self.transfer_matrices = ClusterMatrices(tree, sons, shapes, transfer_store)
+        stacks = self.transfer = ClusterMatrices(tree, sons, shapes, transfer_store)
         self.groups, self.levels = stacks.groups, stacks.levels
         self.transfer_store, self.transfer_start = stacks.store, stacks.start
         for group in self.groups:
@@ -311,9 +311,6 @@ class ClusterBasis:
             group.target = _entries(self.ptr, group.clusters, r2)
         if isometric:
             self._check_isometric()
-
-    leaf_matrix = property(lambda self: self.leaf_matrices.views)
-    transfer = property(lambda self: self.transfer_matrices.views)
 
     def _check_isometric(self):
         rank = np.diff(self.ptr)
@@ -386,9 +383,14 @@ class ClusterBasis:
 
     def materialize(self, i):
         """Expand the basis matrix of cluster i down to its leaves."""
-        if self.tree.is_leaf(i):
+        tree = self.tree
+        if tree.is_leaf(i):
             return self.leaf_matrix[i]
-        return np.vstack([kernels.matmul(self.materialize(s), self.transfer[s]) for s in self.tree.sons(i)])
+        blocks = [
+            kernels.matmul(self.materialize(s), self.transfer[s])
+            for s in tree.sons(i)
+        ]
+        return np.vstack(blocks)
 
 
 def _kron(factors):
@@ -474,17 +476,22 @@ def orthogonalize(basis):
     post-order, whose matrix has fewer rows than its rank, checked
     before any QR, and else the first whose matrix is rank-deficient.
     """
-    tree, rank, start = basis.tree, np.diff(basis.ptr), basis.transfer_start
+    tree, rank = basis.tree, np.diff(basis.ptr)
     order, what = tree.post_order, np.where(tree.has_sons, "transfer stack", "leaf matrix")
     rows = np.where(tree.has_sons, np.bincount(tree.father[1:], rank[1:], len(tree)), tree.sizes).astype(int)
     short = order[rows[order] < rank[order]]
     if short.size:
         i = short[0]
         raise ValueError(f"cluster {i}: {what[i]} has {rows[i]} rows, fewer than its rank {rank[i]}")
-    # per son s, change[s] @ E_s and then the new transfer, laid out as the transfers
-    product, transfers = np.empty_like(basis.transfer_store), np.empty_like(basis.transfer_store)
+    # the new leaf matrices, and per son s change[s] @ E_s and then the
+    # new transfer, in cluster order as ClusterBasis takes them: the
+    # matrix of cluster i starts at leaf_start[i] or start[i]
+    leaf_size = np.where(tree.has_sons, 0, tree.sizes * rank)
+    size = np.where(tree.father >= 0, rank * rank[tree.father], 0)
+    leaf_start, start = np.cumsum(leaf_size) - leaf_size, np.cumsum(size) - size
+    leaves, product, transfers = np.empty(leaf_size.sum()), np.empty(size.sum()), np.empty(size.sum())
     change = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rank, rank)))
-    leaves, deficient = np.empty_like(basis.leaf_matrices.store), np.zeros(len(tree), dtype=bool)
+    deficient = np.zeros(len(tree), dtype=bool)
 
     def factor(ids, a):
         """QRs of the stack a of the matrices of clusters ids: records
@@ -496,25 +503,25 @@ def orthogonalize(basis):
         return q[:, :, : r.shape[2]]
 
     for level in reversed(range(len(tree.by_level))):
-        for group in basis.leaf_matrices.levels[level]:
-            # copied: a view would keep the complete (m x m) factors alive
-            at, shape = basis.leaf_matrices.start[group.clusters[0]], group.stack.shape
-            leaves[at : at + group.stack.size].reshape(shape)[:] = factor(group.clusters, group.stack)
+        for group in basis.leaf_matrix.levels[level]:
+            q = factor(group.clusters, group.stack)
+            at = _entries(leaf_start, group.clusters, q[0].size)
+            leaves[at] = q.reshape(at.shape)
         here = tree.by_level[level][tree.has_sons[tree.by_level[level]]]
         by_shape, bounds = _runs(np.column_stack((rows[here], rank[here])))
         for a, z in zip(bounds[:-1], bounds[1:]):
             ids = here[by_shape[a:z]]
             m, n = rows[ids[0]], rank[ids[0]]
-            at = _son_entries(tree, ids, start, rank * rank[tree.father])
+            at = _son_entries(tree, ids, start, size)
             transfers[at] = factor(ids, product[at].reshape(-1, m, n)).reshape(len(ids), -1)
         for group in basis.levels[level]:
-            at, (r2, _) = start[group.clusters[0]], group.stack.shape[1:]
+            r2 = group.stack.shape[1]
             r = change.stacked(group.clusters, r2, r2)
-            product[at : at + group.stack.size] = kernels.matmul(r, group.stack).ravel()
+            at = _entries(start, group.clusters, group.stack[0].size)
+            product[at] = kernels.matmul(r, group.stack).reshape(at.shape)
     bad = order[deficient[order]]
     if bad.size:
         raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")
-    leaves, transfers = basis.leaf_matrices.by_index(leaves), basis.transfer_matrices.by_index(transfers)
     return ClusterBasis(tree, rank, leaves, transfers, isometric=True), change
 
 

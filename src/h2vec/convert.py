@@ -95,24 +95,28 @@ def materialize_induced(plan):
     rows are the block's own entries and whose columns are its parent
     block's slot, coupling times cross Gram times input transfer for
     a leaf block and the input transfer for a non-leaf block.  The
-    basis is built on zero transfers, and each kind of tile is
+    basis is built on zeros; the row basis's leaf store, laid out
+    alike, is copied into its leaf store, and each kind of tile is
     scattered once into its transfer store, by the start of each
     son's transfer, so the transfers are written into one store only.
     """
     mat = plan.matrix
-    row_tree, col_tree = mat.block_tree.row_tree, mat.block_tree.col_tree
+    row_tree = mat.block_tree.row_tree
+    col_tree = mat.block_tree.col_tree
     ptr = plan.ptr
     rank, father = np.diff(ptr), row_tree.father
     leaf, nonleaf = plan.leaf_blocks, plan.nonleaf_blocks
     sons = np.flatnonzero(father >= 0)
     cols = np.flatnonzero(col_tree.father >= 0)
-    lead, k = np.arange(mat.rank), plan.input_basis.rank
+    lead = np.arange(mat.rank)
+    k = plan.input_basis.rank
     input_transfer = np.zeros((len(col_tree), k, k))
-    input_transfer[cols] = plan.input_basis.transfer_matrices.stacked(cols, k, k)
+    input_transfer[cols] = plan.input_basis.transfer.stacked(cols, k, k)
     # cross[s2] times the input transfer of s2, shared by all blocks (t2, s2)
     pushed = np.zeros(plan.cross.shape)
     pushed[cols] = kernels.matmul(plan.cross[cols], input_transfer[cols])
-    induced = ClusterBasis(row_tree, rank, mat.row_basis.leaf_matrices.by_index(), None)
+    induced = ClusterBasis(row_tree, rank, None, None)
+    induced.leaf_matrix.store[:] = mat.row_basis.leaf_matrix.store
     start = induced.transfer_start
 
     def place(son, rows, columns, tiles, write):
@@ -126,7 +130,7 @@ def materialize_induced(plan):
 
     # only the leaf-block tiles overlap; they add up in block order
     rows, columns = ptr[sons][:, None] + lead, ptr[father[sons]][:, None] + lead
-    tiles = mat.row_basis.transfer_matrices.stacked(sons, mat.rank, mat.rank)
+    tiles = mat.row_basis.transfer.stacked(sons, mat.rank, mat.rank)
     place(sons, rows, columns, tiles, np.put)
     below = leaf.parent < nonleaf.row.size
     coupled = kernels.matmul(mat.coupling[leaf.number[below]], pushed[leaf.col[below]])

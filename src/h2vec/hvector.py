@@ -51,7 +51,9 @@ class LeafCoefficients(Mapping):
 
     def __getitem__(self, i):
         off = self.x.basis.offsets
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < len(off) - 1 and self.x.sub.is_leaf(i)):
+        if type(i) is not int and not isinstance(i, np.integer):
+            raise KeyError(i)
+        if not (0 <= i < len(off) - 1 and self.x.sub.is_leaf(i)):
             raise KeyError(i)
         return self.x.data[off[i] : off[i + 1]]
 

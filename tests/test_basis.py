@@ -444,13 +444,19 @@ def test_projection_factor_cost_scales_with_tree_size():
     assert max(costs) <= 2.0 * min(costs)
 
 
+def _stores(basis):
+    """A basis's ranks, leaf store and transfer store, in cluster order."""
+    stores = (basis.leaf_matrix, basis.transfer)
+    return (np.diff(basis.ptr), *(np.concatenate([m.ravel() for m in s.values()]) for s in stores))
+
+
 def test_isometric_flag_is_checked():
     # a non-isometric basis flagged isometric would let coarsen_pass
     # report a bound below the true error
     tree = random_instance(64, 2, 2, 1.0, 0).tree
     b = random_basis(tree, 2, np.random.default_rng(1))
     with pytest.raises(ValueError, match=r"cluster \d+: basis flagged isometric"):
-        ClusterBasis(tree, np.diff(b.ptr), b.leaf_matrices.by_index(), b.transfer_matrices.by_index(), isometric=True)
+        ClusterBasis(tree, *_stores(b), isometric=True)
     iso, _ = orthogonalize(b)
     again = basis_reference.mapping_basis(tree, iso.leaf_matrix, iso.transfer, isometric=True)
     assert all(np.array_equal(again.transfer[s], e) for s, e in iso.transfer.items())
@@ -462,11 +468,6 @@ def test_isometric_check_names_a_bad_leaf(rng):
     leaf_matrix = {**iso.leaf_matrix, leaf: 2.0 * iso.leaf_matrix[leaf]}
     with pytest.raises(ValueError, match=f"cluster {leaf}:"):
         basis_reference.mapping_basis(iso.tree, leaf_matrix, iso.transfer, isometric=True)
-
-
-def _stores(basis):
-    """A basis's ranks, leaf store and transfer store, in cluster order."""
-    return np.diff(basis.ptr), basis.leaf_matrices.by_index(), basis.transfer_matrices.by_index()
 
 
 def test_transfer_shape_mismatch_names_the_cluster(rng):
@@ -555,8 +556,8 @@ def test_array_constructor_lays_out_the_mapping_constructors_stores():
         want = basis_reference.mapping_layout(basis.tree, basis.leaf_matrix, basis.transfer)
         assert np.array_equal(basis.ptr, want["ptr"]), name
         for kind, stacks, groups in (
-            ("leaf", basis.leaf_matrices, basis.leaf_groups),
-            ("transfer", basis.transfer_matrices, basis.groups),
+            ("leaf", basis.leaf_matrix, basis.leaf_groups),
+            ("transfer", basis.transfer, basis.groups),
         ):
             assert stacks.store.tobytes() == want[kind]["store"].tobytes(), (name, kind)
             assert np.array_equal(stacks.start, want[kind]["start"]), (name, kind)
@@ -567,13 +568,13 @@ def test_array_constructor_lays_out_the_mapping_constructors_stores():
                 assert got.target.tolist() == expected["target"], (name, kind)
                 fathers = [] if got.fathers is None else got.fathers.tolist()
                 assert fathers == expected["fathers"], (name, kind)
-        assert basis.transfer_store is basis.transfer_matrices.store
+        assert basis.transfer_store is basis.transfer.store
         assert np.array_equal(basis.transfer_start, want["transfer"]["start"]), name
         # the views are built once, on first read
-        assert basis.leaf_matrix is basis.leaf_matrix and basis.transfer is basis.transfer
+        assert basis.leaf_matrix.views is basis.leaf_matrix.views
         # and the mapping constructor gives the same basis again
         again = basis_reference.mapping_basis(basis.tree, basis.leaf_matrix, basis.transfer)
-        assert again.leaf_matrices.store.tobytes() == basis.leaf_matrices.store.tobytes(), name
+        assert again.leaf_matrix.store.tobytes() == basis.leaf_matrix.store.tobytes(), name
         assert again.transfer_store.tobytes() == basis.transfer_store.tobytes(), name
 
 

@@ -119,4 +119,4 @@ def test_random_instance_builds_no_per_cluster_mapping(monkeypatch):
     assert built == []
     # a read of a basis's per-cluster mapping builds one
     inst.plan.induced.leaf_matrix[inst.tree.leaves()[0]]
-    assert built == [inst.plan.induced.leaf_matrices]
+    assert built == [inst.plan.induced.leaf_matrix]

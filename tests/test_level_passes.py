@@ -270,7 +270,7 @@ _KINDS = {
     "gram": "a Gram family",
     "cross": "a cross-Gram family",
     "stacked": "projection factors",
-    "transfer": "mappingproxy",
+    "transfer": "ClusterMatrices",
 }
 
 

@@ -8,9 +8,9 @@ Each side is the committed tree of its revision (``--change``, default
 HEAD, and ``--parent``, default its first parent), exported with
 ``git archive`` as tools/bench_pairs.py exports it.  In each export, one
 child process per side imports that tree's perfbench/workloads.py and,
-for every workload (``--workloads``, default all three) and seed,
-generates the inputs, sets the program up and runs every case once,
-recording the `digest` of each output.  Prints one line per workload,
+for each of its three workloads and every seed, generates the inputs,
+sets the program up and runs every case once, recording the `digest`
+of each output.  Prints one line per workload,
 seed and case whose digests differ, or whose case is missing on one
 side, and exits non-zero if there is any, or if a child fails.
 """
@@ -28,13 +28,14 @@ from bench_pairs import export, git  # noqa: E402
 WORKLOADS = ("poisson64", "matvec4096", "algebra128")
 
 
-def collect(tree, workloads, seeds):
-    """The digests of every case of the given workloads and seeds, run
-    on the sources under tree: one JSON line per workload and seed."""
+def collect(tree, seeds):
+    """The digests of every case of the three workloads for the given
+    seeds, run on the sources under tree: one JSON line per workload
+    and seed."""
     sys.path[:0] = [str(Path(tree, "src")), str(tree)]
     from perfbench.workloads import WORKLOADS as defined
 
-    for name in workloads:
+    for name in WORKLOADS:
         for seed in seeds:
             workload = defined[name](seed)
             inputs = workload.generate()
@@ -58,9 +59,9 @@ def compare(parent, change):
     return differ
 
 
-def digests_of(tree, workloads, seeds):
+def digests_of(tree, seeds):
     command = [sys.executable, str(Path(__file__).resolve()), "--collect", str(tree)]
-    command += ["--workloads", *workloads, "--seeds", *map(str, seeds)]
+    command += ["--seeds", *map(str, seeds)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"collecting digests in {tree} failed:\n{done.stderr}")
@@ -71,13 +72,12 @@ def digests_of(tree, workloads, seeds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--parent", default=None, help="default: the change's first parent")
     parser.add_argument("--collect", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.collect:
-        collect(args.collect, args.workloads, args.seeds)
+        collect(args.collect, args.seeds)
         return
     change = git("rev-parse", f"{args.change}^{{commit}}")
     parent = git("rev-parse", f"{args.parent or change + '^'}^{{commit}}")
@@ -86,7 +86,7 @@ def main(argv=None):
         for side, sha in (("parent", parent), ("change", change)):
             tree = Path(scratch, side)
             export(sha, tree)
-            runs[side] = digests_of(tree, args.workloads, args.seeds)
+            runs[side] = digests_of(tree, args.seeds)
     differ = compare(runs["parent"], runs["change"])
     for workload, seed, case, a, b in differ:
         print(f"{workload} seed {seed} case {case}: parent {a} change {b}")
