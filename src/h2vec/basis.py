@@ -202,6 +202,16 @@ def _reordered(matrices, size, order):
     return flat.reshape(-1, unit)[at].ravel()
 
 
+def _rows(start, clusters, rows, cols, unit):
+    """Index of the rows x cols matrices of the given clusters in a flat
+    store viewed as runs of unit entries, store.reshape(-1, unit), where
+    the matrix of cluster i starts at entry start[i], row-major: a
+    (len(clusters), rows, cols // unit) array, one entry per row when
+    unit is cols.  unit must divide cols and every start."""
+    at = (start[clusters] // unit)[:, None] + np.arange(rows * cols // unit)
+    return at.reshape(len(clusters), rows, -1)
+
+
 def _checked(store, clusters, shapes, what):
     """The store, an array or None, as a flat array, or None; raises
     ValueError, naming the first cluster at fault, unless it holds one
@@ -485,11 +495,14 @@ def orthogonalize(basis):
         raise ValueError(f"cluster {i}: {what[i]} has {rows[i]} rows, fewer than its rank {rank[i]}")
     # the new leaf matrices, and per son s change[s] @ E_s and then the
     # new transfer, in cluster order as ClusterBasis takes them: the
-    # matrix of cluster i starts at leaf_start[i] or start[i]
+    # matrix of cluster i starts at leaf_start[i] or start[i], both
+    # multiples of unit, which divides every rank
+    unit = int(np.gcd.reduce(rank))
     leaf_size = np.where(tree.has_sons, 0, tree.sizes * rank)
     size = np.where(tree.father >= 0, rank * rank[tree.father], 0)
     leaf_start, start = np.cumsum(leaf_size) - leaf_size, np.cumsum(size) - size
-    leaves, product, transfers = np.empty(leaf_size.sum()), np.empty(size.sum()), np.empty(size.sum())
+    leaves = np.empty((leaf_size.sum() // unit, unit))
+    product, transfers = np.empty(size.sum()), np.empty(size.sum())
     change = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rank, rank)))
     deficient = np.zeros(len(tree), dtype=bool)
 
@@ -504,9 +517,9 @@ def orthogonalize(basis):
 
     for level in reversed(range(len(tree.by_level))):
         for group in basis.leaf_matrix.levels[level]:
-            q = factor(group.clusters, group.stack)
-            at = _entries(leaf_start, group.clusters, q[0].size)
-            leaves[at] = q.reshape(at.shape)
+            # unnamed: a name would keep the complete (m x m) factors alive
+            at = _rows(leaf_start, group.clusters, *group.stack.shape[1:], unit)
+            leaves[at] = factor(group.clusters, group.stack).reshape(*at.shape, unit)
         here = tree.by_level[level][tree.has_sons[tree.by_level[level]]]
         by_shape, bounds = _runs(np.column_stack((rows[here], rank[here])))
         for a, z in zip(bounds[:-1], bounds[1:]):
@@ -517,8 +530,8 @@ def orthogonalize(basis):
         for group in basis.levels[level]:
             r2 = group.stack.shape[1]
             r = change.stacked(group.clusters, r2, r2)
-            at = _entries(start, group.clusters, group.stack[0].size)
-            product[at] = kernels.matmul(r, group.stack).reshape(at.shape)
+            at = _rows(start, group.clusters, *group.stack.shape[1:], unit)
+            product.reshape(-1, unit)[at] = kernels.matmul(r, group.stack).reshape(*at.shape, unit)
     bad = order[deficient[order]]
     if bad.size:
         raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")

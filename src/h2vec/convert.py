@@ -110,11 +110,9 @@ def materialize_induced(plan):
     cols = np.flatnonzero(col_tree.father >= 0)
     lead = np.arange(mat.rank)
     k = plan.input_basis.rank
-    input_transfer = np.zeros((len(col_tree), k, k))
-    input_transfer[cols] = plan.input_basis.transfer.stacked(cols, k, k)
     # cross[s2] times the input transfer of s2, shared by all blocks (t2, s2)
     pushed = np.zeros(plan.cross.shape)
-    pushed[cols] = kernels.matmul(plan.cross[cols], input_transfer[cols])
+    pushed[cols] = kernels.matmul(plan.cross[cols], plan.input_basis.transfer.stacked(cols, k, k))
     induced = ClusterBasis(row_tree, rank, None, None)
     induced.leaf_matrix.store[:] = mat.row_basis.leaf_matrix.store
     start = induced.transfer_start
@@ -138,7 +136,7 @@ def materialize_induced(plan):
     place(leaf.row[below], leaf.target[below], slot, coupled, np.add.at)
     inner = nonleaf.parent < nonleaf.row.size
     slot = nonleaf.target[nonleaf.parent[inner]]
-    tiles = input_transfer[nonleaf.col[inner]]
+    tiles = plan.input_basis.transfer.stacked(nonleaf.col[inner], k, k)
     place(nonleaf.row[inner], nonleaf.target[inner], slot, tiles, np.put)
     return induced
 
