@@ -100,10 +100,11 @@ class ClusterMatrices(Mapping):
     the matrix of cluster i starts at start[i], row-major; clusters
     lists the clusters in store order.  views, also read as self[i], is
     a read-only mapping from each cluster to a view of its matrix,
-    built on first read.  A family's kind, one of FAMILIES, and the
-    source and target bases it was built for, by whose ptr its groups'
-    source and target entries are laid out, are set by its builder;
-    other matrices keep None.
+    built on first read; a key that is not an int or a NumPy integer
+    is missing from self, as from LeafCoefficients.  A family's kind,
+    one of FAMILIES, and the source and target bases it was built for,
+    by whose ptr its groups' source and target entries are laid out,
+    are set by its builder; other matrices keep None.
     """
 
     def __init__(self, tree, clusters, shapes, matrices=None):
