@@ -8,12 +8,14 @@ its ranks, its leaf matrices and its transfers in cluster order, which
 it copies once into its own layouts: one flat coefficient array (ptr),
 and one store each of leaf matrices and of transfers, stacked per
 (level, shape), over which its transformations and the expansion of
-its vectors run as one stacked product per group.  An isometric basis
-has orthonormal columns at every cluster, which makes optimal
-projections and exact error computation possible.  The per-cluster
-matrices below, like the Gram family, are ClusterMatrices too, read
-per cluster through views built on first read.  A family names its
-kind and its source and target bases, which _check_family checks.
+its vectors run as one stacked product per group.  The layouts follow
+from the tree and the ranks alone, so bases with equal ranks on one
+tree share them.  An isometric basis has orthonormal columns at every
+cluster, which makes optimal projections and exact error computation
+possible.  The per-cluster matrices below, like the Gram family, are
+ClusterMatrices too, read per cluster through views built on first
+read.  A family names its kind and its source and target bases, which
+_check_family checks.
 
 * merge factors: the orthogonal factor Q of one QR per interior
   cluster over the stacked transfer matrices.  Multiplying stacked son
@@ -203,16 +205,6 @@ def _reordered(matrices, size, order):
     return flat.reshape(-1, unit)[at].ravel()
 
 
-def _rows(start, clusters, rows, cols, unit):
-    """Index of the rows x cols matrices of the given clusters in a flat
-    store viewed as runs of unit entries, store.reshape(-1, unit), where
-    the matrix of cluster i starts at entry start[i], row-major: a
-    (len(clusters), rows, cols // unit) array, one entry per row when
-    unit is cols.  unit must divide cols and every start."""
-    at = (start[clusters] // unit)[:, None] + np.arange(rows * cols // unit)
-    return at.reshape(len(clusters), rows, -1)
-
-
 def _checked(store, clusters, shapes, what):
     """The store, an array or None, as a flat array, or None; raises
     ValueError, naming the first cluster at fault, unless it holds one
@@ -268,25 +260,26 @@ class ClusterBasis:
     the first cluster at fault: ranks other than one positive integer
     per cluster, and stores with a non-finite entry or not as many as
     the ranks call for.  rank is the largest cluster rank, the common
-    rank of a uniform basis.  A basis flagged isometric is checked:
-    V_t^T V_t = I at every leaf and sum_s E_s^T E_s = I over the sons
-    of every interior cluster.
+    rank of a uniform basis.  isometric=True has the given stores
+    checked: V_t^T V_t = I at every leaf and sum_s E_s^T E_s = I over
+    the sons of every interior cluster; orthogonalize flags its own.
 
     The read-only ptr lays out one coefficient per cluster in a flat
     array: cluster t owns the entries ptr[t] to ptr[t + 1].  offsets
     holds ptr as a list, for walks that slice one cluster at a time.
 
-    The stores are copied once into ClusterMatrices stacked per (level,
-    shape), leaf_matrix and transfer, read per cluster through views
-    built on first read.
-    The leaf_groups' source holds their clusters' entries, their target
-    the clusters' tree positions.  The transfer groups, per (level,
-    rank, father rank), run top-down in groups; their source and target
-    hold the entries of the fathers and of the sons, and levels[l] lists
-    the groups of the sons on level l.  The transfer of s starts at
-    transfer_start[s] in the flat transfer_store.  forward_steps and
-    backward_steps cut the transfer groups to the clusters a
-    transformation treats, and forward and backward run those steps.
+    The stores are copied once into two ClusterMatrices stacked per
+    (level, shape), leaf_matrix and transfer, read per cluster through
+    views built on first read; bases with equal ranks on one tree share
+    their layout, so orthogonalize and materialize_induced build on
+    zeros and write the stacks.  The leaf groups' source holds their
+    clusters' entries, their target the clusters' tree positions.  The
+    transfer groups, per (level, rank, father rank), run top-down; their
+    source and target hold the entries of the fathers and of the sons,
+    and transfer.levels[l] lists the groups of the sons on level l.
+    forward_steps and backward_steps cut the transfer groups to the
+    clusters a transformation treats, and forward and backward run
+    those steps.
     """
 
     def __init__(self, tree, ranks, leaf_store, transfer_store, isometric=False):
@@ -307,15 +300,12 @@ class ClusterBasis:
         self.ptr.flags.writeable = False
         self.offsets = self.ptr.tolist()
         self.leaf_matrix = ClusterMatrices(tree, leaves, leaf_shapes, leaf_store)
-        self.leaf_groups = self.leaf_matrix.groups
-        for group in self.leaf_groups:
+        for group in self.leaf_matrix.groups:
             rows, r = group.stack.shape[1:]
             group.source = _entries(self.ptr, group.clusters, r)
             group.target = tree.begin[group.clusters][:, None] + np.arange(rows)
-        stacks = self.transfer = ClusterMatrices(tree, sons, shapes, transfer_store)
-        self.groups, self.levels = stacks.groups, stacks.levels
-        self.transfer_store, self.transfer_start = stacks.store, stacks.start
-        for group in self.groups:
+        self.transfer = ClusterMatrices(tree, sons, shapes, transfer_store)
+        for group in self.transfer.groups:
             r2, r = group.stack.shape[1:]
             group.fathers = tree.father[group.clusters]
             group.source = _entries(self.ptr, group.fathers, r)
@@ -330,8 +320,8 @@ class ClusterBasis:
         gram = np.zeros(square[-1])
         row = np.arange(self.ptr[-1]) - np.repeat(self.ptr[:-1], rank)
         gram[np.repeat(square[:-1], rank) + row * np.repeat(rank + 1, rank)] = -1.0
-        owned = [(g, g.clusters) for g in self.leaf_groups]
-        for g, owner in owned + [(g, g.fathers) for g in self.groups]:
+        owned = [(g, g.clusters) for g in self.leaf_matrix.groups]
+        for g, owner in owned + [(g, g.fathers) for g in self.transfer.groups]:
             sums = (g.stack.transpose(0, 2, 1) @ g.stack).reshape(len(owner), -1)
             np.add.at(gram, square[owner][:, None] + np.arange(sums.shape[1]), sums)
         deviation = np.maximum.reduceat(np.abs(gram), square[:-1])
@@ -352,7 +342,7 @@ class ClusterBasis:
         transfers transposed, reading the sons' entries and adding into
         the fathers'."""
         steps = []
-        for group in reversed(self.groups):
+        for group in reversed(self.transfer.groups):
             step = group.pick(member[group.clusters])
             if step is None:
                 continue
@@ -371,7 +361,7 @@ class ClusterBasis:
         are marked, their transfers, reading the fathers' entries and
         adding into or writing the sons'.  A level restricts the steps to the fathers
         on it."""
-        groups = self.groups if level is None else self.levels[level + 1]
+        groups = self.transfer.groups if level is None else self.transfer.levels[level + 1]
         steps = (group.pick(interior[group.fathers]) for group in groups)
         return [step for step in steps if step is not None]
 
@@ -460,7 +450,7 @@ def polynomial_basis(tree, points, degree):
     transfers = _kron([per_axis[:, d] for d in range(tree.dim)])
     basis = ClusterBasis(tree, np.full(len(tree), rank), values, transfers, isometric=False)
     deficient = np.zeros(len(tree), dtype=bool)
-    for group in basis.leaf_groups:
+    for group in basis.leaf_matrix.groups:
         deficient[group.clusters] = np.linalg.matrix_rank(group.stack) < rank
     for i in leaves:
         if tree.sizes[i] < rank:
@@ -483,9 +473,11 @@ def orthogonalize(basis):
     group of the level's clusters whose leaf matrices or transfer
     stacks [change[s] @ E_s over the sons s] share a shape; then one
     stacked product per transfer group of the level gives its
-    change[s] @ E_s.  Raises ValueError naming the first cluster, in
-    post-order, whose matrix has fewer rows than its rank, checked
-    before any QR, and else the first whose matrix is rank-deficient.
+    change[s] @ E_s.  iso, built on zeros in basis's layout, takes the
+    Q factors into its stacks and is flagged isometric unchecked.
+    Raises ValueError naming the first cluster, in post-order, whose
+    matrix has fewer rows than its rank, checked before any QR, and
+    else the first whose matrix is rank-deficient.
     """
     tree, rank = basis.tree, np.diff(basis.ptr)
     order, what = tree.post_order, np.where(tree.has_sons, "transfer stack", "leaf matrix")
@@ -494,16 +486,8 @@ def orthogonalize(basis):
     if short.size:
         i = short[0]
         raise ValueError(f"cluster {i}: {what[i]} has {rows[i]} rows, fewer than its rank {rank[i]}")
-    # the new leaf matrices, and per son s change[s] @ E_s and then the
-    # new transfer, in cluster order as ClusterBasis takes them: the
-    # matrix of cluster i starts at leaf_start[i] or start[i], both
-    # multiples of unit, which divides every rank
-    unit = int(np.gcd.reduce(rank))
-    leaf_size = np.where(tree.has_sons, 0, tree.sizes * rank)
-    size = np.where(tree.father >= 0, rank * rank[tree.father], 0)
-    leaf_start, start = np.cumsum(leaf_size) - leaf_size, np.cumsum(size) - size
-    leaves = np.empty((leaf_size.sum() // unit, unit))
-    product, transfers = np.empty(size.sum()), np.empty(size.sum())
+    iso = ClusterBasis(tree, rank, None, None)
+    store, start, size = iso.transfer.store, iso.transfer.start, rank * rank[tree.father]
     change = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rank, rank)))
     deficient = np.zeros(len(tree), dtype=bool)
 
@@ -517,26 +501,26 @@ def orthogonalize(basis):
         return q[:, :, : r.shape[2]]
 
     for level in reversed(range(len(tree.by_level))):
-        for group in basis.leaf_matrix.levels[level]:
+        for group, new in zip(basis.leaf_matrix.levels[level], iso.leaf_matrix.levels[level]):
             # unnamed: a name would keep the complete (m x m) factors alive
-            at = _rows(leaf_start, group.clusters, *group.stack.shape[1:], unit)
-            leaves[at] = factor(group.clusters, group.stack).reshape(*at.shape, unit)
+            new.stack[:] = factor(group.clusters, group.stack)
         here = tree.by_level[level][tree.has_sons[tree.by_level[level]]]
         by_shape, bounds = _runs(np.column_stack((rows[here], rank[here])))
         for a, z in zip(bounds[:-1], bounds[1:]):
             ids = here[by_shape[a:z]]
             m, n = rows[ids[0]], rank[ids[0]]
+            # the sons' transfers hold change[s] @ E_s until the QR
+            # of the stack of them writes its Q factor there
             at = _son_entries(tree, ids, start, size)
-            transfers[at] = factor(ids, product[at].reshape(-1, m, n)).reshape(len(ids), -1)
-        for group in basis.levels[level]:
+            store[at] = factor(ids, store[at].reshape(-1, m, n)).reshape(len(ids), -1)
+        for group, new in zip(basis.transfer.levels[level], iso.transfer.levels[level]):
             r2 = group.stack.shape[1]
-            r = change.stacked(group.clusters, r2, r2)
-            at = _rows(start, group.clusters, *group.stack.shape[1:], unit)
-            product.reshape(-1, unit)[at] = kernels.matmul(r, group.stack).reshape(*at.shape, unit)
+            new.stack[:] = kernels.matmul(change.stacked(group.clusters, r2, r2), group.stack)
     bad = order[deficient[order]]
     if bad.size:
         raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")
-    return ClusterBasis(tree, rank, leaves, transfers, isometric=True), change
+    iso.isometric = True
+    return iso, change
 
 
 def _son_entries(tree, fathers, start, width):
@@ -580,7 +564,7 @@ def cross_gram_family(left, right):
     cross = ClusterMatrices(tree, order, np.column_stack((lr[order], rr[order])))
     store, start, width = cross.store, cross.start, lr * rr
 
-    for ids, lv, rv in _group_pairs(left.leaf_groups, right.leaf_groups, len(tree)):
+    for ids, lv, rv in _group_pairs(left.leaf_matrix.groups, right.leaf_matrix.groups, len(tree)):
         product = kernels.matmul(lv.transpose(0, 2, 1), rv)
         store[start[ids][:, None] + np.arange(width[ids[0]])] = product.reshape(len(ids), -1)
     for level in range(len(tree.by_level) - 1, 0, -1):
@@ -591,7 +575,7 @@ def cross_gram_family(left, right):
         offset = np.zeros(len(tree), dtype=np.intp)
         offset[sons] = np.cumsum(w) - w
         shares = np.empty(w.sum())
-        for ids, le, re in _group_pairs(left.levels[level], right.levels[level], len(tree)):
+        for ids, le, re in _group_pairs(left.transfer.levels[level], right.transfer.levels[level], len(tree)):
             c = cross.stacked(ids, lr[ids[0]], rr[ids[0]])
             share = kernels.matmul(le.transpose(0, 2, 1), kernels.matmul(c, re))
             shares[offset[ids][:, None] + np.arange(share[0].size)] = share.reshape(len(ids), -1)
@@ -639,8 +623,8 @@ def coarsening_factors(basis):
     q.kind, q.source, q.target = "merge", basis, basis
     for group in q.groups:
         ids, (b, m), r = group.clusters.tolist(), group.stack.shape[:2], rank[group.clusters[0]]
-        at = _son_entries(tree, ids, basis.transfer_start, rank * rank[tree.father])
-        group.stack[:] = kernels.qr_stack(basis.transfer_store[at].reshape(b, m, r))[0]
+        at = _son_entries(tree, ids, basis.transfer.start, rank * rank[tree.father])
+        group.stack[:] = kernels.qr_stack(basis.transfer.store[at].reshape(b, m, r))[0]
         group.source = _son_entries(tree, ids, basis.ptr, rank)
         group.target = _entries(basis.ptr, group.clusters, r)
     return q

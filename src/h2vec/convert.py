@@ -115,7 +115,6 @@ def materialize_induced(plan):
     pushed[cols] = kernels.matmul(plan.cross[cols], plan.input_basis.transfer.stacked(cols, k, k))
     induced = ClusterBasis(row_tree, rank, None, None)
     induced.leaf_matrix.store[:] = mat.row_basis.leaf_matrix.store
-    start = induced.transfer_start
 
     def place(son, rows, columns, tiles, write):
         """Write tiles[j] into the transfer of son[j], at the given
@@ -123,8 +122,8 @@ def materialize_induced(plan):
         t = father[son]
         row = (rows - ptr[son][:, None]) * rank[t][:, None]
         col = columns - ptr[t][:, None]
-        at = start[son][:, None, None] + row[:, :, None] + col[:, None, :]
-        write(induced.transfer_store, at.ravel(), tiles.ravel())
+        at = induced.transfer.start[son][:, None, None] + row[:, :, None] + col[:, None, :]
+        write(induced.transfer.store, at.ravel(), tiles.ravel())
 
     # only the leaf-block tiles overlap; they add up in block order
     rows, columns = ptr[sons][:, None] + lead, ptr[father[sons]][:, None] + lead

@@ -133,9 +133,9 @@ class PoissonDemo:
         self.gram = gram_family(self.iso)
         self.block_tree = build_block_tree(self.tree, self.tree, eta)
         self.csp = sparsity_constant(self.block_tree)
-        self._leaf_entries, span = _leaf_layout(self.iso)
-        self.leaf_operator = _leaf_inverse(self.problem, self.iso, self._leaf_entries, span)
-        coupling, sumsq = _project_in_place(self.leaf_operator, self.iso, self.block_tree, span)
+        self._leaf_entries, first, end = _leaf_layout(self.iso)
+        self.leaf_operator = _leaf_inverse(self.problem, self.iso, self._leaf_entries, first, end)
+        coupling, sumsq = _project_in_place(self.leaf_operator, self.iso, self.block_tree, first, end)
         self.matrix = H2Matrix(self.block_tree, self.iso, self.iso, coupling)
         # the compression is a Frobenius-orthogonal projection of A^-1
         square = inverse_square_trace(self.problem.diagonal, self.problem.below)
@@ -158,11 +158,11 @@ class PoissonDemo:
         if not np.isfinite(x).all():
             raise ValueError("vector has non-finite entries")
         coefficients = np.empty(len(self.leaf_operator))
-        for g, at in zip(self.iso.leaf_groups, self._leaf_entries):
+        for g, at in zip(self.iso.leaf_matrix.groups, self._leaf_entries):
             coefficients[at] = g.stack.transpose(0, 2, 1) @ x[g.target][:, :, None]
         product = self.leaf_operator @ coefficients
         out = np.empty(n)
-        for g, at in zip(self.iso.leaf_groups, self._leaf_entries):
+        for g, at in zip(self.iso.leaf_matrix.groups, self._leaf_entries):
             out[g.target] = (g.stack @ product[at])[:, :, 0]
         return out
 
@@ -243,45 +243,41 @@ class PoissonDemo:
 
 def _leaf_layout(basis):
     """Leaf coefficients in tree position order: per leaf group the
-    (b, r, 1) entries of its leaves, and per cluster the slice of the
+    (b, r, 1) entries of its leaves, and per cluster the first and end
     entries of its leaves, which are contiguous in that order."""
     tree = basis.tree
-    span = {}
-    at = 0
-    for i in sorted(tree.leaves(), key=lambda i: tree.begin[i]):
-        span[i] = slice(at, at + basis.rank_of(i))
-        at = span[i].stop
-    for i in tree.post_order.tolist():
-        sons = tree.sons(i)
-        if sons:
-            span[i] = slice(span[sons[0]].start, span[sons[-1]].stop)
+    leaves = np.flatnonzero(~tree.has_sons)
+    leaves = leaves[np.argsort(tree.begin[leaves])]
+    at = np.concatenate([[0], np.cumsum(np.diff(basis.ptr)[leaves])])
+    # the leaves of a cluster are those that begin in its positions
+    first, end = at[np.searchsorted(tree.begin[leaves], (tree.begin, tree.begin + tree.sizes))]
     entries = [
-        (np.array([span[i].start for i in g.clusters])[:, None] + np.arange(g.stack.shape[2]))[:, :, None]
-        for g in basis.leaf_groups
+        (first[g.clusters][:, None] + np.arange(g.stack.shape[2]))[:, :, None]
+        for g in basis.leaf_matrix.groups
     ]
-    return entries, span
+    return entries, first, end
 
 
-def _leaf_inverse(problem, basis, entries, span):
+def _leaf_inverse(problem, basis, entries, first, end):
     """M0 = L^T A^-1 L, with L the block-diagonal matrix of the leaf
-    matrices, leaf coefficients laid out by entries and span: the
+    matrices, leaf coefficients laid out by entries, first and end: the
     columns of A^-1 L come from block solves through the stencil's
     block Cholesky factor, those of about 256 leaf coefficients at a
     time, so that the solves hold two n x 256 arrays."""
     tree = basis.tree
     factor = block_cholesky(problem.diagonal, problem.below)
-    m = np.empty((span[tree.root].stop, span[tree.root].stop))
-    leaves = sorted(tree.leaves(), key=lambda i: span[i].start)
+    m = np.empty((end[tree.root], end[tree.root]))
+    leaves = sorted(tree.leaves(), key=lambda i: first[i])
     step = max(1, 256 // basis.rank)
-    for first in range(0, len(leaves), step):
-        chunk = leaves[first : first + step]
-        lo, hi = span[chunk[0]].start, span[chunk[-1]].stop
+    for a in range(0, len(leaves), step):
+        chunk = leaves[a : a + step]
+        lo, hi = first[chunk[0]], end[chunk[-1]]
         rhs = np.zeros((tree.n, hi - lo))
         for i in chunk:
-            rhs[tree.indices(i), span[i].start - lo : span[i].stop - lo] = basis.leaf_matrix[i]
+            rhs[tree.indices(i), first[i] - lo : end[i] - lo] = basis.leaf_matrix[i]
         x = block_solve(factor, rhs)
         del rhs
-        for g, at in zip(basis.leaf_groups, entries):
+        for g, at in zip(basis.leaf_matrix.groups, entries):
             m[at.ravel(), lo:hi] = (
                 g.stack.transpose(0, 2, 1) @ x[tree.perm[g.target]]
             ).reshape(-1, hi - lo)
@@ -289,7 +285,7 @@ def _leaf_inverse(problem, basis, entries, span):
     return m
 
 
-def _project_in_place(m, basis, block_tree, span):
+def _project_in_place(m, basis, block_tree, first, end):
     """Couplings S_ts = E_t^T M0[t, s] E_s of the leaf blocks, where
     V_t = L_t E_t, and the leaf operator M in place of M0: each leaf
     block's region of M0, read once, becomes E_t S_ts E_s^T.  Returns
@@ -307,7 +303,7 @@ def _project_in_place(m, basis, block_tree, span):
     coupling = np.empty((len(leaves), basis.rank, basis.rank))
     sumsq = 0.0
     for c, t, s in zip(coupling, block_tree.row[leaves].tolist(), block_tree.col[leaves].tolist()):
-        region = (span[t], span[s])
+        region = (slice(first[t], end[t]), slice(first[s], end[s]))
         left, right = stacked[t], stacked[s]
         c[...] = left.T @ m[region] @ right
         m[region] = left @ c @ right.T

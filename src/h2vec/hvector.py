@@ -244,7 +244,7 @@ def to_dense(x):
     if push.any():
         basis.backward(data, push, add=False)
     out = np.zeros(basis.tree.n)
-    for group in basis.leaf_groups:
+    for group in basis.leaf_matrix.groups:
         out[group.target] = kernels.matvec(group.stack, data[group.source])
     return out
 
@@ -269,7 +269,7 @@ def from_dense(v, basis, sub=None):
     if sub is not None and sub.tree is not tree:
         raise ValueError("subtree and basis live on different trees")
     x = HVector(basis, sub.copy() if sub is not None else None)
-    for group in basis.leaf_groups:
+    for group in basis.leaf_matrix.groups:
         # the transposed view rounds as each leaf's v.T @ block does; a copy does not
         x.data[group.source] = kernels.matvec(group.stack.transpose(0, 2, 1), v[group.target])
     below = ~(x.sub.interior_mask() | x.sub.leaf_mask())

@@ -556,8 +556,8 @@ def test_array_constructor_lays_out_the_mapping_constructors_stores():
         want = basis_reference.mapping_layout(basis.tree, basis.leaf_matrix, basis.transfer)
         assert np.array_equal(basis.ptr, want["ptr"]), name
         for kind, stacks, groups in (
-            ("leaf", basis.leaf_matrix, basis.leaf_groups),
-            ("transfer", basis.transfer, basis.groups),
+            ("leaf", basis.leaf_matrix, basis.leaf_matrix.groups),
+            ("transfer", basis.transfer, basis.transfer.groups),
         ):
             assert stacks.store.tobytes() == want[kind]["store"].tobytes(), (name, kind)
             assert np.array_equal(stacks.start, want[kind]["start"]), (name, kind)
@@ -568,14 +568,12 @@ def test_array_constructor_lays_out_the_mapping_constructors_stores():
                 assert got.target.tolist() == expected["target"], (name, kind)
                 fathers = [] if got.fathers is None else got.fathers.tolist()
                 assert fathers == expected["fathers"], (name, kind)
-        assert basis.transfer_store is basis.transfer.store
-        assert np.array_equal(basis.transfer_start, want["transfer"]["start"]), name
         # the views are built once, on first read
         assert basis.leaf_matrix.views is basis.leaf_matrix.views
         # and the mapping constructor gives the same basis again
         again = basis_reference.mapping_basis(basis.tree, basis.leaf_matrix, basis.transfer)
         assert again.leaf_matrix.store.tobytes() == basis.leaf_matrix.store.tobytes(), name
-        assert again.transfer_store.tobytes() == basis.transfer_store.tobytes(), name
+        assert again.transfer.store.tobytes() == basis.transfer.store.tobytes(), name
 
 
 def ragged_basis(tree, rng, max_rank):
@@ -658,13 +656,13 @@ def test_transformations_match_cluster_loops(kind, seed):
 
 def _assert_transfer_views(basis):
     seen = 0
-    for group in basis.groups:
-        assert np.shares_memory(group.stack, basis.transfer_store)
+    for group in basis.transfer.groups:
+        assert np.shares_memory(group.stack, basis.transfer.store)
         for j, s in enumerate(group.clusters.tolist()):
             e = basis.transfer[s]
             assert e.shape == group.stack[j].shape
             assert e.ctypes.data == group.stack[j].ctypes.data
-            assert e.ctypes.data == basis.transfer_store[basis.transfer_start[s] :].ctypes.data
+            assert e.ctypes.data == basis.transfer.store[basis.transfer.start[s] :].ctypes.data
             seen += 1
     assert seen == len(basis.transfer) == len(basis.tree) - 1
     with pytest.raises(TypeError):
@@ -680,9 +678,9 @@ def test_transfers_are_views_into_group_stacks(seed, degree):
         _assert_transfer_views(basis)
         # groups are top-down, and one group holds one level and one
         # pair of ranks
-        levels = [int(basis.tree.level[g.clusters[0]]) for g in basis.groups]
+        levels = [int(basis.tree.level[g.clusters[0]]) for g in basis.transfer.groups]
         assert levels == sorted(levels)
-        for g in basis.groups:
+        for g in basis.transfer.groups:
             assert len(set(basis.tree.level[g.clusters].tolist())) == 1
             assert np.array_equal(g.fathers, basis.tree.father[g.clusters])
 
@@ -724,12 +722,39 @@ def test_orthogonalize_varying_ranks(kind, seed):
         with pytest.raises(ValueError, match=f"cluster {short}: .* fewer than its rank"):
             orthogonalize(basis)
         return
-    iso, change = orthogonalize(basis)  # flagged isometric: checked on construction
+    iso, change = orthogonalize(basis)  # flagged isometric unchecked: check here
+    iso._check_isometric()
     assert iso.isometric and np.array_equal(iso.ptr, basis.ptr)
     for i in range(len(basis.tree)):
         v = basis.materialize(i)
         got = iso.materialize(i) @ change[i]
         assert np.max(np.abs(got - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+
+
+def _assert_orthogonalize_keeps_the_layout(basis):
+    """orthogonalize's basis has the clusters, starts and group shapes
+    of the input's leaf and transfer stores, unless it refuses."""
+    if _short_stack(basis) is not None:
+        return
+    iso = orthogonalize(basis)[0]
+    for got, want in ((iso.leaf_matrix, basis.leaf_matrix), (iso.transfer, basis.transfer)):
+        assert np.array_equal(got.clusters, want.clusters)
+        assert np.array_equal(got.start, want.start)
+        assert [g.stack.shape for g in got.groups] == [g.stack.shape for g in want.groups]
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+def test_orthogonalize_keeps_the_layout_of_polynomial_and_induced_bases():
+    # orthogonalize writes its transfers through the input's starts
+    for _, basis in _layout_cases():
+        _assert_orthogonalize_keeps_the_layout(basis)
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["uniform", "ragged", "induced", "induced-accepted"]), seed=st.integers(0, 2**16))
+def test_orthogonalize_keeps_the_layout(kind, seed):
+    _assert_orthogonalize_keeps_the_layout(_basis_of(kind, seed))
 
 
 def test_orthogonalize_names_the_first_short_stack_in_post_order(rng):
@@ -760,8 +785,9 @@ def _assert_same_orthogonalization(basis):
     with kernels.count_flops() as stacked:
         iso, change = orthogonalize(basis)
     assert stacked.total == looped.total
-    assert np.array_equal(iso.transfer_store, want_iso.transfer_store)
-    for got, want in zip(iso.leaf_groups, want_iso.leaf_groups):
+    iso._check_isometric()
+    assert np.array_equal(iso.transfer.store, want_iso.transfer.store)
+    for got, want in zip(iso.leaf_matrix.groups, want_iso.leaf_matrix.groups):
         assert np.array_equal(got.clusters, want.clusters)
         assert np.array_equal(got.stack, want.stack)
     assert sorted(change) == sorted(want_change)
@@ -824,7 +850,7 @@ def test_cross_gram_family_multiplies_per_group_not_per_cluster(rng, monkeypatch
         cross_gram_family(l, r)
         # both bases hold one group per level: one product for the
         # leaves, two per transfer group
-        assert len(calls) <= len(l.leaf_groups) + 2 * len(l.groups) < len(tree) // 50
+        assert len(calls) <= len(l.leaf_matrix.groups) + 2 * len(l.transfer.groups) < len(tree) // 50
 
 
 @pytest.mark.filterwarnings("ignore:leaf_size raised")

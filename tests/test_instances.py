@@ -33,9 +33,9 @@ def loop_instance(n, k, ka, eta, seed, dim):
 
 def _assert_same_basis(got, want):
     assert np.array_equal(got.ptr, want.ptr)
-    assert np.array_equal(got.transfer_store, want.transfer_store)
-    assert len(got.leaf_groups) == len(want.leaf_groups)
-    for g, w in zip(got.leaf_groups, want.leaf_groups):
+    assert np.array_equal(got.transfer.store, want.transfer.store)
+    assert len(got.leaf_matrix.groups) == len(want.leaf_matrix.groups)
+    for g, w in zip(got.leaf_matrix.groups, want.leaf_matrix.groups):
         assert np.array_equal(g.clusters, w.clusters)
         assert np.array_equal(g.stack, w.stack)
 

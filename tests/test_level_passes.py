@@ -219,7 +219,7 @@ def test_leaf_groups_stack_every_leaf_once(rng):
     basis = ragged_basis(random_tree(rng, 200, 2, 8), rng, 3)
     tree = basis.tree
     seen = []
-    for group in basis.leaf_groups:
+    for group in basis.leaf_matrix.groups:
         for j, t in enumerate(group.clusters.tolist()):
             assert np.shares_memory(basis.leaf_matrix[t], group.stack)
             assert np.array_equal(group.stack[j], basis.leaf_matrix[t])

@@ -581,7 +581,7 @@ def test_pattern_of_a_full_input_views_the_coupling_stack(rng):
                 assert view.ctypes.data == array.ctypes.data
         # so is each transfer group the row basis's backward pass reads
         for step in plan.pattern.backward:
-            assert any(step.stack.ctypes.data == g.stack.ctypes.data for g in inst.matrix.row_basis.groups)
+            assert any(step.stack.ctypes.data == g.stack.ctypes.data for g in inst.matrix.row_basis.transfer.groups)
 
 
 def test_pattern_arrays_are_read_only(rng):
@@ -602,7 +602,7 @@ def test_pattern_arrays_are_read_only(rng):
                 array.flat[0] = array.flat[0]
     # the plan's and the bases' own arrays stay writable behind the views
     bases = (inst.matrix.row_basis, inst.matrix.col_basis, inst.input_basis)
-    for group in [*plan.coupling, *(g for b in bases for g in b.groups)]:
+    for group in [*plan.coupling, *(g for b in bases for g in b.transfer.groups)]:
         assert group.stack.flags.writeable and group.source.flags.writeable
         assert group.target.flags.writeable and group.clusters.flags.writeable
 
@@ -635,7 +635,7 @@ def test_a_plan_is_a_snapshot_of_its_matrix(rng):
     kept = build_plan(H2Matrix(bt, m.row_basis, m.col_basis, m.coupling.copy()), inst.input_basis)
     m.coupling[...] = 1.0
     assert np.array_equal(_row_couplings(plan)[0], _row_couplings(kept)[0])
-    assert np.array_equal(plan.induced.transfer_store, kept.induced.transfer_store)
+    assert np.array_equal(plan.induced.transfer.store, kept.induced.transfer.store)
     x = random_hvector(inst.input_basis, rng, steps=8)
     y, want = multiply(plan, x), multiply(kept, x)
     assert y.sub.leaves() == want.sub.leaves()
