@@ -472,9 +472,10 @@ def orthogonalize(basis):
     change[i].  Level by level, bottom-up, one stacked QR factors each
     group of the level's clusters whose leaf matrices or transfer
     stacks [change[s] @ E_s over the sons s] share a shape; then one
-    stacked product per transfer group of the level gives its
-    change[s] @ E_s.  iso, built on zeros in basis's layout, takes the
-    Q factors into its stacks and is flagged isometric unchecked.
+    stacked product per transfer group of the level writes its
+    change[s] @ E_s into the group's stack in iso, where the fathers'
+    QR reads them and leaves its Q factors.  iso, built on zeros in
+    basis's layout, is flagged isometric unchecked.
     Raises ValueError naming the first cluster, in post-order, whose
     matrix has fewer rows than its rank, checked before any QR, and
     else the first whose matrix is rank-deficient.
@@ -487,7 +488,7 @@ def orthogonalize(basis):
         i = short[0]
         raise ValueError(f"cluster {i}: {what[i]} has {rows[i]} rows, fewer than its rank {rank[i]}")
     iso = ClusterBasis(tree, rank, None, None)
-    store, start, size = iso.transfer.store, iso.transfer.start, rank * rank[tree.father]
+    transfers = iso.transfer
     change = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rank, rank)))
     deficient = np.zeros(len(tree), dtype=bool)
 
@@ -509,13 +510,12 @@ def orthogonalize(basis):
         for a, z in zip(bounds[:-1], bounds[1:]):
             ids = here[by_shape[a:z]]
             m, n = rows[ids[0]], rank[ids[0]]
-            # the sons' transfers hold change[s] @ E_s until the QR
-            # of the stack of them writes its Q factor there
-            at = _son_entries(tree, ids, start, size)
-            store[at] = factor(ids, store[at].reshape(-1, m, n)).reshape(len(ids), -1)
+            at = _son_entries(tree, ids, transfers.start, rank * rank[tree.father])
+            transfers.store[at] = factor(ids, transfers.store[at].reshape(-1, m, n)).reshape(len(ids), -1)
         for group, new in zip(basis.transfer.levels[level], iso.transfer.levels[level]):
             r2 = group.stack.shape[1]
-            new.stack[:] = kernels.matmul(change.stacked(group.clusters, r2, r2), group.stack)
+            r = change.stacked(group.clusters, r2, r2)
+            new.stack[:] = kernels.matmul(r, group.stack)
     bad = order[deficient[order]]
     if bad.size:
         raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")

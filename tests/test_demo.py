@@ -8,6 +8,7 @@ import pytest
 
 from h2vec.demo import (
     PoissonDemo,
+    _leaf_layout,
     cell_bounds,
     corner_concentration,
     full_subtree,
@@ -15,6 +16,7 @@ from h2vec.demo import (
     write_partition_svg,
 )
 from h2vec.h2matrix import to_dense
+from h2vec.instances import random_instance
 from h2vec.tree import Subtree
 
 from conftest import compress_dense, dense_inverse, dense_stencil, leaf_ranges_tile
@@ -166,6 +168,26 @@ def test_couplings_match_the_compressed_dense_inverse(grid, degree):
     total = np.sum(want.coupling * want.coupling)
     assert math.sqrt(diff) <= 1e-14 * math.sqrt(total)
     assert abs(demo.compression_error - error) <= 1e-11 * error
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+def test_leaf_layout_matches_the_walk_over_leaves(demo):
+    # the loops the arrays replaced: leaves in position order, then
+    # each interior cluster spans its first to its last son
+    for basis in (demo.iso, random_instance(300, 2, 3, 1.0, 5).plan.induced):
+        tree, rank = basis.tree, np.diff(basis.ptr)
+        span, at = {}, 0
+        for i in sorted(tree.leaves(), key=lambda i: tree.begin[i]):
+            span[i] = (at, at + int(rank[i]))
+            at += int(rank[i])
+        for i in tree.post_order.tolist():
+            sons = tree.sons(i)
+            if sons:
+                span[i] = (span[sons[0]][0], span[sons[-1]][1])
+        entries, first, end = _leaf_layout(basis)
+        assert list(zip(first.tolist(), end.tolist())) == [span[i] for i in range(len(tree))]
+        for g, e in zip(basis.leaf_matrix.groups, entries):
+            assert e[:, :, 0].tolist() == [list(range(*span[i])) for i in g.clusters.tolist()]
 
 
 def test_op_norm_bounds_the_spectral_norm(demo):
