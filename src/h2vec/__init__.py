@@ -10,11 +10,19 @@ from .basis import (
     coarsening_factors,
     cross_gram_family,
     gram_family,
+    nested_orthogonalize,
     orthogonalize,
     polynomial_basis,
     projection_factors,
 )
-from .convert import ConversionReport, ToleranceBudget, convert, coarsen_pass, materialize_induced
+from .convert import (
+    ConversionReport,
+    CoordinateMap,
+    ToleranceBudget,
+    coarsen_pass,
+    convert,
+    materialize_induced,
+)
 from .h2matrix import (
     BlockTree,
     H2Matrix,

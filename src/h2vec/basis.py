@@ -28,6 +28,10 @@ _check_family checks.
   of the target's columns beside the source's, whose leading block is
   I as the target is isometric.  Z has min(m_t, r_s) rows, where m_t
   is the projection residual's row count and r_s the source rank.
+* coordinate factors: per cluster the triangular factor R_t of a
+  basis V over the isometric basis Q that nested_orthogonalize builds
+  from it at the ranks nestedness allows, V_t = Q_t R_t, so that R_t
+  carries V's coefficients exactly into Q's (convert.CoordinateMap).
 """
 
 from collections.abc import Mapping
@@ -38,12 +42,14 @@ from types import MappingProxyType
 import numpy as np
 
 from . import kernels
+from .tree import _check_integer
 
 __all__ = [
     "ClusterBasis",
     "ClusterMatrices",
     "polynomial_basis",
     "orthogonalize",
+    "nested_orthogonalize",
     "gram_family",
     "cross_gram_family",
     "coarsening_factors",
@@ -157,6 +163,7 @@ FAMILIES = {
     "cross": ("a cross-Gram family", "cross-Gram family belongs"),
     "merge": ("merge factors", "merge factors belong"),
     "projection": ("projection factors", "projection factors belong"),
+    "coordinates": ("coordinate factors", "coordinate factors belong"),
 }
 
 
@@ -418,9 +425,11 @@ def polynomial_basis(tree, points, degree):
     matrices over the axes (Börm, Efficient Numerical Methods for
     Non-local Operators, 2010).  Raises ValueError unless points holds
     tree.n finite rows of tree.dim coordinates (or tree.n values on a
-    line), and names the first leaf, in tree.leaves() order, that has
+    line) and degree is an integer >= 0 (a NumPy integer too, not a
+    bool), and names the first leaf, in tree.leaves() order, that has
     fewer points than the rank or a rank-deficient evaluation matrix.
     """
+    _check_integer(degree, "degree", 0)
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -521,6 +530,76 @@ def orthogonalize(basis):
         raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")
     iso.isometric = True
     return iso, change
+
+
+def nested_orthogonalize(basis):
+    """An isometric basis at the basis's nested ranks, with exact factors.
+
+    Returns (iso, change).  iso has orthonormal columns at every
+    cluster t and the rank r'_t = min(m_t, r_t), r_t being the basis's
+    rank and m_t the rows of t's matrix to factor: |t| at a leaf, the
+    sum of the sons' r'_s above.  change, a family of kind
+    "coordinates" from the basis (source) to iso (target), holds the
+    upper-trapezoidal r'_t x r_t matrix change[i], with non-negative
+    diagonal, such that basis.materialize(i) = iso.materialize(i) @
+    change[i] at every cluster i.  Level by level, bottom-up, one
+    stacked thin QR factors each group of the level's clusters whose
+    leaf matrices or stacks [change[s] @ E_s over the sons s] share a
+    shape: change[i] is the triangular factor, iso's leaf matrix or
+    stacked son transfers the orthogonal one.  Unlike orthogonalize it
+    refuses neither stacks with fewer rows than columns nor rank
+    deficiency, since iso is isometric whatever the rank of change.
+    iso's transfers are smaller than the basis's, so the products
+    change[s] @ E_s of a level lie in a buffer of their own, laid out
+    so that each group's stack is one run of it.
+    """
+    tree, rank = basis.tree, np.diff(basis.ptr)
+    interior = [ids[tree.has_sons[ids]] for ids in tree.by_level]
+    rows = tree.sizes.copy()
+    new = np.minimum(rows, rank)
+    for here in reversed(interior):
+        rows[here] = np.bincount(tree.father[1:], new[1:], len(tree))[here]
+        new[here] = np.minimum(rows[here], rank[here])
+    iso = ClusterBasis(tree, new, None, None)
+    change = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((new, rank)))
+
+    def factor(ids, a):
+        """Thin QRs of the stack a of the matrices of clusters ids: writes
+        their change, returns the orthogonal factors as rows, one per cluster."""
+        q, r = kernels.qr_stack(a, thin=True)
+        change.store[change.start[ids][:, None] + np.arange(r[0].size)] = r.reshape(len(ids), -1)
+        return q.reshape(len(ids), -1)
+
+    for level in reversed(range(len(tree.by_level))):
+        for group in basis.leaf_matrix.levels[level]:
+            q = factor(group.clusters, group.stack)
+            iso.leaf_matrix.store[iso.leaf_matrix.start[group.clusters][:, None] + np.arange(q.shape[1])] = q
+        here = interior[level]
+        if not here.size:
+            continue
+        by_shape, bounds = _runs(np.column_stack((rows[here], rank[here])))
+        fathers = here[by_shape]
+        position = np.zeros(len(tree), dtype=np.intp)
+        position[fathers] = np.arange(fathers.size)
+        # the sons by father, in by_shape order, so that the stacks of
+        # one group of fathers are one run of the products
+        sons = tree.by_level[level + 1]
+        sons = sons[np.argsort(position[tree.father[sons]], kind="stable")]
+        width = new[sons] * rank[tree.father[sons]]
+        start = np.zeros(len(tree), dtype=np.intp)
+        start[sons] = np.cumsum(width) - width
+        products = np.empty(width.sum())
+        for ids, c, e in _group_pairs(change.levels[level + 1], basis.transfer.levels[level + 1], len(tree)):
+            at = start[ids][:, None] + np.arange(c.shape[1] * e.shape[2])
+            products[at] = kernels.matmul(c, e).reshape(len(ids), -1)
+        for a, z in zip(bounds[:-1], bounds[1:]):
+            ids = fathers[a:z]
+            m, n = rows[ids[0]], rank[ids[0]]
+            first = start[tree.sons(int(ids[0]))[0]]
+            q = factor(ids, products[first : first + (z - a) * m * n].reshape(-1, m, n))
+            iso.transfer.store[_son_entries(tree, ids, iso.transfer.start, new * new[tree.father])] = q
+    iso.isometric = True
+    return iso, _family(change, "coordinates", basis, iso)
 
 
 def _son_entries(tree, fathers, start, width):
@@ -649,7 +728,9 @@ def projection_factors(source, target):
     interior cluster, the sum over its sons of their Z rows and target
     ranks, less r_t.  The groups run per (level, r_t + zr_i, r_s, r_t),
     so clusters whose Z differ in rows lie apart: the grid-64 demo's
-    induced basis has 26 triples of level, r_s and r_t, and 33 groups.
+    source, its induced basis at nested ranks, has one rank per level,
+    so 7 triples of level, r_s and r_t, and 8 groups; the induced basis
+    itself, with 26 triples and 33 groups, cost three times as long.
     """
     if source.tree is not target.tree:
         raise ValueError("bases live on different trees")

@@ -24,6 +24,12 @@ treats the clusters whose sons are all leaves as merge candidates,
 with one stacked Q^T product per stack of the target's merge factors
 Q, and builds the subtree once at the end.  coarsen_pass is the
 ascent alone.
+
+A product lands in the induced basis, whose ranks exceed what
+nestedness allows: a father's rank above the sum of its sons' adds
+columns but no range.  CoordinateMap carries a vector exactly into
+the isometric basis that basis.nested_orthogonalize builds at the
+nested ranks, where the descent runs fewer and smaller groups.
 """
 
 from dataclasses import dataclass, field
@@ -31,13 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .basis import ClusterBasis, _check_family
+from .basis import ClusterBasis, _check_family, run_steps
 from .hvector import HVector
 from .tree import Subtree
 
 __all__ = [
     "ToleranceBudget",
     "ConversionReport",
+    "CoordinateMap",
     "materialize_induced",
     "convert",
     "coarsen_pass",
@@ -138,6 +145,40 @@ def materialize_induced(plan):
     tiles = plan.input_basis.transfer.stacked(nonleaf.col[inner], k, k)
     place(nonleaf.row[inner], nonleaf.target[inner], slot, tiles, np.put)
     return induced
+
+
+class CoordinateMap:
+    """The exact map of vectors over a basis V to the coordinates of
+    the basis Q of nested_orthogonalize(V), with V_t = Q_t R_t.
+
+    Called on a vector x over V, it returns the vector over Q on a copy
+    of x's subtree whose coefficient at each subtree leaf t is R_t x_t,
+    so that both expand to the same dense vector.  factors is the
+    family of kind "coordinates" that nested_orthogonalize returns,
+    and x must live on its source basis.  The map runs one stacked
+    product per group of factors that holds leaves of x's subtree;
+    these steps are kept under the leaf mask they were cut for, as a
+    product plan keeps its pattern, so a run of vectors on one subtree
+    only multiplies.  A vector of another basis is refused; convert
+    validates the coefficients it is given.
+    """
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.key = self.steps = None
+
+    def __call__(self, x):
+        factors = self.factors
+        # the target is the factors' own; kind and source are checked
+        _check_family(factors, "coordinates", x.basis, getattr(factors, "target", None))
+        leaf = x.sub.leaf_mask()
+        key = leaf.tobytes()
+        if key != self.key:
+            picked = (group.pick(leaf[group.clusters]) for group in factors.groups)
+            self.key, self.steps = key, [step for step in picked if step is not None]
+        data = np.zeros(factors.target.ptr[-1])
+        run_steps(x.data, self.steps, add=False, out=data)
+        return HVector(factors.target, x.sub.copy(), data)
 
 
 def _rows(mask):

@@ -5,9 +5,15 @@ compressed into an H2 matrix over a geometric cluster tree with
 orthogonalized tensor-polynomial bases, and used to drive twenty steps
 of inverse iteration twice: first with plain dense vectors, then with
 hierarchical vectors (product in the induced basis, adaptive
-conversion back, normalization).  Every conversion reports an exact
-error bound, and the demo tracks a certified bound on the distance
-between the two iterates.
+conversion back, normalization).  Set-up factors the induced basis by
+nested_orthogonalize into an isometric basis at the ranks nestedness
+allows (32 to 128 where the induced ranks reach 320 at grid 64), and
+each step maps its product exactly into that basis's coordinates, by
+one stacked product per group of the factors at the product's leaves,
+and converts from there: the map and the conversion form the
+"convert" phase.  Every conversion reports an exact error bound, and
+the demo tracks a certified bound on the distance between the two
+iterates.
 
 Every leaf block of the compressed operator is stored through the
 leaf bases, so the operator is exactly L M L^T, with L the isometric,
@@ -36,11 +42,12 @@ from . import hvector, kernels
 from .basis import (
     coarsening_factors,
     gram_family,
+    nested_orthogonalize,
     orthogonalize,
     polynomial_basis,
     projection_factors,
 )
-from .convert import ToleranceBudget, coarsen_pass, convert
+from .convert import CoordinateMap, ToleranceBudget, coarsen_pass, convert
 from .h2matrix import H2Matrix, build_block_tree, sparsity_constant
 from .hvector import from_dense
 from .matvec import build_plan, multiply
@@ -51,7 +58,7 @@ from .poisson import (
     inverse_square_trace,
     lshape_sites,
 )
-from .tree import Subtree, build_cluster_tree
+from .tree import Subtree, build_cluster_tree, _check_integer
 
 __all__ = [
     "PoissonDemo",
@@ -90,8 +97,9 @@ class DemoStep:
     forced: int  # commits at tree leaves whose error exceeded the budget
     flops: dict
     # wall time per part: "dense" (the dense step: L M L^T x, its
-    # Rayleigh quotient and normalization), "matvec", "convert",
-    # "vector" (Rayleigh quotient, norm and scale) and "check" (the
+    # Rayleigh quotient and normalization), "matvec", "convert" (the
+    # map to the nested basis and the conversion), "vector" (Rayleigh
+    # quotient, norm and scale) and "check" (the
     # dense expansion and the true difference)
     seconds: dict
 
@@ -112,6 +120,7 @@ class PoissonDemo:
     """Shared heavy setup for inverse-iteration runs at one grid size."""
 
     def __init__(self, grid=64, degree=3, eta=1.0):
+        _check_integer(degree, "degree", 0)
         self.grid = grid
         self.degree = degree
         self.eta = eta
@@ -144,7 +153,9 @@ class PoissonDemo:
         # that of M since L is isometric
         self.op_norm = min(float(np.linalg.norm(self.leaf_operator)), _norm_1_inf(self.leaf_operator))
         self.plan = build_plan(self.matrix, self.iso)
-        self.zfactors = projection_factors(self.plan.induced, self.iso)
+        self.nested, change = nested_orthogonalize(self.plan.induced)
+        self.to_nested = CoordinateMap(change)
+        self.zfactors = projection_factors(self.nested, self.iso)
         self.pfactors = coarsening_factors(self.iso)
 
     def apply(self, x):
@@ -199,7 +210,7 @@ class PoissonDemo:
                 t2 = time.perf_counter()
                 with kernels.phase("convert"):
                     yh, conv_bound, report = convert(
-                        product, self.iso, self.zfactors, self.pfactors, budget
+                        self.to_nested(product), self.iso, self.zfactors, self.pfactors, budget
                     )
                 t3 = time.perf_counter()
             nu_hier = hvector.dot(xh, yh, self.gram) / hvector.dot(

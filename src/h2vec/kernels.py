@@ -11,8 +11,9 @@ m*n*p; a stack of b such products costs b times as much, the same as
 b separate calls.  Callers that add the results into accumulators
 charge the adds themselves, per batch, with ``tally``.  A QR of an
 (m, n) matrix is charged m*n*min(m, n) for the triangular factor,
-plus m*m*n when the complete m x m orthogonal factor is formed as
-well, b*m*n*(m + n) for a stack of b (``qr_stack``).  The orthogonal
+plus m*n per column of the orthogonal factor formed as well: m*m*n
+for the complete m x m factor, m*min(m, n)*n for the thin one, and b
+times as much for a stack of b (``qr_stack``).  The orthogonal
 factor is kept dense, so applying its adjoint to p columns is one
 counted product of m*m*p.  Comparisons and copies are not counted.
 
@@ -239,20 +240,24 @@ def _check_matrix(a, ndim=2):
     return a
 
 
-def qr_stack(a):
-    """QRs of a (b, m, n) stack of tall finite matrices, m >= n: the
-    complete (b, m, m) orthogonal factors q, by one LAPACK call, and
-    the (b, n, n) upper triangular factors r with non-negative
-    diagonal, a new array, with q[j][:, :n] @ r[j] = a[j]."""
+def qr_stack(a, thin=False):
+    """QRs of a (b, m, n) stack of finite matrices, by one LAPACK call:
+    the orthogonal factors q and the (b, k, n) upper-trapezoidal
+    factors r, k = min(m, n), with non-negative diagonal, a new array,
+    with q[j][:, :k] @ r[j] = a[j].  By default q is complete, (b, m, m),
+    and the matrices must be tall, m >= n; with thin=True q holds only
+    the leading k columns, (b, m, k), and any shape is accepted: for
+    m <= n the two factors coincide."""
     a = _check_matrix(a, ndim=3)
     b, m, n = a.shape
-    if m < n:
+    if m < n and not thin:
         raise ValueError(f"need at least as many rows as columns, got {a.shape[1:]}")
-    tally(b * m * n * (m + n))
-    q, r = np.linalg.qr(a, mode="complete")
+    k = min(m, n)
+    q, r = np.linalg.qr(a, mode="reduced" if thin else "complete")
+    tally(b * (m * n * k + m * q.shape[2] * n))
     signs = _sign_fix(r)
-    q[:, :, :n] *= signs[:, None, :]
-    return q, r[:, :n] * signs[:, :, None]
+    q[:, :, :k] *= signs[:, None, :]
+    return q, r[:, :k] * signs[:, :, None]
 
 
 def triangularize(a):

@@ -42,8 +42,10 @@ their leading entries from the row accumulators and every slot of a
 block of the result the input pushed down to its column.  The
 result's flat array is laid out by the induced basis's ptr: cluster t
 owns the entries ptr[t] to ptr[t + 1].  The plan keeps the induced
-basis, with its dense transfers, for conversion, the projection
-factors and the oracles.  Counted flops equal those of the recursive
+basis, with its dense transfers, for the oracles and for
+nested_orthogonalize, which gives the isometric basis at the ranks
+nestedness allows in which the demo converts its products, mapped
+there exactly by convert.CoordinateMap.  Counted flops equal those of the recursive
 walk of this factored model; each add into an accumulator is charged
 per batch.  The passes gather entries with ndarray.take: for the
 27,444 entries the coupling of one product at n = 4096 reads, that

@@ -150,6 +150,14 @@ def _bisect_level(coords, edges, lo, hi):
     return orders[axis[cluster], np.arange(n)], split
 
 
+def _check_integer(value, name, least):
+    """Raise ValueError, naming the parameter, unless value is an int or
+    a NumPy integer, not a bool, of at least least."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def build_cluster_tree(points, leaf_size):
     """Build a level-uniform binary cluster tree by midpoint bisection.
 
@@ -176,9 +184,7 @@ def build_cluster_tree(points, leaf_size):
         raise ValueError(f"points have no coordinates: shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValueError("non-finite coordinates")
-    integer = isinstance(leaf_size, (int, np.integer)) and not isinstance(leaf_size, bool)
-    if not integer or leaf_size < 1:
-        raise ValueError(f"leaf_size must be an integer of at least 1, got {leaf_size!r}")
+    _check_integer(leaf_size, "leaf_size", 1)
     levels, size = _bisection(points, int(leaf_size))
     return _assemble(points, levels, size)
 

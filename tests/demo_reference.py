@@ -58,7 +58,7 @@ def interleaved_run(demo, eps, steps, dense_step=None):
             t2 = time.perf_counter()
             with kernels.phase("convert"):
                 yh, conv_bound, report = convert(
-                    product, demo.iso, demo.zfactors, demo.pfactors, budget
+                    demo.to_nested(product), demo.iso, demo.zfactors, demo.pfactors, budget
                 )
             t3 = time.perf_counter()
         nu_hier = hvector.dot(xh, yh, demo.gram) / hvector.dot(xh, xh, demo.gram)

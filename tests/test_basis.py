@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 import basis_reference
 from h2vec import kernels
 from h2vec.basis import (
+    ISOMETRY_TOL,
     ClusterBasis,
+    _check_family,
     coarsening_factors,
     cross_gram_family,
     gram_family,
+    nested_orthogonalize,
     orthogonalize,
     polynomial_basis,
     projection_factors,
 )
+from h2vec.demo import PoissonDemo
 from h2vec.instances import (
     line_tree,
     random_basis,
@@ -110,6 +114,23 @@ def test_polynomial_basis_rejects_points_that_do_not_fit_the_tree(points):
     tree = line_tree(32, 4)
     with pytest.raises(ValueError, match="expected 32 finite points of dimension 1"):
         polynomial_basis(tree, points, 1)
+
+
+@pytest.mark.parametrize("degree", [-1, 1.5, 2.0, True, False, "2", None])
+def test_polynomial_basis_refuses_a_degree_that_is_not_a_non_negative_integer(degree):
+    tree = line_tree(32, 8)
+    with pytest.raises(ValueError, match=f"^degree must be an integer of at least 0, got {re.escape(repr(degree))}$"):
+        polynomial_basis(tree, np.linspace(0, 1, 32), degree)
+
+
+def test_polynomial_basis_takes_a_numpy_integer_degree():
+    tree = line_tree(32, 8)
+    points = np.linspace(0, 1, 32)
+    want = polynomial_basis(tree, points, 2)
+    got = polynomial_basis(tree, points, np.int64(2))
+    assert got.rank == 3
+    assert np.array_equal(got.leaf_matrix.store, want.leaf_matrix.store)
+    assert np.array_equal(got.transfer.store, want.transfer.store)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -923,3 +944,95 @@ def test_change_factors_hold_no_orthogonal_factor(rng):
             owner = owner.base
         owners[id(owner)] = owner
     assert sum(o.size for o in owners.values()) == sum(c.size for c in change.values())
+
+
+def _nested_ranks(basis):
+    """The ranks nested_orthogonalize must give, one cluster at a time:
+    min(|t|, r_t) at a leaf, min(r_t, sum of the sons' ranks) above."""
+    tree = basis.tree
+    rank = [0] * len(tree)
+    for i in tree.post_order.tolist():
+        rows = sum(rank[s] for s in tree.sons(i)) if tree.sons(i) else int(tree.sizes[i])
+        rank[i] = min(rows, basis.rank_of(i))
+    return rank
+
+
+def _assert_nested_orthogonalization(basis):
+    """nested_orthogonalize gives an isometric basis at the nested ranks
+    whose coordinate factors recover the basis at every cluster."""
+    tree = basis.tree
+    iso, change = nested_orthogonalize(basis)
+    assert iso.tree is tree and iso.isometric
+    iso._check_isometric()  # flagged unchecked: within ISOMETRY_TOL here
+    ranks = _nested_ranks(basis)
+    assert np.diff(iso.ptr).tolist() == ranks
+    _check_family(change, "coordinates", basis, iso)
+    assert sorted(change) == list(range(len(tree)))
+    for i in range(len(tree)):
+        r = change[i]
+        assert r.shape == (ranks[i], basis.rank_of(i))
+        assert np.all(np.tril(r, -1) == 0.0) and np.all(np.diagonal(r) >= 0.0)
+        v, q = basis.materialize(i), iso.materialize(i)
+        assert np.max(np.abs(q.T @ q - np.eye(ranks[i]))) <= ISOMETRY_TOL
+        assert np.linalg.norm(q @ r - v) <= 1e-13 * np.linalg.norm(v)
+    return iso, change
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["uniform", "ragged", "induced", "induced-accepted"]), seed=st.integers(0, 2**16))
+def test_nested_orthogonalize_factors_every_basis_kind(kind, seed):
+    # "induced" draws mostly stack short, which orthogonalize refuses
+    _assert_nested_orthogonalization(_basis_of(kind, seed))
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+def test_nested_orthogonalize_factors_the_layout_cases():
+    for name, basis in _layout_cases():
+        if basis.tree.n <= 300:
+            _assert_nested_orthogonalization(basis)
+
+
+def test_nested_orthogonalize_accepts_short_and_deficient_stacks(rng):
+    tree = line_tree(16, 4)
+    # post-order 2 3 1 5 6 4 0: clusters 4 and 0 stack fewer rows than
+    # their ranks, as in the refusal test of orthogonalize
+    rank = [6, 2, 1, 1, 3, 1, 1]
+    leaf_matrix = {i: rng.standard_normal((4, rank[i])) for i in tree.leaves()}
+    transfer = {s: rng.standard_normal((rank[s], rank[int(tree.father[s])])) for s in range(1, 7)}
+    # and cluster 1's leaf sons span one direction only
+    leaf_matrix[3] = leaf_matrix[2].copy()
+    transfer[3] = transfer[2].copy()
+    basis = basis_reference.mapping_basis(tree, leaf_matrix, transfer)
+    iso, change = _assert_nested_orthogonalization(basis)
+    assert np.diff(iso.ptr).tolist() == [4, 2, 1, 1, 2, 1, 1]
+    # the deficient stack of cluster 1 gives a rank-1 change factor
+    assert np.linalg.matrix_rank(change[1]) == 1
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+def test_nested_orthogonalize_runs_one_thin_qr_per_level_and_shape(monkeypatch):
+    basis = _basis_of("induced", 3)
+    calls = []
+    qr_stack = kernels.qr_stack
+    monkeypatch.setattr(kernels, "qr_stack", lambda a, thin=False: calls.append((a.shape, thin)) or qr_stack(a, thin))
+    nested_orthogonalize(basis)
+    tree, rank = basis.tree, np.diff(basis.ptr)
+    rows = tree.sizes.copy()
+    ranks = np.array(_nested_ranks(basis))
+    rows[tree.has_sons] = np.bincount(tree.father[1:], ranks[1:], len(tree))[tree.has_sons]
+    shapes = {(int(tree.level[i]), int(rows[i]), int(rank[i])) for i in range(len(tree))}
+    assert len(calls) == len(shapes)
+    assert all(thin for _, thin in calls)
+
+
+def test_nested_basis_of_the_grid_64_demo_has_one_transfer_group_per_level():
+    demo = PoissonDemo(grid=64)
+    nested, tree = demo.nested, demo.tree
+    induced = np.diff(demo.plan.induced.ptr)
+    assert induced[tree.by_level[5]].max() == 320  # where nestedness caps it at 32
+    ranks = np.diff(nested.ptr)
+    assert [sorted(set(ranks[ids].tolist())) for ids in tree.by_level] == [[32], [48], [80], [128], [64], [32], [16]]
+    assert [len(groups) for groups in nested.transfer.levels] == [0, 1, 1, 1, 1, 1, 1]
+    assert [len(groups) for groups in demo.zfactors.levels] == [1, 1, 1, 1, 1, 1, 2]
+    assert demo.zfactors.source is nested and demo.zfactors.target is demo.iso

@@ -7,17 +7,19 @@ from h2vec.basis import (
     coarsening_factors,
     cross_gram_family,
     gram_family,
+    nested_orthogonalize,
     orthogonalize,
     projection_factors,
 )
 from h2vec.convert import (
+    CoordinateMap,
     ToleranceBudget,
     coarsen_pass,
     convert,
     materialize_induced,
 )
 from h2vec.h2matrix import build_block_tree, random_h2, to_dense
-from h2vec.hvector import HVector, axpy, norm, refine, to_dense as hv_dense
+from h2vec.hvector import HVector, axpy, norm, refine, scale, to_dense as hv_dense
 from h2vec.instances import (
     line_tree,
     random_basis,
@@ -26,6 +28,7 @@ from h2vec.instances import (
     random_iso_basis,
 )
 from h2vec.matvec import InducedHVector, multiply
+from h2vec.tree import Subtree
 
 import basis_reference
 import matvec_reference as reference
@@ -374,3 +377,96 @@ def test_tolerance_budget_rejects_negative_or_nan_eps():
             ToleranceBudget(eps)
     for eps in (0.0, 1e-5, float("inf")):
         assert ToleranceBudget(eps).eps == eps
+
+
+# (n, k, ka, seed, leaf_size): the first stacks short nowhere, the
+# others do at most fathers of leaves, as the demo's induced basis does
+NESTED_CASES = [(64, 1, 3, 1, None), (96, 3, 2, 7, 3), (128, 2, 3, 4, None), (300, 3, 3, 300, None)]
+
+
+@pytest.fixture(scope="module", params=NESTED_CASES, ids=["-".join(map(str, c)) for c in NESTED_CASES])
+def nested(request):
+    """An instance, the nested basis of its induced basis with the
+    map to it, and both paths' projection and merge factors."""
+    n, k, ka, seed, leaf_size = request.param
+    inst = random_instance(n, k, ka, 1.0, seed, leaf_size=leaf_size)
+    iso = inst.input_basis
+    basis, change = nested_orthogonalize(inst.plan.induced)
+    oracle = projection_factors(inst.plan.induced, iso)
+    return inst, CoordinateMap(change), projection_factors(basis, iso), oracle, coarsening_factors(iso)
+
+
+def _products(inst, seed, count=6):
+    """Products of random vectors on random subtrees, scaled to norm 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        y = multiply(inst.plan, random_hvector(inst.input_basis, rng, steps=int(rng.integers(0, 6))))
+        nrm = np.linalg.norm(hv_dense(y))
+        if nrm > 0.0:
+            scale(y, 1.0 / nrm)
+            yield y
+
+
+def test_the_map_keeps_the_product(nested):
+    inst, to_nested, _, _, _ = nested
+    for y in _products(inst, 1):
+        z = to_nested(y)
+        assert z.basis is to_nested.factors.target and z.sub is not y.sub
+        assert z.sub.leaves() == y.sub.leaves()
+        want = hv_dense(y)
+        assert np.linalg.norm(hv_dense(z) - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-8])
+def test_conversion_through_the_nested_basis_matches_the_induced_one(nested, eps):
+    inst, to_nested, zfac, oracle, pfac = nested
+    iso, tree, budget = inst.input_basis, inst.tree, ToleranceBudget(eps)
+    for y in _products(inst, int(-np.log10(eps))):
+        got, bound, report = convert(to_nested(y), iso, zfac, pfac, budget)
+        want, want_bound, want_report = convert(y, iso, oracle, pfac, budget)
+        assert got.sub.leaves() == want.sub.leaves()
+        assert sorted(report.commit_errors) == sorted(want_report.commit_errors)
+        assert sorted(report.merge_errors) == sorted(want_report.merge_errors)
+        assert report.forced == want_report.forced
+        live = got.leaf_entries()
+        assert np.max(np.abs(got.data[live] - want.data[live])) <= 1e-12
+        # both add up errors exact to round-off in the product's scale, 1
+        assert abs(bound - want_bound) <= 1e-11 * want_bound + 1e-14
+        # forced commits, at leaves too small for the product, exceed eps
+        assert bound <= eps or report.forced
+        assert np.linalg.norm(hv_dense(got) - hv_dense(y)) <= bound + 1e-12
+        # the projection-error identity at every commit
+        dense_y = hv_dense(y)
+        for i, err in report.commit_errors.items():
+            q, part = iso.materialize(i), dense_y[tree.positions(i)]
+            truth = np.linalg.norm(part - q @ (q.T @ part))
+            assert abs(err - truth) <= 1e-11 * max(1.0, truth)
+
+
+def test_the_map_keeps_its_steps_per_leaf_mask(nested):
+    inst, to_nested, _, _, _ = nested
+    x = random_hvector(inst.input_basis, np.random.default_rng(5), steps=3)
+    y = multiply(inst.plan, x)
+    to_nested(y)
+    steps = to_nested.steps
+    to_nested(multiply(inst.plan, x))
+    assert to_nested.steps is steps
+    # the full subtree's product has other leaves, so other steps
+    full = HVector(inst.input_basis, Subtree.from_interior(inst.tree, inst.tree.has_sons))
+    to_nested(multiply(inst.plan, full))
+    assert to_nested.steps is not steps
+    assert sum(len(step.clusters) for step in to_nested.steps) == int(np.count_nonzero(~inst.tree.has_sons))
+
+
+def test_the_map_refuses_a_family_of_another_basis(nested, rng):
+    inst, to_nested, zfac, _, pfac = nested
+    y = multiply(inst.plan, random_hvector(inst.input_basis, rng, steps=2))
+    other = random_instance(inst.tree.n, 1, 1, 1.0, 11)
+    _, change = nested_orthogonalize(other.plan.induced)
+    with pytest.raises(ValueError, match="^coordinate factors belong to a different source basis$"):
+        CoordinateMap(change)(y)
+    with pytest.raises(ValueError, match="^coordinate factors belong to a different source basis$"):
+        to_nested(HVector(inst.input_basis))
+    for wrong, got in ((zfac, "projection factors"), (pfac, "merge factors"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=f"^expected coordinate factors, got {got}$"):
+            CoordinateMap(wrong)(y)

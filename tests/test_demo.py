@@ -1,11 +1,15 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
+from h2vec import hvector
+from h2vec.basis import projection_factors
+from h2vec.convert import ToleranceBudget, coarsen_pass, convert
 from h2vec.demo import (
     PoissonDemo,
     _leaf_layout,
@@ -16,7 +20,9 @@ from h2vec.demo import (
     write_partition_svg,
 )
 from h2vec.h2matrix import to_dense
+from h2vec.hvector import from_dense
 from h2vec.instances import random_instance
+from h2vec.matvec import multiply
 from h2vec.tree import Subtree
 
 from conftest import compress_dense, dense_inverse, dense_stencil, leaf_ranges_tile
@@ -260,6 +266,60 @@ def test_run_matches_the_interleaved_schedule(demo, eps):
         assert set(got.seconds) == set(ref.seconds)
     assert run.final_leaves == want.final_leaves
     assert run.final_tx == want.final_tx
+
+
+@pytest.mark.parametrize("degree", [-1, 1.5, 3.0, True, "3", None])
+def test_demo_refuses_a_degree_that_is_not_a_non_negative_integer(degree):
+    # -1 once surfaced as a leaf_size of 0, 1.5 as one of 25.0, and True
+    # built a rank-4 demo
+    with pytest.raises(ValueError, match=f"^degree must be an integer of at least 0, got {re.escape(repr(degree))}$"):
+        PoissonDemo(grid=16, degree=degree)
+
+
+def test_demo_takes_a_numpy_integer_degree(demo):
+    other = PoissonDemo(grid=16, degree=np.int64(1))
+    assert other.iso.rank == demo.iso.rank == 4
+    assert np.array_equal(other.leaf_operator, demo.leaf_operator)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+def test_conversion_through_the_nested_basis_matches_the_induced_one(eps):
+    # the demo's own products, which merge and commit above the leaves,
+    # converted through the nested basis and, as before, through the
+    # induced basis's projection factors
+    demo = PoissonDemo(grid=32)
+    oracle = projection_factors(demo.plan.induced, demo.iso)
+    budget = ToleranceBudget(eps)
+    n = demo.tree.n
+    xh, _ = from_dense(np.ones(n) / math.sqrt(n), demo.iso, full_subtree(demo.tree))
+    coarsen_pass(xh, demo.pfactors, budget)
+    merges = 0
+    for _ in range(8):
+        product = multiply(demo.plan, xh)
+        mapped = demo.to_nested(product)
+        dense = hvector.to_dense(product)
+        assert np.linalg.norm(hvector.to_dense(mapped) - dense) <= 1e-11 * np.linalg.norm(dense)
+        got, bound, report = convert(mapped, demo.iso, demo.zfactors, demo.pfactors, budget)
+        want, want_bound, want_report = convert(product, demo.iso, oracle, demo.pfactors, budget)
+        assert got.sub.leaves() == want.sub.leaves()
+        assert sorted(report.commit_errors) == sorted(want_report.commit_errors)
+        assert sorted(report.merge_errors) == sorted(want_report.merge_errors)
+        assert report.forced == want_report.forced == []
+        live = got.leaf_entries()
+        scale = np.linalg.norm(dense)
+        assert np.max(np.abs(got.data[live] - want.data[live])) <= 1e-12 * scale
+        # both add up errors exact to round-off in the product's scale
+        assert abs(bound - want_bound) <= 1e-11 * want_bound + 1e-14 * scale
+        assert np.linalg.norm(hvector.to_dense(got) - dense) <= bound + 1e-12 * scale
+        for i, err in report.commit_errors.items():
+            q, part = demo.iso.materialize(i), dense[demo.tree.positions(i)]
+            truth = np.linalg.norm(part - q @ (q.T @ part))
+            assert abs(err - truth) <= 1e-11 * max(scale, truth)
+        merges += len(report.merge_errors)
+        xh = got
+        hvector.scale(xh, 1.0 / hvector.norm(xh, demo.gram))
+    # at eps 1e-8 the conversions keep every leaf of these products
+    assert merges > 0 or eps == 1e-8
 
 
 @pytest.mark.parametrize("steps", [0, -1])

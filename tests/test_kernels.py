@@ -99,6 +99,25 @@ def test_qr_stack_is_triangularize_per_slice(rng, shape):
     assert np.all(np.diagonal(r, axis1=1, axis2=2) >= 0.0)
 
 
+@pytest.mark.parametrize("shape", [(5, 7, 3), (4, 6, 6), (3, 4, 9), (2, 1, 5), (3, 9, 0), (0, 5, 2)])
+def test_thin_qr_stack_factors_any_shape(rng, shape):
+    a = rng.standard_normal(shape)
+    b, m, n = shape
+    k = min(m, n)
+    with kernels.count_flops() as counter:
+        q, r = kernels.qr_stack(a, thin=True)
+    assert q.shape == (b, m, k) and r.shape == (b, k, n)
+    assert counter.total == b * (m * n * k + m * k * n)
+    assert np.max(np.abs(q @ r - a), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(a), initial=0.0))
+    assert np.max(np.abs(q.transpose(0, 2, 1) @ q - np.eye(k)), initial=0.0) <= 1e-13
+    assert np.all(np.tril(r, -1) == 0.0) and np.all(np.diagonal(r, axis1=1, axis2=2) >= 0.0)
+    if m >= n:
+        # the complete factors' leading columns, up to round-off
+        complete, rc = kernels.qr_stack(a)
+        assert np.allclose(complete[:, :, :k], q, rtol=0.0, atol=1e-13)
+        assert np.allclose(rc, r, rtol=0.0, atol=1e-13)
+
+
 def test_qr_stack_rejects_bad_input():
     with pytest.raises(ValueError, match=r"^need at least as many rows as columns, got \(2, 3\)$"):
         kernels.qr_stack(np.zeros((4, 2, 3)))
