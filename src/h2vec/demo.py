@@ -117,7 +117,11 @@ class DemoRun:
 
 
 class PoissonDemo:
-    """Shared heavy setup for inverse-iteration runs at one grid size."""
+    """Shared heavy setup for inverse-iteration runs at one grid size.
+
+    degree, the Legendre degree of the bases, is an integer >= 0 (a
+    NumPy integer too, not a bool), refused with ValueError otherwise.
+    """
 
     def __init__(self, grid=64, degree=3, eta=1.0):
         _check_integer(degree, "degree", 0)
