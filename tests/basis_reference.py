@@ -1,7 +1,8 @@
 """Per-cluster oracles for the level passes of basis set-up.
 
 Each routine here is the one-cluster-at-a-time form of a stacked pass
-in h2vec: one QR per cluster in post-order for `orthogonalize`, one QR
+in h2vec: one QR per cluster in post-order for `orthogonalize` and
+for `nested_orthogonalize`, one QR
 per interior cluster for `coarsening_factors`, one Legendre evaluation
 per leaf for `polynomial_basis`, the transfer recursion one cluster at
 a time in post-order for `cross_gram_family`, and one draw per leaf
@@ -114,6 +115,31 @@ def orthogonalize(basis):
             at += len(change[s])
     iso = mapping_basis(tree, leaf_matrix, transfer, isometric=True)
     return iso, change
+
+
+def nested_orthogonalize(basis):
+    """(iso, change) of basis.nested_orthogonalize, from one thin QR per
+    cluster, in post-order: of the leaf matrix, or of the sons'
+    change[s] @ E_s stacked."""
+    tree = basis.tree
+    leaf_matrix = {}
+    transfer = {}
+    change = {}
+    for i in tree.post_order.tolist():
+        sons = tree.sons(i)
+        if sons:
+            a = np.vstack([kernels.matmul(change[s], basis.transfer[s]) for s in sons])
+        else:
+            a = basis.leaf_matrix[i]
+        q, r = kernels.qr_stack(a[None], thin=True)
+        change[i] = r[0]
+        if not sons:
+            leaf_matrix[i] = q[0]
+        at = 0
+        for s in sons:
+            transfer[s] = q[0, at : at + len(change[s])]
+            at += len(change[s])
+    return mapping_basis(tree, leaf_matrix, transfer), change
 
 
 def coarsening_factors(basis):

@@ -959,9 +959,19 @@ def _nested_ranks(basis):
 
 def _assert_nested_orthogonalization(basis):
     """nested_orthogonalize gives an isometric basis at the nested ranks
-    whose coordinate factors recover the basis at every cluster."""
+    whose coordinate factors recover the basis at every cluster, equal
+    to the per-cluster oracle's bit for bit, with the same counted flops."""
     tree = basis.tree
-    iso, change = nested_orthogonalize(basis)
+    with kernels.count_flops() as looped:
+        want_iso, want_change = basis_reference.nested_orthogonalize(basis)
+    with kernels.count_flops() as stacked:
+        iso, change = nested_orthogonalize(basis)
+    assert stacked.total == looped.total
+    assert np.array_equal(iso.ptr, want_iso.ptr)
+    assert np.array_equal(iso.leaf_matrix.store, want_iso.leaf_matrix.store)
+    assert np.array_equal(iso.transfer.store, want_iso.transfer.store)
+    for i, c in want_change.items():
+        assert np.array_equal(change[i], c)
     assert iso.tree is tree and iso.isometric
     iso._check_isometric()  # flagged unchecked: within ISOMETRY_TOL here
     ranks = _nested_ranks(basis)
