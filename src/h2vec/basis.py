@@ -729,8 +729,8 @@ def projection_factors(source, target):
     ranks, less r_t.  The groups run per (level, r_t + zr_i, r_s, r_t),
     so clusters whose Z differ in rows lie apart: the grid-64 demo's
     source, its induced basis at nested ranks, has one rank per level,
-    so 7 triples of level, r_s and r_t, and 8 groups; the induced basis
-    itself, with 26 triples and 33 groups, cost three times as long.
+    so 7 triples of level, r_s and r_t, and 8 groups, where the induced
+    basis itself has 26 triples and 33 groups.
     """
     if source.tree is not target.tree:
         raise ValueError("bases live on different trees")

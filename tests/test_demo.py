@@ -330,9 +330,10 @@ def test_run_rejects_a_step_count_below_one(demo, steps):
 
 def test_setup_peak_memory(demo):
     # the module's demo has warmed up imports and caches; at grid 64 the
-    # stores set-up keeps (the induced basis, the projection factors,
-    # the leaf operator and the couplings) take about 58 MB and the
-    # traced peak is about 63 MB, under the 69 MB of one n x n array:
+    # stores set-up keeps (the induced basis, its nested basis with the
+    # coordinate and projection factors, the leaf operator and the
+    # couplings) take about 49 MB and the traced peak is about 51 MB,
+    # under the 69 MB of one n x n array:
     # so set-up never holds one (at grid 32 the stores alone take about
     # as much as an n x n array, so it would not show)
     tracemalloc.start()
