@@ -32,6 +32,7 @@ the isometric basis that basis.nested_orthogonalize builds at the
 nested ranks, where the descent runs fewer and smaller groups.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,13 +64,13 @@ class ToleranceBudget:
 
     The floor REL_FLOOR only widens acceptance tests; accumulated
     bounds always use the true computed errors, never the floor.
-    eps is non-negative; 0 and inf are allowed.
+    eps is a non-negative real number; 0 and inf are allowed.
     """
 
     eps: float
 
     def __post_init__(self):
-        if not self.eps >= 0.0:
+        if not (isinstance(self.eps, numbers.Real) and self.eps >= 0.0):
             raise ValueError(f"eps must be non-negative, got {self.eps}")
 
     def limit(self, size, total, scale):

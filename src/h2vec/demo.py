@@ -41,7 +41,6 @@ import numpy as np
 from . import hvector, kernels
 from .basis import (
     coarsening_factors,
-    gram_family,
     nested_orthogonalize,
     orthogonalize,
     polynomial_basis,
@@ -143,7 +142,6 @@ class PoissonDemo:
         self.problem = assemble_lshape(grid)
         nodal = polynomial_basis(self.tree, self.problem.points, degree)
         self.iso, _ = orthogonalize(nodal)
-        self.gram = gram_family(self.iso)
         self.block_tree = build_block_tree(self.tree, self.tree, eta)
         self.csp = sparsity_constant(self.block_tree)
         self._leaf_entries, first, end = _leaf_layout(self.iso)
@@ -187,10 +185,13 @@ class PoissonDemo:
         The dense iteration, through apply, runs to completion first, so
         that its operator is not streamed between every two hierarchical
         steps; the hierarchical loop then reads its Rayleigh quotients,
-        norms and iterates.  Raises ValueError unless steps is positive.
+        norms and iterates.  Raises ValueError unless steps is an integer
+        >= 1 (a NumPy integer too, not a bool).
         """
-        if steps < 1:
-            raise ValueError(f"steps must be a positive count, got {steps}")
+        try:
+            _check_integer(steps, "steps", 1)
+        except ValueError:
+            raise ValueError(f"steps must be a positive count, got {steps!r}") from None
         n = self.tree.n
         budget = ToleranceBudget(eps)
         start = np.ones(n) / math.sqrt(n)
@@ -217,10 +218,8 @@ class PoissonDemo:
                         self.to_nested(product), self.iso, self.zfactors, self.pfactors, budget
                     )
                 t3 = time.perf_counter()
-            nu_hier = hvector.dot(xh, yh, self.gram) / hvector.dot(
-                xh, xh, self.gram
-            )
-            norm_yh = hvector.norm(yh, self.gram)
+            nu_hier = hvector.dot(xh, yh) / hvector.dot(xh, xh)
+            norm_yh = hvector.norm(yh)
             hvector.scale(yh, 1.0 / norm_yh)
             xh = yh
             t4 = time.perf_counter()

@@ -12,9 +12,14 @@ axpy, dot and norm work on the common refinement of their operands,
 the subtree whose interior is the union of theirs.  Each operand is
 pushed down to its leaves by the basis's backward transformation,
 one stacked product per transfer group, restricted to the clusters
-interior to the union but not to the operand; what remains is one
-masked update (axpy) or one stacked Gram product per level and rank
-of the union's leaves (dot).  to_dense pushes the coefficients down
+interior to the union but not to the operand: axpy's y in place, any
+other operand in a copy made only when there is something to push.
+What remains is one masked update (axpy) or one masked dot of the
+union's leaf entries (dot).  On an isometric basis V_t^T V_t = I up
+to basis.ISOMETRY_TOL, so that dot is the inner product, at one
+multiply-add per entry; any other basis needs its Gram family,
+through which dot makes one stacked product per level and rank of
+the union's leaves.  to_dense pushes the coefficients down
 to the tree leaves in the same way and expands them by one stacked
 product per leaf group of the basis; from_dense runs the other way,
 by the transposed leaf stacks and the forward transformation.
@@ -72,6 +77,8 @@ class HVector:
     """
 
     def __init__(self, basis, sub=None, data=None):
+        if sub is not None and sub.tree is not basis.tree:
+            raise ValueError("subtree and basis live on different trees")
         self.basis = basis
         self.sub = sub if sub is not None else Subtree(basis.tree)
         self.data = data if data is not None else np.zeros(basis.ptr[-1])
@@ -163,13 +170,15 @@ def coarsen(x, i, factors):
     return error
 
 
-def _refined(x, interior, data):
-    """Push the coefficients in data, laid out as x's, from x's leaves
-    down to the leaves of the subtree with the given interior; returns
-    data."""
+def _refined(x, interior, copy=True):
+    """x's coefficients pushed from x's leaves down to the leaves of the
+    subtree with the given interior: in a copy of x.data, made only when
+    there is something to push, or with copy=False in x.data itself."""
     push = interior & ~x.sub.interior_mask()
-    if push.any():
-        x.basis.backward(data, push, add=False)
+    if not push.any():
+        return x.data
+    data = x.data.copy() if copy else x.data
+    x.basis.backward(data, push, add=False)
     return data
 
 
@@ -188,8 +197,8 @@ def axpy(alpha, x, y):
     """Update y <- y + alpha*x exactly, refining y's subtree as needed."""
     _check_factor(alpha)
     interior = _common_interior(x, y)
-    z = _refined(x, interior, x.data.copy())
-    _refined(y, interior, y.data)
+    z = _refined(x, interior)
+    _refined(y, interior, copy=False)
     y.sub = Subtree.from_interior(y.basis.tree, interior)
     live = y.leaf_entries()
     kernels.tally(int(np.count_nonzero(live)))
@@ -204,19 +213,28 @@ def scale(x, alpha):
     x.data[live] *= alpha
 
 
-def dot(x, y, gram):
+def dot(x, y, gram=None):
     """Inner product of two hierarchical vectors over one basis.
 
-    gram holds the per-cluster Gram matrices of the basis, as
-    gram_family returns them.  Where one subtree is deeper than the
-    other, coefficients are pushed through the transfer matrices until
-    both sides sit on the leaves of the common refinement.
+    Where one subtree is deeper than the other, coefficients are pushed
+    through the transfer matrices until both sides sit on the leaves of
+    the common refinement.  On an isometric basis the inner product is
+    then one masked dot of the leaf entries, exact up to the basis's
+    isometry (ISOMETRY_TOL); gram may be left out, and when given it is
+    checked, not multiplied.  Any other basis needs gram, the Gram
+    family gram_family(basis), and multiplies through it per leaf.
     """
     interior = _common_interior(x, y)
-    _check_family(gram, "gram", x.basis)
-    u = _refined(x, interior, x.data.copy())
-    v = _refined(y, interior, y.data.copy())
-    leaf = Subtree.from_interior(x.basis.tree, interior).leaf_mask()
+    basis = x.basis
+    if gram is not None:
+        _check_family(gram, "gram", basis)
+    elif not basis.isometric:
+        raise ValueError("a basis that is not isometric needs its Gram family, gram_family(basis)")
+    u, v = _refined(x, interior), _refined(y, interior)
+    leaf = Subtree.from_interior(basis.tree, interior).leaf_mask()
+    if basis.isometric:
+        live = np.repeat(leaf, np.diff(basis.ptr))
+        return kernels.vdot(u[live], v[live])
     total = 0.0
     for group in gram.groups:
         pick = leaf[group.clusters]
@@ -226,8 +244,9 @@ def dot(x, y, gram):
     return total
 
 
-def norm(x, gram):
-    """Euclidean norm; tiny negative round-off is clamped to zero."""
+def norm(x, gram=None):
+    """Euclidean norm, as sqrt(dot(x, x, gram)); tiny negative round-off
+    is clamped to zero."""
     return float(np.sqrt(max(dot(x, x, gram), 0.0)))
 
 
@@ -266,8 +285,6 @@ def from_dense(v, basis, sub=None):
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise ValueError(f"position {bad[0]}: non-finite entry")
-    if sub is not None and sub.tree is not tree:
-        raise ValueError("subtree and basis live on different trees")
     x = HVector(basis, sub.copy() if sub is not None else None)
     for group in basis.leaf_matrix.groups:
         # the transposed view rounds as each leaf's v.T @ block does; a copy does not

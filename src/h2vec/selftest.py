@@ -118,6 +118,10 @@ def _suite_basis(seed):
     suite.check(
         np.max(np.abs(gram[root] - dense.T @ dense)) < 1e-10, "gram recursion"
     )
+    # b is not isometric: its norm multiplies through the Gram family
+    x = random_hvector(b, rng, steps=2)
+    want = float(np.linalg.norm(hvector.to_dense(x)))
+    suite.check(abs(hvector.norm(x, gram) - want) < 1e-11 * max(1.0, want), "norm through gram")
     return suite
 
 
@@ -126,7 +130,6 @@ def _suite_hvector(seed):
     rng = np.random.default_rng(seed)
     tree = line_tree(32, 4)
     iso = random_iso_basis(tree, 3, rng)
-    gram = gram_family(iso)
     factors = coarsening_factors(iso)
     for trial in range(5):
         x = random_hvector(iso, rng, steps=3)
@@ -138,9 +141,12 @@ def _suite_hvector(seed):
             np.max(np.abs(hvector.to_dense(y) - (dy + 0.5 * dense))) < 1e-12,
             f"axpy exact {trial}",
         )
-        got = hvector.dot(x, y, gram)
-        want = float(dense @ hvector.to_dense(y))
+        # iso is isometric: dot and norm make no Gram products
+        dy = hvector.to_dense(y)
+        got, want = hvector.dot(x, y), float(dense @ dy)
         suite.check(abs(got - want) < 1e-11 * max(1.0, abs(want)), f"dot {trial}")
+        got, want = hvector.norm(y), float(np.linalg.norm(dy))
+        suite.check(abs(got - want) < 1e-11 * max(1.0, want), f"norm {trial}")
     x = random_hvector(iso, rng, steps=4)
     leaves = [i for i in x.sub.leaves()]
     fathers = {f for f in range(len(tree.clusters)) for s in tree.sons(f) if s in leaves}

@@ -46,13 +46,15 @@ def axpy(alpha, x, y):
     add(tree.root)
 
 
-def dot(x, y, gram):
-    """Inner product, pushing the shallower side down to common leaves."""
+def dot(x, y, gram=None):
+    """Inner product, pushing the shallower side down to common leaves;
+    on an isometric basis V_t^T V_t = I, so no Gram product is made."""
     tree, transfer, off = x.basis.tree, x.basis.transfer, x.basis.offsets
 
     def dot_leaf(i, z, w):
         if w.sub.is_leaf(i):
-            return kernels.vdot(z, kernels.matvec(gram[i], w.data[off[i] : off[i + 1]]))
+            wi = w.data[off[i] : off[i + 1]]
+            return kernels.vdot(z, wi if x.basis.isometric else kernels.matvec(gram[i], wi))
         total = 0.0
         for s in tree.sons(i):
             total += dot_leaf(s, kernels.matvec(transfer[s], z), w)
@@ -68,7 +70,7 @@ def dot(x, y, gram):
     return descend(tree.root)
 
 
-def norm(x, gram):
+def norm(x, gram=None):
     return float(np.sqrt(max(dot(x, x, gram), 0.0)))
 
 

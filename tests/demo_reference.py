@@ -61,8 +61,8 @@ def interleaved_run(demo, eps, steps, dense_step=None):
                     demo.to_nested(product), demo.iso, demo.zfactors, demo.pfactors, budget
                 )
             t3 = time.perf_counter()
-        nu_hier = hvector.dot(xh, yh, demo.gram) / hvector.dot(xh, xh, demo.gram)
-        norm_yh = hvector.norm(yh, demo.gram)
+        nu_hier = hvector.dot(xh, yh) / hvector.dot(xh, xh)
+        norm_yh = hvector.norm(yh)
         hvector.scale(yh, 1.0 / norm_yh)
         xh = yh
         t4 = time.perf_counter()

@@ -372,7 +372,7 @@ def test_reported_local_errors_match_dense(rng, setup):
 
 
 def test_tolerance_budget_rejects_negative_or_nan_eps():
-    for eps in (-1.0, -1e-300, float("nan"), -float("inf")):
+    for eps in (-1.0, -1e-300, float("nan"), -float("inf"), "1e-3", None):
         with pytest.raises(ValueError, match="eps must be non-negative"):
             ToleranceBudget(eps)
     for eps in (0.0, 1e-5, float("inf")):

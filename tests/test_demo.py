@@ -317,12 +317,12 @@ def test_conversion_through_the_nested_basis_matches_the_induced_one(eps):
             assert abs(err - truth) <= 1e-11 * max(scale, truth)
         merges += len(report.merge_errors)
         xh = got
-        hvector.scale(xh, 1.0 / hvector.norm(xh, demo.gram))
+        hvector.scale(xh, 1.0 / hvector.norm(xh))
     # at eps 1e-8 the conversions keep every leaf of these products
     assert merges > 0 or eps == 1e-8
 
 
-@pytest.mark.parametrize("steps", [0, -1])
+@pytest.mark.parametrize("steps", [0, -1, 2.5, "3", True, None])
 def test_run_rejects_a_step_count_below_one(demo, steps):
     with pytest.raises(ValueError, match="steps must be a positive count"):
         demo.run(1e-5, steps=steps)

@@ -21,6 +21,7 @@ from h2vec.instances import (
     random_basis,
     random_hvector,
     random_iso_basis,
+    random_subtree,
 )
 from h2vec.tree import Subtree
 
@@ -241,12 +242,17 @@ def test_dot_leaf_at_root_isometric(rng, small_iso):
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_dot_dense_oracle(seed):
+@pytest.mark.parametrize(
+    ("seed", "isometric"),
+    [(seed, False) for seed in range(20)] + [(seed, True) for seed in range(20)],
+    ids=[str(seed) for seed in range(20)] + [f"iso-{seed}" for seed in range(20)],
+)
+def test_dot_dense_oracle(seed, isometric):
+    # an isometric basis takes no Gram family: its leaf work is one masked dot
     rng = np.random.default_rng(seed)
     tree = line_tree(32, 4)
-    basis = random_basis(tree, 3, rng)
-    gram = gram_family(basis)
+    basis = (random_iso_basis if isometric else random_basis)(tree, 3, rng)
+    gram = None if isometric else gram_family(basis)
     x = random_hvector(basis, rng, target=len(tree.clusters))
     y = random_hvector(basis, rng, steps=int(rng.integers(0, 4)))
     got = dot(x, y, gram)
@@ -271,6 +277,50 @@ def test_dot_refuses_another_basis_gram_family():
     assert gram.source is basis and gram.target is basis
     want = float(to_dense(x) @ to_dense(y))
     assert abs(dot(x, y, gram) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_dot_and_norm_need_the_gram_family_off_isometric_bases(rng):
+    basis = random_basis(line_tree(32, 4), 3, rng)
+    x = random_hvector(basis, rng, steps=3)
+    with pytest.raises(ValueError, match=r"needs its Gram family, gram_family\(basis\)"):
+        dot(x, x)
+    with pytest.raises(ValueError, match=r"needs its Gram family, gram_family\(basis\)"):
+        norm(x)
+
+
+def test_isometric_dot_checks_the_gram_family_it_is_given(rng):
+    tree = line_tree(64, 4)
+    iso, other = random_iso_basis(tree, 3, rng), random_iso_basis(tree, 3, rng)
+    x = random_hvector(iso, rng, steps=4)
+    y = random_hvector(iso, rng, steps=6)
+    wrong = gram_family(other)
+    with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
+        dot(x, y, wrong)
+    with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
+        norm(x, wrong)
+    assert dot(x, y, gram_family(iso)) == dot(x, y)
+
+
+def test_isometric_dot_charges_one_multiply_add_per_leaf_entry(rng, small_iso):
+    x = random_hvector(small_iso, rng, steps=3)
+    before = x.data.copy()
+    for call in (lambda: dot(x, x), lambda: norm(x), lambda: dot(x, x.copy())):
+        with kernels.count_flops() as counter:
+            call()
+        assert counter.total == int(np.count_nonzero(x.leaf_entries()))
+    assert np.array_equal(x.data, before)
+
+
+def test_dot_leaves_both_operands_as_they_were(rng, small_iso):
+    # the shallower operand is pushed down in a copy, never in place
+    x = random_hvector(small_iso, rng, steps=1)
+    y = random_hvector(small_iso, rng, steps=4)
+    saved = [(v.sub.leaves(), v.data.copy()) for v in (x, y)]
+    dot(x, y)
+    dot(y, x)
+    for (leaves, data), v in zip(saved, (x, y)):
+        assert v.sub.leaves() == leaves
+        assert np.array_equal(v.data, data)
 
 
 def test_norm_examples(rng, small_iso):
@@ -353,6 +403,17 @@ def test_from_dense_rejects_bad_input(rng, small_iso):
         v[5] = bad
         with pytest.raises(ValueError, match="position 5: non-finite"):
             from_dense(v, small_iso)
+
+
+def test_hvector_refuses_a_subtree_of_another_tree(rng):
+    # such a vector once reached dot, norm, axpy, scale and to_dense and
+    # failed there, on operands that could not be broadcast together
+    basis = random_iso_basis(line_tree(64, 4), 3, rng)
+    sub = random_subtree(line_tree(32, 4), rng, steps=3)
+    with pytest.raises(ValueError, match="subtree and basis live on different trees"):
+        HVector(basis, sub)
+    with pytest.raises(ValueError, match="subtree and basis live on different trees"):
+        HVector.from_leaves(basis, sub, {})
 
 
 def test_from_leaves_names_the_cluster(rng, small_iso):

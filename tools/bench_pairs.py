@@ -17,8 +17,12 @@ change in odd ones.  The file records, per side, the
 median and quartiles (inclusive method) of every end-to-end metric of
 BENCHMARK.json and the share of failed operations over all pairs, how
 many pairs the change was lower in for each metric that is better
-lower, every pair's values with its attempted and failed operations,
-and the first pair's full output.  Exits non-zero, writing nothing, if
+lower, two verdicts per metric, every pair's values with its attempted
+and failed operations, and the first pair's full output.  The verdicts
+are ``gain``: the change was better in at least 9/10 of the pairs and
+its median beats the parent's by more than the parent's q3 - q1; and
+``within_bound``: the change's median is no worse than the parent's
+median times 1 + the metric's bound.  Exits non-zero, writing nothing, if
 a run fails or reports a wrong output, so a written file shows the
 count of operations that passed the workload's oracle on each side.
 """
@@ -62,6 +66,8 @@ def run(tree, command):
 
 
 def summarize(pairs, metrics):
+    """Summary of the pairs; metrics maps each end-to-end metric's name
+    to its BENCHMARK.json entry, of which "better" and "bound" are read."""
     summary = {}
     for side in ("parent", "change"):
         summary[side] = {}
@@ -71,9 +77,18 @@ def summarize(pairs, metrics):
             summary[side][name] = {"median": median, "q1": q1, "q3": q3}
         failed, attempted = (sum(p[side][key] for p in pairs) for key in ("failed", "attempted"))
         summary[side]["failed_share"] = failed / attempted
-    for name, better in metrics.items():
-        if better == "lower":
-            summary[f"{name}_lower_in"] = sum(p["change"][name] < p["parent"][name] for p in pairs)
+    summary["gain"], summary["within_bound"] = {}, {}
+    for name, spec in metrics.items():
+        # sign * value is lower for the better of two values
+        sign = 1 if spec["better"] == "lower" else -1
+        better_in = sum(sign * p["change"][name] < sign * p["parent"][name] for p in pairs)
+        if sign == 1:
+            summary[f"{name}_lower_in"] = better_in
+        parent, change = summary["parent"][name], summary["change"][name]
+        gain = sign * (parent["median"] - change["median"])
+        summary["gain"][name] = 10 * better_in >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"]
+        limit = parent["median"] * (1 + sign * spec["bound"])
+        summary["within_bound"][name] = sign * change["median"] <= sign * limit
     summary["pairs"] = len(pairs)
     return summary
 
@@ -94,7 +109,7 @@ def main(argv=None):
     change = git("rev-parse", f"{args.change}^{{commit}}")
     parent = git("rev-parse", f"{args.parent or change + '^'}^{{commit}}")
     spec = json.loads(git("show", f"{change}:BENCHMARK.json"))
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     template = f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {spec['run_seconds']:g} --trace 0"
     pairs, output = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
