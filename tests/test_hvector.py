@@ -262,21 +262,23 @@ def test_dot_dense_oracle(seed, isometric):
 
 
 def test_dot_refuses_another_basis_gram_family():
-    # the other basis's Gram family once gave -101.86 for -465.70
+    # the other basis's Gram family once gave -101.86 for -465.70; on an
+    # isometric basis, where no Gram product is made, it is refused too
     rng = np.random.default_rng(0)
     tree = line_tree(64, 4)
-    basis, other = random_basis(tree, 3, rng), random_basis(tree, 3, rng)
-    x = random_hvector(basis, rng, steps=4)
-    y = random_hvector(basis, rng, steps=6)
-    wrong = gram_family(other)
-    with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
-        dot(x, y, wrong)
-    with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
-        norm(x, wrong)
-    gram = gram_family(basis)
-    assert gram.source is basis and gram.target is basis
-    want = float(to_dense(x) @ to_dense(y))
-    assert abs(dot(x, y, gram) - want) <= 1e-12 * max(1.0, abs(want))
+    for make in (random_basis, random_iso_basis):
+        basis, other = make(tree, 3, rng), make(tree, 3, rng)
+        x = random_hvector(basis, rng, steps=4)
+        y = random_hvector(basis, rng, steps=6)
+        wrong = gram_family(other)
+        with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
+            dot(x, y, wrong)
+        with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
+            norm(x, wrong)
+        gram = gram_family(basis)
+        assert gram.source is basis and gram.target is basis
+        want = float(to_dense(x) @ to_dense(y))
+        assert abs(dot(x, y, gram) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_dot_and_norm_need_the_gram_family_off_isometric_bases(rng):
@@ -288,23 +290,11 @@ def test_dot_and_norm_need_the_gram_family_off_isometric_bases(rng):
         norm(x)
 
 
-def test_isometric_dot_checks_the_gram_family_it_is_given(rng):
-    tree = line_tree(64, 4)
-    iso, other = random_iso_basis(tree, 3, rng), random_iso_basis(tree, 3, rng)
-    x = random_hvector(iso, rng, steps=4)
-    y = random_hvector(iso, rng, steps=6)
-    wrong = gram_family(other)
-    with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
-        dot(x, y, wrong)
-    with pytest.raises(ValueError, match="Gram family belongs to a different basis"):
-        norm(x, wrong)
-    assert dot(x, y, gram_family(iso)) == dot(x, y)
-
-
 def test_isometric_dot_charges_one_multiply_add_per_leaf_entry(rng, small_iso):
     x = random_hvector(small_iso, rng, steps=3)
-    before = x.data.copy()
-    for call in (lambda: dot(x, x), lambda: norm(x), lambda: dot(x, x.copy())):
+    before, gram = x.data.copy(), gram_family(small_iso)
+    # a Gram family given is checked, not multiplied
+    for call in (lambda: dot(x, x), lambda: norm(x), lambda: dot(x, x.copy()), lambda: norm(x, gram)):
         with kernels.count_flops() as counter:
             call()
         assert counter.total == int(np.count_nonzero(x.leaf_entries()))
