@@ -269,7 +269,8 @@ class ClusterBasis:
     the ranks call for.  rank is the largest cluster rank, the common
     rank of a uniform basis.  isometric=True has the given stores
     checked: V_t^T V_t = I at every leaf and sum_s E_s^T E_s = I over
-    the sons of every interior cluster; orthogonalize flags its own.
+    the sons of every interior cluster; nested_orthogonalize, and so
+    orthogonalize, flags its own.
 
     The read-only ptr lays out one coefficient per cluster in a flat
     array: cluster t owns the entries ptr[t] to ptr[t + 1].  offsets
@@ -278,12 +279,14 @@ class ClusterBasis:
     The stores are copied once into two ClusterMatrices stacked per
     (level, shape), leaf_matrix and transfer, read per cluster through
     views built on first read; bases with equal ranks on one tree share
-    their layout, so orthogonalize and materialize_induced build on
-    zeros and write the stacks.  The leaf groups' source holds their
-    clusters' entries, their target the clusters' tree positions.  The
-    transfer groups, per (level, rank, father rank), run top-down; their
-    source and target hold the entries of the fathers and of the sons,
-    and transfer.levels[l] lists the groups of the sons on level l.
+    their layout, so nested_orthogonalize, at the ranks it gives, and
+    materialize_induced build on zeros and write the stacks, and
+    orthogonalize's basis, at the input's ranks, has the input's
+    layout.  The leaf groups' source holds their clusters' entries,
+    their target the clusters' tree positions.  The transfer groups,
+    per (level, rank, father rank), run top-down; their source and
+    target hold the entries of the fathers and of the sons, and
+    transfer.levels[l] lists the groups of the sons on level l.
     forward_steps and backward_steps cut the transfer groups to the
     clusters a transformation treats, and forward and backward run
     those steps.
@@ -475,19 +478,15 @@ def polynomial_basis(tree, points, degree):
 def orthogonalize(basis):
     """Turn a cluster basis into an isometric one with the same ranges.
 
-    Returns (iso, change): change, ClusterMatrices, holds for every
-    cluster i the upper-triangular matrix change[i], with non-negative
-    diagonal, such that basis.materialize(i) = iso.materialize(i) @
-    change[i].  Level by level, bottom-up, one stacked QR factors each
-    group of the level's clusters whose leaf matrices or transfer
-    stacks [change[s] @ E_s over the sons s] share a shape; then one
-    stacked product per transfer group of the level writes its
-    change[s] @ E_s into the group's stack in iso, where the fathers'
-    QR reads them and leaves its Q factors.  iso, built on zeros in
-    basis's layout, is flagged isometric unchecked.
-    Raises ValueError naming the first cluster, in post-order, whose
-    matrix has fewer rows than its rank, checked before any QR, and
-    else the first whose matrix is rank-deficient.
+    Returns nested_orthogonalize(basis) behind two refusals, each a
+    ValueError naming the first cluster at fault in post-order: before
+    any QR, a leaf matrix or transfer stack with fewer rows than its
+    rank; after the pass, a rank-deficient one, whose change has a
+    diagonal entry below 1e-12 max(1, its largest).  Without short
+    stacks the nested ranks are the basis's, so iso keeps the basis's
+    ranks and layout, and change[i], r_i x r_i, is upper triangular
+    with non-negative diagonal and basis.materialize(i) =
+    iso.materialize(i) @ change[i].
     """
     tree, rank = basis.tree, np.diff(basis.ptr)
     order, what = tree.post_order, np.where(tree.has_sons, "transfer stack", "leaf matrix")
@@ -496,39 +495,14 @@ def orthogonalize(basis):
     if short.size:
         i = short[0]
         raise ValueError(f"cluster {i}: {what[i]} has {rows[i]} rows, fewer than its rank {rank[i]}")
-    iso = ClusterBasis(tree, rank, None, None)
-    transfers = iso.transfer
-    change = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rank, rank)))
+    iso, change = nested_orthogonalize(basis)
     deficient = np.zeros(len(tree), dtype=bool)
-
-    def factor(ids, a):
-        """QRs of the stack a of the matrices of clusters ids: records
-        their change and deficiency, returns the thin orthogonal factors."""
-        q, r = kernels.qr_stack(a)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        deficient[ids] = d.min(1, initial=np.inf) < 1e-12 * d.max(1, initial=1.0)
-        change.store[change.start[ids][:, None] + np.arange(r[0].size)] = r.reshape(len(ids), -1)
-        return q[:, :, : r.shape[2]]
-
-    for level in reversed(range(len(tree.by_level))):
-        for group, new in zip(basis.leaf_matrix.levels[level], iso.leaf_matrix.levels[level]):
-            # unnamed: a name would keep the complete (m x m) factors alive
-            new.stack[:] = factor(group.clusters, group.stack)
-        here = tree.by_level[level][tree.has_sons[tree.by_level[level]]]
-        by_shape, bounds = _runs(np.column_stack((rows[here], rank[here])))
-        for a, z in zip(bounds[:-1], bounds[1:]):
-            ids = here[by_shape[a:z]]
-            m, n = rows[ids[0]], rank[ids[0]]
-            at = _son_entries(tree, ids, transfers.start, rank * rank[tree.father])
-            transfers.store[at] = factor(ids, transfers.store[at].reshape(-1, m, n)).reshape(len(ids), -1)
-        for group, new in zip(basis.transfer.levels[level], iso.transfer.levels[level]):
-            r2 = group.stack.shape[1]
-            r = change.stacked(group.clusters, r2, r2)
-            new.stack[:] = kernels.matmul(r, group.stack)
+    for group in change.groups:
+        d = np.diagonal(group.stack, axis1=1, axis2=2)
+        deficient[group.clusters] = d.min(1) < 1e-12 * d.max(1, initial=1.0)
     bad = order[deficient[order]]
     if bad.size:
         raise ValueError(f"cluster {bad[0]}: rank-deficient {what[bad[0]]}")
-    iso.isometric = True
     return iso, change
 
 
@@ -546,9 +520,10 @@ def nested_orthogonalize(basis):
     stacked thin QR factors each group of the level's clusters whose
     leaf matrices or stacks [change[s] @ E_s over the sons s] share a
     shape: change[i] is the triangular factor, iso's leaf matrix or
-    stacked son transfers the orthogonal one.  Unlike orthogonalize it
-    refuses neither stacks with fewer rows than columns nor rank
-    deficiency, since iso is isometric whatever the rank of change.
+    stacked son transfers the orthogonal one.  It refuses neither
+    stacks with fewer rows than columns nor rank deficiency, since iso
+    is isometric whatever the rank of change; orthogonalize is this
+    pass behind those two refusals.
     iso's transfers are smaller than the basis's, so the products
     change[s] @ E_s of a level lie in a buffer of their own, laid out
     so that each group's stack is one run of it.

@@ -1,9 +1,10 @@
 """Per-cluster oracles for the level passes of basis set-up.
 
 Each routine here is the one-cluster-at-a-time form of a stacked pass
-in h2vec: one QR per cluster in post-order for `orthogonalize` and
-for `nested_orthogonalize`, one QR
-per interior cluster for `coarsening_factors`, one Legendre evaluation
+in h2vec: one thin QR per cluster in post-order for
+`nested_orthogonalize`, and so for `orthogonalize`, which refuses
+short and rank-deficient stacks around it, one QR per interior
+cluster for `coarsening_factors`, one Legendre evaluation
 per leaf for `polynomial_basis`, the transfer recursion one cluster at
 a time in post-order for `cross_gram_family`, and one draw per leaf
 and per transfer for `instances.random_basis`.  They call the same
@@ -86,34 +87,22 @@ def mapping_layout(tree, leaf_matrix, transfer):
 
 
 def orthogonalize(basis):
-    """(iso, change) with basis.materialize(i) = iso.materialize(i) @ change[i],
-    from one QR per cluster, in post-order."""
+    """(iso, change) of basis.orthogonalize: per cluster in post-order
+    the short-stack refusal, then nested_orthogonalize below, then per
+    cluster in post-order the refusal of a rank-deficient change."""
     tree = basis.tree
-    leaf_matrix = {}
-    transfer = {}
-    change = {}
     for i in tree.post_order.tolist():
         sons = tree.sons(i)
         what = "transfer stack" if sons else "leaf matrix"
-        if sons:
-            a = np.vstack([kernels.matmul(change[s], basis.transfer[s]) for s in sons])
-        else:
-            a = basis.leaf_matrix[i]
-        if a.shape[0] < a.shape[1]:
-            raise ValueError(f"cluster {i}: {what} has {a.shape[0]} rows, fewer than its rank {a.shape[1]}")
-        stack, change[i] = kernels.triangularize(a)
+        rows = sum(basis.rank_of(s) for s in sons) if sons else int(tree.sizes[i])
+        if rows < basis.rank_of(i):
+            raise ValueError(f"cluster {i}: {what} has {rows} rows, fewer than its rank {basis.rank_of(i)}")
+    iso, change = nested_orthogonalize(basis)
+    for i in tree.post_order.tolist():
+        what = "transfer stack" if tree.sons(i) else "leaf matrix"
         diagonal = np.diagonal(change[i])
         if np.min(diagonal) < 1e-12 * max(1.0, float(np.max(np.abs(diagonal)))):
             raise ValueError(f"cluster {i}: rank-deficient {what}")
-        q = stack.thin_q()
-        if not sons:
-            leaf_matrix[i] = q
-        # the rows of son s are those of its change, r_s of them
-        at = 0
-        for s in sons:
-            transfer[s] = q[at : at + len(change[s])]
-            at += len(change[s])
-    iso = mapping_basis(tree, leaf_matrix, transfer, isometric=True)
     return iso, change
 
 

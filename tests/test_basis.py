@@ -19,6 +19,7 @@ from h2vec.basis import (
     polynomial_basis,
     projection_factors,
 )
+from h2vec.convert import CoordinateMap
 from h2vec.demo import PoissonDemo
 from h2vec.instances import (
     line_tree,
@@ -180,6 +181,13 @@ def test_orthogonalize_reconstruction(rng):
         assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-12
         scale = max(1.0, np.max(np.abs(v)))
         assert np.max(np.abs(q @ change[i] - v)) <= 1e-12 * scale
+    # change is the coordinate family that carries vectors over b to iso
+    _check_family(change, "coordinates", b, iso)
+    x = random_hvector(b, rng, steps=3)
+    y = CoordinateMap(change)(x)
+    assert y.basis is iso
+    want = to_dense(x)
+    assert np.max(np.abs(to_dense(y) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_orthogonalize_rejects_rank_deficient():
@@ -1022,18 +1030,22 @@ def test_nested_orthogonalize_accepts_short_and_deficient_stacks(rng):
 
 @pytest.mark.filterwarnings("ignore:leaf_size raised")
 def test_nested_orthogonalize_runs_one_thin_qr_per_level_and_shape(monkeypatch):
-    basis = _basis_of("induced", 3)
     calls = []
     qr_stack = kernels.qr_stack
     monkeypatch.setattr(kernels, "qr_stack", lambda a, thin=False: calls.append((a.shape, thin)) or qr_stack(a, thin))
-    nested_orthogonalize(basis)
-    tree, rank = basis.tree, np.diff(basis.ptr)
-    rows = tree.sizes.copy()
-    ranks = np.array(_nested_ranks(basis))
-    rows[tree.has_sons] = np.bincount(tree.father[1:], ranks[1:], len(tree))[tree.has_sons]
-    shapes = {(int(tree.level[i]), int(rows[i]), int(rank[i])) for i in range(len(tree))}
-    assert len(calls) == len(shapes)
-    assert all(thin for _, thin in calls)
+    # orthogonalize, which refuses the short stacks of an "induced"
+    # draw, is the same pass
+    for build, kind in ((nested_orthogonalize, "induced"), (orthogonalize, "induced-accepted")):
+        basis = _basis_of(kind, 3)
+        calls.clear()
+        build(basis)
+        tree, rank = basis.tree, np.diff(basis.ptr)
+        rows = tree.sizes.copy()
+        ranks = np.array(_nested_ranks(basis))
+        rows[tree.has_sons] = np.bincount(tree.father[1:], ranks[1:], len(tree))[tree.has_sons]
+        shapes = {(int(tree.level[i]), int(rows[i]), int(rank[i])) for i in range(len(tree))}
+        assert len(calls) == len(shapes), build.__name__
+        assert all(thin for _, thin in calls), build.__name__
 
 
 def test_nested_basis_of_the_grid_64_demo_has_one_transfer_group_per_level():

@@ -10,9 +10,12 @@ HEAD, and ``--parent``, default its first parent), exported with
 child process per side imports that tree's perfbench/workloads.py and,
 for each of its three workloads and every seed, generates the inputs,
 sets the program up and runs every case once, recording the `digest`
-of each output.  Prints one line per workload,
-seed and case whose digests differ, or whose case is missing on one
-side, and exits non-zero if there is any, or if a child fails.
+of each output and the floats it hashed (every array passed to
+`perfbench.workloads._digest_floats`, which the child wraps).  Prints
+one line per workload, seed and case whose digests differ, or whose
+case is missing on one side, with the largest absolute and relative
+differences of the hashed floats, and exits non-zero if there is any,
+or if a child fails.
 """
 
 import argparse
@@ -22,26 +25,50 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export, git  # noqa: E402
 
 WORKLOADS = ("poisson64", "matvec4096", "algebra128")
 
 
+def record_hashed(workloads):
+    """Wrap the _digest_floats of the given workloads module, which its
+    digests call, so that it also appends each array it hashes, flat,
+    to the list returned; the digests stay as they were."""
+    hashed = []
+    digest_floats = workloads._digest_floats
+
+    def recording(h, values):
+        hashed.append(np.asarray(values, dtype=np.float64).ravel())
+        digest_floats(h, values)
+
+    workloads._digest_floats = recording
+    return hashed
+
+
 def collect(tree, seeds):
     """The digests of every case of the three workloads for the given
-    seeds, run on the sources under tree: one JSON line per workload
-    and seed."""
+    seeds, run on the sources under tree, and per case the floats each
+    digest hashed, in order: one JSON line per workload and seed."""
     sys.path[:0] = [str(Path(tree, "src")), str(tree)]
-    from perfbench.workloads import WORKLOADS as defined
+    from perfbench import workloads
 
+    hashed = record_hashed(workloads)
     for name in WORKLOADS:
         for seed in seeds:
-            workload = defined[name](seed)
+            workload = workloads.WORKLOADS[name](seed)
             inputs = workload.generate()
             state = workload.setup(inputs)
-            digests = [workload.digest(workload.op(state, case)) for case in workload.cases(state, inputs)]
-            print(json.dumps({"workload": name, "seed": seed, "digests": digests}), flush=True)
+            digests, values = [], []
+            for case in workload.cases(state, inputs):
+                out = workload.op(state, case)
+                hashed.clear()
+                digests.append(workload.digest(out))
+                values.append(np.concatenate(hashed or [np.zeros(0)]).tolist())
+            line = {"workload": name, "seed": seed, "digests": digests, "values": values}
+            print(json.dumps(line), flush=True)
 
 
 def compare(parent, change):
@@ -59,14 +86,40 @@ def compare(parent, change):
     return differ
 
 
+def value_differences(a, b):
+    """One line on how the floats two digests hashed differ: their
+    counts when those differ, else how many values differ and the
+    largest absolute and relative difference, |a - b| / max(|a|, |b|)
+    per value (NaN where both are infinite; two NaNs count as equal)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return f"{a.size} against {b.size} floats hashed"
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    if same.all():
+        return "hashed floats equal"
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(a - b)[~same]
+        rel = gap / np.maximum(np.abs(a), np.abs(b))[~same]
+    return (f"{(~same).sum()} of {a.size} hashed floats differ, "
+            f"by at most {gap.max():.3g} absolute and {rel.max():.3g} relative")
+
+
 def digests_of(tree, seeds):
+    """The digests, and the floats they hashed, of every case, run in a
+    child on the sources under tree: two mappings from (workload, seed)
+    to a list by case."""
     command = [sys.executable, str(Path(__file__).resolve()), "--collect", str(tree)]
     command += ["--seeds", *map(str, seeds)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"collecting digests in {tree} failed:\n{done.stderr}")
-    lines = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
-    return {(line["workload"], line["seed"]): line["digests"] for line in lines}
+    digests, values = {}, {}
+    for text in done.stdout.splitlines():
+        if text.startswith("{"):
+            line = json.loads(text)
+            key = (line["workload"], line["seed"])
+            digests[key], values[key] = line["digests"], line["values"]
+    return digests, values
 
 
 def main(argv=None):
@@ -81,15 +134,19 @@ def main(argv=None):
         return
     change = git("rev-parse", f"{args.change}^{{commit}}")
     parent = git("rev-parse", f"{args.parent or change + '^'}^{{commit}}")
-    runs = {}
+    runs, values = {}, {}
     with tempfile.TemporaryDirectory(prefix="compare_digests_") as scratch:
         for side, sha in (("parent", parent), ("change", change)):
             tree = Path(scratch, side)
             export(sha, tree)
-            runs[side] = digests_of(tree, args.seeds)
+            runs[side], values[side] = digests_of(tree, args.seeds)
     differ = compare(runs["parent"], runs["change"])
     for workload, seed, case, a, b in differ:
-        print(f"{workload} seed {seed} case {case}: parent {a} change {b}")
+        line = f"{workload} seed {seed} case {case}: parent {a} change {b}"
+        if a is not None and b is not None:
+            key = (workload, seed)
+            line += "; " + value_differences(values["parent"][key][case], values["change"][key][case])
+        print(line)
     cases = sum(len(d) for d in runs["change"].values())
     print(f"{len(differ)} of {cases} digests differ between {parent[:7]} and {change[:7]}")
     if differ:
