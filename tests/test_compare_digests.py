@@ -31,10 +31,15 @@ def test_value_differences_give_the_largest_absolute_and_relative_gap():
     parent = [1.0, 2.0, 0.0, 4.0, np.nan]
     change = [1.0, 2.0 + 1e-15, -3e-17, 3.0, np.nan]
     assert compare_digests.value_differences(parent, change) == (
-        "3 of 5 hashed floats differ, by at most 1 absolute and 1 relative"
+        "3 of 5 hashed floats differ, by at most 1 absolute and 1 relative (float 2: 0 against -3e-17)"
     )
     close = compare_digests.value_differences([1.0, 4.0], [1.0, 4.0 * (1.0 + 2.0**-50)])
-    assert close == "1 of 2 hashed floats differ, by at most 3.55e-15 absolute and 8.88e-16 relative"
+    assert close == (
+        "1 of 2 hashed floats differ, by at most 3.55e-15 absolute and 8.88e-16 relative (float 1: 4 against 4)"
+    )
+    assert compare_digests.value_differences([np.nan, np.inf], [1.0, -np.inf]) == (
+        "2 of 2 hashed floats differ, by at most inf absolute and inf relative (float 0: nan against 1)"
+    )
     assert compare_digests.value_differences(parent, parent) == "hashed floats equal"
     assert compare_digests.value_differences([1.0, 2.0], [1.0]) == "2 against 1 floats hashed"
 

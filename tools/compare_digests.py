@@ -88,20 +88,24 @@ def compare(parent, change):
 
 def value_differences(a, b):
     """One line on how the floats two digests hashed differ: their
-    counts when those differ, else how many values differ and the
-    largest absolute and relative difference, |a - b| / max(|a|, |b|)
-    per value (NaN where both are infinite; two NaNs count as equal)."""
+    counts when those differ, else how many values differ, the largest
+    absolute difference, and the largest relative one, |a - b| /
+    max(|a|, |b|) per value, with its position and its two values, as
+    a relative difference near 1 may lie between two round-off-level
+    values.  Two NaNs count as equal; a NaN beside another value, or
+    two infinities of opposite signs, differ by inf."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return f"{a.size} against {b.size} floats hashed"
-    same = (a == b) | (np.isnan(a) & np.isnan(b))
-    if same.all():
+    differ = np.flatnonzero((a != b) & ~(np.isnan(a) & np.isnan(b)))
+    if not differ.size:
         return "hashed floats equal"
     with np.errstate(invalid="ignore"):
-        gap = np.abs(a - b)[~same]
-        rel = gap / np.maximum(np.abs(a), np.abs(b))[~same]
-    return (f"{(~same).sum()} of {a.size} hashed floats differ, "
-            f"by at most {gap.max():.3g} absolute and {rel.max():.3g} relative")
+        gap = np.nan_to_num(np.abs(a - b)[differ], nan=np.inf)
+        rel = np.nan_to_num(gap / np.maximum(np.abs(a), np.abs(b))[differ], nan=np.inf)
+    j = differ[np.argmax(rel)]
+    return (f"{differ.size} of {a.size} hashed floats differ, by at most {gap.max():.3g} absolute "
+            f"and {rel.max():.3g} relative (float {j}: {a[j]:.6g} against {b[j]:.6g})")
 
 
 def digests_of(tree, seeds):
