@@ -269,8 +269,7 @@ class ClusterBasis:
     the ranks call for.  rank is the largest cluster rank, the common
     rank of a uniform basis.  isometric=True has the given stores
     checked: V_t^T V_t = I at every leaf and sum_s E_s^T E_s = I over
-    the sons of every interior cluster; nested_orthogonalize, and so
-    orthogonalize, flags its own.
+    the sons of every interior cluster; nested_orthogonalize flags its own.
 
     The read-only ptr lays out one coefficient per cluster in a flat
     array: cluster t owns the entries ptr[t] to ptr[t + 1].  offsets
@@ -279,14 +278,12 @@ class ClusterBasis:
     The stores are copied once into two ClusterMatrices stacked per
     (level, shape), leaf_matrix and transfer, read per cluster through
     views built on first read; bases with equal ranks on one tree share
-    their layout, so nested_orthogonalize, at the ranks it gives, and
-    materialize_induced build on zeros and write the stacks, and
-    orthogonalize's basis, at the input's ranks, has the input's
-    layout.  The leaf groups' source holds their clusters' entries,
-    their target the clusters' tree positions.  The transfer groups,
-    per (level, rank, father rank), run top-down; their source and
-    target hold the entries of the fathers and of the sons, and
-    transfer.levels[l] lists the groups of the sons on level l.
+    their layout, so nested_orthogonalize and materialize_induced build
+    on zeros and write the stacks.  The leaf groups' source holds their
+    clusters' entries, their target the clusters' tree positions.  The
+    transfer groups, per (level, rank, father rank), run top-down; their
+    source and target hold the entries of the fathers and of the sons,
+    and transfer.levels[l] lists the groups of the sons on level l.
     forward_steps and backward_steps cut the transfer groups to the
     clusters a transformation treats, and forward and backward run
     those steps.

@@ -66,7 +66,7 @@ def collect(tree, seeds):
                 out = workload.op(state, case)
                 hashed.clear()
                 digests.append(workload.digest(out))
-                values.append(np.concatenate(hashed or [np.zeros(0)]).tolist())
+                values.append(np.concatenate(hashed).tolist())
             line = {"workload": name, "seed": seed, "digests": digests, "values": values}
             print(json.dumps(line), flush=True)
 
