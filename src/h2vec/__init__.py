@@ -31,7 +31,7 @@ from .h2matrix import (
     sparsity_constant,
 )
 from .hvector import HVector, axpy, coarsen, dot, from_dense, norm, refine, scale, to_dense
-from .kernels import FlopCounter, count_flops, triangularize
+from .kernels import FlopCounter, count_flops
 from .matvec import (
     InducedHVector,
     MatvecPlan,

@@ -17,10 +17,10 @@ ClusterMatrices too, read per cluster through views built on first
 read.  A family names its kind and its source and target bases, which
 _check_family checks.
 
-* merge factors: the orthogonal factor Q of one QR per interior
-  cluster over the stacked transfer matrices.  Multiplying stacked son
-  coefficients by Q^T yields the optimally merged coefficient in the
-  leading rows and the exact merge error in the trailing rows.
+* merge factors: per interior cluster the stack E of its sons'
+  transfers, whose columns are orthonormal when the basis is
+  isometric.  For stacked son coefficients s, E^T s is the optimally
+  merged coefficient and || s - E E^T s || the exact merge error.
 * projection factors: per cluster the cross term Q^T V, which commits
   projected coefficients, over an upper-trapezoidal Z with
   || V x - Q Q^T V x || = || Z x ||  for all coefficient vectors x:
@@ -538,7 +538,7 @@ def nested_orthogonalize(basis):
     def factor(ids, a):
         """Thin QRs of the stack a of the matrices of clusters ids: writes
         their change, returns the orthogonal factors as rows, one per cluster."""
-        q, r = kernels.qr_stack(a, thin=True)
+        q, r = kernels.qr_stack(a)
         change.store[change.start[ids][:, None] + np.arange(r[0].size)] = r.reshape(len(ids), -1)
         return q.reshape(len(ids), -1)
 
@@ -651,34 +651,34 @@ def _group_pairs(lgroups, rgroups, size):
 
 
 def coarsening_factors(basis):
-    """QR orthogonal factors of the stacked transfers of an isometric basis.
+    """The stacked son transfers of an isometric basis, per interior cluster.
 
-    For each interior cluster i, multiplying the stacked son
-    coefficients by the factor's transpose puts the optimally merged
-    coefficient in the first rank_of(i) rows and the exact merge error
-    in the remaining rows.  Returns the merge factors as
-    ClusterMatrices of kind "merge", built for the basis: self[i] is
-    the m x m orthogonal factor Q of interior cluster i.  The clusters
-    of one group share the level, the rank and the sum of their sons'
-    ranks, and one stacked complete QR gives all their factors; the
-    group's source holds, per cluster, its sons' entries in son order
-    in a flat array laid out by the basis's ptr, and its target the
-    cluster's own entries.
+    For interior cluster i, E = self[i] is the m x rank_of(i) stack
+    [E_s over the sons s], which has orthonormal columns as the basis
+    is isometric.  So for the stacked son coefficients s, E^T s is the
+    optimally merged coefficient and || s - E E^T s || the exact merge
+    error.  Returns the merge factors as ClusterMatrices of kind
+    "merge", built for the basis.  The clusters of one group share the
+    level, the rank and the sum of their sons' ranks, and one gather
+    from the basis's transfer store gives all their stacks; the group's
+    source holds, per cluster, its sons' entries in son order in a flat
+    array laid out by the basis's ptr, and its target the cluster's own
+    entries.
     """
     if not basis.isometric:
         raise ValueError("merge factors require an isometric basis")
     tree, rank = basis.tree, np.diff(basis.ptr)
     rows = np.bincount(tree.father[1:], rank[1:], len(tree)).astype(int)
     ids = np.flatnonzero(tree.has_sons)
-    q = ClusterMatrices(tree, ids, np.column_stack((rows[ids], rows[ids], rank[ids])))
-    q.kind, q.source, q.target = "merge", basis, basis
-    for group in q.groups:
-        ids, (b, m), r = group.clusters.tolist(), group.stack.shape[:2], rank[group.clusters[0]]
+    e = ClusterMatrices(tree, ids, np.column_stack((rows[ids], rank[ids])))
+    e.kind, e.source, e.target = "merge", basis, basis
+    for group in e.groups:
+        ids = group.clusters.tolist()
         at = _son_entries(tree, ids, basis.transfer.start, rank * rank[tree.father])
-        group.stack[:] = kernels.qr_stack(basis.transfer.store[at].reshape(b, m, r))[0]
+        group.stack[:] = basis.transfer.store[at].reshape(group.stack.shape)
         group.source = _son_entries(tree, ids, basis.ptr, rank)
-        group.target = _entries(basis.ptr, group.clusters, r)
-    return q
+        group.target = _entries(basis.ptr, group.clusters, group.stack.shape[2])
+    return e
 
 
 def projection_factors(source, target):

@@ -20,9 +20,13 @@ target rank, rows of Z) over the clusters holding a source
 coefficient, commits those whose error fits, or that are tree leaves,
 with one stacked cross product, and pushes the rest to their sons by
 the source basis's backward transformation of that level.  The ascent
-treats the clusters whose sons are all leaves as merge candidates,
-with one stacked Q^T product per stack of the target's merge factors
-Q, and builds the subtree once at the end.  coarsen_pass is the
+treats the clusters whose sons are all leaves as merge candidates.
+Per stack of the target's merge factors, the stacked son transfers E
+with orthonormal columns, it makes one stacked E^T product, the merged
+coefficients, and one stacked E product, whose difference from the
+son coefficients has the exact merge error as its norm: 2 m r
+multiply-adds per candidate with m stacked son entries and rank r.
+It builds the subtree once at the end.  coarsen_pass is the
 ascent alone.
 
 A product lands in the induced basis, whose ranks exceed what
@@ -201,10 +205,11 @@ def _ascent(y, interior, acc, factors, budget, merge_errors):
     y.data.  On each level the bound of an interior cluster is the
     root of the sum of its sons' squared bounds, added in son order.
     The interior clusters whose sons are all leaves are the
-    candidates: one stacked Q^T product per group of merge factors
-    gives their merged coefficients, exact merge errors and stack
-    norms, and a candidate merges when its error plus its bound fits
-    the local budget.  Sets y.sub once and returns the bound at the
+    candidates: per group of merge factors, the stacked son transfers
+    E, one stacked E^T product gives their merged coefficients and one
+    stacked E product the residuals, whose norms are the exact merge
+    errors; a candidate merges when its error plus its bound fits the
+    local budget.  Sets y.sub once and returns the bound at the
     root.
     """
     tree, data = y.basis.tree, y.data
@@ -223,16 +228,16 @@ def _ascent(y, interior, acc, factors, budget, merge_errors):
             if not pick.any():
                 continue
             pick = _rows(pick)
-            ids, stacked = group.clusters[pick], data[group.source[pick]]
-            transformed = kernels.matvec(group.stack[pick].transpose(0, 2, 1), stacked)
-            k = group.target.shape[1]
-            error = np.sqrt(np.einsum("ij,ij->i", transformed[:, k:], transformed[:, k:]))
+            ids, stack, stacked = group.clusters[pick], group.stack[pick], data[group.source[pick]]
+            merged = kernels.matvec(stack.transpose(0, 2, 1), stacked)
+            rest = stacked - kernels.matvec(stack, merged)
+            error = np.sqrt(np.einsum("ij,ij->i", rest, rest))
             bound = error + acc[ids]
             scale = np.sqrt(np.einsum("ij,ij->i", stacked, stacked))
             merge = bound <= budget.limit(tree.sizes[ids], tree.n, scale)
             ids = ids[merge]
             interior[ids] = False
-            data[group.target[pick][merge]] = transformed[merge, :k]
+            data[group.target[pick][merge]] = merged[merge]
             acc[ids] = bound[merge]
             merge_errors.update(zip(ids.tolist(), error[merge].tolist()))
     y.sub = Subtree.from_interior(tree, interior)
@@ -247,7 +252,7 @@ def convert(x, target, zfactors, pfactors, budget):
     x : HVector over the source basis (a product result qualifies).
     target : isometric ClusterBasis on the same tree.
     zfactors : projection_factors(source, target).
-    pfactors : coarsening_factors(target), its stacked Q factors.
+    pfactors : coarsening_factors(target), its stacked son transfers.
     budget : ToleranceBudget.
 
     Returns

@@ -6,7 +6,10 @@ array laid out by the basis's ptr, as a product plan's accumulator
 is; only the entries of subtree leaves are read.  Refining a leaf
 pushes the coefficient through the transfer matrices and keeps the
 represented vector; merging sons back into their father uses the
-optimal orthogonal projection and reports the exact error.
+optimal orthogonal projection and reports the exact error: on an
+isometric basis the sons' stacked transfers E have orthonormal
+columns, so E^T s is the merged coefficient of the stacked son
+coefficients s and || s - E E^T s || the error.
 
 axpy, dot and norm work on the common refinement of their operands,
 the subtree whose interior is the union of theirs.  Each operand is
@@ -137,19 +140,18 @@ def refine(x, i):
 def merge(x, i, factors):
     """Optimal merge of the sons of i, without changing x.
 
-    Stacks the son coefficients (all sons must be subtree leaves) and
-    multiplies them by Q^T for i's merge factor Q: the leading rank_of(i)
-    entries are the merged coefficient, the norm of the rest is the
-    exact merge error.  Returns (merged, error, norm of the stack).
+    Stacks the son coefficients s (all sons must be subtree leaves):
+    for i's merge factor E, its sons' stacked transfers, E^T s is the
+    merged coefficient and the norm of s - E E^T s the exact merge
+    error.  Returns (merged, error, norm of the stack).
     """
-    off, data = x.basis.offsets, x.data
+    off, data, e = x.basis.offsets, x.data, factors[i]
     stacked = np.concatenate([data[off[s] : off[s + 1]] for s in x.basis.tree.sons(i)])
-    transformed = kernels.matvec(factors[i].T, stacked)
-    k = x.basis.rank_of(i)
-    rest = transformed[k:]
+    merged = kernels.matvec(e.T, stacked)
+    rest = stacked - kernels.matvec(e, merged)
     # np.linalg.norm computes sqrt(x . x) as well, at a higher call cost
     error = math.sqrt(rest.dot(rest))
-    return transformed[:k], error, math.sqrt(stacked.dot(stacked))
+    return merged, error, math.sqrt(stacked.dot(stacked))
 
 
 def coarsen(x, i, factors):

@@ -10,12 +10,12 @@ costs m*n multiply-adds and a product with an (n, p) matrix costs
 m*n*p; a stack of b such products costs b times as much, the same as
 b separate calls.  Callers that add the results into accumulators
 charge the adds themselves, per batch, with ``tally``.  A QR of an
-(m, n) matrix is charged m*n*min(m, n) for the triangular factor,
-plus m*n per column of the orthogonal factor formed as well: m*m*n
-for the complete m x m factor, m*min(m, n)*n for the thin one, and b
-times as much for a stack of b (``qr_stack``).  The orthogonal
-factor is kept dense, so applying its adjoint to p columns is one
-counted product of m*m*p.  Comparisons and copies are not counted.
+(m, n) matrix, k = min(m, n), is charged m*n*k for the triangular
+factor plus m*k*n for the thin orthogonal factor, the only one ever
+formed, and b times as much for a stack of b (``qr_stack``).
+``ReflectorStack`` holds a complete m x m orthogonal factor densely,
+so applying its adjoint to p columns is one counted product of m*m*p.
+Comparisons and copies are not counted.
 
 Stacks of matrix-vector products pick their kernel by shape.  A
 stack of matrices with at most TINY_ENTRIES = 64 entries each is
@@ -59,7 +59,6 @@ __all__ = [
     "vdot",
     "ReflectorStack",
     "qr_stack",
-    "triangularize",
     "triangular_factor",
 ]
 
@@ -192,13 +191,13 @@ def vdot(x, y):
 
 
 class ReflectorStack:
-    """Orthogonal factor of a QR with non-negative diagonal.
+    """Complete orthogonal factor Q of a QR, held densely.
 
-    Holds the complete m x m matrix Q with Q^T A = [R; 0] for the
-    triangularized (m, count) matrix A, R upper triangular and
-    non-negative on the diagonal.  ``apply_adjoint`` has no library
-    caller left but ``selftest``; it stays because the benchmark's layer
-    tracer (``perfbench/tracing.py``) wraps it by this class name.
+    Holds the m x m matrix Q with Q^T A = [R; 0] for an (m, count)
+    matrix A, R upper triangular.  It has no caller in the library; it
+    stays while the benchmark's layer tracer (perfbench/tracing.py)
+    wraps ``apply_adjoint`` by this class name, until that tracer is
+    rebuilt on a library trace (ROADMAP item 1).
     """
 
     def __init__(self, q, count):
@@ -208,22 +207,14 @@ class ReflectorStack:
     def apply_adjoint(self, x):
         """Return Q^T x; x may be a vector or a matrix of columns.
 
-        For input assembled as A*z with A the triangularized matrix,
-        the leading ``count`` rows carry the coefficients R*z and the
-        trailing rows the orthogonal-complement part.
+        For input assembled as A*z, the leading ``count`` rows carry
+        the coefficients R*z and the trailing rows the
+        orthogonal-complement part.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return matvec(self.q.T, x)
         return matmul(self.q.T, x)
-
-    def thin_q(self):
-        """The leading ``count`` columns of Q.
-
-        Returned as a copy: a view would keep the whole m x m Q
-        alive for as long as the caller keeps the columns.
-        """
-        return self.q[:, : self.count].copy()
 
 
 def _sign_fix(r):
@@ -240,32 +231,19 @@ def _check_matrix(a, ndim=2):
     return a
 
 
-def qr_stack(a, thin=False):
-    """QRs of a (b, m, n) stack of finite matrices, by one LAPACK call:
-    the orthogonal factors q and the (b, k, n) upper-trapezoidal
-    factors r, k = min(m, n), with non-negative diagonal, a new array,
-    with q[j][:, :k] @ r[j] = a[j].  By default q is complete, (b, m, m),
-    and the matrices must be tall, m >= n; with thin=True q holds only
-    the leading k columns, (b, m, k), and any shape is accepted: for
-    m <= n the two factors coincide."""
+def qr_stack(a):
+    """Thin QRs of a (b, m, n) stack of finite matrices of any shape, by
+    one LAPACK call: the (b, m, k) factors q with orthonormal columns
+    and the (b, k, n) upper-trapezoidal factors r, k = min(m, n), with
+    non-negative diagonal, with q[j] @ r[j] = a[j]."""
     a = _check_matrix(a, ndim=3)
     b, m, n = a.shape
-    if m < n and not thin:
-        raise ValueError(f"need at least as many rows as columns, got {a.shape[1:]}")
     k = min(m, n)
-    q, r = np.linalg.qr(a, mode="reduced" if thin else "complete")
-    tally(b * (m * n * k + m * q.shape[2] * n))
+    q, r = np.linalg.qr(a, mode="reduced")
+    tally(2 * b * m * n * k)
     signs = _sign_fix(r)
-    q[:, :, :k] *= signs[:, None, :]
-    return q, r[:, :k] * signs[:, :, None]
-
-
-def triangularize(a):
-    """QR of one tall (m, n) matrix with finite entries, by ``qr_stack``:
-    the orthogonal factor as a ReflectorStack, whose ``thin_q() @ r``
-    reproduces a, and the (n, n) factor r with non-negative diagonal."""
-    q, r = qr_stack(_check_matrix(a)[None])
-    return ReflectorStack(q[0], r.shape[1]), r[0]
+    q *= signs[:, None, :]
+    return q, r * signs[:, :, None]
 
 
 def triangular_factor(a):

@@ -3,11 +3,11 @@
 Each routine here is the one-cluster-at-a-time form of a stacked pass
 in h2vec: one thin QR per cluster in post-order for
 `nested_orthogonalize`, and so for `orthogonalize`, which refuses
-short and rank-deficient stacks around it, one QR per interior
-cluster for `coarsening_factors`, one Legendre evaluation
-per leaf for `polynomial_basis`, the transfer recursion one cluster at
-a time in post-order for `cross_gram_family`, and one draw per leaf
-and per transfer for `instances.random_basis`.  They call the same
+short and rank-deficient stacks around it, one `np.vstack` of the
+son transfers per interior cluster for `coarsening_factors`, one
+Legendre evaluation per leaf for `polynomial_basis`, the transfer
+recursion one cluster at a time in post-order for `cross_gram_family`,
+and one draw per leaf and per transfer for `instances.random_basis`.  They call the same
 kernels, or draw the same numbers, in the same order per cluster, so
 their outputs, and their counted flops, are the library's bit for bit.
 
@@ -120,7 +120,7 @@ def nested_orthogonalize(basis):
             a = np.vstack([kernels.matmul(change[s], basis.transfer[s]) for s in sons])
         else:
             a = basis.leaf_matrix[i]
-        q, r = kernels.qr_stack(a[None], thin=True)
+        q, r = kernels.qr_stack(a[None])
         change[i] = r[0]
         if not sons:
             leaf_matrix[i] = q[0]
@@ -132,23 +132,23 @@ def nested_orthogonalize(basis):
 
 
 def coarsening_factors(basis):
-    """Merge factors of an isometric basis, one QR per interior cluster."""
+    """Merge factors of an isometric basis: per interior cluster, its
+    sons' transfers stacked by np.vstack."""
     tree, ptr = basis.tree, basis.ptr
     spans = {
         i: np.concatenate([np.arange(ptr[s], ptr[s + 1]) for s in tree.sons(i)])
         for i in np.flatnonzero(tree.has_sons).tolist()
     }
-    shapes = [(span.size, span.size, basis.rank_of(i)) for i, span in spans.items()]
-    q = ClusterMatrices(tree, list(spans), shapes)
-    q.kind, q.source, q.target = "merge", basis, basis
-    for group in q.groups:
+    shapes = [(span.size, basis.rank_of(i)) for i, span in spans.items()]
+    e = ClusterMatrices(tree, list(spans), shapes)
+    e.kind, e.source, e.target = "merge", basis, basis
+    for group in e.groups:
         ids = group.clusters.tolist()
-        for qi, i in zip(group.stack, ids):
-            stacked = np.vstack([basis.transfer[s] for s in tree.sons(i)])
-            qi[:] = kernels.triangularize(stacked)[0].q
+        for ei, i in zip(group.stack, ids):
+            ei[:] = np.vstack([basis.transfer[s] for s in tree.sons(i)])
         group.source = np.array([spans[i] for i in ids])
         group.target = _entries(ptr, group.clusters, basis.rank_of(ids[0]))
-    return q
+    return e
 
 
 def legendre_leaf_matrices(tree, points, degree):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from h2vec.h2matrix import H2Matrix
+from h2vec.hvector import HVector, merge
 from h2vec.instances import line_tree, random_iso_basis
 from h2vec.tree import Subtree
 
@@ -87,6 +88,16 @@ def compress_dense(a, row_basis, col_basis, bt):
 
 def dense_columns(basis, i):
     return basis.materialize(i)
+
+
+def merge_sons(basis, i, coeffs, factors):
+    """hvector.merge of the sons of i holding the given coefficients, in
+    son order, in a vector of the basis: (merged, error, stack norm)."""
+    x = HVector(basis)
+    off = basis.offsets
+    for s, c in zip(basis.tree.sons(i), coeffs):
+        x.data[off[s] : off[s + 1]] = c
+    return merge(x, i, factors)
 
 
 @pytest.fixture

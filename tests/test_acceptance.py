@@ -33,7 +33,7 @@ from h2vec.instances import (
 )
 from h2vec.matvec import induced_to_dense, multiply
 
-from conftest import prefix_subtree
+from conftest import merge_sons, prefix_subtree
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +95,7 @@ def test_criterion_2_coarsening_error_theorem():
         )
         q = iso.materialize(i)
         truth = np.linalg.norm(dense - q @ (q.T @ dense))
-        out = factors[i].T @ np.concatenate(coeffs)
-        got = np.linalg.norm(out[k:])
+        _, got, _ = merge_sons(iso, i, coeffs, factors)
         rel = abs(got - truth) / max(truth, 1e-30)
         worst = max(worst, rel)
         assert rel <= 1e-11, f"seed {seed}: relative deviation {rel:.3e}"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import basis_reference
+from conftest import merge_sons
 from h2vec import kernels
 from h2vec.basis import (
     ISOMETRY_TOL,
@@ -267,12 +268,12 @@ def test_coarsening_factors_analytic_rank_one():
     transfer = {i: np.array([[s]]) for i in tree.leaves()}
     iso = basis_reference.mapping_basis(tree, leaf_matrix, transfer, isometric=True)
     factors = coarsening_factors(iso)
-    out = factors[tree.root].T @ np.array([1.0, -1.0])
-    assert abs(abs(out[0]) - 0.0) <= 1e-14  # merged coefficient (1-1)/sqrt2
-    assert abs(np.linalg.norm(out[1:]) - np.sqrt(2.0)) <= 1e-14
-    out2 = factors[tree.root].T @ np.array([1.0, 1.0])
-    assert abs(out2[0] - np.sqrt(2.0)) <= 1e-14
-    assert np.linalg.norm(out2[1:]) <= 1e-14
+    merged, error, _ = merge_sons(iso, tree.root, [[1.0], [-1.0]], factors)
+    assert abs(abs(merged[0]) - 0.0) <= 1e-14  # merged coefficient (1-1)/sqrt2
+    assert abs(error - np.sqrt(2.0)) <= 1e-14
+    merged, error, _ = merge_sons(iso, tree.root, [[1.0], [1.0]], factors)
+    assert abs(merged[0] - np.sqrt(2.0)) <= 1e-14
+    assert error <= 1e-14
 
 
 def test_coarsening_factors_zero_error_in_range(rng, small_iso):
@@ -280,11 +281,9 @@ def test_coarsening_factors_zero_error_in_range(rng, small_iso):
     tree = small_iso.tree
     i = tree.root
     y = rng.standard_normal(3)
-    stacked = np.concatenate(
-        [small_iso.transfer[s] @ y for s in tree.sons(i)]
-    )
-    out = factors[i].T @ stacked
-    assert np.linalg.norm(out[3:]) <= 1e-13 * max(1.0, np.linalg.norm(y))
+    coeffs = [small_iso.transfer[s] @ y for s in tree.sons(i)]
+    _, error, _ = merge_sons(small_iso, i, coeffs, factors)
+    assert error <= 1e-13 * max(1.0, np.linalg.norm(y))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -301,9 +300,35 @@ def test_coarsening_error_matches_dense(seed):
     dense = np.concatenate([iso.materialize(s) @ c for s, c in zip(sons, coeffs)])
     q = iso.materialize(i)
     truth = np.linalg.norm(dense - q @ (q.T @ dense))
-    out = factors[i].T @ np.concatenate(coeffs)
-    got = np.linalg.norm(out[k:])
+    _, got, _ = merge_sons(iso, i, coeffs, factors)
     assert abs(got - truth) <= 1e-11 * max(1.0, truth)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "nested"])
+def test_coarsening_factors_are_the_stacked_son_transfers(rng, kind):
+    if kind == "uniform":
+        iso = random_iso_basis(line_tree(64, 4), 3, rng)
+    else:
+        # nested ranks vary from level to level and within one
+        iso = nested_orthogonalize(random_instance(64, 3, 2, 1.0, 5).plan.induced)[0]
+        assert len(set(np.diff(iso.ptr).tolist())) > 2
+    tree = iso.tree
+    factors = coarsening_factors(iso)
+    interior = np.flatnonzero(tree.has_sons).tolist()
+    assert sorted(factors) == interior
+    for i in interior:
+        assert np.array_equal(factors[i], np.vstack([iso.transfer[s] for s in tree.sons(i)]))
+
+
+def test_a_merge_is_charged_two_stacked_products(rng):
+    iso = nested_orthogonalize(random_instance(64, 3, 2, 1.0, 5).plan.induced)[0]
+    factors = coarsening_factors(iso)
+    for i in np.flatnonzero(iso.tree.has_sons).tolist():
+        coeffs = [rng.standard_normal(iso.rank_of(s)) for s in iso.tree.sons(i)]
+        with kernels.count_flops() as counter:
+            merge_sons(iso, i, coeffs, factors)
+        m = sum(len(c) for c in coeffs)
+        assert counter.total == 2 * m * iso.rank_of(i)
 
 
 def test_coarsening_factors_require_isometric(rng):
@@ -1032,7 +1057,7 @@ def test_nested_orthogonalize_accepts_short_and_deficient_stacks(rng):
 def test_nested_orthogonalize_runs_one_thin_qr_per_level_and_shape(monkeypatch):
     calls = []
     qr_stack = kernels.qr_stack
-    monkeypatch.setattr(kernels, "qr_stack", lambda a, thin=False: calls.append((a.shape, thin)) or qr_stack(a, thin))
+    monkeypatch.setattr(kernels, "qr_stack", lambda a: calls.append(a.shape) or qr_stack(a))
     # orthogonalize, which refuses the short stacks of an "induced"
     # draw, is the same pass
     for build, kind in ((nested_orthogonalize, "induced"), (orthogonalize, "induced-accepted")):
@@ -1045,7 +1070,6 @@ def test_nested_orthogonalize_runs_one_thin_qr_per_level_and_shape(monkeypatch):
         rows[tree.has_sons] = np.bincount(tree.father[1:], ranks[1:], len(tree))[tree.has_sons]
         shapes = {(int(tree.level[i]), int(rows[i]), int(rank[i])) for i in range(len(tree))}
         assert len(calls) == len(shapes), build.__name__
-        assert all(thin for _, thin in calls), build.__name__
 
 
 def test_nested_basis_of_the_grid_64_demo_has_one_transfer_group_per_level():

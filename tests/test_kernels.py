@@ -5,23 +5,33 @@ from h2vec import kernels
 from h2vec.instances import line_tree, random_iso_basis
 
 
+def _qr(a):
+    """Thin QR of one matrix by qr_stack: (q, r)."""
+    q, r = kernels.qr_stack(np.asarray(a, dtype=float)[None])
+    return q[0], r[0]
+
+
+def _complete(a):
+    """ReflectorStack of the complete orthogonal factor of a QR of a."""
+    return kernels.ReflectorStack(np.linalg.qr(a, mode="complete")[0], a.shape[1])
+
+
 def test_identity_columns_triangularize_to_identity():
     a = np.eye(3)[:, :2]
-    stack, r = kernels.triangularize(a)
+    q, r = _qr(a)
     assert np.allclose(r, np.eye(2), atol=1e-15)
-    x = np.array([0.3, -0.7, 2.0])
-    assert np.allclose(stack.apply_adjoint(x), x, atol=1e-15)
+    assert np.allclose(q, a, atol=1e-15)
 
 
 def test_column_norm_single_column():
-    stack, r = kernels.triangularize(np.array([[3.0], [4.0]]))
+    _, r = _qr(np.array([[3.0], [4.0]]))
     assert abs(r[0, 0] - 5.0) < 1e-14
 
 
 def test_reconstruction_oracle(rng):
     a = rng.standard_normal((6, 3))
-    stack, r = kernels.triangularize(a)
-    rebuilt = stack.thin_q() @ r
+    q, r = _qr(a)
+    rebuilt = q @ r
     assert np.max(np.abs(rebuilt - a)) <= 1e-13
     assert np.min(np.diagonal(r)) >= 0.0
 
@@ -32,22 +42,22 @@ def test_reconstruction_many_shapes(seed):
     m = int(rng.integers(1, 30))
     n = int(rng.integers(1, m + 1))
     a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4)
-    stack, r = kernels.triangularize(a)
+    q, r = _qr(a)
     scale = max(1.0, np.max(np.abs(a)))
-    assert np.max(np.abs(stack.thin_q() @ r - a)) <= 1e-12 * scale
+    assert np.max(np.abs(q @ r - a)) <= 1e-12 * scale
     assert np.min(np.diagonal(r)) >= 0.0
 
 
 def test_isometric_input_reproduces_itself(rng):
     q = np.linalg.qr(rng.standard_normal((9, 4)))[0]
-    stack, r = kernels.triangularize(q)
+    thin, r = _qr(q)
     assert np.max(np.abs(r - np.eye(4))) <= 1e-12
-    assert np.max(np.abs(stack.thin_q() - q)) <= 1e-12
+    assert np.max(np.abs(thin - q)) <= 1e-12
 
 
 def test_apply_adjoint_range_membership(rng):
     q = np.linalg.qr(rng.standard_normal((10, 3)))[0]
-    stack, _ = kernels.triangularize(q)
+    stack = _complete(q)
     y = rng.standard_normal(3)
     out = stack.apply_adjoint(q @ y)
     assert np.max(np.abs(out[3:])) <= 1e-13
@@ -55,7 +65,7 @@ def test_apply_adjoint_range_membership(rng):
 
 def test_apply_adjoint_preserves_norm(rng):
     a = rng.standard_normal((12, 5))
-    stack, _ = kernels.triangularize(a)
+    stack = _complete(a)
     x = rng.standard_normal(12)
     assert abs(np.linalg.norm(stack.apply_adjoint(x)) - np.linalg.norm(x)) <= (
         1e-13 * np.linalg.norm(x)
@@ -63,40 +73,24 @@ def test_apply_adjoint_preserves_norm(rng):
 
 
 def test_factor_is_orthogonal(rng):
-    for shape in [(1, 1), (7, 3), (12, 12), (5, 0)]:
-        stack, _ = kernels.triangularize(rng.standard_normal(shape))
-        assert stack.q.shape == (shape[0], shape[0])
-        assert stack.count == shape[1]
-        assert np.max(np.abs(stack.q.T @ stack.q - np.eye(shape[0]))) <= 1e-13
-
-
-def test_triangularize_rejects_bad_input():
-    with pytest.raises(ValueError):
-        kernels.triangularize(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        kernels.triangularize(np.array([[np.nan], [1.0]]))
-    with pytest.raises(ValueError):
-        kernels.triangularize(np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError):
-        kernels.triangular_factor(np.array([[1.0, np.inf]]))
-
+    for shape in [(1, 1), (7, 3), (12, 12), (5, 0), (3, 7)]:
+        q, _ = _qr(rng.standard_normal(shape))
+        k = min(shape)
+        assert q.shape == (shape[0], k)
+        assert np.max(np.abs(q.T @ q - np.eye(k)), initial=0.0) <= 1e-13
 
 
 @pytest.mark.parametrize("shape", [(5, 7, 3), (4, 6, 6), (3, 9, 0), (1, 4, 2), (0, 5, 2)])
-def test_qr_stack_is_triangularize_per_slice(rng, shape):
+def test_qr_stack_is_qr_per_slice(rng, shape):
     a = rng.standard_normal(shape)
     with kernels.count_flops() as counter:
         q, r = kernels.qr_stack(a)
-    b, m, n = shape
-    assert q.shape == (b, m, m) and r.shape == (b, n, n)
-    assert counter.total == b * m * n * (m + n)
-    for j in range(b):
+    for j in range(shape[0]):
         with kernels.count_flops() as one:
-            stack, rj = kernels.triangularize(a[j])
-        assert counter.total == b * one.total
-        assert np.array_equal(q[j], stack.q)
-        assert np.array_equal(r[j], rj)
-    assert np.all(np.diagonal(r, axis1=1, axis2=2) >= 0.0)
+            qj, rj = kernels.qr_stack(a[j : j + 1])
+        assert counter.total == shape[0] * one.total
+        assert np.array_equal(q[j], qj[0])
+        assert np.array_equal(r[j], rj[0])
 
 
 @pytest.mark.parametrize("shape", [(5, 7, 3), (4, 6, 6), (3, 4, 9), (2, 1, 5), (3, 9, 0), (0, 5, 2)])
@@ -105,24 +99,15 @@ def test_thin_qr_stack_factors_any_shape(rng, shape):
     b, m, n = shape
     k = min(m, n)
     with kernels.count_flops() as counter:
-        q, r = kernels.qr_stack(a, thin=True)
+        q, r = kernels.qr_stack(a)
     assert q.shape == (b, m, k) and r.shape == (b, k, n)
     assert counter.total == b * (m * n * k + m * k * n)
     assert np.max(np.abs(q @ r - a), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(a), initial=0.0))
     assert np.max(np.abs(q.transpose(0, 2, 1) @ q - np.eye(k)), initial=0.0) <= 1e-13
     assert np.all(np.tril(r, -1) == 0.0) and np.all(np.diagonal(r, axis1=1, axis2=2) >= 0.0)
-    if m >= n:
-        # the complete factors' leading columns, up to round-off
-        complete, rc = kernels.qr_stack(a)
-        assert np.allclose(complete[:, :, :k], q, rtol=0.0, atol=1e-13)
-        assert np.allclose(rc, r, rtol=0.0, atol=1e-13)
 
 
 def test_qr_stack_rejects_bad_input():
-    with pytest.raises(ValueError, match=r"^need at least as many rows as columns, got \(2, 3\)$"):
-        kernels.qr_stack(np.zeros((4, 2, 3)))
-    with pytest.raises(ValueError, match=r"^need at least as many rows as columns, got \(2, 3\)$"):
-        kernels.triangularize(np.zeros((2, 3)))
     for bad in (np.nan, np.inf):
         a = np.ones((3, 4, 2))
         a[2, 1, 0] = bad
@@ -130,11 +115,13 @@ def test_qr_stack_rejects_bad_input():
             kernels.qr_stack(a)
     with pytest.raises(ValueError, match="^expected a stack of matrices$"):
         kernels.qr_stack(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="^non-finite entries in input$"):
+        kernels.triangular_factor(np.array([[1.0, np.inf]]))
+
 
 def _complement(q):
     """Trailing columns of the orthogonal factor of an isometric q."""
-    stack, _ = kernels.triangularize(q)
-    return stack.apply_adjoint(np.eye(q.shape[0]))[q.shape[1] :].T
+    return _complete(q).apply_adjoint(np.eye(q.shape[0]))[q.shape[1] :].T
 
 
 def test_complement_identity_small():
@@ -160,14 +147,15 @@ def test_complement_dense_identities(rng):
 def test_qr_flop_tallies(rng):
     a = rng.standard_normal((9, 4))
     with kernels.count_flops() as counter:
-        stack, _ = kernels.triangularize(a)
-    assert counter.total == 9 * 4 * (9 + 4)
+        _qr(a)
+    assert counter.total == 9 * 4 * (4 + 4)
     with kernels.count_flops() as counter:
         kernels.triangular_factor(a)
     assert counter.total == 9 * 4 * 4
     with kernels.count_flops() as counter:
         kernels.triangular_factor(a.T)
     assert counter.total == 4 * 9 * 4
+    stack = _complete(a)
     with kernels.count_flops() as counter:
         stack.apply_adjoint(rng.standard_normal(9))
     assert counter.total == 9 * 9
@@ -177,9 +165,8 @@ def test_qr_flop_tallies(rng):
 
 
 def test_orthogonalized_leaves_hold_no_larger_array(rng):
-    # a view into the complete orthogonal factor would keep every
-    # (size x size) leaf factor alive as long as the basis: the leaf
-    # store holds exactly the entries of the leaf matrices
+    # a view into a QR's factors would keep them alive as long as the
+    # basis: the leaf store holds exactly the entries of the leaf matrices
     tree = line_tree(64, 8)
     iso = random_iso_basis(tree, 3, rng)
     owners = set()
