@@ -11,11 +11,11 @@ m*n*p; a stack of b such products costs b times as much, the same as
 b separate calls.  Callers that add the results into accumulators
 charge the adds themselves, per batch, with ``tally``.  A QR of an
 (m, n) matrix, k = min(m, n), is charged m*n*k for the triangular
-factor plus m*k*n for the thin orthogonal factor, the only one ever
-formed, and b times as much for a stack of b (``qr_stack``).
-``ReflectorStack`` holds a complete m x m orthogonal factor densely,
-so applying its adjoint to p columns is one counted product of m*m*p.
-Comparisons and copies are not counted.
+factor plus m*k*n for the thin orthogonal factor, and b times as much
+for a stack of b (``qr_stack``).  ``ReflectorStack`` holds a complete
+m x m orthogonal factor densely, so applying its adjoint to p columns
+is one counted product of m*m*p.  Comparisons and copies are not
+counted.
 
 Stacks of matrix-vector products pick their kernel by shape.  A
 stack of matrices with at most TINY_ENTRIES = 64 entries each is

@@ -7,9 +7,10 @@ short and rank-deficient stacks around it, one `np.vstack` of the
 son transfers per interior cluster for `coarsening_factors`, one
 Legendre evaluation per leaf for `polynomial_basis`, the transfer
 recursion one cluster at a time in post-order for `cross_gram_family`,
-and one draw per leaf and per transfer for `instances.random_basis`.  They call the same
-kernels, or draw the same numbers, in the same order per cluster, so
-their outputs, and their counted flops, are the library's bit for bit.
+and one draw per leaf and per transfer for `instances.random_basis`.
+They call the same kernels, or draw the same numbers, in the same
+order per cluster, so their outputs, and their counted flops, are the
+library's bit for bit.
 
 `mapping_basis` builds a basis from per-cluster mappings, as hand-built
 test bases are written, and `mapping_layout` lays such mappings out one
