@@ -12,16 +12,18 @@ from .matvec import multiply
 __all__ = ["bench_matvec", "write_csv"]
 
 
-def write_csv(path, header, rows, comment):
-    """CSV with one timestamped comment line; floats carry 17 digits."""
+def write_csv(path, rows, comment):
+    """CSV with one timestamped comment line; floats carry 17 digits.
+
+    Each row is a dict from column name to value, all with the first
+    row's columns in its order, which makes the header.
+    """
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(path, "w") as handle:
         handle.write(f"# {comment} generated {stamp}\n")
-        handle.write(",".join(header) + "\n")
+        handle.write(",".join(rows[0]) + "\n")
         for row in rows:
-            cells = [
-                format(v, ".17g") if isinstance(v, float) else str(v) for v in row
-            ]
+            cells = [format(v, ".17g") if isinstance(v, float) else str(v) for v in row.values()]
             handle.write(",".join(cells) + "\n")
 
 
@@ -29,33 +31,16 @@ def bench_matvec(sizes, k, ka, eta, seed):
     """Measure product flops and wall time over growing subtrees.
 
     For every problem size, subtrees with roughly doubling cluster
-    counts are generated and multiplied; one row per run reports the
-    counts split by phase.
+    counts are generated and multiplied; one row per run, a dict from
+    column name to value, reports the counts split by phase.
     """
-    header = [
-        "n",
-        "tx",
-        "ty",
-        "csp",
-        "max_rank",
-        "flops_forward",
-        "flops_coupling",
-        "flops_backward",
-        "flops_total",
-        "seconds",
-    ]
     rows = []
     for n in sizes:
         inst = random_instance(n, k, ka, eta, seed)
         rng = np.random.default_rng(seed + n)
         full = len(inst.tree.clusters)
-        target = 8
-        targets = []
-        while target <= full:
-            targets.append(target)
-            target *= 2
-        if not targets or targets[-1] != full:
-            targets.append(full)
+        # 8, 16, 32, ... below the full tree's count, then the full tree
+        targets = [8 << j for j in range(full.bit_length()) if 8 << j < full] + [full]
         for target in targets:
             sub = random_subtree(inst.tree, rng, target=target)
             x = random_hvector(inst.input_basis, rng, sub=sub)
@@ -64,17 +49,8 @@ def bench_matvec(sizes, k, ka, eta, seed):
                 y = multiply(inst.plan, x)
             seconds = time.perf_counter() - t0
             rows.append(
-                (
-                    n,
-                    x.sub.count(),
-                    y.sub.count(),
-                    inst.csp,
-                    inst.plan.induced.rank,
-                    counter.phases.get("forward", 0),
-                    counter.phases.get("coupling", 0),
-                    counter.phases.get("backward", 0),
-                    counter.total,
-                    float(seconds),
-                )
+                {"n": n, "tx": x.sub.count(), "ty": y.sub.count(), "csp": inst.csp, "max_rank": inst.plan.induced.rank}
+                | {f"flops_{p}": counter.phases.get(p, 0) for p in ("forward", "coupling", "backward")}
+                | {"flops_total": counter.total, "seconds": float(seconds)}
             )
-    return header, rows
+    return rows

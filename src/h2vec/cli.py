@@ -96,65 +96,34 @@ def _run_demo(args):
     run = demo.run(args.eps, steps=args.steps)
     prefix = args.out_prefix
 
-    runtime_rows = [
-        (
-            s.step,
-            s.flops.get("forward", 0),
-            s.flops.get("coupling", 0),
-            s.flops.get("backward", 0),
-            s.flops.get("convert", 0),
-            float(s.seconds["dense"]),
-            float(s.seconds["matvec"]),
-            float(s.seconds["convert"]),
-            float(s.seconds["vector"]),
-            float(s.seconds["check"]),
-        )
-        for s in run.steps
-    ]
+    # each CSV row maps its columns, in order, to the step's values
     write_csv(
         f"{prefix}-runtime.csv",
         [
-            "step",
-            "flops_forward",
-            "flops_coupling",
-            "flops_backward",
-            "flops_convert",
-            "seconds_dense",
-            "seconds_matvec",
-            "seconds_convert",
-            "seconds_vector",
-            "seconds_check",
+            {"step": s.step}
+            | {f"flops_{p}": s.flops.get(p, 0) for p in ("forward", "coupling", "backward", "convert")}
+            | {f"seconds_{p}": float(s.seconds[p]) for p in ("dense", "matvec", "convert", "vector", "check")}
+            for s in run.steps
         ],
-        runtime_rows,
         "h2vec demo poisson runtime",
     )
     write_csv(
         f"{prefix}-clusters.csv",
-        ["step", "tx", "ty", "commits", "merges", "forced"],
-        [(s.step, s.tx, s.ty, s.commits, s.merges, s.forced) for s in run.steps],
+        [{c: getattr(s, c) for c in ("step", "tx", "ty", "commits", "merges", "forced")} for s in run.steps],
         "h2vec demo poisson clusters",
     )
     write_csv(
         f"{prefix}-eigen.csv",
         [
-            "step",
-            "nu_dense",
-            "nu_hier",
-            "lambda_min_estimate",
-            "conv_bound",
-            "cum_bound",
-            "true_diff",
-        ],
-        [
-            (
-                s.step,
-                float(s.nu_dense),
-                float(s.nu_hier),
-                float(1.0 / s.nu_hier),
-                float(s.conv_bound),
-                float(s.cum_bound),
-                float(s.true_diff),
-            )
+            {
+                "step": s.step,
+                "nu_dense": float(s.nu_dense),
+                "nu_hier": float(s.nu_hier),
+                "lambda_min_estimate": float(1.0 / s.nu_hier),
+                "conv_bound": float(s.conv_bound),
+                "cum_bound": float(s.cum_bound),
+                "true_diff": float(s.true_diff),
+            }
             for s in run.steps
         ],
         "h2vec demo poisson eigenvalues",
@@ -183,11 +152,11 @@ def main(argv=None):
     if args.command == "bench":
         try:
             _check_folder(args.out)
-            header, rows = bench_matvec(args.sizes, args.k, args.ka, args.eta, args.seed)
+            rows = bench_matvec(args.sizes, args.k, args.ka, args.eta, args.seed)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        write_csv(args.out, header, rows, "h2vec bench matvec")
+        write_csv(args.out, rows, "h2vec bench matvec")
         print(f"wrote {len(rows)} rows to {args.out}")
         return 0
     if args.command == "demo":

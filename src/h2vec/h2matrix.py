@@ -57,14 +57,6 @@ class BlockTree:
         return np.flatnonzero(self.leaf).tolist()
 
 
-def _son_lists(tree):
-    """(sons, first, count): cluster i's sons, in order, are sons[first[i]:][:count[i]]."""
-    sons = np.concatenate(tree.by_level)[1:]
-    sons = sons[np.argsort(tree.father[sons], kind="stable")]
-    count = np.bincount(tree.father[sons], minlength=len(tree))
-    return sons, np.cumsum(count) - count, count
-
-
 def build_block_tree(row_tree, col_tree, eta):
     """Split block pairs level by level from the root pair, stopping
     at admissible pairs and at pairs with a leaf cluster.
@@ -78,7 +70,7 @@ def build_block_tree(row_tree, col_tree, eta):
         raise ValueError(f"eta must be finite and non-negative, got {eta}")
     if row_tree.depth != col_tree.depth:
         raise ValueError(f"tree depths differ: {row_tree.depth} vs {col_tree.depth}")
-    (row_sons, row_first, row_count), (col_sons, col_first, col_count) = map(_son_lists, (row_tree, col_tree))
+    row_count, col_count = np.diff(row_tree.son_ptr), np.diff(col_tree.son_ptr)
     # per level: the blocks' clusters, parents (numbered level by level),
     # tests, and paths, the son numbers that lead to them from the root
     row, col, parent, path = [[row_tree.root]], [[col_tree.root]], [[-1]], [np.zeros((1, 0), dtype=np.intp)]
@@ -97,8 +89,8 @@ def build_block_tree(row_tree, col_tree, eta):
         per = row_count[t] * col_count[s]
         q = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
         c = np.repeat(col_count[s], per)
-        row.append(row_sons[np.repeat(row_first[t], per) + q // c])
-        col.append(col_sons[np.repeat(col_first[s], per) + q % c])
+        row.append(row_tree.son_ids[np.repeat(row_tree.son_ptr[t], per) + q // c])
+        col.append(col_tree.son_ids[np.repeat(col_tree.son_ptr[s], per) + q % c])
         parent.append(np.repeat(start + split, per))
         path.append(np.column_stack([path[-1][np.repeat(split, per)], q]))
         start += len(leaf[-1])

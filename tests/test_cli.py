@@ -1,13 +1,20 @@
+import importlib
 import os
 import re
 import warnings
 
+import numpy as np
 import pytest
 
-from h2vec import selftest
+from h2vec import basis as basis_module
+from h2vec import hvector, kernels, selftest
+from h2vec import tree as tree_module
 from h2vec.cli import main
 from h2vec.h2matrix import H2Matrix, to_dense
 from h2vec.selftest import run_selftest
+
+# h2vec.convert is also the name of the package's convert function
+convert_module = importlib.import_module("h2vec.convert")
 
 
 def test_selftest_passes():
@@ -31,6 +38,57 @@ def test_selftest_detects_corrupted_coupling(monkeypatch):
 
     monkeypatch.setattr(selftest, "to_dense", corrupted)
     assert run_selftest(seed=0, verbose=False) > 0
+
+
+def _failed_suites(capsys):
+    run_selftest(seed=0)
+    lines = capsys.readouterr().out.splitlines()
+    return {line[:18].strip() for line in lines if line.endswith("FAILED")}
+
+
+def test_selftest_kernels_detects_a_miscounted_flop(monkeypatch, capsys):
+    tally = kernels.tally
+    monkeypatch.setattr(kernels, "tally", lambda n: tally(2 * n))
+    assert "kernels" in _failed_suites(capsys)
+
+
+def test_selftest_tree_detects_a_misplaced_point(monkeypatch, capsys):
+    # the first and the last position trade their points
+    def swapped(*args):
+        built = assemble(*args)
+        built.perm[[0, -1]] = built.perm[[-1, 0]]
+        return built
+
+    assemble = tree_module._assemble
+    monkeypatch.setattr(tree_module, "_assemble", swapped)
+    assert "tree" in _failed_suites(capsys)
+
+
+def test_selftest_basis_detects_a_perturbed_transfer(monkeypatch, capsys):
+    def perturbed(basis):
+        iso, change = nested_orthogonalize(basis)
+        iso.transfer.store[0] += 1e-3
+        return iso, change
+
+    nested_orthogonalize = basis_module.nested_orthogonalize
+    monkeypatch.setattr(basis_module, "nested_orthogonalize", perturbed)
+    assert "basis" in _failed_suites(capsys)
+
+
+def test_selftest_hvector_detects_a_wrong_merge_error(monkeypatch, capsys):
+    def inflated(x, i, factors):
+        merged, error, size = merge(x, i, factors)
+        return merged, 1.01 * error, size
+
+    merge = hvector.merge
+    monkeypatch.setattr(hvector, "merge", inflated)
+    assert "hvector" in _failed_suites(capsys)
+
+
+def test_selftest_convert_detects_an_understated_bound(monkeypatch, capsys):
+    ascent = convert_module._ascent
+    monkeypatch.setattr(convert_module, "_ascent", lambda *args: 0.5 * ascent(*args))
+    assert "convert" in _failed_suites(capsys)
 
 
 def test_selftest_deterministic(capsys):
@@ -243,3 +301,85 @@ def test_cli_demo_reports_a_refused_setup(tmp_path, capsys, grid, degree, messag
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# the documented columns of each CSV, in order (README, "Command line")
+RUNTIME_COLUMNS = [
+    "step", "flops_forward", "flops_coupling", "flops_backward", "flops_convert",
+    "seconds_dense", "seconds_matvec", "seconds_convert", "seconds_vector", "seconds_check",
+]
+CLUSTERS_COLUMNS = ["step", "tx", "ty", "commits", "merges", "forced"]
+EIGEN_COLUMNS = [
+    "step", "nu_dense", "nu_hier", "lambda_min_estimate", "conv_bound", "cum_bound", "true_diff",
+]
+BENCH_COLUMNS = [
+    "n", "tx", "ty", "csp", "max_rank",
+    "flops_forward", "flops_coupling", "flops_backward", "flops_total", "seconds",
+]
+
+
+def _read_csv(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# ")
+    return lines[1].split(","), [line.split(",") for line in lines[2:]]
+
+
+def _assert_round_trip(cells, values):
+    # floats carry 17 significant digits, so they read back exactly;
+    # counts are written as integers
+    assert len(cells) == len(values)
+    for cell, value in zip(cells, values):
+        if isinstance(value, (float, np.floating)):
+            assert float(cell) == value, (cell, value)
+        else:
+            assert int(cell) == value, (cell, value)
+
+
+def test_cli_demo_csvs_round_trip(tmp_path, monkeypatch):
+    from h2vec.demo import PoissonDemo
+
+    def kept(self, *args, **kwargs):
+        runs.append(run(self, *args, **kwargs))
+        return runs[-1]
+
+    runs, run = [], PoissonDemo.run
+    monkeypatch.setattr(PoissonDemo, "run", kept)
+    assert main(["demo", "poisson", "--grid", "16", "--steps", "4", "--out-prefix", str(tmp_path / "demo")]) == 0
+    (steps,) = [r.steps for r in runs]
+    tables = {
+        "runtime": (RUNTIME_COLUMNS, lambda s: [
+            s.step, *(s.flops.get(p, 0) for p in ("forward", "coupling", "backward", "convert")),
+            *(s.seconds[p] for p in ("dense", "matvec", "convert", "vector", "check")),
+        ]),
+        "clusters": (CLUSTERS_COLUMNS, lambda s: [s.step, s.tx, s.ty, s.commits, s.merges, s.forced]),
+        "eigen": (EIGEN_COLUMNS, lambda s: [
+            s.step, s.nu_dense, s.nu_hier, 1.0 / s.nu_hier, s.conv_bound, s.cum_bound, s.true_diff,
+        ]),
+    }
+    for name, (columns, values) in tables.items():
+        header, rows = _read_csv(tmp_path / f"demo-{name}.csv")
+        assert header == columns
+        assert len(rows) == len(steps) == 4
+        for cells, s in zip(rows, steps):
+            _assert_round_trip(cells, values(s))
+
+
+def test_cli_bench_csv_round_trips(tmp_path, monkeypatch):
+    from h2vec import cli
+
+    def kept(*args):
+        results.append(bench(*args))
+        return results[-1]
+
+    results, bench = [], cli.bench_matvec
+    monkeypatch.setattr(cli, "bench_matvec", kept)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "matvec", "--sizes", "32,64", "--out", str(out)]) == 0
+    (result,) = results
+    # rows as mappings from column to value, or as tuples under a header
+    rows = [list(r.values()) for r in result] if isinstance(result, list) else result[1]
+    header, cells = _read_csv(out)
+    assert header == BENCH_COLUMNS
+    assert len(cells) == len(rows) > 2
+    for line, values in zip(cells, rows):
+        _assert_round_trip(line, values)
