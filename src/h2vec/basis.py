@@ -66,12 +66,15 @@ class MatrixGroup:
     """Clusters whose matrices share their shape, in a basis or a
     family those of one level.
 
-    stack holds their matrices, one per cluster.  source and target
-    hold per cluster the entries of the flat coefficient arrays that
-    its matrix maps from and to, laid out by the ptr of the bases the
-    builder names; a basis's transfer groups also hold the fathers.
-    A step, one stacked product of a pass (see run_steps), is a
-    MatrixGroup too, often one picked from a larger group.
+    stack holds their matrices, one per cluster, as a (b, m, n) array.
+    source and target hold per cluster the entries of the flat
+    coefficient arrays that its matrix maps from and to, (b, n) and
+    (b, m), laid out by the ptr of the bases the builder names; a
+    basis's transfer groups also hold the fathers.  A step, one stacked
+    product of a pass (see run_steps), is a MatrixGroup too, often one
+    picked from a larger group.  A group whose steps a product keeps
+    may hold in last its BatchLastGroup twin (see batch_last), from
+    which pick then picks.
     """
 
     clusters: np.ndarray
@@ -79,20 +82,75 @@ class MatrixGroup:
     source: np.ndarray = None
     target: np.ndarray = None
     fathers: np.ndarray = None
+    last: "MatrixGroup" = None
 
     def pick(self, mask):
         """The group of the clusters marked in mask, a boolean array
-        with one entry per cluster, or None when none is; its arrays
-        are views of this group's when the marked clusters form one
-        run, copies otherwise."""
+        with one entry per cluster, or None when none is; picked from
+        the twin when there is one.  Its arrays are views of this
+        group's when the marked clusters form one run, copies
+        otherwise."""
+        if self.last is not None:
+            return self.last.pick(mask)
         at = mask.nonzero()[0]
         if not at.size:
             return None
-        first, last = int(at[0]), int(at[-1])
-        if last - first == at.size - 1:
-            at = slice(first, last + 1)
-        more = (None if a is None else a[at] for a in (self.source, self.target, self.fathers))
-        return MatrixGroup(self.clusters[at], self.stack[at], *more)
+        first, end = int(at[0]), int(at[-1]) + 1
+        if end - first == at.size:
+            at = slice(first, end)
+        more = (None if a is None else self._cut(a, at) for a in (self.source, self.target, self.fathers))
+        return type(self)(self._cut(self.clusters, at), self._cut(self.stack, at), *more)
+
+    @staticmethod
+    def _cut(a, at):
+        """a's entries of the clusters at, along its batch axis."""
+        return a[at]
+
+    def apply(self, x):
+        """The products of the matrices with the vectors x, laid out as
+        source, laid out as target."""
+        return kernels.matvec(self.stack, x)
+
+    def batch_last(self):
+        """A BatchLastGroup copy of this group when its matrices are
+        tiny, of at most kernels.TINY_ENTRIES entries, else None."""
+        if self.stack.shape[1] * self.stack.shape[2] > kernels.TINY_ENTRIES:
+            return None
+        laid = (np.ascontiguousarray(a.T) for a in (self.source, self.target))
+        return BatchLastGroup(self.clusters, np.ascontiguousarray(self.stack.transpose(1, 2, 0)), *laid, self.fathers)
+
+    def transposed(self):
+        """The group of the transposed matrices, mapping target to
+        source, as a copy, batch-last when they are tiny.  A product
+        pattern keeps it for all products on its subtree: on the @
+        branch of kernels.matvec a product with the transposed view
+        rounds differently, and passing the view instead raised the
+        grid-64 demo's peak RSS from 107 to 114 MB."""
+        flipped = MatrixGroup(self.clusters, self.stack.transpose(0, 2, 1), self.target, self.source, self.fathers)
+        tiny = flipped.batch_last()
+        if tiny is not None:
+            return tiny
+        flipped.stack = np.ascontiguousarray(flipped.stack)
+        return flipped
+
+
+class BatchLastGroup(MatrixGroup):
+    """A MatrixGroup laid out with the batch axis last, contiguous where
+    it is not a view: stack (m, n, b), source (n, b) and target (m, b).
+    In this layout stacks of tiny matrices multiply fastest
+    (kernels.matvec with batch_last, see the kernels module), so the
+    product keeps its steps of tiny matrices so."""
+
+    @staticmethod
+    def _cut(a, at):
+        return a[..., at] if isinstance(at, slice) else a.take(at, axis=-1)
+
+    def apply(self, x):
+        return kernels.matvec(self.stack, x, batch_last=True)
+
+    def transposed(self):
+        stack = np.ascontiguousarray(self.stack.transpose(1, 0, 2))
+        return BatchLastGroup(self.clusters, stack, self.target, self.source, self.fathers)
 
 
 class ClusterMatrices(Mapping):
@@ -241,14 +299,15 @@ def _entries(ptr, clusters, width):
 
 
 def run_steps(data, steps, add=True, out=None):
-    """Run stacked products, in order: each step's stack times data at
-    its source entries is added into out (by default data) at its
+    """Run stacked products, in order: each step's matrices times data
+    at its source entries are added into out (by default data) at its
     target entries, which may repeat, or with add=False written there.
     Adds are counted.  data and out are flat arrays; steps are
-    MatrixGroups, as the step builders of ClusterBasis return them."""
+    MatrixGroups, as the step builders of ClusterBasis return them, in
+    either layout."""
     out = data if out is None else out
     for step in steps:
-        pushed = kernels.matvec(step.stack, data.take(step.source))
+        pushed = step.apply(data.take(step.source))
         if add:
             np.add.at(out, step.target.ravel(), pushed.ravel())
             kernels.tally(pushed.size)
@@ -284,9 +343,9 @@ class ClusterBasis:
     transfer groups, per (level, rank, father rank), run top-down; their
     source and target hold the entries of the fathers and of the sons,
     and transfer.levels[l] lists the groups of the sons on level l.
-    forward_steps and backward_steps cut the transfer groups to the
-    clusters a transformation treats, and forward and backward run
-    those steps.
+    forward_steps and backward_steps cut the transfer groups, or their
+    batch-last twins where a product plan made them, to the clusters a
+    transformation treats, and forward and backward run those steps.
     """
 
     def __init__(self, tree, ranks, leaf_store, transfer_store, isometric=False):
@@ -346,21 +405,10 @@ class ClusterBasis:
     def forward_steps(self, member):
         """The steps of the forward transformation over the sons marked
         in member, bottom-up: per transfer group with such sons, their
-        transfers transposed, reading the sons' entries and adding into
-        the fathers'."""
-        steps = []
-        for group in reversed(self.transfer.groups):
-            step = group.pick(member[group.clusters])
-            if step is None:
-                continue
-            # copied, and kept by a product pattern for all products on
-            # its subtree: on the @ branch a product with the transposed
-            # view rounds differently, and passing the view instead
-            # raised the grid-64 demo's peak RSS from 107 to 114 MB
-            step.stack = np.ascontiguousarray(step.stack.transpose(0, 2, 1))
-            step.source, step.target = step.target, step.source
-            steps.append(step)
-        return steps
+        transfers transposed (MatrixGroup.transposed), reading the
+        sons' entries and adding into the fathers'."""
+        steps = (group.pick(member[group.clusters]) for group in reversed(self.transfer.groups))
+        return [step.transposed() for step in steps if step is not None]
 
     def backward_steps(self, interior, level=None):
         """The steps of the backward transformation from the clusters

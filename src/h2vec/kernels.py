@@ -17,23 +17,40 @@ m x m orthogonal factor densely, so applying its adjoint to p columns
 is one counted product of m*m*p.  Comparisons and copies are not
 counted.
 
-Stacks of matrix-vector products pick their kernel by shape.  A
-stack of matrices with at most TINY_ENTRIES = 64 entries each is
-multiplied by ``np.einsum``, larger ones by ``@``: below that size
-per-matrix dispatch, not arithmetic, sets the time.  Measured as the
-time of ``a @ x[:, :, None]`` over that of ``einsum`` (best of 5 x
-200 calls, one process, 2 CPUs): 2.1-2.6 for 3 x 3 matrices, 1.5-1.8
-for 6 x 6, 1.1-1.3 for 8 x 8, 1.0-1.2 for 9 x 9, but 0.8 for 16 x 16,
-0.7 for 16 x 8 and 0.3 for tall 64 x 3 matrices, so the rule counts
-entries, not columns.  The product's coupling stacks are wide: a row
-of c leaf blocks is one k x ck matrix.  For 1,000 3 x 3c matrices
-the ratio was 1.6-2.6, 1.6-3.3, 1.8-2.4, 2.1-3.2, 1.6-2.1, 1.9-2.1
-and 1.0-1.9 for c = 1 ... 7, and for 200 16 x 16c matrices 0.65-0.79,
-0.64-1.0, 0.61-0.64 and 0.56-0.66 for c = 1 ... 4 (three runs each),
-so the one threshold holds for them too.  Wider three-row matrices,
-3 x 24 and 3 x 30, still ran 1.6-1.8 times faster by einsum though
-above it; no benchmarked product has a row of more than six leaf
-blocks at rank 3.  Both kernels are charged the same count.
+Stacks of matrix-vector products pick their kernel by shape and
+layout.  A stack held batch-first, (b, m, n) matrices and (b, n)
+vectors, is multiplied by ``np.einsum`` when its matrices have at
+most TINY_ENTRIES = 64 entries each, larger ones by ``@``: below that
+size per-matrix dispatch, not arithmetic, sets the time.  Ratios of
+``@`` time over einsum time (best of 5 x 200 calls, three runs):
+2.1-2.6 for 3 x 3 matrices, 1.1-1.3 for 8 x 8, 1.0-1.2 for 9 x 9,
+but 0.8 for 16 x 16, 0.7 for 16 x 8 and 0.3 for tall 64 x 3, so the
+rule counts entries, not columns; for the product's wide
+coupling stacks, one k x ck matrix per row of c leaf blocks, 1.0-3.3
+for 1,000 3 x 3c matrices (c = 1 ... 7) and 0.56-1.0 for 200
+16 x 16c (c = 1 ... 4).  A stack held batch-last, (m, n, b) matrices
+and (n, b) vectors (matvec's batch_last), is always multiplied by
+einsum, whose inner loop then runs over the batch rather than over a
+side of length 3.  Microseconds per call, batch-last einsum /
+batch-first einsum / ``@``, contiguous operands, best of 5 x 200
+calls in one process on 2 CPUs:
+
+    shape    b = 1            b = 2            b = 200            b = 1,000
+    3 x 3    2.1 / 2.1 / 1.4  2.1 / 2.1 / 1.5   2.7 /  5.2 /  8.1   6.0 /  18.9 /  38.6
+    3 x 9    2.0 / 2.0 / 1.4  2.1 / 2.1 / 1.4   3.8 /  5.8 / 10.0  11.4 /  21.2 /  44.0
+    3 x 18   1.9 / 1.8 / 1.3  2.2 / 1.9 / 1.4   5.7 /  7.0 / 10.7  18.9 /  26.0 /  47.2
+    9 x 9    1.9 / 1.9 / 1.3  2.3 / 1.9 / 1.4   7.3 / 12.2 / 13.0  29.7 /  54.4 /  59.2
+    16 x 16  1.9 / 1.9 / 1.3  3.0 / 2.1 / 1.4  19.0 / 23.8 / 17.5  96.9 / 133.3 / 116.5
+
+Batch-last loses where dispatch sets the time, at b <= 2 (``@`` is
+fastest there at every shape, and at 16 x 16, b = 2, batch-last is the
+slowest), and to ``@`` at 16 x 16, b = 200.  Making the layout costs
+a transposing copy, more than it saves in one product, and passing
+transposed views gives the gain up, so stacks of tiny matrices are
+held batch-last (basis.BatchLastGroup) only where they are kept for
+many products or copied anyway, as the transposed transfers of a
+forward transformation are; the one rule of TINY_ENTRIES decides.
+All kernels are charged the same count.
 
 The QR routines fix signs so that the triangular factor has a
 non-negative diagonal.  For input [A | B] whose leading columns A are
@@ -62,7 +79,8 @@ __all__ = [
     "triangular_factor",
 ]
 
-# stacked matrices of at most this many entries are multiplied by einsum
+# stacked matrices of at most this many entries are multiplied by
+# einsum, and held batch-last where a product keeps them
 TINY_ENTRIES = 64
 
 _COUNTER: contextvars.ContextVar = contextvars.ContextVar(
@@ -147,22 +165,29 @@ def matmul(a, b):
     return a @ b
 
 
-def matvec(a, x):
+def matvec(a, x, batch_last=False):
     """Counted matrix-vector product with shape check.
 
     a may also be a stack of b matrices, shape (b, m, n), with x a
     stack of b vectors, shape (b, n); the result is the (b, m) stack
     of the products a[j] @ x[j], computed by einsum when m * n is at
-    most TINY_ENTRIES and by @ otherwise (see the module docstring).
-    Either way the count is b * m * n; the two kernels may round
-    differently.
+    most TINY_ENTRIES and by @ otherwise.  With batch_last the stack
+    is held with its batch axis last: a of shape (m, n, b), x of shape
+    (n, b), and the result is the (m, b) array whose column j is
+    a[:, :, j] @ x[:, j], computed by einsum (see the module
+    docstring).  Every way the count is b * m * n; the kernels may
+    round differently.
     """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    if a.ndim == 2 and x.ndim == 1 and a.shape[1] == x.shape[0]:
+    if batch_last:
+        if a.ndim == 3 and a.shape[1:] == x.shape:
+            tally(a.size)
+            return np.einsum("ijb,jb->ib", a, x)
+    elif a.ndim == 2 and x.ndim == 1 and a.shape[1] == x.shape[0]:
         tally(a.size)
         return a @ x
-    if a.ndim == 3 and x.ndim == 2 and (a.shape[0], a.shape[2]) == x.shape:
+    elif a.ndim == 3 and x.ndim == 2 and (a.shape[0], a.shape[2]) == x.shape:
         tally(a.size)
         if a.shape[1] * a.shape[2] <= TINY_ENTRIES:
             return np.einsum("bij,bj->bi", a, x)

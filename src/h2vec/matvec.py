@@ -51,6 +51,15 @@ per batch.  The passes gather entries with ndarray.take: for the
 27,444 entries the coupling of one product at n = 4096 reads, that
 takes 38-44 us, against 44-47 us by indexing.
 
+Steps of tiny matrices, of at most kernels.TINY_ENTRIES entries, are
+held batch-last (basis.BatchLastGroup), the layout in which such
+stacks multiply fastest.  build_plan gives the plan's coupling groups
+and the row basis's transfer groups batch-last twins, once, which the
+steps view or are picked from; the steps a pattern copies, of the
+cross Gram matrices and of the transposed column transfers, are
+copied batch-last.  A product at n = 4096 and rank 3 on the full
+subtree runs all its 26 steps so.
+
 Everything these passes read but the input's coefficients depends
 only on the input's subtree: the result's subtree, the steps of the
 three transformations, the rows the forward pass starts at with their
@@ -112,9 +121,10 @@ class ProductPattern:
     key: the input's interior mask as bytes.  sub: the result's
     subtree, copied into every result.  push: the steps of the input
     basis's backward transformation that push the input down to the
-    clusters the forward pass reads.  at, cross: the input clusters
-    the forward pass starts from and their stacked cross Gram
-    matrices.  forward: the steps of the column basis's forward
+    clusters the forward pass reads.  cross: the step of the cross
+    Gram matrices of the input clusters the forward pass starts from,
+    reading their input entries and writing their column entries.
+    forward: the steps of the column basis's forward
     transformation over the input's members.  coupling: the plan's
     coupling groups cut to the rows of the result.  backward: the
     steps of the row basis's backward transformation from the
@@ -132,8 +142,7 @@ class ProductPattern:
     key: bytes
     sub: Subtree
     push: list
-    at: np.ndarray
-    cross: np.ndarray
+    cross: MatrixGroup
     forward: list
     coupling: list
     backward: list
@@ -160,7 +169,8 @@ class MatvecPlan:
     [S_1 ... S_c] of each row's couplings side by side, in the order
     of leaf_blocks, its source the entries of the c columns in the flat (clusters, k)
     array of the forward pass and its target the row's entries in the
-    flat (clusters, k) row accumulators, k the matrix rank.  pattern
+    flat (clusters, k) row accumulators, k the matrix rank; a group of
+    tiny matrices holds its batch-last twin in last.  pattern
     is the ProductPattern of the last input subtree, replaced when a
     product meets another one.
 
@@ -205,6 +215,11 @@ def build_plan(matrix, input_basis):
     starts = ptr[rows] + ka + k * slot
     nonleaf_blocks = BlockSet(rows, bt.col[others], parent[others], starts[:, None] + np.arange(k))
     coupling = _coupling_groups(matrix, leaf_blocks)
+    # every product reads these groups' matrices: tiny ones get a
+    # batch-last twin, once, which the patterns pick from
+    for group in [*coupling, *matrix.row_basis.transfer.groups]:
+        if group.last is None:
+            group.last = group.batch_last()
     plan = MatvecPlan(matrix, input_basis, cross, ptr, leaf_blocks, nonleaf_blocks, coupling)
     plan.induced = materialize_induced(plan)
     plan.ptr = plan.induced.ptr  # the same offsets, read-only
@@ -271,6 +286,8 @@ def _pattern(plan, x_sub):
         below[fathers] = True
         below &= ~member
     at = np.flatnonzero(leaf | crossed)
+    k, ka = plan.input_basis.rank, plan.matrix.rank
+    cross = MatrixGroup(at, plan.cross[at], at[:, None] * k + np.arange(k), at[:, None] * ka + np.arange(ka))
     # so a row's leaf blocks are in the result together, when the row's
     # father is interior there; the root's father, -1, reads the
     # appended True
@@ -282,8 +299,7 @@ def _pattern(plan, x_sub):
         key=interior.tobytes(),
         sub=sub,
         push=plan.input_basis.backward_steps(push),
-        at=at,
-        cross=plan.cross[at],
+        cross=cross.batch_last() or cross,
         forward=plan.matrix.col_basis.forward_steps(member),
         coupling=[group for group in coupling if group is not None],
         backward=plan.matrix.row_basis.backward_steps(result),
@@ -293,7 +309,7 @@ def _pattern(plan, x_sub):
         leaf_target=plan.ptr[out][:, None] + np.arange(plan.matrix.rank),
         leaf_row=out,
     )
-    steps = [*pattern.push, *pattern.forward, *pattern.coupling, *pattern.backward]
+    steps = [*pattern.push, pattern.cross, *pattern.forward, *pattern.coupling, *pattern.backward]
     for value in [*vars(pattern).values(), *vars(sub).values(), *(v for s in steps for v in vars(s).values())]:
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
@@ -303,13 +319,14 @@ def _pattern(plan, x_sub):
 def _forward(plan, coeff, pattern):
     """W_s^T x|_s for every member s of the input's subtree.
 
-    coeff holds the input coefficient of every cluster in pattern.at,
-    the subtree leaves and the clusters below them that leaf blocks
-    read (other rows are ignored).  Returns an array with one row per
-    column cluster, zero outside the subtree and pattern.at.
+    coeff holds the input coefficient of every cluster the cross step
+    reads (pattern.cross.clusters), the subtree leaves and the clusters
+    below them that leaf blocks read (other rows are ignored).  Returns
+    an array with one row per column cluster, zero outside the subtree
+    and those clusters.
     """
     xbar = np.zeros((len(plan.cross), plan.matrix.rank))
-    xbar[pattern.at] = kernels.matvec(pattern.cross, coeff.take(pattern.at, axis=0))
+    run_steps(coeff.reshape(-1), [pattern.cross], add=False, out=xbar.reshape(-1))
     run_steps(xbar.reshape(-1), pattern.forward)
     return xbar
 

@@ -245,6 +245,43 @@ def test_criterion_6_conversion_soundness():
     print(f"\nACCEPT 6 conversion soundness: PASS ({trials} conversions)")
 
 
+def test_criterion_6_soundness_where_conversions_discard():
+    """Criterion 6 at tolerances that make conversions commit above the
+    leaves and merge: dense error <= reported bound <= eps, and most
+    bounds are non-zero, so the inequalities are exercised."""
+    trials, discarding = 0, 0
+    for seed in range(12):
+        rng = np.random.default_rng(5000 + seed)
+        inst = random_instance(96, 3, 2, 1.0, seed, leaf_size=3)
+        target = inst.input_basis
+        pfac = coarsening_factors(target)
+        induced = projection_factors(inst.plan.induced, target)
+        source = random_basis(inst.tree, int(rng.integers(1, 4)), rng)
+        direct = projection_factors(source, target)
+        x = random_hvector(target, rng, steps=int(rng.integers(0, 5)))
+        cases = [(multiply(inst.plan, x), induced),
+                 (random_hvector(source, rng, steps=int(rng.integers(0, 6))), direct)]
+        for y, zfac in cases:
+            dense_y = hv_dense(y)
+            nrm = np.linalg.norm(dense_y)
+            if nrm == 0.0:
+                continue
+            scale(y, 1.0 / nrm)
+            dense_y = dense_y / nrm
+            counts = []
+            for eps in (0.5, 0.1):
+                out, bound, _ = convert(y, target, zfac, pfac, ToleranceBudget(eps))
+                err = np.linalg.norm(hv_dense(out) - dense_y)
+                assert err <= bound + 1e-12, f"seed {seed}: {err:.3e} > {bound:.3e}"
+                assert bound <= eps, f"seed {seed}: bound {bound:.3e} > eps {eps}"
+                counts.append(out.sub.count())
+                trials += 1
+                discarding += bound > 0.0
+            assert counts[1] >= counts[0]
+    assert trials >= 40 and discarding >= trials // 2, f"{discarding} of {trials} bounds non-zero"
+    print(f"\nACCEPT 6 conversion soundness, large eps: PASS ({discarding} of {trials} bounds non-zero)")
+
+
 def test_criterion_7_algebra_suite():
     """Criterion 7: vector algebra matches dense oracles to 1e-12."""
     checks = 0

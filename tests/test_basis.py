@@ -10,6 +10,7 @@ from conftest import merge_sons
 from h2vec import kernels
 from h2vec.basis import (
     ISOMETRY_TOL,
+    BatchLastGroup,
     ClusterBasis,
     _check_family,
     coarsening_factors,
@@ -697,6 +698,42 @@ def test_transformations_match_cluster_loops(kind, seed):
     basis = _basis_of(kind, seed)
     rng = np.random.default_rng(seed + 1)
     marks = rng.random(len(basis.tree)) < 0.6
+    for stacked, looped in ((basis.forward, loop_forward), (basis.backward, loop_backward)):
+        data = rng.standard_normal(basis.ptr[-1])
+        want = data.copy()
+        with kernels.count_flops() as batched:
+            stacked(data, marks)
+        with kernels.count_flops() as walked:
+            looped(basis, want, marks)
+        assert batched.total == walked.total
+        assert np.max(np.abs(data - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.filterwarnings("ignore:leaf_size raised")
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["uniform", "ragged", "induced"]), seed=st.integers(0, 2**16))
+def test_batch_last_twins_pick_and_run_like_their_groups(kind, seed):
+    basis = _basis_of(kind, seed)
+    rng = np.random.default_rng(seed + 1)
+    marks = rng.random(len(basis.tree)) < 0.6
+    for group in basis.transfer.groups:
+        want = group.pick(marks[group.clusters])
+        group.last = group.batch_last()
+        got = group.pick(marks[group.clusters])
+        if group.last is None:
+            assert group.stack.shape[1] * group.stack.shape[2] > kernels.TINY_ENTRIES
+            continue
+        if want is None:
+            assert got is None
+            continue
+        assert isinstance(got, BatchLastGroup) and got.last is None
+        assert np.array_equal(got.clusters, want.clusters) and np.array_equal(got.fathers, want.fathers)
+        assert np.array_equal(got.stack, want.stack.transpose(1, 2, 0))
+        assert np.array_equal(got.source, want.source.T) and np.array_equal(got.target, want.target.T)
+        flipped = got.transposed()
+        assert np.array_equal(flipped.stack, want.stack.transpose(2, 1, 0)) and flipped.stack.flags.c_contiguous
+        assert flipped.source is got.target and flipped.target is got.source
+    # the transformations read the twins and still match the cluster loops
     for stacked, looped in ((basis.forward, loop_forward), (basis.backward, loop_backward)):
         data = rng.standard_normal(basis.ptr[-1])
         want = data.copy()

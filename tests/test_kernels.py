@@ -267,6 +267,37 @@ def test_stacked_matvec_shape_mismatch(shape):
         kernels.matvec(a, np.zeros(shape[1]))
 
 
+@pytest.mark.parametrize("b", [1, 2, 513])
+def test_batch_last_matvec_matches_matvec(rng, b):
+    # every shape of at most TINY_ENTRIES entries with sides up to 8
+    shapes = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= kernels.TINY_ENTRIES]
+    assert len(shapes) == 64
+    for m, n in shapes:
+        a = rng.standard_normal((b, m, n))
+        x = rng.standard_normal((b, n))
+        with kernels.count_flops() as first:
+            want = kernels.matvec(a, x)
+        with kernels.count_flops() as counter:
+            out = kernels.matvec(np.ascontiguousarray(a.transpose(1, 2, 0)), np.ascontiguousarray(x.T), batch_last=True)
+        assert counter.total == first.total == b * m * n
+        assert out.shape == (m, b)
+        # each entry within 1e-15 of its sum of term magnitudes
+        scale = np.einsum("bij,bj->bi", np.abs(a), np.abs(x))
+        assert np.all(np.abs(out.T - want) <= 1e-15 * scale)
+
+
+def test_batch_last_matvec_shape_mismatch():
+    a = np.zeros((3, 4, 5))
+    for x in (np.zeros((4, 6)), np.zeros((3, 5)), np.zeros(4), np.zeros((4, 5, 1))):
+        with pytest.raises(ValueError, match="matvec shape mismatch"):
+            kernels.matvec(a, x, batch_last=True)
+    # a batch-first stack and vectors are refused too
+    with pytest.raises(ValueError, match="matvec shape mismatch"):
+        kernels.matvec(np.zeros((3, 4, 5)), np.zeros((3, 5)), batch_last=True)
+    with pytest.raises(ValueError, match="matvec shape mismatch"):
+        kernels.matvec(np.zeros((4, 5)), np.zeros(5), batch_last=True)
+
+
 def test_counter_phases_and_reset():
     with kernels.count_flops() as counter:
         with kernels.phase("one"):

@@ -14,7 +14,7 @@ from h2vec.instances import (
     random_iso_basis,
     random_subtree,
 )
-from h2vec.basis import ClusterBasis, MatrixGroup, run_steps
+from h2vec.basis import BatchLastGroup, ClusterBasis, MatrixGroup, run_steps
 from h2vec.matvec import _forward, _pattern, build_plan, induced_to_dense, multiply
 
 import matvec_reference as reference
@@ -571,17 +571,21 @@ def test_pattern_of_a_full_input_views_the_coupling_stack(rng):
         x = random_hvector(inst.input_basis, rng, sub=full)
         _assert_same_product(plan, inst, x)
         # every row with leaf blocks is in the result: each group is the
-        # plan's own, viewed whole
+        # plan's own batch-last twin, viewed whole
         coupling = plan.pattern.coupling
         assert len(coupling) == len(plan.coupling) > 1
         for mine, group in zip(coupling, plan.coupling):
+            assert isinstance(mine, BatchLastGroup) and isinstance(group.last, BatchLastGroup)
             for name in ("clusters", "stack", "source", "target"):
-                view, array = getattr(mine, name), getattr(group, name)
+                view, array = getattr(mine, name), getattr(group.last, name)
                 assert view is not array and view.shape == array.shape
                 assert view.ctypes.data == array.ctypes.data
-        # so is each transfer group the row basis's backward pass reads
+        # so is each transfer group's twin the row basis's backward pass reads
+        twins = [g.last for g in inst.matrix.row_basis.transfer.groups]
+        assert all(isinstance(twin, BatchLastGroup) for twin in twins)
         for step in plan.pattern.backward:
-            assert any(step.stack.ctypes.data == g.stack.ctypes.data for g in inst.matrix.row_basis.transfer.groups)
+            assert isinstance(step, BatchLastGroup)
+            assert any(step.stack.ctypes.data == twin.stack.ctypes.data for twin in twins)
 
 
 def test_pattern_arrays_are_read_only(rng):
@@ -590,8 +594,8 @@ def test_pattern_arrays_are_read_only(rng):
     multiply(plan, random_hvector(inst.input_basis, rng, steps=8))
     pattern = plan.pattern
     arrays = [v for v in vars(pattern).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) >= 6
-    steps = [*pattern.push, *pattern.forward, *pattern.coupling, *pattern.backward]
+    assert len(arrays) >= 4
+    steps = [*pattern.push, pattern.cross, *pattern.forward, *pattern.coupling, *pattern.backward]
     assert pattern.push and pattern.forward and pattern.coupling and pattern.backward
     arrays += [v for step in steps for v in vars(step).values() if v is not None]
     arrays += [v for v in vars(pattern.sub).values() if isinstance(v, np.ndarray)]
@@ -600,9 +604,11 @@ def test_pattern_arrays_are_read_only(rng):
         if array.size:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
-    # the plan's and the bases' own arrays stay writable behind the views
+    # the plan's and the bases' own arrays, and the twins', stay writable
+    # behind the views
     bases = (inst.matrix.row_basis, inst.matrix.col_basis, inst.input_basis)
-    for group in [*plan.coupling, *(g for b in bases for g in b.transfer.groups)]:
+    groups = [*plan.coupling, *(g for b in bases for g in b.transfer.groups)]
+    for group in groups + [g.last for g in groups if g.last is not None]:
         assert group.stack.flags.writeable and group.source.flags.writeable
         assert group.target.flags.writeable and group.clusters.flags.writeable
 
@@ -667,6 +673,9 @@ def test_a_product_on_a_known_subtree_does_only_arithmetic(rng, monkeypatch):
     with kernels.count_flops():
         multiply(plan, x)
     assert calls["forward_steps"] == 1 and calls["backward_steps"] == 2 and calls["pick"] > 0
+    # at these ranks every step the pattern keeps but the push is batch-last
+    p = plan.pattern
+    assert all(isinstance(step, BatchLastGroup) for step in [p.cross, *p.forward, *p.coupling, *p.backward])
     calls.clear()
     with kernels.count_flops():
         y = multiply(plan, again)
