@@ -119,7 +119,10 @@ class HVector:
             raise ValueError("subtree and basis live on different trees")
         if np.shape(self.data) != (self.basis.ptr[-1],):
             raise ValueError(f"expected {self.basis.ptr[-1]} coefficients in one flat array")
-        bad = np.flatnonzero(self.leaf_entries() & ~np.isfinite(self.data))
+        finite = np.isfinite(self.data)
+        if finite.all():
+            return
+        bad = np.flatnonzero(self.leaf_entries() & ~finite)
         if bad.size:
             i = int(np.searchsorted(self.basis.ptr, bad[0], side="right")) - 1
             raise ValueError(f"cluster {i}: non-finite coefficients")

@@ -406,6 +406,18 @@ def test_hvector_refuses_a_subtree_of_another_tree(rng):
         HVector.from_leaves(basis, sub, {})
 
 
+def test_validate_reads_only_the_leaf_entries(rng, small_iso):
+    x = random_hvector(small_iso, rng, steps=3)
+    leaf = max(x.coeff)
+    off = ~x.leaf_entries()
+    assert off.any()
+    x.data[off] = np.nan  # entries off the leaves are not read
+    x.validate()
+    x.coeff[leaf][1] = np.inf
+    with pytest.raises(ValueError, match=f"cluster {leaf}: non-finite"):
+        x.validate()
+
+
 def test_from_leaves_names_the_cluster(rng, small_iso):
     x = random_hvector(small_iso, rng, steps=3)
     leaf = max(x.coeff)
