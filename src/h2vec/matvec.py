@@ -53,11 +53,12 @@ takes 38-44 us, against 44-47 us by indexing.
 
 Steps of tiny matrices, of at most kernels.TINY_ENTRIES entries, are
 held batch-last (basis.BatchLastGroup), the layout in which such
-stacks multiply fastest.  build_plan gives the plan's coupling groups
-and the row basis's transfer groups batch-last twins, once, which the
-steps view or are picked from; the steps a pattern copies, of the
-cross Gram matrices and of the transposed column transfers, are
-copied batch-last.  A product at n = 4096 and rank 3 on the full
+stacks multiply fastest.  build_plan builds such coupling groups
+batch-last, as only products read them, and gives the row basis's
+transfer groups batch-last twins, once; the steps view them or are
+picked from them.  The steps a pattern copies, of the cross Gram
+matrices and of the transposed column transfers, are copied
+batch-last.  A product at n = 4096 and rank 3 on the full
 subtree runs all its 26 steps so.
 
 Everything these passes read but the input's coefficients depends
@@ -165,12 +166,12 @@ class MatvecPlan:
     column cluster.  leaf_blocks and nonleaf_blocks describe the block
     tree, and induced is the induced basis.  coupling holds one
     MatrixGroup per count c of leaf blocks in a row: its clusters are
-    the rows with c leaf blocks, its stack the (rows, k, c k) matrices
+    the rows with c leaf blocks, its matrices the k x c k matrices
     [S_1 ... S_c] of each row's couplings side by side, in the order
     of leaf_blocks, its source the entries of the c columns in the flat (clusters, k)
     array of the forward pass and its target the row's entries in the
     flat (clusters, k) row accumulators, k the matrix rank; a group of
-    tiny matrices holds its batch-last twin in last.  pattern
+    tiny matrices is held batch-last, as a BatchLastGroup.  pattern
     is the ProductPattern of the last input subtree, replaced when a
     product meets another one.
 
@@ -215,9 +216,9 @@ def build_plan(matrix, input_basis):
     starts = ptr[rows] + ka + k * slot
     nonleaf_blocks = BlockSet(rows, bt.col[others], parent[others], starts[:, None] + np.arange(k))
     coupling = _coupling_groups(matrix, leaf_blocks)
-    # every product reads these groups' matrices: tiny ones get a
-    # batch-last twin, once, which the patterns pick from
-    for group in [*coupling, *matrix.row_basis.transfer.groups]:
+    # every product reads the row transfers: tiny ones get a batch-last
+    # twin, once, which backward_steps picks from
+    for group in matrix.row_basis.transfer.groups:
         if group.last is None:
             group.last = group.batch_last()
     plan = MatvecPlan(matrix, input_basis, cross, ptr, leaf_blocks, nonleaf_blocks, coupling)
@@ -227,7 +228,8 @@ def build_plan(matrix, input_basis):
 
 
 def _coupling_groups(matrix, leaves):
-    """The plan's coupling groups, one per count of leaf blocks in a row."""
+    """The plan's coupling groups, one per count of leaf blocks in a
+    row, batch-last where their matrices are tiny."""
     ka = matrix.rank
     count = np.bincount(leaves.row)
     first = np.cumsum(count) - count
@@ -238,7 +240,8 @@ def _coupling_groups(matrix, leaves):
         # (rows, c, ka, ka) -> (rows, ka, c, ka): S_1 ... S_c side by side
         stack = matrix.coupling[leaves.number[blocks]].transpose(0, 2, 1, 3).reshape(rows.size, ka, c * ka)
         source = (leaves.col[blocks][:, :, None] * ka + np.arange(ka)).reshape(rows.size, c * ka)
-        groups.append(MatrixGroup(rows, stack, source, rows[:, None] * ka + np.arange(ka)))
+        group = MatrixGroup(rows, stack, source, rows[:, None] * ka + np.arange(ka))
+        groups.append(group.batch_last() or group)
     return groups
 
 

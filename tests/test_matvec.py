@@ -571,13 +571,13 @@ def test_pattern_of_a_full_input_views_the_coupling_stack(rng):
         x = random_hvector(inst.input_basis, rng, sub=full)
         _assert_same_product(plan, inst, x)
         # every row with leaf blocks is in the result: each group is the
-        # plan's own batch-last twin, viewed whole
+        # plan's own, batch-last, viewed whole
         coupling = plan.pattern.coupling
         assert len(coupling) == len(plan.coupling) > 1
         for mine, group in zip(coupling, plan.coupling):
-            assert isinstance(mine, BatchLastGroup) and isinstance(group.last, BatchLastGroup)
+            assert isinstance(mine, BatchLastGroup) and isinstance(group, BatchLastGroup)
             for name in ("clusters", "stack", "source", "target"):
-                view, array = getattr(mine, name), getattr(group.last, name)
+                view, array = getattr(mine, name), getattr(group, name)
                 assert view is not array and view.shape == array.shape
                 assert view.ctypes.data == array.ctypes.data
         # so is each transfer group's twin the row basis's backward pass reads
@@ -613,15 +613,23 @@ def test_pattern_arrays_are_read_only(rng):
         assert group.target.flags.writeable and group.clusters.flags.writeable
 
 
+def _batch_first(group):
+    """A group's stack and source laid out batch-first, as views."""
+    if isinstance(group, BatchLastGroup):
+        return group.stack.transpose(2, 0, 1), group.source.T
+    return group.stack, group.source
+
+
 def _row_couplings(plan):
     """The plan's coupling matrices, one per leaf block in row order,
     read back from its per-row stacks, and the blocks' columns."""
     ka = plan.matrix.rank
     per_row = {}
     for group in plan.coupling:
-        c = group.stack.shape[2] // ka
-        assert group.stack.shape[1:] == (ka, c * ka) and group.source.shape == (len(group.clusters), c * ka)
-        for t, stack, source in zip(group.clusters.tolist(), group.stack, group.source):
+        stacks, sources = _batch_first(group)
+        c = stacks.shape[2] // ka
+        assert stacks.shape[1:] == (ka, c * ka) and sources.shape == (len(group.clusters), c * ka)
+        for t, stack, source in zip(group.clusters.tolist(), stacks, sources):
             per_row[t] = [(stack[:, j * ka : (j + 1) * ka], source[j * ka] // ka) for j in range(c)]
     blocks = [block for t in sorted(per_row) for block in per_row[t]]
     return np.array([m for m, _ in blocks]), np.array([s for _, s in blocks])
@@ -704,7 +712,10 @@ def test_row_coupling_sums_equal_block_sums(dim, n, k, ka, eta, seed, kind, step
     inst = random_instance(n, k, ka, eta, seed, dim=dim)
     plan, tree = inst.plan, inst.tree
     # the rows are ragged: one group per count of leaf blocks, up to csp
-    counts = [g.stack.shape[2] // ka for g in plan.coupling]
+    counts = [_batch_first(g)[0].shape[2] // ka for g in plan.coupling]
+    # batch-last exactly where the matrices are tiny
+    assert all(isinstance(g, BatchLastGroup) == (c * ka * ka <= kernels.TINY_ENTRIES)
+               for g, c in zip(plan.coupling, counts))
     assert counts == sorted(set(counts)) and 1 <= counts[-1] <= inst.csp
     rows = np.concatenate([g.clusters for g in plan.coupling])
     assert np.array_equal(np.sort(rows), np.unique(plan.leaf_blocks.row))
