@@ -750,7 +750,10 @@ def projection_factors(source, target):
     so clusters whose Z differ in rows lie apart: the grid-64 demo's
     source, its induced basis at nested ranks, has one rank per level,
     so 7 triples of level, r_s and r_t, and 8 groups, where the induced
-    basis itself has 26 triples and 33 groups.
+    basis itself has 26 triples and 33 groups.  Level by level,
+    bottom-up, one stacked triangular factor serves each group of the
+    level's leaves of one size and of its interior clusters whose
+    [A | B] share their shape and their sons' blocks.
     """
     if source.tree is not target.tree:
         raise ValueError("bases live on different trees")
@@ -758,21 +761,45 @@ def projection_factors(source, target):
         raise ValueError("target basis must be isometric")
     tree = source.tree
     rs, rt = np.diff(source.ptr), np.diff(target.ptr)
-    zr = np.zeros_like(rs)
-    for i in tree.post_order.tolist():
-        sons = tree.sons(i)
-        rows = sum(zr[s] + rt[s] for s in sons) if sons else tree.sizes[i]
-        zr[i] = min(rows - rt[i], rs[i])
-    factors = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((rt + zr, rs, rt)))
-    for i in tree.post_order.tolist():
-        sons = tree.sons(i)
-        if sons:
-            ab, at = np.zeros((sum(len(factors[s]) for s in sons), rt[i] + rs[i])), 0
-            for s in sons:
-                ab[at : at + rt[s], : rt[i]] = target.transfer[s]
-                ab[at : at + len(factors[s]), rt[i] :] = kernels.matmul(factors[s], source.transfer[s])
-                at += len(factors[s])
-        else:
-            ab = np.hstack([target.leaf_matrix[i], source.leaf_matrix[i]])
-        factors[i][:] = kernels.triangular_factor(ab)[:, rt[i] :]
+    interior = [ids[tree.has_sons[ids]] for ids in tree.by_level]
+    rows = tree.sizes.copy()
+    zr = np.minimum(rows - rt, rs)
+    for here in reversed(interior):
+        rows[here] = np.bincount(tree.father[1:], (zr + rt)[1:], len(tree))[here]
+        zr[here] = np.minimum(rows[here] - rt[here], rs[here])
+    height = rt + zr
+    factors = ClusterMatrices(tree, np.arange(len(tree)), np.column_stack((height, rs, rt)))
+
+    def factor(ids, ab):
+        """Write the trailing columns of the triangular factors of the
+        stack ab into the factors of the clusters ids."""
+        r = kernels.triangular_factor(ab)[:, :, rt[ids[0]] :]
+        factors.store[factors.start[ids][:, None] + np.arange(r[0].size)] = r.reshape(len(ids), -1)
+
+    # each son's block rows and columns, padded for clusters of fewer sons
+    sons = tree.son_matrix
+    blocks = np.concatenate((np.column_stack((height, rt, rs)), [[0, 0, 0]]))
+    for level in reversed(range(len(tree.by_level))):
+        for ids, a, b in _group_pairs(target.leaf_matrix.levels[level], source.leaf_matrix.levels[level], len(tree)):
+            factor(ids, np.concatenate((a, b), axis=2))
+        here = interior[level]
+        if not here.size:
+            continue
+        keys = np.column_stack([rt[here], rs[here]] + [blocks[row[here]] for row in sons])
+        order, bounds = _runs(keys)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            ids = here[order[lo:hi]]
+            first = ids[0]
+            ab = np.zeros((ids.size, rows[first], rt[first] + rs[first]))
+            at = 0
+            for row in sons:
+                s = row[ids]
+                if s[0] == len(tree):
+                    break
+                m, r2, k2 = height[s[0]], rt[s[0]], rs[s[0]]
+                ab[:, at : at + r2, : rt[first]] = target.transfer.stacked(s, r2, rt[first])
+                f = factors.stacked(s, m, k2)
+                ab[:, at : at + m, rt[first] :] = kernels.matmul(f, source.transfer.stacked(s, k2, rs[first]))
+                at += m
+            factor(ids, ab)
     return _family(factors, "projection", source, target)

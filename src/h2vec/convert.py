@@ -2,17 +2,33 @@
 
 Converting a hierarchical vector into a different (isometric) basis
 descends the source subtree: where the exact projection error fits the
-local budget the projected coefficient is committed, otherwise the
-coefficient is pushed to the sons and the descent continues.  On the
-way back up, sons are merged again whenever the exact merge error
-keeps the accumulated bound inside the local budget.
+local budget eps * sqrt(f) of a cluster holding a fraction f of all
+indices, or the cluster is a tree leaf, the projected coefficient is
+committed; otherwise the coefficient is pushed to the sons and the
+descent continues.  The committed clusters are the leaves of the
+subtree D the conversion visits.
 
-The local budget at a cluster holding a fraction f of all indices is
-eps * sqrt(f): committed leaves have disjoint supports, so the global
-error is bounded by eps.  Accumulated bounds follow the recursion
-acc(t) = local(t) + sqrt(sum of son acc squared), an upper bound for
-the true error by the triangle inequality along refinement chains and
-Pythagoras across disjoint supports.
+The error ledger.  The target is isometric and nested, so the error of
+a commit at u, orthogonal to range(V_u), and the error of a merge at t,
+inside the sons' ranges and orthogonal to range(V_t), are mutually
+orthogonal: range(V_t) restricted to a descendant u lies in range(V_u).
+A cut of D, a subtree whose leaves cover D's, therefore has the exact
+squared error e(t)^2 summed over its leaves, where e(t)^2 is the sum of
+the sons' e^2 plus the merge error of t squared, and a commit error at
+D's leaves.  The reported bound is sqrt(sum of commit^2 + sum of
+merge^2) over the cut, times 1 + MARGIN for rounding.
+
+The tables and the cut.  The cut with the fewest leaves whose e^2 add
+up within eps^2 solves a tree knapsack: for each cluster and leaf
+count, the least sum of e^2 that many leaves below it can reach, the
+min-plus product of its sons' tables, with e(t)^2 itself at count 1
+(Bohanec & Bratko, Machine Learning 15, 1994).  Errors at round-off
+level relative to their coefficient (REL_FLOOR) are charged 0 in the
+tables, so that eps = 0 still recognizes exact representations, while
+the bound keeps their true values.  The root's table gives the least
+count within the budget, or, where forced commits at tree leaves
+exceed it, the least sum; the sums of the min-plus products cut D top
+down, the fewest leaves to the first son on a tie.
 
 Both directions run one tree level at a time.  The descent makes one
 stacked Z product per group of projection factors (level, source and
@@ -20,14 +36,17 @@ target rank, rows of Z) over the clusters holding a source
 coefficient, commits those whose error fits, or that are tree leaves,
 with one stacked cross product, and pushes the rest to their sons by
 the source basis's backward transformation of that level.  The ascent
-treats the clusters whose sons are all leaves as merge candidates.
-Per stack of the target's merge factors, the stacked son transfers E
-with orthonormal columns, it makes one stacked E^T product, the merged
+merges every interior cluster of D whose sons' charged errors add up
+within eps^2; above the others no leaf of a cut can lie.  Per stack
+of the target's merge factors, the stacked son transfers E with
+orthonormal columns, it makes one stacked E^T product, the merged
 coefficients, and one stacked E product, whose difference from the
 son coefficients has the exact merge error as its norm: 2 m r
-multiply-adds per candidate with m stacked son entries and rank r.
-It builds the subtree once at the end.  coarsen_pass is the
-ascent alone.
+multiply-adds per merge with m stacked son entries and rank r.  The
+tables, held batch-last, take one stacked min-plus product per level
+and son, which is not counted as flops; the cut takes one argmin per
+level and son, and the subtree is built once at the end.
+coarsen_pass is the ascent and the cut alone.
 
 A product lands in the induced basis, whose ranks exceed what
 nestedness allows: a father's rank above the sum of its sons' adds
@@ -57,18 +76,25 @@ __all__ = [
 
 
 # widens acceptance tests by this multiple of the local coefficient
-# norm, so that exact representations (errors at round-off level) are
+# norm, and local errors within it are charged 0 in the tables of the
+# cut, so that exact representations (errors at round-off level) are
 # recognized even for eps = 0
 REL_FLOOR = 1e-12
+
+# relative rounding margin of the error ledger: a bound is reported as
+# sqrt(sum of squared local errors) times 1 + MARGIN, and a cut is taken
+# only when its tabled sum is at most (eps / (1 + 2 MARGIN))^2, so that
+# sums added in another order still report a bound within eps
+MARGIN = 1e-12
 
 
 @dataclass
 class ToleranceBudget:
     """Global tolerance with per-cluster split and round-off floor.
 
-    The floor REL_FLOOR only widens acceptance tests; accumulated
-    bounds always use the true computed errors, never the floor.
-    eps is a non-negative real number; 0 and inf are allowed.
+    The split and the floor REL_FLOOR make the descent's stopping test;
+    reported bounds always use the true computed errors, never the
+    floor.  eps is a non-negative real number; 0 and inf are allowed.
     """
 
     eps: float
@@ -197,55 +223,120 @@ def _check_budget(budget):
         raise ValueError(f"budget must be a ToleranceBudget, got {type(budget).__name__}")
 
 
-def _ascent(y, interior, acc, factors, budget, merge_errors):
-    """The merge step of convert and coarsen_pass, bottom-up by level.
+def _ledger(tree):
+    """A ledger for _ascent with no errors yet: rows of the true and the
+    charged squared commit error, one column per cluster."""
+    return np.zeros((2, len(tree)))
 
-    interior marks the interior clusters of y and acc holds the
-    accumulated bound at y's leaves; both are updated in place, as is
-    y.data.  On each level the bound of an interior cluster is the
-    root of the sum of its sons' squared bounds, added in son order.
-    The interior clusters whose sons are all leaves are the
-    candidates: per group of merge factors, the stacked son transfers
-    E, one stacked E^T product gives their merged coefficients and one
-    stacked E product the residuals, whose norms are the exact merge
-    errors; a candidate merges when its error plus its bound fits the
-    local budget.  Sets y.sub once and returns the bound at the
-    root.
+
+def _min_plus(a, b):
+    """Min-plus products of two stacks of tables, held batch-last, one
+    column per table: out[c, f] is the least a[i, f] + b[c - i, f].
+    Returns out and the sums s[i, c, f] = a[i, f] + b[c - i, f],
+    infinite where c - i is no row of b, laid out sheared: each column
+    of b is padded with len(a) infinities and the rows read one entry
+    shorter."""
+    wa, wb, rows = a.shape[0], b.shape[0], a.shape[1]
+    wide = wa + wb
+    sums = np.full((wa, wide, rows), np.inf)
+    np.add(a[:, None, :], b[None, :, :], out=sums[:, :wb])
+    sheared = sums.reshape(-1, rows)[: wa * (wide - 1)].reshape(wa, wide - 1, rows)
+    return sheared.min(axis=0), sheared
+
+
+def _ascent(y, interior, ledger, factors, budget, merge_errors):
+    """The merge ascent and the cut of convert and coarsen_pass.
+
+    interior marks the interior clusters of the subtree D at whose
+    leaves y.data holds coefficients, and ledger (see _ledger) the
+    true and the charged squared errors of D's leaves.  Bottom-up, per
+    level, the interior clusters' tables are the min-plus products of
+    their sons'; where a table's count of one leaf per son, the sum of
+    the sons' charged errors, fits the budget, one stacked E^T product
+    per group of merge factors merges the son coefficients into y.data
+    and one stacked E product gives the exact merge errors, charged on
+    top at count 1; elsewhere count 1 stays infinite.  The root's table
+    gives the count, and top-down, per level, the least entry of each
+    min-plus sum at the father's count splits it among the sons.  Sets
+    y.sub, adds the applied merges to merge_errors unless it is None
+    and returns the bound of the cut.
     """
     tree, data = y.basis.tree, y.data
-    for level in range(len(tree.by_level) - 2, -1, -1):
-        here, sons = tree.by_level[level], tree.by_level[level + 1]
-        inner = here[interior[here]]
-        if not inner.size:
+    n = len(tree)
+    limit = budget.eps / (1.0 + 2.0 * MARGIN)
+    most = limit * limit
+    inner = np.flatnonzero(interior)
+    inner = inner[np.argsort(tree.level[inner], kind="stable")]
+    bounds = np.searchsorted(tree.level[inner], np.arange(len(tree.by_level) + 1)).tolist()
+    count = np.diff(tree.son_ptr)
+    # the tables, batch-last: one column per cluster and an identity
+    # column, one row per count of leaves up to all of D's; row 1, the
+    # charged error, is the ledger's
+    tables = np.full((2 + int(count[inner].sum()) - inner.size, n + 1), np.inf)
+    charged = tables[1]
+    charged[:n] = ledger[1]
+    tables[0, n] = 0.0
+    merge_sq = np.zeros(n)
+    candidate = np.zeros(n, dtype=bool)
+    cuts = []
+    width = 2  # rows of the tables below, at least their counts
+    for level in range(len(tree.by_level) - 1, -1, -1):
+        fathers = inner[bounds[level] : bounds[level + 1]]
+        if not fathers.size:
             continue
-        fathers = tree.father[sons]
-        sq = np.bincount(fathers, weights=np.square(acc[sons]), minlength=len(tree))
-        acc[inner] = np.sqrt(sq[inner])
-        candidate = interior.copy()
-        candidate[fathers[interior[sons]]] = False
+        sons = [row[fathers] for row in tree.son_matrix]
+        table, sheared = tables[:width, sons[0]], []
+        for son in sons[1:]:
+            table, products = _min_plus(table, tables[:width, son])
+            sheared.append(products)
+        width = min(len(table), len(tables))
+        rows = np.arange(fathers.size)
+        # every son a leaf: the sum of their charged errors
+        sums = table[count[fathers], rows]
+        fit = sums <= most
+        charged[fathers] = np.where(fit, sums, np.inf)
+        candidate[fathers] = fit
         for group in factors.levels[level]:
             pick = candidate[group.clusters]
             if not pick.any():
                 continue
             pick = _rows(pick)
-            ids, stack, stacked = group.clusters[pick], group.stack[pick], data[group.source[pick]]
+            at, stack, stacked = group.clusters[pick], group.stack[pick], data[group.source[pick]]
             merged = kernels.matvec(stack.transpose(0, 2, 1), stacked)
             rest = stacked - kernels.matvec(stack, merged)
-            error = np.sqrt(np.einsum("ij,ij->i", rest, rest))
-            bound = error + acc[ids]
-            scale = np.sqrt(np.einsum("ij,ij->i", stacked, stacked))
-            merge = bound <= budget.limit(tree.sizes[ids], tree.n, scale)
-            ids = ids[merge]
-            interior[ids] = False
-            data[group.target[pick][merge]] = merged[merge]
-            acc[ids] = bound[merge]
-            merge_errors.update(zip(ids.tolist(), error[merge].tolist()))
-    y.sub = Subtree.from_interior(tree, interior)
-    return float(acc[tree.root])
+            sq = np.einsum("ij,ij->i", rest, rest)
+            data[group.target[pick]] = merged
+            merge_sq[at] = sq
+            floor = sq <= REL_FLOOR * REL_FLOOR * np.einsum("ij,ij->i", stacked, stacked)
+            charged[at] += np.where(floor, 0.0, sq)
+        tables[2:width, fathers] = table[2:width]
+        cuts.append((fathers, sons, rows, sheared))
+    top = tables[:, tree.root]
+    fits = np.flatnonzero((top <= most) & (top < np.inf))
+    chosen = np.zeros(n + 1, dtype=np.intp)
+    chosen[tree.root] = fits[0] if fits.size else np.argmin(top)
+    for fathers, sons, rows, sheared in reversed(cuts):
+        # the sons of a father left whole get counts of 0 and 1, which
+        # make none of them interior
+        c = chosen[fathers]
+        if c.max() < 2:
+            break  # no father is cut on this level, nor below it
+        for son, products in zip(reversed(sons[1:]), reversed(sheared)):
+            j = products[:, c, rows].argmin(axis=0)
+            chosen[son] = c - j
+            c = j
+        chosen[sons[0]] = c
+    keep = interior & (chosen[:n] >= 2)
+    applied = np.flatnonzero(interior & ~keep)
+    if merge_errors is not None:
+        merge_errors.update(zip(applied.tolist(), np.sqrt(merge_sq[applied]).tolist()))
+    y.sub = Subtree.from_interior(tree, keep)
+    return float(np.sqrt(ledger[0].sum() + merge_sq[applied].sum()) * (1.0 + MARGIN))
 
 
 def convert(x, target, zfactors, pfactors, budget):
-    """Approximate x in a different isometric basis, adaptively.
+    """Approximate x in a different isometric basis with the fewest
+    leaves that keep the exact error within eps.
 
     Parameters
     ----------
@@ -257,9 +348,10 @@ def convert(x, target, zfactors, pfactors, budget):
 
     Returns
     -------
-    (y, bound, report) : the converted vector, the accumulated error
-    bound acc(root) (an upper bound for the true Euclidean error), and
-    the per-cluster report of exact local errors.
+    (y, bound, report) : the converted vector, the bound
+    sqrt(sum of squared commit and merge errors) of the cut, which
+    equals the true Euclidean error up to rounding (MARGIN), and the
+    report of those errors per cluster.
     """
     _check_budget(budget)
     _check_family(zfactors, "projection", x.basis, target)
@@ -271,7 +363,9 @@ def convert(x, target, zfactors, pfactors, budget):
     data = x.data.copy()  # pushed down in place
     has = x.sub.leaf_mask().copy()  # the clusters holding a source coefficient
     interior = x.sub.interior_mask()
-    acc = np.zeros(len(tree))
+    ledger = _ledger(tree)
+    committed, unfit = np.zeros((2, len(tree)), dtype=bool)
+    leaf = ~tree.has_sons
     for level, group_list in enumerate(zfactors.levels):
         push = np.zeros(len(tree), dtype=bool)
         for group in group_list:
@@ -282,34 +376,38 @@ def convert(x, target, zfactors, pfactors, budget):
             ids, xhat = group.clusters[pick], data[group.source[pick]]
             stack, k = group.stack[pick], group.target.shape[1]
             zx = kernels.matvec(stack[:, k:], xhat)
-            err = np.sqrt(np.einsum("ij,ij->i", zx, zx))
-            scale = np.sqrt(np.einsum("ij,ij->i", xhat, xhat))
+            sq = np.einsum("ij,ij->i", zx, zx)
+            err, scale = np.sqrt(sq), np.sqrt(np.einsum("ij,ij->i", xhat, xhat))
             fits = err <= budget.limit(tree.sizes[ids], tree.n, scale)
-            commit = fits | ~tree.has_sons[ids]
+            commit = fits | leaf[ids]
             y.data[group.target[pick][commit]] = kernels.matvec(stack[_rows(commit), :k], xhat[commit])
-            acc[ids[commit]] = err[commit]
-            report.commit_errors.update(zip(ids[commit].tolist(), err[commit].tolist()))
-            report.forced.extend(ids[commit & ~fits].tolist())
+            ledger[0, ids] = sq
+            ledger[1, ids] = np.where(err <= REL_FLOOR * scale, 0.0, sq)
+            committed[ids], unfit[ids] = commit, ~fits
             push[ids[~commit]] = True
         if push.any():
             interior |= push
             x.basis.backward(data, push, add=False, level=level)
             sons = tree.by_level[level + 1]
             has[sons] |= push[tree.father[sons]]
-    bound = _ascent(y, interior, acc, pfactors, budget, report.merge_errors)
-    report.bound = bound
-    return y, bound, report
+    ledger[0, interior] = 0.0  # pushed down, not committed
+    done = np.flatnonzero(committed)
+    report.commit_errors.update(zip(done.tolist(), np.sqrt(ledger[0, done]).tolist()))
+    report.forced.extend(np.flatnonzero(unfit & leaf).tolist())
+    report.bound = _ascent(y, interior, ledger, pfactors, budget, report.merge_errors)
+    return y, report.bound, report
 
 
 def coarsen_pass(y, pfactors, budget):
-    """Greedy bottom-up merging of an isometric hierarchical vector.
+    """Merge an isometric hierarchical vector, in place, to the fewest
+    leaves whose exact merge errors add up within eps.
 
-    Merges sons wherever the accumulated exact error stays inside the
-    local budget; a second pass changes nothing.  Returns the total
-    bound acc(root).
+    The ascent and the cut of convert, over y's own subtree, whose
+    leaves carry no error.  Returns the bound sqrt(sum of squared merge
+    errors) of the cut, the Euclidean change up to rounding (MARGIN).
+    A second pass may merge more: it starts from a budget of eps again.
     """
     _check_budget(budget)
     _check_family(pfactors, "merge", y.basis)
     y.validate()
-    acc = np.zeros(len(y.basis.tree))
-    return _ascent(y, y.sub.interior_mask(), acc, pfactors, budget, {})
+    return _ascent(y, y.sub.interior_mask(), _ledger(y.basis.tree), pfactors, budget, None)

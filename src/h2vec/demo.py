@@ -200,12 +200,14 @@ class PoissonDemo:
         for _ in range(steps):
             t0 = time.perf_counter()
             yd = self.apply(xd)
-            nu_dense = float(xd @ yd)
-            norm_yd = float(np.linalg.norm(yd))
+            # NumPy's own sums, not BLAS (see hvector.from_dense)
+            nu_dense = float(np.einsum("i,i->", xd, yd))
+            norm_yd = math.sqrt(np.einsum("i,i->", yd, yd))
             xd = yd / norm_yd
             dense.append((nu_dense, norm_yd, xd, time.perf_counter() - t0))
-        xh, start_error = from_dense(start, self.iso, full_subtree(self.tree))
-        start_error += coarsen_pass(xh, self.pfactors, budget)
+        xh, projected = from_dense(start, self.iso, full_subtree(self.tree))
+        # the projection's error is orthogonal to the merges' errors
+        start_error = math.hypot(projected, coarsen_pass(xh, self.pfactors, budget))
         run = DemoRun(eps=eps, start_bound=start_error)
         delta = start_error
         for step, (nu_dense, norm_yd, xd, dense_seconds) in enumerate(dense, 1):
@@ -226,7 +228,8 @@ class PoissonDemo:
             # normalization is 2-Lipschitz relative to the larger norm;
             # both iterates are unit vectors, so their distance is at most 2
             delta = min(2.0, 2.0 * (self.op_norm * delta + conv_bound) / norm_yd)
-            true_diff = float(np.linalg.norm(hvector.to_dense(xh) - xd))
+            diff = hvector.to_dense(xh) - xd
+            true_diff = math.sqrt(np.einsum("i,i->", diff, diff))
             t5 = time.perf_counter()
             run.steps.append(
                 DemoStep(

@@ -206,13 +206,14 @@ def axpy(alpha, x, y):
 
 
 def vdot(x, y):
-    """Counted inner product."""
+    """Counted inner product of two vectors, by NumPy's own sum, not
+    BLAS (see hvector.from_dense)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"vdot shape mismatch: {x.shape} vs {y.shape}")
     tally(x.size)
-    return float(x @ y)
+    return float(np.einsum("i,i->", x, y))
 
 
 class ReflectorStack:
@@ -272,15 +273,16 @@ def qr_stack(a):
 
 
 def triangular_factor(a):
-    """Upper-trapezoidal factor of a QR with non-negative diagonal.
-
-    Works for any shape; returns an array of shape (min(m, n), n) with
-    the same column Gram matrix as ``a``.
-    """
-    a = _check_matrix(a)
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return np.zeros((min(m, n), n))
-    tally(m * n * min(m, n))
+    """Upper-trapezoidal factor of a QR with non-negative diagonal, of an
+    (m, n) matrix or of each matrix of a (b, m, n) stack, by one LAPACK
+    call: an array of shape (min(m, n), n), or (b, min(m, n), n), with
+    the same column Gram matrices as a."""
+    a = np.asarray(a, dtype=float)
+    a = _check_matrix(a, ndim=3 if a.ndim == 3 else 2)
+    *batch, m, n = a.shape
+    k = min(m, n)
+    if k == 0:
+        return np.zeros((*batch, k, n))
+    tally(int(np.prod(batch, dtype=int)) * m * n * k)
     r = np.linalg.qr(a, mode="r")
-    return r * _sign_fix(r)[:, None]
+    return r * _sign_fix(r)[..., :, None]

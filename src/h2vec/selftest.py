@@ -145,7 +145,8 @@ def _suite_h2(inst, rng):
 def _suite_convert(inst, rng, factors):
     # rank-sized leaves keep the deepest-level projections exact; at
     # eps 0.5 and 0.1 the conversion commits above the leaves (and at
-    # some seeds merges), at 1e-8 it keeps every leaf
+    # some seeds merges), at 1e-8 it keeps every leaf; the vector has
+    # norm 1
     zfac = projection_factors(inst.plan.induced, inst.input_basis)
     y = multiply(inst.plan, random_hvector(inst.input_basis, rng, steps=3))
     hvector.scale(y, 1.0 / np.linalg.norm(hvector.to_dense(y)))
@@ -156,6 +157,8 @@ def _suite_convert(inst, rng, factors):
         err = float(np.linalg.norm(hvector.to_dense(converted) - target))
         checks.append((err <= bound + 1e-12, f"bound sound at eps {eps:g}"))
         checks.append((bound <= eps, f"bound under budget at eps {eps:g}"))
+        # the bound is the true error, but for the dense expansions' rounding
+        checks.append((abs(bound - err) <= 1e-10 * err + 1e-13, f"bound exact at eps {eps:g}"))
     return checks
 
 

@@ -17,6 +17,7 @@ resolution of a compressed vector.
 """
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +102,18 @@ class ClusterTree:
 
     def __len__(self):
         return self.clusters.size
+
+    @cached_property
+    def son_matrix(self):
+        """The sons of every cluster, in son order: row p holds the p-th
+        son of each cluster, or len(self) where it has fewer sons;
+        read-only."""
+        count = np.diff(self.son_ptr)
+        slot = np.arange(count.max(initial=0))[:, None]
+        real = slot < count
+        sons = np.where(real, self.son_ids[np.where(real, self.son_ptr[:-1] + slot, 0)], len(self))
+        sons.flags.writeable = False
+        return sons
 
     def sons(self, i):
         return tuple(self.son_ids[self.son_ptr[i] : self.son_ptr[i + 1]].tolist())

@@ -17,8 +17,9 @@ import math
 import numpy as np
 
 from h2vec import kernels
-from h2vec.convert import ConversionReport
+from h2vec.convert import MARGIN, REL_FLOOR, ConversionReport
 from h2vec.hvector import HVector, merge, refine
+from h2vec.tree import Subtree
 
 
 def axpy(alpha, x, y):
@@ -83,34 +84,82 @@ def to_dense(x):
     return out
 
 
-def _ascent(y, pfactors, budget, merge_errors):
-    """ascend(i, acc): merge the sons of i into i when all are subtree
-    leaves of y and the merge error plus acc fits the local budget;
-    returns the bound at i."""
+def _cut(y, charged, pfactors, budget, merge_errors):
+    """The fewest leaves within eps over the subtree y.sub, found by a
+    post-order walk: merge every cluster whose sons' charged errors add
+    up within the budget, charging the exact merge error on top, and
+    merge the sons' tables of least charged sums per leaf count
+    pairwise, in son order, keeping the fewest leaves on the earlier
+    sons on a tie.  charged maps y.sub's leaves to their squared
+    errors, 0 at round-off level; y.sub and y.data are updated and the
+    applied merges' errors are added to merge_errors."""
     tree, off = y.basis.tree, y.basis.offsets
+    limit = budget.eps / (1.0 + 2.0 * MARGIN)
+    most = limit * limit
+    splits, errors = {}, {}
 
-    def ascend(i, acc):
-        if not all(y.sub.is_leaf(s) for s in tree.sons(i)):
-            return acc
-        merged, merge_err, scale = merge(y, i, pfactors)
-        candidate = merge_err + acc
-        if candidate <= budget.limit(tree.sizes[i], tree.n, scale):
-            y.sub.contract(i)
+    def table(i):
+        if y.sub.is_leaf(i):
+            return [math.inf, charged[i]]
+        sons = tree.sons(i)
+        tables = [table(s) for s in sons]
+        total = 0.0
+        for s in sons:
+            total += charged[s]
+        charged[i] = math.inf
+        if total <= most:
+            merged, error, scale = merge(y, i, pfactors)
             y.data[off[i] : off[i + 1]] = merged
-            merge_errors[i] = merge_err
-            return candidate
-        return acc
+            errors[i] = error
+            charged[i] = total + (0.0 if error <= REL_FLOOR * scale else error * error)
+        out, splits[i] = tables[0], []
+        for t in tables[1:]:
+            best, split = [math.inf] * (len(out) + len(t) - 1), [0] * (len(out) + len(t) - 1)
+            for a in range(len(out)):
+                for b in range(len(t)):
+                    if out[a] + t[b] < best[a + b]:
+                        best[a + b], split[a + b] = out[a] + t[b], a
+            out = best
+            splits[i].append(split)
+        out[1] = charged[i]
+        return out
 
-    return ascend
+    top = table(tree.root)
+    fits = [c for c in range(len(top)) if top[c] <= most and top[c] < math.inf]
+    count = fits[0] if fits else min(range(len(top)), key=top.__getitem__)
+    interior = np.zeros(len(tree), dtype=bool)
+
+    def cut(i, c):
+        if c == 1:
+            if not y.sub.is_leaf(i):
+                stack = [i]
+                while stack:
+                    j = stack.pop()
+                    if not y.sub.is_leaf(j):
+                        merge_errors[j] = errors[j]
+                        stack.extend(tree.sons(j))
+            return
+        interior[i] = True
+        sons = tree.sons(i)
+        counts = []
+        for split in reversed(splits[i]):
+            counts.append(c - split[c])
+            c = split[c]
+        counts.append(c)
+        for s, c in zip(sons, reversed(counts)):
+            cut(s, c)
+
+    cut(tree.root, count)
+    y.sub = Subtree.from_interior(tree, interior)
 
 
 def convert(x, target, zfactors, pfactors, budget):
-    """Depth-first descent and ascent; returns (y, bound, report)."""
+    """Depth-first descent, then the cut; returns (y, bound, report)."""
     tree = target.tree
     y = HVector(target)
     xoff, yoff = x.basis.offsets, target.offsets
     report = ConversionReport()
-    ascend = _ascent(y, pfactors, budget, report.merge_errors)
+    charged = {}
 
     def descend(i, xhat):
         # xhat: the source coefficient at i, or None above x's leaves
@@ -119,36 +168,29 @@ def convert(x, target, zfactors, pfactors, budget):
         if xhat is not None:
             r = target.rank_of(i)
             err = float(np.linalg.norm(kernels.matvec(zfactors[i][r:], xhat)))
-            fits = err <= budget.limit(tree.sizes[i], tree.n, float(np.linalg.norm(xhat)))
+            scale = float(np.linalg.norm(xhat))
+            fits = err <= budget.limit(tree.sizes[i], tree.n, scale)
             if fits or tree.is_leaf(i):
                 y.data[yoff[i] : yoff[i + 1]] = kernels.matvec(zfactors[i][:r], xhat)
                 report.commit_errors[i] = err
+                charged[i] = 0.0 if err <= REL_FLOOR * scale else err * err
                 if not fits:
                     report.forced.append(i)
-                return err
+                return
         y.sub.expand(i)
-        acc = 0.0
         for s in tree.sons(i):
-            son = None if xhat is None else kernels.matvec(x.basis.transfer[s], xhat)
-            acc += descend(s, son) ** 2
-        return ascend(i, math.sqrt(acc))
+            descend(s, None if xhat is None else kernels.matvec(x.basis.transfer[s], xhat))
 
-    bound = descend(tree.root, None)
-    report.bound = bound
-    return y, bound, report
+    descend(tree.root, None)
+    _cut(y, charged, pfactors, budget, report.merge_errors)
+    errors = list(report.commit_errors.values()) + list(report.merge_errors.values())
+    report.bound = math.sqrt(sum(e * e for e in errors)) * (1.0 + MARGIN)
+    return y, report.bound, report
 
 
 def coarsen_pass(y, pfactors, budget):
-    """Post-order merging; returns the bound at the root."""
-    tree = y.basis.tree
-    ascend = _ascent(y, pfactors, budget, {})
-
-    def walk(i):
-        if y.sub.is_leaf(i):
-            return 0.0
-        acc = 0.0
-        for s in tree.sons(i):
-            acc += walk(s) ** 2
-        return ascend(i, math.sqrt(acc))
-
-    return walk(tree.root)
+    """The cut over y's own subtree, whose leaves carry no error;
+    returns the bound."""
+    merge_errors = {}
+    _cut(y, dict.fromkeys(y.sub.leaves(), 0.0), pfactors, budget, merge_errors)
+    return math.sqrt(sum(e * e for e in merge_errors.values())) * (1.0 + MARGIN)

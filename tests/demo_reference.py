@@ -28,8 +28,8 @@ def dense_sweep(dense_step, start, steps):
     xd = start
     for _ in range(steps):
         yd = dense_step(xd)
-        nu_dense = float(xd @ yd)
-        xd = yd / float(np.linalg.norm(yd))
+        nu_dense = float(np.einsum("i,i->", xd, yd))
+        xd = yd / math.sqrt(np.einsum("i,i->", yd, yd))
         out.append((nu_dense, xd))
     return out
 
@@ -42,15 +42,16 @@ def interleaved_run(demo, eps, steps, dense_step=None):
     budget = ToleranceBudget(eps)
     start = np.ones(n) / math.sqrt(n)
     xd = start.copy()
-    xh, start_error = from_dense(start, demo.iso, full_subtree(demo.tree))
-    start_error += coarsen_pass(xh, demo.pfactors, budget)
+    xh, projected = from_dense(start, demo.iso, full_subtree(demo.tree))
+    # the projection's error is orthogonal to the merges' errors
+    start_error = math.hypot(projected, coarsen_pass(xh, demo.pfactors, budget))
     run = DemoRun(eps=eps, start_bound=start_error)
     delta = start_error
     for step in range(1, steps + 1):
         t0 = time.perf_counter()
         yd = dense_step(xd)
-        nu_dense = float(xd @ yd)
-        norm_yd = float(np.linalg.norm(yd))
+        nu_dense = float(np.einsum("i,i->", xd, yd))
+        norm_yd = math.sqrt(np.einsum("i,i->", yd, yd))
         xd = yd / norm_yd
         t1 = time.perf_counter()
         with kernels.count_flops() as counter:
@@ -67,7 +68,8 @@ def interleaved_run(demo, eps, steps, dense_step=None):
         xh = yh
         t4 = time.perf_counter()
         delta = min(2.0, 2.0 * (demo.op_norm * delta + conv_bound) / norm_yd)
-        true_diff = float(np.linalg.norm(hvector.to_dense(xh) - xd))
+        diff = hvector.to_dense(xh) - xd
+        true_diff = math.sqrt(np.einsum("i,i->", diff, diff))
         t5 = time.perf_counter()
         run.steps.append(
             DemoStep(

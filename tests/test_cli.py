@@ -1,4 +1,5 @@
 import importlib
+import math
 import os
 import re
 import warnings
@@ -88,6 +89,25 @@ def test_selftest_hvector_detects_a_wrong_merge_error(monkeypatch, capsys):
 def test_selftest_convert_detects_an_understated_bound(monkeypatch, capsys):
     ascent = convert_module._ascent
     monkeypatch.setattr(convert_module, "_ascent", lambda *args: 0.5 * ascent(*args))
+    assert "convert" in _failed_suites(capsys)
+
+
+def test_selftest_convert_detects_the_triangle_bound(monkeypatch, capsys):
+    # the triangle recursion acc(t) = merge(t) + sqrt(sum of the sons'
+    # acc squared), which convert reported before its error ledger,
+    # bounds the error but exceeds it where a merge lies above others
+    def triangle(x, target, *args):
+        y, _, report = convert(x, target, *args)
+
+        def acc(t):
+            if t in report.commit_errors:
+                return report.commit_errors[t]
+            return report.merge_errors[t] + math.sqrt(sum(acc(s) ** 2 for s in target.tree.sons(t)))
+
+        return y, math.sqrt(sum(acc(t) ** 2 for t in y.sub.leaves())), report
+
+    convert = selftest.convert
+    monkeypatch.setattr(selftest, "convert", triangle)
     assert "convert" in _failed_suites(capsys)
 
 
