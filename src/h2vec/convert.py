@@ -278,19 +278,21 @@ def _ascent(y, interior, ledger, factors, budget, merge_errors):
     tables[0, n] = 0.0
     merge_sq = np.zeros(n)
     candidate = np.zeros(n, dtype=bool)
+    every = np.arange(n)
     cuts = []
     width = 2  # rows of the tables below, at least their counts
     for level in range(len(tree.by_level) - 1, -1, -1):
         fathers = inner[bounds[level] : bounds[level + 1]]
         if not fathers.size:
             continue
-        sons = [row[fathers] for row in tree.son_matrix]
-        table, sheared = tables[:width, sons[0]], []
-        for son in sons[1:]:
-            table, products = _min_plus(table, tables[:width, son])
+        sons = tree.son_matrix[:, fathers]
+        below = tables[:width, sons]
+        table, sheared = below[:, 0], []
+        for p in range(1, len(sons)):
+            table, products = _min_plus(table, below[:, p])
             sheared.append(products)
         width = min(len(table), len(tables))
-        rows = np.arange(fathers.size)
+        rows = every[: fathers.size]
         # every son a leaf: the sum of their charged errors
         sums = table[count[fathers], rows]
         fit = sums <= most
