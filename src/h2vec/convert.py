@@ -55,6 +55,7 @@ the isometric basis that basis.nested_orthogonalize builds at the
 nested ranks, where the descent runs fewer and smaller groups.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -215,7 +216,7 @@ class CoordinateMap:
 def _rows(mask):
     """Index for the rows marked in mask: a slice when all are, which
     takes a view of a stack instead of a copy."""
-    return slice(None) if mask.all() else mask
+    return slice(None) if np.count_nonzero(mask) == mask.size else mask
 
 
 def _check_budget(budget):
@@ -229,111 +230,67 @@ def _ledger(tree):
     return np.zeros((2, len(tree)))
 
 
-def _min_plus(a, b):
-    """Min-plus products of two stacks of tables, held batch-last, one
-    column per table: out[c, f] is the least a[i, f] + b[c - i, f].
-    Returns out and the sums s[i, c, f] = a[i, f] + b[c - i, f],
-    infinite where c - i is no row of b, laid out sheared: each column
-    of b is padded with len(a) infinities and the rows read one entry
-    shorter."""
-    wa, wb, rows = a.shape[0], b.shape[0], a.shape[1]
-    wide = wa + wb
-    sums = np.full((wa, wide, rows), np.inf)
-    np.add(a[:, None, :], b[None, :, :], out=sums[:, :wb])
-    sheared = sums.reshape(-1, rows)[: wa * (wide - 1)].reshape(wa, wide - 1, rows)
-    return sheared.min(axis=0), sheared
-
-
 def _ascent(y, interior, ledger, factors, budget, merge_errors):
-    """The merge ascent and the cut of convert and coarsen_pass.
+    """The merge ascent of convert and coarsen_pass, bottom-up by level.
 
-    interior marks the interior clusters of the subtree D at whose
-    leaves y.data holds coefficients, and ledger (see _ledger) the
-    true and the charged squared errors of D's leaves.  Bottom-up, per
-    level, the interior clusters' tables are the min-plus products of
-    their sons'; where a table's count of one leaf per son, the sum of
-    the sons' charged errors, fits the budget, one stacked E^T product
-    per group of merge factors merges the son coefficients into y.data
-    and one stacked E product gives the exact merge errors, charged on
-    top at count 1; elsewhere count 1 stays infinite.  The root's table
-    gives the count, and top-down, per level, the least entry of each
-    min-plus sum at the father's count splits it among the sons.  Sets
-    y.sub, adds the applied merges to merge_errors unless it is None
-    and returns the bound of the cut.
+    interior marks the interior clusters of the subtree at whose leaves
+    y.data holds coefficients, and ledger (see _ledger) the true and
+    the charged squared errors of those leaves; interior is updated in
+    place, as is y.data.  What the charged errors leave of eps^2 (less
+    the rounding margin) is the budget of the merges.  On each level,
+    the candidates are the interior clusters whose sons are all leaves:
+    per group of merge factors, the stacked son transfers E, one
+    stacked E^T product gives their merged coefficients and one stacked
+    E product the residuals, whose squared norms are the exact merge
+    errors, charged 0 at round-off level.  The candidates merge in
+    order of charged error, ties by cluster number, for as long as
+    their running sum fits what is left of the budget; merges charged 0
+    always do.  Sets y.sub once, adds the applied merges to
+    merge_errors unless it is None and returns the bound
+    sqrt(sum of true squared errors) of the result.
     """
     tree, data = y.basis.tree, y.data
-    n = len(tree)
     limit = budget.eps / (1.0 + 2.0 * MARGIN)
-    most = limit * limit
-    inner = np.flatnonzero(interior)
-    inner = inner[np.argsort(tree.level[inner], kind="stable")]
-    bounds = np.searchsorted(tree.level[inner], np.arange(len(tree.by_level) + 1)).tolist()
-    count = np.diff(tree.son_ptr)
-    # the tables, batch-last: one column per cluster and an identity
-    # column, one row per count of leaves up to all of D's; row 1, the
-    # charged error, is the ledger's
-    tables = np.full((2 + int(count[inner].sum()) - inner.size, n + 1), np.inf)
-    charged = tables[1]
-    charged[:n] = ledger[1]
-    tables[0, n] = 0.0
-    merge_sq = np.zeros(n)
-    candidate = np.zeros(n, dtype=bool)
-    every = np.arange(n)
-    cuts = []
-    width = 2  # rows of the tables below, at least their counts
-    for level in range(len(tree.by_level) - 1, -1, -1):
-        fathers = inner[bounds[level] : bounds[level + 1]]
-        if not fathers.size:
+    # fsum: the budget left does not depend on the order of the leaves
+    left = limit * limit - math.fsum(ledger[1][np.greater(interior[tree.father], interior)].tolist())
+    if not interior[tree.root]:
+        left -= float(ledger[1][tree.root])
+    applied = []
+    for level in range(len(tree.by_level) - 2, -1, -1):
+        here, sons = tree.by_level[level], tree.by_level[level + 1]
+        if not np.count_nonzero(interior[here]):
             continue
-        sons = tree.son_matrix[:, fathers]
-        below = tables[:width, sons]
-        table, sheared = below[:, 0], []
-        for p in range(1, len(sons)):
-            table, products = _min_plus(table, below[:, p])
-            sheared.append(products)
-        width = min(len(table), len(tables))
-        rows = every[: fathers.size]
-        # every son a leaf: the sum of their charged errors
-        sums = table[count[fathers], rows]
-        fit = sums <= most
-        charged[fathers] = np.where(fit, sums, np.inf)
-        candidate[fathers] = fit
+        candidate = interior.copy()
+        candidate[tree.father[sons[interior[sons]]]] = False
+        found = []
         for group in factors.levels[level]:
             pick = candidate[group.clusters]
-            if not pick.any():
+            if not np.count_nonzero(pick):
                 continue
             pick = _rows(pick)
-            at, stack, stacked = group.clusters[pick], group.stack[pick], data[group.source[pick]]
+            stack, stacked = group.stack[pick], data[group.source[pick]]
             merged = kernels.matvec(stack.transpose(0, 2, 1), stacked)
             rest = stacked - kernels.matvec(stack, merged)
             sq = np.einsum("ij,ij->i", rest, rest)
-            data[group.target[pick]] = merged
-            merge_sq[at] = sq
-            floor = sq <= REL_FLOOR * REL_FLOOR * np.einsum("ij,ij->i", stacked, stacked)
-            charged[at] += np.where(floor, 0.0, sq)
-        tables[2:width, fathers] = table[2:width]
-        cuts.append((fathers, sons, rows, sheared))
-    top = tables[:, tree.root]
-    fits = np.flatnonzero((top <= most) & (top < np.inf))
-    chosen = np.zeros(n + 1, dtype=np.intp)
-    chosen[tree.root] = fits[0] if fits.size else np.argmin(top)
-    for fathers, sons, rows, sheared in reversed(cuts):
-        # the sons of a father left whole get counts of 0 and 1, which
-        # make none of them interior
-        c = chosen[fathers]
-        if c.max() < 2:
-            break  # no father is cut on this level, nor below it
-        for son, products in zip(reversed(sons[1:]), reversed(sheared)):
-            j = products[:, c, rows].argmin(axis=0)
-            chosen[son] = c - j
-            c = j
-        chosen[sons[0]] = c
-    keep = interior & (chosen[:n] >= 2)
-    applied = np.flatnonzero(interior & ~keep)
+            floor = sq <= (REL_FLOOR * REL_FLOOR) * np.einsum("ij,ij->i", stacked, stacked)
+            found.append((group.clusters[pick], group.target[pick], merged, sq, np.where(floor, 0.0, sq)))
+        if not found:
+            continue
+        ids, target, merged, sq, cost = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+        order = np.lexsort((ids, cost))
+        total = np.cumsum(cost[order])
+        take = order[total <= max(left, 0.0)]
+        if not take.size:
+            continue
+        left -= float(total[take.size - 1])
+        interior[ids[take]] = False
+        data[target[take]] = merged[take]
+        applied.append((ids[take], sq[take]))
+    y.sub = Subtree.from_interior(tree, interior)
+    ids, sq = map(np.concatenate, zip(*applied)) if applied else (np.zeros(0, dtype=np.intp), np.zeros(0))
     if merge_errors is not None:
-        merge_errors.update(zip(applied.tolist(), np.sqrt(merge_sq[applied]).tolist()))
-    y.sub = Subtree.from_interior(tree, keep)
-    return float(np.sqrt(ledger[0].sum() + merge_sq[applied].sum()) * (1.0 + MARGIN))
+        merge_errors.update(zip(ids.tolist(), np.sqrt(sq).tolist()))
+    return float(np.sqrt(ledger[0].sum() + sq.sum()) * (1.0 + MARGIN))
 
 
 def convert(x, target, zfactors, pfactors, budget):
@@ -372,7 +329,7 @@ def convert(x, target, zfactors, pfactors, budget):
         push = np.zeros(len(tree), dtype=bool)
         for group in group_list:
             pick = has[group.clusters]
-            if not pick.any():
+            if not np.count_nonzero(pick):
                 continue
             pick = _rows(pick)
             ids, xhat = group.clusters[pick], data[group.source[pick]]
@@ -387,7 +344,7 @@ def convert(x, target, zfactors, pfactors, budget):
             ledger[1, ids] = np.where(err <= REL_FLOOR * scale, 0.0, sq)
             committed[ids], unfit[ids] = commit, ~fits
             push[ids[~commit]] = True
-        if push.any():
+        if np.count_nonzero(push):
             interior |= push
             x.basis.backward(data, push, add=False, level=level)
             sons = tree.by_level[level + 1]

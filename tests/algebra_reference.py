@@ -5,8 +5,8 @@ product each, charging the same flops as the level passes of
 ``h2vec.hvector`` and ``h2vec.convert``.  Tests compare the library
 against them: equal subtrees, equal commit, merge and forced cluster
 sets, equal counted flops and coefficients and bounds equal up to
-round-off.  The merge candidates of a cluster and the bound it
-accumulates are taken in son order, as the level passes take them.
+round-off.  A cluster's son coefficients are stacked in son order,
+as the level passes stack them.
 ``to_dense`` expands each subtree leaf by its materialized basis
 matrix, the oracle for the library's one backward pass and stacked
 leaf products; it counts other flops.
@@ -19,7 +19,6 @@ import numpy as np
 from h2vec import kernels
 from h2vec.convert import MARGIN, REL_FLOOR, ConversionReport
 from h2vec.hvector import HVector, merge, refine
-from h2vec.tree import Subtree
 
 
 def axpy(alpha, x, y):
@@ -85,72 +84,33 @@ def to_dense(x):
 
 
 def _cut(y, charged, pfactors, budget, merge_errors):
-    """The fewest leaves within eps over the subtree y.sub, found by a
-    post-order walk: merge every cluster whose sons' charged errors add
-    up within the budget, charging the exact merge error on top, and
-    merge the sons' tables of least charged sums per leaf count
-    pairwise, in son order, keeping the fewest leaves on the earlier
-    sons on a tie.  charged maps y.sub's leaves to their squared
-    errors, 0 at round-off level; y.sub and y.data are updated and the
-    applied merges' errors are added to merge_errors."""
+    """The merges over the subtree y.sub, level by level from the
+    deepest: every cluster whose sons are all leaves is a candidate and
+    is merged, charging its exact merge error squared (0 at round-off
+    level), in order of that charge, ties by cluster number, for as
+    long as the running sum fits what the leaves' charged errors leave
+    of the budget; a charge of 0 always fits.  charged maps y.sub's
+    leaves to their squared errors, 0 at round-off level; y.sub and
+    y.data are updated and the applied merges' errors are added to
+    merge_errors."""
     tree, off = y.basis.tree, y.basis.offsets
     limit = budget.eps / (1.0 + 2.0 * MARGIN)
-    most = limit * limit
-    splits, errors = {}, {}
-
-    def table(i):
-        if y.sub.is_leaf(i):
-            return [math.inf, charged[i]]
-        sons = tree.sons(i)
-        tables = [table(s) for s in sons]
-        total = 0.0
-        for s in sons:
-            total += charged[s]
-        charged[i] = math.inf
-        if total <= most:
-            merged, error, scale = merge(y, i, pfactors)
+    left = limit * limit - math.fsum(charged.values())
+    for ids in reversed(tree.by_level):
+        found = []
+        for i in ids.tolist():
+            if i in y.sub and not y.sub.is_leaf(i) and all(y.sub.is_leaf(s) for s in tree.sons(i)):
+                merged, error, scale = merge(y, i, pfactors)
+                found.append((0.0 if error <= REL_FLOOR * scale else error * error, i, merged, error))
+        spent = 0.0
+        for cost, i, merged, error in sorted(found, key=lambda f: f[:2]):
+            if spent + cost > max(left, 0.0):
+                break
+            spent += cost
+            y.sub.contract(i)
             y.data[off[i] : off[i + 1]] = merged
-            errors[i] = error
-            charged[i] = total + (0.0 if error <= REL_FLOOR * scale else error * error)
-        out, splits[i] = tables[0], []
-        for t in tables[1:]:
-            best, split = [math.inf] * (len(out) + len(t) - 1), [0] * (len(out) + len(t) - 1)
-            for a in range(len(out)):
-                for b in range(len(t)):
-                    if out[a] + t[b] < best[a + b]:
-                        best[a + b], split[a + b] = out[a] + t[b], a
-            out = best
-            splits[i].append(split)
-        out[1] = charged[i]
-        return out
-
-    top = table(tree.root)
-    fits = [c for c in range(len(top)) if top[c] <= most and top[c] < math.inf]
-    count = fits[0] if fits else min(range(len(top)), key=top.__getitem__)
-    interior = np.zeros(len(tree), dtype=bool)
-
-    def cut(i, c):
-        if c == 1:
-            if not y.sub.is_leaf(i):
-                stack = [i]
-                while stack:
-                    j = stack.pop()
-                    if not y.sub.is_leaf(j):
-                        merge_errors[j] = errors[j]
-                        stack.extend(tree.sons(j))
-            return
-        interior[i] = True
-        sons = tree.sons(i)
-        counts = []
-        for split in reversed(splits[i]):
-            counts.append(c - split[c])
-            c = split[c]
-        counts.append(c)
-        for s, c in zip(sons, reversed(counts)):
-            cut(s, c)
-
-    cut(tree.root, count)
-    y.sub = Subtree.from_interior(tree, interior)
+            merge_errors[i] = error
+        left -= spent
 
 
 def convert(x, target, zfactors, pfactors, budget):
