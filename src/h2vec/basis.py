@@ -729,6 +729,11 @@ def coarsening_factors(basis):
     return e
 
 
+# entries of [A | B] that projection_factors stacks for one triangular factor, at most
+# about: the grid-64 demo's largest group holds 184,320
+STACK_ENTRIES = 2**15
+
+
 def projection_factors(source, target):
     """Family of kind "projection" for projecting `source` onto `target`.
 
@@ -788,18 +793,20 @@ def projection_factors(source, target):
         keys = np.column_stack([rt[here], rs[here]] + [blocks[row[here]] for row in sons])
         order, bounds = _runs(keys)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            ids = here[order[lo:hi]]
-            first = ids[0]
-            ab = np.zeros((ids.size, rows[first], rt[first] + rs[first]))
-            at = 0
-            for row in sons:
-                s = row[ids]
-                if s[0] == len(tree):
-                    break
-                m, r2, k2 = height[s[0]], rt[s[0]], rs[s[0]]
-                ab[:, at : at + r2, : rt[first]] = target.transfer.stacked(s, r2, rt[first])
-                f = factors.stacked(s, m, k2)
-                ab[:, at : at + m, rt[first] :] = kernels.matmul(f, source.transfer.stacked(s, k2, rs[first]))
-                at += m
-            factor(ids, ab)
+            first = here[order[lo]]
+            shape = (rows[first], rt[first] + rs[first])
+            # stacks of about STACK_ENTRIES entries bound the set-up's peak memory
+            for ids in np.array_split(here[order[lo:hi]], -(-(hi - lo) * shape[0] * shape[1] // STACK_ENTRIES)):
+                ab = np.zeros((ids.size, *shape))
+                at = 0
+                for row in sons:
+                    s = row[ids]
+                    if s[0] == len(tree):
+                        break
+                    m, r2, k2 = height[s[0]], rt[s[0]], rs[s[0]]
+                    ab[:, at : at + r2, : rt[first]] = target.transfer.stacked(s, r2, rt[first])
+                    f = factors.stacked(s, m, k2)
+                    ab[:, at : at + m, rt[first] :] = kernels.matmul(f, source.transfer.stacked(s, k2, rs[first]))
+                    at += m
+                factor(ids, ab)
     return _family(factors, "projection", source, target)

@@ -12,23 +12,26 @@ The error ledger.  The target is isometric and nested, so the error of
 a commit at u, orthogonal to range(V_u), and the error of a merge at t,
 inside the sons' ranges and orthogonal to range(V_t), are mutually
 orthogonal: range(V_t) restricted to a descendant u lies in range(V_u).
-A cut of D, a subtree whose leaves cover D's, therefore has the exact
-squared error e(t)^2 summed over its leaves, where e(t)^2 is the sum of
-the sons' e^2 plus the merge error of t squared, and a commit error at
-D's leaves.  The reported bound is sqrt(sum of commit^2 + sum of
-merge^2) over the cut, times 1 + MARGIN for rounding.
+The squared error of the result is therefore the sum of its commit
+and merge errors squared, and the reported bound is sqrt(sum of
+commit^2 + sum of merge^2) times 1 + MARGIN for rounding: the true
+error, not a bound on it.
 
-The tables and the cut.  The cut with the fewest leaves whose e^2 add
-up within eps^2 solves a tree knapsack: for each cluster and leaf
-count, the least sum of e^2 that many leaves below it can reach, the
-min-plus product of its sons' tables, with e(t)^2 itself at count 1
-(Bohanec & Bratko, Machine Learning 15, 1994).  Errors at round-off
-level relative to their coefficient (REL_FLOOR) are charged 0 in the
-tables, so that eps = 0 still recognizes exact representations, while
-the bound keeps their true values.  The root's table gives the least
-count within the budget, or, where forced commits at tree leaves
-exceed it, the least sum; the sums of the min-plus products cut D top
-down, the fewest leaves to the first son on a tie.
+The merges.  The error ledger makes eps^2 one budget for the whole
+vector: what the commits' squared errors leave of it pays for merges.
+Level by level from the deepest, the clusters whose sons are all
+leaves are the candidates; they merge in order of squared merge error,
+ties by cluster number, while the running sum fits what is left.  Each
+merge removes sons - 1 leaves, so on one level this takes the most
+merges the budget allows; across levels it does not look ahead, so it
+may spend on a deep merge what a cheaper set of merges higher up would
+need.  The fewest leaves within eps solve a tree knapsack (Bohanec &
+Bratko, Machine Learning 15, 1994), whose per-level min-plus tables
+and top-down cut took more than twice this ascent's time per call in
+the grid-64 demo and the algebra benchmark.  Errors at round-off level
+relative to their coefficient (REL_FLOOR) are charged 0, so that
+eps = 0 still recognizes exact representations, while the bound keeps
+their true values.
 
 Both directions run one tree level at a time.  The descent makes one
 stacked Z product per group of projection factors (level, source and
@@ -36,17 +39,12 @@ target rank, rows of Z) over the clusters holding a source
 coefficient, commits those whose error fits, or that are tree leaves,
 with one stacked cross product, and pushes the rest to their sons by
 the source basis's backward transformation of that level.  The ascent
-merges every interior cluster of D whose sons' charged errors add up
-within eps^2; above the others no leaf of a cut can lie.  Per stack
-of the target's merge factors, the stacked son transfers E with
-orthonormal columns, it makes one stacked E^T product, the merged
-coefficients, and one stacked E product, whose difference from the
-son coefficients has the exact merge error as its norm: 2 m r
-multiply-adds per merge with m stacked son entries and rank r.  The
-tables, held batch-last, take one stacked min-plus product per level
-and son, which is not counted as flops; the cut takes one argmin per
-level and son, and the subtree is built once at the end.
-coarsen_pass is the ascent and the cut alone.
+makes, per stack of the target's merge factors, the stacked son
+transfers E with orthonormal columns, one stacked E^T product, the
+merged coefficients, and one stacked E product, whose difference from
+the son coefficients has the exact merge error as its norm: 2 m r
+multiply-adds per candidate with m stacked son entries and rank r.
+coarsen_pass is the ascent alone.
 
 A product lands in the induced basis, whose ranks exceed what
 nestedness allows: a father's rank above the sum of its sons' adds
@@ -77,15 +75,15 @@ __all__ = [
 
 
 # widens acceptance tests by this multiple of the local coefficient
-# norm, and local errors within it are charged 0 in the tables of the
-# cut, so that exact representations (errors at round-off level) are
+# norm, and local errors within it are charged 0 against the budget,
+# so that exact representations (errors at round-off level) are
 # recognized even for eps = 0
 REL_FLOOR = 1e-12
 
 # relative rounding margin of the error ledger: a bound is reported as
-# sqrt(sum of squared local errors) times 1 + MARGIN, and a cut is taken
-# only when its tabled sum is at most (eps / (1 + 2 MARGIN))^2, so that
-# sums added in another order still report a bound within eps
+# sqrt(sum of squared local errors) times 1 + MARGIN, and merges are
+# taken only while the charged sum is at most (eps / (1 + 2 MARGIN))^2,
+# so that sums added in another order still report a bound within eps
 MARGIN = 1e-12
 
 
@@ -216,7 +214,7 @@ class CoordinateMap:
 def _rows(mask):
     """Index for the rows marked in mask: a slice when all are, which
     takes a view of a stack instead of a copy."""
-    return slice(None) if np.count_nonzero(mask) == mask.size else mask
+    return slice(None) if mask.all() else mask
 
 
 def _check_budget(budget):
@@ -258,14 +256,14 @@ def _ascent(y, interior, ledger, factors, budget, merge_errors):
     applied = []
     for level in range(len(tree.by_level) - 2, -1, -1):
         here, sons = tree.by_level[level], tree.by_level[level + 1]
-        if not np.count_nonzero(interior[here]):
+        if not interior[here].any():
             continue
         candidate = interior.copy()
         candidate[tree.father[sons[interior[sons]]]] = False
         found = []
         for group in factors.levels[level]:
             pick = candidate[group.clusters]
-            if not np.count_nonzero(pick):
+            if not pick.any():
                 continue
             pick = _rows(pick)
             stack, stacked = group.stack[pick], data[group.source[pick]]
@@ -294,8 +292,8 @@ def _ascent(y, interior, ledger, factors, budget, merge_errors):
 
 
 def convert(x, target, zfactors, pfactors, budget):
-    """Approximate x in a different isometric basis with the fewest
-    leaves that keep the exact error within eps.
+    """Approximate x in a different isometric basis within eps, with
+    merges on one budget for the whole vector.
 
     Parameters
     ----------
@@ -308,9 +306,9 @@ def convert(x, target, zfactors, pfactors, budget):
     Returns
     -------
     (y, bound, report) : the converted vector, the bound
-    sqrt(sum of squared commit and merge errors) of the cut, which
-    equals the true Euclidean error up to rounding (MARGIN), and the
-    report of those errors per cluster.
+    sqrt(sum of squared commit and merge errors), which equals the
+    true Euclidean error up to rounding (MARGIN), and the report of
+    those errors per cluster.
     """
     _check_budget(budget)
     _check_family(zfactors, "projection", x.basis, target)
@@ -329,7 +327,7 @@ def convert(x, target, zfactors, pfactors, budget):
         push = np.zeros(len(tree), dtype=bool)
         for group in group_list:
             pick = has[group.clusters]
-            if not np.count_nonzero(pick):
+            if not pick.any():
                 continue
             pick = _rows(pick)
             ids, xhat = group.clusters[pick], data[group.source[pick]]
@@ -344,7 +342,7 @@ def convert(x, target, zfactors, pfactors, budget):
             ledger[1, ids] = np.where(err <= REL_FLOOR * scale, 0.0, sq)
             committed[ids], unfit[ids] = commit, ~fits
             push[ids[~commit]] = True
-        if np.count_nonzero(push):
+        if push.any():
             interior |= push
             x.basis.backward(data, push, add=False, level=level)
             sons = tree.by_level[level + 1]
@@ -358,13 +356,13 @@ def convert(x, target, zfactors, pfactors, budget):
 
 
 def coarsen_pass(y, pfactors, budget):
-    """Merge an isometric hierarchical vector, in place, to the fewest
-    leaves whose exact merge errors add up within eps.
+    """Merge an isometric hierarchical vector, in place, while the
+    squared merge errors add up within eps^2.
 
-    The ascent and the cut of convert, over y's own subtree, whose
-    leaves carry no error.  Returns the bound sqrt(sum of squared merge
-    errors) of the cut, the Euclidean change up to rounding (MARGIN).
-    A second pass may merge more: it starts from a budget of eps again.
+    The ascent of convert, over y's own subtree, whose leaves carry no
+    error.  Returns the bound sqrt(sum of squared merge errors), the
+    Euclidean change up to rounding (MARGIN).  A second pass may merge
+    more: it starts from a budget of eps again.
     """
     _check_budget(budget)
     _check_family(pfactors, "merge", y.basis)
