@@ -321,8 +321,6 @@ def convert(x, target, zfactors, pfactors, budget):
     has = x.sub.leaf_mask().copy()  # the clusters holding a source coefficient
     interior = x.sub.interior_mask()
     ledger = _ledger(tree)
-    committed, unfit = np.zeros((2, len(tree)), dtype=bool)
-    leaf = ~tree.has_sons
     for level, group_list in enumerate(zfactors.levels):
         push = np.zeros(len(tree), dtype=bool)
         for group in group_list:
@@ -336,21 +334,19 @@ def convert(x, target, zfactors, pfactors, budget):
             sq = np.einsum("ij,ij->i", zx, zx)
             err, scale = np.sqrt(sq), np.sqrt(np.einsum("ij,ij->i", xhat, xhat))
             fits = err <= budget.limit(tree.sizes[ids], tree.n, scale)
-            commit = fits | leaf[ids]
+            commit = fits | ~tree.has_sons[ids]
             y.data[group.target[pick][commit]] = kernels.matvec(stack[_rows(commit), :k], xhat[commit])
-            ledger[0, ids] = sq
-            ledger[1, ids] = np.where(err <= REL_FLOOR * scale, 0.0, sq)
-            committed[ids], unfit[ids] = commit, ~fits
+            done = ids[commit]
+            ledger[0, done] = sq[commit]
+            ledger[1, done] = np.where(err <= REL_FLOOR * scale, 0.0, sq)[commit]
+            report.commit_errors.update(zip(done.tolist(), err[commit].tolist()))
+            report.forced.extend(ids[commit & ~fits].tolist())
             push[ids[~commit]] = True
         if push.any():
             interior |= push
             x.basis.backward(data, push, add=False, level=level)
             sons = tree.by_level[level + 1]
             has[sons] |= push[tree.father[sons]]
-    ledger[0, interior] = 0.0  # pushed down, not committed
-    done = np.flatnonzero(committed)
-    report.commit_errors.update(zip(done.tolist(), np.sqrt(ledger[0, done]).tolist()))
-    report.forced.extend(np.flatnonzero(unfit & leaf).tolist())
     report.bound = _ascent(y, interior, ledger, pfactors, budget, report.merge_errors)
     return y, report.bound, report
 
