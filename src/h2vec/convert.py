@@ -222,37 +222,30 @@ def _check_budget(budget):
         raise ValueError(f"budget must be a ToleranceBudget, got {type(budget).__name__}")
 
 
-def _ledger(tree):
-    """A ledger for _ascent with no errors yet: rows of the true and the
-    charged squared commit error, one column per cluster."""
-    return np.zeros((2, len(tree)))
-
-
-def _ascent(y, interior, ledger, factors, budget, merge_errors):
+def _ascent(y, interior, commits, factors, budget, merge_errors):
     """The merge ascent of convert and coarsen_pass, bottom-up by level.
 
     interior marks the interior clusters of the subtree at whose leaves
-    y.data holds coefficients, and ledger (see _ledger) the true and
-    the charged squared errors of those leaves; interior is updated in
-    place, as is y.data.  What the charged errors leave of eps^2 (less
-    the rounding margin) is the budget of the merges.  On each level,
-    the candidates are the interior clusters whose sons are all leaves:
-    per group of merge factors, the stacked son transfers E, one
-    stacked E^T product gives their merged coefficients and one stacked
-    E product the residuals, whose squared norms are the exact merge
-    errors, charged 0 at round-off level.  The candidates merge in
-    order of charged error, ties by cluster number, for as long as
-    their running sum fits what is left of the budget; merges charged 0
-    always do.  Sets y.sub once, adds the applied merges to
-    merge_errors unless it is None and returns the bound
-    sqrt(sum of true squared errors) of the result.
+    y.data holds coefficients, and commits holds two lists, the true
+    and the charged squared errors of those leaves (both empty where
+    they carry no error); interior is updated in place, as is y.data.
+    What the charged errors leave of eps^2 (less the rounding margin)
+    is the budget of the merges.  On each level, the candidates are the
+    interior clusters whose sons are all leaves: per group of merge
+    factors, the stacked son transfers E, one stacked E^T product gives
+    their merged coefficients and one stacked E product the residuals,
+    whose squared norms are the exact merge errors, charged 0 at
+    round-off level.  The candidates merge in order of charged error,
+    ties by cluster number, for as long as their running sum fits what
+    is left of the budget; merges charged 0 always do.  Sets y.sub
+    once, adds the applied merges to merge_errors unless it is None
+    and returns the bound sqrt(sum of true squared errors) of the
+    result.
     """
     tree, data = y.basis.tree, y.data
     limit = budget.eps / (1.0 + 2.0 * MARGIN)
-    # fsum: the budget left does not depend on the order of the leaves
-    left = limit * limit - math.fsum(ledger[1][np.greater(interior[tree.father], interior)].tolist())
-    if not interior[tree.root]:
-        left -= float(ledger[1][tree.root])
+    # fsum: the budget left does not depend on the order of the commits
+    left = limit * limit - math.fsum(commits[1])
     applied = []
     for level in range(len(tree.by_level) - 2, -1, -1):
         here, sons = tree.by_level[level], tree.by_level[level + 1]
@@ -288,7 +281,7 @@ def _ascent(y, interior, ledger, factors, budget, merge_errors):
     ids, sq = map(np.concatenate, zip(*applied)) if applied else (np.zeros(0, dtype=np.intp), np.zeros(0))
     if merge_errors is not None:
         merge_errors.update(zip(ids.tolist(), np.sqrt(sq).tolist()))
-    return float(np.sqrt(ledger[0].sum() + sq.sum()) * (1.0 + MARGIN))
+    return math.sqrt(math.fsum(commits[0]) + float(sq.sum())) * (1.0 + MARGIN)
 
 
 def convert(x, target, zfactors, pfactors, budget):
@@ -320,7 +313,7 @@ def convert(x, target, zfactors, pfactors, budget):
     data = x.data.copy()  # pushed down in place
     has = x.sub.leaf_mask().copy()  # the clusters holding a source coefficient
     interior = x.sub.interior_mask()
-    ledger = _ledger(tree)
+    commits = [], []  # true and charged squared errors
     for level, group_list in enumerate(zfactors.levels):
         push = np.zeros(len(tree), dtype=bool)
         for group in group_list:
@@ -336,10 +329,9 @@ def convert(x, target, zfactors, pfactors, budget):
             fits = err <= budget.limit(tree.sizes[ids], tree.n, scale)
             commit = fits | ~tree.has_sons[ids]
             y.data[group.target[pick][commit]] = kernels.matvec(stack[_rows(commit), :k], xhat[commit])
-            done = ids[commit]
-            ledger[0, done] = sq[commit]
-            ledger[1, done] = np.where(err <= REL_FLOOR * scale, 0.0, sq)[commit]
-            report.commit_errors.update(zip(done.tolist(), err[commit].tolist()))
+            commits[0].extend(sq[commit].tolist())
+            commits[1].extend(np.where(err <= REL_FLOOR * scale, 0.0, sq)[commit].tolist())
+            report.commit_errors.update(zip(ids[commit].tolist(), err[commit].tolist()))
             report.forced.extend(ids[commit & ~fits].tolist())
             push[ids[~commit]] = True
         if push.any():
@@ -347,7 +339,7 @@ def convert(x, target, zfactors, pfactors, budget):
             x.basis.backward(data, push, add=False, level=level)
             sons = tree.by_level[level + 1]
             has[sons] |= push[tree.father[sons]]
-    report.bound = _ascent(y, interior, ledger, pfactors, budget, report.merge_errors)
+    report.bound = _ascent(y, interior, commits, pfactors, budget, report.merge_errors)
     return y, report.bound, report
 
 
@@ -363,4 +355,4 @@ def coarsen_pass(y, pfactors, budget):
     _check_budget(budget)
     _check_family(pfactors, "merge", y.basis)
     y.validate()
-    return _ascent(y, y.sub.interior_mask(), _ledger(y.basis.tree), pfactors, budget, None)
+    return _ascent(y, y.sub.interior_mask(), ([], []), pfactors, budget, None)
