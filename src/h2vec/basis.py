@@ -795,8 +795,10 @@ def projection_factors(source, target):
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             first = here[order[lo]]
             shape = (rows[first], rt[first] + rs[first])
-            # stacks of about STACK_ENTRIES entries bound the set-up's peak memory
-            for ids in np.array_split(here[order[lo:hi]], -(-(hi - lo) * shape[0] * shape[1] // STACK_ENTRIES)):
+            # stacks of about STACK_ENTRIES entries bound the set-up's peak memory,
+            # of one cluster at least
+            pieces = min(hi - lo, -(-(hi - lo) * shape[0] * shape[1] // STACK_ENTRIES))
+            for ids in np.array_split(here[order[lo:hi]], pieces):
                 ab = np.zeros((ids.size, *shape))
                 at = 0
                 for row in sons:

@@ -93,6 +93,11 @@ def _run_demo(args):
         f"grid {args.grid}: n={demo.tree.n}, depth={demo.tree.depth}, "
         f"csp={demo.csp}, compression error {demo.compression_error:.3e}"
     )
+    stages = demo.setup_seconds
+    print(
+        f"set-up {sum(stages.values()):.3f} s: "
+        + ", ".join(f"{stage} {seconds:.3f}" for stage, seconds in stages.items())
+    )
     run = demo.run(args.eps, steps=args.steps)
     prefix = args.out_prefix
 

@@ -23,10 +23,16 @@ through the stencil's block Cholesky factor give M0 = L^T A^-1 L a few
 leaves at a time; since V_t = L_t E_t, with E_t stacking the transfer
 products from t's leaves up to t, the coupling of a leaf block (t, s)
 is E_t^T M0[t, s] E_s (Börm, Efficient Numerical Methods for Non-local
-Operators, 2010), and M takes M0's place, block by block.  The
-compression is a Frobenius-orthogonal projection, so its error is
-sqrt(||A^-1||_F^2 - sum of the squared coupling norms), with
-||A^-1||_F^2 = trace((A^2)^-1) from the blocks.  The dense steps apply
+Operators, 2010), and M takes M0's place, block by block.  M0 is
+symmetric, so both are built from one triangle: the solves of the
+leaves in the order of the lowest grid row they touch run through the
+trailing blocks of the factor and give M0's blocks with the leaves of
+later chunks only, and each pair of leaf blocks (t, s), (s, t) is
+projected once.  The compression is a Frobenius-orthogonal
+projection, so its error is sqrt(||A^-1||_F^2 - sum of the squared
+coupling norms), with ||A^-1||_F^2 = trace((A^2)^-1) from the blocks,
+computed on the first read of compression_error.  setup_seconds
+keeps the wall time of each set-up stage.  The dense steps apply
 the operator as L (M (L^T x)); set-up keeps M, of K^2 floats, and
 refuses an order above MAX_LEAF_ORDER, from the points and the
 cluster tree alone, before any stencil block is built.
@@ -35,6 +41,7 @@ cluster tree alone, before any stencil block is built.
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +58,7 @@ from .h2matrix import H2Matrix, build_block_tree, sparsity_constant
 from .hvector import from_dense
 from .matvec import build_plan, multiply
 from .poisson import (
+    BlockCholesky,
     assemble_lshape,
     block_cholesky,
     block_solve,
@@ -118,8 +126,10 @@ class DemoRun:
 class PoissonDemo:
     """Shared heavy setup for inverse-iteration runs at one grid size.
 
-    degree, the Legendre degree of the bases, is an integer >= 0 (a
-    NumPy integer too, not a bool), refused with ValueError otherwise.
+    grid is an even integer >= 4 and degree, the Legendre degree of the
+    bases, an integer >= 0 (NumPy integers too, not bools), refused
+    with ValueError otherwise.  setup_seconds maps each set-up stage, in
+    order, to its wall time in seconds.
     """
 
     def __init__(self, grid=64, degree=3, eta=1.0):
@@ -127,6 +137,8 @@ class PoissonDemo:
         self.grid = grid
         self.degree = degree
         self.eta = eta
+        self.setup_seconds = {}
+        lap = _stopwatch(self.setup_seconds)
         _, points = lshape_sites(grid)
         rank = (degree + 1) ** 2
         # midpoint boxes near the boundary hold down to a quarter of
@@ -138,27 +150,44 @@ class PoissonDemo:
                 f"{self.tree.n} unknowns need a leaf operator of order {order} "
                 f"({8 * order**2 / 1e6:.0f} MB), above the limit of order {MAX_LEAF_ORDER}"
             )
+        lap("tree")
         # the stencil blocks only once the order is known to be allowed
         self.problem = assemble_lshape(grid)
+        lap("stencil")
         nodal = polynomial_basis(self.tree, self.problem.points, degree)
         self.iso, _ = orthogonalize(nodal)
+        lap("bases")
         self.block_tree = build_block_tree(self.tree, self.tree, eta)
         self.csp = sparsity_constant(self.block_tree)
+        lap("block_tree")
         self._leaf_entries, first, end = _leaf_layout(self.iso)
-        self.leaf_operator = _leaf_inverse(self.problem, self.iso, self._leaf_entries, first, end)
-        coupling, sumsq = _project_in_place(self.leaf_operator, self.iso, self.block_tree, first, end)
+        self.leaf_operator = _leaf_inverse(self.problem, self.iso, first, end)
+        lap("leaf_inverse")
+        coupling, self._coupling_sumsq = _project_in_place(self.leaf_operator, self.iso, self.block_tree, first, end)
         self.matrix = H2Matrix(self.block_tree, self.iso, self.iso, coupling)
-        # the compression is a Frobenius-orthogonal projection of A^-1
-        square = inverse_square_trace(self.problem.diagonal, self.problem.below)
-        self.compression_error = math.sqrt(max(square - sumsq, 0.0))
+        lap("projection")
         # valid upper bounds on the spectral norm of L M L^T, which is
         # that of M since L is isometric
         self.op_norm = min(float(np.linalg.norm(self.leaf_operator)), _norm_1_inf(self.leaf_operator))
+        lap("op_norm")
         self.plan = build_plan(self.matrix, self.iso)
+        lap("plan")
         self.nested, change = nested_orthogonalize(self.plan.induced)
         self.to_nested = CoordinateMap(change)
+        lap("nested")
         self.zfactors = projection_factors(self.nested, self.iso)
+        lap("projection_factors")
         self.pfactors = coarsening_factors(self.iso)
+        lap("merge_factors")
+
+    @cached_property
+    def compression_error(self):
+        """The Frobenius norm of A^-1 less the compressed operator,
+        computed on first read: the compression is a Frobenius-orthogonal
+        projection of A^-1, so its square is ||A^-1||_F^2 less the sum
+        of the squared coupling norms."""
+        square = inverse_square_trace(self.problem.diagonal, self.problem.below)
+        return math.sqrt(max(square - self._coupling_sumsq, 0.0))
 
     def apply(self, x):
         """The compressed operator times the vector x (tree position
@@ -258,6 +287,20 @@ class PoissonDemo:
         return run
 
 
+def _stopwatch(seconds):
+    """A function that, called with a stage's name, records in seconds
+    the wall time since the previous call, or since this one."""
+    last = time.perf_counter()
+
+    def lap(stage):
+        nonlocal last
+        now = time.perf_counter()
+        seconds[stage] = now - last
+        last = now
+
+    return lap
+
+
 def _leaf_layout(basis):
     """Leaf coefficients in tree position order: per leaf group the
     (b, r, 1) entries of its leaves, and per cluster the first and end
@@ -275,39 +318,66 @@ def _leaf_layout(basis):
     return entries, first, end
 
 
-def _leaf_inverse(problem, basis, entries, first, end):
+def _leaf_inverse(problem, basis, first, end):
     """M0 = L^T A^-1 L, with L the block-diagonal matrix of the leaf
-    matrices, leaf coefficients laid out by entries, first and end: the
-    columns of A^-1 L come from block solves through the stencil's
-    block Cholesky factor, those of about 256 leaf coefficients at a
-    time, so that the solves hold two n x 256 arrays."""
-    tree = basis.tree
+    matrices, leaf coefficients laid out by first and end, from one
+    triangle.  The leaves run in the order of the lowest grid row they
+    touch, about 256 leaf coefficients at a time.  A chunk's right-hand
+    sides vanish above its first leaf's lowest row, so its block solve
+    runs through the trailing blocks of the stencil's block Cholesky
+    factor, those of the trailing Schur complement, and gives the rows
+    of A^-1 L from there down, bit for bit as a full solve would.  Those
+    rows give M0's blocks between the chunk's leaves and those of later
+    chunks, written with their transposes.  Every leaf has the basis's
+    rank r, so M0 is written as an array of r x r blocks, one per pair
+    of leaves."""
+    tree, r = basis.tree, basis.rank
     factor = block_cholesky(problem.diagonal, problem.below)
-    m = np.empty((end[tree.root], end[tree.root]))
-    leaves = sorted(tree.leaves(), key=lambda i: first[i])
-    step = max(1, 256 // basis.rank)
+    starts = np.array([span.start for span in factor.spans])
+    count = end[tree.root] // r
+    m = np.empty((count, r, count, r))
+    slot = first // r
+    leaves = np.array(tree.leaves())
+    # the grid row (block) of each leaf's first unknown in row-major order
+    row = np.searchsorted(starts, [tree.indices(i).min() for i in leaves], side="right") - 1
+    order = np.argsort(row, kind="stable")
+    leaves, row = leaves[order].tolist(), row[order].tolist()
+    later = np.zeros(len(tree), dtype=bool)
+    later[leaves] = True
+    step = max(1, 256 // r)
     for a in range(0, len(leaves), step):
         chunk = leaves[a : a + step]
-        lo, hi = first[chunk[0]], end[chunk[-1]]
-        rhs = np.zeros((tree.n, hi - lo))
-        for i in chunk:
-            rhs[tree.indices(i), first[i] - lo : end[i] - lo] = basis.leaf_matrix[i]
-        x = block_solve(factor, rhs)
+        k, off = row[a], starts[row[a]]
+        trailing = BlockCholesky(
+            factor.inverse[k:], factor.below[k:], [slice(s.start - off, s.stop - off) for s in factor.spans[k:]]
+        )
+        rhs = np.zeros((tree.n - off, len(chunk) * r))
+        for at, i in enumerate(chunk):
+            rhs[tree.indices(i) - off, at * r : (at + 1) * r] = basis.leaf_matrix[i]
+        x = block_solve(trailing, rhs)
         del rhs
-        for g, at in zip(basis.leaf_matrix.groups, entries):
-            m[at.ravel(), lo:hi] = (
-                g.stack.transpose(0, 2, 1) @ x[tree.perm[g.target]]
-            ).reshape(-1, hi - lo)
+        q = slot[chunk]
+        for g in basis.leaf_matrix.groups:
+            here = later[g.clusters]
+            if here.any():
+                block = g.stack[here].transpose(0, 2, 1) @ x[tree.perm[g.target[here]] - off]
+                block = block.reshape(-1, r, len(chunk), r)
+                p = slot[g.clusters[here]]
+                m[p[:, None], :, q, :] = block.transpose(0, 2, 1, 3)
+                m[q[:, None], :, p, :] = block.transpose(2, 0, 3, 1)
         del x
-    return m
+        later[chunk] = False
+    return m.reshape(count * r, count * r)
 
 
 def _project_in_place(m, basis, block_tree, first, end):
     """Couplings S_ts = E_t^T M0[t, s] E_s of the leaf blocks, where
     V_t = L_t E_t, and the leaf operator M in place of M0: each leaf
-    block's region of M0, read once, becomes E_t S_ts E_s^T.  Returns
-    the couplings in leaf-block order and the sum of their squared
-    Frobenius norms."""
+    block's region of M0, read once, becomes E_t S_ts E_s^T.  M0 is
+    symmetric, so each pair of blocks (t, s), (s, t) is projected once:
+    S_st is S_ts^T, and M's region of (s, t) the transpose of that of
+    (t, s).  Returns the couplings in leaf-block order and the sum of
+    their squared Frobenius norms."""
     tree = basis.tree
     stacked = {}
     for i in tree.post_order.tolist():
@@ -317,14 +387,23 @@ def _project_in_place(m, basis, block_tree, first, end):
         else:
             stacked[i] = np.eye(basis.rank_of(i))
     leaves = block_tree.leaves()
+    pairs = list(zip(block_tree.row[leaves].tolist(), block_tree.col[leaves].tolist()))
+    index = {pair: k for k, pair in enumerate(pairs)}
     coupling = np.empty((len(leaves), basis.rank, basis.rank))
     sumsq = 0.0
-    for c, t, s in zip(coupling, block_tree.row[leaves].tolist(), block_tree.col[leaves].tolist()):
+    for k, (t, s) in enumerate(pairs):
+        if t > s:
+            continue
         region = (slice(first[t], end[t]), slice(first[s], end[s]))
         left, right = stacked[t], stacked[s]
-        c[...] = left.T @ m[region] @ right
+        c = coupling[k] = left.T @ m[region] @ right
         m[region] = left @ c @ right.T
-        sumsq += float(np.vdot(c, c))
+        if t == s:
+            sumsq += float(np.vdot(c, c))
+        else:
+            coupling[index[s, t]] = c.T
+            m[first[s] : end[s], first[t] : end[t]] = m[region].T
+            sumsq += 2.0 * float(np.vdot(c, c))
     return coupling, sumsq
 
 

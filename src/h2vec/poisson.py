@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tree import _check_integer
+
 __all__ = [
     "BlockCholesky",
     "PoissonProblem",
@@ -52,8 +54,11 @@ class BlockCholesky:
 
 def lshape_sites(grid):
     """The interior sites of the L in row-major order: their integer
-    grid coordinates (i, j), shape (n, 2), and their points (i h, j h)."""
-    if grid < 4 or grid % 2:
+    grid coordinates (i, j), shape (n, 2), and their points (i h, j h).
+    grid is an even integer >= 4 (a NumPy integer too, not a bool),
+    refused with ValueError otherwise."""
+    _check_integer(grid, "grid", 4)
+    if grid % 2:
         raise ValueError("grid must be an even number >= 4")
     half = grid // 2
     j, i = np.mgrid[1:grid, 1:grid]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import basis_reference
 from conftest import merge_sons
+from h2vec import basis as basis_module
 from h2vec import kernels
 from h2vec.basis import (
     ISOMETRY_TOL,
@@ -1107,6 +1108,20 @@ def test_nested_orthogonalize_runs_one_thin_qr_per_level_and_shape(monkeypatch):
         rows[tree.has_sons] = np.bincount(tree.father[1:], ranks[1:], len(tree))[tree.has_sons]
         shapes = {(int(tree.level[i]), int(rows[i]), int(rank[i])) for i in range(len(tree))}
         assert len(calls) == len(shapes), build.__name__
+
+
+@pytest.mark.parametrize("entries", [1, 2**11])
+def test_projection_factors_in_pieces_match_the_unpieced_store(monkeypatch, entries):
+    # one [A | B] above STACK_ENTRIES once split a group into more pieces
+    # than clusters, and the empty pieces raised IndexError (grid 128)
+    demo = PoissonDemo(grid=32)
+    monkeypatch.setattr(basis_module, "STACK_ENTRIES", 2**62)
+    whole = projection_factors(demo.nested, demo.iso)
+    assert max(len(g.clusters) for g in whole.groups) > 1
+    monkeypatch.setattr(basis_module, "STACK_ENTRIES", entries)
+    pieces = projection_factors(demo.nested, demo.iso)
+    assert np.array_equal(pieces.store, whole.store)
+    assert np.array_equal(whole.store, demo.zfactors.store)
 
 
 def test_nested_basis_of_the_grid_64_demo_has_one_transfer_group_per_level():

@@ -7,6 +7,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
+from h2vec import demo as demo_module
 from h2vec import hvector
 from h2vec.basis import projection_factors
 from h2vec.convert import ToleranceBudget, coarsen_pass, convert
@@ -176,6 +177,49 @@ def test_couplings_match_the_compressed_dense_inverse(grid, degree):
     assert abs(demo.compression_error - error) <= 1e-11 * error
 
 
+def test_couplings_and_regions_of_twin_blocks_are_transposes(demo):
+    # set-up projects one block of each pair (t, s), (s, t) and mirrors it
+    blocks = demo.block_tree
+    leaves = blocks.leaves()
+    at = {(blocks.row[b], blocks.col[b]): k for k, b in enumerate(leaves)}
+    assert len(at) == len(leaves)
+    first, end = _leaf_layout(demo.iso)[1:]
+    m = demo.leaf_operator
+    twins = 0
+    for (t, s), k in at.items():
+        if t != s:
+            twins += 1
+            assert np.array_equal(demo.matrix.coupling[at[s, t]], demo.matrix.coupling[k].T)
+            region = m[first[t] : end[t], first[s] : end[s]]
+            assert np.array_equal(m[first[s] : end[s], first[t] : end[t]], region.T)
+    assert twins > 0
+
+
+def test_compression_error_is_computed_once_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trace(*args)
+
+    trace = demo_module.inverse_square_trace
+    monkeypatch.setattr(demo_module, "inverse_square_trace", counted)
+    demo = PoissonDemo(grid=16, degree=1)
+    assert not calls
+    first = demo.compression_error
+    assert demo.compression_error == first > 0.0
+    assert len(calls) == 1
+
+
+def test_setup_seconds_time_every_stage(demo):
+    stages = [
+        "tree", "stencil", "bases", "block_tree", "leaf_inverse", "projection",
+        "op_norm", "plan", "nested", "projection_factors", "merge_factors",
+    ]
+    assert list(demo.setup_seconds) == stages
+    assert all(seconds > 0.0 for seconds in demo.setup_seconds.values())
+
+
 @pytest.mark.filterwarnings("ignore:leaf_size raised")
 def test_leaf_layout_matches_the_walk_over_leaves(demo):
     # the loops the arrays replaced: leaves in position order, then
@@ -274,6 +318,13 @@ def test_demo_refuses_a_degree_that_is_not_a_non_negative_integer(degree):
     # built a rank-4 demo
     with pytest.raises(ValueError, match=f"^degree must be an integer of at least 0, got {re.escape(repr(degree))}$"):
         PoissonDemo(grid=16, degree=degree)
+
+
+@pytest.mark.parametrize("grid", [64.0, True, 7])
+def test_demo_refuses_a_grid_that_is_not_an_even_integer(grid):
+    # 64.0 once built the cluster tree and failed in the stencil assembly
+    with pytest.raises(ValueError, match="^grid must be an"):
+        PoissonDemo(grid=grid)
 
 
 def test_demo_takes_a_numpy_integer_degree(demo):

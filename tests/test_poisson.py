@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from h2vec.poisson import (
+    BlockCholesky,
     assemble_lshape,
     block_cholesky,
     block_solve,
@@ -72,6 +73,8 @@ def test_rejects_bad_grid():
             make(2)
         with pytest.raises(ValueError):
             make(7)
+        with pytest.raises(ValueError, match="grid must be an integer"):
+            make(64.0)
 
 
 @pytest.mark.parametrize("grid", [4, 6, 16])
@@ -127,6 +130,24 @@ def test_block_solve_matches_the_dense_solve(grid):
     assert one.shape == (len(a),)
     assert np.linalg.norm(one - ref[:, 3]) <= 1e-14 * np.linalg.norm(ref[:, 3])
     assert np.array_equal(b, kept)
+
+
+@pytest.mark.parametrize("grid", [8, 32])
+def test_trailing_factor_solve_matches_the_full_solve_bit_for_bit(grid):
+    # the trailing blocks of the factor are those of the trailing Schur
+    # complement: for right-hand sides that vanish above block k they
+    # give the rows of the full solve from block k down, bit for bit
+    prob = assemble_lshape(grid)
+    factor = block_cholesky(prob.diagonal, prob.below)
+    rng = np.random.default_rng(grid)
+    for k in range(len(factor.spans)):
+        off = factor.spans[k].start
+        trailing = BlockCholesky(
+            factor.inverse[k:], factor.below[k:], [slice(s.start - off, s.stop - off) for s in factor.spans[k:]]
+        )
+        b = np.zeros((factor.spans[-1].stop, 5))
+        b[off:] = rng.standard_normal((len(b) - off, 5))
+        assert np.array_equal(block_solve(trailing, b[off:]), block_solve(factor, b)[off:]), k
 
 
 @pytest.mark.parametrize("shape", [(160,), (162, 2), (1, 161), ()])
