@@ -387,11 +387,14 @@ def _project_in_place(m, basis, block_tree, first, end):
         else:
             stacked[i] = np.eye(basis.rank_of(i))
     leaves = block_tree.leaves()
-    pairs = list(zip(block_tree.row[leaves].tolist(), block_tree.col[leaves].tolist()))
-    index = {pair: k for k, pair in enumerate(pairs)}
+    row, col = block_tree.row[leaves], block_tree.col[leaves]
+    # the twin (s, t) of each leaf block (t, s), by its key in sorted order
+    key = row * len(tree) + col
+    order = np.argsort(key)
+    twin = order[np.searchsorted(key, col * len(tree) + row, sorter=order)]
     coupling = np.empty((len(leaves), basis.rank, basis.rank))
     sumsq = 0.0
-    for k, (t, s) in enumerate(pairs):
+    for k, (t, s, w) in enumerate(zip(row.tolist(), col.tolist(), twin.tolist())):
         if t > s:
             continue
         region = (slice(first[t], end[t]), slice(first[s], end[s]))
@@ -401,7 +404,7 @@ def _project_in_place(m, basis, block_tree, first, end):
         if t == s:
             sumsq += float(np.vdot(c, c))
         else:
-            coupling[index[s, t]] = c.T
+            coupling[w] = c.T
             m[first[s] : end[s], first[t] : end[t]] = m[region].T
             sumsq += 2.0 * float(np.vdot(c, c))
     return coupling, sumsq
