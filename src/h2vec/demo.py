@@ -58,7 +58,6 @@ from .h2matrix import H2Matrix, build_block_tree, sparsity_constant
 from .hvector import from_dense
 from .matvec import build_plan, multiply
 from .poisson import (
-    BlockCholesky,
     assemble_lshape,
     block_cholesky,
     block_solve,
@@ -347,14 +346,11 @@ def _leaf_inverse(problem, basis, first, end):
     step = max(1, 256 // r)
     for a in range(0, len(leaves), step):
         chunk = leaves[a : a + step]
-        k, off = row[a], starts[row[a]]
-        trailing = BlockCholesky(
-            factor.inverse[k:], factor.below[k:], [slice(s.start - off, s.stop - off) for s in factor.spans[k:]]
-        )
+        off = starts[row[a]]
         rhs = np.zeros((tree.n - off, len(chunk) * r))
         for at, i in enumerate(chunk):
             rhs[tree.indices(i) - off, at * r : (at + 1) * r] = basis.leaf_matrix[i]
-        x = block_solve(trailing, rhs)
+        x = block_solve(factor.trailing(row[a]), rhs)
         del rhs
         q = slot[chunk]
         for g in basis.leaf_matrix.groups:

@@ -51,6 +51,15 @@ class BlockCholesky:
     below: list
     spans: list
 
+    def trailing(self, k):
+        """The factor of the Schur complement of A's first k blocks: L's
+        blocks from k on, with the spans counted from block k's first
+        unknown.  For a right-hand side that vanishes above block k, its
+        solve gives the full solve's rows from there down, bit for bit."""
+        off = self.spans[k].start
+        spans = [slice(s.start - off, s.stop - off) for s in self.spans[k:]]
+        return BlockCholesky(self.inverse[k:], self.below[k:], spans)
+
 
 def lshape_sites(grid):
     """The interior sites of the L in row-major order: their integer
