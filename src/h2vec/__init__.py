@@ -20,7 +20,6 @@ from .convert import (
     CoordinateMap,
     ToleranceBudget,
     coarsen_pass,
-    convert,
     materialize_induced,
 )
 from .h2matrix import (

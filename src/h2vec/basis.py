@@ -72,9 +72,9 @@ class MatrixGroup:
     (b, m), laid out by the ptr of the bases the builder names; a
     basis's transfer groups also hold the fathers.  A step, one stacked
     product of a pass (see run_steps), is a MatrixGroup too, often one
-    picked from a larger group.  A group whose steps a product keeps
-    may hold in last its BatchLastGroup twin (see batch_last), from
-    which pick then picks.
+    picked from a larger group.  Only the product's pattern copies
+    steps into the batch-last layout (batch_last); a basis's groups
+    and the steps its transformations build stay batch-first.
     """
 
     clusters: np.ndarray
@@ -82,16 +82,12 @@ class MatrixGroup:
     source: np.ndarray = None
     target: np.ndarray = None
     fathers: np.ndarray = None
-    last: "MatrixGroup" = None
 
     def pick(self, mask):
         """The group of the clusters marked in mask, a boolean array
-        with one entry per cluster, or None when none is; picked from
-        the twin when there is one.  Its arrays are views of this
-        group's when the marked clusters form one run, copies
-        otherwise."""
-        if self.last is not None:
-            return self.last.pick(mask)
+        with one entry per cluster, or None when none is.  Its arrays
+        are views of this group's when the marked clusters form one
+        run, copies otherwise."""
         at = mask.nonzero()[0]
         if not at.size:
             return None
@@ -121,17 +117,11 @@ class MatrixGroup:
 
     def transposed(self):
         """The group of the transposed matrices, mapping target to
-        source, as a copy, batch-last when they are tiny.  A product
-        pattern keeps it for all products on its subtree: on the @
-        branch of kernels.matvec a product with the transposed view
-        rounds differently, and passing the view instead raised the
-        grid-64 demo's peak RSS from 107 to 114 MB."""
-        flipped = MatrixGroup(self.clusters, self.stack.transpose(0, 2, 1), self.target, self.source, self.fathers)
-        tiny = flipped.batch_last()
-        if tiny is not None:
-            return tiny
-        flipped.stack = np.ascontiguousarray(flipped.stack)
-        return flipped
+        source, as a contiguous copy: a product with the transposed
+        view rounds differently, and passing the view instead raised
+        the grid-64 demo's peak RSS from 107 to 114 MB."""
+        stack = np.ascontiguousarray(self.stack.transpose(0, 2, 1))
+        return MatrixGroup(self.clusters, stack, self.target, self.source, self.fathers)
 
 
 class BatchLastGroup(MatrixGroup):
@@ -139,7 +129,8 @@ class BatchLastGroup(MatrixGroup):
     it is not a view: stack (m, n, b), source (n, b) and target (m, b).
     In this layout stacks of tiny matrices multiply fastest
     (kernels.matvec with batch_last, see the kernels module), so the
-    product keeps its steps of tiny matrices so."""
+    product's pattern (matvec._pattern) holds its steps of tiny
+    matrices so."""
 
     @staticmethod
     def _cut(a, at):
@@ -147,10 +138,6 @@ class BatchLastGroup(MatrixGroup):
 
     def apply(self, x):
         return kernels.matvec(self.stack, x, batch_last=True)
-
-    def transposed(self):
-        stack = np.ascontiguousarray(self.stack.transpose(1, 0, 2))
-        return BatchLastGroup(self.clusters, stack, self.target, self.source, self.fathers)
 
 
 class ClusterMatrices(Mapping):
@@ -343,9 +330,9 @@ class ClusterBasis:
     transfer groups, per (level, rank, father rank), run top-down; their
     source and target hold the entries of the fathers and of the sons,
     and transfer.levels[l] lists the groups of the sons on level l.
-    forward_steps and backward_steps cut the transfer groups, or their
-    batch-last twins where a product plan made them, to the clusters a
-    transformation treats, and forward and backward run those steps.
+    forward_steps and backward_steps cut the transfer groups to the
+    clusters a transformation treats, batch-first, and forward and
+    backward run those steps.
     """
 
     def __init__(self, tree, ranks, leaf_store, transfer_store, isometric=False):

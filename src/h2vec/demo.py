@@ -164,11 +164,11 @@ class PoissonDemo:
         lap("leaf_inverse")
         coupling, self._coupling_sumsq = _project_in_place(self.leaf_operator, self.iso, self.block_tree, first, end)
         self.matrix = H2Matrix(self.block_tree, self.iso, self.iso, coupling)
+        # an upper bound on the spectral norm of L M L^T: ||M||_F, as
+        # each leaf block's region of M is E_t S E_s^T with E_t, E_s
+        # orthonormal
+        self.op_norm = math.sqrt(self._coupling_sumsq)
         lap("projection")
-        # valid upper bounds on the spectral norm of L M L^T, which is
-        # that of M since L is isometric
-        self.op_norm = min(float(np.linalg.norm(self.leaf_operator)), _norm_1_inf(self.leaf_operator))
-        lap("op_norm")
         self.plan = build_plan(self.matrix, self.iso)
         lap("plan")
         self.nested, change = nested_orthogonalize(self.plan.induced)
@@ -404,18 +404,6 @@ def _project_in_place(m, basis, block_tree, first, end):
             m[first[s] : end[s], first[t] : end[t]] = m[region].T
             sumsq += 2.0 * float(np.vdot(c, c))
     return coupling, sumsq
-
-
-def _norm_1_inf(m):
-    """sqrt(||m||_1 ||m||_inf), an upper bound on the spectral norm,
-    with absolute values taken 256 rows at a time."""
-    column_sums = np.zeros(m.shape[1])
-    row_max = 0.0
-    for lo in range(0, len(m), 256):
-        absolute = np.abs(m[lo : lo + 256])
-        column_sums += absolute.sum(axis=0)
-        row_max = max(row_max, float(absolute.sum(axis=1).max()))
-    return math.sqrt(float(column_sums.max()) * row_max)
 
 
 def cell_bounds(grid):

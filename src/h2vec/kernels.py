@@ -17,40 +17,30 @@ m x m orthogonal factor densely, so applying its adjoint to p columns
 is one counted product of m*m*p.  Comparisons and copies are not
 counted.
 
-Stacks of matrix-vector products pick their kernel by shape and
-layout.  A stack held batch-first, (b, m, n) matrices and (b, n)
-vectors, is multiplied by ``np.einsum`` when its matrices have at
-most TINY_ENTRIES = 64 entries each, larger ones by ``@``: below that
-size per-matrix dispatch, not arithmetic, sets the time.  Ratios of
-``@`` time over einsum time (best of 5 x 200 calls, three runs):
-2.1-2.6 for 3 x 3 matrices, 1.1-1.3 for 8 x 8, 1.0-1.2 for 9 x 9,
-but 0.8 for 16 x 16, 0.7 for 16 x 8 and 0.3 for tall 64 x 3, so the
-rule counts entries, not columns; for the product's wide
-coupling stacks, one k x ck matrix per row of c leaf blocks, 1.0-3.3
-for 1,000 3 x 3c matrices (c = 1 ... 7) and 0.56-1.0 for 200
-16 x 16c (c = 1 ... 4).  A stack held batch-last, (m, n, b) matrices
-and (n, b) vectors (matvec's batch_last), is always multiplied by
-einsum, whose inner loop then runs over the batch rather than over a
-side of length 3.  Microseconds per call, batch-last einsum /
-batch-first einsum / ``@``, contiguous operands, best of 5 x 200
-calls in one process on 2 CPUs:
+Stacks of matrix-vector products follow one rule.  A stack held
+batch-last, (m, n, b) matrices and (n, b) vectors, is multiplied by
+``np.einsum``, whose inner loop then runs over the batch rather than
+over a side of length 3; the product holds its steps of tiny
+matrices, of at most TINY_ENTRIES = 64 entries, so
+(basis.BatchLastGroup, chosen in matvec alone).  Every other stack,
+held batch-first, (b, m, n) matrices and (b, n) vectors, is
+multiplied by ``@``.  Microseconds per call, batch-last einsum /
+``@``, contiguous operands, best of 5 x 200 calls in one process on
+2 CPUs:
 
-    shape    b = 1            b = 2            b = 200            b = 1,000
-    3 x 3    2.1 / 2.1 / 1.4  2.1 / 2.1 / 1.5   2.7 /  5.2 /  8.1   6.0 /  18.9 /  38.6
-    3 x 9    2.0 / 2.0 / 1.4  2.1 / 2.1 / 1.4   3.8 /  5.8 / 10.0  11.4 /  21.2 /  44.0
-    3 x 18   1.9 / 1.8 / 1.3  2.2 / 1.9 / 1.4   5.7 /  7.0 / 10.7  18.9 /  26.0 /  47.2
-    9 x 9    1.9 / 1.9 / 1.3  2.3 / 1.9 / 1.4   7.3 / 12.2 / 13.0  29.7 /  54.4 /  59.2
-    16 x 16  1.9 / 1.9 / 1.3  3.0 / 2.1 / 1.4  19.0 / 23.8 / 17.5  96.9 / 133.3 / 116.5
+    shape    b = 1      b = 2      b = 200       b = 1,000
+    3 x 3    2.1 / 1.4  2.1 / 1.5   2.7 /  8.1    6.0 /  38.6
+    3 x 9    2.0 / 1.4  2.1 / 1.4   3.8 / 10.0   11.4 /  44.0
+    3 x 18   1.9 / 1.3  2.2 / 1.4   5.7 / 10.7   18.9 /  47.2
+    9 x 9    1.9 / 1.3  2.3 / 1.4   7.3 / 13.0   29.7 /  59.2
+    16 x 16  1.9 / 1.3  3.0 / 1.4  19.0 / 17.5   96.9 / 116.5
 
 Batch-last loses where dispatch sets the time, at b <= 2 (``@`` is
-fastest there at every shape, and at 16 x 16, b = 2, batch-last is the
-slowest), and to ``@`` at 16 x 16, b = 200.  Making the layout costs
-a transposing copy, more than it saves in one product, and passing
-transposed views gives the gain up, so stacks of tiny matrices are
-held batch-last (basis.BatchLastGroup) only where they are kept for
-many products or copied anyway, as the transposed transfers of a
-forward transformation are; the one rule of TINY_ENTRIES decides.
-All kernels are charged the same count.
+fastest there at every shape), and to ``@`` at 16 x 16, b = 200.
+Making the layout costs a transposing copy, more than it saves in one
+product, and passing transposed views gives the gain up, so only
+stacks a product keeps for many products are laid out so.  Both
+kernels are charged the same count.
 
 The QR routines fix signs so that the triangular factor has a
 non-negative diagonal.  For input [A | B] whose leading columns A are
@@ -72,15 +62,14 @@ __all__ = [
     "tally",
     "matmul",
     "matvec",
-    "axpy",
     "vdot",
     "ReflectorStack",
     "qr_stack",
     "triangular_factor",
 ]
 
-# stacked matrices of at most this many entries are multiplied by
-# einsum, and held batch-last where a product keeps them
+# stacked matrices of at most this many entries are held batch-last,
+# and so multiplied by einsum, where a product keeps them
 TINY_ENTRIES = 64
 
 _COUNTER: contextvars.ContextVar = contextvars.ContextVar(
@@ -170,12 +159,11 @@ def matvec(a, x, batch_last=False):
 
     a may also be a stack of b matrices, shape (b, m, n), with x a
     stack of b vectors, shape (b, n); the result is the (b, m) stack
-    of the products a[j] @ x[j], computed by einsum when m * n is at
-    most TINY_ENTRIES and by @ otherwise.  With batch_last the stack
-    is held with its batch axis last: a of shape (m, n, b), x of shape
-    (n, b), and the result is the (m, b) array whose column j is
-    a[:, :, j] @ x[:, j], computed by einsum (see the module
-    docstring).  Every way the count is b * m * n; the kernels may
+    of the products a[j] @ x[j], computed by @.  With batch_last the
+    stack is held with its batch axis last: a of shape (m, n, b), x
+    of shape (n, b), and the result is the (m, b) array whose column j
+    is a[:, :, j] @ x[:, j], computed by einsum (see the module
+    docstring).  Either way the count is b * m * n; the kernels may
     round differently.
     """
     a = np.asarray(a, dtype=float)
@@ -189,20 +177,8 @@ def matvec(a, x, batch_last=False):
         return a @ x
     elif a.ndim == 3 and x.ndim == 2 and (a.shape[0], a.shape[2]) == x.shape:
         tally(a.size)
-        if a.shape[1] * a.shape[2] <= TINY_ENTRIES:
-            return np.einsum("bij,bj->bi", a, x)
         return (a @ x[:, :, None])[:, :, 0]
     raise ValueError(f"matvec shape mismatch: {a.shape} x {x.shape}")
-
-
-def axpy(alpha, x, y):
-    """Counted y + alpha*x for equal-length vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"axpy shape mismatch: {x.shape} vs {y.shape}")
-    tally(x.size)
-    return y + alpha * x
 
 
 def vdot(x, y):

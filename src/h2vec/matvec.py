@@ -53,13 +53,13 @@ takes 38-44 us, against 44-47 us by indexing.
 
 Steps of tiny matrices, of at most kernels.TINY_ENTRIES entries, are
 held batch-last (basis.BatchLastGroup), the layout in which such
-stacks multiply fastest.  build_plan builds such coupling groups
-batch-last, as only products read them, and gives the row basis's
-transfer groups batch-last twins, once; the steps view them or are
-picked from them.  The steps a pattern copies, of the cross Gram
-matrices and of the transposed column transfers, are copied
-batch-last.  A product at n = 4096 and rank 3 on the full
-subtree runs all its 26 steps so.
+stacks multiply fastest, and this module alone chooses it.
+build_plan builds such coupling groups batch-last, as only products
+read them, and the pattern views or picks them; every other tiny step
+it keeps, of the push, the cross Gram matrices, the forward and the
+backward pass, it copies batch-last (_laid_out), so the bases it
+reads are left as they were.  A product at n = 4096 and rank 3 on
+the full subtree runs all its 26 steps so.
 
 Everything these passes read but the input's coefficients depends
 only on the input's subtree: the result's subtree, the steps of the
@@ -134,9 +134,12 @@ class ProductPattern:
     non-leaf blocks at the result's leaves and their columns.
     leaf_target, leaf_row: the leading entries of each result leaf
     and the row accumulators they come from.  Every array, also those
-    of the steps and groups, is read-only.  Where the clusters that
-    take part form one run of a group of the plan or of a basis, a
-    whole group in particular, the pattern holds views of the group's
+    of the steps and groups, is read-only.  Steps of tiny matrices are
+    batch-last: the coupling steps are picked from the plan's groups,
+    the others are copies.  Where the clusters that take part form one
+    run of a coupling group of the plan, or of a transfer group of
+    larger matrices that the push or the backward pass reads, a whole
+    group in particular, the pattern holds views of the group's
     arrays, not copies.
     """
 
@@ -216,11 +219,6 @@ def build_plan(matrix, input_basis):
     starts = ptr[rows] + ka + k * slot
     nonleaf_blocks = BlockSet(rows, bt.col[others], parent[others], starts[:, None] + np.arange(k))
     coupling = _coupling_groups(matrix, leaf_blocks)
-    # every product reads the row transfers: tiny ones get a batch-last
-    # twin, once, which backward_steps picks from
-    for group in matrix.row_basis.transfer.groups:
-        if group.last is None:
-            group.last = group.batch_last()
     plan = MatvecPlan(matrix, input_basis, cross, ptr, leaf_blocks, nonleaf_blocks, coupling)
     plan.induced = materialize_induced(plan)
     plan.ptr = plan.induced.ptr  # the same offsets, read-only
@@ -255,6 +253,11 @@ class InducedHVector(HVector):
 
     def copy(self):
         return InducedHVector(self.plan, self.sub.copy(), self.data.copy())
+
+
+def _laid_out(steps):
+    """The steps, each of tiny matrices as a batch-last copy."""
+    return [step.batch_last() or step for step in steps]
 
 
 def _pattern(plan, x_sub):
@@ -301,11 +304,11 @@ def _pattern(plan, x_sub):
     pattern = ProductPattern(
         key=interior.tobytes(),
         sub=sub,
-        push=plan.input_basis.backward_steps(push),
+        push=_laid_out(plan.input_basis.backward_steps(push)),
         cross=cross.batch_last() or cross,
-        forward=plan.matrix.col_basis.forward_steps(member),
+        forward=_laid_out(plan.matrix.col_basis.forward_steps(member)),
         coupling=[group for group in coupling if group is not None],
-        backward=plan.matrix.row_basis.backward_steps(result),
+        backward=_laid_out(plan.matrix.row_basis.backward_steps(result)),
         parked=int(np.count_nonzero(leaf[others.col])),
         slot_target=others.target[slotted],
         slot_col=others.col[slotted],

@@ -29,7 +29,8 @@ def axpy(alpha, x, y):
     def add_leaf(i, z):
         if y.sub.is_leaf(i):
             a, b = off[i], off[i + 1]
-            ydata[a:b] = kernels.axpy(1.0, z, ydata[a:b])
+            ydata[a:b] += z
+            kernels.tally(z.size)
         else:
             for s in tree.sons(i):
                 add_leaf(s, kernels.matvec(transfer[s], z))

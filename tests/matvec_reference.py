@@ -106,7 +106,8 @@ def forward(x, plan, out):
         acc = np.zeros(plan.matrix.rank)
         for s2 in tree.sons(s):
             walk(s2)
-            acc = kernels.axpy(1.0, kernels.matvec(col_transfer[s2].T, out[s2]), acc)
+            acc = acc + kernels.matvec(col_transfer[s2].T, out[s2])
+            kernels.tally(acc.size)
         out[s] = acc
 
     walk(tree.root)
@@ -127,7 +128,8 @@ def coupling(x, plan, xbar, sub, bars):
             bars[t][: plan.matrix.rank] += kernels.matvec(couplings[bid], xbar[s])
         elif x.sub.is_leaf(s):
             o = offsets[(t, s)]
-            bars[t][o : o + k] = kernels.axpy(1.0, x.coeff[s], bars[t][o : o + k])
+            bars[t][o : o + k] += x.coeff[s]
+            kernels.tally(k)
         else:
             if sub.is_leaf(t):
                 sub.expand(t)

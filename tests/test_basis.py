@@ -21,6 +21,7 @@ from h2vec.basis import (
     orthogonalize,
     polynomial_basis,
     projection_factors,
+    run_steps,
 )
 from h2vec.convert import CoordinateMap
 from h2vec.demo import PoissonDemo
@@ -713,33 +714,46 @@ def test_transformations_match_cluster_loops(kind, seed):
 @pytest.mark.filterwarnings("ignore:leaf_size raised")
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["uniform", "ragged", "induced"]), seed=st.integers(0, 2**16))
-def test_batch_last_twins_pick_and_run_like_their_groups(kind, seed):
+def test_batch_last_copies_pick_transpose_and_run_like_their_groups(kind, seed):
     basis = _basis_of(kind, seed)
     rng = np.random.default_rng(seed + 1)
     marks = rng.random(len(basis.tree)) < 0.6
+    data = rng.standard_normal(basis.ptr[-1])
     for group in basis.transfer.groups:
         want = group.pick(marks[group.clusters])
-        group.last = group.batch_last()
-        got = group.pick(marks[group.clusters])
-        if group.last is None:
+        copy = group.batch_last()
+        if copy is None:
             assert group.stack.shape[1] * group.stack.shape[2] > kernels.TINY_ENTRIES
             continue
+        got = copy.pick(marks[group.clusters])
         if want is None:
             assert got is None
             continue
-        assert isinstance(got, BatchLastGroup) and got.last is None
-        assert np.array_equal(got.clusters, want.clusters) and np.array_equal(got.fathers, want.fathers)
-        assert np.array_equal(got.stack, want.stack.transpose(1, 2, 0))
-        assert np.array_equal(got.source, want.source.T) and np.array_equal(got.target, want.target.T)
-        flipped = got.transposed()
+        # picking from the copy and copying the pick give the same group
+        for picked in (got, want.batch_last()):
+            assert isinstance(picked, BatchLastGroup)
+            assert np.array_equal(picked.clusters, want.clusters) and np.array_equal(picked.fathers, want.fathers)
+            assert np.array_equal(picked.stack, want.stack.transpose(1, 2, 0))
+            assert np.array_equal(picked.source, want.source.T) and np.array_equal(picked.target, want.target.T)
+        flipped = want.transposed().batch_last()
         assert np.array_equal(flipped.stack, want.stack.transpose(2, 1, 0)) and flipped.stack.flags.c_contiguous
-        assert flipped.source is got.target and flipped.target is got.source
-    # the transformations read the twins and still match the cluster loops
-    for stacked, looped in ((basis.forward, loop_forward), (basis.backward, loop_backward)):
+        assert np.array_equal(flipped.source, got.target) and np.array_equal(flipped.target, got.source)
+        with kernels.count_flops() as laid:
+            pushed = got.apply(data.take(got.source))
+        with kernels.count_flops() as first:
+            expected = want.apply(data.take(want.source))
+        assert laid.total == first.total
+        scale = np.abs(want.stack) @ np.abs(data.take(want.source))[:, :, None]
+        assert np.all(np.abs(pushed.T - expected) <= 1e-15 * scale[:, :, 0])
+    # the batch-last copies of the transformations' steps match the
+    # cluster loops
+    steps = ((basis.forward_steps(marks), loop_forward), (basis.backward_steps(marks), loop_backward))
+    for picked, looped in steps:
+        laid = [step.batch_last() or step for step in picked]
         data = rng.standard_normal(basis.ptr[-1])
         want = data.copy()
         with kernels.count_flops() as batched:
-            stacked(data, marks)
+            run_steps(data, laid)
         with kernels.count_flops() as walked:
             looped(basis, want, marks)
         assert batched.total == walked.total

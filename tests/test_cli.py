@@ -1,4 +1,3 @@
-import importlib
 import math
 import os
 import re
@@ -8,14 +7,12 @@ import numpy as np
 import pytest
 
 from h2vec import basis as basis_module
+from h2vec import convert as convert_module
 from h2vec import hvector, kernels, selftest
 from h2vec import tree as tree_module
 from h2vec.cli import main
 from h2vec.h2matrix import H2Matrix, to_dense
 from h2vec.selftest import run_selftest
-
-# h2vec.convert is also the name of the package's convert function
-convert_module = importlib.import_module("h2vec.convert")
 
 
 def test_selftest_passes():

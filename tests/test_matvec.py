@@ -567,6 +567,7 @@ def test_pattern_of_a_full_input_views_the_coupling_stack(rng):
     inst = random_instance(128, 3, 2, 1.0, seed=13)
     plan = build_plan(inst.matrix, inst.input_basis)
     full = prefix_subtree(inst.tree, inst.tree.depth)
+    held = []
     for _ in range(2):
         x = random_hvector(inst.input_basis, rng, sub=full)
         _assert_same_product(plan, inst, x)
@@ -580,12 +581,18 @@ def test_pattern_of_a_full_input_views_the_coupling_stack(rng):
                 view, array = getattr(mine, name), getattr(group, name)
                 assert view is not array and view.shape == array.shape
                 assert view.ctypes.data == array.ctypes.data
-        # so is each transfer group's twin the row basis's backward pass reads
-        twins = [g.last for g in inst.matrix.row_basis.transfer.groups]
-        assert all(isinstance(twin, BatchLastGroup) for twin in twins)
+        # the backward steps are batch-last copies the pattern holds,
+        # not views of the row basis's transfers
+        row_basis = inst.matrix.row_basis
+        assert plan.pattern.backward
         for step in plan.pattern.backward:
-            assert isinstance(step, BatchLastGroup)
-            assert any(step.stack.ctypes.data == twin.stack.ctypes.data for twin in twins)
+            assert isinstance(step, BatchLastGroup) and step.stack.flags.c_contiguous
+            assert not np.shares_memory(step.stack, row_basis.transfer.store)
+            transfers = np.array([row_basis.transfer[s] for s in step.clusters.tolist()])
+            assert np.array_equal(step.stack, transfers.transpose(1, 2, 0))
+        held.append(plan.pattern.backward)
+    # and the next product on the subtree runs the same copies
+    assert all(step is kept for step, kept in zip(*held))
 
 
 def test_pattern_arrays_are_read_only(rng):
@@ -604,13 +611,36 @@ def test_pattern_arrays_are_read_only(rng):
         if array.size:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
-    # the plan's and the bases' own arrays, and the twins', stay writable
-    # behind the views
+    # the plan's and the bases' own arrays stay writable behind the views
     bases = (inst.matrix.row_basis, inst.matrix.col_basis, inst.input_basis)
     groups = [*plan.coupling, *(g for b in bases for g in b.transfer.groups)]
-    for group in groups + [g.last for g in groups if g.last is not None]:
+    for group in groups:
         assert group.stack.flags.writeable and group.source.flags.writeable
         assert group.target.flags.writeable and group.clusters.flags.writeable
+
+
+def test_build_plan_and_multiply_leave_the_bases_untouched(rng):
+    tree = random_instance(128, 3, 3, 1.0, seed=18).tree
+    row, col, input_basis = (random_iso_basis(tree, 3, rng) for _ in range(3))
+    matrix = random_h2(build_block_tree(tree, tree, 1.0), row, col, seed=19)
+    bases = (row, col, input_basis)
+
+    def snapshot():
+        groups = [g for b in bases for g in (*b.leaf_matrix.groups, *b.transfer.groups)]
+        return [(g, dict(vars(g))) for g in groups]
+
+    before = snapshot()
+    v = random_hvector(row, rng, steps=12)
+    dense = hv_dense(v)
+    plan = build_plan(matrix, input_basis)
+    full = prefix_subtree(tree, tree.depth)
+    for x in (random_hvector(input_basis, rng, steps=12), random_hvector(input_basis, rng, sub=full)):
+        multiply(plan, x)
+    after = snapshot()
+    for (group, was), (same, now) in zip(before, after):
+        assert same is group and set(now) == set(was)
+        assert all(now[name] is value for name, value in was.items())
+    assert np.array_equal(hv_dense(v), dense)
 
 
 def _batch_first(group):
@@ -681,9 +711,10 @@ def test_a_product_on_a_known_subtree_does_only_arithmetic(rng, monkeypatch):
     with kernels.count_flops():
         multiply(plan, x)
     assert calls["forward_steps"] == 1 and calls["backward_steps"] == 2 and calls["pick"] > 0
-    # at these ranks every step the pattern keeps but the push is batch-last
+    # at these ranks every step the pattern keeps is batch-last
     p = plan.pattern
-    assert all(isinstance(step, BatchLastGroup) for step in [p.cross, *p.forward, *p.coupling, *p.backward])
+    assert p.push
+    assert all(isinstance(step, BatchLastGroup) for step in [*p.push, p.cross, *p.forward, *p.coupling, *p.backward])
     calls.clear()
     with kernels.count_flops():
         y = multiply(plan, again)

@@ -30,3 +30,20 @@ def test_every_module_but_the_entry_point_is_imported():
                 else:
                     imported.update(alias.name for alias in node.names)
     assert set(MODULES) - imported == {"cli"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_the_package_binds_each_module_under_its_name(name):
+    # so `import h2vec.<name> as m` binds the module, and a patch set
+    # on m reaches the code that reads it
+    module = importlib.import_module(f"h2vec.{name}")
+    assert getattr(h2vec, name) is module
+    namespace = {}
+    exec(f"import h2vec.{name} as bound", namespace)
+    assert namespace["bound"] is module
+
+
+def test_the_convert_function_is_imported_from_its_module():
+    from h2vec.convert import convert
+
+    assert callable(convert) and convert.__module__ == "h2vec.convert"
