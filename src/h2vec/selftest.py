@@ -59,15 +59,17 @@ def _suite_kernels(seed):
     with kernels.count_flops() as counter:
         kernels.matvec(np.zeros((5, 7)), np.zeros(7))
     checks.append((counter.total == 35, "matvec flop count"))
-    # one stack on each of the kernel's branches, einsum and @
+    # stacks in both layouts: batch-first by @, batch-last by einsum
     ok = True
     for size in (3, 16):
         a = rng.standard_normal((6, size, size))
         v = rng.standard_normal((6, size))
         out = kernels.matvec(a, v)
-        for j in range(6):
-            error = np.abs(out[j] - a[j] @ v[j])
-            ok &= bool(np.all(error <= 1e-15 * (np.abs(a[j]) @ np.abs(v[j]))))
+        laid = kernels.matvec(np.ascontiguousarray(a.transpose(1, 2, 0)), np.ascontiguousarray(v.T), batch_last=True)
+        for got in (out, laid.T):
+            for j in range(6):
+                error = np.abs(got[j] - a[j] @ v[j])
+                ok &= bool(np.all(error <= 1e-15 * (np.abs(a[j]) @ np.abs(v[j]))))
     checks.append((ok, "stacked matvec matches separate products"))
     return checks
 
